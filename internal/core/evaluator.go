@@ -70,10 +70,8 @@ func NewEvaluator() *Evaluator { return &Evaluator{} }
 // with) three SumWhere passes, without the closure allocations.
 func resultFromJointModel(j *dist.JointCrashByz, m CountModel) Result {
 	var sSafe, sLive, sBoth dist.KahanSum
-	n := j.N()
-	for c := 0; c <= n; c++ {
-		for b := 0; b+c <= n; b++ {
-			mass := j.PMF(c, b)
+	for c, rows := 0, j.Rows(); c < rows; c++ {
+		for b, mass := range j.Row(c) {
 			if mass == 0 {
 				continue
 			}

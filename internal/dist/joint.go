@@ -1,6 +1,10 @@
 package dist
 
-import "repro/internal/obs"
+import (
+	"math"
+
+	"repro/internal/obs"
+)
 
 // JointCrashByz is the exact joint distribution of (#crashed, #Byzantine)
 // across a fleet of independent tri-state nodes — the object at the heart
@@ -21,12 +25,88 @@ import "repro/internal/obs"
 // concurrent mutation; see core.EvaluatorPool for sharing across workers.
 type JointCrashByz struct {
 	n int
-	// p is the (n+1)x(n+1) lower-triangular table flattened row-major:
-	// p[c*(n+1)+b] = P[exactly c crashed and b Byzantine], c+b <= n.
-	p []float64
+	// band holds the table: the (n+1)x(n+1) lower triangle flattened
+	// row-major, p[c*(n+1)+b] = P[exactly c crashed and b Byzantine],
+	// c+b <= n, together with its live extents.
+	band
 	// scratch is the DP's second buffer, kept so Reset and ExtendWith
 	// never reallocate in steady state.
-	scratch []float64
+	scratch band
+}
+
+// flushBelow is τ = 2⁻⁹⁰⁰ ≈ 1.2e-271: Reset and ExtendWith store any cell
+// below it as exact 0, so no fold ever reads a subnormal back (Go cannot
+// set FTZ/DAZ, and each subnormal operand costs a microcode assist).
+// Cells >= ~1e-250 are untouched, mass is only ever removed, and one
+// build removes less than (N+1)(N+2)(N+3)/6·τ ≈ N³/6·τ in total
+// (DESIGN.md "Incremental-DP math"; pinned by TestFlushBound). A
+// constant, not a knob: nothing a caller can observe depends on it.
+const flushBelow = 0x1p-900
+
+const flushBits = (1023 - 900) << 52 // math.Float64bits(flushBelow)
+
+// flush returns v, or 0 when v < τ, without a branch: for the non-negative
+// values a fold produces float order is bit-pattern order, and the integer
+// compare compiles to a conditional move.
+func flush(v float64) float64 {
+	u := math.Float64bits(v)
+	if u < flushBits {
+		u = 0
+	}
+	return math.Float64frombits(u)
+}
+
+// band is one DP buffer plus its live extents. Invariant: every cell of
+// p[:cap(p)] is exactly 0 except the first hi[c] cells of rows c < rows
+// (stride len(hi)) — so all-zero cells are neither computed nor re-zeroed,
+// whole-buffer readers (PMF, mixtures, convolutions) see zeros there, and
+// the w spare cells reset keeps past the table are a permanent zero row.
+type band struct {
+	p    []float64
+	hi   []int // row c is zero from b = hi[c] on (tight after a fold)
+	rows int   // hi[c] == 0 from c = rows on
+}
+
+// reset empties the band and sizes it for a w-row table. It clears only
+// the cells the buffer's previous occupant left live, never all w².
+func (t *band) reset(w int) {
+	ow := len(t.hi)
+	for c, h := range t.hi[:t.rows] {
+		clear(t.p[c*ow : c*ow+h])
+	}
+	if need := w * (w + 1); cap(t.p) < need {
+		t.p = make([]float64, w*w, need)
+	} else {
+		t.p = t.p[:w*w]
+	}
+	if cap(t.hi) < w {
+		t.hi = make([]int, w)
+	} else {
+		t.hi = t.hi[:w]
+		clear(t.hi)
+	}
+	t.rows = 0
+}
+
+// resetNoNodes is reset with all mass on (0, 0): the table over no nodes,
+// which every build folds up from.
+func (t *band) resetNoNodes(w int) {
+	t.reset(w)
+	t.p[0], t.hi[0], t.rows = 1, 1, 1
+}
+
+// resetDense sizes the band for an n-node table whose whole support
+// triangle the caller is about to overwrite, and marks it all live. At an
+// unchanged stride nothing needs clearing first: live extents never leave
+// the triangle.
+func (t *band) resetDense(n int) {
+	if len(t.hi) != n+1 {
+		t.reset(n + 1)
+	}
+	for c := range t.hi {
+		t.hi[c] = n + 1 - c
+	}
+	t.rows = n + 1
 }
 
 // jointBuilds counts from-scratch table constructions (Reset and therefore
@@ -75,135 +155,97 @@ func NewJointCrashByz(nodes []TriState) *JointCrashByz {
 	return d
 }
 
-// Reset rebuilds the table for the given nodes in place. Buffers are
-// reused whenever they are large enough, so resetting a warm table of the
-// same (or smaller) size allocates nothing. Above ParallelRowThreshold
-// rows each fold's row updates are split across the bounded dist worker
-// group; the fold is written in gather form — every output cell is
-// computed by exactly one worker with a fixed operation order — so the
-// parallel build is bit-identical to the serial one (and both are
-// bit-identical to the historical scatter-form fold: per target cell the
-// contributions arrive in the same pc, pb, pok order).
+// Reset rebuilds the table for the given nodes in place, one band-limited
+// fold per node. Buffers are reused whenever they are large enough, so
+// resetting a warm table of the same (or smaller) size allocates nothing.
 func (d *JointCrashByz) Reset(nodes []TriState) {
 	jointBuilds.Add(1)
-	n := len(nodes)
-	w := n + 1
-	need := w * w
-	if cap(d.p) >= need && cap(d.scratch) >= need {
+	w := len(nodes) + 1
+	if need := w * (w + 1); cap(d.p) >= need && cap(d.scratch.p) >= need {
 		workspaceReuses.Add(1)
 	}
-	if cap(d.p) < need {
-		d.p = make([]float64, need)
-	} else {
-		d.p = d.p[:need]
+	d.band.resetNoNodes(w)
+	if len(d.scratch.hi) != w { // at an unchanged stride fold clears what is stale
+		d.scratch.reset(w)
 	}
-	if cap(d.scratch) < need {
-		d.scratch = make([]float64, need)
-	} else {
-		d.scratch = d.scratch[:need]
-	}
-	cur, next := d.p, d.scratch
-	cur[0] = 1
-	workers := 1
-	if w >= ParallelRowThreshold {
-		workers = Parallelism()
-	}
-	for i, t := range nodes {
+	for _, t := range nodes {
 		pc, pb, pok := clampTri(t)
-		// After folding node i the support is c+b <= i+1: rows 0..i+1.
-		rows := i + 2
-		if workers > 1 && rows >= ParallelRowThreshold {
-			// Copy everything the closure needs into branch-local
-			// variables: only these escape to the heap, so the serial
-			// small-N path below stays allocation-free.
-			src, dst, stride, node := cur, next, w, i
-			fc, fb, fok := pc, pb, pok
-			splitRows(rows, workers, func(lo, hi int) {
-				foldGather(dst, src, stride, node, fc, fb, fok, lo, hi)
-			})
-		} else {
-			foldGather(next, cur, w, i, pc, pb, pok, 0, rows)
-		}
-		cur, next = next, cur
+		fold(&d.scratch, &d.band, pc, pb, pok)
+		d.band, d.scratch = d.scratch, d.band
 	}
-	// The gather fold writes only the support triangle; zero the
-	// complement once so whole-buffer consumers (MixJointCrashByz) see the
-	// same all-zero out-of-triangle cells a scatter build produced.
-	for c := 0; c <= n; c++ {
-		row := cur[c*w : (c+1)*w]
-		for b := n - c + 1; b <= n; b++ {
-			row[b] = 0
-		}
-	}
-	d.n = n
-	d.p, d.scratch = cur, next
-}
-
-// foldGather folds node i into rows [lo, hi) of next. Gather form:
-// next[c][b] = cur[c-1][b]·pc + cur[c][b-1]·pb + cur[c][b]·pok, reading
-// only cur cells with c+b <= i — which the previous fold fully wrote — so
-// neither buffer ever needs zeroing, and every output cell is written by
-// exactly one caller.
-func foldGather(next, cur []float64, w, i int, pc, pb, pok float64, lo, hi int) {
-	for c := lo; c < hi; c++ {
-		out := next[c*w:]
-		curRow := cur[c*w:]
-		var prevRow []float64
-		if c > 0 {
-			prevRow = cur[(c-1)*w:]
-		}
-		bMax := i + 1 - c
-		for b := 0; b <= bMax; b++ {
-			var v float64
-			if c > 0 {
-				v = prevRow[b] * pc
-			}
-			if b > 0 {
-				v += curRow[b-1] * pb
-			}
-			if b < bMax {
-				// cur[c][b] is inside the previous support exactly
-				// when c+b <= i.
-				v += curRow[b] * pok
-			}
-			out[b] = v
-		}
-	}
+	d.n = len(nodes)
 }
 
 // ExtendWith folds one more node into the table in O(n^2) — the prefix-
 // extension primitive that lets a uniform-fleet N-sweep reuse a single DP
-// instead of rebuilding from scratch at every size. The fold performs the
-// same floating-point operations as Reset over the extended node list, so
-// an extended table is bit-identical to a fresh build.
+// instead of rebuilding from scratch at every size. It is the same fold
+// Reset runs, gathering from the old stride into the new one, so an
+// extended table is bit-identical to a fresh build by construction.
 func (d *JointCrashByz) ExtendWith(t TriState) {
 	pc, pb, pok := clampTri(t)
-	w := d.n + 1  // old stride
-	w2 := d.n + 2 // new stride
-	need := w2 * w2
-	if cap(d.scratch) < need {
-		d.scratch = make([]float64, need)
-	} else {
-		d.scratch = d.scratch[:need]
+	if len(d.hi) == 0 { // zero value: the n=0 table was never materialised
+		d.band.resetNoNodes(1)
 	}
-	next := d.scratch
-	for j := range next {
-		next[j] = 0
-	}
-	for c := 0; c <= d.n; c++ {
-		row := d.p[c*w:]
-		for b := 0; b+c <= d.n; b++ {
-			m := row[b]
-			if m == 0 {
-				continue
-			}
-			next[c*w2+b] += m * pok
-			next[(c+1)*w2+b] += m * pc
-			next[c*w2+b+1] += m * pb
-		}
-	}
-	d.p, d.scratch = next, d.p
+	d.scratch.reset(d.n + 2)
+	fold(&d.scratch, &d.band, pc, pb, pok)
+	d.band, d.scratch = d.scratch, d.band
 	d.n++
+}
+
+// fold folds one node into dst from src, whose strides may differ:
+//
+//	dst[c][b] = src[c-1][b]·pc + src[c][b-1]·pb + src[c][b]·pok
+//
+// in exactly that operation order (the order the historical scatter fold
+// delivered its contributions in), flushed below τ. Only the live band is
+// visited: row c is computed up to max(hi[c-1], hi[c]+1), the furthest a
+// non-zero source reaches, and src's zeros beyond its extents stand in for
+// the out-of-support terms. dst must satisfy the band invariant on entry
+// (its own stale extents are cleared as rows are rewritten).
+func fold(dst, src *band, pc, pb, pok float64) {
+	ws, wd := len(src.hi), len(dst.hi)
+	rows := src.rows + 1
+	zero := src.p[ws*ws : ws*ws+ws]
+	for c := 0; c < rows; c++ {
+		prev, hp := zero, 0
+		if c > 0 {
+			prev, hp = src.p[(c-1)*ws:c*ws], src.hi[c-1]
+		}
+		cur, hc := src.p[c*ws:(c+1)*ws], 0 // row ws is the zero row
+		if c < ws {
+			hc = src.hi[c]
+		}
+		out := dst.p[c*wd : (c+1)*wd]
+		m := hp
+		if hc >= m && hc > 0 {
+			m = hc + 1
+		}
+		if k := min(m, ws); k > 0 {
+			prev, cur, o := prev[:k], cur[:k], out[:k]
+			o[0] = flush(prev[0]*pc + cur[0]*pok)
+			for b := 1; b < len(o); b++ {
+				o[b] = flush(prev[b]*pc + cur[b-1]*pb + cur[b]*pok)
+			}
+			if m > k { // only when extending a row that fills the old stride
+				out[k] = flush(cur[k-1] * pb)
+			}
+		}
+		for m > 0 && out[m-1] == 0 {
+			m--
+		}
+		if stale := dst.hi[c]; stale > m {
+			clear(out[m:stale])
+		}
+		dst.hi[c] = m
+	}
+	for c := rows; c < dst.rows; c++ {
+		clear(dst.p[c*wd : c*wd+dst.hi[c]])
+		dst.hi[c] = 0
+	}
+	for rows > 0 && dst.hi[rows-1] == 0 {
+		rows--
+	}
+	dst.rows = rows
 }
 
 // N returns the fleet size.
@@ -217,17 +259,28 @@ func (d *JointCrashByz) PMF(c, b int) float64 {
 	return d.p[c*(d.n+1)+b]
 }
 
+// Rows returns one past the last row (crash count) holding any mass;
+// Row(c) for c >= Rows() is empty.
+func (d *JointCrashByz) Rows() int { return d.rows }
+
+// Row returns row c's cells P[c, 0..], cut where the row's all-zero tail
+// begins — the slice whole-table consumers walk instead of calling PMF
+// per cell. It aliases the table: read-only, valid until the next
+// mutation.
+func (d *JointCrashByz) Row(c int) []float64 {
+	w := d.n + 1
+	return d.p[c*w : c*w+d.hi[c]]
+}
+
 // SumWhere returns the total probability mass of the cells where the
 // predicate holds — e.g. a protocol model's Safe(c, b). The sum is
 // compensated and clamped.
 func (d *JointCrashByz) SumWhere(pred func(crashed, byz int) bool) float64 {
 	var s KahanSum
-	w := d.n + 1
-	for c := 0; c <= d.n; c++ {
-		row := d.p[c*w:]
-		for b := 0; b+c <= d.n; b++ {
+	for c := 0; c < d.rows; c++ {
+		for b, mass := range d.Row(c) {
 			if pred(c, b) {
-				s.Add(row[b])
+				s.Add(mass)
 			}
 		}
 	}
@@ -240,10 +293,9 @@ func (d *JointCrashByz) SumWhere(pred func(crashed, byz int) bool) float64 {
 func (d *JointCrashByz) MarginalFail() []float64 {
 	out := make([]float64, d.n+1)
 	sums := make([]KahanSum, d.n+1)
-	w := d.n + 1
-	for c := 0; c <= d.n; c++ {
-		for b := 0; b+c <= d.n; b++ {
-			sums[c+b].Add(d.p[c*w+b])
+	for c := 0; c < d.rows; c++ {
+		for b, mass := range d.Row(c) {
+			sums[c+b].Add(mass)
 		}
 	}
 	for i := range sums {

@@ -103,16 +103,8 @@ func (l *LeaveOneOut) Without(i int) *JointCrashByz {
 	m := n - 1 // leave-one-out fleet size
 	wf := n + 1
 	w := m + 1
-	need := w * w
-	if cap(l.loo.p) < need {
-		l.loo.p = make([]float64, need)
-	} else {
-		l.loo.p = l.loo.p[:need]
-	}
+	l.loo.band.resetDense(m)
 	out := l.loo.p
-	for j := range out {
-		out[j] = 0
-	}
 	for c := 0; c <= m; c++ {
 		for b := 0; b+c <= m; b++ {
 			v := l.full.p[c*wf+b]

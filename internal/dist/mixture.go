@@ -30,21 +30,26 @@ func MixJointCrashByz(a, b *JointCrashByz, wa, wb float64) (*JointCrashByz, erro
 }
 
 // MixJointCrashByzInto writes the convex mixture into dst, reusing dst's
-// buffer. dst may alias a or b (the mixture is element-wise).
+// buffer. dst may alias a or b (the mixture is element-wise); only cells
+// inside either operand's live extent are visited.
 func MixJointCrashByzInto(dst *JointCrashByz, a, b *JointCrashByz, wa, wb float64) error {
 	if a.n != b.n {
 		return fmt.Errorf("dist: cannot mix joint tables over %d and %d nodes", a.n, b.n)
 	}
-	need := (a.n + 1) * (a.n + 1)
-	if cap(dst.p) < need {
-		dst.p = make([]float64, need)
-	} else {
-		dst.p = dst.p[:need]
+	w := a.n + 1
+	if dst != a && dst != b {
+		dst.band.reset(w)
 	}
 	dst.n = a.n
-	for i := range dst.p {
-		dst.p[i] = wa*a.p[i] + wb*b.p[i]
+	for c := 0; c < w; c++ {
+		h := max(a.hi[c], b.hi[c])
+		ra, rb, out := a.p[c*w:c*w+h], b.p[c*w:c*w+h], dst.p[c*w:c*w+h]
+		for i := range out {
+			out[i] = wa*ra[i] + wb*rb[i]
+		}
+		dst.hi[c] = h
 	}
+	dst.rows = max(a.rows, b.rows)
 	return nil
 }
 
@@ -69,12 +74,7 @@ func ConvolveJointCrashByz(a, b *JointCrashByz) *JointCrashByz {
 func ConvolveJointCrashByzInto(dst *JointCrashByz, a, b *JointCrashByz) {
 	n := a.n + b.n
 	w := n + 1
-	need := w * w
-	if cap(dst.p) < need {
-		dst.p = make([]float64, need)
-	} else {
-		dst.p = dst.p[:need]
-	}
+	dst.band.resetDense(n)
 	dst.n = n
 	workers := 1
 	if w >= ParallelRowThreshold {
@@ -94,9 +94,9 @@ func ConvolveJointCrashByzInto(dst *JointCrashByz, a, b *JointCrashByz) {
 }
 
 // convolveRows computes output rows [lo, hi) of the convolution of joint
-// tables ap (over an nodes) and bp (over bn nodes) into dp, including
-// zeroing each row's out-of-triangle complement. Each output cell is one
-// compensated sum over its (ca, ba) sources in ascending order.
+// tables ap (over an nodes) and bp (over bn nodes) into dp, which the
+// caller has reset (out-of-triangle cells are already zero). Each output
+// cell is one compensated sum over its (ca, ba) sources in ascending order.
 func convolveRows(dp, ap, bp []float64, an, bn, lo, hi int) {
 	n := an + bn
 	w := n + 1
@@ -104,9 +104,6 @@ func convolveRows(dp, ap, bp []float64, an, bn, lo, hi int) {
 	for c := lo; c < hi; c++ {
 		out := dp[c*w : (c+1)*w]
 		bMaxRow := n - c
-		for bb := bMaxRow + 1; bb <= n; bb++ {
-			out[bb] = 0
-		}
 		caLo := c - bn
 		if caLo < 0 {
 			caLo = 0

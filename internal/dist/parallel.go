@@ -8,31 +8,37 @@ import (
 	"repro/internal/obs"
 )
 
-// parallelFolds counts row-split activations: folds or convolutions that
+// parallelFolds counts row-split activations: block convolutions that
 // actually fanned out across the worker group (rows >= threshold and more
 // than one worker available). The serial small-N path never bumps it, so
 // the metric directly answers "is the parallel engine engaging in
 // production?".
 var parallelFolds = obs.Default().Counter("probcons_engine_parallel_folds_total",
-	"Joint-DP folds/convolutions split across the bounded worker group.", nil)
+	"Joint-DP block convolutions split across the bounded worker group.", nil)
 
 // ParallelFolds returns the process-wide count of parallel row-split
 // activations.
 func ParallelFolds() int64 { return parallelFolds.Load() }
 
-// This file is the bounded worker group behind the large-N joint-DP row
-// split: Reset folds and block convolutions write disjoint contiguous row
-// ranges of the output table, so they parallelize without locks and —
+// This file is the bounded worker group behind the large-N block-
+// convolution row split: workers write disjoint contiguous row ranges of
+// the output table, so the convolution parallelizes without locks and —
 // because every output cell is computed by exactly one worker with a fixed
 // per-cell operation order — the parallel result is bit-identical to the
-// serial one (pinned by TestJointParallelBitIdentical). Small tables stay
-// serial: below ParallelRowThreshold the goroutine fan-out would cost more
-// than the fold itself, and keeping the small-N path serial also keeps it
-// allocation-free (spawning workers allocates).
+// serial one (pinned by TestConvolveParallelBitIdentical). Small tables
+// stay serial: below ParallelRowThreshold the goroutine fan-out would cost
+// more than the convolution itself, and keeping the small-N path serial
+// also keeps it allocation-free (spawning workers allocates).
+//
+// Reset's per-node folds are deliberately not split: a band-limited fold
+// is ~10 µs at N=256 and ~40 µs at N=1024 on realistic failure curves,
+// below fan-out cost — a cell-count-partitioned band split measured slower
+// than serial at every size tried (DESIGN.md "Parallel row-split
+// determinism rules").
 
-// ParallelRowThreshold is the minimum number of output rows before a joint
-// DP fold or block convolution splits its rows across workers. 128 rows
-// means N >= 127 fleets: each fold then touches >= ~8k cells, comfortably
+// ParallelRowThreshold is the minimum number of output rows before a block
+// convolution splits its rows across workers. 128 rows means a combined
+// N >= 127: each output row then sums >= ~8k source products, comfortably
 // above goroutine fan-out cost.
 const ParallelRowThreshold = 128
 

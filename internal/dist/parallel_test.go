@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// TestJointParallelBitIdentical pins the determinism contract of the
-// bounded worker group: a parallel Reset / ConvolveJointCrashByzInto is
-// bit-for-bit identical to a serial one, at sizes straddling
-// ParallelRowThreshold. Gather-form folds give every output cell exactly
-// one writer with a fixed operation order, so scheduling cannot perturb
-// the result; this test is what lets every other equality pin in the repo
-// ignore parallelism entirely.
+// TestJointParallelBitIdentical pins that the worker-group setting cannot
+// perturb a Reset: builds under SetParallelism(1) and SetParallelism(4)
+// are bit-for-bit identical at sizes straddling ParallelRowThreshold.
+// Reset's folds are serial since the band-limited kernel (a split fold
+// lost to fan-out cost), so this holds by construction; the test stays so
+// any future fold split must keep every other equality pin in the repo
+// free to ignore parallelism. The split that remains is the block
+// convolution's, pinned by TestConvolveParallelBitIdentical below.
 func TestJointParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{ParallelRowThreshold - 2, ParallelRowThreshold + 1, 200} {

@@ -91,14 +91,23 @@ func TestJointResetMatchesNew(t *testing.T) {
 
 func TestJointExtendWithMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	nodes := randomTriStatesCapped(rng, 12, 0.3)
-	var d JointCrashByz
-	d.Reset(nil)
-	for i, tri := range nodes {
-		d.ExtendWith(tri)
-		fresh := NewJointCrashByz(nodes[:i+1])
-		if diff := maxJointDiff(t, &d, fresh); diff != 0 {
-			t.Fatalf("after %d extends: differs from fresh by %g", i+1, diff)
+	// The second fleet is large and unreliable-in-the-small enough
+	// (p ≈ 0.03/0.001, N = 220) that the τ flush engages on the way up:
+	// extension and fresh build must flush the very same cells.
+	for _, nodes := range [][]TriState{randomTriStatesCapped(rng, 12, 0.3), coldFleet(rng, 220)} {
+		var d JointCrashByz // the zero value extends like Reset(nil)
+		for i, tri := range nodes {
+			d.ExtendWith(tri)
+			if i >= 12 && i%20 != 0 && i != len(nodes)-1 {
+				continue // every step on the small fleet, every 20th on the large
+			}
+			fresh := NewJointCrashByz(nodes[:i+1])
+			if diff := maxJointDiff(t, &d, fresh); diff != 0 {
+				t.Fatalf("after %d extends: differs from fresh by %g", i+1, diff)
+			}
+		}
+		if flushed := checkAgainstOracle(t, "extended", nodes, &d, 1e-250); len(nodes) > 200 && flushed == 0 {
+			t.Fatal("the flush never engaged on the large fleet")
 		}
 	}
 }
