@@ -781,10 +781,9 @@ func BenchmarkServiceAnalyzeCold(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceAnalyzeHot times the repeated-identical-query fast path:
-// the L0 most-recent-query memo answers by value equality with no
-// canonicalization or hashing (BenchmarkServiceAnalyzeWarm covers the L1
-// fingerprint path). The acceptance bar is >= 100x faster than cold.
+// BenchmarkServiceAnalyzeHot times the repeated-identical-query path: an
+// L1 hit — resolve, canonical fingerprint, sharded-LRU lookup, 3
+// allocs/op (pinned by TestAnalyzeHotPathAllocationGuard).
 func BenchmarkServiceAnalyzeHot(b *testing.B) {
 	srv := service.New(service.Options{CacheCapacity: 4096})
 	req := serviceBenchRequest(0)
@@ -804,19 +803,18 @@ func BenchmarkServiceAnalyzeHot(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceAnalyzeWarm times an L1 hit: a permuted spelling of a
-// cached query misses the L0 memo and takes the canonicalize + fingerprint
-// + sharded-LRU path — the cost absorbed for reordered, renamed, or
-// repriced spellings of a known deployment.
+// BenchmarkServiceAnalyzeWarm times an L1 hit through canonicalization:
+// permuted spellings of a cached query share its fingerprint — the cost
+// absorbed for reordered, renamed, or repriced spellings of a known
+// deployment.
 func BenchmarkServiceAnalyzeWarm(b *testing.B) {
 	srv := service.New(service.Options{CacheCapacity: 4096})
 	req := serviceBenchRequest(0)
 	if _, err := srv.Analyze(req); err != nil {
 		b.Fatal(err)
 	}
-	// Two spellings of the same canonical query, alternated: the L0 memo
-	// always holds the other one, so every iteration canonicalizes and
-	// hits L1.
+	// Two spellings of the same canonical query, alternated: every
+	// iteration canonicalizes a different wire order onto one L1 entry.
 	permuted := serviceBenchRequest(0)
 	for i, j := 0, len(permuted.Fleet)-1; i < j; i, j = i+1, j-1 {
 		permuted.Fleet[i], permuted.Fleet[j] = permuted.Fleet[j], permuted.Fleet[i]
@@ -1005,8 +1003,8 @@ func BenchmarkDomainSweepShockCached(b *testing.B) {
 
 // BenchmarkEvaluatorDomainsHot measures the repeat-query path: the exact
 // same correlated query answered from the evaluator's result memo —
-// the L0 cost a serving layer pays when its own caches miss but the
-// engine's do not.
+// what a serving layer pays when its own caches miss but the engine's do
+// not.
 func BenchmarkEvaluatorDomainsHot(b *testing.B) {
 	fleet, m, domains := domainBenchLayout()
 	ev := core.NewEvaluator()

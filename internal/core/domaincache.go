@@ -319,25 +319,16 @@ func (ds *domainState) mixedInto(dst *dist.JointCrashByz, fleet Fleet, domains D
 	return dist.MixJointCrashByzInto(dst, base, elev, 1-s, s)
 }
 
-func growJoints(s []dist.JointCrashByz, n int) []dist.JointCrashByz {
-	for len(s) < n {
-		s = append(s, dist.JointCrashByz{})
+// grow resizes a reused scratch slice to n elements, keeping its backing
+// array whenever it is large enough. Elements already in the array —
+// including ones parked past len(s) by an earlier, smaller resize — are
+// kept, so slices of workspaces stay warm; elements beyond the old
+// capacity are zero. Callers overwrite whatever they go on to read.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	return s
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growFloat64s(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // fillPredGrids evaluates the model's predicates once per (c, b) cell of
@@ -345,8 +336,8 @@ func growFloat64s(s []float64, n int) []float64 {
 // arithmetic.
 func (ds *domainState) fillPredGrids(n int, m CountModel) {
 	w := n + 1
-	ds.okSafe = growBools(ds.okSafe, w*w)
-	ds.okLive = growBools(ds.okLive, w*w)
+	ds.okSafe = grow(ds.okSafe, w*w)
+	ds.okLive = grow(ds.okLive, w*w)
 	for c := 0; c <= n; c++ {
 		row := c * w
 		for b := 0; c+b <= n; b++ {
@@ -364,9 +355,9 @@ func (ds *domainState) fillPredGrids(n int, m CountModel) {
 func (rt *restTables) populate(r *dist.JointCrashByz, k, n int, okSafe, okLive []bool) {
 	w := k + 1
 	rt.k = k
-	rt.safe = growFloat64s(rt.safe, w*w)
-	rt.live = growFloat64s(rt.live, w*w)
-	rt.both = growFloat64s(rt.both, w*w)
+	rt.safe = grow(rt.safe, w*w)
+	rt.live = grow(rt.live, w*w)
+	rt.both = grow(rt.both, w*w)
 	nr := r.N()
 	gw := n + 1
 	for cd := 0; cd <= k; cd++ {
@@ -481,9 +472,9 @@ func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains Dom
 
 	// Full path: recombine cached/rebuilt blocks. Grow chain workspaces
 	// before taking pointers into them.
-	ds.mixed = growJoints(ds.mixed, D)
-	ds.prefix = growJoints(ds.prefix, D)
-	ds.suffix = growJoints(ds.suffix, D)
+	ds.mixed = grow(ds.mixed, D)
+	ds.prefix = grow(ds.prefix, D)
+	ds.suffix = grow(ds.suffix, D)
 	ds.prefixPtr = ds.prefixPtr[:0]
 	ds.suffixPtr = ds.suffixPtr[:0]
 
@@ -502,7 +493,7 @@ func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains Dom
 	// Rest tables for every domain via the suffix chain: suffixPtr[j] is
 	// the joint of domains j..D-1, so rest_pos = prefix[pos] ⊛
 	// suffix[pos+1] (for the last domain, just prefix[D-1]).
-	ds.suffixPtr = growJointPtrs(ds.suffixPtr, D)
+	ds.suffixPtr = grow(ds.suffixPtr, D)
 	ds.suffixPtr[D-1] = &ds.mixed[D-1]
 	for pos := D - 2; pos >= 0; pos-- {
 		dist.ConvolveJointCrashByzInto(&ds.suffix[pos], &ds.mixed[pos], ds.suffixPtr[pos+1])
@@ -526,18 +517,11 @@ func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains Dom
 	return result, nil
 }
 
-func growJointPtrs(s []*dist.JointCrashByz, n int) []*dist.JointCrashByz {
-	for len(s) < n {
-		s = append(s, nil)
-	}
-	return s[:n]
-}
-
 // analyzeDomainsConditioned is the evaluator's 2^D engine: identical
 // per-mask arithmetic to the package AnalyzeDomainsConditioned, run
 // through the evaluator's tri-state and joint workspaces so a warm
-// evaluator conditions without allocating. Large-N per-mask rebuilds
-// parallelize inside dist.Reset.
+// evaluator conditions without allocating. The 2^D per-mask rebuilds
+// run one after another: dist.Reset is a serial banded fold.
 func (e *Evaluator) analyzeDomainsConditioned(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
 	ds := e.dom
 	d := len(ds.act)

@@ -131,10 +131,6 @@ func blockTriStates(fleet Fleet, idxs []int, elevate *faultcurve.Domain) []dist.
 	return out
 }
 
-func resultFromJoint(joint *dist.JointCrashByz, m CountModel) Result {
-	return resultFromJointModel(joint, m)
-}
-
 // defaultEvaluators backs the package-level entry points: every call
 // borrows a pooled Evaluator, so package callers (including the serving
 // layer's default AnalyzeFunc) share warm workspaces and the correlated-
@@ -294,7 +290,7 @@ func AnalyzeDomainsConditioned(fleet Fleet, m CountModel, domains DomainSet) (Re
 			}
 		}
 		joint := dist.NewJointCrashByz(tri)
-		cond := resultFromJoint(joint, m)
+		cond := resultFromJointModel(joint, m)
 		sSafe.Add(weight * cond.Safe)
 		sLive.Add(weight * cond.Live)
 		sBoth.Add(weight * cond.SafeAndLive)
@@ -334,7 +330,7 @@ func AnalyzeDomainsMixture(fleet Fleet, m CountModel, domains DomainSet) (Result
 		}
 		joint = dist.ConvolveJointCrashByz(joint, mixed)
 	}
-	return resultFromJoint(joint, m), nil
+	return resultFromJointModel(joint, m), nil
 }
 
 // AnalyzeDomainsMonteCarlo estimates the domain-aware Result by sampling

@@ -42,14 +42,10 @@ func (t *quorumTails) build(j *dist.JointCrashByz) {
 	n := j.N()
 	w := n + 1
 	t.n = n
-	t.colCum = growFloats(t.colCum, w*w)
-	t.bCum = growFloats(t.bCum, w)
-	t.diagCum = growFloats(t.diagCum, w)
-	if cap(t.kah) < w {
-		t.kah = make([]dist.KahanSum, w)
-	} else {
-		t.kah = t.kah[:w]
-	}
+	t.colCum = grow(t.colCum, w*w)
+	t.bCum = grow(t.bCum, w)
+	t.diagCum = grow(t.diagCum, w)
+	t.kah = grow(t.kah, w)
 	for b := 0; b <= n; b++ {
 		var s dist.KahanSum
 		for c := 0; c <= n; c++ {
@@ -75,13 +71,6 @@ func (t *quorumTails) build(j *dist.JointCrashByz) {
 		sd.Add(t.kah[k].Sum())
 		t.diagCum[k] = dist.Clamp01(sd.Sum())
 	}
-}
-
-func growFloats(s []float64, need int) []float64 {
-	if cap(s) < need {
-		return make([]float64, need)
-	}
-	return s[:need]
 }
 
 // pBAndCLe returns P[B = b, C <= c], tolerating out-of-range c.

@@ -237,10 +237,9 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 }
 
 // LatencyBuckets is the shared bucket layout for request and engine-stage
-// latency histograms: exponential from 1µs (the L0 memo hit lives around
-// 100ns–1µs) to 10s (the work-bound ceiling on one request), so both the
-// ~100ns cache-hit claim and a pathological slow query land in resolvable
-// buckets.
+// latency histograms: exponential from 1µs (an L1 cache hit is ~1.5µs)
+// to 10s (the work-bound ceiling on one request), so both a cache hit and
+// a pathological slow query land in resolvable buckets.
 var LatencyBuckets = []float64{
 	1e-6, 2.5e-6, 5e-6,
 	1e-5, 2.5e-5, 5e-5,

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -126,112 +125,79 @@ func (s *Server) planBatch(req BatchRequest) (jobs []*batchJob, results []BatchI
 		}
 		jobs = append(jobs, j)
 	}
-	fail := func(i int, err error) {
+	for i, it := range req.Items {
+		kind, err := it.kind()
+		if err == nil {
+			s.m.batchItems[kind].Inc()
+			key, run, perr := s.planItem(kind, it)
+			if perr == nil {
+				add(i, key, run)
+				continue
+			}
+			err = perr
+		}
 		results[i].Error = err.Error()
 		s.m.batchItemErrors.Inc()
-	}
-	for i, it := range req.Items {
-		kind, kerr := it.kind()
-		if kerr != nil {
-			fail(i, kerr)
-			continue
-		}
-		s.m.batchItem(kind).Inc()
-		switch kind {
-		case "analyze":
-			// Validate and fingerprint now (dedup needs the canonical key);
-			// the job recomputes the fingerprint inside analyzeQuery, which
-			// is noise next to even a cached lookup.
-			a := *it.Analyze
-			a.Debug = false
-			fleet, m, domains, qerr := a.Query()
-			if qerr != nil {
-				fail(i, qerr)
-				continue
-			}
-			fp, ferr := core.FleetModelDomainsFingerprint(fleet, m, domains)
-			if ferr != nil {
-				fail(i, ferr)
-				continue
-			}
-			add(i, "analyze/"+fp.String(), func() BatchItemResult {
-				resp, _, rerr := s.analyzeQuery(fleet, m, domains, nil)
-				if rerr != nil {
-					return BatchItemResult{Error: rerr.Error()}
-				}
-				return BatchItemResult{Analyze: &resp}
-			})
-		case "tail":
-			treq := *it.Tail
-			plan, perr := planTail(treq)
-			if perr != nil {
-				fail(i, perr)
-				continue
-			}
-			add(i, "tail/"+plan.key, func() BatchItemResult {
-				resp, rerr := s.Tail(treq)
-				if rerr != nil {
-					return BatchItemResult{Error: rerr.Error()}
-				}
-				return BatchItemResult{Tail: &resp}
-			})
-		case "optimize":
-			// Identical concurrent optimize items coalesce in the optimize
-			// cache's singleflight, so no explicit dedup key is needed; the
-			// up-front validation keeps bad items out of the job list.
-			oreq := *it.Optimize
-			if verr := oreq.validateCommon(); verr != nil {
-				fail(i, verr)
-				continue
-			}
-			if _, _, _, qerr := (AnalyzeRequest{Model: oreq.Model, Fleet: oreq.Fleet, P: oreq.P, Domains: oreq.Domains}).Query(); qerr != nil {
-				fail(i, qerr)
-				continue
-			}
-			add(i, "", func() BatchItemResult {
-				resp, rerr := s.Optimize(oreq)
-				if rerr != nil {
-					return BatchItemResult{Error: rerr.Error()}
-				}
-				return BatchItemResult{Optimize: &resp}
-			})
-		case "sweep":
-			sreq := *it.Sweep
-			if verr := sreq.Validate(); verr != nil {
-				fail(i, verr)
-				continue
-			}
-			add(i, "", func() BatchItemResult {
-				lines, rerr := s.sweepCollect(sreq)
-				if rerr != nil {
-					return BatchItemResult{Error: rerr.Error()}
-				}
-				return BatchItemResult{Sweep: lines}
-			})
-		}
 	}
 	return jobs, results, deduped, nil
 }
 
-// sweepCollect computes a validated sweep grid in-memory, in grid order.
+// planItem plans one item exactly as its endpoint plans it and returns
+// the job that runs that plan: batch validation is endpoint validation,
+// and nothing is resolved, bounded or keyed a second time. key is the
+// dedup identity ("" = never deduplicated).
+func (s *Server) planItem(kind string, it BatchItem) (key string, run func() BatchItemResult, err error) {
+	switch kind {
+	case "analyze":
+		p, err := planAnalyze(*it.Analyze, nil)
+		return "analyze/" + p.key, func() BatchItemResult {
+			resp, err := s.analyzeQuery(p, nil, true)
+			return itemResult(BatchItemResult{Analyze: &resp}, err)
+		}, err
+	case "tail":
+		p, err := planTail(*it.Tail)
+		return "tail/" + p.key, func() BatchItemResult {
+			resp, err := s.runTail(p, nil)
+			return itemResult(BatchItemResult{Tail: &resp}, err)
+		}, err
+	case "optimize":
+		// No dedup key: the optimize cache key is name-invariant while each
+		// response carries its own requester's labels, and identical
+		// concurrent items coalesce in the cache's singleflight anyway.
+		p, err := planOptimize(*it.Optimize)
+		return "", func() BatchItemResult {
+			resp, err := s.runOptimize(p, nil)
+			return itemResult(BatchItemResult{Optimize: &resp}, err)
+		}, err
+	default: // "sweep"; kind() admits nothing else
+		req := *it.Sweep
+		domains, err := req.plan()
+		return "", func() BatchItemResult {
+			return BatchItemResult{Sweep: s.sweepCollect(req, domains)}
+		}, err
+	}
+}
+
+// itemResult is one job's outcome: its result slot, or its error.
+func itemResult(res BatchItemResult, err error) BatchItemResult {
+	if err != nil {
+		return BatchItemResult{Error: err.Error()}
+	}
+	return res
+}
+
+// sweepCollect computes a planned sweep grid in-memory, in grid order.
 // Cells go through sweepCell, so they hit the shared L1 (and count on the
 // sweep-cell metrics) exactly like streamed sweeps; engine concurrency
 // stays bounded by the worker semaphore inside analyzeQuery.
-func (s *Server) sweepCollect(req SweepRequest) ([]SweepLine, error) {
-	domains, err := resolveDomains(req.Domains)
-	if err != nil {
-		return nil, badRequest(err)
-	}
+func (s *Server) sweepCollect(req SweepRequest, domains core.DomainSet) []SweepLine {
 	lines := make([]SweepLine, 0, len(req.Ns)*len(req.Ps))
 	for _, n := range req.Ns {
 		for _, p := range req.Ps {
-			s.m.activeCells.Inc()
 			lines = append(lines, s.sweepCell(req.Protocol, n, p, domains))
-			s.m.activeCells.Dec()
-			s.m.sweepCells.Inc()
 		}
 	}
-	return lines, nil
+	return lines
 }
 
 // Batch answers one batch request. It is the handler's core and the
@@ -303,22 +269,4 @@ func (s *Server) batchStats() BatchStats {
 		Deduped:    s.m.batchDedup.Load(),
 		ItemErrors: s.m.batchItemErrors.Load(),
 	}
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	s.m.reqBatch.Inc()
-	var req BatchRequest
-	if err := decodeJSONLimit(w, r, &req, maxBatchBodyBytes); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	resp, err := s.batchTraced(req, TraceFrom(r.Context()))
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -211,3 +211,70 @@ func TestBatchStatsCount(t *testing.T) {
 		t.Fatalf("statsz batch block: %+v requests.batch=%d", stats.Batch, stats.Requests.Batch)
 	}
 }
+
+// TestBatchPlansOnce pins plan-once batch planning: an item is planned
+// exactly as its endpoint plans it — so what the endpoint rejects is a
+// planning failure, not a scheduled job — and the job runs that plan
+// without resolving, validating or keying anything a second time.
+func TestBatchPlansOnce(t *testing.T) {
+	srv, ts := newTestServer(t)
+	// target=domains without a domains block is a 400 on /v1/optimize, so
+	// in a batch it must fail in its slot, count as an item error, and
+	// never take a job (or a worker slot).
+	bad := `{"model":{"protocol":"raft","n":3},"p":0.02,"budget":1.0,"curve":{"floor_frac":0.1,"scale":0.25},"target":"domains"}`
+	if resp, b := postJSON(t, ts.URL+"/v1/optimize", bad); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/v1/optimize: status %d, want 400: %s", resp.StatusCode, b)
+	}
+	resp, b := postJSON(t, ts.URL+"/v1/batch", `{"items":[{"optimize":`+bad+`}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, b)
+	}
+	var got BatchResponse
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(got.Items[0].Error, "requires a domains block") || got.Distinct != 0 {
+		t.Fatalf("invalid optimize item was scheduled: distinct=%d item=%+v", got.Distinct, got.Items[0])
+	}
+	if n := sampleValue(t, scrapeMetrics(t, ts), "probconsd_batch_item_errors_total"); n != 1 {
+		t.Fatalf("probconsd_batch_item_errors_total = %v, want 1", n)
+	}
+
+	// Plan one item of each cached kind, then corrupt the requests the
+	// plans were built from: a job that re-planned would now fail
+	// validation (p_crash = 2), a job that runs its plan answers the
+	// original query.
+	fleet := func() []NodeSpec { return []NodeSpec{{PCrash: 0.011}, {PCrash: 0.012}, {PCrash: 0.013}} }
+	model := ModelSpec{Protocol: "raft", N: 3}
+	areq := AnalyzeRequest{Model: model, Fleet: fleet()}
+	treq := TailRequest{Model: model, Fleet: fleet(), Event: EventNotLive}
+	oreq := OptimizeRequest{Model: model, Fleet: fleet(), Budget: 1, Curve: CurveSpec{FloorFrac: 0.1, Scale: 0.25}}
+	ref := New(Options{})
+	wantA, errA := ref.Analyze(areq)
+	wantT, errT := ref.Tail(treq)
+	wantO, errO := ref.Optimize(oreq)
+	if errA != nil || errT != nil || errO != nil {
+		t.Fatal(errA, errT, errO)
+	}
+	jobs, _, _, err := srv.planBatch(BatchRequest{Items: []BatchItem{{Analyze: &areq}, {Tail: &treq}, {Optimize: &oreq}}})
+	if err != nil || len(jobs) != 3 {
+		t.Fatalf("planBatch = %d jobs, %v; want 3", len(jobs), err)
+	}
+	areq.Fleet[0].PCrash, treq.Fleet[0].PCrash, oreq.Fleet[0].PCrash = 2, 2, 2
+	a, tl, o := jobs[0].run(), jobs[1].run(), jobs[2].run()
+	if a.Error != "" || a.Analyze.Fingerprint != wantA.Fingerprint || a.Analyze.SafeAndLive != wantA.SafeAndLive {
+		t.Fatalf("analyze job did not run its plan: %+v", a)
+	}
+	if tl.Error != "" || tl.Tail.Fingerprint != wantT.Fingerprint || tl.Tail.P != wantT.P {
+		t.Fatalf("tail job did not run its plan: %+v", tl)
+	}
+	if o.Error != "" || o.Optimize.Fingerprint != wantO.Fingerprint || o.Optimize.Optimized != wantO.Optimized {
+		t.Fatalf("optimize job did not run its plan: %+v", o)
+	}
+	// The plan carries the fingerprint: a warm analyze job is a cache
+	// lookup under the planned key plus the box its result is returned
+	// in — a second fingerprint would cost two more allocations.
+	if n := testing.AllocsPerRun(100, func() { jobs[0].run() }); n > 1 {
+		t.Fatalf("warm analyze job allocates %v/op, want <= 1 (no second fingerprint)", n)
+	}
+}

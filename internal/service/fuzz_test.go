@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/url"
 	"testing"
 
@@ -19,12 +18,9 @@ import (
 // the invariants the engine and cache rely on — never a panic, never a
 // fleet/model size mismatch, never an unfingerprintable query.
 
-// decodeStrict mirrors decodeJSON's decoder configuration
-// (DisallowUnknownFields) without the HTTP plumbing.
+// decodeStrict is the handlers' decoder without the HTTP plumbing.
 func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	return decodeJSON(bytes.NewReader(data), v)
 }
 
 func FuzzAnalyzeRequest(f *testing.F) {
@@ -97,16 +93,17 @@ func FuzzSweepRequest(f *testing.F) {
 		if err := decodeStrict(data, &req); err != nil {
 			return
 		}
-		if err := req.Validate(); err != nil {
+		domains, err := req.plan()
+		if err != nil {
 			return
 		}
-		// A validated grid must be within the scheduling bounds and its
-		// domains block must resolve (sweepValidated resolves it again).
+		// A planned grid must be within the scheduling bounds and carry
+		// its resolved domain layout.
 		if cells := len(req.Ns) * len(req.Ps); cells == 0 || cells > MaxSweepCells {
-			t.Fatalf("validated grid has %d cells", cells)
+			t.Fatalf("planned grid has %d cells", cells)
 		}
-		if _, err := resolveDomains(req.Domains); err != nil {
-			t.Fatalf("validated sweep domains failed to resolve: %v", err)
+		if len(domains) != len(req.Domains) {
+			t.Fatalf("planned sweep resolved %d of %d domains", len(domains), len(req.Domains))
 		}
 	})
 }
@@ -150,17 +147,17 @@ func FuzzTailRequest(f *testing.F) {
 		if plan.resolved != MethodExact && plan.resolved != MethodImportance {
 			t.Fatalf("accepted plan with unresolved method %q", plan.resolved)
 		}
-		if len(plan.fleet) != plan.model.N() {
-			t.Fatalf("accepted plan with fleet size %d != model N %d", len(plan.fleet), plan.model.N())
+		if len(plan.query.fleet) != plan.query.model.N() {
+			t.Fatalf("accepted plan with fleet size %d != model N %d", len(plan.query.fleet), plan.query.model.N())
 		}
-		if err := plan.fleet.Validate(); err != nil {
+		if err := plan.query.fleet.Validate(); err != nil {
 			t.Fatalf("accepted plan with invalid fleet: %v", err)
 		}
-		if err := plan.domains.Validate(plan.fleet); err != nil {
+		if err := plan.query.domains.Validate(plan.query.fleet); err != nil {
 			t.Fatalf("accepted plan with invalid domain layout: %v", err)
 		}
-		if plan.fp == "" || plan.key == "" {
-			t.Fatalf("accepted plan without cache identity: fp=%q key=%q", plan.fp, plan.key)
+		if plan.query.key == "" || plan.key == "" {
+			t.Fatalf("accepted plan without cache identity: fp=%q key=%q", plan.query.key, plan.key)
 		}
 		if plan.seed == 0 {
 			t.Fatalf("accepted plan with unseeded sampler")
@@ -170,7 +167,7 @@ func FuzzTailRequest(f *testing.F) {
 			if plan.samples < 1 || plan.samples > MaxTailSamples {
 				t.Fatalf("importance plan with samples %d outside [1, %d]", plan.samples, MaxTailSamples)
 			}
-			if work := float64(plan.samples) * float64(len(plan.fleet)); work > plan.maxWork {
+			if work := float64(plan.samples) * float64(len(plan.query.fleet)); work > plan.maxWork {
 				t.Fatalf("importance plan over its own bound: %g > %g", work, plan.maxWork)
 			}
 		case MethodExact:
@@ -201,20 +198,18 @@ func FuzzOptimizeRequest(f *testing.F) {
 		if err := decodeStrict(data, &req); err != nil {
 			return
 		}
-		if err := req.validateCommon(); err != nil {
-			return
-		}
-		fleet, m, domains, err := AnalyzeRequest{
-			Model: req.Model, Fleet: req.Fleet, P: req.P, Domains: req.Domains,
-		}.Query()
+		// planOptimize is everything /v1/optimize and a batch optimize item
+		// do before solving: arbitrary bytes either fail as a client error
+		// or plan into a keyed problem with one label per budget dimension.
+		plan, err := planOptimize(req)
 		if err != nil {
+			if !IsClientError(err) {
+				t.Fatalf("planOptimize returned a non-client error: %v", err)
+			}
 			return
 		}
-		if len(fleet) != m.N() {
-			t.Fatalf("accepted problem with fleet size %d != model N %d", len(fleet), m.N())
-		}
-		if req.Target == targetDomains && len(domains) == 0 {
-			return // Optimize rejects this after resolution; nothing to assert
+		if plan.key == "" || len(plan.names) == 0 || plan.solve == nil {
+			t.Fatalf("accepted plan is not runnable: key=%q names=%d", plan.key, len(plan.names))
 		}
 	})
 }

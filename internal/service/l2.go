@@ -67,18 +67,18 @@ func wireAnalyzeRequest(fleet core.Fleet, m core.CountModel, domains core.Domain
 	return AnalyzeRequest{Model: ms, Fleet: nodes, Domains: specs}, true
 }
 
-// l2Fetch consults the owning peer for an already-validated query whose
-// fingerprint is key. It runs inside the local L1 singleflight, so at
-// most one fetch per key is in flight here; the owner's own singleflight
-// dedups across the fleet. Returns ok=false (compute locally) whenever
-// the tier cannot help: self-owned keys, transport failures, or
-// responses that fail to decode.
-func (s *Server) l2Fetch(key string, fleet core.Fleet, m core.CountModel, domains core.DomainSet, tr *obs.Trace) (AnalyzeResponse, bool) {
-	if s.l2.SelfOwns(key) {
+// l2Fetch consults the owning peer for a planned query. It runs inside
+// the local L1 singleflight but before a worker slot is taken — a peer
+// wait must not pin an engine worker — so at most one fetch per key is in
+// flight here; the owner's own singleflight dedups across the fleet.
+// Returns ok=false (compute locally) whenever the tier cannot help:
+// self-owned keys, transport failures, or responses that fail to decode.
+func (s *Server) l2Fetch(p analyzePlan, tr *obs.Trace) (AnalyzeResponse, bool) {
+	if s.l2.SelfOwns(p.key) {
 		s.m.l2Local.Inc()
 		return AnalyzeResponse{}, false
 	}
-	req, ok := wireAnalyzeRequest(fleet, m, domains)
+	req, ok := wireAnalyzeRequest(p.fleet, p.model, p.domains)
 	if !ok {
 		s.m.l2Local.Inc()
 		return AnalyzeResponse{}, false
@@ -89,7 +89,7 @@ func (s *Server) l2Fetch(key string, fleet core.Fleet, m core.CountModel, domain
 		return AnalyzeResponse{}, false
 	}
 	fstart := time.Now()
-	val, ok, err := s.l2.Exec(key, payload)
+	val, ok, err := s.l2.Exec(p.key, payload)
 	tr.Since("l2_exec", fstart)
 	if err != nil || !ok {
 		if err != nil {
@@ -100,8 +100,8 @@ func (s *Server) l2Fetch(key string, fleet core.Fleet, m core.CountModel, domain
 		}
 		return AnalyzeResponse{}, false
 	}
-	var resp AnalyzeResponse
-	if err := json.Unmarshal(val, &resp); err != nil || resp.Fingerprint != key {
+	resp, err := unmarshalCached(p.key, val)
+	if err != nil {
 		s.m.l2Errors.Inc()
 		return AnalyzeResponse{}, false
 	}
@@ -116,6 +116,23 @@ func marshalCached(resp AnalyzeResponse) ([]byte, error) {
 	resp.Cached = false
 	resp.Debug = nil
 	return json.Marshal(resp)
+}
+
+// unmarshalCached is marshalCached's inverse for a value arriving under
+// key — a peer's answer, a warmed put, a dump entry. The value must decode
+// and carry key as its fingerprint, so nothing can be planted under a
+// foreign key; it is not re-verified against the engine.
+func unmarshalCached(key string, val []byte) (AnalyzeResponse, error) {
+	var resp AnalyzeResponse
+	if err := json.Unmarshal(val, &resp); err != nil {
+		return AnalyzeResponse{}, err
+	}
+	if resp.Fingerprint != key {
+		return AnalyzeResponse{}, fmt.Errorf("key %s does not match value fingerprint %s", key, resp.Fingerprint)
+	}
+	resp.Cached = false
+	resp.Debug = nil
+	return resp, nil
 }
 
 // L2Get implements qcache.L2Handler: the local L1 lookup peers hit.
@@ -138,37 +155,29 @@ func (s *Server) L2Get(key string) ([]byte, bool) {
 // this member owns, computing under the local singleflight on a miss.
 // The carried request is re-validated from scratch and its fingerprint
 // must match the key — a peer cannot plant a value under a foreign key.
-func (s *Server) L2Exec(key string, payload []byte) ([]byte, error) {
-	resp, err := s.l2ExecLocal(key, payload)
-	if err != nil {
-		s.m.l2ServeExecErr.Inc()
-		return nil, err
-	}
-	s.m.l2ServeExecOK.Inc()
-	return resp, nil
-}
-
-func (s *Server) l2ExecLocal(key string, payload []byte) ([]byte, error) {
+func (s *Server) L2Exec(key string, payload []byte) (val []byte, err error) {
+	defer func() {
+		if err != nil {
+			s.m.l2ServeExecErr.Inc()
+		} else {
+			s.m.l2ServeExecOK.Inc()
+		}
+	}()
 	var req AnalyzeRequest
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return nil, fmt.Errorf("l2 exec payload: %w", err)
 	}
-	req.Debug = false
-	fleet, m, domains, err := req.Query()
+	p, err := planAnalyze(req, nil)
 	if err != nil {
 		return nil, fmt.Errorf("l2 exec query: %w", err)
 	}
-	fp, err := core.FleetModelDomainsFingerprint(fleet, m, domains)
-	if err != nil {
-		return nil, err
-	}
-	if fp.String() != key {
-		return nil, fmt.Errorf("l2 exec key %s does not match query fingerprint %s", key, fp.String())
+	if p.key != key {
+		return nil, fmt.Errorf("l2 exec key %s does not match query fingerprint %s", key, p.key)
 	}
 	// allowL2=false: the owner computes locally. Under a misconfigured
 	// fleet (peers disagreeing about ownership) this breaks what would
 	// otherwise be an RPC loop.
-	resp, _, err := s.analyzeQueryTier(fleet, m, domains, nil, false)
+	resp, err := s.analyzeQuery(p, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -176,21 +185,13 @@ func (s *Server) l2ExecLocal(key string, payload []byte) ([]byte, error) {
 }
 
 // L2Put implements qcache.L2Handler: accept a warmed value for a key this
-// member owns. The value must decode and carry the key as its
-// fingerprint; it is not re-verified against the engine (same trust model
-// as -cache-load).
+// member owns (same trust model as -cache-load).
 func (s *Server) L2Put(key string, val []byte) error {
-	var resp AnalyzeResponse
-	if err := json.Unmarshal(val, &resp); err != nil {
+	resp, err := unmarshalCached(key, val)
+	if err != nil {
 		s.m.l2ServePutErr.Inc()
-		return fmt.Errorf("l2 put value: %w", err)
+		return fmt.Errorf("l2 put: %w", err)
 	}
-	if resp.Fingerprint != key {
-		s.m.l2ServePutErr.Inc()
-		return fmt.Errorf("l2 put key %s does not match value fingerprint %s", key, resp.Fingerprint)
-	}
-	resp.Cached = false
-	resp.Debug = nil
 	s.cache.Put(key, resp)
 	s.m.l2ServePutOK.Inc()
 	return nil

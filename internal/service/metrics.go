@@ -22,6 +22,10 @@ import (
 // endpoints instrumented by the middleware, in mux order.
 var endpointNames = []string{"analyze", "sweep", "optimize", "tables", "tail", "batch", "traces", "healthz", "statsz", "metrics"}
 
+// apiEndpoints are the query endpoints among them: the ones with an API
+// request counter and a /statsz latency digest.
+var apiEndpoints = []string{"analyze", "sweep", "optimize", "tables", "tail", "batch"}
+
 // codeClasses label the status-class counters.
 var codeClasses = []string{"2xx", "3xx", "4xx", "5xx"}
 
@@ -45,21 +49,16 @@ func (em *endpointMetrics) code(status int) *obs.Counter {
 	return em.codes[codeClasses[class-2]]
 }
 
-// serverMetrics holds every metric handle of one Server. The request,
-// memo, and pool counters are the direct descendants of the PR-2
+// serverMetrics holds every metric handle of one Server. The request
+// and pool counters are the direct descendants of the PR-2
 // atomic.Int64 fields; /statsz reads the very same values back from
 // these handles, so the JSON stays value- and shape-compatible.
 type serverMetrics struct {
 	endpoints map[string]*endpointMetrics
 
-	reqAnalyze  *obs.Counter
-	reqSweep    *obs.Counter
-	reqTables   *obs.Counter
-	reqOptimize *obs.Counter
-	reqTail     *obs.Counter
-	reqBatch    *obs.Counter
+	// req counts method-matched API requests, by endpoint (apiEndpoints).
+	req map[string]*obs.Counter
 
-	memoHits    *obs.Counter
 	sweepCells  *obs.Counter
 	activeCells *obs.Gauge
 	workers     *obs.Gauge
@@ -67,10 +66,10 @@ type serverMetrics struct {
 	analyzeHit  *obs.Histogram
 	analyzeMiss *obs.Histogram
 
-	tailExact          *obs.Counter
-	tailImportance     *obs.Counter
-	tailExactSecs      *obs.Histogram
-	tailImportanceSecs *obs.Histogram
+	// Tail dispatches and latency, by resolved method (MethodExact or
+	// MethodImportance).
+	tailDispatch map[string]*obs.Counter
+	tailSeconds  map[string]*obs.Histogram
 
 	// Fleet cache tier: client-side lookup outcomes and the peer-serving
 	// side, by op and outcome.
@@ -92,28 +91,6 @@ type serverMetrics struct {
 	batchItemErrors *obs.Counter
 }
 
-// batchItem returns the item counter for kind ("analyze", "sweep",
-// "optimize", or "tail" — callers pass validated kinds only).
-func (m *serverMetrics) batchItem(kind string) *obs.Counter {
-	return m.batchItems[kind]
-}
-
-// tailDispatch returns the dispatch counter for the resolved tail method.
-func (m *serverMetrics) tailDispatch(method string) *obs.Counter {
-	if method == MethodImportance {
-		return m.tailImportance
-	}
-	return m.tailExact
-}
-
-// tailSeconds returns the latency histogram for the resolved tail method.
-func (m *serverMetrics) tailSeconds(method string) *obs.Histogram {
-	if method == MethodImportance {
-		return m.tailImportanceSecs
-	}
-	return m.tailExactSecs
-}
-
 // newServerMetrics registers the server's metric families on reg.
 func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 	m := serverMetrics{endpoints: map[string]*endpointMetrics{}}
@@ -133,16 +110,17 @@ func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 		m.endpoints[ep] = em
 	}
 
-	const apiHelp = "API requests accepted per endpoint (method-matched; the /statsz requests block)."
-	m.reqAnalyze = reg.Counter("probconsd_api_requests_total", apiHelp, obs.Labels{"endpoint": "analyze"})
-	m.reqSweep = reg.Counter("probconsd_api_requests_total", apiHelp, obs.Labels{"endpoint": "sweep"})
-	m.reqTables = reg.Counter("probconsd_api_requests_total", apiHelp, obs.Labels{"endpoint": "tables"})
-	m.reqOptimize = reg.Counter("probconsd_api_requests_total", apiHelp, obs.Labels{"endpoint": "optimize"})
-	m.reqTail = reg.Counter("probconsd_api_requests_total", apiHelp, obs.Labels{"endpoint": "tail"})
-	m.reqBatch = reg.Counter("probconsd_api_requests_total", apiHelp, obs.Labels{"endpoint": "batch"})
+	m.req = map[string]*obs.Counter{}
+	for _, ep := range apiEndpoints {
+		m.req[ep] = reg.Counter("probconsd_api_requests_total",
+			"API requests accepted per endpoint (method-matched; the /statsz requests block).",
+			obs.Labels{"endpoint": ep})
+	}
 
-	m.memoHits = reg.Counter("probconsd_memo_hits_total",
-		"Analyze queries answered by the L0 most-recent-query memo.", nil)
+	// The frozen benchmark scrapes this family and fails on a missing
+	// sample, so it stays registered (constantly 0) past the memo itself.
+	reg.Counter("probconsd_memo_hits_total",
+		"Retired in PR 13 (the L0 most-recent-query memo is deleted; constantly 0); kept until the benchmark manifest drops service.memo_hit_share.", nil)
 	m.sweepCells = reg.Counter("probconsd_sweep_cells_total",
 		"Sweep grid cells computed.", nil)
 	m.activeCells = reg.Gauge("probconsd_sweep_active_cells",
@@ -150,20 +128,22 @@ func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 	m.workers = reg.Gauge("probconsd_pool_workers",
 		"Configured engine worker-pool size.", nil)
 
-	const analyzeHelp = "Analyze query latency through the two-level cache, labeled hit (L0 memo or L1 fingerprint hit) vs miss (engine compute, coalesced waits included)."
+	const analyzeHelp = "Analyze query latency through the analyze cache, from lookup to answer (keying excluded), labeled hit (L1 fingerprint hit or fleet-tier answer) vs miss (engine compute, coalesced waits included)."
 	m.analyzeHit = reg.Histogram("probconsd_analyze_seconds", analyzeHelp,
 		obs.LatencyBuckets, obs.Labels{"cache": "hit"})
 	m.analyzeMiss = reg.Histogram("probconsd_analyze_seconds", analyzeHelp,
 		obs.LatencyBuckets, obs.Labels{"cache": "miss"})
 
-	const dispatchHelp = "Tail queries dispatched, by resolved method (exact engine vs importance sampler)."
-	m.tailExact = reg.Counter("probconsd_tail_dispatch_total", dispatchHelp, obs.Labels{"method": "exact"})
-	m.tailImportance = reg.Counter("probconsd_tail_dispatch_total", dispatchHelp, obs.Labels{"method": "importance"})
-	const tailHelp = "Tail query latency through the tail cache, by resolved method."
-	m.tailExactSecs = reg.Histogram("probconsd_tail_seconds", tailHelp,
-		obs.LatencyBuckets, obs.Labels{"method": "exact"})
-	m.tailImportanceSecs = reg.Histogram("probconsd_tail_seconds", tailHelp,
-		obs.LatencyBuckets, obs.Labels{"method": "importance"})
+	m.tailDispatch = map[string]*obs.Counter{}
+	m.tailSeconds = map[string]*obs.Histogram{}
+	for _, method := range []string{MethodExact, MethodImportance} {
+		m.tailDispatch[method] = reg.Counter("probconsd_tail_dispatch_total",
+			"Tail queries dispatched, by resolved method (exact engine vs importance sampler).",
+			obs.Labels{"method": method})
+		m.tailSeconds[method] = reg.Histogram("probconsd_tail_seconds",
+			"Tail query latency through the tail cache, by resolved method.",
+			obs.LatencyBuckets, obs.Labels{"method": method})
+	}
 
 	const l2LookupHelp = "Fleet cache-tier (L2) consultations on L1 analyze misses, by outcome: hit (owner answered), miss, error (transport/protocol), local (this member owns the key or the query has no wire form)."
 	m.l2Hits = reg.Counter("probconsd_l2_lookups_total", l2LookupHelp, obs.Labels{"outcome": "hit"})
@@ -260,21 +240,12 @@ type traceKey struct{}
 // TraceFrom returns the flight-recorder trace the middleware attached to
 // this request's context, or nil outside an instrumented request.
 // Handlers thread it into the query paths; a nil trace is recorded into
-// safely (every method no-ops).
+// safely (every method no-ops). The trace carries the request ID — the
+// one identifier connecting the access log, the debug block, exemplars,
+// and /v1/traces.
 func TraceFrom(ctx context.Context) *obs.Trace {
 	tr, _ := ctx.Value(traceKey{}).(*obs.Trace)
 	return tr
-}
-
-// RequestID returns the request ID the middleware assigned to this
-// request's context, or "" outside an instrumented request. The ID lives
-// on the request's trace — the same identifier connects the access log,
-// the debug block, exemplars, and /v1/traces.
-func RequestID(ctx context.Context) string {
-	if tr := TraceFrom(ctx); tr != nil {
-		return tr.ID
-	}
-	return ""
 }
 
 // statusWriter captures the response status for the middleware. It
@@ -298,12 +269,14 @@ func (w *statusWriter) Flush() {
 
 // instrument wraps one endpoint handler with the observability
 // middleware: flight-recorder trace acquisition (which carries the
-// request ID), in-flight gauge, per-endpoint latency histogram with an
-// exemplar trace ID on every observation, status-class counters, trace
-// deposit, and (when a logger is configured) one structured access-log
-// line per request. Every request — debugged or not — produces a span
-// tree and a retained-or-dropped trace decision.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// request ID), the route's method check (405 with an Allow header for any
+// other method; "" leaves the check to the handler), in-flight gauge,
+// per-endpoint latency histogram with an exemplar trace ID on every
+// observation, status-class counters, trace deposit, and (when a logger
+// is configured) one structured access-log line per request. Every
+// request — debugged or not — produces a span tree and a
+// retained-or-dropped trace decision.
+func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.HandlerFunc {
 	em := s.m.endpoints[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := s.traces.Acquire()
@@ -313,7 +286,13 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		r = r.WithContext(context.WithValue(r.Context(), traceKey{}, tr))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		em.inFlight.Inc()
-		h(sw, r)
+		if method == "" || r.Method == method {
+			h(sw, r)
+		} else {
+			sw.Header().Set("Allow", method)
+			writeJSON(sw, http.StatusMethodNotAllowed,
+				errorBody{Error: fmt.Sprintf("%s requires %s", r.URL.Path, method)})
+		}
 		em.inFlight.Dec()
 		d := time.Since(start)
 		em.latency.ObserveExemplar(d.Seconds(), tr.ID)

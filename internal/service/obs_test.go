@@ -93,8 +93,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := sampleValue(t, out, `probconsd_cache_misses_total{cache="analyze"}`); got != 1 {
 		t.Errorf("cache misses = %v, want 1", got)
 	}
-	if got := sampleValue(t, out, "probconsd_memo_hits_total"); got != 1 {
-		t.Errorf("memo hits = %v, want 1", got)
+	if got := sampleValue(t, out, `probconsd_cache_hits_total{cache="analyze"}`); got != 1 {
+		t.Errorf("cache hits = %v, want 1", got)
+	}
+	// Retired with the L0 memo, but still exposed for the frozen benchmark.
+	if got := sampleValue(t, out, "probconsd_memo_hits_total"); got != 0 {
+		t.Errorf("retired memo hits = %v, want a constant 0", got)
 	}
 	if got := sampleValue(t, out, "probconsd_pool_workers"); got != 4 {
 		t.Errorf("pool workers = %v, want 4", got)
@@ -105,7 +109,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if inf != count || count != 3 {
 		t.Errorf("analyze latency histogram: +Inf=%v count=%v, want both 3", inf, count)
 	}
-	// The cache-split analyze histogram saw one miss and one L0 hit.
+	// The cache-split analyze histogram saw one miss and one L1 hit.
 	if got := sampleValue(t, out, `probconsd_analyze_seconds_count{cache="miss"}`); got != 1 {
 		t.Errorf("analyze miss latency count = %v, want 1", got)
 	}
@@ -208,9 +212,6 @@ func TestStatszGolden(t *testing.T) {
     "bytes": 0,
     "per_shard": %[2]s
   },
-  "memo": {
-    "hits": 0
-  },
   "pool": {
     "workers": 4,
     "active_cells": 0,
@@ -267,7 +268,7 @@ func TestStatszLatencySummary(t *testing.T) {
 }
 
 // TestAnalyzeDebugBlock checks the opt-in debug block: cache verdicts
-// across the L1-miss and L0-hit paths, span stages, request IDs, and
+// across the L1-miss and L1-hit paths, span stages, request IDs, and
 // that undebugged requests carry no block at all.
 func TestAnalyzeDebugBlock(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -303,14 +304,14 @@ func TestAnalyzeDebugBlock(t *testing.T) {
 		}
 	}
 
-	// Same query again: L0 memo answers, debug block is rebuilt fresh.
+	// Same query again: L1 answers, debug block is rebuilt fresh.
 	_, b = postJSON(t, ts.URL+"/v1/analyze", body)
 	var second AnalyzeResponse
 	if err := json.Unmarshal(b, &second); err != nil {
 		t.Fatal(err)
 	}
-	if second.Debug == nil || second.Debug.Cache != "l0_hit" {
-		t.Fatalf("second debug block = %+v, want l0_hit", second.Debug)
+	if second.Debug == nil || second.Debug.Cache != "l1_hit" {
+		t.Fatalf("second debug block = %+v, want l1_hit", second.Debug)
 	}
 	if second.Debug.RequestID == first.Debug.RequestID {
 		t.Fatal("request IDs must be unique per request")
@@ -329,7 +330,7 @@ func TestAnalyzeDebugBlock(t *testing.T) {
 		t.Fatalf("undebugged response carries debug block: %+v", third.Debug)
 	}
 	if !third.Cached {
-		t.Fatal("third request should hit the memo")
+		t.Fatal("third request should hit the cache")
 	}
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/core"
@@ -108,15 +107,6 @@ const (
 	targetDomains = "domains"
 )
 
-// solverOptions resolves the request's solver knobs.
-func (r OptimizeRequest) solverOptions() optimize.Options {
-	opts := optimize.Options{MaxIterations: r.Iterations, GapTolerance: r.Tolerance}
-	if opts.GapTolerance == 0 {
-		opts.GapTolerance = 1e-9
-	}
-	return opts
-}
-
 // validateCommon checks the optimizer-specific fields shared by both
 // targets; the fleet/model/domains block reuses the analyze validation.
 func (r OptimizeRequest) validateCommon() error {
@@ -154,17 +144,20 @@ func (r OptimizeRequest) validateCommon() error {
 	return nil
 }
 
-// Optimize resolves, validates, solves, and caches one optimize query.
-func (s *Server) Optimize(req OptimizeRequest) (OptimizeResponse, error) {
-	return s.optimizeTraced(req, nil)
+// optimizePlan is a validated optimize query: its name-invariant cache
+// key, this requester's labels, and the solve that answers a miss.
+type optimizePlan struct {
+	key   string
+	names []string
+	solve func() (OptimizeResponse, error)
 }
 
-// optimizeTraced is Optimize with the request's flight-recorder trace
-// threaded through (nil for library calls; recording no-ops).
-func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeResponse, error) {
-	rstart := time.Now()
+// planOptimize validates the request, bounds its work and keys it. Each
+// target contributes its problem-specific pieces; the work bound, the
+// cache key and the rendering are shared. All errors are client errors.
+func planOptimize(req OptimizeRequest) (optimizePlan, error) {
 	if err := req.validateCommon(); err != nil {
-		return OptimizeResponse{}, badRequest(err)
+		return optimizePlan{}, badRequest(err)
 	}
 	// Reuse the analyze resolution for fleet, model, and domains —
 	// including the per-query work bound on the underlying engine.
@@ -172,10 +165,12 @@ func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeRes
 		Model: req.Model, Fleet: req.Fleet, P: req.P, Domains: req.Domains,
 	}.Query()
 	if err != nil {
-		return OptimizeResponse{}, badRequest(err)
+		return optimizePlan{}, badRequest(err)
 	}
-	tr.Since("resolve", rstart)
-	opts := req.solverOptions()
+	opts := optimize.Options{MaxIterations: req.Iterations, GapTolerance: req.Tolerance}
+	if opts.GapTolerance == 0 {
+		opts.GapTolerance = 1e-9
+	}
 	iters := opts.MaxIterations
 	if iters <= 0 {
 		iters = 500
@@ -185,8 +180,6 @@ func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeRes
 	if target == "" {
 		target = targetNodes
 	}
-	// Each target contributes its problem-specific pieces; everything
-	// downstream — work bound, cache key, solve-and-render — is shared.
 	var (
 		names     []string
 		pBefore   []float64
@@ -194,7 +187,7 @@ func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeRes
 		gradWork  float64 // engine cost of one gradient call
 		workHint  string
 		problemFP func(optimize.Options) (string, error)
-		solveRaw  func() (optimize.Allocation, error)
+		solve     func() (optimize.Allocation, error)
 	)
 	engineWork := core.DomainsWorkEstimate(fleet, domains)
 	switch target {
@@ -210,7 +203,7 @@ func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeRes
 			Curves: curves, Budget: req.Budget, MaxPerNode: req.MaxSpend,
 		}
 		if err := p.Validate(); err != nil {
-			return OptimizeResponse{}, badRequest(err)
+			return optimizePlan{}, badRequest(err)
 		}
 		// The analytic leave-one-out gradient is one O(N^3) DP per node;
 		// with populated domains the objective falls back to central
@@ -221,10 +214,10 @@ func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeRes
 		}
 		workHint = "fewer iterations or a smaller fleet"
 		problemFP = p.Fingerprint
-		solveRaw = func() (optimize.Allocation, error) { return optimize.SolveHardening(p, opts) }
+		solve = func() (optimize.Allocation, error) { return optimize.SolveHardening(p, opts) }
 	case targetDomains:
 		if len(domains) == 0 {
-			return OptimizeResponse{}, badRequest(fmt.Errorf("target domains requires a domains block"))
+			return optimizePlan{}, badRequest(fmt.Errorf("target domains requires a domains block"))
 		}
 		curves = make([]faultcurve.Response, len(domains))
 		for i, d := range domains {
@@ -237,53 +230,34 @@ func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeRes
 			Curves: curves, Budget: req.Budget, MaxPerDomain: req.MaxSpend,
 		}
 		if err := p.Validate(); err != nil {
-			return OptimizeResponse{}, badRequest(err)
+			return optimizePlan{}, badRequest(err)
 		}
 		gradWork = 2 * float64(len(domains)) * engineWork // central differences
 		workHint = "fewer iterations or fewer domains"
 		problemFP = p.Fingerprint
-		solveRaw = func() (optimize.Allocation, error) { return optimize.SolveDomainHardening(p, opts) }
+		solve = func() (optimize.Allocation, error) { return optimize.SolveDomainHardening(p, opts) }
 	}
-	dims := len(names)
 	if work := float64(iters) * gradCallsPerIteration * gradWork; work > MaxOptimizeWork {
-		return OptimizeResponse{}, badRequest(fmt.Errorf(
+		return optimizePlan{}, badRequest(fmt.Errorf(
 			"optimize needs ~%.2g engine operations, maximum is %.2g (%s)",
 			work, float64(MaxOptimizeWork), workHint))
 	}
-	fingerprint, err := problemFP(opts)
+	key, err := problemFP(opts)
 	if err != nil {
-		return OptimizeResponse{}, badRequest(err)
+		return optimizePlan{}, badRequest(err)
 	}
-	solve := func() (optimize.Allocation, []float64, error) {
-		a, err := solveRaw()
-		if err != nil {
-			return optimize.Allocation{}, nil, err
-		}
-		after := make([]float64, dims)
-		for i := range after {
-			after[i] = curves[i].Prob(a.Spend[i])
-		}
-		return a, after, nil
-	}
-
-	computed := false
-	resp, cached, err := s.ocache.DoEvents(fingerprint, recorder(tr), func() (OptimizeResponse, error) {
-		computed = true
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-		sstart := time.Now()
-		defer tr.Since("solve", sstart)
-		a, pAfter, err := solve()
+	return optimizePlan{key: key, names: names, solve: func() (OptimizeResponse, error) {
+		a, err := solve()
 		if err != nil {
 			return OptimizeResponse{}, err
 		}
-		lines := make([]AllocationLine, dims)
+		lines := make([]AllocationLine, len(names))
 		for i := range lines {
 			lines[i] = AllocationLine{
 				Name:    names[i],
 				Spend:   a.Spend[i],
 				PBefore: pBefore[i],
-				PAfter:  pAfter[i],
+				PAfter:  curves[i].Prob(a.Spend[i]),
 			}
 		}
 		return OptimizeResponse{
@@ -297,19 +271,40 @@ func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeRes
 			Gap:         a.Gap,
 			Iterations:  a.Iterations,
 			Converged:   a.Converged,
-			Fingerprint: fingerprint,
+			Fingerprint: key,
 		}, nil
+	}}, nil
+}
+
+// Optimize resolves, validates, solves, and caches one optimize query.
+func (s *Server) Optimize(req OptimizeRequest) (OptimizeResponse, error) {
+	return s.optimizeTraced(req, nil)
+}
+
+// optimizeTraced is Optimize with the request's flight-recorder trace
+// threaded through (nil for library calls; recording no-ops).
+func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeResponse, error) {
+	start := time.Now()
+	p, err := planOptimize(req)
+	if err != nil {
+		return OptimizeResponse{}, err
+	}
+	tr.Since("resolve", start)
+	return s.runOptimize(p, tr)
+}
+
+// runOptimize answers one planned optimize query through the optimize
+// cache; a miss solves holding an engine worker slot.
+func (s *Server) runOptimize(p optimizePlan, tr *obs.Trace) (OptimizeResponse, error) {
+	resp, verdict, err := cachedRun(s.ocache, p.key, tr, nil, func() (OptimizeResponse, error) {
+		return withWorker(s, func() (OptimizeResponse, error) {
+			sstart := time.Now()
+			defer tr.Since("solve", sstart)
+			return p.solve()
+		})
 	})
 	if err != nil {
 		return OptimizeResponse{}, fmt.Errorf("optimization failed: %w", err)
-	}
-	switch {
-	case computed:
-		tr.SetCache("miss")
-	case cached:
-		tr.SetCache("hit")
-	default:
-		tr.SetCache("coalesced")
 	}
 	// Detach the one slice the response shares with the cache entry (a
 	// library caller mutating its response must not corrupt later hits),
@@ -318,26 +313,8 @@ func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeRes
 	// requester's names — everything numeric is identical by construction.
 	resp.Allocation = append([]AllocationLine(nil), resp.Allocation...)
 	for i := range resp.Allocation {
-		resp.Allocation[i].Name = names[i]
+		resp.Allocation[i].Name = p.names[i]
 	}
-	resp.Cached = cached
+	resp.Cached = verdict == verdictHit
 	return resp, nil
-}
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	s.m.reqOptimize.Inc()
-	var req OptimizeRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	resp, err := s.optimizeTraced(req, TraceFrom(r.Context()))
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

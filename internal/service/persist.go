@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -56,15 +55,10 @@ func (s *Server) LoadCache(r io.Reader) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		var resp AnalyzeResponse
-		if err := json.Unmarshal(val, &resp); err != nil {
+		resp, err := unmarshalCached(key, val)
+		if err != nil {
 			return n, fmt.Errorf("cache entry %d (%s): %w", n, key, err)
 		}
-		if resp.Fingerprint != key {
-			return n, fmt.Errorf("cache entry %d: key %s does not match value fingerprint %s", n, key, resp.Fingerprint)
-		}
-		resp.Cached = false
-		resp.Debug = nil
 		s.cache.Put(key, resp)
 		n++
 	}

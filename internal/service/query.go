@@ -325,7 +325,7 @@ type SpanView struct {
 }
 
 // DebugInfo is the opt-in per-request observability block: where the
-// answer came from ("l0_hit", "l1_hit", "coalesced", or "miss"), how
+// answer came from ("l1_hit", "l2_hit", "coalesced", or "miss"), how
 // long each stage took, and the access-log request ID to grep for.
 type DebugInfo struct {
 	RequestID string     `json:"request_id,omitempty"`
@@ -397,25 +397,27 @@ const (
 	MaxSweepWork  = 2e10
 )
 
-// Validate checks the grid before any work is scheduled.
-func (r SweepRequest) Validate() error {
+// plan checks the grid before any work is scheduled and resolves the
+// domain layout every cell shares. Every error is a validation failure,
+// which callers report as a client error.
+func (r SweepRequest) plan() (core.DomainSet, error) {
 	if r.Protocol != "raft" && r.Protocol != "pbft" {
-		return fmt.Errorf("unknown protocol %q (want raft or pbft)", r.Protocol)
+		return nil, fmt.Errorf("unknown protocol %q (want raft or pbft)", r.Protocol)
 	}
 	if len(r.Ns) == 0 || len(r.Ps) == 0 {
-		return fmt.Errorf("ns and ps must both be non-empty")
+		return nil, fmt.Errorf("ns and ps must both be non-empty")
 	}
 	if cells := len(r.Ns) * len(r.Ps); cells > MaxSweepCells {
-		return fmt.Errorf("sweep grid has %d cells, maximum is %d", cells, MaxSweepCells)
+		return nil, fmt.Errorf("sweep grid has %d cells, maximum is %d", cells, MaxSweepCells)
 	}
 	domains, err := resolveDomains(r.Domains)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var work float64
 	for _, n := range r.Ns {
 		if err := inputcheck.CheckClusterSize(n); err != nil {
-			return err
+			return nil, err
 		}
 		// The engine cost of one cell at this n: n^3 for independent
 		// fleets, the domain engines' estimate under the round-robin
@@ -425,14 +427,14 @@ func (r SweepRequest) Validate() error {
 		work += core.DomainsWorkEstimate(fleet, domains)
 	}
 	if work *= float64(len(r.Ps)); work > MaxSweepWork {
-		return fmt.Errorf("sweep grid needs ~%.2g engine operations, maximum is %.2g", work, float64(MaxSweepWork))
+		return nil, fmt.Errorf("sweep grid needs ~%.2g engine operations, maximum is %.2g", work, float64(MaxSweepWork))
 	}
 	for _, p := range r.Ps {
 		if err := inputcheck.CheckProb("p", p); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return domains, nil
 }
 
 // SweepLine is one JSON line of a sweep stream.

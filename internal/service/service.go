@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,12 +8,9 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultcurve"
 	"repro/internal/obs"
 	"repro/internal/qcache"
 )
@@ -23,13 +19,6 @@ import (
 type Options struct {
 	// CacheCapacity is the total number of memoized Results (default 4096).
 	CacheCapacity int
-	// OptimizeCacheCapacity is the number of memoized optimize responses
-	// (default 1024; each entry represents far more compute than an
-	// analyze Result, so the cache can stay small).
-	OptimizeCacheCapacity int
-	// TailCacheCapacity is the number of memoized tail responses
-	// (default 1024).
-	TailCacheCapacity int
 	// CacheShards is the cache shard count (default 16).
 	CacheShards int
 	// Workers bounds concurrent engine computations — analyze misses and
@@ -62,21 +51,25 @@ type Options struct {
 	TraceSample int
 }
 
+// solverCacheCapacity sizes the optimize and tail response caches. Each
+// entry stands for far more compute than an analyze Result, so these
+// caches stay small; no caller ever needed a different size.
+const solverCacheCapacity = 1024
+
 // Server is the probconsd request handler: stateless except for the
 // caches and counters, so one instance serves arbitrary concurrency.
 //
-// Caching is two-level. L0 is a most-recent-query memo checked by plain
-// value equality — no canonicalization, no hashing — so the common serving
-// pattern of the same query arriving back-to-back (dashboards polling one
-// deployment) costs a slice comparison. L1 is the sharded LRU keyed by the
-// canonical fleet+model fingerprint, which additionally absorbs permuted,
-// renamed, or repriced spellings of the same query and coalesces
-// concurrent identical misses into one engine call.
+// Every cacheable endpoint is plan → cachedRun: a plan function does all
+// validation, work-bounding and keying, and cachedRun answers the key
+// from the endpoint's sharded LRU or runs the plan's compute under the
+// cache's singleflight. The analyze cache is keyed by the canonical
+// fleet+model+domains fingerprint, which absorbs permuted, renamed, or
+// repriced spellings of the same query; with Options.L2 set, its misses
+// consult the owning peer of the fleet tier before computing locally.
 type Server struct {
 	cache   *qcache.Cache[AnalyzeResponse]
 	ocache  *qcache.Cache[OptimizeResponse]
 	tcache  *qcache.Cache[TailResponse]
-	memo    atomic.Pointer[memoEntry]
 	l2      L2Tier
 	analyze func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error)
 	workers int
@@ -100,70 +93,10 @@ type Server struct {
 	traceSlow time.Duration // fixed slow threshold; 0 = derive per endpoint
 }
 
-// memoEntry is the L0 cache line: one fully-rendered response plus a
-// private copy of the request that produced it.
-type memoEntry struct {
-	req  AnalyzeRequest
-	resp AnalyzeResponse
-}
-
-// equalRequests reports value equality of two analyze requests. NaN
-// probabilities compare unequal and fall through to validation, which
-// rejects them. Debug is deliberately excluded: it changes only the
-// response's debug block (rebuilt per request), never the answer, so a
-// debugged request may hit the memo a non-debugged one installed.
-func equalRequests(a, b AnalyzeRequest) bool {
-	if a.Model != b.Model || len(a.Fleet) != len(b.Fleet) || len(a.Domains) != len(b.Domains) {
-		return false
-	}
-	if (a.P == nil) != (b.P == nil) {
-		return false
-	}
-	if a.P != nil && *a.P != *b.P {
-		return false
-	}
-	for i := range a.Fleet {
-		if a.Fleet[i] != b.Fleet[i] {
-			return false
-		}
-	}
-	for i := range a.Domains {
-		if !equalDomainSpecs(a.Domains[i], b.Domains[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// equalDomainSpecs compares two wire domains by value (multipliers are
-// pointers; an explicit 1 and an omitted multiplier compare unequal here
-// and fall through to the canonicalizing L1 cache, which unifies them).
-func equalDomainSpecs(a, b DomainSpec) bool {
-	if a.Name != b.Name || a.Shock != b.Shock {
-		return false
-	}
-	if (a.CrashMult == nil) != (b.CrashMult == nil) || (a.ByzMult == nil) != (b.ByzMult == nil) {
-		return false
-	}
-	if a.CrashMult != nil && *a.CrashMult != *b.CrashMult {
-		return false
-	}
-	if a.ByzMult != nil && *a.ByzMult != *b.ByzMult {
-		return false
-	}
-	return true
-}
-
 // New builds a Server from opts.
 func New(opts Options) *Server {
 	if opts.CacheCapacity <= 0 {
 		opts.CacheCapacity = 4096
-	}
-	if opts.OptimizeCacheCapacity <= 0 {
-		opts.OptimizeCacheCapacity = 1024
-	}
-	if opts.TailCacheCapacity <= 0 {
-		opts.TailCacheCapacity = 1024
 	}
 	if opts.CacheShards <= 0 {
 		opts.CacheShards = 16
@@ -179,8 +112,8 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		cache:     qcache.New[AnalyzeResponse](opts.CacheCapacity, opts.CacheShards).WithSizer(sizeofAnalyzeResponse),
-		ocache:    qcache.New[OptimizeResponse](opts.OptimizeCacheCapacity, opts.CacheShards).WithSizer(sizeofOptimizeResponse),
-		tcache:    qcache.New[TailResponse](opts.TailCacheCapacity, opts.CacheShards).WithSizer(sizeofTailResponse),
+		ocache:    qcache.New[OptimizeResponse](solverCacheCapacity, opts.CacheShards).WithSizer(sizeofOptimizeResponse),
+		tcache:    qcache.New[TailResponse](solverCacheCapacity, opts.CacheShards).WithSizer(sizeofTailResponse),
 		l2:        opts.L2,
 		analyze:   opts.AnalyzeFunc,
 		workers:   opts.Workers,
@@ -267,472 +200,79 @@ func IsClientError(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// Analyze resolves, validates, and answers one analyze query through the
-// two-level cache. It is the handler's core and the service benchmark
-// entry point.
-func (s *Server) Analyze(req AnalyzeRequest) (AnalyzeResponse, error) {
-	return s.analyzeTraced(req, nil)
-}
+// Cache verdicts: where a cached endpoint's answer came from. They label
+// the request's trace and the analyze debug block.
+const (
+	verdictHit       = "l1_hit"    // the endpoint's response cache answered
+	verdictPeer      = "l2_hit"    // the owning peer of the fleet tier answered
+	verdictMiss      = "miss"      // this call ran the compute
+	verdictCoalesced = "coalesced" // an identical in-flight computation was shared
+)
 
-// analyzeTraced is Analyze with the request's flight-recorder trace
-// threaded through (nil for direct library and benchmark calls — every
-// recording method no-ops on nil, so the L0 memo path stays
-// allocation-free, pinned by TestAnalyzeHotPathAllocationGuard). HTTP
-// requests always carry a trace, so every request produces a span tree
-// whether or not the caller asked for the debug block.
-func (s *Server) analyzeTraced(req AnalyzeRequest, tr *obs.Trace) (AnalyzeResponse, error) {
+// cachedRun is the one cached-endpoint path: it answers key from cache or
+// runs compute under the cache's singleflight, classifies the outcome and
+// records it on the trace (a nil tr records nothing). peer, when non-nil,
+// is the fleet tier, consulted inside the singleflight before compute; its
+// answer means no local compute at all. The trace doubles as the qcache
+// event hook, so evictions and coalesced waits land on it too.
+func cachedRun[R any](cache *qcache.Cache[R], key string, tr *obs.Trace, peer func() (R, bool), compute func() (R, error)) (R, string, error) {
 	start := time.Now()
-	// L0: the exact same query as last time short-circuits everything.
-	if e := s.memo.Load(); e != nil && equalRequests(e.req, req) {
-		s.m.memoHits.Inc()
-		resp := e.resp
-		resp.Cached = true
-		s.m.analyzeHit.ObserveSince(start)
-		if tr == nil && req.Debug {
-			tr = &obs.Trace{} // ephemeral recorder for direct debugged calls
-		}
-		tr.Since("memo_lookup", start)
-		tr.SetCache("l0_hit")
-		if req.Debug {
-			resp.Debug = &DebugInfo{Cache: "l0_hit", Spans: spanViews(tr.AllSpans())}
-		}
-		return resp, nil
-	}
-	if tr == nil && req.Debug {
-		tr = &obs.Trace{}
-	}
-	rstart := time.Now()
-	fleet, m, domains, err := req.Query()
-	if err != nil {
-		return AnalyzeResponse{}, badRequest(err)
-	}
-	tr.Since("resolve", rstart)
-	resp, outcome, err := s.analyzeQuery(fleet, m, domains, tr)
-	if err != nil {
-		return AnalyzeResponse{}, err
-	}
-	// Install in L0 with a private copy of the request: callers remain
-	// free to mutate their fleet and domains slices afterwards. The memo
-	// never stores a debug block — it is rebuilt per request.
-	cp := req
-	cp.Debug = false
-	cp.Fleet = append([]NodeSpec(nil), req.Fleet...)
-	if req.P != nil {
-		p := *req.P
-		cp.P = &p
-	}
-	cp.Domains = make([]DomainSpec, len(req.Domains))
-	for i, d := range req.Domains {
-		if d.CrashMult != nil {
-			v := *d.CrashMult
-			d.CrashMult = &v
-		}
-		if d.ByzMult != nil {
-			v := *d.ByzMult
-			d.ByzMult = &v
-		}
-		cp.Domains[i] = d
-	}
-	s.memo.Store(&memoEntry{req: cp, resp: resp})
-	tr.SetCache(outcome)
-	if req.Debug {
-		resp.Debug = &DebugInfo{Cache: outcome, Spans: spanViews(tr.AllSpans())}
-	}
-	return resp, nil
-}
-
-// analyzeQuery memoizes one already-validated query in L1, caching the
-// fully-rendered response so hits skip percent/nines formatting too. The
-// engine run (but never a cache hit) waits for a worker-pool slot, so a
-// burst of distinct O(N^3) queries cannot pin every CPU. Only engine
-// computes take slots and computes wait for nothing else, so no hold-and-
-// wait cycle exists.
-//
-// tr may be nil (recording is then a no-op). The returned outcome is
-// the cache verdict for the debug block and the hit/miss latency split:
-// "l1_hit", "l2_hit" (the owning peer answered), "miss" (this call ran
-// the engine), or "coalesced" (an identical in-flight computation was
-// shared). Cache-pressure events (evictions this insert caused,
-// coalesced waits) land on the trace via the qcache event hook.
-func (s *Server) analyzeQuery(fleet core.Fleet, m core.CountModel, domains core.DomainSet, tr *obs.Trace) (AnalyzeResponse, string, error) {
-	return s.analyzeQueryTier(fleet, m, domains, tr, true)
-}
-
-// analyzeQueryTier is analyzeQuery with the L2 consultation switchable:
-// the peer-serving path (L2Exec) computes with allowL2=false, so an
-// ownership disagreement between peers degrades to a local compute
-// instead of an RPC loop.
-func (s *Server) analyzeQueryTier(fleet core.Fleet, m core.CountModel, domains core.DomainSet, tr *obs.Trace, allowL2 bool) (AnalyzeResponse, string, error) {
-	qstart := time.Now()
-	fp, err := core.FleetModelDomainsFingerprint(fleet, m, domains)
-	if err != nil {
-		return AnalyzeResponse{}, "", badRequest(err)
-	}
-	tr.Since("fingerprint", qstart)
-	lstart := time.Now()
-	computed, l2hit := false, false
-	resp, cached, err := s.cache.DoEvents(fp.String(), recorder(tr), func() (AnalyzeResponse, error) {
-		// The tier consultation runs inside the singleflight but before a
-		// worker slot is taken: a peer wait must not pin an engine worker,
-		// and the owner's answer means no local engine work at all.
-		if allowL2 && s.l2 != nil {
-			if r, ok := s.l2Fetch(fp.String(), fleet, m, domains, tr); ok {
-				l2hit = true
+	verdict := verdictCoalesced
+	resp, cached, err := cache.DoEvents(key, tr, func() (R, error) {
+		if peer != nil {
+			if r, ok := peer(); ok {
+				verdict = verdictPeer
 				return r, nil
 			}
 		}
-		computed = true
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-		estart := time.Now()
-		res, err := s.analyze(fleet, m, domains)
-		tr.Since("engine", estart)
-		if err != nil {
-			return AnalyzeResponse{}, err
-		}
-		return newAnalyzeResponse(m, res, fp.String(), false), nil
+		verdict = verdictMiss
+		return compute()
 	})
 	if err != nil {
-		return AnalyzeResponse{}, "", fmt.Errorf("analysis failed: %w", err)
+		return resp, "", err
 	}
-	if !computed {
-		// Hit or coalesced wait: attribute the whole lookup (including any
-		// wait on the winning flight) to the cache. On computes the engine
-		// span already covers the interesting interval.
-		tr.Since("cache_lookup", lstart)
+	if cached {
+		verdict = verdictHit
 	}
-	outcome := "miss"
-	switch {
-	case cached:
-		outcome = "l1_hit"
-		s.m.analyzeHit.ObserveSince(qstart)
-	case l2hit:
-		outcome = "l2_hit"
-		s.m.analyzeHit.ObserveSince(qstart)
-	case computed:
-		s.m.analyzeMiss.ObserveSince(qstart)
-	default:
-		outcome = "coalesced"
-		s.m.analyzeMiss.ObserveSince(qstart)
+	if verdict != verdictMiss {
+		// Hit, tier answer or coalesced wait: attribute the whole lookup
+		// (including any wait on the winning flight) to the cache. On
+		// computes the compute's own span covers the interesting interval.
+		tr.Since("cache_lookup", start)
 	}
-	// A tier answer is a cache hit from the caller's point of view: some
-	// member's cache (or singleflight) produced it without local engine
-	// work. The value stored in L1 stays Cached=false, like any insert.
-	resp.Cached = cached || l2hit
-	return resp, outcome, nil
+	tr.SetCache(verdict)
+	return resp, verdict, nil
 }
 
-// Sweep validates the request, then computes its (n, p) grid with up to
-// Workers cells in flight and writes one JSON line per cell to w in grid
-// order (ns outer, ps inner), flushing after each line when w supports it.
-// Cell-level failures are reported in the cell's line; the stream itself
-// completes unless ctx is cancelled (client disconnect), which stops
-// scheduling promptly — cells already computing finish and are cached.
-func (s *Server) Sweep(ctx context.Context, req SweepRequest, w io.Writer) error {
-	if err := req.Validate(); err != nil {
-		return badRequest(err)
-	}
-	return s.sweepValidated(ctx, req, w)
-}
-
-// sweepValidated is Sweep after request validation.
-func (s *Server) sweepValidated(ctx context.Context, req SweepRequest, w io.Writer) error {
-	// Stop the spawner on every exit path — client disconnect (parent ctx)
-	// or writer error (early return) — not just external cancellation.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type cell struct{ n, p int } // indices into req.Ns / req.Ps
-	cells := make([]cell, 0, len(req.Ns)*len(req.Ps))
-	for ni := range req.Ns {
-		for pi := range req.Ps {
-			cells = append(cells, cell{ni, pi})
-		}
-	}
-	// Completed cells land in the shared results slice and announce their
-	// index on one buffered channel — a single allocation for the whole
-	// grid where a channel per cell used to be. The send/receive pair
-	// orders each results[i] write before the writer reads it; the buffer
-	// holds every cell, so a worker never blocks on announcing.
-	results := make([]SweepLine, len(cells))
-	completed := make(chan int, len(cells))
-	ready := make([]bool, len(cells))
-	// Engine concurrency is bounded by the shared worker pool inside
-	// analyzeQuery. This local window provides backpressure against a
-	// slow-reading client: tokens are released by the *writer* as lines
-	// are consumed, so the spawner never runs more than Workers cells
-	// ahead of the stream.
-	spawn := make(chan struct{}, s.workers)
-	// Resolve the shared domain layout once; Validate already vetted it.
-	domains, err := resolveDomains(req.Domains)
-	if err != nil {
-		return badRequest(err)
-	}
-	// A fixed worker group per request (capped at the grid size) pulls
-	// cell indices from one channel: goroutine and closure costs are per
-	// request, not per cell.
-	idxCh := make(chan int)
-	nWorkers := s.workers
-	if nWorkers > len(cells) {
-		nWorkers = len(cells)
-	}
-	for w := 0; w < nWorkers; w++ {
-		go func() {
-			for i := range idxCh {
-				c := cells[i]
-				s.m.activeCells.Inc()
-				results[i] = s.sweepCell(req.Protocol, req.Ns[c.n], req.Ps[c.p], domains)
-				s.m.activeCells.Dec()
-				s.m.sweepCells.Inc()
-				completed <- i
-			}
-		}()
-	}
-	go func() {
-		defer close(idxCh)
-		for i := range cells {
-			select {
-			case <-ctx.Done():
-				return
-			case spawn <- struct{}{}:
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case idxCh <- i:
-			}
-		}
-	}()
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range cells {
-		for !ready[i] {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case done := <-completed:
-				ready[done] = true
-			}
-		}
-		<-spawn // consumed: let the spawner schedule the next cell
-		if err := enc.Encode(results[i]); err != nil {
-			return err // client went away; in-flight cells drain via the buffered channel
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	return nil
-}
-
-// sweepCell answers one grid point through the L1 cache directly: the
-// request was validated up front, and going through Analyze would clobber
-// the single-entry L0 memo once per cell.
-func (s *Server) sweepCell(protocol string, n int, p float64, domains core.DomainSet) SweepLine {
-	line := SweepLine{N: n, P: p}
-	m, err := ModelSpec{Protocol: protocol, N: n}.Model()
-	if err != nil {
-		line.Error = err.Error()
-		return line
-	}
-	fp := getSweepFleet(protocol, n, p)
-	fleet := *fp
-	assignRoundRobin(fleet, domains)
-	resp, _, err := s.analyzeQuery(fleet, m, domains, nil)
-	putSweepFleet(fp)
-	if err != nil {
-		line.Error = err.Error()
-		return line
-	}
-	line.Model = resp.Model
-	line.Safe = resp.Safe
-	line.Live = resp.Live
-	line.SafeAndLive = resp.SafeAndLive
-	line.Nines = resp.Nines
-	return line
-}
-
-// sweepFleets recycles the uniform fleets sweep cells stage their queries
-// in. Safe because nothing downstream of sweepCell retains the fleet: the
-// fingerprint copies the profile bits it needs and the engine reads the
-// fleet only inside the synchronous analyze call.
-var sweepFleets = sync.Pool{New: func() any { return new(core.Fleet) }}
-
-// getSweepFleet builds the uniform fleet of one sweep cell in a pooled
-// buffer — no per-node name rendering (sweep cells never surface node
-// names and the canonical fingerprint excludes them) and no steady-state
-// allocation. Return it with putSweepFleet.
-func getSweepFleet(protocol string, n int, p float64) *core.Fleet {
-	profile := faultcurve.Crash(p)
-	if protocol == "pbft" {
-		profile = faultcurve.Byzantine(p)
-	}
-	fp := sweepFleets.Get().(*core.Fleet)
-	fleet := *fp
-	if cap(fleet) < n {
-		fleet = make(core.Fleet, n)
-	} else {
-		fleet = fleet[:n]
-	}
-	// Every field of every slot is overwritten, so recycled metadata
-	// (domains from a previous request) cannot leak between cells.
-	for i := range fleet {
-		fleet[i] = core.Node{Profile: profile}
-	}
-	*fp = fleet
-	return fp
-}
-
-func putSweepFleet(fp *core.Fleet) { sweepFleets.Put(fp) }
-
-// Tables regenerates the paper's Tables 1–2 through the cache: the first
-// call computes 4 + 16 analyses, every later call is all cache hits.
-func (s *Server) Tables() (TablesResponse, error) {
-	var out TablesResponse
-	for _, m := range core.Table1Configs() {
-		const pu = 0.01
-		resp, _, err := s.analyzeQuery(core.UniformByzFleet(m.NNodes, pu), m, nil, nil)
-		if err != nil {
-			return TablesResponse{}, err
-		}
-		out.Table1 = append(out.Table1, tableRow(resp, pu))
-	}
-	for _, n := range core.Table2Sizes() {
-		m := core.NewRaft(n)
-		for _, pu := range core.Table2PUs() {
-			resp, _, err := s.analyzeQuery(core.UniformCrashFleet(n, pu), m, nil, nil)
-			if err != nil {
-				return TablesResponse{}, err
-			}
-			out.Table2 = append(out.Table2, tableRow(resp, pu))
-		}
-	}
-	return out, nil
-}
-
-func tableRow(resp AnalyzeResponse, pu float64) TableRowView {
-	return TableRowView{
-		Model:       resp.Model,
-		PU:          pu,
-		Safe:        resp.Safe,
-		Live:        resp.Live,
-		SafeAndLive: resp.SafeAndLive,
-		Percent:     resp.Percent,
-	}
-}
-
-// PoolStats snapshots the sweep worker pool.
-type PoolStats struct {
-	Workers     int   `json:"workers"`
-	ActiveCells int64 `json:"active_cells"`
-	CellsDone   int64 `json:"cells_done"`
-}
-
-// RequestStats counts requests served per endpoint.
-type RequestStats struct {
-	Analyze  int64 `json:"analyze"`
-	Sweep    int64 `json:"sweep"`
-	Tables   int64 `json:"tables"`
-	Optimize int64 `json:"optimize"`
-	Tail     int64 `json:"tail"`
-	Batch    int64 `json:"batch"`
-}
-
-// MemoStats counts L0 most-recent-query memo hits.
-type MemoStats struct {
-	Hits int64 `json:"hits"`
-}
-
-// StatsResponse is the body of GET /statsz.
-type StatsResponse struct {
-	Cache qcache.Stats `json:"cache"`
-	// OptimizeCache counts the /v1/optimize response cache, which is
-	// keyed by the canonical problem fingerprint and separate from the
-	// analyze Result cache.
-	OptimizeCache qcache.Stats `json:"optimize_cache"`
-	// TailCache counts the /v1/tail response cache, keyed by the canonical
-	// fingerprint plus the tail parameters.
-	TailCache     qcache.Stats `json:"tail_cache"`
-	Memo          MemoStats    `json:"memo"`
-	Pool          PoolStats    `json:"pool"`
-	Requests      RequestStats `json:"requests"`
-	UptimeSeconds float64      `json:"uptime_seconds"`
-	// Latency summarizes the per-endpoint request-latency histograms
-	// (count, mean, interpolated p50/p90/p99) for the four API endpoints.
-	// The full distributions are on /metrics as
-	// probconsd_http_request_seconds.
-	Latency map[string]LatencySummary `json:"latency"`
-	// Slowest lists the slowest requests currently held by the flight
-	// recorder, slowest first — the pivot from a latency histogram spike
-	// to a concrete request ID resolvable via GET /v1/traces.
-	Slowest []SlowestView `json:"slowest"`
-	// Batch counts POST /v1/batch item traffic.
-	Batch BatchStats `json:"batch"`
-	// L2 reports the fleet cache tier, present only when one is
-	// configured (Options.L2 / -peers).
-	L2 *L2Stats `json:"l2,omitempty"`
-}
-
-// SlowestView is one /statsz "slowest" row.
-type SlowestView struct {
-	ID         string  `json:"id"`
-	Endpoint   string  `json:"endpoint"`
-	Status     int     `json:"status"`
-	DurationMS float64 `json:"duration_ms"`
-	Keep       string  `json:"keep"`
-}
-
-// Stats snapshots all service counters. Every value is read from the
-// same obs metrics /metrics exports; /statsz is a JSON view of the
-// registry, not a second counter set.
-func (s *Server) Stats() StatsResponse {
-	return StatsResponse{
-		Cache:         s.cache.Stats(),
-		OptimizeCache: s.ocache.Stats(),
-		TailCache:     s.tcache.Stats(),
-		Memo:          MemoStats{Hits: s.m.memoHits.Load()},
-		Pool: PoolStats{
-			Workers:     s.workers,
-			ActiveCells: s.m.activeCells.Load(),
-			CellsDone:   s.m.sweepCells.Load(),
-		},
-		Requests: RequestStats{
-			Analyze:  s.m.reqAnalyze.Load(),
-			Sweep:    s.m.reqSweep.Load(),
-			Tables:   s.m.reqTables.Load(),
-			Optimize: s.m.reqOptimize.Load(),
-			Tail:     s.m.reqTail.Load(),
-			Batch:    s.m.reqBatch.Load(),
-		},
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Latency: map[string]LatencySummary{
-			"analyze":  summarize(s.m.endpoints["analyze"].latency),
-			"sweep":    summarize(s.m.endpoints["sweep"].latency),
-			"optimize": summarize(s.m.endpoints["optimize"].latency),
-			"tables":   summarize(s.m.endpoints["tables"].latency),
-			"tail":     summarize(s.m.endpoints["tail"].latency),
-			"batch":    summarize(s.m.endpoints["batch"].latency),
-		},
-		Slowest: s.slowestViews(statszSlowestN),
-		Batch:   s.batchStats(),
-		L2:      s.l2Stats(),
-	}
+// withWorker runs fn holding one engine worker-pool slot, so a burst of
+// distinct expensive queries cannot pin every CPU. Only computes take
+// slots (never a cache hit, never a peer wait) and a compute holding one
+// waits for nothing else, so no hold-and-wait cycle exists.
+func withWorker[R any](s *Server, fn func() (R, error)) (R, error) {
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	return fn()
 }
 
 // Handler returns the service's HTTP mux. Every route runs through the
-// observability middleware; /metrics additionally exposes the merged
-// server + engine registries in Prometheus text format.
+// observability middleware, which also enforces the route's method;
+// /metrics additionally exposes the merged server + engine registries in
+// Prometheus text format.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/analyze", s.instrument("analyze", s.handleAnalyze))
-	mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.handleSweep))
-	mux.HandleFunc("/v1/optimize", s.instrument("optimize", s.handleOptimize))
-	mux.HandleFunc("/v1/tables", s.instrument("tables", s.handleTables))
-	mux.HandleFunc("/v1/tail", s.instrument("tail", s.handleTail))
-	mux.HandleFunc("/v1/batch", s.instrument("batch", s.handleBatch))
-	mux.HandleFunc("/v1/traces", s.instrument("traces", s.handleTraces))
-	mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("/statsz", s.instrument("statsz", s.handleStatsz))
-	mux.HandleFunc("/metrics", s.instrument("metrics", s.MetricsHandler().ServeHTTP))
+	route := func(path, endpoint, method string, h http.HandlerFunc) {
+		mux.HandleFunc(path, s.instrument(endpoint, method, h))
+	}
+	route("/v1/analyze", "analyze", http.MethodPost, handlePost(s.m.req["analyze"], maxBodyBytes, s.analyzeTraced))
+	route("/v1/sweep", "sweep", http.MethodPost, s.handleSweep)
+	route("/v1/optimize", "optimize", http.MethodPost, handlePost(s.m.req["optimize"], maxBodyBytes, s.optimizeTraced))
+	route("/v1/tables", "tables", http.MethodGet, s.handleTables)
+	route("/v1/tail", "tail", http.MethodPost, handlePost(s.m.req["tail"], maxBodyBytes, s.tailTraced))
+	route("/v1/batch", "batch", http.MethodPost, handlePost(s.m.req["batch"], maxBatchBodyBytes, s.batchTraced))
+	route("/v1/traces", "traces", http.MethodGet, s.handleTraces)
+	route("/healthz", "healthz", http.MethodGet, s.handleHealthz)
+	route("/statsz", "statsz", http.MethodGet, s.handleStatsz)
+	route("/metrics", "metrics", "", s.MetricsHandler().ServeHTTP) // checks GET/HEAD itself
 	return mux
 }
 
@@ -755,17 +295,18 @@ func (s *Server) MetricFamilies() []obs.FamilyInfo {
 // inputcheck.MaxClusterSize fleet, comfortably under 1 MiB.
 const maxBodyBytes = 1 << 20
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	return decodeJSONLimit(w, r, v, maxBodyBytes)
-}
-
-// decodeJSONLimit is decodeJSON with a caller-chosen body bound — the
-// batch endpoint carries many requests in one body.
-func decodeJSONLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+// decodeJSON is the one strict body decoder: unknown fields are rejected,
+// and anything but whitespace after the first JSON value is an error — a
+// concatenated second request must not ride along silently. Handlers pass
+// a size-bounded body.
+func decodeJSON(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest(fmt.Errorf("bad JSON body: %w", err))
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequest(errors.New("bad JSON body: trailing data after the request object"))
 	}
 	return nil
 }
@@ -794,93 +335,28 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method != method {
-		w.Header().Set("Allow", method)
-		writeJSON(w, http.StatusMethodNotAllowed,
-			errorBody{Error: fmt.Sprintf("%s requires %s", r.URL.Path, method)})
-		return false
+// handlePost is the body of every JSON-in, JSON-out POST endpoint:
+// request count, strict decode, the endpoint's traced call, and the
+// response or its error rendered as JSON.
+func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *obs.Trace) (R, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		count.Inc()
+		var req Q
+		if err := decodeJSON(http.MaxBytesReader(w, r.Body, limit), &req); err != nil {
+			writeError(w, r, err)
+			return
+		}
+		resp, err := call(req, TraceFrom(r.Context()))
+		if err != nil {
+			writeError(w, r, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	return true
-}
-
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	s.m.reqAnalyze.Inc()
-	var req AnalyzeRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	resp, err := s.analyzeTraced(req, TraceFrom(r.Context()))
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	if resp.Debug != nil {
-		resp.Debug.RequestID = RequestID(r.Context())
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	s.m.reqSweep.Inc()
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	// Validate before the 200 header is committed; the stream body then
-	// goes through sweepValidated so the check runs exactly once.
-	vstart := time.Now()
-	if err := req.Validate(); err != nil {
-		writeError(w, r, badRequest(err))
-		return
-	}
-	tr := TraceFrom(r.Context())
-	tr.Since("validate", vstart)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	sstart := time.Now()
-	// Cells are computed by concurrent workers, so cell-level spans stay
-	// off the (single-goroutine) trace; the stream span plus the engine
-	// counter delta carry the sweep's cost attribution.
-	_ = s.sweepValidated(r.Context(), req, w)
-	tr.Since("stream", sstart)
-}
-
-func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	s.m.reqTables.Inc()
-	tstart := time.Now()
-	resp, err := s.Tables()
-	TraceFrom(r.Context()).Since("tables", tstart)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
 	writeJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "ok"})
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Stats())
 }

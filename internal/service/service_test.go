@@ -19,6 +19,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/obs"
+	"repro/internal/qcache"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -317,9 +319,9 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if stats.Requests.Analyze != 2 {
 		t.Fatalf("analyze count = %d, want 2", stats.Requests.Analyze)
 	}
-	// The identical repeat is absorbed by the L0 memo without touching L1.
-	if stats.Cache.Misses != 1 || stats.Memo.Hits != 1 {
-		t.Fatalf("stats = cache %+v memo %+v, want 1 miss / 1 memo hit", stats.Cache, stats.Memo)
+	// The identical repeat is an L1 hit.
+	if stats.Cache.Misses != 1 || stats.Cache.Hits != 1 {
+		t.Fatalf("stats = cache %+v, want 1 miss / 1 hit", stats.Cache)
 	}
 	if stats.Pool.Workers != 4 {
 		t.Fatalf("workers = %d, want 4", stats.Pool.Workers)
@@ -389,9 +391,9 @@ func TestConcurrentIdenticalAnalyzeCoalesces(t *testing.T) {
 		t.Fatalf("stats = %+v, want exactly 1 miss", st.Cache)
 	}
 	// Every other request was answered without the engine: coalesced onto
-	// the flight, or — if it arrived after completion — from L1 or L0.
-	if st.Cache.Coalesced+st.Cache.Hits+st.Memo.Hits != K-1 {
-		t.Fatalf("stats = cache %+v memo %+v, want coalesced+hits+memo = %d", st.Cache, st.Memo, K-1)
+	// the flight, or — if it arrived after completion — from L1.
+	if st.Cache.Coalesced+st.Cache.Hits != K-1 {
+		t.Fatalf("stats = cache %+v, want coalesced+hits = %d", st.Cache, K-1)
 	}
 }
 
@@ -415,13 +417,14 @@ func TestSweepDirectWriter(t *testing.T) {
 	}
 }
 
-// TestMemoMutationIsolation: the L0 memo must hold a private copy of the
+// TestRequestMutationIsolation: nothing cached may alias the caller's
 // request, so a caller mutating its fleet slice after Analyze gets a fresh
-// (correct) answer, not the stale memoized one.
-func TestMemoMutationIsolation(t *testing.T) {
+// (correct) answer, not a stale cached one — and the unmutated repeat is
+// an L1 hit.
+func TestRequestMutationIsolation(t *testing.T) {
 	srv := New(Options{CacheCapacity: 16})
 	nodes := []NodeSpec{{PCrash: 0.01}, {PCrash: 0.01}, {PCrash: 0.01}}
-	req := AnalyzeRequest{Model: ModelSpec{Protocol: "raft", N: 3}, Fleet: nodes}
+	req := AnalyzeRequest{Model: ModelSpec{Protocol: "raft", N: 3}, Fleet: nodes, Debug: true}
 	first, err := srv.Analyze(req)
 	if err != nil {
 		t.Fatal(err)
@@ -432,21 +435,21 @@ func TestMemoMutationIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if second.Cached {
-		t.Fatal("mutated request must not be served from the memo")
+		t.Fatal("mutated request must not be served from the cache")
 	}
 	if second.SafeAndLive >= first.SafeAndLive {
 		t.Fatalf("degraded fleet should be less reliable: %v vs %v", second.SafeAndLive, first.SafeAndLive)
 	}
-	// And the memo really does serve identical repeats.
+	// And the cache really does serve identical repeats.
 	third, err := srv.Analyze(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !third.Cached || third.SafeAndLive != second.SafeAndLive {
-		t.Fatalf("identical repeat should memo-hit: %+v", third)
+	if !third.Cached || third.Debug.Cache != "l1_hit" || third.SafeAndLive != second.SafeAndLive {
+		t.Fatalf("identical repeat should be an l1_hit: %+v (debug %+v)", third, third.Debug)
 	}
-	if srv.Stats().Memo.Hits != 1 {
-		t.Fatalf("memo hits = %d, want 1", srv.Stats().Memo.Hits)
+	if st := srv.Stats().Cache; st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("cache stats = %+v, want 1 hit / 2 misses", st)
 	}
 }
 
@@ -524,29 +527,6 @@ func TestSweepCancellation(t *testing.T) {
 	}
 }
 
-// TestSweepDoesNotClobberMemo: sweep cells must bypass the L0 memo, so a
-// poller's repeated query stays on the fast path during a sweep.
-func TestSweepDoesNotClobberMemo(t *testing.T) {
-	srv := New(Options{Workers: 2})
-	req := AnalyzeRequest{Model: ModelSpec{Protocol: "raft", N: 3}, Fleet: []NodeSpec{
-		{PCrash: 0.011}, {PCrash: 0.012}, {PCrash: 0.013},
-	}}
-	if _, err := srv.Analyze(req); err != nil {
-		t.Fatal(err)
-	}
-	sweep := SweepRequest{Protocol: "raft", Ns: []int{3, 5, 7}, Ps: []float64{0.01, 0.02}}
-	if err := srv.Sweep(context.Background(), sweep, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := srv.Analyze(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Cached || srv.Stats().Memo.Hits != 1 {
-		t.Fatalf("repeat after sweep should memo-hit: cached=%v memo=%+v", resp.Cached, srv.Stats().Memo)
-	}
-}
-
 // failAfter errors on the nth write, simulating a consumer going away.
 type failAfter struct{ n int }
 
@@ -588,8 +568,9 @@ func TestSweepStopsOnWriterError(t *testing.T) {
 }
 
 // TestAnalyzeHotPathAllocationGuard is the serving layer's allocation-
-// regression guard: a repeated identical query rides the L0 most-recent-
-// query memo and must not allocate at all.
+// regression guard: a repeated identical query is an L1 hit, which costs
+// exactly the resolved fleet, the fingerprint's canonical profile buffer
+// and its hex key — so resolve and fingerprint cannot silently grow.
 func TestAnalyzeHotPathAllocationGuard(t *testing.T) {
 	srv := New(Options{})
 	nodes := make([]NodeSpec, 9)
@@ -603,9 +584,110 @@ func TestAnalyzeHotPathAllocationGuard(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		resp, err := srv.Analyze(req)
 		if err != nil || !resp.Cached {
-			t.Fatal("hot path must hit the memo")
+			t.Fatal("hot path must hit L1")
 		}
-	}); n != 0 {
-		t.Errorf("L0 memo hit allocates %v/op, want 0", n)
+	}); n > 3 {
+		t.Errorf("L1 hit allocates %v/op, want <= 3", n)
+	}
+}
+
+// TestStrictDecodeRejectsTrailingData: every POST endpoint shares one
+// strict decoder, which must reject anything but whitespace after the
+// request object — a smuggled second request or plain garbage is a 400,
+// not a silently ignored tail.
+func TestStrictDecodeRejectsTrailingData(t *testing.T) {
+	_, ts := newTestServer(t)
+	model := `"model":{"protocol":"raft","n":3},"p":0.01`
+	bodies := map[string]string{
+		"analyze":  `{` + model + `}`,
+		"sweep":    `{"protocol":"raft","ns":[3],"ps":[0.01]}`,
+		"optimize": `{` + model + `,"budget":1,"curve":{"floor_frac":0.1,"scale":0.25}}`,
+		"tail":     `{` + model + `,"event":"not_live"}`,
+		"batch":    `{"items":[{"analyze":{` + model + `}}]}`,
+	}
+	for endpoint, body := range bodies {
+		url := ts.URL + "/v1/" + endpoint
+		if resp, b := postJSON(t, url, body+" \n\t"); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: trailing whitespace: status %d, want 200: %s", endpoint, resp.StatusCode, b)
+		}
+		for _, tail := range []string{` {"model":{"protocol":"bogus"}}`, ` garbage`, `]`, ` 0`} {
+			resp, b := postJSON(t, url, body+tail)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "trailing data") {
+				t.Errorf("%s: body + %q: status %d (%s), want 400 trailing data", endpoint, tail, resp.StatusCode, b)
+			}
+		}
+	}
+}
+
+// TestCachedRunVerdicts drives the three cached endpoints through the
+// one cachedRun path and pins what it promises each of them: a first
+// call is a miss, its repeat an l1_hit, and K concurrent callers of a
+// fresh key share exactly one compute — one miss, K-1 coalesced.
+func TestCachedRunVerdicts(t *testing.T) {
+	const K = 8
+	model := ModelSpec{Protocol: "raft", N: 5}
+	cases := []struct {
+		name  string
+		stats func(*Server) qcache.Stats
+		call  func(*Server, *float64, *obs.Trace) (bool, error)
+	}{
+		{"analyze", func(s *Server) qcache.Stats { return s.cache.Stats() },
+			func(s *Server, p *float64, tr *obs.Trace) (bool, error) {
+				r, err := s.analyzeTraced(AnalyzeRequest{Model: model, P: p}, tr)
+				return r.Cached, err
+			}},
+		{"optimize", func(s *Server) qcache.Stats { return s.ocache.Stats() },
+			func(s *Server, p *float64, tr *obs.Trace) (bool, error) {
+				r, err := s.optimizeTraced(OptimizeRequest{Model: model, P: p, Budget: 1, Curve: CurveSpec{FloorFrac: 0.1, Scale: 0.25}}, tr)
+				return r.Cached, err
+			}},
+		// The exact tail method nests the analyze cache inside the tail
+		// cache's compute: the outer verdict must be the one reported.
+		{"tail", func(s *Server) qcache.Stats { return s.tcache.Stats() },
+			func(s *Server, p *float64, tr *obs.Trace) (bool, error) {
+				r, err := s.tailTraced(TailRequest{Model: model, P: p, Event: EventNotLive}, tr)
+				return r.Cached, err
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(Options{Workers: 1})
+			p1, p2 := 0.011, 0.012
+			for i, want := range []string{"miss", "l1_hit"} {
+				tr := &obs.Trace{}
+				cached, err := tc.call(srv, &p1, tr)
+				if err != nil || tr.Cache != want || cached != (i == 1) {
+					t.Fatalf("call %d: verdict %q cached=%v err=%v, want %q", i, tr.Cache, cached, err, want)
+				}
+			}
+			// Hold the only worker slot so the flight leader stalls inside
+			// its compute until every other caller has coalesced onto it.
+			srv.sem <- struct{}{}
+			verdicts := make(chan string, K)
+			for i := 0; i < K; i++ {
+				go func() {
+					tr := &obs.Trace{}
+					if cached, err := tc.call(srv, &p2, tr); err != nil || cached {
+						verdicts <- fmt.Sprintf("cached=%v err=%v", cached, err)
+						return
+					}
+					verdicts <- tr.Cache
+				}()
+			}
+			for tc.stats(srv).Coalesced < K-1 {
+				runtime.Gosched()
+			}
+			<-srv.sem
+			got := map[string]int{}
+			for i := 0; i < K; i++ {
+				got[<-verdicts]++
+			}
+			if got["miss"] != 1 || got["coalesced"] != K-1 {
+				t.Fatalf("verdicts of %d concurrent callers = %v, want 1 miss and %d coalesced", K, got, K-1)
+			}
+			if st := tc.stats(srv); st.Misses != 2 || st.Hits != 1 {
+				t.Fatalf("cache stats = %+v, want 2 computes (one per key) and 1 hit", st)
+			}
+		})
 	}
 }

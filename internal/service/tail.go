@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/core"
@@ -139,9 +138,7 @@ func minEventCount(fleet core.Fleet, pred montecarlo.TriPred) int {
 // run, on which inputs, under which key. planTail builds it; Tail
 // executes it; the fuzz target asserts its invariants without executing.
 type tailPlan struct {
-	fleet    core.Fleet
-	model    core.CountModel
-	domains  core.DomainSet
+	query    analyzePlan // the underlying exact query; its key is the fleet fingerprint
 	pred     montecarlo.TriPred
 	event    string
 	resolved string // MethodExact or MethodImportance
@@ -150,7 +147,6 @@ type tailPlan struct {
 	maxWork  float64
 	estimate float64 // exact-engine cost estimate
 	kMin     int     // minimal achievable failure count triggering the event; -1 = impossible
-	fp       string
 	key      string
 }
 
@@ -237,19 +233,17 @@ func planTail(req TailRequest) (tailPlan, error) {
 		seed = 1
 	}
 
-	fp, err := core.FleetModelDomainsFingerprint(fleet, m, domains)
+	query, err := keyQuery(fleet, m, domains, nil)
 	if err != nil {
-		return plan, badRequest(err)
+		return plan, err
 	}
-	key := fp.String() + "/tail/" + req.Event + "/" + resolved
+	key := query.key + "/tail/" + req.Event + "/" + resolved
 	if resolved == MethodImportance {
 		key = fmt.Sprintf("%s/s%d/x%d", key, samples, seed)
 	}
 
 	plan = tailPlan{
-		fleet:    fleet,
-		model:    m,
-		domains:  domains,
+		query:    query,
 		pred:     pred,
 		event:    req.Event,
 		resolved: resolved,
@@ -258,7 +252,6 @@ func planTail(req TailRequest) (tailPlan, error) {
 		maxWork:  maxWork,
 		estimate: estimate,
 		kMin:     kMin,
-		fp:       fp.String(),
 		key:      key,
 	}
 	return plan, nil
@@ -279,11 +272,15 @@ func (s *Server) tailTraced(req TailRequest, tr *obs.Trace) (TailResponse, error
 		return TailResponse{}, err
 	}
 	tr.Since("plan", start)
-	s.m.tailDispatch(plan.resolved).Inc()
-	lstart := time.Now()
-	computed := false
-	resp, cached, err := s.tcache.DoEvents(plan.key, recorder(tr), func() (TailResponse, error) {
-		computed = true
+	return s.runTail(plan, tr)
+}
+
+// runTail answers one planned tail query through the tail cache,
+// dispatching a miss to the method the plan resolved.
+func (s *Server) runTail(plan tailPlan, tr *obs.Trace) (TailResponse, error) {
+	start := time.Now()
+	s.m.tailDispatch[plan.resolved].Inc()
+	resp, verdict, err := cachedRun(s.tcache, plan.key, tr, nil, func() (TailResponse, error) {
 		if plan.resolved == MethodImportance {
 			return s.tailImportance(plan, tr)
 		}
@@ -292,18 +289,8 @@ func (s *Server) tailTraced(req TailRequest, tr *obs.Trace) (TailResponse, error
 	if err != nil {
 		return TailResponse{}, err
 	}
-	if !computed {
-		tr.Since("cache_lookup", lstart)
-	}
-	if cached {
-		tr.SetCache("hit")
-	} else if computed {
-		tr.SetCache("miss")
-	} else {
-		tr.SetCache("coalesced")
-	}
-	resp.Cached = cached
-	s.m.tailSeconds(plan.resolved).ObserveSince(start)
+	resp.Cached = verdict == verdictHit
+	s.m.tailSeconds[plan.resolved].ObserveSince(start)
 	return resp, nil
 }
 
@@ -314,16 +301,16 @@ func (s *Server) tailTraced(req TailRequest, tr *obs.Trace) (TailResponse, error
 // ~1e-15 saturate; RelCI99 is 0 because the engine is exact.
 func (s *Server) tailExact(plan tailPlan, tr *obs.Trace) (TailResponse, error) {
 	resp := TailResponse{
-		Model:       modelName(plan.model),
+		Model:       modelName(plan.query.model),
 		Event:       plan.event,
 		Method:      MethodExact,
-		Fingerprint: plan.fp,
+		Fingerprint: plan.query.key,
 	}
 	if plan.kMin == -1 {
 		resp.Nines = MaxNines
 		return resp, nil
 	}
-	ar, _, err := s.analyzeQuery(plan.fleet, plan.model, plan.domains, tr)
+	ar, err := s.analyzeQuery(plan.query, tr, true)
 	if err != nil {
 		return TailResponse{}, err
 	}
@@ -348,38 +335,38 @@ func (s *Server) tailExact(plan tailPlan, tr *obs.Trace) (TailResponse, error) {
 // achievable count. The engine worker pool gates the run like any other
 // compute.
 func (s *Server) tailImportance(plan tailPlan, tr *obs.Trace) (TailResponse, error) {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	sstart := time.Now()
-	defer tr.Since("sample", sstart)
-	prof, member, doms := tailSamplerInputs(plan.fleet, plan.domains)
-	withShocks := false
-	for _, d := range doms {
-		if d.ShockProb > 0 && d.ShockProb < 1 {
-			withShocks = true
+	return withWorker(s, func() (TailResponse, error) {
+		sstart := time.Now()
+		defer tr.Since("sample", sstart)
+		prof, member, doms := tailSamplerInputs(plan.query.fleet, plan.query.domains)
+		withShocks := false
+		for _, d := range doms {
+			if d.ShockProb > 0 && d.ShockProb < 1 {
+				withShocks = true
+			}
 		}
-	}
-	tilt := montecarlo.TiltForCount(prof, plan.kMin, withShocks)
-	est, err := montecarlo.RunImportanceTri(prof, member, doms, tilt, plan.pred, plan.samples, plan.seed)
-	if err != nil {
-		return TailResponse{}, fmt.Errorf("importance sampling failed: %w", err)
-	}
-	resp := TailResponse{
-		Model:            modelName(plan.model),
-		Event:            plan.event,
-		Method:           MethodImportance,
-		P:                est.P,
-		Nines:            jsonNines(1 - est.P),
-		StdErr:           est.StdErr,
-		Samples:          est.Samples,
-		EffectiveSamples: est.EffectiveSamples,
-		Work:             float64(est.Samples) * float64(len(plan.fleet)),
-		Fingerprint:      plan.fp,
-	}
-	if est.P > 0 {
-		resp.RelCI99 = dist.Z99 * est.StdErr / est.P
-	}
-	return resp, nil
+		tilt := montecarlo.TiltForCount(prof, plan.kMin, withShocks)
+		est, err := montecarlo.RunImportanceTri(prof, member, doms, tilt, plan.pred, plan.samples, plan.seed)
+		if err != nil {
+			return TailResponse{}, fmt.Errorf("importance sampling failed: %w", err)
+		}
+		resp := TailResponse{
+			Model:            modelName(plan.query.model),
+			Event:            plan.event,
+			Method:           MethodImportance,
+			P:                est.P,
+			Nines:            jsonNines(1 - est.P),
+			StdErr:           est.StdErr,
+			Samples:          est.Samples,
+			EffectiveSamples: est.EffectiveSamples,
+			Work:             float64(est.Samples) * float64(len(plan.query.fleet)),
+			Fingerprint:      plan.query.key,
+		}
+		if est.P > 0 {
+			resp.RelCI99 = dist.Z99 * est.StdErr / est.P
+		}
+		return resp, nil
+	})
 }
 
 // tailSamplerInputs flattens the engine-side fleet into the sampler's
@@ -401,22 +388,4 @@ func tailSamplerInputs(fleet core.Fleet, domains core.DomainSet) ([]faultcurve.P
 		}
 	}
 	return prof, member, []faultcurve.Domain(domains)
-}
-
-func (s *Server) handleTail(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	s.m.reqTail.Inc()
-	var req TailRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	resp, err := s.tailTraced(req, TraceFrom(r.Context()))
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -18,17 +18,6 @@ import (
 // beside pprof. The write side is the instrument middleware in
 // metrics.go; the store itself is internal/obs/tracestore.go.
 
-// recorder adapts a trace to the qcache event hook, mapping a nil trace
-// to a nil interface so the cache skips event delivery entirely (a
-// typed-nil would still be safe — every Trace method is nil-safe — but
-// nil keeps the intent explicit and the check cheap).
-func recorder(tr *obs.Trace) interface{ Event(name, detail string) } {
-	if tr == nil {
-		return nil
-	}
-	return tr
-}
-
 // statszSlowestN is the length of the /statsz "slowest" block.
 const statszSlowestN = 5
 
@@ -270,9 +259,6 @@ func (s *Server) slowestViews(n int) []SlowestView {
 
 // handleTraces serves GET /v1/traces.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
 	f, exemplars, err := parseTraceFilter(r.URL.Query())
 	if err != nil {
 		writeError(w, r, err)

@@ -139,16 +139,16 @@ func TestTraceSpansAndCacheVerdicts(t *testing.T) {
 	_, ts := newTracingServer(t, Options{TraceSample: 1})
 	body := `{"model":{"protocol":"raft","n":7},"p":0.02}`
 	postJSON(t, ts.URL+"/v1/analyze", body) // miss
-	postJSON(t, ts.URL+"/v1/analyze", body) // l0 memo hit
+	postJSON(t, ts.URL+"/v1/analyze", body) // l1 hit
 
 	tr := getTraces(t, ts.URL, "?endpoint=analyze")
 	if len(tr.Traces) != 2 {
 		t.Fatalf("got %d traces, want 2", len(tr.Traces))
 	}
-	// Newest first: the memo hit, then the miss.
+	// Newest first: the hit, then the miss.
 	hit, miss := tr.Traces[0], tr.Traces[1]
-	if hit.Cache != "l0_hit" || miss.Cache != "miss" {
-		t.Fatalf("cache verdicts = %q, %q; want l0_hit, miss", hit.Cache, miss.Cache)
+	if hit.Cache != "l1_hit" || miss.Cache != "miss" {
+		t.Fatalf("cache verdicts = %q, %q; want l1_hit, miss", hit.Cache, miss.Cache)
 	}
 	spanNames := func(rec TraceRecordView) map[string]bool {
 		out := map[string]bool{}
@@ -160,8 +160,8 @@ func TestTraceSpansAndCacheVerdicts(t *testing.T) {
 	if names := spanNames(miss); !names["fingerprint"] || !names["engine"] {
 		t.Fatalf("miss trace spans = %+v, want fingerprint+engine", miss.Spans)
 	}
-	if names := spanNames(hit); !names["memo_lookup"] {
-		t.Fatalf("hit trace spans = %+v, want memo_lookup", hit.Spans)
+	if names := spanNames(hit); !names["fingerprint"] || !names["cache_lookup"] || names["engine"] {
+		t.Fatalf("hit trace spans = %+v, want fingerprint+cache_lookup and no engine", hit.Spans)
 	}
 	if len(miss.Counters) == 0 {
 		t.Fatalf("engine-computing trace must carry counter deltas: %+v", miss)
@@ -327,8 +327,9 @@ func TestTraceMetricsFamilies(t *testing.T) {
 }
 
 // TestTracedAnalyzeHotPathZeroAlloc extends the allocation guard to the
-// recorder-enabled path: acquiring a record, threading it through the L0
-// memo hit, and depositing it must not allocate in steady state.
+// recorder-enabled path: acquiring a record, threading it through the L1
+// hit, and depositing it must add zero allocations to the three the
+// untraced hit costs (TestAnalyzeHotPathAllocationGuard).
 func TestTracedAnalyzeHotPathZeroAlloc(t *testing.T) {
 	srv := New(Options{TraceBuffer: 8, TraceSample: -1})
 	nodes := make([]NodeSpec, 9)
@@ -357,7 +358,7 @@ func TestTracedAnalyzeHotPathZeroAlloc(t *testing.T) {
 			t.Fatalf("analyzeTraced = %+v, %v", resp, err)
 		}
 		srv.traces.Deposit(tr)
-	}); n != 0 {
-		t.Fatalf("traced L0 hot path allocates %.1f/op, want 0", n)
+	}); n > 3 {
+		t.Fatalf("traced L1 hot path allocates %.1f/op, want <= 3", n)
 	}
 }
