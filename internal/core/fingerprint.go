@@ -20,7 +20,10 @@ import (
 //
 //   - Per-node profiles are encoded as the exact IEEE-754 bits of
 //     (PCrash, PByz) — quantization-free: 0.01 and 0.01+1e-17 are
-//     different keys, never silently merged.
+//     different keys, never silently merged. The one exception is the
+//     sign of zero: -0 (which JSON can spell and validation accepts) is
+//     the same probability as 0 and is encoded as +0, here and for the
+//     shock and multiplier bits below.
 //   - Profiles are sorted before hashing. A CountModel's predicates see
 //     only fault *counts*, so the joint (#crashed, #Byzantine)
 //     distribution — and therefore the Result — is invariant under node
@@ -117,9 +120,9 @@ func FleetModelDomainsFingerprint(fleet Fleet, m CountModel, domains DomainSet) 
 			continue
 		}
 		d := domains[di]
-		chunk := binary.BigEndian.AppendUint64(nil, math.Float64bits(d.ShockProb))
-		chunk = binary.BigEndian.AppendUint64(chunk, math.Float64bits(d.CrashMultiplier))
-		chunk = binary.BigEndian.AppendUint64(chunk, math.Float64bits(d.ByzMultiplier))
+		chunk := binary.BigEndian.AppendUint64(nil, canonBits(d.ShockProb))
+		chunk = binary.BigEndian.AppendUint64(chunk, canonBits(d.CrashMultiplier))
+		chunk = binary.BigEndian.AppendUint64(chunk, canonBits(d.ByzMultiplier))
 		chunk = appendSortedProfileBits(chunk, fleet, idxs, false)
 		chunks = append(chunks, chunk)
 	}
@@ -203,9 +206,14 @@ func fillProfileKeys(keys [][2]uint64, fleet Fleet, idxs []int, all bool) {
 			i = idxs[j]
 		}
 		p := fleet[i].Profile
-		keys[j] = [2]uint64{math.Float64bits(p.PCrash), math.Float64bits(p.PByz)}
+		keys[j] = [2]uint64{canonBits(p.PCrash), canonBits(p.PByz)}
 	}
 }
+
+// canonBits is math.Float64bits with the sign of zero dropped: -0 + 0 is
+// +0 under round-to-nearest, and the addition changes no other value the
+// validators admit.
+func canonBits(v float64) uint64 { return math.Float64bits(v + 0) }
 
 func insertionSortProfileKeys(keys [][2]uint64) {
 	for i := 1; i < len(keys); i++ {

@@ -65,6 +65,49 @@ func TestFingerprintQuantizationFree(t *testing.T) {
 	}
 }
 
+// TestFingerprintSignOfZero: -0 passes validation (JSON spells it "-0")
+// and is the same probability as 0, so it must be the same key — while
+// every other single-bit change to a profile, shock or multiplier still
+// yields a different one.
+func TestFingerprintSignOfZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	m := NewRaft(4)
+	fleet := func(pc, pb float64) Fleet {
+		f := UniformByzFleet(4, 0.001)
+		f[2].Profile = faultcurve.Profile{PCrash: pc, PByz: pb}
+		return f
+	}
+	base := fp(t, fleet(0, 0), m)
+	for _, z := range [][2]float64{{negZero, 0}, {0, negZero}, {negZero, negZero}} {
+		if fp(t, fleet(z[0], z[1]), m) != base {
+			t.Errorf("profile (%v, %v) fingerprints apart from (0, 0)", z[0], z[1])
+		}
+	}
+	smallest := math.Float64frombits(1)
+	for _, z := range [][2]float64{{smallest, 0}, {0, smallest}} {
+		if fp(t, fleet(z[0], z[1]), m) == base {
+			t.Errorf("profile (%v, %v) aliases (0, 0)", z[0], z[1])
+		}
+	}
+
+	zoned := func(shock, crashMult, byzMult float64) Fingerprint {
+		f, domains := zonedFleet()
+		domains[0].ShockProb, domains[0].CrashMultiplier, domains[0].ByzMultiplier = shock, crashMult, byzMult
+		return dfp(t, f, NewRaft(6), domains)
+	}
+	zbase := zoned(0, 0, 0)
+	for _, z := range [][3]float64{{negZero, 0, 0}, {0, negZero, 0}, {0, 0, negZero}, {negZero, negZero, negZero}} {
+		if zoned(z[0], z[1], z[2]) != zbase {
+			t.Errorf("domain (shock %v, multipliers %v/%v) fingerprints apart from all-zero", z[0], z[1], z[2])
+		}
+	}
+	for _, z := range [][3]float64{{smallest, 0, 0}, {0, smallest, 0}, {0, 0, smallest}} {
+		if zoned(z[0], z[1], z[2]) == zbase {
+			t.Errorf("domain (shock %v, multipliers %v/%v) aliases all-zero", z[0], z[1], z[2])
+		}
+	}
+}
+
 func TestFingerprintSeparatesCrashFromByz(t *testing.T) {
 	crash := UniformCrashFleet(4, 0.02)
 	byz := UniformByzFleet(4, 0.02)

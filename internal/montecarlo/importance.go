@@ -2,8 +2,6 @@ package montecarlo
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/dist"
 	"repro/internal/faultcurve"
@@ -58,43 +56,12 @@ func RunImportance(profiles []faultcurve.Profile, tilted []float64, pred func(fa
 			return ImportanceEstimate{}, fmt.Errorf("montecarlo: degenerate true prob at %d", i)
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	failed := make([]bool, n)
-	var sumW, sumW2, sumAll float64
-	for s := 0; s < samples; s++ {
-		logW := 0.0
-		for i := 0; i < n; i++ {
-			if rng.Float64() < tilted[i] {
-				failed[i] = true
-				logW += math.Log(p[i]) - math.Log(tilted[i])
-			} else {
-				failed[i] = false
-				logW += math.Log1p(-p[i]) - math.Log1p(-tilted[i])
-			}
-		}
-		w := math.Exp(logW)
-		sumAll += w
-		if pred(failed) {
-			sumW += w
-			sumW2 += w * w
-		}
+	prop := proposal{nodes: make([]cell, n), slot: make([]int, n), fired: make([]int, 1), failed: make([]bool, n)}
+	for i := range prop.nodes {
+		prop.nodes[i] = coinCell(p[i], tilted[i])
 	}
-	nf := float64(samples)
-	mean := sumW / nf
-	variance := sumW2/nf - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	ess := 0.0
-	if sumW2 > 0 {
-		ess = sumW * sumW / sumW2
-	}
-	return ImportanceEstimate{
-		P:                mean,
-		StdErr:           math.Sqrt(variance / nf),
-		Samples:          samples,
-		EffectiveSamples: ess,
-	}, nil
+	hit := func(int, int) bool { return pred(prop.failed) }
+	return prop.estimate(samples, seed, hit), nil
 }
 
 // UniformTilt returns n copies of q — the usual choice when the rare event

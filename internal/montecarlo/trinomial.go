@@ -2,8 +2,6 @@ package montecarlo
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/faultcurve"
 )
@@ -72,7 +70,8 @@ func TiltForCount(profiles []faultcurve.Profile, k int, withShocks bool) TriTilt
 // domain, or -1 for an independent node; domains may be empty. Sampling
 // happens under tilt; every sample's weight is the likelihood ratio of
 // the true measure to the proposal, so the estimate is unbiased for any
-// tilt. Cost is O(samples * n).
+// tilt. Cost is O(samples * (n + len(domains))) after an O(n) table build:
+// every draw-independent quantity is computed once per run (proposal.go).
 func RunImportanceTri(profiles []faultcurve.Profile, member []int, domains []faultcurve.Domain,
 	tilt TriTilt, pred TriPred, samples int, seed int64) (ImportanceEstimate, error) {
 	n := len(profiles)
@@ -93,73 +92,27 @@ func RunImportanceTri(profiles []faultcurve.Profile, member []int, domains []fau
 	if tilt.ShockProb < 0 || tilt.ShockProb >= 1 {
 		return ImportanceEstimate{}, fmt.Errorf("montecarlo: shock tilt %v out of [0, 1)", tilt.ShockProb)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	fired := make([]bool, len(domains))
-	var sumW, sumW2 float64
-	for s := 0; s < samples; s++ {
-		logW := 0.0
-		for d, dom := range domains {
-			q := dom.ShockProb
-			qt := q
-			if tilt.ShockProb > 0 && q > 0 && q < 1 {
-				qt = tilt.ShockProb
-			}
-			if rng.Float64() < qt {
-				fired[d] = true
-				logW += math.Log(q) - math.Log(qt)
-			} else {
-				fired[d] = false
-				logW += math.Log1p(-q) - math.Log1p(-qt)
-			}
+	prop := proposal{
+		shocks: make([]cell, len(domains)),
+		nodes:  make([]cell, 2*n),
+		slot:   make([]int, n),
+		fired:  make([]int, len(domains)+1),
+	}
+	for d, dom := range domains {
+		q := dom.ShockProb
+		qt := q
+		if tilt.ShockProb > 0 && q > 0 && q < 1 {
+			qt = tilt.ShockProb
 		}
-		crashed, byz := 0, 0
-		for i := 0; i < n; i++ {
-			p := profiles[i]
-			if m := member[i]; m >= 0 && fired[m] {
-				p = domains[m].Elevate(p)
-			}
-			pc, pb := p.PCrash, p.PByz
-			f := pc + pb
-			tc, tb := pc, pb
-			if f > 0 && f < MaxTiltMass && tilt.Boost > 1 {
-				tf := f * tilt.Boost
-				if tf > MaxTiltMass {
-					tf = MaxTiltMass
-				}
-				scale := tf / f
-				tc, tb = pc*scale, pb*scale
-			}
-			switch u := rng.Float64(); {
-			case u < tc:
-				crashed++
-				logW += math.Log(pc) - math.Log(tc)
-			case u < tc+tb:
-				byz++
-				logW += math.Log(pb) - math.Log(tb)
-			default:
-				logW += math.Log1p(-f) - math.Log1p(-(tc + tb))
-			}
-		}
-		if pred(crashed, byz) {
-			w := math.Exp(logW)
-			sumW += w
-			sumW2 += w * w
+		prop.shocks[d] = coinCell(q, qt)
+	}
+	for i, p := range profiles {
+		prop.nodes[i] = triCell(p.PCrash, p.PByz, tilt.Boost)
+		if m := member[i]; m >= 0 {
+			prop.slot[i] = m + 1
+			e := domains[m].Elevate(p)
+			prop.nodes[n+i] = triCell(e.PCrash, e.PByz, tilt.Boost)
 		}
 	}
-	nf := float64(samples)
-	mean := sumW / nf
-	variance := sumW2/nf - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	ess := 0.0
-	if sumW2 > 0 {
-		ess = sumW * sumW / sumW2
-	}
-	return ImportanceEstimate{
-		P:                mean,
-		StdErr:           math.Sqrt(variance / nf),
-		Samples:          samples,
-		EffectiveSamples: ess,
-	}, nil
+	return prop.estimate(samples, seed, pred), nil
 }

@@ -142,6 +142,40 @@ func TestAnalyzeHeterogeneousFleetAndCacheFlag(t *testing.T) {
 	}
 }
 
+// TestNegativeZeroSharesCacheEntry: JSON "-0" decodes to -0.0 and passes
+// validation; it is the same fleet as "0" and must land on the same L1
+// entry — on /v1/analyze and, through the shared fingerprint, /v1/tail.
+func TestNegativeZeroSharesCacheEntry(t *testing.T) {
+	_, ts := newTestServer(t)
+	fleet := func(zero string) string {
+		return `"model":{"protocol":"raft","n":3},"fleet":[{"p_crash":0.01,"p_byz":` + zero +
+			`,"domain":"z"},{"p_crash":0.02,"domain":"z"},{"p_crash":` + zero + `,"p_byz":0.001}],` +
+			`"domains":[{"name":"z","shock":` + zero + `,"crash_mult":3,"byz_mult":` + zero + `}]`
+	}
+	for _, tc := range []struct{ path, extra string }{
+		{"/v1/analyze", ""},
+		{"/v1/tail", `,"event":"not_live"`},
+	} {
+		var first, second struct {
+			Fingerprint string `json:"fingerprint"`
+			Cached      bool   `json:"cached"`
+		}
+		for i, dst := range []any{&first, &second} {
+			resp, b := postJSON(t, ts.URL+tc.path, "{"+fleet([]string{"-0", "0"}[i])+tc.extra+"}")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.path, resp.StatusCode, b)
+			}
+			if err := json.Unmarshal(b, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if first.Cached || !second.Cached || first.Fingerprint != second.Fingerprint {
+			t.Errorf("%s: -0 then 0: cached %v then %v, fingerprints %.8s… / %.8s…; want one entry",
+				tc.path, first.Cached, second.Cached, first.Fingerprint, second.Fingerprint)
+		}
+	}
+}
+
 func TestAnalyzeRejectsBadInput(t *testing.T) {
 	_, ts := newTestServer(t)
 	bad := []string{
