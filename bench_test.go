@@ -641,7 +641,11 @@ func hardeningExemplar() optimize.HardeningProblem {
 
 // BenchmarkOptimizeHardening times one certified away-step Frank-Wolfe
 // solve of the hardening-budget exemplar (analytic leave-one-out
-// gradients, derivative-bisection exact line search, gap < 1e-8).
+// gradients, Brent's root-finder on the directional derivative as the
+// exact line search, gap <= 1e-9). It reports what a solve spends its time
+// on — gradient calls per solve and time per gradient call, the solve's
+// other work included — and fails when the step rule needs more than 20
+// gradient calls per iteration (about 6 as shipped).
 func BenchmarkOptimizeHardening(b *testing.B) {
 	p := hardeningExemplar()
 	once("optimize-hardening", func() {
@@ -656,11 +660,19 @@ func BenchmarkOptimizeHardening(b *testing.B) {
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
+	var grads, iters int
 	for i := 0; i < b.N; i++ {
 		a, err := optimize.SolveHardening(p, optimize.Options{GapTolerance: 1e-9})
 		if err != nil || !a.Converged {
 			b.Fatal("solve lost its certificate")
 		}
+		grads += a.GradEvaluations
+		iters += a.Iterations
+	}
+	b.ReportMetric(float64(grads)/float64(b.N), "grads/solve")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(grads), "ns/grad")
+	if grads > 20*iters {
+		b.Fatalf("%d gradient calls in %d iterations: the line search needs more than 20 per iteration", grads, iters)
 	}
 }
 

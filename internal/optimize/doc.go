@@ -20,7 +20,7 @@
 //     convex f, a stationarity measure otherwise), and away-step
 //     Frank-Wolfe, which escapes the zig-zagging that caps vanilla FW at
 //     O(1/t) when the optimum sits on a face. Backtracking (Armijo) and
-//     exact (golden-section) line searches.
+//     exact (root of the directional derivative) line searches.
 //   - Objectives (objective.go, hardening.go): adapters mapping a decision
 //     vector to per-node or per-domain fault probabilities through
 //     faultcurve spend→probability response curves, evaluating

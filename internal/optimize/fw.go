@@ -10,14 +10,18 @@ import (
 // Solver traffic counters, registered on the process-global obs registry:
 // the FrankWolfe.jl-style per-iteration discipline (arxiv 2104.06675)
 // reduced to what a fleet dashboard needs — how many solves ran, how many
-// conditional-gradient iterations and LMO calls they spent. Each gradient
-// costs a DP build plus N deflations, so iterations_total is the direct
-// proxy for optimizer engine load.
+// conditional-gradient iterations (one LMO call each) and how many
+// gradient evaluations they spent. Each analytic gradient costs a DP build
+// plus N deflations, so grad_evaluations_total is the direct proxy for
+// optimizer engine load, and its ratio to iterations_total is what the
+// step rule costs per iteration.
 var (
 	fwSolves = obs.Default().Counter("probcons_optimize_solves_total",
 		"Frank-Wolfe solves started (vanilla and away-step).", nil)
 	fwIterations = obs.Default().Counter("probcons_optimize_iterations_total",
 		"Frank-Wolfe iterations across all solves (one LMO call and at least one gradient each).", nil)
+	fwGradEvals = obs.Default().Counter("probcons_optimize_grad_evaluations_total",
+		"Objective gradient evaluations across all solves, line-search probes included; over iterations_total it is the step rule's probes per iteration.", nil)
 )
 
 // Objective is a smooth function with a gradient, the thing the solvers
@@ -57,9 +61,11 @@ type LineSearch int
 
 // Line searches.
 const (
-	// LineSearchExact minimizes the 1-D restriction by golden-section
-	// search — the right default when objective evaluations are cheap
-	// relative to engine gradients, as they are here.
+	// LineSearchExact minimizes the 1-D restriction φ(γ) = f(x + γd) by
+	// finding the root of its derivative <∇f(x+γd), d> with a bracketing
+	// root-finder (exactStep): a handful of gradient calls per iteration,
+	// no objective values. The default — it resolves steps finely enough
+	// to certify duality gaps that value comparisons cannot.
 	LineSearchExact LineSearch = iota
 	// LineSearchBacktracking is Armijo backtracking from the maximal
 	// step: cheaper per iteration, more iterations to a given gap.
@@ -115,7 +121,7 @@ type Solution struct {
 	// Evaluations counts objective Value calls and GradEvaluations counts
 	// Grad calls, line searches and certification included. Under the
 	// default exact line search the work lives in GradEvaluations (the
-	// step is found by bisecting the directional derivative); Armijo
+	// step is the root of the directional derivative); Armijo
 	// backtracking spends Value calls instead.
 	Evaluations     int
 	GradEvaluations int
@@ -133,6 +139,14 @@ type countingObjective struct {
 
 func (c *countingObjective) Value(x []float64) float64 { c.values++; return c.obj.Value(x) }
 func (c *countingObjective) Grad(x, out []float64)     { c.grads++; c.obj.Grad(x, out) }
+
+// report writes the solve's call counts into sol and onto the process
+// counter, once per solve.
+func (c *countingObjective) report(sol *Solution) {
+	sol.Evaluations = c.values
+	sol.GradEvaluations = c.grads
+	fwGradEvals.Add(int64(c.grads))
+}
 
 func dot(a, b []float64) float64 {
 	var s float64
@@ -160,6 +174,7 @@ func FrankWolfe(obj Objective, p Polytope, opts Options) (Solution, error) {
 	x := p.Start()
 	grad := make([]float64, n)
 	d := make([]float64, n)
+	ls := newLineSearch(obj, opts.LineSearch, exactStep, n)
 	sol := Solution{}
 	fwSolves.Inc()
 	for t := 0; t < opts.MaxIterations; t++ {
@@ -180,7 +195,7 @@ func FrankWolfe(obj Objective, p Polytope, opts Options) (Solution, error) {
 			break
 		}
 		slope := dot(grad, d)
-		gamma := stepSize(obj, x, d, 1, slope, opts.LineSearch)
+		gamma := ls.step(x, d, 1, slope)
 		if gamma == 0 {
 			// The line search could not improve along a descent
 			// direction: numerically stationary.
@@ -203,8 +218,7 @@ func FrankWolfe(obj Objective, p Polytope, opts Options) (Solution, error) {
 		sol.Gap = -dot(grad, d)
 		sol.Converged = sol.Gap <= opts.GapTolerance
 	}
-	sol.Evaluations = cobj.values
-	sol.GradEvaluations = cobj.grads
+	cobj.report(&sol)
 	return sol, nil
 }
 
@@ -232,6 +246,12 @@ func vertexKey(v []float64) string {
 // FW to O(1/t) when the optimum lies on a face — on polytopes it
 // converges linearly for smooth strongly convex objectives.
 func AwayStepFrankWolfe(obj Objective, p Polytope, opts Options) (Solution, error) {
+	return awayStepFrankWolfe(obj, p, opts, exactStep)
+}
+
+// awayStepFrankWolfe is AwayStepFrankWolfe with the exact step rule passed
+// in.
+func awayStepFrankWolfe(obj Objective, p Polytope, opts Options, exact stepRule) (Solution, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
 		return Solution{}, err
@@ -277,6 +297,7 @@ func AwayStepFrankWolfe(obj Objective, p Polytope, opts Options) (Solution, erro
 
 	grad := make([]float64, n)
 	d := make([]float64, n)
+	ls := newLineSearch(obj, opts.LineSearch, exact, n)
 	sol := Solution{}
 	fwSolves.Inc()
 	for t := 0; t < opts.MaxIterations; t++ {
@@ -321,7 +342,7 @@ func AwayStepFrankWolfe(obj Objective, p Polytope, opts Options) (Solution, erro
 			gammaMax = away.w / (1 - away.w)
 		}
 		slope := dot(grad, d)
-		gamma := stepSize(obj, x, d, gammaMax, slope, opts.LineSearch)
+		gamma := ls.step(x, d, gammaMax, slope)
 		if gamma == 0 {
 			break
 		}
@@ -367,37 +388,59 @@ func AwayStepFrankWolfe(obj Objective, p Polytope, opts Options) (Solution, erro
 		sol.Gap = dot(grad, x) - dot(grad, s)
 		sol.Converged = sol.Gap <= opts.GapTolerance
 	}
-	sol.Evaluations = cobj.values
-	sol.GradEvaluations = cobj.grads
+	cobj.report(&sol)
 	return sol, nil
 }
 
-// stepSize picks γ ∈ [0, gammaMax] along d from x. slope is <∇f(x), d>,
+// stepRule finds the exact step: given the directional derivative
+// dphi(γ) = φ'(γ) = <∇f(x+γd), d>, its value slope = φ'(0) < 0 and the
+// segment's end gammaMax > 0, it returns a γ ∈ [0, gammaMax] with
+// φ'(γ) <= 0. The solvers run exactStep; the type exists so the tests can
+// run the same solver over the bisection oracle.
+type stepRule func(dphi func(gamma float64) float64, slope, gammaMax float64) float64
+
+// lineSearch is one solve's step rule and the buffers its probes reuse.
+type lineSearch struct {
+	obj   Objective
+	rule  LineSearch
+	exact stepRule
+	trial []float64 // x + γd
+	grad  []float64 // ∇f(trial)
+}
+
+func newLineSearch(obj Objective, rule LineSearch, exact stepRule, n int) *lineSearch {
+	return &lineSearch{obj: obj, rule: rule, exact: exact, trial: make([]float64, n), grad: make([]float64, n)}
+}
+
+// step picks γ ∈ [0, gammaMax] along d from x. slope is <∇f(x), d>,
 // negative for descent directions.
-func stepSize(obj Objective, x, d []float64, gammaMax, slope float64, ls LineSearch) float64 {
+func (ls *lineSearch) step(x, d []float64, gammaMax, slope float64) float64 {
 	if gammaMax <= 0 || slope >= 0 {
 		return 0
 	}
-	switch ls {
-	case LineSearchBacktracking:
-		return backtrack(obj.Value, x, d, gammaMax, slope)
-	default:
-		return exactStep(obj, x, d, gammaMax)
+	if ls.rule == LineSearchBacktracking {
+		return ls.backtrack(x, d, gammaMax, slope)
 	}
+	return ls.exact(func(gamma float64) float64 {
+		for j := range ls.trial {
+			ls.trial[j] = x[j] + gamma*d[j]
+		}
+		ls.obj.Grad(ls.trial, ls.grad)
+		return dot(ls.grad, d)
+	}, slope, gammaMax)
 }
 
 // backtrack is Armijo backtracking: halve from gammaMax until the
 // sufficient-decrease condition holds.
-func backtrack(f func([]float64) float64, x, d []float64, gammaMax, slope float64) float64 {
+func (ls *lineSearch) backtrack(x, d []float64, gammaMax, slope float64) float64 {
 	const c, shrink = 1e-4, 0.5
-	f0 := f(x)
-	trial := make([]float64, len(x))
+	f0 := ls.obj.Value(x)
 	gamma := gammaMax
 	for i := 0; i < 60; i++ {
-		for j := range trial {
-			trial[j] = x[j] + gamma*d[j]
+		for j := range ls.trial {
+			ls.trial[j] = x[j] + gamma*d[j]
 		}
-		if f(trial) <= f0+c*gamma*slope {
+		if ls.obj.Value(ls.trial) <= f0+c*gamma*slope {
 			return gamma
 		}
 		gamma *= shrink
@@ -405,41 +448,103 @@ func backtrack(f func([]float64) float64, x, d []float64, gammaMax, slope float6
 	return 0
 }
 
-// exactStep minimizes φ(γ) = f(x + γd) over [0, gammaMax] by bisecting
-// the sign of the directional derivative φ'(γ) = <∇f(x+γd), d>, assuming
-// φ is unimodal on the segment. Working on the derivative instead of
-// function values matters: f-value comparisons cannot resolve steps finer
-// than √(ε·|f|), which caps the achievable duality gap around 1e-8;
-// derivative signs resolve to full machine precision, so the solvers can
-// certify gaps well below that.
+// stepTolerance is the width, relative to gammaMax, at which exactStep
+// stops shrinking its bracket; maxStepProbes caps its gradient calls. Both
+// are constants on evidence (DESIGN.md "Where a solve's time goes"): 1e-12
+// keeps every certificate a step resolved to one ulp earns, 1e-9 does not,
+// and the serving layer's work bound assumes the cap.
+const (
+	stepTolerance = 1e-12
+	maxStepProbes = 64
+)
+
+// exactStep minimizes φ(γ) = f(x + γd) over [0, gammaMax] by bracketing the
+// root of the directional derivative φ'(γ) = dphi(γ), assuming φ is
+// unimodal on the segment. Working on the derivative instead of function
+// values matters: f-value comparisons cannot resolve steps finer than
+// √(ε·|f|), which caps the achievable duality gap around 1e-8; derivative
+// signs resolve far below that, so the solvers can certify tighter gaps.
 //
-// φ'(0) < 0 is guaranteed by the caller (descent direction). φ' < 0
-// everywhere on [0, γ*) means every bisection iterate is a strict
-// improvement, so the returned step always descends.
-func exactStep(obj Objective, x, d []float64, gammaMax float64) float64 {
-	trial := make([]float64, len(x))
-	grad := make([]float64, len(x))
-	dphi := func(g float64) float64 {
-		for j := range trial {
-			trial[j] = x[j] + g*d[j]
-		}
-		obj.Grad(trial, grad)
-		return dot(grad, d)
-	}
-	if dphi(gammaMax) <= 0 {
+// The root-finder is Brent's (Algorithms for Minimization without
+// Derivatives, ch. 4). The bracket starts from the two values the solver
+// already has — φ'(0) = slope < 0 from the caller's descent direction,
+// φ'(gammaMax) from the boundary test. Each probe is placed by inverse
+// quadratic interpolation through the last three points (the secant
+// through two while only two are distinct); it is replaced by the
+// bracket's midpoint unless it falls inside the bracket's three quarters
+// nearest the best point and is shorter than half the step before last, so
+// interpolation that stops shrinking the bracket gives way to bisection.
+// No probe moves less than half the tolerance, so an estimate that has
+// converged from one side steps across the root and closes the bracket. On
+// the smooth φ' of the engine objectives that is about five probes per
+// line search.
+//
+// It returns the bracket's lower end once the bracket is narrower than
+// stepTolerance·gammaMax, or after maxStepProbes probes. φ' <= 0 there, and
+// φ' < 0 on all of [0, γ) by unimodality, so the returned step always
+// descends; 0 means the minimizer is within the tolerance of x.
+func exactStep(dphi func(gamma float64) float64, slope, gammaMax float64) float64 {
+	fc := dphi(gammaMax)
+	if fc <= 0 {
 		return gammaMax // still descending at the boundary
 	}
-	lo, hi := 0.0, gammaMax
-	for i := 0; i < 64 && hi > lo; i++ {
-		mid := 0.5 * (lo + hi)
-		if mid <= lo || mid >= hi {
+	// Brent's names: b is the best estimate (|fb| <= |fc|), c the bracket's
+	// other end (φ' of the opposite sign), a the estimate before b; d is
+	// the step being taken, e the one before it.
+	tol := 0.5 * stepTolerance * gammaMax
+	b, fb := 0.0, slope
+	c := gammaMax
+	a, fa := c, fc
+	d := b - a
+	e := d
+	for probes := 1; probes < maxStepProbes; probes++ {
+		if math.Abs(fc) < math.Abs(fb) {
+			a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+		}
+		mid := 0.5 * (c - b)
+		if math.Abs(mid) <= tol || fb == 0 {
 			break
 		}
-		if dphi(mid) < 0 {
-			lo = mid
+		interpolated := false
+		if math.Abs(e) >= tol && math.Abs(fa) > math.Abs(fb) {
+			// Step p/q from b; p >= 0 after the sign is moved into q.
+			var p, q float64
+			s := fb / fa
+			if a == c {
+				p, q = 2*mid*s, 1-s
+			} else {
+				t, r := fa/fc, fb/fc
+				p = s * (2*mid*t*(t-r) - (b-a)*(r-1))
+				q = (t - 1) * (r - 1) * (s - 1)
+			}
+			if p > 0 {
+				q = -q
+			}
+			p = math.Abs(p)
+			if 2*p < math.Min(3*mid*q-math.Abs(tol*q), math.Abs(e*q)) {
+				d, e, interpolated = p/q, d, true
+			}
+		}
+		if !interpolated {
+			d, e = mid, mid
+		}
+		a, fa = b, fb
+		if math.Abs(d) > tol {
+			b += d
 		} else {
-			hi = mid
+			b += math.Copysign(tol, mid)
+		}
+		fb = dphi(b)
+		if (fb > 0) == (fc > 0) {
+			// b landed on c's side of the root, which now lies between b
+			// and the previous estimate.
+			c, fc = a, fa
+			d = b - a
+			e = d
 		}
 	}
-	return lo
+	if fb <= 0 {
+		return b
+	}
+	return c
 }

@@ -1,0 +1,192 @@
+package optimize
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/faultcurve"
+)
+
+// oracleGrad is the gradient hardeningGrad.grad replaced, kept as its
+// oracle: the indicator evaluated through the model's Safe/Live methods per
+// cell, the hardened fleet materialized per call.
+func oracleGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float64) {
+	n := len(p.Fleet)
+	ok := func(c, b int) float64 {
+		if c < 0 || b < 0 || c+b > n {
+			return 0
+		}
+		if p.Model.Safe(c, b) && p.Model.Live(c, b) {
+			return 1
+		}
+		return 0
+	}
+	hardened := p.fleetAt(x)
+	loo.Reset(faultcurve.TriStates(hardened.Profiles()))
+	safeAndLive := loo.Full().SumWhere(func(c, b int) bool {
+		return p.Model.Safe(c, b) && p.Model.Live(c, b)
+	})
+	u := math.Max(1-safeAndLive, unavailFloor)
+	for i := 0; i < n; i++ {
+		joint := loo.Without(i)
+		bf := byzFraction(p.Fleet[i].Profile)
+		cf := 1 - bf
+		var dSL float64
+		for c := 0; c <= n-1; c++ {
+			for b := 0; b+c <= n-1; b++ {
+				m := joint.PMF(c, b)
+				if m == 0 {
+					continue
+				}
+				dSL += m * (cf*ok(c+1, b) + bf*ok(c, b+1) - ok(c, b))
+			}
+		}
+		// f = ln(U), U = 1 - SafeAndLive: df/dx_i = -dSL/dp · p'(x_i) / U.
+		out[i] = -dSL * p.Curves[i].DProb(x[i]) / u
+	}
+}
+
+// gradProblem builds an n-node hardening problem from per-node base
+// profiles drawn by draw.
+func gradProblem(n int, pbft bool, draw func(i int) faultcurve.Profile) HardeningProblem {
+	fleet := make(core.Fleet, n)
+	curves := make([]faultcurve.Response, n)
+	for i := range fleet {
+		prof := draw(i)
+		fleet[i] = core.Node{Profile: prof}
+		curves[i] = faultcurve.HardeningResponse(prof.PFail(), 0.1, 0.5)
+	}
+	var m core.CountModel = core.NewRaft(n)
+	if pbft {
+		m = core.NewPBFTForN(n)
+	}
+	return HardeningProblem{Fleet: fleet, Model: m, Curves: curves, Budget: 1}
+}
+
+// TestGradKernelMatchesOracle compares the table-driven gradient with the
+// closure-based one it replaced, coordinate by coordinate to 1e-12
+// relative, across the branches of both: the Byzantine term (PBFT), crash-
+// only raft, the sizes from one node up, a node under dist's deflation
+// threshold (the rebuild fallback), a certainly-failing node, and fleets
+// with no Byzantine mass at all.
+func TestGradKernelMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	mixed := func(int) faultcurve.Profile {
+		return faultcurve.Profile{PCrash: 0.02 + 0.1*rng.Float64(), PByz: 0.03 * rng.Float64()}
+	}
+	crash := func(int) faultcurve.Profile { return faultcurve.Crash(0.02 + 0.15*rng.Float64()) }
+	type problem struct {
+		name string
+		p    HardeningProblem
+	}
+	var problems []problem
+	for _, n := range []int{1, 2, 5, 25, 64} {
+		problems = append(problems,
+			problem{fmt.Sprintf("pbft mixed n=%d", n), gradProblem(n, true, mixed)},
+			problem{fmt.Sprintf("raft crash-only n=%d", n), gradProblem(n, false, crash)},
+			problem{fmt.Sprintf("raft mixed n=%d", n), gradProblem(n, false, mixed)},
+			problem{fmt.Sprintf("pbft crash-only n=%d", n), gradProblem(n, true, crash)},
+		)
+	}
+	problems = append(problems,
+		problem{"node below the deflation threshold", gradProblem(7, true, func(i int) faultcurve.Profile {
+			if i == 2 {
+				return faultcurve.Profile{PCrash: 0.3, PByz: 0.1}
+			}
+			return mixed(i)
+		})},
+		problem{"certain-failure node", gradProblem(5, false, func(i int) faultcurve.Profile {
+			if i == 0 {
+				return faultcurve.Crash(1)
+			}
+			return crash(i)
+		})},
+	)
+	for _, tc := range problems {
+		if err := tc.p.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		n := len(tc.p.Fleet)
+		obj := tc.p.Objective()
+		var loo dist.LeaveOneOut
+		got, want := make([]float64, n), make([]float64, n)
+		for trial := 0; trial < 4; trial++ {
+			// Spend 0 on the first trial (base probabilities, where the
+			// special nodes are special), a random split after.
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = float64(min(trial, 1)) * rng.Float64() * tc.p.Budget / float64(n)
+			}
+			obj.Grad(x, got)
+			oracleGrad(tc.p, &loo, x, want)
+			for i := range want {
+				if diff := math.Abs(got[i] - want[i]); !(diff <= 1e-12*math.Abs(want[i])) {
+					t.Errorf("%s trial %d coord %d: %v, oracle %v (relative Δ %.3g)", tc.name, trial, i, got[i], want[i], diff/math.Abs(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestGradAllocations pins what the per-objective tables buy: a warm Grad
+// allocates nothing (it was three slices a call), so a solve's allocations
+// do not depend on how many probes its line searches spend — the same
+// solve under the 64-probe bisection oracle allocates as much.
+func TestGradAllocations(t *testing.T) {
+	p := exemplarProblem()
+	obj := p.Objective()
+	x := []float64{0.2, 0.2, 0.2, 0.2, 0.2}
+	out := make([]float64, len(x))
+	obj.Grad(x, out) // size the workspace
+	if n := testing.AllocsPerRun(100, func() { obj.Grad(x, out) }); n != 0 {
+		t.Errorf("steady-state Grad allocates %v/op, want 0", n)
+	}
+
+	opts := Options{GapTolerance: 1e-9}
+	var grads [2]int
+	solve := func(k int, rule stepRule) func() {
+		return func() {
+			sol, err := awayStepFrankWolfe(p.Objective(), p.Polytope(), opts, rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grads[k] = sol.GradEvaluations
+		}
+	}
+	few := testing.AllocsPerRun(5, solve(0, exactStep))
+	many := testing.AllocsPerRun(5, solve(1, bisectStep))
+	if grads[1] < 4*grads[0] {
+		t.Fatalf("the oracle line search made %d gradient calls to exactStep's %d; the comparison needs them far apart", grads[1], grads[0])
+	}
+	// The two rules resolve γ differently, so their active sets may differ
+	// by a vertex or two; a probe that allocated would show as hundreds.
+	if many > few+8 {
+		t.Errorf("a solve with %d gradient calls allocates %v, one with %d allocates %v: allocations grow with probes", grads[0], few, grads[1], many)
+	}
+}
+
+// BenchmarkHardeningGrad times one analytic gradient — a DP build plus N
+// deflations and indicator sums — at the served size and at a large one.
+func BenchmarkHardeningGrad(b *testing.B) {
+	for _, n := range []int{5, 25} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			p := gradProblem(n, false, func(int) faultcurve.Profile { return servedProfile(rng) })
+			obj := p.Objective()
+			x, out := make([]float64, n), make([]float64, n)
+			for i := range x {
+				x[i] = p.Budget / float64(n)
+			}
+			obj.Grad(x, out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				obj.Grad(x, out)
+			}
+		})
+	}
+}

@@ -139,7 +139,8 @@ func (p HardeningProblem) Eval(x []float64) core.Result {
 
 // UsesCentralDifferences reports whether the objective's gradient falls
 // back to central differences (two engine runs per coordinate) instead
-// of the analytic leave-one-out DP (one per coordinate): true exactly
+// of the analytic leave-one-out gradient (one DP build plus an O(N^2)
+// deflation per coordinate): true exactly
 // when the fleet has a populated domain layout. The serving layer's work
 // estimates dispatch on this, so it is the single home of the condition.
 func (p HardeningProblem) UsesCentralDifferences() bool {
@@ -156,9 +157,9 @@ func (p HardeningProblem) UsesCentralDifferences() bool {
 
 // Objective returns the minimized smooth function f(x) = ln(1 -
 // SafeAndLive(x)). For independent fleets (no populated domains) the
-// gradient is analytic via the shared leave-one-out DP state; with
-// domains it falls back to central differences, whose probes the response
-// curves clamp safely.
+// gradient is analytic via a leave-one-out DP state the returned objective
+// owns (see hardeningGrad); with domains it falls back to central
+// differences, whose probes the response curves clamp safely.
 func (p HardeningProblem) Objective() Objective {
 	value := func(x []float64) float64 { return logUnavail(p.Eval(x)) }
 	if p.UsesCentralDifferences() {
@@ -182,62 +183,95 @@ func (p HardeningProblem) Objective() Objective {
 			return logUnavail(res)
 		}}
 	}
-	// The leave-one-out workspace is shared across the solve's gradient
-	// calls: solvers evaluate gradients sequentially, so one workspace
-	// amortizes its buffers over every iteration.
-	loo := &dist.LeaveOneOut{}
-	return FuncObjective{F: value, G: func(x, out []float64) { p.analyticGrad(loo, x, out) }}
+	return FuncObjective{F: value, G: newHardeningGrad(p).grad}
 }
 
-// analyticGrad computes ∇f exactly for independent fleets. Writing node
-// i's fault mass as p_i with fixed crash share cf_i and Byzantine share
+// hardeningGrad is the analytic gradient of an independent fleet's
+// objective together with everything it reuses from call to call. One is
+// built per Objective, so a solve — whose gradient calls are sequential —
+// pays for the tables once and allocates nothing per call. Not safe for
+// concurrent use.
+type hardeningGrad struct {
+	curves []faultcurve.Response
+	bf     []float64       // per-node Byzantine share of the fault mass
+	nodes  []dist.TriState // the hardened fleet at the current x
+	loo    dist.LeaveOneOut
+	// ok is the safe-and-live indicator as a (n+2)×(n+2) row-major table of
+	// 0/1 floats: ok[c*(n+2)+b] for c+b <= n, 0 beyond — the margin lets
+	// the kernel read ok(c+1, b) and ok(c, b+1) without bounds tests.
+	ok []float64
+}
+
+func newHardeningGrad(p HardeningProblem) *hardeningGrad {
+	n := len(p.Fleet)
+	g := &hardeningGrad{
+		curves: p.Curves,
+		bf:     make([]float64, n),
+		nodes:  make([]dist.TriState, n),
+		ok:     make([]float64, (n+2)*(n+2)),
+	}
+	for i, node := range p.Fleet {
+		g.bf[i] = byzFraction(node.Profile)
+	}
+	for c := 0; c <= n; c++ {
+		for b := 0; c+b <= n; b++ {
+			if p.Model.Safe(c, b) && p.Model.Live(c, b) {
+				g.ok[c*(n+2)+b] = 1
+			}
+		}
+	}
+	return g
+}
+
+// grad computes ∇f exactly for independent fleets. Writing node i's fault
+// mass as p_i with fixed crash share cf_i = 1 - bf_i and Byzantine share
 // bf_i, the joint count distribution is linear in each p_i, so
 //
 //	∂(SafeAndLive)/∂p_i = Σ_{c,b} J_{-i}(c,b) ·
 //	    ( cf_i·ok(c+1,b) + bf_i·ok(c,b+1) - ok(c,b) )
+//	  = Σ J_{-i}·(ok(c+1,b) - ok(c,b)) + bf_i · Σ J_{-i}·(ok(c,b+1) - ok(c+1,b))
 //
 // where J_{-i} is the exact joint DP over the other nodes and ok is the
-// safe-and-live indicator. The chain rule through the response curve and
-// the log wrapper finishes the job.
+// safe-and-live indicator. The second form is the one computed: two
+// multiply-adds per cell over differences of table entries, which are
+// exactly zero away from the indicator's boundary, so the sums carry no
+// cancellation between O(1) masses however small the derivative is. The
+// chain rule through the response curve and the log wrapper finishes the
+// job.
 //
-// J_{-i} comes from the shared leave-one-out state: one O(N^3) DP build
-// of the full hardened fleet, then an O(N^2) deflation per coordinate —
-// the whole gradient costs asymptotically one analysis, where it used to
-// rebuild a from-scratch DP per node. The full table also yields the
-// objective value, so no separate engine run is needed.
-func (p HardeningProblem) analyticGrad(loo *dist.LeaveOneOut, x, out []float64) {
-	n := len(p.Fleet)
-	ok := func(c, b int) float64 {
-		if c < 0 || b < 0 || c+b > n {
-			return 0
-		}
-		if p.Model.Safe(c, b) && p.Model.Live(c, b) {
-			return 1
-		}
-		return 0
+// J_{-i} comes from the leave-one-out state: one O(N^3) DP build of the
+// full hardened fleet, then an O(N^2) deflation per coordinate — the whole
+// gradient costs asymptotically one analysis. The full table also yields
+// the objective value, so no separate engine run is needed.
+func (g *hardeningGrad) grad(x, out []float64) {
+	w := len(g.nodes) + 2
+	for i, c := range g.curves {
+		p := c.Prob(x[i])
+		g.nodes[i] = dist.TriState{PCrash: p * (1 - g.bf[i]), PByz: p * g.bf[i]}
 	}
-	hardened := p.fleetAt(x)
-	loo.Reset(faultcurve.TriStates(hardened.Profiles()))
-	safeAndLive := loo.Full().SumWhere(func(c, b int) bool {
-		return p.Model.Safe(c, b) && p.Model.Live(c, b)
-	})
-	u := math.Max(1-safeAndLive, unavailFloor)
-	for i := 0; i < n; i++ {
-		joint := loo.Without(i)
-		bf := byzFraction(p.Fleet[i].Profile)
-		cf := 1 - bf
-		var dSL float64
-		for c := 0; c <= n-1; c++ {
-			for b := 0; b+c <= n-1; b++ {
-				m := joint.PMF(c, b)
-				if m == 0 {
-					continue
-				}
-				dSL += m * (cf*ok(c+1, b) + bf*ok(c, b+1) - ok(c, b))
+	g.loo.Reset(g.nodes)
+	var safeAndLive dist.KahanSum
+	full := g.loo.Full()
+	for c := 0; c < full.Rows(); c++ {
+		ok := g.ok[c*w:]
+		for b, m := range full.Row(c) {
+			safeAndLive.Add(m * ok[b])
+		}
+	}
+	u := math.Max(1-dist.Clamp01(safeAndLive.Sum()), unavailFloor)
+	for i := range g.nodes {
+		joint := g.loo.Without(i)
+		var dCrash, dByz float64 // Σ m·(ok(c+1,b)-ok(c,b)), Σ m·(ok(c,b+1)-ok(c+1,b))
+		for c := 0; c < joint.Rows(); c++ {
+			ok, next := g.ok[c*w:], g.ok[(c+1)*w:]
+			for b, m := range joint.Row(c) {
+				dCrash += m * (next[b] - ok[b])
+				dByz += m * (ok[b+1] - next[b])
 			}
 		}
+		dSL := dCrash + g.bf[i]*dByz
 		// f = ln(U), U = 1 - SafeAndLive: df/dx_i = -dSL/dp · p'(x_i) / U.
-		out[i] = -dSL * p.Curves[i].DProb(x[i]) / u
+		out[i] = -dSL * g.curves[i].DProb(x[i]) / u
 	}
 }
 

@@ -56,8 +56,12 @@ type OptimizeRequest struct {
 const MaxOptimizeWork = 2e10
 
 // gradCallsPerIteration is the worst-case gradient evaluations one
-// away-step iteration spends (the derivative-bisection exact line search
-// plus the iterate's own gradient).
+// away-step iteration spends: the iterate's own gradient plus the exact
+// line search, a bracketing root-finder on the directional derivative
+// that stops at 64 probes (optimize's maxStepProbes). The typical count is
+// about 6 (probcons_optimize_grad_evaluations_total over
+// ..._iterations_total); admission is sized on the cap, which
+// optimize.TestLineSearchPin asserts solve by solve.
 const gradCallsPerIteration = 70
 
 // AllocationLine is one row of the optimize response: where spend went
@@ -205,9 +209,12 @@ func planOptimize(req OptimizeRequest) (optimizePlan, error) {
 		if err := p.Validate(); err != nil {
 			return optimizePlan{}, badRequest(err)
 		}
-		// The analytic leave-one-out gradient is one O(N^3) DP per node;
-		// with populated domains the objective falls back to central
-		// differences, which is two engine runs per node instead.
+		// Priced as one engine run per node. For the analytic gradient
+		// that is a deliberate over-estimate: it really costs one O(N^3)
+		// DP build plus N O(N^2) leave-one-out deflations, about two
+		// engine runs in all, not N. With populated domains the objective
+		// falls back to central differences, which is two engine runs per
+		// node and priced exactly.
 		gradWork = float64(len(fleet)) * engineWork
 		if p.UsesCentralDifferences() {
 			gradWork *= 2
