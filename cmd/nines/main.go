@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -23,38 +24,51 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "nines:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args and writes the report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("nines", flag.ExitOnError)
 	var (
-		tables    = flag.Bool("tables", false, "print the paper's Table 1 and Table 2")
-		sweep     = flag.Bool("sweep", false, "sweep quorum sizings and print the Pareto frontier")
-		protocol  = flag.String("protocol", "raft", "raft or pbft")
-		n         = flag.Int("n", 3, "cluster size")
-		p         = flag.Float64("p", 0.01, "per-node fault probability")
-		upgrade   = flag.Int("upgrade", 0, "number of nodes upgraded to -upgrade-p (heterogeneous fleets)")
-		upgradeP  = flag.Float64("upgrade-p", 0.01, "fault probability of upgraded nodes")
-		zones     = flag.Int("zones", 0, "spread the fleet round-robin across this many correlated failure domains (0 = independent failures)")
-		shock     = flag.Float64("shock", 0, "per-zone common-cause shock probability")
-		crashMult = flag.Float64("shock-crash-mult", 50, "crash-probability multiplier while a zone's shock is active")
-		byzMult   = flag.Float64("shock-byz-mult", 1, "Byzantine-probability multiplier while a zone's shock is active")
+		tables    = fs.Bool("tables", false, "print the paper's Table 1 and Table 2")
+		sweep     = fs.Bool("sweep", false, "sweep quorum sizings and print the Pareto frontier")
+		protocol  = fs.String("protocol", "raft", "raft or pbft")
+		n         = fs.Int("n", 3, "cluster size")
+		p         = fs.Float64("p", 0.01, "per-node fault probability")
+		upgrade   = fs.Int("upgrade", 0, "number of nodes upgraded to -upgrade-p (heterogeneous fleets)")
+		upgradeP  = fs.Float64("upgrade-p", 0.01, "fault probability of upgraded nodes")
+		zones     = fs.Int("zones", 0, "spread the fleet round-robin across this many correlated failure domains (0 = independent failures)")
+		shock     = fs.Float64("shock", 0, "per-zone common-cause shock probability")
+		crashMult = fs.Float64("shock-crash-mult", 50, "crash-probability multiplier while a zone's shock is active")
+		byzMult   = fs.Float64("shock-byz-mult", 1, "Byzantine-probability multiplier while a zone's shock is active")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
 
 	if *tables {
-		printTables()
-		return
+		return printTables(out)
 	}
 	// Shared with the probconsd request validator: the daemon and the CLI
 	// reject the same inputs with the same messages.
-	exitOn(inputcheck.CheckClusterSize(*n))
-	exitOn(inputcheck.CheckProb("p", *p))
-	exitOn(inputcheck.CheckNodeCount("upgrade", *upgrade, *n))
-	exitOn(inputcheck.CheckProb("upgrade-p", *upgradeP))
-	exitOn(inputcheck.CheckDomainCount(*zones))
-	exitOn(inputcheck.CheckProb("shock", *shock))
-	exitOn(inputcheck.CheckShockMultiplier("shock-crash-mult", *crashMult))
-	exitOn(inputcheck.CheckShockMultiplier("shock-byz-mult", *byzMult))
+	for _, err := range []error{
+		inputcheck.CheckClusterSize(*n),
+		inputcheck.CheckProb("p", *p),
+		inputcheck.CheckNodeCount("upgrade", *upgrade, *n),
+		inputcheck.CheckProb("upgrade-p", *upgradeP),
+		inputcheck.CheckDomainCount(*zones),
+		inputcheck.CheckProb("shock", *shock),
+		inputcheck.CheckShockMultiplier("shock-crash-mult", *crashMult),
+		inputcheck.CheckShockMultiplier("shock-byz-mult", *byzMult),
+	} {
+		if err != nil {
+			return err
+		}
+	}
 	if *sweep {
-		printSweep(*protocol, *n, *p)
-		return
+		return printSweep(out, *protocol, *n, *p)
 	}
 	var (
 		fleet core.Fleet
@@ -67,17 +81,19 @@ func main() {
 			fleet[i].Profile.PCrash = *upgradeP
 		}
 		model = core.NewRaft(*n)
-		fmt.Printf("%s, p_u=%.4g (%d upgraded to %.4g)\n", model.Name(), *p, *upgrade, *upgradeP)
+		fmt.Fprintf(out, "%s, p_u=%.4g (%d upgraded to %.4g)\n", model.Name(), *p, *upgrade, *upgradeP)
 	case "pbft":
 		fleet = core.UniformByzFleet(*n, *p)
 		model = core.NewPBFTForN(*n)
-		fmt.Printf("%s, p_u=%.4g\n", model.Name(), *p)
+		fmt.Fprintf(out, "%s, p_u=%.4g\n", model.Name(), *p)
 	default:
-		exitOn(fmt.Errorf("unknown protocol %q", *protocol))
+		return fmt.Errorf("unknown protocol %q", *protocol)
 	}
 	res, err := core.Analyze(fleet, model)
-	exitOn(err)
-	fmt.Printf("  independent: %s\n  %.2f nines safe-and-live\n", res, res.Nines())
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "  independent: %s\n  %.2f nines safe-and-live\n", res, res.Nines())
 	if *zones > 0 {
 		domains := make(core.DomainSet, *zones)
 		for z := range domains {
@@ -92,14 +108,17 @@ func main() {
 			fleet[i].Domain = domains[i%len(domains)].Name
 		}
 		dres, err := core.AnalyzeDomains(fleet, model, domains)
-		exitOn(err)
-		fmt.Printf("  %d zones, shock=%.4g (crash ×%.4g, byz ×%.4g): %s\n  %.2f nines safe-and-live\n",
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "  %d zones, shock=%.4g (crash ×%.4g, byz ×%.4g): %s\n  %.2f nines safe-and-live\n",
 			*zones, *shock, *crashMult, *byzMult, dres, dres.Nines())
 	}
+	return nil
 }
 
-func printTables() {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printTables(out io.Writer) error {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Table 1: PBFT reliability, uniform p_u = 1%")
 	fmt.Fprintln(w, "N\t|Qeq|\t|Qper|\t|Qvc|\t|Qvc_t|\tSafe\tLive\tSafe&Live")
 	for _, r := range core.Table1() {
@@ -119,15 +138,17 @@ func printTables() {
 		}
 		fmt.Fprintln(w)
 	}
-	w.Flush()
+	return w.Flush()
 }
 
-func printSweep(protocol string, n int, p float64) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printSweep(out io.Writer, protocol string, n int, p float64) error {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	switch protocol {
 	case "raft":
 		sizings, err := core.SweepRaftQuorums(core.UniformCrashFleet(n, p), true)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "safe Raft sizings, N=%d p_u=%.4g\n", n, p)
 		fmt.Fprintln(w, "|Qper|\t|Qvc|\tSafe&Live\tnines")
 		for _, s := range sizings {
@@ -136,7 +157,9 @@ func printSweep(protocol string, n int, p float64) {
 		}
 	case "pbft":
 		sweep, err := core.SweepPBFTQuorums(core.UniformByzFleet(n, p))
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		frontier := core.PBFTFrontier(sweep)
 		fmt.Fprintf(w, "PBFT safety/liveness Pareto frontier, N=%d p_u=%.4g\n", n, p)
 		fmt.Fprintln(w, "|Q|\t|Qvc_t|\tSafe\tLive")
@@ -145,14 +168,7 @@ func printSweep(protocol string, n int, p float64) {
 				dist.FormatPercent(s.Res.Safe, 2), dist.FormatPercent(s.Res.Live, 2))
 		}
 	default:
-		exitOn(fmt.Errorf("unknown protocol %q", protocol))
+		return fmt.Errorf("unknown protocol %q", protocol)
 	}
-	w.Flush()
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nines:", err)
-		os.Exit(1)
-	}
+	return w.Flush()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/dist"
 	"repro/internal/faultcurve"
@@ -135,57 +134,13 @@ type MCResult struct {
 	BothLo, BothHi float64
 }
 
-// AnalyzeMonteCarlo estimates the Result by sampling failure
-// configurations. It works for any fleet size and — unlike the exact
-// engines — composes with arbitrary sampling processes; it is also the
-// validation oracle for the correlated-fault analyses.
+// AnalyzeMonteCarlo estimates the Result of an independent fleet by
+// sampling failure configurations. It works for any fleet size and — unlike
+// the exact engines — composes with arbitrary sampling processes. It is
+// AnalyzeDomainsMonteCarlo with no domains: the same draws in the same
+// order, and the same rejection of a node that names a domain.
 func AnalyzeMonteCarlo(fleet Fleet, m CountModel, samples int, seed int64) (MCResult, error) {
-	if len(fleet) != m.N() {
-		return MCResult{}, fmt.Errorf("core: fleet size %d != model N %d", len(fleet), m.N())
-	}
-	if err := fleet.Validate(); err != nil {
-		return MCResult{}, err
-	}
-	if samples <= 0 {
-		return MCResult{}, fmt.Errorf("core: need samples > 0, got %d", samples)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var nSafe, nLive, nBoth int
-	for s := 0; s < samples; s++ {
-		var crashed, byzCount int
-		for _, node := range fleet {
-			u := rng.Float64()
-			switch {
-			case u < node.Profile.PCrash:
-				crashed++
-			case u < node.Profile.PCrash+node.Profile.PByz:
-				byzCount++
-			}
-		}
-		sOK := m.Safe(crashed, byzCount)
-		lOK := m.Live(crashed, byzCount)
-		if sOK {
-			nSafe++
-		}
-		if lOK {
-			nLive++
-		}
-		if sOK && lOK {
-			nBoth++
-		}
-	}
-	out := MCResult{
-		Result: Result{
-			Safe:        float64(nSafe) / float64(samples),
-			Live:        float64(nLive) / float64(samples),
-			SafeAndLive: float64(nBoth) / float64(samples),
-		},
-		Samples: samples,
-	}
-	out.SafeLo, out.SafeHi = dist.WilsonInterval(nSafe, samples, 1.96)
-	out.LiveLo, out.LiveHi = dist.WilsonInterval(nLive, samples, 1.96)
-	out.BothLo, out.BothHi = dist.WilsonInterval(nBoth, samples, 1.96)
-	return out, nil
+	return AnalyzeDomainsMonteCarlo(fleet, m, nil, samples, seed)
 }
 
 // AnalyzeWithShock computes the exact Result under a common-cause shock

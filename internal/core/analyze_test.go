@@ -70,6 +70,11 @@ func TestMonteCarloConvergesToExact(t *testing.T) {
 	if mc.Samples != 200_000 {
 		t.Errorf("Samples=%d", mc.Samples)
 	}
+	// There is one plain sampler: the domain-free entry draws the domain
+	// sampler's stream.
+	if viaDomains, err := AnalyzeDomainsMonteCarlo(fleet, m, nil, 200_000, 42); err != nil || viaDomains != mc {
+		t.Errorf("AnalyzeDomainsMonteCarlo(nil) = %+v, %v; AnalyzeMonteCarlo = %+v", viaDomains, err, mc)
+	}
 }
 
 func TestAnalyzeInputValidation(t *testing.T) {

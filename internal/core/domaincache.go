@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/dist"
 	"repro/internal/faultcurve"
@@ -48,6 +47,9 @@ import (
 //     domain's (shock, multipliers, member profile bits) — everything the
 //     rest tables depend on and nothing about d itself beyond its size, so
 //     perturbing d never invalidates rest_d.
+//   - Every float goes in as canonBits, the query fingerprint's encoder:
+//     exact IEEE-754 bits with -0 folded onto +0 (the same probability, the
+//     same tables), so a "-0" shock or multiplier is a hit, not a rebuild.
 //
 // All workspaces live on the owning Evaluator: no locks, no sharing, zero
 // steady-state allocations on the cached paths (pinned by
@@ -109,15 +111,11 @@ type restTables struct {
 	safe, live, both []float64
 }
 
-// domainState is the Evaluator's correlated-domain workspace: reusable
-// partition scratch, cache maps, and the DP workspaces of the
+// domainState is the Evaluator's correlated-domain workspace: the resolved
+// layout of the query in flight, cache maps, and the DP workspaces of the
 // recombination chains.
 type domainState struct {
-	// Partition scratch, refilled per query without allocating.
-	byName map[string]int
-	indep  []int
-	blocks [][]int
-	act    []int // populated domain indices, DomainSet order
+	domainLayout
 
 	keyBuf   []byte
 	restKeys []blockKey
@@ -159,53 +157,6 @@ func (ds *domainState) maybeEvict() {
 	}
 }
 
-// prepare validates the domain layout against the fleet and partitions the
-// node indices into ds.indep / ds.blocks / ds.act, reusing all scratch.
-// Validation matches DomainSet.Validate exactly (same rejections, same
-// wording) but shares the partition's name index instead of building a
-// second map.
-func (ds *domainState) prepare(fleet Fleet, domains DomainSet) error {
-	if ds.byName == nil {
-		ds.byName = make(map[string]int, len(domains))
-	}
-	clear(ds.byName)
-	for i, d := range domains {
-		if err := d.Validate(); err != nil {
-			return fmt.Errorf("core: domain %d: %w", i, err)
-		}
-		if _, dup := ds.byName[d.Name]; dup {
-			return fmt.Errorf("core: duplicate domain name %q", d.Name)
-		}
-		ds.byName[d.Name] = i
-	}
-	ds.indep = ds.indep[:0]
-	for len(ds.blocks) < len(domains) {
-		ds.blocks = append(ds.blocks, nil)
-	}
-	ds.blocks = ds.blocks[:len(domains)]
-	for i := range ds.blocks {
-		ds.blocks[i] = ds.blocks[i][:0]
-	}
-	for i, n := range fleet {
-		if n.Domain == "" {
-			ds.indep = append(ds.indep, i)
-			continue
-		}
-		di, ok := ds.byName[n.Domain]
-		if !ok {
-			return fmt.Errorf("core: node %d (%s) references undefined domain %q", i, n.Name, n.Domain)
-		}
-		ds.blocks[di] = append(ds.blocks[di], i)
-	}
-	ds.act = ds.act[:0]
-	for di, b := range ds.blocks {
-		if len(b) > 0 {
-			ds.act = append(ds.act, di)
-		}
-	}
-	return nil
-}
-
 // baseKey identifies a block DP of the given nodes at their base profiles.
 func (ds *domainState) baseKey(fleet Fleet, idxs []int) blockKey {
 	buf := append(ds.keyBuf[:0], blockKeyDomain...)
@@ -221,8 +172,8 @@ func (ds *domainState) baseKey(fleet Fleet, idxs []int) blockKey {
 func (ds *domainState) elevKey(fleet Fleet, idxs []int, d *faultcurve.Domain) blockKey {
 	buf := append(ds.keyBuf[:0], blockKeyDomain...)
 	buf = append(buf, 'E')
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.CrashMultiplier))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.ByzMultiplier))
+	buf = binary.BigEndian.AppendUint64(buf, canonBits(d.CrashMultiplier))
+	buf = binary.BigEndian.AppendUint64(buf, canonBits(d.ByzMultiplier))
 	buf = appendSortedProfileBits(buf, fleet, idxs, false)
 	ds.keyBuf = buf
 	return sha256.Sum256(buf)
@@ -243,10 +194,7 @@ func (ds *domainState) restKeyFor(fleet Fleet, m CountModel, domains DomainSet, 
 		if dj == di {
 			continue
 		}
-		d := domains[dj]
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.ShockProb))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.CrashMultiplier))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.ByzMultiplier))
+		buf = appendDomainBits(buf, domains[dj])
 		buf = appendSortedProfileBits(buf, fleet, ds.blocks[dj], false)
 	}
 	ds.keyBuf = buf
@@ -265,10 +213,7 @@ func (ds *domainState) resultKey(fleet Fleet, m CountModel, domains DomainSet) b
 	buf = append(buf, 'I')
 	buf = appendSortedProfileBits(buf, fleet, ds.indep, false)
 	for _, dj := range ds.act {
-		d := domains[dj]
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.ShockProb))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.CrashMultiplier))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.ByzMultiplier))
+		buf = appendDomainBits(buf, domains[dj])
 		buf = appendSortedProfileBits(buf, fleet, ds.blocks[dj], false)
 	}
 	ds.keyBuf = buf
@@ -419,14 +364,13 @@ func (rt *restTables) dot(mixed *dist.JointCrashByz) Result {
 }
 
 // analyzeDomainsMixture is the evaluator's cached mixture engine. The
-// caller has validated the query and filled ds via prepare; ds.act is
-// non-empty. The full (cache-cold) path performs exactly the package
-// AnalyzeDomainsMixture's operations in the same order — identical
-// results — and additionally populates every domain's rest tables from
-// the prefix/suffix chains so related follow-up queries take the
-// fast path.
+// caller has resolved the query into ds; ds.act is non-empty. The full
+// (cache-cold) path performs exactly the package AnalyzeDomainsMixture's
+// operations in the same order — identical results — and additionally
+// populates every domain's rest tables from the prefix/suffix chains so
+// related follow-up queries take the fast path.
 func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
-	ds := e.dom
+	ds := &e.dom
 	ds.maybeEvict()
 	if ds.restCache == nil {
 		ds.restCache = make(map[blockKey]*restTables)
@@ -517,13 +461,13 @@ func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains Dom
 	return result, nil
 }
 
-// analyzeDomainsConditioned is the evaluator's 2^D engine: identical
-// per-mask arithmetic to the package AnalyzeDomainsConditioned, run
-// through the evaluator's tri-state and joint workspaces so a warm
-// evaluator conditions without allocating. The 2^D per-mask rebuilds
-// run one after another: dist.Reset is a serial banded fold.
+// analyzeDomainsConditioned is the 2^D engine (AnalyzeDomainsConditioned
+// documents the arithmetic), run through the evaluator's tri-state and
+// joint workspaces so a warm evaluator conditions without allocating. It
+// reads the resolved layout and none of the caches. The 2^D per-mask
+// rebuilds run one after another: dist.Reset is a serial banded fold.
 func (e *Evaluator) analyzeDomainsConditioned(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
-	ds := e.dom
+	ds := &e.dom
 	d := len(ds.act)
 	if d > maxConditionedDomains {
 		return Result{}, fmt.Errorf("core: %d populated domains exceed the 2^D engine's maximum %d (use AnalyzeDomainsMixture)", d, maxConditionedDomains)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dist"
@@ -58,6 +59,28 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 	f3 := append(Fleet(nil), fleet...)
 	f3[0].Domain = ""
 	check("layout change", f3, domains)
+
+	// Sign of zero: -0 is the same shock and the same multiplier as +0, so
+	// it must find what +0 left behind — the result memo on an exact
+	// repeat, the rest tables when one other domain moved, the cached
+	// blocks when two did.
+	negZero := math.Copysign(0, -1)
+	z := append(DomainSet(nil), domains...)
+	z[0].ShockProb, z[0].ByzMultiplier, z[1].ShockProb = 0, 0, 0.25 // two domains moved: a full recombination
+	check("+0", fleet, z)
+	before := e.DomainCacheStats()
+	z[0].ShockProb, z[0].ByzMultiplier = negZero, negZero
+	check("-0 repeat", fleet, z)
+	z[1].ShockProb = 0.3
+	check("-0 beside one moved domain", fleet, z)
+	z[2].ShockProb = 0.4
+	z[1].ShockProb = 0.35
+	check("-0 beside two moved domains", fleet, z)
+	after := e.DomainCacheStats()
+	if after.ResultHits != before.ResultHits+1 || after.RestHits != before.RestHits+1 ||
+		after.RestMisses != before.RestMisses+1 || after.BlockMisses != before.BlockMisses {
+		t.Errorf("-0 after +0: stats %+v -> %+v; want one result hit, one rest hit, one recombination, no block rebuilt", before, after)
+	}
 
 	st := e.DomainCacheStats()
 	if st.RestHits == 0 {
@@ -175,8 +198,11 @@ func TestAnalyzeDomainsZeroAllocs(t *testing.T) {
 func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 	// Layout 1: many small domains — the mixture engine.
 	fleet, domains := domainFleet9()
-	_, blocks := domains.partition(fleet)
-	engine, work := chooseDomainEngine(len(fleet), blocks)
+	var l domainLayout
+	if err := l.resolve(fleet, domains); err != nil {
+		t.Fatal(err)
+	}
+	engine, work := chooseDomainEngine(len(fleet), l.blocks)
 	if engine != engineMixture {
 		t.Fatalf("domainFleet9 dispatched to engine %d, want mixture", engine)
 	}
@@ -211,8 +237,10 @@ func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 		{Name: "left", ShockProb: 0.01, CrashMultiplier: 5, ByzMultiplier: 2},
 		{Name: "right", ShockProb: 0.02, CrashMultiplier: 3, ByzMultiplier: 1},
 	}
-	_, blocks = bigDomains.partition(bigFleet)
-	engine, work = chooseDomainEngine(n, blocks)
+	if err := l.resolve(bigFleet, bigDomains); err != nil {
+		t.Fatal(err)
+	}
+	engine, work = chooseDomainEngine(n, l.blocks)
 	if engine != engineConditioned {
 		t.Fatalf("two-halves fleet dispatched to engine %d, want conditioned", engine)
 	}
@@ -231,12 +259,14 @@ func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 	if float64(builds) > work {
 		t.Fatalf("conditioned: measured %v builds exceed estimate %v", builds, work)
 	}
-	// And the conditioned workspace engine matches its reference oracle.
+	// And the package-level conditioned referee is that same engine.
 	want, err := AnalyzeDomainsConditioned(bigFleet, NewRaft(n), bigDomains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsClose(t, "workspace conditioned vs reference", got, want, 1e-12)
+	if got != want {
+		t.Errorf("evaluator's conditioned engine %+v != AnalyzeDomainsConditioned %+v", got, want)
+	}
 }
 
 // TestEvaluatorDomainsLargeFleet exercises the correlated path at the

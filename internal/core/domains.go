@@ -35,86 +35,106 @@ import (
 type DomainSet []faultcurve.Domain
 
 // Validate checks the domain definitions and that every node's membership
-// resolves. It is the single gate all domain engines go through.
+// resolves. With an empty set it allocates nothing.
 func (ds DomainSet) Validate(fleet Fleet) error {
-	if len(ds) == 0 {
-		// Allocation-free fast path for the common domain-free query: the
-		// only possible failure is a node referencing a domain that cannot
-		// exist.
-		for i, n := range fleet {
-			if n.Domain != "" {
-				return fmt.Errorf("core: node %d (%s) references undefined domain %q", i, n.Name, n.Domain)
-			}
-		}
-		return nil
+	var l domainLayout
+	return l.resolve(fleet, ds)
+}
+
+// domainLayout is a fleet's failure-domain layout resolved from names to
+// node indices. resolve is the only place domain definitions are checked
+// and memberships looked up — DomainSet.Validate, the query fingerprint,
+// the work estimate, every domain engine and ResolveDomains go through it —
+// so a layout is accepted or rejected identically, in the same words (they
+// are wire-visible in the service's 400 bodies), whichever door it came in
+// by. The zero value is ready; a long-lived layout (the Evaluator's) reuses
+// its scratch and resolves without allocating.
+type domainLayout struct {
+	byName map[string]int
+	indep  []int   // undomained node indices, fleet order
+	blocks [][]int // member node indices per domain, DomainSet order
+	act    []int   // indices of the populated domains, DomainSet order
+}
+
+// resolve validates domains against fleet and fills the layout. With an
+// empty set — the serving layer's common query — it only checks that no
+// node names a domain: no name index, and indep is left empty rather than
+// listing every node, so a throwaway layout costs no allocation. Callers
+// that index nodes take their domain-free path when len(domains) == 0.
+func (l *domainLayout) resolve(fleet Fleet, domains DomainSet) error {
+	l.indep, l.act = l.indep[:0], l.act[:0]
+	l.blocks = grow(l.blocks, len(domains))
+	if len(domains) > 0 && l.byName == nil {
+		l.byName = make(map[string]int, len(domains))
 	}
-	seen := make(map[string]bool, len(ds))
-	for i, d := range ds {
+	clear(l.byName)
+	for i, d := range domains {
 		if err := d.Validate(); err != nil {
 			return fmt.Errorf("core: domain %d: %w", i, err)
 		}
-		if seen[d.Name] {
+		if _, dup := l.byName[d.Name]; dup {
 			return fmt.Errorf("core: duplicate domain name %q", d.Name)
 		}
-		seen[d.Name] = true
+		l.byName[d.Name] = i
+		l.blocks[i] = l.blocks[i][:0]
 	}
 	for i, n := range fleet {
-		if n.Domain != "" && !seen[n.Domain] {
+		if n.Domain == "" {
+			if len(domains) > 0 {
+				l.indep = append(l.indep, i)
+			}
+			continue
+		}
+		di, ok := l.byName[n.Domain]
+		if !ok {
 			return fmt.Errorf("core: node %d (%s) references undefined domain %q", i, n.Name, n.Domain)
+		}
+		l.blocks[di] = append(l.blocks[di], i)
+	}
+	for di, b := range l.blocks {
+		if len(b) > 0 {
+			l.act = append(l.act, di)
 		}
 	}
 	return nil
 }
 
-// partition splits fleet node indices into the independent (undomained)
-// block and one member-index block per domain, in DomainSet order. Fleet
-// order is preserved within each block.
-func (ds DomainSet) partition(fleet Fleet) (indep []int, blocks [][]int) {
-	byName := make(map[string]int, len(ds))
-	for i, d := range ds {
-		byName[d.Name] = i
-	}
-	blocks = make([][]int, len(ds))
-	for i, n := range fleet {
-		// Unresolvable memberships count as independent here so the
-		// pre-validation work estimate cannot panic; Validate rejects them
-		// before any engine runs.
-		if di, ok := byName[n.Domain]; ok && n.Domain != "" {
-			blocks[di] = append(blocks[di], i)
-		} else {
-			indep = append(indep, i)
-		}
-	}
-	return indep, blocks
-}
-
-// memberIndex returns, for each node, the index of its domain in ds, or -1
-// for independent nodes — the montecarlo.Domains membership encoding.
-func (ds DomainSet) memberIndex(fleet Fleet) []int {
-	byName := make(map[string]int, len(ds))
-	for i, d := range ds {
-		byName[d.Name] = i
-	}
-	member := make([]int, len(fleet))
-	for i, n := range fleet {
-		if di, ok := byName[n.Domain]; ok && n.Domain != "" {
-			member[i] = di
-		} else {
-			member[i] = -1
-		}
-	}
-	return member
-}
-
-// checkDomainQuery runs the shared validation of every domain engine.
-func checkDomainQuery(fleet Fleet, m CountModel, domains DomainSet) error {
+// resolveQuery is the validation every domain-aware entry point runs: the
+// model fits the fleet, the fleet's profiles are valid, the layout resolves.
+func (l *domainLayout) resolveQuery(fleet Fleet, m CountModel, domains DomainSet) error {
 	if len(fleet) != m.N() {
 		return fmt.Errorf("core: fleet size %d != model N %d", len(fleet), m.N())
 	}
 	if err := fleet.Validate(); err != nil {
 		return err
 	}
-	return domains.Validate(fleet)
+	return l.resolve(fleet, domains)
+}
+
+// members returns, for each of n nodes, the index of its domain in the
+// DomainSet, or -1 for independent nodes.
+func (l *domainLayout) members(n int) []int {
+	member := make([]int, n)
+	for i := range member {
+		member[i] = -1
+	}
+	for di, b := range l.blocks {
+		for _, i := range b {
+			member[i] = di
+		}
+	}
+	return member
+}
+
+// ResolveDomains validates the layout and returns each node's domain as an
+// index into domains, -1 for independent nodes — the membership encoding of
+// the samplers (montecarlo.RunImportanceTri) and of positional cache keys.
+func ResolveDomains(fleet Fleet, domains DomainSet) ([]int, error) {
+	var l domainLayout
+	if err := l.resolve(fleet, domains); err != nil {
+		return nil, err
+	}
+	return l.members(len(fleet)), nil
 }
 
 // blockTriStates extracts the kernel representation of the given node
@@ -230,13 +250,14 @@ func square(n int) float64 { f := float64(n); return f * f }
 
 // DomainsWorkEstimate returns the estimated engine cost of AnalyzeDomains
 // for this query in DP cell updates — the unit the serving layer's work
-// bounds are denominated in (n^3 for the domain-free engine).
+// bounds are denominated in (n^3 for the domain-free engine). A layout the
+// resolver rejects never reaches an engine and is priced as domain-free.
 func DomainsWorkEstimate(fleet Fleet, domains DomainSet) float64 {
-	if len(domains) == 0 {
+	var l domainLayout
+	if l.resolve(fleet, domains) != nil {
 		return cube(len(fleet))
 	}
-	_, blocks := domains.partition(fleet)
-	_, work := chooseDomainEngine(len(fleet), blocks)
+	_, work := chooseDomainEngine(len(fleet), l.blocks)
 	return work
 }
 
@@ -244,62 +265,16 @@ func DomainsWorkEstimate(fleet Fleet, domains DomainSet) float64 {
 // subset S of the populated domains, weighs it by Π s_d (d ∈ S) · Π (1-s_d)
 // (d ∉ S), elevates the members of the shocked domains, and runs the
 // independent joint DP per condition. Exact for D ≤ 24 populated domains.
-// It allocates per call and never caches: it is the straight-line
-// reference oracle the evaluator's workspace engines are pinned against.
+// Like Analyze it is the evaluator's engine on a throwaway Evaluator; the
+// conditioned engine reads and fills none of the block, rest-table or
+// result caches, which is what makes it the cache-free referee of the
+// mixture engine.
 func AnalyzeDomainsConditioned(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
-	if err := checkDomainQuery(fleet, m, domains); err != nil {
+	var e Evaluator
+	if err := e.dom.resolveQuery(fleet, m, domains); err != nil {
 		return Result{}, err
 	}
-	_, blocks := domains.partition(fleet)
-	// Only populated domains participate in the enumeration: a memberless
-	// domain's shock changes nothing.
-	var actIdx []int
-	for di, b := range blocks {
-		if len(b) > 0 {
-			actIdx = append(actIdx, di)
-		}
-	}
-	d := len(actIdx)
-	if d > maxConditionedDomains {
-		return Result{}, fmt.Errorf("core: %d populated domains exceed the 2^D engine's maximum %d (use AnalyzeDomainsMixture)", d, maxConditionedDomains)
-	}
-	tri := make([]dist.TriState, len(fleet))
-	var sSafe, sLive, sBoth dist.KahanSum
-	for mask := 0; mask < 1<<d; mask++ {
-		weight := 1.0
-		for bit, di := range actIdx {
-			s := dist.Clamp01(domains[di].ShockProb)
-			if mask&(1<<bit) != 0 {
-				weight *= s
-			} else {
-				weight *= 1 - s
-			}
-		}
-		if weight == 0 {
-			continue
-		}
-		for i, n := range fleet {
-			tri[i] = n.Profile.TriState()
-		}
-		for bit, di := range actIdx {
-			if mask&(1<<bit) == 0 {
-				continue
-			}
-			for _, i := range blocks[di] {
-				tri[i] = domains[di].Elevate(fleet[i].Profile).TriState()
-			}
-		}
-		joint := dist.NewJointCrashByz(tri)
-		cond := resultFromJointModel(joint, m)
-		sSafe.Add(weight * cond.Safe)
-		sLive.Add(weight * cond.Live)
-		sBoth.Add(weight * cond.SafeAndLive)
-	}
-	return Result{
-		Safe:        dist.Clamp01(sSafe.Sum()),
-		Live:        dist.Clamp01(sLive.Sum()),
-		SafeAndLive: dist.Clamp01(sBoth.Sum()),
-	}, nil
+	return e.analyzeDomainsConditioned(fleet, m, domains)
 }
 
 // AnalyzeDomainsMixture is the per-domain mixture-DP exact engine. Each
@@ -311,18 +286,18 @@ func AnalyzeDomainsConditioned(fleet Fleet, m CountModel, domains DomainSet) (Re
 // pre-cache baseline in benchmarks) for the evaluator's cached engine,
 // whose cold path performs these exact operations in this exact order.
 func AnalyzeDomainsMixture(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
-	if err := checkDomainQuery(fleet, m, domains); err != nil {
+	var l domainLayout
+	if err := l.resolveQuery(fleet, m, domains); err != nil {
 		return Result{}, err
 	}
-	indep, blocks := domains.partition(fleet)
-	joint := dist.NewJointCrashByz(blockTriStates(fleet, indep, nil))
-	for di, idxs := range blocks {
-		if len(idxs) == 0 {
-			continue
-		}
+	if len(domains) == 0 {
+		return Analyze(fleet, m)
+	}
+	joint := dist.NewJointCrashByz(blockTriStates(fleet, l.indep, nil))
+	for _, di := range l.act {
 		d := domains[di]
-		base := dist.NewJointCrashByz(blockTriStates(fleet, idxs, nil))
-		elev := dist.NewJointCrashByz(blockTriStates(fleet, idxs, &d))
+		base := dist.NewJointCrashByz(blockTriStates(fleet, l.blocks[di], nil))
+		elev := dist.NewJointCrashByz(blockTriStates(fleet, l.blocks[di], &d))
 		s := dist.Clamp01(d.ShockProb)
 		mixed, err := dist.MixJointCrashByz(base, elev, 1-s, s)
 		if err != nil {
@@ -340,13 +315,14 @@ func AnalyzeDomainsMixture(fleet Fleet, m CountModel, domains DomainSet) (Result
 // exact domain engines (montecarlo.Domains is the composable-sampler
 // counterpart for predicate-level estimation).
 func AnalyzeDomainsMonteCarlo(fleet Fleet, m CountModel, domains DomainSet, samples int, seed int64) (MCResult, error) {
-	if err := checkDomainQuery(fleet, m, domains); err != nil {
+	var l domainLayout
+	if err := l.resolveQuery(fleet, m, domains); err != nil {
 		return MCResult{}, err
 	}
 	if samples <= 0 {
 		return MCResult{}, fmt.Errorf("core: need samples > 0, got %d", samples)
 	}
-	member := domains.memberIndex(fleet)
+	member := l.members(len(fleet))
 	elevated := make([]faultcurve.Profile, len(fleet))
 	for i, n := range fleet {
 		if di := member[i]; di >= 0 {

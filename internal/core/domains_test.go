@@ -200,6 +200,70 @@ func TestDomainsValidation(t *testing.T) {
 	}
 }
 
+// TestDomainLayoutRejections pins every rejection of the one domain-layout
+// resolver, and its exact wording, through each public door onto it. The
+// strings reach clients in the service's 400 bodies.
+func TestDomainLayoutRejections(t *testing.T) {
+	fleet, domains := domainFleet9()
+	badDef := append(DomainSet(nil), domains...)
+	badDef[1].ShockProb = 1.5
+	dup := append(DomainSet(nil), domains...)
+	dup[2].Name = dup[0].Name
+	orphan := append(Fleet(nil), fleet...)
+	orphan[3].Domain = "no-such-zone"
+
+	cases := []struct {
+		name    string
+		fleet   Fleet
+		m       CountModel
+		domains DomainSet
+		want    string
+	}{
+		{"bad definition", fleet, NewRaft(9), badDef, `core: domain 1: faultcurve: domain "zone-b" shock probability 1.5 out of [0, 1]`},
+		{"duplicate name", fleet, NewRaft(9), dup, `core: duplicate domain name "zone-a"`},
+		{"undefined domain", orphan, NewRaft(9), domains, `core: node 3 (b0) references undefined domain "no-such-zone"`},
+		{"undefined domain, empty set", fleet, NewRaft(9), nil, `core: node 0 (a0) references undefined domain "zone-a"`},
+		{"size mismatch", fleet, NewRaft(5), domains, `core: fleet size 9 != model N 5`},
+	}
+	doors := []struct {
+		name    string
+		modeled bool // the door takes the model, so it can see a size mismatch
+		call    func(Fleet, CountModel, DomainSet) error
+	}{
+		{"DomainSet.Validate", false, func(f Fleet, _ CountModel, ds DomainSet) error { return ds.Validate(f) }},
+		{"ResolveDomains", false, func(f Fleet, _ CountModel, ds DomainSet) error { _, err := ResolveDomains(f, ds); return err }},
+		{"FleetModelDomainsFingerprint", true, func(f Fleet, m CountModel, ds DomainSet) error {
+			_, err := FleetModelDomainsFingerprint(f, m, ds)
+			return err
+		}},
+		{"Evaluator.AnalyzeDomains", true, func(f Fleet, m CountModel, ds DomainSet) error {
+			_, err := NewEvaluator().AnalyzeDomains(f, m, ds)
+			return err
+		}},
+		{"AnalyzeDomainsConditioned", true, func(f Fleet, m CountModel, ds DomainSet) error {
+			_, err := AnalyzeDomainsConditioned(f, m, ds)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		for _, door := range doors {
+			err := door.call(tc.fleet, tc.m, tc.domains)
+			if tc.name == "size mismatch" && !door.modeled {
+				if err != nil {
+					t.Errorf("%s: %s: unexpected error %v", tc.name, door.name, err)
+				}
+				continue
+			}
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s: %s: error %v, want %q", tc.name, door.name, err, tc.want)
+			}
+		}
+	}
+	if member, err := ResolveDomains(orphan[:3], domains); err != nil || len(member) != 3 || member[0] != 0 {
+		t.Errorf("ResolveDomains on a valid layout = %v, %v", member, err)
+	}
+}
+
 func TestDomainsWorkEstimate(t *testing.T) {
 	fleet, domains := domainFleet9()
 	if w := DomainsWorkEstimate(fleet, nil); w != 729 {

@@ -55,9 +55,9 @@ type Evaluator struct {
 	tri   []dist.TriState
 	joint dist.JointCrashByz
 	tails quorumTails
-	// dom holds the correlated-domain workspace and caches (see
-	// domaincache.go); nil until the first populated-domain query.
-	dom *domainState
+	// dom holds the resolved domain layout of the query in flight and the
+	// correlated-domain workspace and caches (see domaincache.go).
+	dom domainState
 }
 
 // NewEvaluator returns an empty evaluator; workspaces grow on first use
@@ -139,26 +139,10 @@ func (e *Evaluator) Analyze(fleet Fleet, m CountModel) (Result, error) {
 // through the reusable workspace, and populated domain layouts dispatch —
 // via the same plan DomainsWorkEstimate prices — to the evaluator's
 // correlated engines: the cached mixture recombination (domaincache.go)
-// or the workspace 2^D conditioning. Validation is identical to the
-// package function — a fleet whose nodes reference domains missing from
-// the set is rejected, never silently analyzed as independent.
+// or the workspace 2^D conditioning. A fleet whose nodes reference domains
+// missing from the set is rejected, never silently analyzed as independent.
 func (e *Evaluator) AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
-	if len(fleet) != m.N() {
-		return Result{}, fmt.Errorf("core: fleet size %d != model N %d", len(fleet), m.N())
-	}
-	if err := fleet.Validate(); err != nil {
-		return Result{}, err
-	}
-	if len(domains) == 0 {
-		if err := domains.Validate(fleet); err != nil {
-			return Result{}, err
-		}
-		return e.Analyze(fleet, m)
-	}
-	if e.dom == nil {
-		e.dom = &domainState{}
-	}
-	if err := e.dom.prepare(fleet, domains); err != nil {
+	if err := e.dom.resolveQuery(fleet, m, domains); err != nil {
 		return Result{}, err
 	}
 	if len(e.dom.act) == 0 {
@@ -173,12 +157,7 @@ func (e *Evaluator) AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet)
 // DomainCacheStats returns the evaluator's domain-cache hit/miss counters
 // — the observability hook tests and benchmarks use to prove block and
 // rest-table reuse.
-func (e *Evaluator) DomainCacheStats() DomainCacheStats {
-	if e.dom == nil {
-		return DomainCacheStats{}
-	}
-	return e.dom.stats
-}
+func (e *Evaluator) DomainCacheStats() DomainCacheStats { return e.dom.stats }
 
 // AnalyzeUniformNsInto evaluates a uniform fleet at every size in ns —
 // which must be positive and ascending — by prefix-extending a single

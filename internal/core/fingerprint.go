@@ -5,9 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/faultcurve"
 )
 
 // This file defines the canonical fingerprint of an analysis query
@@ -74,13 +75,8 @@ func FleetModelFingerprint(fleet Fleet, m CountModel) (Fingerprint, error) {
 // with a single Sum256 call: this sits on the serving layer's cache-miss
 // path.
 func FleetModelDomainsFingerprint(fleet Fleet, m CountModel, domains DomainSet) (Fingerprint, error) {
-	if len(fleet) != m.N() {
-		return Fingerprint{}, fmt.Errorf("core: fleet size %d != model N %d", len(fleet), m.N())
-	}
-	if err := fleet.Validate(); err != nil {
-		return Fingerprint{}, err
-	}
-	if err := domains.Validate(fleet); err != nil {
+	var l domainLayout
+	if err := l.resolveQuery(fleet, m, domains); err != nil {
 		return Fingerprint{}, err
 	}
 	buf := make([]byte, 0, 128+16*len(fleet)+56*len(domains))
@@ -97,15 +93,12 @@ func FleetModelDomainsFingerprint(fleet Fleet, m CountModel, domains DomainSet) 
 	// Sorted (PCrash, PByz) bit pairs of the independent nodes:
 	// permutation-invariant, exact. With no populated domains this is the
 	// whole fleet and the encoding is identical to the domain-free one.
-	// The domain-free case (the serving layer's hot sweep path) skips the
-	// partition entirely — no map, no index slices.
-	var blocks [][]int
+	// The domain-free case (the serving layer's hot sweep path) has no
+	// index slices to walk: the resolver built none.
 	if len(domains) == 0 {
 		buf = appendSortedProfileBits(buf, fleet, nil, true)
 	} else {
-		var indep []int
-		indep, blocks = domains.partition(fleet)
-		buf = appendSortedProfileBits(buf, fleet, indep, false)
+		buf = appendSortedProfileBits(buf, fleet, l.indep, false)
 	}
 
 	// One chunk per populated domain: shock parameters followed by the
@@ -115,15 +108,9 @@ func FleetModelDomainsFingerprint(fleet Fleet, m CountModel, domains DomainSet) 
 	// shock probability, a multiplier, or a node's domain membership
 	// produces a different key.
 	var chunks [][]byte
-	for di, idxs := range blocks {
-		if len(idxs) == 0 {
-			continue
-		}
-		d := domains[di]
-		chunk := binary.BigEndian.AppendUint64(nil, canonBits(d.ShockProb))
-		chunk = binary.BigEndian.AppendUint64(chunk, canonBits(d.CrashMultiplier))
-		chunk = binary.BigEndian.AppendUint64(chunk, canonBits(d.ByzMultiplier))
-		chunk = appendSortedProfileBits(chunk, fleet, idxs, false)
+	for _, di := range l.act {
+		chunk := appendDomainBits(nil, domains[di])
+		chunk = appendSortedProfileBits(chunk, fleet, l.blocks[di], false)
 		chunks = append(chunks, chunk)
 	}
 	if len(chunks) > 0 {
@@ -208,6 +195,16 @@ func fillProfileKeys(keys [][2]uint64, fleet Fleet, idxs []int, all bool) {
 		p := fleet[i].Profile
 		keys[j] = [2]uint64{canonBits(p.PCrash), canonBits(p.PByz)}
 	}
+}
+
+// appendDomainBits appends a domain's shock probability and its crash and
+// Byzantine multipliers as canonical bits — everything of a domain but its
+// name and members. Shared by the query fingerprint and the evaluator's
+// rest-table and result keys.
+func appendDomainBits(buf []byte, d faultcurve.Domain) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, canonBits(d.ShockProb))
+	buf = binary.BigEndian.AppendUint64(buf, canonBits(d.CrashMultiplier))
+	return binary.BigEndian.AppendUint64(buf, canonBits(d.ByzMultiplier))
 }
 
 // canonBits is math.Float64bits with the sign of zero dropped: -0 + 0 is

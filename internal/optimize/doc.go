@@ -12,15 +12,15 @@
 // Three layers:
 //
 //   - Polytopes (polytope.go): linear-minimization oracles (LMOs) for the
-//     scaled simplex, the box, the budget knapsack, and the budgeted
-//     simplex. An LMO answers min_{v in P} <g, v> at a vertex — the only
-//     geometric primitive Frank-Wolfe needs.
-//   - Solvers (fw.go): vanilla Frank-Wolfe with the duality-gap stopping
-//     certificate g(x) = max_v <∇f(x), x-v> (an upper bound on f(x)-f* for
-//     convex f, a stationarity measure otherwise), and away-step
-//     Frank-Wolfe, which escapes the zig-zagging that caps vanilla FW at
-//     O(1/t) when the optimum sits on a face. Backtracking (Armijo) and
-//     exact (root of the directional derivative) line searches.
+//     budget knapsack and the budgeted simplex (with zero costs, the plain
+//     scaled simplex). An LMO answers min_{v in P} <g, v> at a vertex — the
+//     only geometric primitive Frank-Wolfe needs.
+//   - The solver (fw.go): away-step Frank-Wolfe with the duality-gap
+//     stopping certificate g(x) = max_v <∇f(x), x-v> (an upper bound on
+//     f(x)-f* for convex f, a stationarity measure otherwise). Away steps
+//     escape the zig-zagging that caps vanilla FW at O(1/t) when the
+//     optimum sits on a face, which is where budget optima sit. One step
+//     rule: the root of the directional derivative along the step.
 //   - Objectives (objective.go, hardening.go): adapters mapping a decision
 //     vector to per-node or per-domain fault probabilities through
 //     faultcurve spend→probability response curves, evaluating
@@ -28,7 +28,7 @@
 //     (leave-one-out trinomial DP) for independent fleets and central
 //     differences for the domain-correlated engines.
 //
-// Invariants: every solver iterate is a convex combination of LMO vertices
+// Invariants: every iterate is a convex combination of LMO vertices
 // and therefore feasible — no projection can be needed by construction.
 // The reported Gap is always a true certificate computed from a fresh LMO
 // call at the returned point.

@@ -17,15 +17,15 @@ import (
 // step rule costs per iteration.
 var (
 	fwSolves = obs.Default().Counter("probcons_optimize_solves_total",
-		"Frank-Wolfe solves started (vanilla and away-step).", nil)
+		"Away-step Frank-Wolfe solves started.", nil)
 	fwIterations = obs.Default().Counter("probcons_optimize_iterations_total",
 		"Frank-Wolfe iterations across all solves (one LMO call and at least one gradient each).", nil)
 	fwGradEvals = obs.Default().Counter("probcons_optimize_grad_evaluations_total",
 		"Objective gradient evaluations across all solves, line-search probes included; over iterations_total it is the step rule's probes per iteration.", nil)
 )
 
-// Objective is a smooth function with a gradient, the thing the solvers
-// minimize. Implementations may assume x is feasible up to the small
+// Objective is a smooth function with a gradient, the thing the solver
+// minimizes. Implementations may assume x is feasible up to the small
 // perturbations of finite-difference probing.
 type Objective interface {
 	// Value evaluates f(x).
@@ -55,34 +55,15 @@ func (o FuncObjective) Grad(x, out []float64) {
 	CentralDiffGrad(o.F, x, o.H, out)
 }
 
-// LineSearch selects how step sizes along a Frank-Wolfe direction are
-// chosen.
-type LineSearch int
-
-// Line searches.
-const (
-	// LineSearchExact minimizes the 1-D restriction φ(γ) = f(x + γd) by
-	// finding the root of its derivative <∇f(x+γd), d> with a bracketing
-	// root-finder (exactStep): a handful of gradient calls per iteration,
-	// no objective values. The default — it resolves steps finely enough
-	// to certify duality gaps that value comparisons cannot.
-	LineSearchExact LineSearch = iota
-	// LineSearchBacktracking is Armijo backtracking from the maximal
-	// step: cheaper per iteration, more iterations to a given gap.
-	LineSearchBacktracking
-)
-
-// Options tunes the solvers. Zero values take defaults.
+// Options tunes the solver. Zero values take defaults.
 type Options struct {
 	// MaxIterations bounds the outer loop (default 500).
 	MaxIterations int
 	// GapTolerance is the duality-gap stopping certificate (default 1e-8):
 	// the solver stops once max_v <∇f(x), x-v> <= GapTolerance.
 	GapTolerance float64
-	// LineSearch selects the step rule (default LineSearchExact).
-	LineSearch LineSearch
 	// TrackGaps records the per-iteration duality gap into Solution.Gaps
-	// (used by the convergence-rate tests; off by default).
+	// (off by default).
 	TrackGaps bool
 }
 
@@ -119,10 +100,9 @@ type Solution struct {
 	// Converged reports whether Gap <= GapTolerance was certified.
 	Converged bool
 	// Evaluations counts objective Value calls and GradEvaluations counts
-	// Grad calls, line searches and certification included. Under the
-	// default exact line search the work lives in GradEvaluations (the
-	// step is the root of the directional derivative); Armijo
-	// backtracking spends Value calls instead.
+	// Grad calls, line searches and certification included. The work
+	// lives in GradEvaluations: the step is the root of the directional
+	// derivative, found without objective values.
 	Evaluations     int
 	GradEvaluations int
 	// Gaps is the per-iteration duality gap when Options.TrackGaps is set.
@@ -156,72 +136,6 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// FrankWolfe minimizes obj over the polytope by the vanilla conditional-
-// gradient method: at each iterate, the LMO proposes the vertex the
-// linearized objective favors, and the step moves toward it. Every iterate
-// is a convex combination of vertices, hence feasible — no projections.
-func FrankWolfe(obj Objective, p Polytope, opts Options) (Solution, error) {
-	opts = opts.withDefaults()
-	if err := opts.Validate(); err != nil {
-		return Solution{}, err
-	}
-	if err := p.Validate(); err != nil {
-		return Solution{}, err
-	}
-	n := p.Dim()
-	cobj := &countingObjective{obj: obj}
-	obj = cobj
-	x := p.Start()
-	grad := make([]float64, n)
-	d := make([]float64, n)
-	ls := newLineSearch(obj, opts.LineSearch, exactStep, n)
-	sol := Solution{}
-	fwSolves.Inc()
-	for t := 0; t < opts.MaxIterations; t++ {
-		fwIterations.Inc()
-		obj.Grad(x, grad)
-		v := p.LinearMinimize(grad)
-		for i := range d {
-			d[i] = v[i] - x[i]
-		}
-		gap := -dot(grad, d)
-		if opts.TrackGaps {
-			sol.Gaps = append(sol.Gaps, gap)
-		}
-		sol.Gap = gap
-		sol.Iterations = t
-		if gap <= opts.GapTolerance {
-			sol.Converged = true
-			break
-		}
-		slope := dot(grad, d)
-		gamma := ls.step(x, d, 1, slope)
-		if gamma == 0 {
-			// The line search could not improve along a descent
-			// direction: numerically stationary.
-			break
-		}
-		for i := range x {
-			x[i] += gamma * d[i]
-		}
-		sol.Iterations = t + 1 // this iteration completed with a step
-	}
-	sol.X = x
-	sol.Value = obj.Value(x)
-	if !sol.Converged {
-		// Certify the gap at the returned point.
-		obj.Grad(x, grad)
-		v := p.LinearMinimize(grad)
-		for i := range d {
-			d[i] = v[i] - x[i]
-		}
-		sol.Gap = -dot(grad, d)
-		sol.Converged = sol.Gap <= opts.GapTolerance
-	}
-	cobj.report(&sol)
-	return sol, nil
-}
-
 // vertexAtom is one active vertex of the away-step iterate.
 type vertexAtom struct {
 	v []float64
@@ -244,7 +158,8 @@ func vertexKey(v []float64) string {
 // moves toward the LMO vertex (FW step) or away from the worst active
 // vertex (away step), which removes the zig-zagging that limits vanilla
 // FW to O(1/t) when the optimum lies on a face — on polytopes it
-// converges linearly for smooth strongly convex objectives.
+// converges linearly for smooth strongly convex objectives. Every iterate
+// is a convex combination of vertices, hence feasible — no projections.
 func AwayStepFrankWolfe(obj Objective, p Polytope, opts Options) (Solution, error) {
 	return awayStepFrankWolfe(obj, p, opts, exactStep)
 }
@@ -297,7 +212,7 @@ func awayStepFrankWolfe(obj Objective, p Polytope, opts Options, exact stepRule)
 
 	grad := make([]float64, n)
 	d := make([]float64, n)
-	ls := newLineSearch(obj, opts.LineSearch, exact, n)
+	ls := newLineSearch(obj, exact, n)
 	sol := Solution{}
 	fwSolves.Inc()
 	for t := 0; t < opts.MaxIterations; t++ {
@@ -395,21 +310,20 @@ func awayStepFrankWolfe(obj Objective, p Polytope, opts Options, exact stepRule)
 // stepRule finds the exact step: given the directional derivative
 // dphi(γ) = φ'(γ) = <∇f(x+γd), d>, its value slope = φ'(0) < 0 and the
 // segment's end gammaMax > 0, it returns a γ ∈ [0, gammaMax] with
-// φ'(γ) <= 0. The solvers run exactStep; the type exists so the tests can
+// φ'(γ) <= 0. The solver runs exactStep; the type exists so the tests can
 // run the same solver over the bisection oracle.
 type stepRule func(dphi func(gamma float64) float64, slope, gammaMax float64) float64
 
 // lineSearch is one solve's step rule and the buffers its probes reuse.
 type lineSearch struct {
 	obj   Objective
-	rule  LineSearch
 	exact stepRule
 	trial []float64 // x + γd
 	grad  []float64 // ∇f(trial)
 }
 
-func newLineSearch(obj Objective, rule LineSearch, exact stepRule, n int) *lineSearch {
-	return &lineSearch{obj: obj, rule: rule, exact: exact, trial: make([]float64, n), grad: make([]float64, n)}
+func newLineSearch(obj Objective, exact stepRule, n int) *lineSearch {
+	return &lineSearch{obj: obj, exact: exact, trial: make([]float64, n), grad: make([]float64, n)}
 }
 
 // step picks γ ∈ [0, gammaMax] along d from x. slope is <∇f(x), d>,
@@ -418,9 +332,6 @@ func (ls *lineSearch) step(x, d []float64, gammaMax, slope float64) float64 {
 	if gammaMax <= 0 || slope >= 0 {
 		return 0
 	}
-	if ls.rule == LineSearchBacktracking {
-		return ls.backtrack(x, d, gammaMax, slope)
-	}
 	return ls.exact(func(gamma float64) float64 {
 		for j := range ls.trial {
 			ls.trial[j] = x[j] + gamma*d[j]
@@ -428,24 +339,6 @@ func (ls *lineSearch) step(x, d []float64, gammaMax, slope float64) float64 {
 		ls.obj.Grad(ls.trial, ls.grad)
 		return dot(ls.grad, d)
 	}, slope, gammaMax)
-}
-
-// backtrack is Armijo backtracking: halve from gammaMax until the
-// sufficient-decrease condition holds.
-func (ls *lineSearch) backtrack(x, d []float64, gammaMax, slope float64) float64 {
-	const c, shrink = 1e-4, 0.5
-	f0 := ls.obj.Value(x)
-	gamma := gammaMax
-	for i := 0; i < 60; i++ {
-		for j := range ls.trial {
-			ls.trial[j] = x[j] + gamma*d[j]
-		}
-		if ls.obj.Value(ls.trial) <= f0+c*gamma*slope {
-			return gamma
-		}
-		gamma *= shrink
-	}
-	return 0
 }
 
 // stepTolerance is the width, relative to gammaMax, at which exactStep
@@ -463,7 +356,7 @@ const (
 // unimodal on the segment. Working on the derivative instead of function
 // values matters: f-value comparisons cannot resolve steps finer than
 // √(ε·|f|), which caps the achievable duality gap around 1e-8; derivative
-// signs resolve far below that, so the solvers can certify tighter gaps.
+// signs resolve far below that, so the solver can certify tighter gaps.
 //
 // The root-finder is Brent's (Algorithms for Minimization without
 // Derivatives, ch. 4). The bracket starts from the two values the solver

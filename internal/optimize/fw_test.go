@@ -5,11 +5,17 @@ import (
 	"testing"
 )
 
+// simplex is the scaled probability simplex { x >= 0, Σ x_i = scale } as
+// the budgeted simplex whose budget never binds: every cost is zero.
+func simplex(n int, scale float64) BudgetedSimplex {
+	return BudgetedSimplex{N: n, Scale: scale, Costs: make([]float64, n)}
+}
+
 // quadOverSimplex is the classic zig-zag instance: minimize ||x - b||^2
 // over the unit simplex with the optimum on a face (not a vertex), where
 // vanilla Frank-Wolfe alternates between the face's vertices at O(1/t)
 // while away-step FW converges linearly.
-func quadOverSimplex() (Objective, Simplex, []float64) {
+func quadOverSimplex() (Objective, BudgetedSimplex, []float64) {
 	b := []float64{0.52, 0.48, -0.5}
 	obj := FuncObjective{
 		F: func(x []float64) float64 {
@@ -29,66 +35,11 @@ func quadOverSimplex() (Objective, Simplex, []float64) {
 	// Optimum: projection of b onto the simplex = (0.52, 0.48, 0) + the
 	// uniform shift that restores the sum; it lies on the {x3 = 0} face.
 	opt := []float64{0.52, 0.48, 0}
-	return obj, Simplex{N: 3, Scale: 1}, opt
+	return obj, simplex(3, 1), opt
 }
 
-// TestFrankWolfeGapDecay certifies the O(1/t) primal-dual rate on the
-// known quadratic: the best duality gap seen by iteration t must sit
-// under C/t with the standard constant C = O(L·diam^2) (L = 2, diam^2 =
-// 2 for the unit simplex; the textbook bound's constant is < 8·L·diam^2).
-func TestFrankWolfeGapDecay(t *testing.T) {
-	obj, poly, _ := quadOverSimplex()
-	sol, err := FrankWolfe(obj, poly, Options{
-		MaxIterations: 4096,
-		GapTolerance:  1e-12, // unreachable: force the full trajectory
-		TrackGaps:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const c = 8 * 2 * 2 // 8·L·diam² = 32
-	for _, tt := range []int{4, 16, 64, 256, 1024, 4095} {
-		best := math.Inf(1)
-		for _, g := range sol.Gaps[:tt] {
-			best = math.Min(best, g)
-		}
-		if bound := c / float64(tt); best > bound {
-			t.Errorf("best gap by t=%d is %.3g, exceeds O(1/t) bound %.3g", tt, best, bound)
-		}
-	}
-}
-
-// TestAwayStepBeatsVanilla runs both solvers to the same duality gap on
-// the same zig-zagging instance: away steps must converge in far fewer
-// iterations (linear vs O(1/t) rate).
-func TestAwayStepBeatsVanilla(t *testing.T) {
-	obj, poly, opt := quadOverSimplex()
-	opts := Options{MaxIterations: 200000, GapTolerance: 2e-5}
-	vanilla, err := FrankWolfe(obj, poly, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	away, err := AwayStepFrankWolfe(obj, poly, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vanilla.Converged || !away.Converged {
-		t.Fatalf("both must converge: vanilla %+v away %+v", vanilla.Converged, away.Converged)
-	}
-	if away.Iterations*10 >= vanilla.Iterations {
-		t.Errorf("away-step took %d iterations, vanilla %d; want >= 10x fewer",
-			away.Iterations, vanilla.Iterations)
-	}
-	for i := range opt {
-		if math.Abs(away.X[i]-opt[i]) > 1e-3 {
-			t.Errorf("away-step X = %v, want ~%v", away.X, opt)
-			break
-		}
-	}
-}
-
-// TestFrankWolfeInteriorOptimum checks both solvers find an optimum in
-// the simplex interior, where FW needs no face chasing at all.
+// TestFrankWolfeInteriorOptimum checks the solver finds an optimum in the
+// simplex interior, where FW needs no face chasing at all.
 func TestFrankWolfeInteriorOptimum(t *testing.T) {
 	b := []float64{0.5, 0.3, 0.2} // on the simplex: unconstrained optimum feasible
 	obj := FuncObjective{
@@ -101,46 +52,35 @@ func TestFrankWolfeInteriorOptimum(t *testing.T) {
 			return s
 		},
 	}
-	poly := Simplex{N: 3, Scale: 1}
-	for name, solve := range map[string]func(Objective, Polytope, Options) (Solution, error){
-		"vanilla": FrankWolfe, "away": AwayStepFrankWolfe,
-	} {
-		sol, err := solve(obj, poly, Options{GapTolerance: 1e-9, MaxIterations: 20000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sol.Converged {
-			t.Errorf("%s: did not converge (gap %v after %d iters)", name, sol.Gap, sol.Iterations)
-		}
-		if sol.Value > 1e-8 {
-			t.Errorf("%s: value %v, want ~0", name, sol.Value)
-		}
-	}
-}
-
-// TestBacktrackingLineSearch exercises the Armijo path end to end.
-func TestBacktrackingLineSearch(t *testing.T) {
-	obj, poly, _ := quadOverSimplex()
-	sol, err := AwayStepFrankWolfe(obj, poly, Options{
-		GapTolerance:  1e-6,
-		MaxIterations: 50000,
-		LineSearch:    LineSearchBacktracking,
-	})
+	sol, err := AwayStepFrankWolfe(obj, simplex(3, 1), Options{GapTolerance: 1e-9, MaxIterations: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sol.Converged {
-		t.Fatalf("backtracking away-step did not converge: gap %v", sol.Gap)
+		t.Errorf("did not converge (gap %v after %d iters)", sol.Gap, sol.Iterations)
+	}
+	if sol.Value > 1e-8 {
+		t.Errorf("value %v, want ~0", sol.Value)
 	}
 }
 
 // TestSolutionCertificate checks the returned Gap really is the LMO gap
-// at the returned point, recomputed independently.
+// at the returned point, recomputed independently, and the last entry of
+// the tracked trajectory.
 func TestSolutionCertificate(t *testing.T) {
-	obj, poly, _ := quadOverSimplex()
-	sol, err := AwayStepFrankWolfe(obj, poly, Options{GapTolerance: 1e-9, MaxIterations: 20000})
+	obj, poly, opt := quadOverSimplex()
+	sol, err := AwayStepFrankWolfe(obj, poly, Options{GapTolerance: 1e-9, MaxIterations: 20000, TrackGaps: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(sol.Gaps) != sol.Iterations+1 || sol.Gaps[sol.Iterations] != sol.Gap {
+		t.Errorf("%d tracked gaps ending %v for %d iterations and gap %v", len(sol.Gaps), sol.Gaps[len(sol.Gaps)-1], sol.Iterations, sol.Gap)
+	}
+	for i := range opt {
+		if math.Abs(sol.X[i]-opt[i]) > 1e-3 {
+			t.Errorf("X = %v, want ~%v", sol.X, opt)
+			break
+		}
 	}
 	grad := make([]float64, 3)
 	obj.Grad(sol.X, grad)
@@ -155,12 +95,12 @@ func TestSolutionCertificate(t *testing.T) {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	if _, err := FrankWolfe(FuncObjective{F: func([]float64) float64 { return 0 }},
-		Simplex{N: 1, Scale: 1}, Options{GapTolerance: math.NaN()}); err == nil {
+	if _, err := AwayStepFrankWolfe(FuncObjective{F: func([]float64) float64 { return 0 }},
+		simplex(1, 1), Options{GapTolerance: math.NaN()}); err == nil {
 		t.Fatal("want error for NaN tolerance")
 	}
-	if _, err := FrankWolfe(FuncObjective{F: func([]float64) float64 { return 0 }},
-		Simplex{N: 0, Scale: 1}, Options{}); err == nil {
+	if _, err := AwayStepFrankWolfe(FuncObjective{F: func([]float64) float64 { return 0 }},
+		simplex(0, 1), Options{}); err == nil {
 		t.Fatal("want error for invalid polytope")
 	}
 }

@@ -92,8 +92,7 @@ func (p HardeningProblem) Fingerprint(opts Options) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	query := positionalQueryBits(p.Fleet, p.Model, p.Domains)
-	return allocationFingerprint("nodes", query, p.Curves, p.Budget, p.cap(), opts)
+	return allocationFingerprint("nodes", p.Fleet, p.Model, p.Domains, p.Curves, p.Budget, p.cap(), opts)
 }
 
 // Fingerprint is the domain-hardening counterpart of
@@ -103,54 +102,48 @@ func (p DomainHardeningProblem) Fingerprint(opts Options) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	query := positionalQueryBits(p.Fleet, p.Model, p.Domains)
-	return allocationFingerprint("domains", query, p.Curves, p.Budget, p.cap(), opts)
+	return allocationFingerprint("domains", p.Fleet, p.Model, p.Domains, p.Curves, p.Budget, p.cap(), opts)
 }
 
-// positionalQueryBits encodes (fleet, model, domains) order-sensitively:
-// per-node exact profile bits plus the index of the node's domain, then
-// each domain's shock parameters in order, then the model (Name encodes
-// every quorum parameter for the models in this repo).
-func positionalQueryBits(fleet core.Fleet, m core.CountModel, domains core.DomainSet) []byte {
-	buf := make([]byte, 0, 24*len(fleet)+24*len(domains)+64)
-	appendF := func(v float64) { buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v)) }
-	byName := make(map[string]int, len(domains))
-	for i, d := range domains {
-		byName[d.Name] = i
+// allocationFingerprint hashes, in order: the target; (fleet, model, domains)
+// order-sensitively — per-node profile bits plus the index of the node's
+// domain, each domain's shock parameters, the model (Name encodes every
+// quorum parameter for the models in this repo); budget, cap and options;
+// the curves. Every float is encoded as core's fingerprints encode it, exact
+// bits with -0 folded onto +0 (x + 0), so "p_byz": -0 and "p_byz": 0 are one
+// problem under one key.
+func allocationFingerprint(target string, fleet core.Fleet, m core.CountModel, domains core.DomainSet, curves []faultcurve.Response, budget, capPer float64, opts Options) (string, error) {
+	member, err := core.ResolveDomains(fleet, domains)
+	if err != nil {
+		return "", err
 	}
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(fleet)))
-	for _, n := range fleet {
+	opts = opts.withDefaults()
+	buf := make([]byte, 0, 128+24*len(fleet)+24*len(domains)+24*len(curves))
+	appendU := func(v uint64) { buf = binary.BigEndian.AppendUint64(buf, v) }
+	appendF := func(v float64) { appendU(math.Float64bits(v + 0)) }
+	buf = append(buf, fingerprintDomain...)
+	buf = append(buf, target...)
+	appendU(uint64(len(fleet)))
+	for i, n := range fleet {
 		appendF(n.Profile.PCrash)
 		appendF(n.Profile.PByz)
-		di := -1
-		if n.Domain != "" {
-			di = byName[n.Domain]
-		}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(di)))
+		appendU(uint64(int64(member[i])))
 	}
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(domains)))
+	appendU(uint64(len(domains)))
 	for _, d := range domains {
 		appendF(d.ShockProb)
 		appendF(d.CrashMultiplier)
 		appendF(d.ByzMultiplier)
 	}
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.N()))
+	appendU(uint64(m.N()))
 	buf = append(buf, m.Name()...)
-	return buf
-}
-
-func allocationFingerprint(target string, queryFP []byte, curves []faultcurve.Response, budget, capPer float64, opts Options) (string, error) {
-	opts = opts.withDefaults()
-	buf := make([]byte, 0, 64+len(queryFP)+24*len(curves))
-	buf = append(buf, fingerprintDomain...)
-	buf = append(buf, target...)
-	buf = append(buf, queryFP...)
-	appendF := func(v float64) { buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v)) }
 	appendF(budget)
 	appendF(capPer)
 	appendF(float64(opts.MaxIterations))
 	appendF(opts.GapTolerance)
-	appendF(float64(opts.LineSearch))
+	// The step-rule slot of probcons-optimize-v1: there is one step rule,
+	// and the slot keeps the value it always had so existing keys hold.
+	appendF(0)
 	// TrackGaps changes the returned Allocation (its Gaps field), so it
 	// is part of the key like every other option.
 	trackGaps := 0.0

@@ -315,6 +315,24 @@ func TestFingerprint(t *testing.T) {
 	if _, err := r.Fingerprint(Options{}); err == nil {
 		t.Fatal("non-ExpResponse curves must be rejected, not silently collided")
 	}
+
+	// A probcons-optimize-v1 key recorded while Options still had a
+	// LineSearch field: the encoding must not move for any input without a
+	// negative zero, and a negative zero is the same problem as +0.
+	served := servedProblem(rand.New(rand.NewSource(15)))
+	const recorded = "35effdf4dcec9f441ebc4167de10a63a817e1d181767a5a095f02e3ed96311ca"
+	if key, err := served.Fingerprint(Options{GapTolerance: 1e-9}); err != nil || key != recorded {
+		t.Errorf("served-shape key = %s, %v; recorded %s", key, err, recorded)
+	}
+	served.Fleet[2].Profile.PByz = 0
+	plus, err := served.Fingerprint(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served.Fleet[2].Profile.PByz = math.Copysign(0, -1)
+	if minus, err := served.Fingerprint(Options{}); err != nil || minus != plus {
+		t.Errorf("p_byz -0 keys %s, %v; p_byz 0 keys %s", minus, err, plus)
+	}
 }
 
 // TestFingerprintPositional pins the regression where the optimize cache

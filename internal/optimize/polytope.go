@@ -16,100 +16,8 @@ type Polytope interface {
 	// LinearMinimize returns a fresh vertex v minimizing <grad, v> over
 	// the polytope. Ties may be broken arbitrarily but deterministically.
 	LinearMinimize(grad []float64) []float64
-	// Start returns a fresh feasible starting point.
-	Start() []float64
 	// Validate rejects empty or malformed regions.
 	Validate() error
-}
-
-// Simplex is the scaled probability simplex
-// { x ∈ R^n : x_i >= 0, Σ x_i = Scale } — the polytope of "split a fixed
-// total across n places". Its vertices are the scaled coordinate axes.
-type Simplex struct {
-	N     int
-	Scale float64
-}
-
-// Dim implements Polytope.
-func (s Simplex) Dim() int { return s.N }
-
-// Validate implements Polytope.
-func (s Simplex) Validate() error {
-	if s.N < 1 {
-		return fmt.Errorf("optimize: simplex needs dimension >= 1, got %d", s.N)
-	}
-	if math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) || s.Scale <= 0 {
-		return fmt.Errorf("optimize: simplex scale must be finite and > 0, got %v", s.Scale)
-	}
-	return nil
-}
-
-// LinearMinimize implements Polytope: all mass on the coordinate with the
-// smallest gradient entry.
-func (s Simplex) LinearMinimize(grad []float64) []float64 {
-	best := 0
-	for i := 1; i < s.N; i++ {
-		if grad[i] < grad[best] {
-			best = i
-		}
-	}
-	v := make([]float64, s.N)
-	v[best] = s.Scale
-	return v
-}
-
-// Start implements Polytope: the barycenter.
-func (s Simplex) Start() []float64 {
-	x := make([]float64, s.N)
-	for i := range x {
-		x[i] = s.Scale / float64(s.N)
-	}
-	return x
-}
-
-// Box is the axis-aligned box { x : Lo_i <= x_i <= Hi_i }, the polytope
-// of independent per-coordinate caps.
-type Box struct {
-	Lo, Hi []float64
-}
-
-// Dim implements Polytope.
-func (b Box) Dim() int { return len(b.Lo) }
-
-// Validate implements Polytope.
-func (b Box) Validate() error {
-	if len(b.Lo) == 0 || len(b.Lo) != len(b.Hi) {
-		return fmt.Errorf("optimize: box needs matching non-empty bounds, got %d/%d", len(b.Lo), len(b.Hi))
-	}
-	for i := range b.Lo {
-		if math.IsNaN(b.Lo[i]) || math.IsNaN(b.Hi[i]) || b.Lo[i] > b.Hi[i] {
-			return fmt.Errorf("optimize: box bound %d inverted or NaN: [%v, %v]", i, b.Lo[i], b.Hi[i])
-		}
-	}
-	return nil
-}
-
-// LinearMinimize implements Polytope: each coordinate independently picks
-// the bound its gradient entry points away from.
-func (b Box) LinearMinimize(grad []float64) []float64 {
-	v := make([]float64, len(b.Lo))
-	for i := range v {
-		if grad[i] >= 0 {
-			v[i] = b.Lo[i]
-		} else {
-			v[i] = b.Hi[i]
-		}
-	}
-	return v
-}
-
-// Start implements Polytope: the box center.
-func (b Box) Start() []float64 {
-	x := make([]float64, len(b.Lo))
-	for i := range x {
-		x[i] = (b.Lo[i] + b.Hi[i]) / 2
-	}
-	return x
 }
 
 // Knapsack is the budget-knapsack polytope
@@ -140,8 +48,13 @@ func (k Knapsack) cost(i int) float64 {
 
 // Validate implements Polytope.
 func (k Knapsack) Validate() error {
-	if err := (Box{Lo: k.Lo, Hi: k.Hi}).Validate(); err != nil {
-		return err
+	if len(k.Lo) == 0 || len(k.Lo) != len(k.Hi) {
+		return fmt.Errorf("optimize: knapsack needs matching non-empty bounds, got %d/%d", len(k.Lo), len(k.Hi))
+	}
+	for i := range k.Lo {
+		if math.IsNaN(k.Lo[i]) || math.IsNaN(k.Hi[i]) || k.Lo[i] > k.Hi[i] {
+			return fmt.Errorf("optimize: knapsack bound %d inverted or NaN: [%v, %v]", i, k.Lo[i], k.Hi[i])
+		}
 	}
 	if k.Costs != nil && len(k.Costs) != len(k.Lo) {
 		return fmt.Errorf("optimize: knapsack has %d costs for %d coordinates", len(k.Costs), len(k.Lo))
@@ -206,13 +119,6 @@ func (k Knapsack) LinearMinimize(grad []float64) []float64 {
 	return v
 }
 
-// Start implements Polytope: the floor point, always feasible.
-func (k Knapsack) Start() []float64 {
-	x := make([]float64, len(k.Lo))
-	copy(x, k.Lo)
-	return x
-}
-
 // BudgetedSimplex is the scaled simplex intersected with one budget
 // halfspace: { x : x_i >= 0, Σ x_i = Scale, Σ c_i x_i <= Budget } — "mix a
 // fixed total across tiers without overspending". Its vertices are the
@@ -230,8 +136,11 @@ func (s BudgetedSimplex) Dim() int { return s.N }
 
 // Validate implements Polytope.
 func (s BudgetedSimplex) Validate() error {
-	if err := (Simplex{N: s.N, Scale: s.Scale}).Validate(); err != nil {
-		return err
+	if s.N < 1 {
+		return fmt.Errorf("optimize: simplex needs dimension >= 1, got %d", s.N)
+	}
+	if math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) || s.Scale <= 0 {
+		return fmt.Errorf("optimize: simplex scale must be finite and > 0, got %v", s.Scale)
 	}
 	if len(s.Costs) != s.N {
 		return fmt.Errorf("optimize: budgeted simplex has %d costs for %d coordinates", len(s.Costs), s.N)
@@ -294,29 +203,4 @@ func (s BudgetedSimplex) LinearMinimize(grad []float64) []float64 {
 		}
 	}
 	return best
-}
-
-// Start implements Polytope: the barycenter if affordable, else all mass
-// on the cheapest coordinate.
-func (s BudgetedSimplex) Start() []float64 {
-	x := make([]float64, s.N)
-	total := 0.0
-	for i := range x {
-		x[i] = s.Scale / float64(s.N)
-		total += s.Costs[i] * x[i]
-	}
-	if total <= s.Budget {
-		return x
-	}
-	cheapest := 0
-	for i := 1; i < s.N; i++ {
-		if s.Costs[i] < s.Costs[cheapest] {
-			cheapest = i
-		}
-	}
-	for i := range x {
-		x[i] = 0
-	}
-	x[cheapest] = s.Scale
-	return x
 }

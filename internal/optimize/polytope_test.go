@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func feasibleSimplex(t *testing.T, s Simplex, x []float64) {
+func feasibleSimplex(t *testing.T, s BudgetedSimplex, x []float64) {
 	t.Helper()
 	sum := 0.0
 	for _, v := range x {
@@ -20,8 +20,10 @@ func feasibleSimplex(t *testing.T, s Simplex, x []float64) {
 	}
 }
 
+// TestSimplexLMO pins the plain simplex — a budgeted simplex with nothing
+// to pay — whose LMO puts all mass on the smallest gradient entry.
 func TestSimplexLMO(t *testing.T) {
-	s := Simplex{N: 4, Scale: 2.5}
+	s := simplex(4, 2.5)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -30,29 +32,11 @@ func TestSimplexLMO(t *testing.T) {
 	if v[1] != 2.5 {
 		t.Fatalf("LMO should put all mass on coordinate 1, got %v", v)
 	}
-	feasibleSimplex(t, s, s.Start())
-	if err := (Simplex{N: 0, Scale: 1}).Validate(); err == nil {
+	if err := simplex(0, 1).Validate(); err == nil {
 		t.Fatal("want error for empty simplex")
 	}
-	if err := (Simplex{N: 2, Scale: 0}).Validate(); err == nil {
+	if err := simplex(2, 0).Validate(); err == nil {
 		t.Fatal("want error for zero scale")
-	}
-}
-
-func TestBoxLMO(t *testing.T) {
-	b := Box{Lo: []float64{-1, 0, 2}, Hi: []float64{1, 3, 2}}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	v := b.LinearMinimize([]float64{1, -1, 5})
-	want := []float64{-1, 3, 2}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("box LMO = %v, want %v", v, want)
-		}
-	}
-	if err := (Box{Lo: []float64{1}, Hi: []float64{0}}).Validate(); err == nil {
-		t.Fatal("want error for inverted bounds")
 	}
 }
 
@@ -130,17 +114,25 @@ func TestKnapsackLMOOptimal(t *testing.T) {
 }
 
 // TestKnapsackLMOUnconstrained pins the degenerate case: with a budget
-// covering every cap, the knapsack LMO must agree with the box LMO.
+// covering every cap, each coordinate independently takes the bound its
+// gradient entry points away from.
 func TestKnapsackLMOUnconstrained(t *testing.T) {
-	k := Knapsack{Lo: []float64{0, 0, 0}, Hi: []float64{1, 2, 3}, Budget: 100}
-	b := Box{Lo: k.Lo, Hi: k.Hi}
-	g := []float64{-1, 0.5, -2}
-	kv := k.LinearMinimize(g)
-	bv := b.LinearMinimize(g)
-	for i := range kv {
-		if kv[i] != bv[i] {
-			t.Fatalf("knapsack %v != box %v with slack budget", kv, bv)
+	k := Knapsack{Lo: []float64{-1, 0, 2}, Hi: []float64{1, 3, 2}, Budget: 100}
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	v := k.LinearMinimize([]float64{1, -1, -5})
+	want := []float64{-1, 3, 2}
+	for i := range want {
+		if v[i] != want[i] {
+			t.Fatalf("knapsack LMO with slack budget = %v, want %v", v, want)
 		}
+	}
+	if err := (Knapsack{Lo: []float64{1}, Hi: []float64{0}, Budget: 100}).Validate(); err == nil {
+		t.Fatal("want error for inverted bounds")
+	}
+	if err := (Knapsack{Lo: []float64{0, 0}, Hi: []float64{1}, Budget: 100}).Validate(); err == nil {
+		t.Fatal("want error for mismatched bounds")
 	}
 }
 
@@ -188,11 +180,5 @@ func TestBudgetedSimplexLMO(t *testing.T) {
 	// Empty polytope.
 	if err := (BudgetedSimplex{N: 2, Scale: 1, Costs: []float64{5, 6}, Budget: 1}).Validate(); err == nil {
 		t.Fatal("want error when even the cheapest pure mix is unaffordable")
-	}
-	// Start must be feasible even when the barycenter is not.
-	tight := BudgetedSimplex{N: 2, Scale: 1, Costs: []float64{0.1, 10}, Budget: 0.5}
-	x := tight.Start()
-	if 0.1*x[0]+10*x[1] > 0.5+1e-12 {
-		t.Fatalf("start %v over budget", x)
 	}
 }

@@ -144,7 +144,8 @@ func TestAnalyzeHeterogeneousFleetAndCacheFlag(t *testing.T) {
 
 // TestNegativeZeroSharesCacheEntry: JSON "-0" decodes to -0.0 and passes
 // validation; it is the same fleet as "0" and must land on the same L1
-// entry — on /v1/analyze and, through the shared fingerprint, /v1/tail.
+// entry — on /v1/analyze, through the shared fingerprint /v1/tail, and
+// under the optimizer's positional key /v1/optimize.
 func TestNegativeZeroSharesCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t)
 	fleet := func(zero string) string {
@@ -155,6 +156,7 @@ func TestNegativeZeroSharesCacheEntry(t *testing.T) {
 	for _, tc := range []struct{ path, extra string }{
 		{"/v1/analyze", ""},
 		{"/v1/tail", `,"event":"not_live"`},
+		{"/v1/optimize", `,"budget":1,"curve":{"floor_frac":0.1,"scale":0.25}`},
 	} {
 		var first, second struct {
 			Fingerprint string `json:"fingerprint"`

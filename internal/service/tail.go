@@ -338,7 +338,12 @@ func (s *Server) tailImportance(plan tailPlan, tr *obs.Trace) (TailResponse, err
 	return withWorker(s, func() (TailResponse, error) {
 		sstart := time.Now()
 		defer tr.Since("sample", sstart)
-		prof, member, doms := tailSamplerInputs(plan.query.fleet, plan.query.domains)
+		// The sampler's (profiles, membership, domains) view of the query.
+		member, err := core.ResolveDomains(plan.query.fleet, plan.query.domains)
+		if err != nil {
+			return TailResponse{}, err
+		}
+		prof, doms := plan.query.fleet.Profiles(), []faultcurve.Domain(plan.query.domains)
 		withShocks := false
 		for _, d := range doms {
 			if d.ShockProb > 0 && d.ShockProb < 1 {
@@ -367,25 +372,4 @@ func (s *Server) tailImportance(plan tailPlan, tr *obs.Trace) (TailResponse, err
 		}
 		return resp, nil
 	})
-}
-
-// tailSamplerInputs flattens the engine-side fleet into the sampler's
-// (profiles, membership, domains) triple.
-func tailSamplerInputs(fleet core.Fleet, domains core.DomainSet) ([]faultcurve.Profile, []int, []faultcurve.Domain) {
-	prof := make([]faultcurve.Profile, len(fleet))
-	member := make([]int, len(fleet))
-	index := map[string]int{}
-	for i, d := range domains {
-		index[d.Name] = i
-	}
-	for i, node := range fleet {
-		prof[i] = node.Profile
-		member[i] = -1
-		if node.Domain != "" {
-			if d, ok := index[node.Domain]; ok {
-				member[i] = d
-			}
-		}
-	}
-	return prof, member, []faultcurve.Domain(domains)
 }
