@@ -15,9 +15,10 @@
 // Analyze and sweep requests may carry a correlated failure-domain block
 // (domains); explicit fleets reference domains per node, uniform fleets
 // and sweep cells are spread across them round-robin. Invariants: every
-// validation failure is HTTP 400 and no engine work is scheduled for it;
-// cached answers are bit-identical to engine answers (the cache key is the
-// canonical fingerprint, which two queries share only if their Results are
-// provably equal); one request can never exceed MaxAnalyzeWork /
-// MaxSweepWork estimated engine operations.
+// validation failure is HTTP 400 (a body over the size limit 413) and no
+// engine work is scheduled for it; cached answers are bit-identical to
+// engine answers (the cache key is the canonical fingerprint, which two
+// queries share only if their Results are provably equal); one request
+// can never exceed MaxAnalyzeWork / MaxSweepWork estimated engine
+// operations.
 package service

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"net/url"
 	"testing"
 
@@ -19,29 +18,31 @@ import (
 // fleet/model size mismatch, never an unfingerprintable query.
 
 // decodeStrict is the handlers' decoder without the HTTP plumbing.
-func decodeStrict(data []byte, v any) error {
-	return decodeJSON(bytes.NewReader(data), v)
+func decodeStrict(data []byte, v any) error { return decodeRequest(data, v) }
+
+// The seed corpora are package-level because two targets use each: the
+// endpoint's own, and FuzzDecodeMatchesReference (decode_test.go), which
+// runs every body through both decoders.
+var analyzeFuzzSeeds = []string{
+	`{"model":{"protocol":"raft","n":3},"p":0.01}`,
+	`{"model":{"protocol":"pbft","n":7,"q_eq":5,"q_per":5,"q_vc":5,"q_vct":3},"p":0.01}`,
+	`{"model":{"protocol":"raft","n":3},"fleet":[{"p_crash":0.01},{"p_crash":0.02},{"p_crash":0.04,"p_byz":0.001}]}`,
+	domainsBody,
+	`{"model":{"protocol":"raft","n":9},"p":0.02,"domains":[{"name":"z1","shock":0.001,"crash_mult":30},{"name":"z2","shock":0.001,"crash_mult":30},{"name":"z3","shock":0.001,"crash_mult":30}]}`,
+	`{"model":{"protocol":"raft","n":0},"p":0.01}`,
+	`{"model":{"protocol":"raft","n":3},"p":1.5}`,
+	`{"model":{"protocol":"paxos","n":3},"p":0.01}`,
+	`{"model":{"protocol":"raft","n":5},"fleet":[{"p_crash":0.1}]}`,
+	`{"model":{"protocol":"raft","n":3},"p":0.1,"fleet":[{"p_crash":0.1},{"p_crash":0.1},{"p_crash":0.1}]}`,
+	`{"model":{"protocol":"raft","n":3},"p":0.01,"domains":[{"name":"z","shock":1.5}]}`,
+	`{"model":{"protocol":"raft","n":3},"fleet":[{"p_crash":0.01,"domain":"ghost"},{"p_crash":0.01},{"p_crash":0.01}]}`,
+	`{"model":{"protocol":"raft","n":9999999},"p":0.1}`,
+	`not json`,
+	`{"model":{"protocol":"raft","n":3},"p":0.01,"bogus":1}`,
 }
 
 func FuzzAnalyzeRequest(f *testing.F) {
-	seeds := []string{
-		`{"model":{"protocol":"raft","n":3},"p":0.01}`,
-		`{"model":{"protocol":"pbft","n":7,"q_eq":5,"q_per":5,"q_vc":5,"q_vct":3},"p":0.01}`,
-		`{"model":{"protocol":"raft","n":3},"fleet":[{"p_crash":0.01},{"p_crash":0.02},{"p_crash":0.04,"p_byz":0.001}]}`,
-		domainsBody,
-		`{"model":{"protocol":"raft","n":9},"p":0.02,"domains":[{"name":"z1","shock":0.001,"crash_mult":30},{"name":"z2","shock":0.001,"crash_mult":30},{"name":"z3","shock":0.001,"crash_mult":30}]}`,
-		`{"model":{"protocol":"raft","n":0},"p":0.01}`,
-		`{"model":{"protocol":"raft","n":3},"p":1.5}`,
-		`{"model":{"protocol":"paxos","n":3},"p":0.01}`,
-		`{"model":{"protocol":"raft","n":5},"fleet":[{"p_crash":0.1}]}`,
-		`{"model":{"protocol":"raft","n":3},"p":0.1,"fleet":[{"p_crash":0.1},{"p_crash":0.1},{"p_crash":0.1}]}`,
-		`{"model":{"protocol":"raft","n":3},"p":0.01,"domains":[{"name":"z","shock":1.5}]}`,
-		`{"model":{"protocol":"raft","n":3},"fleet":[{"p_crash":0.01,"domain":"ghost"},{"p_crash":0.01},{"p_crash":0.01}]}`,
-		`{"model":{"protocol":"raft","n":9999999},"p":0.1}`,
-		`not json`,
-		`{"model":{"protocol":"raft","n":3},"p":0.01,"bogus":1}`,
-	}
-	for _, s := range seeds {
+	for _, s := range analyzeFuzzSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -73,19 +74,20 @@ func FuzzAnalyzeRequest(f *testing.F) {
 	})
 }
 
+var sweepFuzzSeeds = []string{
+	`{"protocol":"raft","ns":[3,5,7,9],"ps":[0.01,0.02,0.04,0.08]}`,
+	`{"protocol":"pbft","ns":[4,7],"ps":[0.01]}`,
+	`{"protocol":"raft","ns":[3,9],"ps":[0.01,0.04],"domains":[{"name":"z1","shock":0.001,"crash_mult":40},{"name":"z2","shock":0.001,"crash_mult":40},{"name":"z3","shock":0.001,"crash_mult":40}]}`,
+	`{"protocol":"quorum","ns":[3],"ps":[0.01]}`,
+	`{"protocol":"raft","ns":[],"ps":[0.01]}`,
+	`{"protocol":"raft","ns":[3],"ps":[2]}`,
+	`{"protocol":"raft","ns":[1024],"ps":[0.01]}`,
+	`{"protocol":"raft","ns":[3],"ps":[0.01],"domains":[{"name":"z","shock":2}]}`,
+	`{"ns":[3],"ps":[0.01]}`,
+}
+
 func FuzzSweepRequest(f *testing.F) {
-	seeds := []string{
-		`{"protocol":"raft","ns":[3,5,7,9],"ps":[0.01,0.02,0.04,0.08]}`,
-		`{"protocol":"pbft","ns":[4,7],"ps":[0.01]}`,
-		`{"protocol":"raft","ns":[3,9],"ps":[0.01,0.04],"domains":[{"name":"z1","shock":0.001,"crash_mult":40},{"name":"z2","shock":0.001,"crash_mult":40},{"name":"z3","shock":0.001,"crash_mult":40}]}`,
-		`{"protocol":"quorum","ns":[3],"ps":[0.01]}`,
-		`{"protocol":"raft","ns":[],"ps":[0.01]}`,
-		`{"protocol":"raft","ns":[3],"ps":[2]}`,
-		`{"protocol":"raft","ns":[1024],"ps":[0.01]}`,
-		`{"protocol":"raft","ns":[3],"ps":[0.01],"domains":[{"name":"z","shock":2}]}`,
-		`{"ns":[3],"ps":[0.01]}`,
-	}
-	for _, s := range seeds {
+	for _, s := range sweepFuzzSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -108,26 +110,27 @@ func FuzzSweepRequest(f *testing.F) {
 	})
 }
 
+var tailFuzzSeeds = []string{
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live"}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","method":"importance","samples":50000,"seed":3}`,
+	`{"model":{"protocol":"pbft","n":4},"fleet":[{"p_byz":0.001},{"p_byz":0.001},{"p_byz":0.001},{"p_byz":0.001}],"event":"unsafe"}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0001,"event":"not_ok","domains":[{"name":"z1","shock":0.0001,"crash_mult":100},{"name":"z2","shock":0.0001,"crash_mult":100}],"fleet":[{"p_crash":0.0001,"domain":"z1"},{"p_crash":0.0001,"domain":"z1"},{"p_crash":0.0001,"domain":"z2"},{"p_crash":0.0001,"domain":"z2"},{"p_crash":0.0001}]}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"unsafe"}`,
+	`{"model":{"protocol":"raft","n":9},"p":0.01,"event":"not_live","method":"auto","max_work":100}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","method":"exact","max_work":10}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"eclipse"}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","method":"quantum"}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","max_work":-1}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","samples":-5}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","samples":99999999}`,
+	`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","method":"importance","samples":200000,"max_work":100}`,
+	`{"model":{"protocol":"raft","n":5},"p":1.5,"event":"not_live"}`,
+	`{"event":"not_live"}`,
+	`not json`,
+}
+
 func FuzzTailRequest(f *testing.F) {
-	seeds := []string{
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live"}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","method":"importance","samples":50000,"seed":3}`,
-		`{"model":{"protocol":"pbft","n":4},"fleet":[{"p_byz":0.001},{"p_byz":0.001},{"p_byz":0.001},{"p_byz":0.001}],"event":"unsafe"}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0001,"event":"not_ok","domains":[{"name":"z1","shock":0.0001,"crash_mult":100},{"name":"z2","shock":0.0001,"crash_mult":100}],"fleet":[{"p_crash":0.0001,"domain":"z1"},{"p_crash":0.0001,"domain":"z1"},{"p_crash":0.0001,"domain":"z2"},{"p_crash":0.0001,"domain":"z2"},{"p_crash":0.0001}]}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"unsafe"}`,
-		`{"model":{"protocol":"raft","n":9},"p":0.01,"event":"not_live","method":"auto","max_work":100}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","method":"exact","max_work":10}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"eclipse"}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","method":"quantum"}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","max_work":-1}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","samples":-5}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","samples":99999999}`,
-		`{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"not_live","method":"importance","samples":200000,"max_work":100}`,
-		`{"model":{"protocol":"raft","n":5},"p":1.5,"event":"not_live"}`,
-		`{"event":"not_live"}`,
-		`not json`,
-	}
-	for _, s := range seeds {
+	for _, s := range tailFuzzSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -178,19 +181,20 @@ func FuzzTailRequest(f *testing.F) {
 	})
 }
 
+var optimizeFuzzSeeds = []string{
+	optimizeBody,
+	`{"model":{"protocol":"raft","n":9},"p":0.004,"budget":1,"target":"domains","curve":{"floor_frac":0.05,"scale":0.3},"domains":[{"name":"a","shock":0.003,"crash_mult":300},{"name":"b","shock":0.001,"crash_mult":300},{"name":"c","shock":0.0003,"crash_mult":300}]}`,
+	`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":0,"curve":{"floor_frac":0.1,"scale":0.3}}`,
+	`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1e12,"curve":{"floor_frac":0.1,"scale":0.3}}`,
+	`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"iterations":-1,"curve":{"floor_frac":0.1,"scale":0.3}}`,
+	`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"curve":{"floor_frac":1.5,"scale":0.3}}`,
+	`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"curve":{"floor_frac":0.1,"scale":0}}`,
+	`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"target":"widgets","curve":{"floor_frac":0.1,"scale":0.3}}`,
+	`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"target":"domains","curve":{"floor_frac":0.1,"scale":0.3}}`,
+}
+
 func FuzzOptimizeRequest(f *testing.F) {
-	seeds := []string{
-		optimizeBody,
-		`{"model":{"protocol":"raft","n":9},"p":0.004,"budget":1,"target":"domains","curve":{"floor_frac":0.05,"scale":0.3},"domains":[{"name":"a","shock":0.003,"crash_mult":300},{"name":"b","shock":0.001,"crash_mult":300},{"name":"c","shock":0.0003,"crash_mult":300}]}`,
-		`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":0,"curve":{"floor_frac":0.1,"scale":0.3}}`,
-		`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1e12,"curve":{"floor_frac":0.1,"scale":0.3}}`,
-		`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"iterations":-1,"curve":{"floor_frac":0.1,"scale":0.3}}`,
-		`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"curve":{"floor_frac":1.5,"scale":0.3}}`,
-		`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"curve":{"floor_frac":0.1,"scale":0}}`,
-		`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"target":"widgets","curve":{"floor_frac":0.1,"scale":0.3}}`,
-		`{"model":{"protocol":"raft","n":3},"p":0.01,"budget":1,"target":"domains","curve":{"floor_frac":0.1,"scale":0.3}}`,
-	}
-	for _, s := range seeds {
+	for _, s := range optimizeFuzzSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -264,25 +268,26 @@ func FuzzTraceFilter(f *testing.F) {
 	})
 }
 
+var batchFuzzSeeds = []string{
+	batchBody,
+	`{"items":[{"analyze":{"model":{"protocol":"raft","n":3},"p":0.01}}]}`,
+	`{"items":[{"analyze":{"model":{"protocol":"raft","n":3},"p":0.01},"sweep":{"protocol":"raft","ns":[3],"ps":[0.01]}}]}`,
+	`{"items":[{}]}`,
+	`{"items":[]}`,
+	`{}`,
+	`{"items":[{"tail":{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"melted"}}]}`,
+	`{"items":[{"optimize":{"model":{"protocol":"raft","n":3},"p":0.02,"budget":-1,"curve":{"floor_frac":0.1,"scale":0.25}}}]}`,
+	`{"items":[{"analyze":{"model":{"protocol":"raft","n":-3},"p":2}},{"analyze":{"model":{"protocol":"raft","n":3},"p":0.01}}]}`,
+	`not json`,
+}
+
 // FuzzBatchRequest exercises batch planning: arbitrary bytes either fail
 // the whole request as a client error or plan into an index-aligned job
 // list where every item is answered exactly once — by a job or by its
 // own validation error — without ever touching the engine (planBatch
 // never runs jobs).
 func FuzzBatchRequest(f *testing.F) {
-	seeds := []string{
-		batchBody,
-		`{"items":[{"analyze":{"model":{"protocol":"raft","n":3},"p":0.01}}]}`,
-		`{"items":[{"analyze":{"model":{"protocol":"raft","n":3},"p":0.01},"sweep":{"protocol":"raft","ns":[3],"ps":[0.01]}}]}`,
-		`{"items":[{}]}`,
-		`{"items":[]}`,
-		`{}`,
-		`{"items":[{"tail":{"model":{"protocol":"raft","n":5},"p":0.0002,"event":"melted"}}]}`,
-		`{"items":[{"optimize":{"model":{"protocol":"raft","n":3},"p":0.02,"budget":-1,"curve":{"floor_frac":0.1,"scale":0.25}}}]}`,
-		`{"items":[{"analyze":{"model":{"protocol":"raft","n":-3},"p":2}},{"analyze":{"model":{"protocol":"raft","n":3},"p":0.01}}]}`,
-		`not json`,
-	}
-	for _, s := range seeds {
+	for _, s := range batchFuzzSeeds {
 		f.Add([]byte(s))
 	}
 	srv := New(Options{

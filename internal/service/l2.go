@@ -164,7 +164,7 @@ func (s *Server) L2Exec(key string, payload []byte) (val []byte, err error) {
 		}
 	}()
 	var req AnalyzeRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
+	if err := decodeRequest(payload, &req); err != nil {
 		return nil, fmt.Errorf("l2 exec payload: %w", err)
 	}
 	p, err := planAnalyze(req, nil)

@@ -298,7 +298,7 @@ func TestAnalyzeDebugBlock(t *testing.T) {
 		}
 		stages[sp.Stage] = true
 	}
-	for _, want := range []string{"resolve", "fingerprint", "engine"} {
+	for _, want := range []string{"decode", "resolve", "fingerprint", "engine"} {
 		if !stages[want] {
 			t.Fatalf("miss-path spans %v missing stage %q", first.Debug.Spans, want)
 		}

@@ -3,8 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -186,13 +184,18 @@ func engineCounterRefs() []obs.CounterRef {
 	return refs
 }
 
-// clientError marks a validation failure: reported as HTTP 400, never 500.
-type clientError struct{ err error }
+// clientError marks a failure the client caused, reported with its own
+// 4xx status and never as a 500: 400 for every validation failure, 413
+// for a body over the endpoint's limit.
+type clientError struct {
+	err    error
+	status int
+}
 
 func (e clientError) Error() string { return e.err.Error() }
 func (e clientError) Unwrap() error { return e.err }
 
-func badRequest(err error) error { return clientError{err} }
+func badRequest(err error) error { return clientError{err, http.StatusBadRequest} }
 
 // IsClientError reports whether err is a request-validation failure.
 func IsClientError(err error) bool {
@@ -295,22 +298,6 @@ func (s *Server) MetricFamilies() []obs.FamilyInfo {
 // inputcheck.MaxClusterSize fleet, comfortably under 1 MiB.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON is the one strict body decoder: unknown fields are rejected,
-// and anything but whitespace after the first JSON value is an error — a
-// concatenated second request must not ride along silently. Handlers pass
-// a size-bounded body.
-func decodeJSON(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest(fmt.Errorf("bad JSON body: %w", err))
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return badRequest(errors.New("bad JSON body: trailing data after the request object"))
-	}
-	return nil
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -329,20 +316,20 @@ type errorBody struct {
 func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	TraceFrom(r.Context()).SetError(err.Error())
 	status := http.StatusInternalServerError
-	if IsClientError(err) {
-		status = http.StatusBadRequest
+	var ce clientError
+	if errors.As(err, &ce) {
+		status = ce.status
 	}
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
 // handlePost is the body of every JSON-in, JSON-out POST endpoint:
-// request count, strict decode, the endpoint's traced call, and the
-// response or its error rendered as JSON.
+// readRequest, the endpoint's traced call, and the response or its error
+// rendered as JSON.
 func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *obs.Trace) (R, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		count.Inc()
 		var req Q
-		if err := decodeJSON(http.MaxBytesReader(w, r.Body, limit), &req); err != nil {
+		if err := readRequest(count, limit, w, r, &req); err != nil {
 			writeError(w, r, err)
 			return
 		}

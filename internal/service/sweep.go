@@ -166,9 +166,8 @@ func getSweepFleet(protocol string, n int, p float64) *core.Fleet {
 func putSweepFleet(fp *core.Fleet) { sweepFleets.Put(fp) }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.m.req["sweep"].Inc()
 	var req SweepRequest
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
+	if err := readRequest(s.m.req["sweep"], maxBodyBytes, w, r, &req); err != nil {
 		writeError(w, r, err)
 		return
 	}

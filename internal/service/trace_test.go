@@ -157,11 +157,11 @@ func TestTraceSpansAndCacheVerdicts(t *testing.T) {
 		}
 		return out
 	}
-	if names := spanNames(miss); !names["fingerprint"] || !names["engine"] {
-		t.Fatalf("miss trace spans = %+v, want fingerprint+engine", miss.Spans)
+	if names := spanNames(miss); !names["decode"] || !names["fingerprint"] || !names["engine"] {
+		t.Fatalf("miss trace spans = %+v, want decode+fingerprint+engine", miss.Spans)
 	}
-	if names := spanNames(hit); !names["fingerprint"] || !names["cache_lookup"] || names["engine"] {
-		t.Fatalf("hit trace spans = %+v, want fingerprint+cache_lookup and no engine", hit.Spans)
+	if names := spanNames(hit); !names["decode"] || !names["fingerprint"] || !names["cache_lookup"] || names["engine"] {
+		t.Fatalf("hit trace spans = %+v, want decode+fingerprint+cache_lookup and no engine", hit.Spans)
 	}
 	if len(miss.Counters) == 0 {
 		t.Fatalf("engine-computing trace must carry counter deltas: %+v", miss)
