@@ -38,6 +38,11 @@
 // live per-endpoint p99), errors, and a deterministic 1-in-K sample
 // (-trace-sample) survive buffer pressure. Query them via GET
 // /v1/traces or the /debug/requests dump.
+//
+// The access log (one line per request on standard error, -log-format)
+// is buffered: lines reach the file once a second and when the daemon
+// drains, so a line can be up to a second behind its response and a
+// SIGKILL loses at most the last second of them.
 package main
 
 import (
@@ -45,6 +50,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"net"
@@ -107,19 +113,36 @@ func main() {
 	}
 }
 
-// newLogger builds the access logger for the chosen format.
-func newLogger(cfg config) (*slog.Logger, error) {
-	w := cfg.logW
-	if w == nil {
-		w = os.Stderr
+// newLogger builds the access logger for the chosen format over a
+// buffered writer the caller must Close once the last request is done.
+func newLogger(cfg config) (*slog.Logger, *logWriter, error) {
+	if cfg.logFormat != "text" && cfg.logFormat != "json" {
+		return nil, nil, fmt.Errorf("log format must be text or json, got %q", cfg.logFormat)
 	}
-	switch cfg.logFormat {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, nil)), nil
-	default:
-		return nil, fmt.Errorf("log format must be text or json, got %q", cfg.logFormat)
+	var w io.Writer = os.Stderr
+	if cfg.logW != nil {
+		w = cfg.logW
+	}
+	logs := newLogWriter(w)
+	if cfg.logFormat == "json" {
+		return slog.New(slog.NewJSONHandler(logs, nil)), logs, nil
+	}
+	return slog.New(slog.NewTextHandler(logs, nil)), logs, nil
+}
+
+// Timeouts both HTTP listeners share. There is deliberately no read or
+// write timeout: a long sweep is a legitimate request.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute // an idle keep-alive connection gives its goroutine and descriptor back
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -157,10 +180,17 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	logger, err := newLogger(cfg)
+	logger, logs, err := newLogger(cfg)
 	if err != nil {
 		return err
 	}
+	// Deferred first so it runs last: on every return below the listeners
+	// have drained by then, and the buffered lines of their requests land.
+	defer func() {
+		if err := logs.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "probconsd: flushing the access log:", err)
+		}
+	}()
 	// The service maps TraceSample 0 to its default, so the flag's
 	// "0 disables sampling" spelling becomes the negative sentinel here.
 	sampleK := cfg.traceSample
@@ -194,11 +224,7 @@ func run(cfg config) error {
 		registerPprof(root)
 		root.Handle("/debug/requests", srv.DebugRequestsHandler())
 	}
-	httpSrv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           root,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpSrv := newHTTPServer(cfg.addr, root)
 
 	// The L2 listener binds before anything starts serving: a bad
 	// -l2-addr fails the boot outright instead of surfacing as a
@@ -233,11 +259,7 @@ func run(cfg config) error {
 		ops.Handle("/metrics", srv.MetricsHandler())
 		registerPprof(ops)
 		ops.Handle("/debug/requests", srv.DebugRequestsHandler())
-		opsSrv = &http.Server{
-			Addr:              cfg.metricsAddr,
-			Handler:           ops,
-			ReadHeaderTimeout: 10 * time.Second,
-		}
+		opsSrv = newHTTPServer(cfg.metricsAddr, ops)
 		go func() {
 			fmt.Printf("probconsd: ops endpoints (metrics, pprof) on %s\n", cfg.metricsAddr)
 			errCh <- opsSrv.ListenAndServe()

@@ -151,7 +151,7 @@ func (s *Server) planItem(kind string, it BatchItem) (key string, run func() Bat
 	case "analyze":
 		p, err := planAnalyze(*it.Analyze, nil)
 		return "analyze/" + p.key, func() BatchItemResult {
-			resp, err := s.analyzeQuery(p, nil, true)
+			resp, _, err := s.analyzeQuery(p, nil, true)
 			return itemResult(BatchItemResult{Analyze: &resp}, err)
 		}, err
 	case "tail":

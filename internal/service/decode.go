@@ -62,6 +62,20 @@ const maxPooledBody = 64 << 10
 
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// getBody takes an empty buffer from the pool: request bodies are read
+// into these and response bodies encoded into them.
+func getBody() *bytes.Buffer {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
 // readRequest is the front of every POST endpoint: count the request, then
 // read and decode its size-bounded body into req (a pointer to one of the
 // five request types), recording the two together as the trace's decode
@@ -81,13 +95,8 @@ func readRequest(count *obs.Counter, limit int64, w http.ResponseWriter, r *http
 // decodeBody reads body to its end into a pooled buffer and decodes what
 // it read.
 func decodeBody(body io.Reader, v any) error {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			bodyPool.Put(buf)
-		}
-	}()
+	buf := getBody()
+	defer putBody(buf)
 	if _, err := buf.ReadFrom(body); err != nil {
 		return badRequest(fmt.Errorf("reading request body: %w", err))
 	}

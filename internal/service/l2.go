@@ -73,20 +73,20 @@ func wireAnalyzeRequest(fleet core.Fleet, m core.CountModel, domains core.Domain
 // flight here; the owner's own singleflight dedups across the fleet.
 // Returns ok=false (compute locally) whenever the tier cannot help:
 // self-owned keys, transport failures, or responses that fail to decode.
-func (s *Server) l2Fetch(p analyzePlan, tr *obs.Trace) (AnalyzeResponse, bool) {
+func (s *Server) l2Fetch(p analyzePlan, tr *obs.Trace) (*analyzeEntry, bool) {
 	if s.l2.SelfOwns(p.key) {
 		s.m.l2Local.Inc()
-		return AnalyzeResponse{}, false
+		return nil, false
 	}
 	req, ok := wireAnalyzeRequest(p.fleet, p.model, p.domains)
 	if !ok {
 		s.m.l2Local.Inc()
-		return AnalyzeResponse{}, false
+		return nil, false
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
 		s.m.l2Errors.Inc()
-		return AnalyzeResponse{}, false
+		return nil, false
 	}
 	fstart := time.Now()
 	val, ok, err := s.l2.Exec(p.key, payload)
@@ -98,15 +98,15 @@ func (s *Server) l2Fetch(p analyzePlan, tr *obs.Trace) (AnalyzeResponse, bool) {
 		} else {
 			s.m.l2Misses.Inc()
 		}
-		return AnalyzeResponse{}, false
+		return nil, false
 	}
-	resp, err := unmarshalCached(p.key, val)
+	e, err := unmarshalCached(p.key, val)
 	if err != nil {
 		s.m.l2Errors.Inc()
-		return AnalyzeResponse{}, false
+		return nil, false
 	}
 	s.m.l2Hits.Inc()
-	return resp, true
+	return e, true
 }
 
 // marshalCached renders a cached analyze response for the wire or a dump
@@ -119,30 +119,31 @@ func marshalCached(resp AnalyzeResponse) ([]byte, error) {
 }
 
 // unmarshalCached is marshalCached's inverse for a value arriving under
-// key — a peer's answer, a warmed put, a dump entry. The value must decode
-// and carry key as its fingerprint, so nothing can be planted under a
-// foreign key; it is not re-verified against the engine.
-func unmarshalCached(key string, val []byte) (AnalyzeResponse, error) {
-	var resp AnalyzeResponse
-	if err := json.Unmarshal(val, &resp); err != nil {
-		return AnalyzeResponse{}, err
+// key — a peer's answer, a warmed put, a dump entry — as the cache entry to
+// insert. The value must decode and carry key as its fingerprint, so
+// nothing can be planted under a foreign key; it is not re-verified
+// against the engine.
+func unmarshalCached(key string, val []byte) (*analyzeEntry, error) {
+	e := new(analyzeEntry)
+	if err := json.Unmarshal(val, &e.resp); err != nil {
+		return nil, err
 	}
-	if resp.Fingerprint != key {
-		return AnalyzeResponse{}, fmt.Errorf("key %s does not match value fingerprint %s", key, resp.Fingerprint)
+	if e.resp.Fingerprint != key {
+		return nil, fmt.Errorf("key %s does not match value fingerprint %s", key, e.resp.Fingerprint)
 	}
-	resp.Cached = false
-	resp.Debug = nil
-	return resp, nil
+	e.resp.Cached = false
+	e.resp.Debug = nil
+	return e, nil
 }
 
 // L2Get implements qcache.L2Handler: the local L1 lookup peers hit.
 func (s *Server) L2Get(key string) ([]byte, bool) {
-	resp, ok := s.cache.Get(key)
+	e, ok := s.cache.Get(key)
 	if !ok {
 		s.m.l2ServeGetMiss.Inc()
 		return nil, false
 	}
-	b, err := marshalCached(resp)
+	b, err := marshalCached(e.resp)
 	if err != nil {
 		s.m.l2ServeGetMiss.Inc()
 		return nil, false
@@ -177,7 +178,7 @@ func (s *Server) L2Exec(key string, payload []byte) (val []byte, err error) {
 	// allowL2=false: the owner computes locally. Under a misconfigured
 	// fleet (peers disagreeing about ownership) this breaks what would
 	// otherwise be an RPC loop.
-	resp, err := s.analyzeQuery(p, nil, false)
+	resp, _, err := s.analyzeQuery(p, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -187,12 +188,12 @@ func (s *Server) L2Exec(key string, payload []byte) (val []byte, err error) {
 // L2Put implements qcache.L2Handler: accept a warmed value for a key this
 // member owns (same trust model as -cache-load).
 func (s *Server) L2Put(key string, val []byte) error {
-	resp, err := unmarshalCached(key, val)
+	e, err := unmarshalCached(key, val)
 	if err != nil {
 		s.m.l2ServePutErr.Inc()
 		return fmt.Errorf("l2 put: %w", err)
 	}
-	s.cache.Put(key, resp)
+	s.cache.Put(key, e)
 	s.m.l2ServePutOK.Inc()
 	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"log/slog"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -235,6 +237,19 @@ var (
 	reqIDSeq atomic.Uint64
 )
 
+// requestID renders the process prefix and seq the way "%s-%08x" would —
+// hex, zero-padded to eight digits, wider once seq passes 2^32 — with the
+// string as its only allocation.
+func requestID(seq uint64) string {
+	var buf [len("01234567-") + 16]byte
+	b := append(buf[:0], reqIDPrefix...)
+	b = append(b, '-')
+	var digits [16]byte
+	d := strconv.AppendUint(digits[:0], seq, 16)
+	b = append(b, "00000000"[min(len(d), 8):]...)
+	return string(append(b, d...))
+}
+
 type traceKey struct{}
 
 // TraceFrom returns the flight-recorder trace the middleware attached to
@@ -281,7 +296,7 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := s.traces.Acquire()
 		tr.Endpoint = endpoint
-		tr.ID = fmt.Sprintf("%s-%08x", reqIDPrefix, reqIDSeq.Add(1))
+		tr.ID = requestID(reqIDSeq.Add(1))
 		start := tr.Start
 		r = r.WithContext(context.WithValue(r.Context(), traceKey{}, tr))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -290,7 +305,7 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 			h(sw, r)
 		} else {
 			sw.Header().Set("Allow", method)
-			writeJSON(sw, http.StatusMethodNotAllowed,
+			writeJSON(sw, r, http.StatusMethodNotAllowed,
 				errorBody{Error: fmt.Sprintf("%s requires %s", r.URL.Path, method)})
 		}
 		em.inFlight.Dec()
@@ -298,14 +313,14 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 		em.latency.ObserveExemplar(d.Seconds(), tr.ID)
 		em.code(sw.status).Inc()
 		if s.logger != nil {
-			s.logger.Info("request",
-				"id", tr.ID,
-				"method", r.Method,
-				"path", r.URL.Path,
-				"endpoint", endpoint,
-				"status", sw.status,
-				"duration_ms", float64(d.Nanoseconds())/1e6,
-				"remote", r.RemoteAddr,
+			s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+				slog.String("id", tr.ID),
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.String("endpoint", endpoint),
+				slog.Int("status", sw.status),
+				slog.Float64("duration_ms", float64(d.Nanoseconds())/1e6),
+				slog.String("remote", r.RemoteAddr),
 			)
 		}
 		tr.Status = sw.status

@@ -23,8 +23,8 @@ func (s *Server) DumpCache(w io.Writer) (int, error) {
 	}
 	n := 0
 	var werr error
-	s.cache.Range(func(key string, resp AnalyzeResponse) bool {
-		b, err := marshalCached(resp)
+	s.cache.Range(func(key string, e *analyzeEntry) bool {
+		b, err := marshalCached(e.resp)
 		if err != nil || len(b) > qcache.MaxEntryBytes || len(key) > qcache.MaxKeyLen {
 			return true
 		}
@@ -55,11 +55,11 @@ func (s *Server) LoadCache(r io.Reader) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		resp, err := unmarshalCached(key, val)
+		e, err := unmarshalCached(key, val)
 		if err != nil {
 			return n, fmt.Errorf("cache entry %d (%s): %w", n, key, err)
 		}
-		s.cache.Put(key, resp)
+		s.cache.Put(key, e)
 		n++
 	}
 }

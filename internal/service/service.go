@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -65,7 +68,7 @@ const solverCacheCapacity = 1024
 // repriced spellings of the same query; with Options.L2 set, its misses
 // consult the owning peer of the fleet tier before computing locally.
 type Server struct {
-	cache   *qcache.Cache[AnalyzeResponse]
+	cache   *qcache.Cache[*analyzeEntry]
 	ocache  *qcache.Cache[OptimizeResponse]
 	tcache  *qcache.Cache[TailResponse]
 	l2      L2Tier
@@ -109,7 +112,7 @@ func New(opts Options) *Server {
 		opts.AnalyzeFunc = core.NewEvaluatorPool().AnalyzeDomains
 	}
 	s := &Server{
-		cache:     qcache.New[AnalyzeResponse](opts.CacheCapacity, opts.CacheShards).WithSizer(sizeofAnalyzeResponse),
+		cache:     qcache.New[*analyzeEntry](opts.CacheCapacity, opts.CacheShards).WithSizer(sizeofAnalyzeEntry),
 		ocache:    qcache.New[OptimizeResponse](solverCacheCapacity, opts.CacheShards).WithSizer(sizeofOptimizeResponse),
 		tcache:    qcache.New[TailResponse](solverCacheCapacity, opts.CacheShards).WithSizer(sizeofTailResponse),
 		l2:        opts.L2,
@@ -143,7 +146,8 @@ func New(opts Options) *Server {
 // byte-occupancy stats that size L2 transfers and -cache-dump files
 // without marshaling on the insert path.
 
-func sizeofAnalyzeResponse(r AnalyzeResponse) int {
+func sizeofAnalyzeEntry(e *analyzeEntry) int {
+	r := &e.resp
 	return 176 + len(r.Model) + len(r.Fingerprint) +
 		len(r.Percent.Safe) + len(r.Percent.Live) + len(r.Percent.SafeAndLive)
 }
@@ -266,12 +270,12 @@ func (s *Server) Handler() http.Handler {
 	route := func(path, endpoint, method string, h http.HandlerFunc) {
 		mux.HandleFunc(path, s.instrument(endpoint, method, h))
 	}
-	route("/v1/analyze", "analyze", http.MethodPost, handlePost(s.m.req["analyze"], maxBodyBytes, s.analyzeTraced))
+	route("/v1/analyze", "analyze", http.MethodPost, handlePost(s.m.req["analyze"], maxBodyBytes, s.analyzeServed))
 	route("/v1/sweep", "sweep", http.MethodPost, s.handleSweep)
-	route("/v1/optimize", "optimize", http.MethodPost, handlePost(s.m.req["optimize"], maxBodyBytes, s.optimizeTraced))
+	route("/v1/optimize", "optimize", http.MethodPost, handlePost(s.m.req["optimize"], maxBodyBytes, encoded(s.optimizeTraced)))
 	route("/v1/tables", "tables", http.MethodGet, s.handleTables)
-	route("/v1/tail", "tail", http.MethodPost, handlePost(s.m.req["tail"], maxBodyBytes, s.tailTraced))
-	route("/v1/batch", "batch", http.MethodPost, handlePost(s.m.req["batch"], maxBatchBodyBytes, s.batchTraced))
+	route("/v1/tail", "tail", http.MethodPost, handlePost(s.m.req["tail"], maxBodyBytes, encoded(s.tailTraced)))
+	route("/v1/batch", "batch", http.MethodPost, handlePost(s.m.req["batch"], maxBatchBodyBytes, encoded(s.batchTraced)))
 	route("/v1/traces", "traces", http.MethodGet, s.handleTraces)
 	route("/healthz", "healthz", http.MethodGet, s.handleHealthz)
 	route("/statsz", "statsz", http.MethodGet, s.handleStatsz)
@@ -298,12 +302,39 @@ func (s *Server) MetricFamilies() []obs.FamilyInfo {
 // inputcheck.MaxClusterSize fleet, comfortably under 1 MiB.
 const maxBodyBytes = 1 << 20
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+// encodeJSON renders v into buf the way every response body is rendered:
+// two-space indent, one trailing newline.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return enc.Encode(v)
+}
+
+// writeJSON encodes v into a pooled buffer, then sends status,
+// Content-Length and the body in one Write. Encoding comes first so that a
+// value encoding/json refuses (a NaN or ±Inf that got past the guards) is
+// a 500 naming the failure on the body and the trace, not a 200 with no
+// body.
+func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
+	buf := getBody()
+	defer putBody(buf)
+	if err := encodeJSON(buf, v); err != nil {
+		err = fmt.Errorf("encoding response: %w", err)
+		TraceFrom(r.Context()).SetError(err.Error())
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = encodeJSON(buf, errorBody{Error: err.Error()}) // one string field: cannot fail
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends one complete JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a failed write is a client that left; nothing to report it to
 }
 
 type errorBody struct {
@@ -320,30 +351,43 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	if errors.As(err, &ce) {
 		status = ce.status
 	}
-	writeJSON(w, status, errorBody{Error: err.Error()})
+	writeJSON(w, r, status, errorBody{Error: err.Error()})
 }
 
 // handlePost is the body of every JSON-in, JSON-out POST endpoint:
 // readRequest, the endpoint's traced call, and the response or its error
-// rendered as JSON.
-func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *obs.Trace) (R, error)) http.HandlerFunc {
+// rendered as JSON. A call that returns a body has it sent as is, in
+// place of encoding the response.
+func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *obs.Trace) (R, []byte, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Q
 		if err := readRequest(count, limit, w, r, &req); err != nil {
 			writeError(w, r, err)
 			return
 		}
-		resp, err := call(req, TraceFrom(r.Context()))
-		if err != nil {
+		resp, body, err := call(req, TraceFrom(r.Context()))
+		switch {
+		case err != nil:
 			writeError(w, r, err)
-			return
+		case body != nil:
+			writeBody(w, http.StatusOK, body)
+		default:
+			writeJSON(w, r, http.StatusOK, resp)
 		}
-		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// encoded adapts a traced call that stores no bodies to handlePost: its
+// responses are always encoded.
+func encoded[Q, R any](call func(Q, *obs.Trace) (R, error)) func(Q, *obs.Trace) (R, []byte, error) {
+	return func(req Q, tr *obs.Trace) (R, []byte, error) {
+		resp, err := call(req, tr)
+		return resp, nil, err
 	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	writeJSON(w, r, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "ok"})
 }

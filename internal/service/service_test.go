@@ -669,7 +669,7 @@ func TestCachedRunVerdicts(t *testing.T) {
 	}{
 		{"analyze", func(s *Server) qcache.Stats { return s.cache.Stats() },
 			func(s *Server, p *float64, tr *obs.Trace) (bool, error) {
-				r, err := s.analyzeTraced(AnalyzeRequest{Model: model, P: p}, tr)
+				r, _, err := s.analyzeTraced(AnalyzeRequest{Model: model, P: p}, tr)
 				return r.Cached, err
 			}},
 		{"optimize", func(s *Server) qcache.Stats { return s.ocache.Stats() },

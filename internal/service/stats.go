@@ -96,5 +96,5 @@ func (s *Server) Stats() StatsResponse {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	writeJSON(w, r, http.StatusOK, s.Stats())
 }

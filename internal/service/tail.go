@@ -310,7 +310,7 @@ func (s *Server) tailExact(plan tailPlan, tr *obs.Trace) (TailResponse, error) {
 		resp.Nines = MaxNines
 		return resp, nil
 	}
-	ar, err := s.analyzeQuery(plan.query, tr, true)
+	ar, _, err := s.analyzeQuery(plan.query, tr, true)
 	if err != nil {
 		return TailResponse{}, err
 	}

@@ -275,7 +275,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if exemplars {
 		resp.Exemplars = s.exemplarViews()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, r, http.StatusOK, resp)
 }
 
 // DebugRequestsHandler serves the human-readable flight-recorder dump

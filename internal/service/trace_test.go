@@ -353,7 +353,7 @@ func TestTracedAnalyzeHotPathZeroAlloc(t *testing.T) {
 		tr.ID = "steady"
 		tr.Endpoint = "analyze"
 		tr.Status = 200
-		resp, err := srv.analyzeTraced(req, tr)
+		resp, _, err := srv.analyzeTraced(req, tr)
 		if err != nil || !resp.Cached {
 			t.Fatalf("analyzeTraced = %+v, %v", resp, err)
 		}
