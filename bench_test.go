@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/benor"
+	"repro/internal/campaign"
 	"repro/internal/committee"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -35,7 +36,6 @@ import (
 	"repro/internal/raft"
 	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/validate"
 )
 
 var printOnce sync.Map
@@ -171,26 +171,60 @@ func BenchmarkE5SamplingQuorums(b *testing.B) {
 	}
 }
 
-// BenchmarkV1SimRaft cross-validates Theorem 3.2 against the executing Raft
-// implementation and reports the simulation-backed Table 2 cell.
-func BenchmarkV1SimRaft(b *testing.B) {
-	simLive, predLive, err := validate.RaftLivenessMatrix(3, 2, 424242)
-	if err != nil {
-		b.Fatal(err)
+// livenessByCount imposes one configuration per fault count k = 0..max on
+// a simulated cluster — the first k nodes crashed (raft) or Silent (pbft,
+// where the lowest ids lead the earliest views) — through the campaign
+// runner's trial, and returns the observed liveness beside the theorem's
+// prediction.
+func livenessByCount(tb testing.TB, protocol string, n, max, ops int, seed int64) (simLive, predLive []bool) {
+	tb.Helper()
+	cell := campaign.CellSpec{Protocol: protocol, N: n, Ops: ops}
+	for k := 0; k <= max; k++ {
+		faulty := make([]int, k)
+		for i := range faulty {
+			faulty[i] = i
+		}
+		var byz, crashed []int
+		pred := core.NewRaft(n).Live(k, 0)
+		if protocol == "pbft" {
+			byz, pred = faulty, core.NewPBFTForN(n).Live(0, k)
+		} else {
+			crashed = faulty
+		}
+		safe, live, err := campaign.RunConfig(cell, byz, crashed, seed+int64(k))
+		if err != nil || !safe {
+			tb.Fatalf("%s N=%d with %d faulty nodes: safe=%v err=%v", protocol, n, k, safe, err)
+		}
+		simLive, predLive = append(simLive, live), append(predLive, pred)
 	}
+	return simLive, predLive
+}
+
+// BenchmarkV1SimRaft cross-validates Theorem 3.2 against the executing Raft
+// implementation and reports the simulation-backed Table 2 cell: the
+// simulated per-count liveness weighted by the binomial configuration
+// masses, equal to the analytic value when the matrix matches the theorem.
+func BenchmarkV1SimRaft(b *testing.B) {
+	simLive, predLive := livenessByCount(b, "raft", 3, 3, 2, 424242)
 	once("v1", func() {
 		fmt.Printf("\n[V1] simulated Raft liveness by crash count (N=3): sim=%v theorem=%v\n", simLive, predLive)
 		for _, p := range []float64{0.01, 0.08} {
-			emp := validate.EmpiricalRaftReliability(simLive, p)
+			var emp dist.KahanSum
+			for k, live := range simLive {
+				if live {
+					emp.Add(dist.BinomPMF(3, p, k))
+				}
+			}
 			exact := core.MustAnalyze(core.UniformCrashFleet(3, p), core.NewRaft(3)).SafeAndLive
 			fmt.Printf("     p=%.2f: simulation-weighted %s vs analytic %s\n",
-				p, dist.FormatPercent(emp, 2), dist.FormatPercent(exact, 2))
+				p, dist.FormatPercent(dist.Clamp01(emp.Sum()), 2), dist.FormatPercent(exact, 2))
 		}
 	})
+	cell := campaign.CellSpec{Protocol: "raft", N: 3, Ops: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := validate.RaftRun(3, []int{0}, 2, int64(i))
-		if err != nil || !out.Safe {
+		safe, _, err := campaign.RunConfig(cell, nil, []int{0}, int64(i))
+		if err != nil || !safe {
 			b.Fatal("sim run failed")
 		}
 	}
@@ -199,18 +233,16 @@ func BenchmarkV1SimRaft(b *testing.B) {
 // BenchmarkV2SimPBFT cross-validates Theorem 3.1's liveness boundary
 // against the executing PBFT implementation.
 func BenchmarkV2SimPBFT(b *testing.B) {
-	simLive, predLive, err := validate.PBFTLivenessMatrix(4, 2, 1, 313131)
-	if err != nil {
-		b.Fatal(err)
-	}
+	simLive, predLive := livenessByCount(b, "pbft", 4, 2, 1, 313131)
 	once("v2", func() {
 		fmt.Printf("\n[V2] simulated PBFT liveness by silent-Byzantine count (N=4): sim=%v theorem=%v\n",
 			simLive, predLive)
 	})
+	cell := campaign.CellSpec{Protocol: "pbft", N: 4, Ops: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := validate.PBFTRun(4, nil, nil, 1, int64(i))
-		if err != nil || !out.Live {
+		_, live, err := campaign.RunConfig(cell, nil, nil, int64(i))
+		if err != nil || !live {
 			b.Fatal("sim run failed")
 		}
 	}
@@ -358,10 +390,7 @@ func TestBenchmarkClaimsHold(t *testing.T) {
 	if e4.SafetyImprovement < 42 {
 		t.Errorf("E4 safety improvement %v", e4.SafetyImprovement)
 	}
-	simLive, predLive, err := validate.RaftLivenessMatrix(3, 2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simLive, predLive := livenessByCount(t, "raft", 3, 3, 2, 11)
 	for k := range simLive {
 		if simLive[k] != predLive[k] {
 			t.Errorf("V1 mismatch at %d crashes", k)

@@ -13,8 +13,11 @@
 //
 //	POST /v1/analyze  — heterogeneous fleet + Raft/PBFT model → Result
 //	POST /v1/sweep    — (n, p) grid, streamed as JSON lines
+//	POST /v1/optimize — reliability budget across nodes or zones → certified allocation
+//	POST /v1/tail     — deep-tail event mass, exact or importance-sampled under max_work
 //	POST /v1/batch    — many analyze/sweep/optimize/tail queries, one response
 //	GET  /v1/tables   — the paper's Tables 1 and 2
+//	GET  /v1/traces   — the flight recorder, filtered
 //	GET  /healthz     — liveness probe
 //	GET  /statsz      — cache, worker-pool, and latency counters
 //	GET  /metrics     — Prometheus text exposition (see docs/OBSERVABILITY.md)
@@ -95,7 +98,7 @@ func main() {
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "separate ops listen address for /metrics and /debug/pprof (default: serve them on -addr)")
 	flag.IntVar(&cfg.cacheSize, "cache", 4096, "memoization cache capacity (entries)")
 	flag.IntVar(&cfg.shards, "shards", 16, "cache shard count")
-	flag.IntVar(&cfg.workers, "workers", runtime.NumCPU(), "sweep worker pool size")
+	flag.IntVar(&cfg.workers, "workers", runtime.NumCPU(), "engine worker pool size: bounds concurrent engine computations on every endpoint")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain timeout")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "access-log format: text or json")
 	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 1024, "flight-recorder capacity (traces)")

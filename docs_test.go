@@ -7,6 +7,8 @@ package repro
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -126,6 +128,43 @@ func TestDocsMentionAllFlags(t *testing.T) {
 		for _, f := range flags {
 			if !strings.Contains(string(data), fmt.Sprintf("-%s", f)) {
 				t.Errorf("%s does not document probconsd flag -%s", doc, f)
+			}
+		}
+	}
+}
+
+// TestDocsMentionAllRoutes pins docs/API.md and the two endpoint lists in
+// package comments (the daemon's and internal/service's) to the route
+// table: every path Server.Handler registers (read from its route(...)
+// calls and confirmed live against the handler, so a path in dead code
+// does not count) plus the flight recorder's /debug/requests must appear
+// in each.
+func TestDocsMentionAllRoutes(t *testing.T) {
+	src, err := os.ReadFile("internal/service/service.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"/debug/requests"} // mounted by cmd/probconsd, not by Handler
+	handler := service.New(service.Options{Workers: 1}).Handler()
+	for _, m := range regexp.MustCompile(`\broute\("(/[^"]+)"`).FindAllStringSubmatch(string(src), -1) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, m[1], nil))
+		if rec.Code == http.StatusNotFound {
+			t.Errorf("internal/service/service.go names route %s but Handler() answers it 404", m[1])
+		}
+		paths = append(paths, m[1])
+	}
+	if len(paths) < 8 {
+		t.Fatalf("found only %d routes (%v); parser broken?", len(paths), paths)
+	}
+	for _, doc := range []string{"docs/API.md", "cmd/probconsd/main.go", "internal/service/doc.go"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			if !strings.Contains(string(data), p) {
+				t.Errorf("%s does not mention %s", doc, p)
 			}
 		}
 	}

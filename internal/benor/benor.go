@@ -113,9 +113,6 @@ func (n *Node) Decided() (Value, bool) { return n.outcome, n.decided }
 // Round returns the node's current round (the deciding round once decided).
 func (n *Node) Round() int { return n.round }
 
-// Alive reports process liveness.
-func (n *Node) Alive() bool { return n.alive }
-
 // Crash implements sim.Crashable.
 func (n *Node) Crash() { n.alive = false }
 

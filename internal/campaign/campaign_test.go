@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -209,5 +210,46 @@ func TestRunnerRejectsBadSetup(t *testing.T) {
 	spec, _ := Lookup("smoke")
 	if _, err := (&Runner{}).Run(spec); err == nil {
 		t.Error("Run accepted a runner without a pool")
+	}
+}
+
+// TestRunConfig pins the imposed-configuration entry point: given the
+// configuration a sampled trial drew it reaches that trial's verdicts
+// (the crash times differ — they come from the head of the seed's stream,
+// not from after the configuration draws — but a Raft stall is
+// structural), through the same overlays, and it refuses what the
+// simulators cannot express.
+func TestRunConfig(t *testing.T) {
+	cell := CellSpec{Protocol: "raft", N: 5, PCrash: 0.4, Ops: 2, PartitionFlaps: 2}
+	for seed := int64(1); seed <= 6; seed++ {
+		_, crashed := sampleConfig(cell, rand.New(rand.NewSource(seed)))
+		want, err := runTrial(cell, cell.model(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		safe, live, err := RunConfig(cell, nil, crashed, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if safe != want.safe || live != want.live || live != (len(crashed) <= 2) {
+			t.Errorf("seed %d, crashed %v: RunConfig safe=%v live=%v, sampled trial safe=%v live=%v", seed, crashed, safe, live, want.safe, want.live)
+		}
+	}
+	for name, run := range map[string]func() (bool, bool, error){
+		"protocol": func() (bool, bool, error) { return RunConfig(CellSpec{Protocol: "paxos", N: 3, Ops: 1}, nil, nil, 1) },
+		"byzantine raft": func() (bool, bool, error) {
+			return RunConfig(CellSpec{Protocol: "raft", N: 3, Ops: 1}, []int{0}, nil, 1)
+		},
+		"size": func() (bool, bool, error) {
+			return RunConfig(CellSpec{Protocol: "pbft", N: maxSimN + 1, Ops: 1}, nil, nil, 1)
+		},
+		"ops": func() (bool, bool, error) { return RunConfig(CellSpec{Protocol: "pbft", N: 4}, nil, nil, 1) },
+		"node id": func() (bool, bool, error) {
+			return RunConfig(CellSpec{Protocol: "pbft", N: 4, Ops: 1}, []int{4}, nil, 1)
+		},
+	} {
+		if _, _, err := run(); err == nil {
+			t.Errorf("%s: bad input accepted", name)
+		}
 	}
 }

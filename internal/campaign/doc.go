@@ -22,6 +22,11 @@
 // realized configuration (the config_mismatches column) — localizes a
 // divergence between the executing protocol and the analytic model.
 //
+// RunConfig is the same trial with the failure configuration imposed by
+// the caller instead of sampled: the theorem-validation experiments
+// (V1/V2, internal/validate's sweep) walk chosen configurations through
+// it, so every simulated-cluster run in the repo shares one driver.
+//
 // Everything is deterministic under a pinned seed: trial seeds derive
 // from (schedule seed, cell index, trial index), trials run in parallel
 // but land in index-addressed slots, and the report marshals with fixed

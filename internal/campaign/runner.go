@@ -186,21 +186,10 @@ func overlayEnd(cell CellSpec) sim.Time {
 func runTrial(cell CellSpec, model core.CountModel, seed int64) (trialOutcome, error) {
 	rng := rand.New(rand.NewSource(seed))
 	byzNodes, crashedNodes := sampleConfig(cell, rng)
-	// Crash times land uniformly in the crash window; Byzantine behavior
-	// is present from the start (it is a behavior, not an event).
-	crashAt := make(map[int]sim.Time, len(crashedNodes))
-	for _, i := range crashedNodes {
-		crashAt[i] = sim.Time(rng.Int63n(int64(crashWindow)))
-	}
-
 	var out trialOutcome
 	out.crashed, out.byz = len(crashedNodes), len(byzNodes)
 	var err error
-	if cell.Protocol == "pbft" {
-		out.safe, out.live, out.churn, out.steps, err = runPBFTTrial(cell, byzNodes, crashAt, seed)
-	} else {
-		out.safe, out.live, out.churn, out.steps, err = runRaftTrial(cell, crashAt, seed)
-	}
+	out.safe, out.live, out.churn, out.steps, err = runConfig(cell, byzNodes, crashedNodes, rng, seed)
 	if err != nil {
 		return trialOutcome{}, err
 	}
@@ -213,6 +202,52 @@ func runTrial(cell CellSpec, model core.CountModel, seed int64) (trialOutcome, e
 	predLive := model.Live(out.crashed, out.byz)
 	out.mismatch = out.live != predLive || (!out.safe && model.Safe(out.crashed, out.byz))
 	return out, nil
+}
+
+// RunConfig is one trial under a failure configuration the caller imposes
+// instead of one sampleConfig draws: byzNodes are Silent from the start,
+// crashedNodes fail-stop at seed-derived times inside the crash window,
+// the cell's overlays run, and the retry workload drives cell.Ops ops plus
+// the terminal probe. It reports what the run showed — no agreement
+// violation, and every op plus the probe committed at every alive correct
+// node — and leaves the comparison with the theorem to the caller (the
+// V1/V2 experiments and the theorem sweep judge a stall by whether it is
+// structural). Only Protocol, N, Ops and the overlay fields of the cell
+// are read.
+func RunConfig(cell CellSpec, byzNodes, crashedNodes []int, seed int64) (safe, live bool, err error) {
+	if cell.Protocol != "raft" && cell.Protocol != "pbft" {
+		return false, false, fmt.Errorf("campaign: unknown protocol %q", cell.Protocol)
+	}
+	if cell.Protocol == "raft" && len(byzNodes) > 0 {
+		return false, false, fmt.Errorf("campaign: raft runs are crash-only (%d byzantine nodes)", len(byzNodes))
+	}
+	if cell.N < 1 || cell.N > maxSimN || cell.Ops < 1 || cell.Ops > maxOps {
+		return false, false, fmt.Errorf("campaign: need n in [1, %d] and ops in [1, %d], got n=%d ops=%d", maxSimN, maxOps, cell.N, cell.Ops)
+	}
+	for _, ids := range [][]int{byzNodes, crashedNodes} {
+		for _, i := range ids {
+			if i < 0 || i >= cell.N {
+				return false, false, fmt.Errorf("campaign: node %d out of range [0, %d)", i, cell.N)
+			}
+		}
+	}
+	safe, live, _, _, err = runConfig(cell, byzNodes, crashedNodes, rand.New(rand.NewSource(seed)), seed)
+	return safe, live, err
+}
+
+// runConfig executes one simulated protocol run with the given nodes
+// Byzantine and crashed. Crash times land uniformly in the crash window,
+// drawn from rng in crashedNodes order; Byzantine behavior is present from
+// the start (it is a behavior, not an event).
+func runConfig(cell CellSpec, byzNodes, crashedNodes []int, rng *rand.Rand, seed int64) (safe, live bool, churn, steps uint64, err error) {
+	crashAt := make(map[int]sim.Time, len(crashedNodes))
+	for _, i := range crashedNodes {
+		crashAt[i] = sim.Time(rng.Int63n(int64(crashWindow)))
+	}
+	if cell.Protocol == "pbft" {
+		return runPBFTTrial(cell, byzNodes, crashAt, seed)
+	}
+	return runRaftTrial(cell, crashAt, seed)
 }
 
 // runRaftTrial drives one Raft execution: crashes at their sampled times,

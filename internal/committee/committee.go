@@ -129,9 +129,6 @@ func (r *Reputation) Observe(i int, ok bool) {
 	r.scores[i] = (1-r.decay)*r.scores[i] + r.decay*v
 }
 
-// Score returns node i's current reputation.
-func (r *Reputation) Score(i int) float64 { return r.scores[i] }
-
 // Leader returns the highest-reputation node (lowest index on ties).
 func (r *Reputation) Leader() int {
 	best := 0
@@ -141,16 +138,6 @@ func (r *Reputation) Leader() int {
 		}
 	}
 	return best
-}
-
-// Ranked returns node indices ordered by descending reputation.
-func (r *Reputation) Ranked() []int {
-	idx := make([]int, len(r.scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return r.scores[idx[a]] > r.scores[idx[b]] })
-	return idx
 }
 
 // SampleVRF deterministically samples a k-subset of n nodes from a seed,

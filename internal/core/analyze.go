@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/faultcurve"
 	"repro/internal/quorum"
 )
 
@@ -141,30 +140,4 @@ type MCResult struct {
 // order, and the same rejection of a node that names a domain.
 func AnalyzeMonteCarlo(fleet Fleet, m CountModel, samples int, seed int64) (MCResult, error) {
 	return AnalyzeDomainsMonteCarlo(fleet, m, nil, samples, seed)
-}
-
-// AnalyzeWithShock computes the exact Result under a common-cause shock
-// (§2(3)): the shock-weighted mixture of the base analysis and the analysis
-// of the elevated fleet. Faults stay conditionally independent given the
-// shock, so both branches use the exact engine.
-func AnalyzeWithShock(fleet Fleet, m CountModel, shock faultcurve.CommonCause) (Result, error) {
-	base, err := Analyze(fleet, m)
-	if err != nil {
-		return Result{}, err
-	}
-	elevatedProfiles := shock.Elevated(fleet.Profiles())
-	elevated := make(Fleet, len(fleet))
-	for i, n := range fleet {
-		n.Profile = elevatedProfiles[i]
-		elevated[i] = n
-	}
-	up, err := Analyze(elevated, m)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Safe:        shock.Mix(base.Safe, up.Safe),
-		Live:        shock.Mix(base.Live, up.Live),
-		SafeAndLive: shock.Mix(base.SafeAndLive, up.SafeAndLive),
-	}, nil
 }

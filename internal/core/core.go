@@ -69,12 +69,3 @@ func (f Fleet) Validate() error {
 	}
 	return nil
 }
-
-// TotalCostPerHour sums node prices.
-func (f Fleet) TotalCostPerHour() float64 {
-	var c float64
-	for _, n := range f {
-		c += n.CostPerHour
-	}
-	return c
-}

@@ -25,9 +25,11 @@
 // carries a common-cause shock that elevates member fault probabilities,
 // and AnalyzeDomains computes the exact unconditional Result by
 // conditioning (2^D shock subsets, or a per-domain mixture DP convolved
-// across domains — see domains.go). Invariant: with every shock
-// probability zero the domain engines agree with Analyze to 1e-12, and
-// AnalyzeDomainsMonteCarlo brackets them within its Wilson intervals.
+// across domains — see domains.go). Invariants: with every shock
+// probability zero the domain engines agree with Analyze to 1e-12, one
+// domain holding the whole fleet equals the shock-weighted mix of two
+// Analyze calls (base and elevated fleet), and AnalyzeDomainsMonteCarlo
+// brackets them within its Wilson intervals.
 //
 // The package also owns the canonical query fingerprint
 // (FleetModelDomainsFingerprint): the serving layer's cache key, built so

@@ -70,10 +70,9 @@ const (
 
 type blockKey = [sha256.Size]byte
 
-// Process-global mirrors of the per-evaluator DomainCacheStats: every
-// increment below bumps both, so tests keep the precise per-evaluator
-// view while /metrics aggregates block reuse across the whole serving
-// fleet's evaluator pool.
+// Domain-cache traffic, process-wide: /metrics aggregates block reuse
+// across the whole evaluator pool, and the package's tests prove reuse by
+// diffing these around a query stream (the companion of dist.JointBuilds).
 var (
 	domBlockHits = obs.Default().Counter("probcons_engine_block_cache_hits_total",
 		"Per-domain block-DP cache hits (base/elevated/independent blocks).", nil)
@@ -86,21 +85,6 @@ var (
 	domResultHits = obs.Default().Counter("probcons_engine_result_memo_hits_total",
 		"Exact-repeat correlated queries answered from the evaluator result memo.", nil)
 )
-
-// DomainCacheStats counts the evaluator domain-cache traffic — the
-// companion of dist.JointBuilds for proving block reuse in tests and
-// benchmarks.
-type DomainCacheStats struct {
-	// BlockHits / BlockMisses count base/elevated/independent block-DP
-	// lookups. A miss is one from-scratch dist build of that block.
-	BlockHits, BlockMisses int64
-	// RestHits count queries answered by the leave-one-block-out fast
-	// path; RestMisses count full recombinations.
-	RestHits, RestMisses int64
-	// ResultHits count exact-repeat queries answered from the result
-	// memo — bit-identical to the first computation, by construction.
-	ResultHits int64
-}
 
 // restTables is the leave-one-block-out summary for one populated domain:
 // the model's predicates folded through the joint distribution of every
@@ -141,8 +125,6 @@ type domainState struct {
 	// full-path query so rest-table population never calls the model's
 	// predicates per source cell.
 	okSafe, okLive []bool
-
-	stats DomainCacheStats
 }
 
 func (ds *domainState) maybeEvict() {
@@ -234,11 +216,9 @@ func (ds *domainState) blockFor(fleet Fleet, idxs []int, elevate *faultcurve.Dom
 		ds.blockCache = make(map[blockKey]*dist.JointCrashByz)
 	}
 	if j, ok := ds.blockCache[key]; ok && j.N() == len(idxs) {
-		ds.stats.BlockHits++
 		domBlockHits.Inc()
 		return j
 	}
-	ds.stats.BlockMisses++
 	domBlockMisses.Inc()
 	ds.tri = ds.tri[:0]
 	for _, i := range idxs {
@@ -387,7 +367,6 @@ func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains Dom
 	// contract the serving layer's caches rely on).
 	qkey := ds.resultKey(fleet, m, domains)
 	if r, ok := ds.resultCache[qkey]; ok {
-		ds.stats.ResultHits++
 		domResultHits.Inc()
 		return r, nil
 	}
@@ -405,13 +384,11 @@ func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains Dom
 		if err := ds.mixedInto(&ds.fastMix, fleet, domains, di); err != nil {
 			return Result{}, err
 		}
-		ds.stats.RestHits++
 		domRestHits.Inc()
 		r := rt.dot(&ds.fastMix)
 		ds.resultCache[qkey] = r
 		return r, nil
 	}
-	ds.stats.RestMisses++
 	domRestMisses.Inc()
 
 	// Full path: recombine cached/rebuilt blocks. Grow chain workspaces

@@ -8,6 +8,21 @@ import (
 	"repro/internal/faultcurve"
 )
 
+// domainCacheStats snapshots the process-wide domain-cache counters;
+// tests diff two snapshots around a query stream. Nothing else in the
+// package's tests runs concurrently, so the deltas are this test's own.
+type domainCacheCounts struct {
+	BlockHits, BlockMisses, RestHits, RestMisses, ResultHits int64
+}
+
+func domainCacheStats() domainCacheCounts {
+	return domainCacheCounts{
+		BlockHits: domBlockHits.Load(), BlockMisses: domBlockMisses.Load(),
+		RestHits: domRestHits.Load(), RestMisses: domRestMisses.Load(),
+		ResultHits: domResultHits.Load(),
+	}
+}
+
 // TestEvaluatorDomainsCachedMatchesReference cycles one warm evaluator
 // through a stream of related domain queries — shock changes, member
 // hardening, multiplier changes, model changes — and pins every answer
@@ -17,6 +32,7 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 	fleet, domains := domainFleet9()
 	m := NewRaft(9)
 	e := NewEvaluator()
+	start := domainCacheStats()
 
 	check := func(tag string, f Fleet, ds DomainSet) {
 		t.Helper()
@@ -68,7 +84,7 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 	z := append(DomainSet(nil), domains...)
 	z[0].ShockProb, z[0].ByzMultiplier, z[1].ShockProb = 0, 0, 0.25 // two domains moved: a full recombination
 	check("+0", fleet, z)
-	before := e.DomainCacheStats()
+	before := domainCacheStats()
 	z[0].ShockProb, z[0].ByzMultiplier = negZero, negZero
 	check("-0 repeat", fleet, z)
 	z[1].ShockProb = 0.3
@@ -76,18 +92,18 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 	z[2].ShockProb = 0.4
 	z[1].ShockProb = 0.35
 	check("-0 beside two moved domains", fleet, z)
-	after := e.DomainCacheStats()
+	after := domainCacheStats()
 	if after.ResultHits != before.ResultHits+1 || after.RestHits != before.RestHits+1 ||
 		after.RestMisses != before.RestMisses+1 || after.BlockMisses != before.BlockMisses {
 		t.Errorf("-0 after +0: stats %+v -> %+v; want one result hit, one rest hit, one recombination, no block rebuilt", before, after)
 	}
 
-	st := e.DomainCacheStats()
-	if st.RestHits == 0 {
-		t.Fatalf("query stream never hit the rest-table fast path: %+v", st)
+	end := domainCacheStats()
+	if end.RestHits == start.RestHits {
+		t.Fatalf("query stream never hit the rest-table fast path: %+v -> %+v", start, end)
 	}
-	if st.BlockHits == 0 {
-		t.Fatalf("query stream never hit the block cache: %+v", st)
+	if end.BlockHits == start.BlockHits {
+		t.Fatalf("query stream never hit the block cache: %+v -> %+v", start, end)
 	}
 }
 
@@ -121,7 +137,7 @@ func TestAnalyzeDomainsBlockReuse(t *testing.T) {
 	m := NewRaft(9)
 	e := NewEvaluator()
 
-	start := dist.JointBuilds()
+	start, restHits := dist.JointBuilds(), domRestHits.Load()
 	ds := append(DomainSet(nil), domains...)
 	for i := 0; i < 64; i++ {
 		ds[0].ShockProb = 0.001 + 0.002*float64(i)
@@ -143,9 +159,8 @@ func TestAnalyzeDomainsBlockReuse(t *testing.T) {
 		t.Fatalf("sweep builds %d not >= 10x fewer than fresh %d", builds, fresh)
 	}
 
-	st := e.DomainCacheStats()
-	if st.RestHits < 63 {
-		t.Fatalf("expected >= 63 rest-table fast-path hits, got %+v", st)
+	if got := domRestHits.Load() - restHits; got < 63 {
+		t.Fatalf("expected >= 63 rest-table fast-path hits, got %d", got)
 	}
 }
 

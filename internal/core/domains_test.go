@@ -125,24 +125,26 @@ func TestDomainsEmptySetIsAnalyze(t *testing.T) {
 }
 
 func TestDomainsMatchAnalyzeWithShock(t *testing.T) {
-	// One domain covering the whole fleet is exactly the fleet-wide
-	// CommonCause mixture of AnalyzeWithShock.
+	// One domain covering the whole fleet is a fleet-wide common-cause
+	// shock, whose exact analysis needs no domain engine: faults are
+	// independent given the shock outcome, so it is the analysis of the
+	// base fleet and of the elevated fleet mixed by the shock probability.
+	const shock, mult = 0.01, 30
 	fleet := UniformCrashFleet(5, 0.02)
 	for i := range fleet {
 		fleet[i].Domain = "rollout"
 	}
-	domains := DomainSet{{Name: "rollout", ShockProb: 0.01, CrashMultiplier: 30, ByzMultiplier: 1}}
+	domains := DomainSet{{Name: "rollout", ShockProb: shock, CrashMultiplier: mult, ByzMultiplier: 1}}
 	m := NewRaft(5)
-	want, err := AnalyzeWithShock(UniformCrashFleet(5, 0.02), m,
-		faultcurve.CommonCause{ShockProb: 0.01, CrashMultiplier: 30, ByzMultiplier: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := MustAnalyze(UniformCrashFleet(5, 0.02), m)
+	up := MustAnalyze(UniformCrashFleet(5, 0.02*mult), m)
+	mix := func(b, u float64) float64 { return (1-shock)*b + shock*u }
+	want := Result{Safe: mix(base.Safe, up.Safe), Live: mix(base.Live, up.Live), SafeAndLive: mix(base.SafeAndLive, up.SafeAndLive)}
 	got, err := AnalyzeDomains(fleet, m, domains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsClose(t, "single whole-fleet domain vs AnalyzeWithShock", got, want, 1e-12)
+	resultsClose(t, "single whole-fleet domain vs shock-weighted mix of two Analyze calls", got, want, 1e-12)
 }
 
 func TestDomainsMonteCarloBracketsExact(t *testing.T) {

@@ -20,13 +20,13 @@ func mixedE3Fleet() (Fleet, quorum.Set) {
 func TestQuorumDurabilityExact(t *testing.T) {
 	fleet, _ := mixedE3Fleet()
 	// All four unreliable nodes: durability = 1 - 0.08^4.
-	s := quorum.SetOf(7, 3, 4, 5, 6)
+	s := quorum.FromMask(7, 0b1111000) // nodes 3..6
 	want := 1 - math.Pow(0.08, 4)
 	if got := QuorumDurability(s, fleet); math.Abs(got-want) > 1e-12 {
 		t.Errorf("durability %v, want %v", got, want)
 	}
 	// One reliable + three unreliable: 1 - 0.01*0.08^3.
-	s2 := quorum.SetOf(7, 0, 4, 5, 6)
+	s2 := quorum.FromMask(7, 0b1110001) // nodes 0, 4, 5, 6
 	want2 := 1 - 0.01*math.Pow(0.08, 3)
 	if got := QuorumDurability(s2, fleet); math.Abs(got-want2) > 1e-12 {
 		t.Errorf("aware durability %v, want %v", got, want2)

@@ -154,11 +154,6 @@ func (e *Evaluator) AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet)
 	return e.analyzeDomainsMixture(fleet, m, domains)
 }
 
-// DomainCacheStats returns the evaluator's domain-cache hit/miss counters
-// — the observability hook tests and benchmarks use to prove block and
-// rest-table reuse.
-func (e *Evaluator) DomainCacheStats() DomainCacheStats { return e.dom.stats }
-
 // AnalyzeUniformNsInto evaluates a uniform fleet at every size in ns —
 // which must be positive and ascending — by prefix-extending a single
 // joint DP: one O(ns[0]^3) build, then O(n^2) ExtendWith folds per

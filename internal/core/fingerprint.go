@@ -13,9 +13,8 @@ import (
 
 // This file defines the canonical fingerprint of an analysis query
 // (fleet, model): the cache key of the serving layer (internal/qcache,
-// internal/service) and of probcons.CachedAnalyzer. Analyze is pure and
-// deterministic, so two queries with equal fingerprints have bit-identical
-// Results.
+// internal/service). Analyze is pure and deterministic, so two queries
+// with equal fingerprints have bit-identical Results.
 //
 // Canonicalisation rules:
 //
@@ -59,13 +58,6 @@ func (f Fingerprint) String() string {
 }
 
 const fingerprintDomain = "probcons-query-v1"
-
-// FleetModelFingerprint computes the canonical fingerprint of analysing
-// fleet under m with no correlated failure domains. It is
-// FleetModelDomainsFingerprint with an empty DomainSet.
-func FleetModelFingerprint(fleet Fleet, m CountModel) (Fingerprint, error) {
-	return FleetModelDomainsFingerprint(fleet, m, nil)
-}
 
 // FleetModelDomainsFingerprint computes the canonical fingerprint of
 // analysing fleet under m with the given failure-domain layout — the cache

@@ -9,7 +9,7 @@ import (
 
 func fp(t *testing.T, fleet Fleet, m CountModel) Fingerprint {
 	t.Helper()
-	f, err := FleetModelFingerprint(fleet, m)
+	f, err := FleetModelDomainsFingerprint(fleet, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,12 @@ func TestFingerprintSeparatesModels(t *testing.T) {
 }
 
 func TestFingerprintRejectsInvalidQueries(t *testing.T) {
-	if _, err := FleetModelFingerprint(UniformCrashFleet(3, 0.01), NewRaft(5)); err == nil {
+	if _, err := FleetModelDomainsFingerprint(UniformCrashFleet(3, 0.01), NewRaft(5), nil); err == nil {
 		t.Fatal("size mismatch must be rejected")
 	}
 	bad := UniformCrashFleet(3, 0.01)
 	bad[1].Profile.PCrash = 1.5
-	if _, err := FleetModelFingerprint(bad, NewRaft(3)); err == nil {
+	if _, err := FleetModelDomainsFingerprint(bad, NewRaft(3), nil); err == nil {
 		t.Fatal("invalid profile must be rejected")
 	}
 }

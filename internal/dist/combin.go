@@ -74,26 +74,10 @@ func BinomPMF(n int, p float64, k int) float64 {
 	return Clamp01(math.Exp(logBinomPMF(n, p, k)))
 }
 
-// BinomCDF returns P[Binomial(n, p) <= k]. The requested tail is always
+// BinomTailGE returns P[Binomial(n, p) >= k]. The requested tail is always
 // summed directly (each term a single log-space exponentiation, Kahan
 // accumulated), never as 1 - othertail: complementing a value within
 // 1e-16 of 1 would destroy the relative precision of a 10-nines tail.
-func BinomCDF(n int, p float64, k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= n {
-		return 1
-	}
-	var s KahanSum
-	for i := 0; i <= k; i++ {
-		s.Add(math.Exp(logBinomPMF(n, p, i)))
-	}
-	return Clamp01(s.Sum())
-}
-
-// BinomTailGE returns P[Binomial(n, p) >= k], direct-summed in log space
-// for the same deep-tail reason as BinomCDF.
 func BinomTailGE(n int, p float64, k int) float64 {
 	if k <= 0 {
 		return 1

@@ -10,6 +10,31 @@ import (
 // Poisson binomial vs closed-form binomial
 // ---------------------------------------------------------------------------
 
+// PMF returns P[X = k]; 0 outside [0, n]. The tests' bounds-checked view
+// of the DP's mass vector (the engines read tails, never single cells).
+func (d *PoissonBinomial) PMF(k int) float64 {
+	if k < 0 || k >= len(d.pmf) {
+		return 0
+	}
+	return d.pmf[k]
+}
+
+// binomCDF returns P[Binomial(n, p) <= k], summed directly like
+// BinomTailGE: the closed-form reference for PoissonBinomial.CDF.
+func binomCDF(n int, p float64, k int) float64 {
+	if k < 0 {
+		return 0
+	}
+	if k >= n {
+		return 1
+	}
+	var s KahanSum
+	for i := 0; i <= k; i++ {
+		s.Add(math.Exp(logBinomPMF(n, p, i)))
+	}
+	return Clamp01(s.Sum())
+}
+
 // With every trial probability equal, the Poisson-binomial DP must
 // reproduce the closed-form binomial to near machine precision — this is
 // the property test pinning the DP against the log-space combinatorics.
@@ -28,15 +53,19 @@ func TestPoissonBinomialMatchesBinomial(t *testing.T) {
 				if got, want := d.PMF(k), BinomPMF(n, p, k); math.Abs(got-want) > 1e-12 {
 					t.Errorf("n=%d p=%v: PMF(%d) = %g, binomial %g", n, p, k, got, want)
 				}
-				if got, want := d.CDF(k), BinomCDF(n, p, k); math.Abs(got-want) > 1e-12 {
+				if got, want := d.CDF(k), binomCDF(n, p, k); math.Abs(got-want) > 1e-12 {
 					t.Errorf("n=%d p=%v: CDF(%d) = %g, binomial %g", n, p, k, got, want)
 				}
 				if got, want := d.TailGE(k), BinomTailGE(n, p, k); math.Abs(got-want) > 1e-12 {
 					t.Errorf("n=%d p=%v: TailGE(%d) = %g, binomial %g", n, p, k, got, want)
 				}
 			}
-			if got, want := d.Mean(), float64(n)*p; math.Abs(got-want) > 1e-10 {
-				t.Errorf("n=%d p=%v: Mean = %g, want %g", n, p, got, want)
+			var mean KahanSum
+			for k, mass := range d.pmf {
+				mean.Add(float64(k) * mass)
+			}
+			if got, want := mean.Sum(), float64(n)*p; math.Abs(got-want) > 1e-10 {
+				t.Errorf("n=%d p=%v: mean = %g, want %g", n, p, got, want)
 			}
 		}
 	}
@@ -117,8 +146,14 @@ func TestJointCrashByzMarginals(t *testing.T) {
 				t.Errorf("n=%d: byz marginal(%d) = %g, want %g", n, k, mb.Sum(), pbByz.PMF(k))
 			}
 		}
-		for k, got := range joint.MarginalFail() {
-			if want := pbFail.PMF(k); math.Abs(got-want) > 1e-12 {
+		failed := make([]KahanSum, n+1) // total failures: the joint table's anti-diagonals
+		for c := 0; c <= n; c++ {
+			for b := 0; c+b <= n; b++ {
+				failed[c+b].Add(joint.PMF(c, b))
+			}
+		}
+		for k := range failed {
+			if got, want := failed[k].Sum(), pbFail.PMF(k); math.Abs(got-want) > 1e-12 {
 				t.Errorf("n=%d: fail marginal(%d) = %g, want %g", n, k, got, want)
 			}
 		}
@@ -183,9 +218,6 @@ func TestTriState(t *testing.T) {
 	}
 	if got := (TriState{PCrash: 0.7, PByz: 0.7}).PCorrect(); got != 0 {
 		t.Errorf("overfull PCorrect = %g, want 0 (clamped)", got)
-	}
-	if got := (TriState{PCrash: 0.7, PByz: 0.7}).PFail(); got != 1 {
-		t.Errorf("overfull PFail = %g, want 1 (clamped)", got)
 	}
 }
 
@@ -254,7 +286,7 @@ func TestBinomialEdgesAndTails(t *testing.T) {
 	if BinomPMF(5, 1, 5) != 1 || BinomPMF(5, 1, 4) != 0 {
 		t.Error("p=1 PMF wrong")
 	}
-	if BinomCDF(5, 0.3, -1) != 0 || BinomCDF(5, 0.3, 5) != 1 {
+	if binomCDF(5, 0.3, -1) != 0 || binomCDF(5, 0.3, 5) != 1 {
 		t.Error("CDF range edges wrong")
 	}
 	if BinomTailGE(5, 0.3, 0) != 1 || BinomTailGE(5, 0.3, 6) != 0 {
@@ -264,7 +296,7 @@ func TestBinomialEdgesAndTails(t *testing.T) {
 	for _, n := range []int{9, 40} {
 		for _, p := range []float64{0.001, 0.4, 0.999} {
 			for k := 0; k <= n; k++ {
-				if tot := BinomCDF(n, p, k) + BinomTailGE(n, p, k+1); math.Abs(tot-1) > 1e-12 {
+				if tot := binomCDF(n, p, k) + BinomTailGE(n, p, k+1); math.Abs(tot-1) > 1e-12 {
 					t.Fatalf("n=%d p=%v k=%d: CDF+TailGE = %.17g", n, p, k, tot)
 				}
 			}

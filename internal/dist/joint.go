@@ -128,12 +128,6 @@ var (
 // how many full O(n^3) builds the call performed.
 func JointBuilds() int64 { return jointBuilds.Load() }
 
-// WorkspaceReuses returns the number of joint-DP Resets that reused both
-// workspace buffers without allocating — the steady-state counterpart of
-// JointBuilds that makes EXPERIMENTS.md's zero-allocation claims
-// scrapeable.
-func WorkspaceReuses() int64 { return workspaceReuses.Load() }
-
 // clampTri normalises one node's tri-state to a valid distribution, crash
 // taking priority over Byzantine — the same branch order the Monte-Carlo
 // sampler uses — so DP tables always sum to exactly one node's worth of
@@ -285,21 +279,4 @@ func (d *JointCrashByz) SumWhere(pred func(crashed, byz int) bool) float64 {
 		}
 	}
 	return Clamp01(s.Sum())
-}
-
-// MarginalFail returns the Poisson-binomial distribution of the total
-// number of failed nodes (#crashed + #Byzantine) implied by the joint
-// table — used by tests to cross-check the two DPs against each other.
-func (d *JointCrashByz) MarginalFail() []float64 {
-	out := make([]float64, d.n+1)
-	sums := make([]KahanSum, d.n+1)
-	for c := 0; c < d.rows; c++ {
-		for b, mass := range d.Row(c) {
-			sums[c+b].Add(mass)
-		}
-	}
-	for i := range sums {
-		out[i] = sums[i].Sum()
-	}
-	return out
 }

@@ -46,14 +46,6 @@ var (
 		"Leave-one-out from-scratch rebuild fallbacks (node correctness below stability threshold).", nil)
 )
 
-// LeaveOneOutDeflations returns the process-wide count of O(n^2)
-// leave-one-out deflations performed by Without.
-func LeaveOneOutDeflations() int64 { return looDeflations.Load() }
-
-// LeaveOneOutRebuilds returns the process-wide count of Without calls
-// that fell back to a from-scratch rebuild.
-func LeaveOneOutRebuilds() int64 { return looRebuilds.Load() }
-
 // looMinPCorrect is the deflation stability threshold: below this
 // per-node correctness probability the error-amplification ratio
 // (pc+pb)/pok exceeds 1/3 and Without rebuilds from scratch instead.
@@ -61,25 +53,12 @@ func LeaveOneOutRebuilds() int64 { return looRebuilds.Load() }
 // (1/0.75)^25 ≈ 1.3e3·ulp ≈ 1e-13 — inside the 1e-12 cross-pin budget.
 const looMinPCorrect = 0.75
 
-// NewLeaveOneOut builds the leave-one-out state for a fleet.
-func NewLeaveOneOut(nodes []TriState) *LeaveOneOut {
-	l := &LeaveOneOut{}
-	l.Reset(nodes)
-	return l
-}
-
 // Reset rebuilds the full joint table for a new fleet, reusing every
 // buffer. This is the structure's one O(n^3) DP build.
 func (l *LeaveOneOut) Reset(nodes []TriState) {
 	l.nodes = append(l.nodes[:0], nodes...)
 	l.full.Reset(l.nodes)
 }
-
-// N returns the fleet size.
-func (l *LeaveOneOut) N() int { return len(l.nodes) }
-
-// Node returns the tri-state of node i as captured at Reset.
-func (l *LeaveOneOut) Node(i int) TriState { return l.nodes[i] }
 
 // Full returns the joint table over all nodes. The table is owned by the
 // LeaveOneOut and valid until the next Reset.

@@ -72,14 +72,22 @@ func ConvolveJointCrashByz(a, b *JointCrashByz) *JointCrashByz {
 // group above ParallelRowThreshold rows with bit-identical results, and
 // serial runs match the historical scatter-form accumulation bit for bit.
 func ConvolveJointCrashByzInto(dst *JointCrashByz, a, b *JointCrashByz) {
+	workers := 1
+	if a.n+b.n+1 >= ParallelRowThreshold { // small tables never ask: GOMAXPROCS takes the scheduler lock
+		workers = jointWorkers()
+	}
+	convolveInto(dst, a, b, workers)
+}
+
+// convolveInto is ConvolveJointCrashByzInto with the worker count of the
+// row split given (1 forces serial execution: the bit-identity tests diff
+// serial against parallel convolutions). Tables under ParallelRowThreshold
+// rows stay serial whatever the count.
+func convolveInto(dst, a, b *JointCrashByz, workers int) {
 	n := a.n + b.n
 	w := n + 1
 	dst.band.resetDense(n)
 	dst.n = n
-	workers := 1
-	if w >= ParallelRowThreshold {
-		workers = Parallelism()
-	}
 	if workers > 1 && w >= ParallelRowThreshold {
 		// Branch-local copies so only the large-N path pays the closure's
 		// heap escapes; the serial path below stays allocation-free.

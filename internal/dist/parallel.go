@@ -3,7 +3,6 @@ package dist
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -15,10 +14,6 @@ import (
 // production?".
 var parallelFolds = obs.Default().Counter("probcons_engine_parallel_folds_total",
 	"Joint-DP block convolutions split across the bounded worker group.", nil)
-
-// ParallelFolds returns the process-wide count of parallel row-split
-// activations.
-func ParallelFolds() int64 { return parallelFolds.Load() }
 
 // This file is the bounded worker group behind the large-N block-
 // convolution row split: workers write disjoint contiguous row ranges of
@@ -46,35 +41,14 @@ const ParallelRowThreshold = 128
 // row split is memory-bandwidth-bound well before 8 workers.
 const maxJointWorkers = 8
 
-// jointWorkers holds the configured worker count; 0 means "derive from
-// GOMAXPROCS, capped at maxJointWorkers".
-var jointWorkers atomic.Int32
-
-// Parallelism reports the worker count large-N row splits will use.
-func Parallelism() int {
-	if w := jointWorkers.Load(); w > 0 {
-		return int(w)
-	}
+// jointWorkers is the worker count large-N row splits use: GOMAXPROCS,
+// capped at maxJointWorkers.
+func jointWorkers() int {
 	w := runtime.GOMAXPROCS(0)
 	if w > maxJointWorkers {
 		w = maxJointWorkers
 	}
-	if w < 1 {
-		w = 1
-	}
 	return w
-}
-
-// SetParallelism sets the worker count for large-N row splits and returns
-// the previous setting. 1 forces serial execution (the bit-identity tests
-// diff serial against parallel builds); 0 restores the automatic default.
-// Safe for concurrent use; in-flight builds keep the count they started
-// with.
-func SetParallelism(workers int) int {
-	if workers < 0 {
-		workers = 0
-	}
-	return int(jointWorkers.Swap(int32(workers)))
 }
 
 // splitRows runs fn over [0, rows) in contiguous chunks, one chunk per

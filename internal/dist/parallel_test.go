@@ -2,27 +2,29 @@ package dist
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// TestJointParallelBitIdentical pins that the worker-group setting cannot
-// perturb a Reset: builds under SetParallelism(1) and SetParallelism(4)
-// are bit-for-bit identical at sizes straddling ParallelRowThreshold.
-// Reset's folds are serial since the band-limited kernel (a split fold
-// lost to fan-out cost), so this holds by construction; the test stays so
-// any future fold split must keep every other equality pin in the repo
-// free to ignore parallelism. The split that remains is the block
-// convolution's, pinned by TestConvolveParallelBitIdentical below.
+// TestJointParallelBitIdentical pins that the process's parallelism — the
+// row split's worker count derives from GOMAXPROCS — cannot perturb a
+// Reset: builds under GOMAXPROCS 1 and 4 are bit-for-bit identical at
+// sizes straddling ParallelRowThreshold. Reset's folds are serial since
+// the band-limited kernel (a split fold lost to fan-out cost), so this
+// holds by construction; the test stays so any future fold split must keep
+// every other equality pin in the repo free to ignore parallelism. The
+// split that remains is the block convolution's, pinned by
+// TestConvolveParallelBitIdentical below.
 func TestJointParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{ParallelRowThreshold - 2, ParallelRowThreshold + 1, 200} {
 		nodes := randomTriStatesCapped(rng, n, 0.3)
 
-		prev := SetParallelism(1)
+		prev := runtime.GOMAXPROCS(1)
 		serial := NewJointCrashByz(nodes)
-		SetParallelism(4)
+		runtime.GOMAXPROCS(4)
 		parallel := NewJointCrashByz(nodes)
-		SetParallelism(prev)
+		runtime.GOMAXPROCS(prev)
 
 		if serial.N() != parallel.N() {
 			t.Fatalf("n=%d: size mismatch %d vs %d", n, serial.N(), parallel.N())
@@ -44,11 +46,9 @@ func TestConvolveParallelBitIdentical(t *testing.T) {
 	a := NewJointCrashByz(randomTriStatesCapped(rng, na, 0.3))
 	b := NewJointCrashByz(randomTriStatesCapped(rng, nb, 0.3))
 
-	prev := SetParallelism(1)
-	serial := ConvolveJointCrashByz(a, b)
-	SetParallelism(4)
-	parallel := ConvolveJointCrashByz(a, b)
-	SetParallelism(prev)
+	var serial, parallel JointCrashByz
+	convolveInto(&serial, a, b, 1)
+	convolveInto(&parallel, a, b, 4)
 
 	n := na + nb
 	for c := 0; c <= n; c++ {
@@ -142,18 +142,32 @@ func TestMixIntoMatchesAllocating(t *testing.T) {
 	}
 }
 
-// TestSetParallelism pins the configuration contract the bit-identity
-// tests rely on.
+// TestSetParallelism pins the contract the bit-identity test above relies
+// on — the worker count handed to convolveInto decides whether the rows
+// fan out (else it would diff serial against serial) — and the bounds of
+// the default ConvolveJointCrashByzInto passes.
 func TestSetParallelism(t *testing.T) {
-	prev := SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(3)", got)
+	rng := rand.New(rand.NewSource(45))
+	a := NewJointCrashByz(randomTriStatesCapped(rng, 90, 0.3))
+	b := NewJointCrashByz(randomTriStatesCapped(rng, 80, 0.3))
+	small := NewJointCrashByz(randomTriStatesCapped(rng, 5, 0.3))
+	var dst JointCrashByz
+	for _, tc := range []struct {
+		a, b    *JointCrashByz
+		workers int
+		folds   int64
+	}{
+		{a, b, 1, 0},         // one worker: serial
+		{a, b, 4, 1},         // 171 rows across 4 workers
+		{small, small, 4, 0}, // below ParallelRowThreshold: serial whatever the count
+	} {
+		before := parallelFolds.Load()
+		convolveInto(&dst, tc.a, tc.b, tc.workers)
+		if got := parallelFolds.Load() - before; got != tc.folds {
+			t.Errorf("N=%d+%d with %d workers: %d parallel folds, want %d", tc.a.N(), tc.b.N(), tc.workers, got, tc.folds)
+		}
 	}
-	if got := SetParallelism(-5); got != 3 {
-		t.Fatalf("SetParallelism returned %d, want 3", got)
+	if got := jointWorkers(); got < 1 || got > maxJointWorkers {
+		t.Fatalf("jointWorkers() = %d, want in [1, %d]", got, maxJointWorkers)
 	}
-	if got := Parallelism(); got < 1 || got > maxJointWorkers {
-		t.Fatalf("auto Parallelism() = %d, want in [1, %d]", got, maxJointWorkers)
-	}
-	SetParallelism(prev)
 }

@@ -69,17 +69,9 @@ func (d *PoissonBinomial) ExtendWith(p float64) {
 // N returns the number of trials.
 func (d *PoissonBinomial) N() int { return len(d.pmf) - 1 }
 
-// PMF returns P[X = k]; 0 outside [0, n].
-func (d *PoissonBinomial) PMF(k int) float64 {
-	if k < 0 || k >= len(d.pmf) {
-		return 0
-	}
-	return d.pmf[k]
-}
-
 // CDF returns P[X <= k]. The requested side is summed directly rather
 // than complemented, preserving the relative precision of deep tails
-// (see BinomCDF).
+// (see BinomTailGE).
 func (d *PoissonBinomial) CDF(k int) float64 {
 	if k < 0 {
 		return 0
@@ -107,13 +99,4 @@ func (d *PoissonBinomial) TailGE(k int) float64 {
 		s.Add(d.pmf[i])
 	}
 	return Clamp01(s.Sum())
-}
-
-// Mean returns E[X] = sum k·pmf[k].
-func (d *PoissonBinomial) Mean() float64 {
-	var s KahanSum
-	for k, p := range d.pmf {
-		s.Add(float64(k) * p)
-	}
-	return s.Sum()
 }

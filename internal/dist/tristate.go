@@ -13,6 +13,3 @@ type TriState struct {
 // clamped so that rounding in callers' arithmetic can never produce a
 // (tiny) negative probability.
 func (t TriState) PCorrect() float64 { return Clamp01(1 - t.PCrash - t.PByz) }
-
-// PFail returns the total failure probability PCrash+PByz, clamped.
-func (t TriState) PFail() float64 { return Clamp01(t.PCrash + t.PByz) }

@@ -119,7 +119,8 @@ func TestLeaveOneOutWithoutMatchesFresh(t *testing.T) {
 	for _, maxFail := range []float64{0.05, 0.4, 0.9} {
 		for _, n := range []int{1, 2, 5, 9, 14} {
 			nodes := randomTriStatesCapped(rng, n, maxFail)
-			l := NewLeaveOneOut(nodes)
+			var l LeaveOneOut
+			l.Reset(nodes)
 			for i := 0; i < n; i++ {
 				rest := append(append([]TriState(nil), nodes[:i]...), nodes[i+1:]...)
 				fresh := NewJointCrashByz(rest)
@@ -134,13 +135,14 @@ func TestLeaveOneOutWithoutMatchesFresh(t *testing.T) {
 func TestLeaveOneOutRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	nodes := randomTriStatesCapped(rng, 9, 0.4)
-	l := NewLeaveOneOut(nodes)
+	var l LeaveOneOut
+	l.Reset(nodes)
 	full := NewJointCrashByz(nodes)
 	for i := range nodes {
 		// Remove node i, then fold it back in: counts are exchangeable, so
 		// the round-trip must land back on the full table.
 		j := l.Without(i)
-		j.ExtendWith(l.Node(i))
+		j.ExtendWith(l.nodes[i])
 		if diff := maxJointDiff(t, j, full); diff > 1e-12 {
 			t.Fatalf("remove/re-add round-trip of node %d drifts by %g", i, diff)
 		}
@@ -153,8 +155,8 @@ func TestLeaveOneOutReset(t *testing.T) {
 	for _, n := range []int{3, 8, 2} {
 		nodes := randomTriStatesCapped(rng, n, 0.3)
 		l.Reset(nodes)
-		if l.N() != n {
-			t.Fatalf("N=%d after Reset of %d", l.N(), n)
+		if len(l.nodes) != n {
+			t.Fatalf("N=%d after Reset of %d", len(l.nodes), n)
 		}
 		if diff := maxJointDiff(t, l.Full(), NewJointCrashByz(nodes)); diff != 0 {
 			t.Fatalf("full table differs by %g", diff)
@@ -203,7 +205,8 @@ func TestJointBuildCounter(t *testing.T) {
 	before := JointBuilds()
 	d := NewJointCrashByz(nodes)
 	d.ExtendWith(TriState{PCrash: 0.1})
-	l := NewLeaveOneOut(nodes)
+	var l LeaveOneOut
+	l.Reset(nodes)
 	l.Without(2)
 	if got := JointBuilds() - before; got != 2 {
 		t.Errorf("counted %d builds, want 2 (extend and deflation must not count)", got)

@@ -12,10 +12,10 @@
 // window with FailProb; static probabilities are what the configuration
 // analysis in internal/core consumes, mirroring §3's simplification.
 //
-// Correlated failures come in two granularities: CommonCause (one
-// fleet-wide shock) and Domain (a named rack/zone/rollout-cohort whose
-// members share a shock; internal/core groups nodes by domain name).
-// Invariant: elevation preserves the crash/Byzantine ratio when the scaled
+// Correlated failures have one model: Domain, a named rack, zone or
+// rollout cohort whose members share a common-cause shock (internal/core
+// groups nodes by domain name; a fleet-wide shock is one domain every node
+// belongs to). Invariant: elevation preserves the crash/Byzantine ratio when the scaled
 // total would exceed 1 and always yields a valid profile, so conditioned
 // analyses never see out-of-range probabilities.
 package faultcurve

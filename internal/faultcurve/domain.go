@@ -51,17 +51,13 @@ func (d Domain) Validate() error {
 	return nil
 }
 
-// Elevate returns the member profile conditioned on the shock having fired.
+// Elevate returns the member profile conditioned on the shock having
+// fired: crash and Byzantine mass scaled by the multipliers, preserving the
+// crash/byz ratio if the scaled total would exceed 1 and clamping each
+// component to [0, 1].
 func (d Domain) Elevate(p Profile) Profile {
-	return elevateProfile(p, d.CrashMultiplier, d.ByzMultiplier)
-}
-
-// elevateProfile scales a profile's crash and Byzantine mass, preserving
-// the crash/byz ratio if the scaled total would exceed 1 and clamping each
-// component to [0, 1]. Shared by Domain and CommonCause.
-func elevateProfile(p Profile, crashMult, byzMult float64) Profile {
-	pc := p.PCrash * crashMult
-	pb := p.PByz * byzMult
+	pc := p.PCrash * d.CrashMultiplier
+	pb := p.PByz * d.ByzMultiplier
 	if pc+pb > 1 {
 		scale := 1 / (pc + pb)
 		pc *= scale

@@ -63,15 +63,6 @@ func UniformProfiles(n int, p Profile) []Profile {
 	return out
 }
 
-// TriStates converts a profile slice for the dist kernel.
-func TriStates(profiles []Profile) []dist.TriState {
-	out := make([]dist.TriState, len(profiles))
-	for i, p := range profiles {
-		out[i] = p.TriState()
-	}
-	return out
-}
-
 // FailProbs extracts total failure probabilities.
 func FailProbs(profiles []Profile) []float64 {
 	out := make([]float64, len(profiles))

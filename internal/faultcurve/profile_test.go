@@ -59,9 +59,8 @@ func TestUniformProfilesAndConversions(t *testing.T) {
 			t.Fatalf("profile %+v", p)
 		}
 	}
-	ts := TriStates(ps)
-	if len(ts) != 5 || ts[2].PCrash != 0.08 {
-		t.Errorf("TriStates conversion wrong: %+v", ts)
+	if ts := ps[2].TriState(); ts.PCrash != 0.08 || ts.PByz != 0 {
+		t.Errorf("TriState conversion wrong: %+v", ts)
 	}
 	fp := FailProbs(ps)
 	if len(fp) != 5 || fp[4] != 0.08 {
@@ -69,54 +68,33 @@ func TestUniformProfilesAndConversions(t *testing.T) {
 	}
 }
 
+// The common-cause shock of a Domain: what a member's profile becomes
+// once the shock has fired.
+
 func TestCommonCauseElevated(t *testing.T) {
-	base := []Profile{{PCrash: 0.01, PByz: 0.001}, {PCrash: 0.02}}
-	cc := CommonCause{ShockProb: 0.1, CrashMultiplier: 10, ByzMultiplier: 100}
-	up := cc.Elevated(base)
-	if !almostEq(up[0].PCrash, 0.1, 1e-12) || !almostEq(up[0].PByz, 0.1, 1e-12) {
-		t.Errorf("elevated[0] = %+v", up[0])
+	d := Domain{Name: "zone", ShockProb: 0.1, CrashMultiplier: 10, ByzMultiplier: 100}
+	up := d.Elevate(Profile{PCrash: 0.01, PByz: 0.001})
+	if !almostEq(up.PCrash, 0.1, 1e-12) || !almostEq(up.PByz, 0.1, 1e-12) {
+		t.Errorf("elevated = %+v", up)
 	}
-	if !almostEq(up[1].PCrash, 0.2, 1e-12) {
-		t.Errorf("elevated[1] = %+v", up[1])
+	if up := d.Elevate(Profile{PCrash: 0.02}); !almostEq(up.PCrash, 0.2, 1e-12) || up.PByz != 0 {
+		t.Errorf("elevated crash-only = %+v", up)
 	}
-	// Base slice must be untouched.
-	if base[0].PCrash != 0.01 {
-		t.Error("Elevated mutated its input")
+	// Multipliers of 1 leave the profile alone.
+	calm := Domain{Name: "zone", ShockProb: 0.5, CrashMultiplier: 1, ByzMultiplier: 1}
+	if p := (Profile{PCrash: 0.03, PByz: 0.004}); calm.Elevate(p) != p {
+		t.Errorf("unit multipliers changed %+v to %+v", p, calm.Elevate(p))
 	}
 }
 
 func TestCommonCauseElevatedStaysValid(t *testing.T) {
-	base := []Profile{{PCrash: 0.4, PByz: 0.3}}
-	cc := CommonCause{CrashMultiplier: 5, ByzMultiplier: 5}
-	up := cc.Elevated(base)
-	if err := up[0].Validate(); err != nil {
-		t.Errorf("elevated profile invalid: %+v (%v)", up[0], err)
+	d := Domain{Name: "zone", CrashMultiplier: 5, ByzMultiplier: 5}
+	up := d.Elevate(Profile{PCrash: 0.4, PByz: 0.3})
+	if err := up.Validate(); err != nil {
+		t.Errorf("elevated profile invalid: %+v (%v)", up, err)
 	}
 	// Ratio preserved under renormalisation: 4:3.
-	if !almostEq(up[0].PCrash/up[0].PByz, 4.0/3.0, 1e-9) {
-		t.Errorf("ratio not preserved: %+v", up[0])
-	}
-}
-
-func TestCommonCauseAffectedSubset(t *testing.T) {
-	base := []Profile{{PCrash: 0.01}, {PCrash: 0.01}}
-	cc := CommonCause{CrashMultiplier: 10, Affected: map[int]bool{1: true}}
-	up := cc.Elevated(base)
-	if up[0].PCrash != 0.01 {
-		t.Errorf("unaffected node elevated: %+v", up[0])
-	}
-	if !almostEq(up[1].PCrash, 0.1, 1e-12) {
-		t.Errorf("affected node not elevated: %+v", up[1])
-	}
-}
-
-func TestCommonCauseMix(t *testing.T) {
-	cc := CommonCause{ShockProb: 0.25}
-	if got := cc.Mix(0.8, 0.4); !almostEq(got, 0.75*0.8+0.25*0.4, 1e-12) {
-		t.Errorf("Mix = %v", got)
-	}
-	cc2 := CommonCause{ShockProb: 2} // clamped
-	if got := cc2.Mix(0.8, 0.4); !almostEq(got, 0.4, 1e-12) {
-		t.Errorf("clamped Mix = %v", got)
+	if !almostEq(up.PCrash/up.PByz, 4.0/3.0, 1e-9) {
+		t.Errorf("ratio not preserved: %+v", up)
 	}
 }

@@ -75,12 +75,6 @@ func (s *Store) Get(key string) (string, bool) {
 	return v, ok
 }
 
-// Len returns the number of keys.
-func (s *Store) Len() int { return len(s.data) }
-
-// Applied returns the applied-slot watermark.
-func (s *Store) Applied() int { return s.next }
-
 // Cluster is a replicated KV service: a Raft cluster with one Store per
 // node.
 type Cluster struct {
@@ -118,11 +112,6 @@ func (c *Cluster) RunFor(d sim.Time) { c.Raft.RunFor(d) }
 // was available (retry after running the scheduler).
 func (c *Cluster) Set(key, value string) bool {
 	return c.Raft.ProposeAny(Command{Op: "set", Key: key, Value: value}.Encode())
-}
-
-// Delete proposes a deletion.
-func (c *Cluster) Delete(key string) bool {
-	return c.Raft.ProposeAny(Command{Op: "del", Key: key}.Encode())
 }
 
 // Get reads from one replica's store (stale reads are possible by design —

@@ -53,8 +53,8 @@ func TestStoreAppliesInOrder(t *testing.T) {
 	if err := s.ApplySlot(5, Command{Op: "set", Key: "b", Value: "x"}.Encode()); err == nil {
 		t.Error("gap accepted")
 	}
-	if s.Applied() != 2 {
-		t.Errorf("Applied=%d", s.Applied())
+	if s.next != 2 {
+		t.Errorf("applied-slot watermark = %d", s.next)
 	}
 }
 
@@ -65,8 +65,8 @@ func TestStoreDelete(t *testing.T) {
 	if _, ok := s.Get("a"); ok {
 		t.Error("delete did not remove key")
 	}
-	if s.Len() != 0 {
-		t.Errorf("Len=%d", s.Len())
+	if len(s.data) != 0 {
+		t.Errorf("%d keys left", len(s.data))
 	}
 }
 
@@ -83,7 +83,7 @@ func TestReplicatedKVEndToEnd(t *testing.T) {
 		}
 		kv.RunFor(200 * sim.Millisecond)
 	}
-	kv.Delete("key-0")
+	kv.Raft.ProposeAny(Command{Op: "del", Key: "key-0"}.Encode())
 	kv.RunFor(2 * sim.Second)
 
 	if err := kv.Raft.Rec.CheckAgreement(); err != nil {
@@ -102,8 +102,8 @@ func TestReplicatedKVEndToEnd(t *testing.T) {
 				t.Errorf("replica %d key-%d = %q,%v", r, i, v, ok)
 			}
 		}
-		if kv.Stores[r].Len() != 4 {
-			t.Errorf("replica %d has %d keys, want 4", r, kv.Stores[r].Len())
+		if n := len(kv.Stores[r].data); n != 4 {
+			t.Errorf("replica %d has %d keys, want 4", r, n)
 		}
 	}
 }

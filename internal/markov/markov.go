@@ -90,12 +90,6 @@ func (m BirthDeath) MeanTimeToAbsorption(absorb int) (float64, error) {
 	return h[0], nil
 }
 
-// MTTF returns the mean time to first failure of any node (trivially
-// 1/(N·λ)) — a sanity anchor for the chain.
-func (m BirthDeath) MTTF() float64 {
-	return 1 / (float64(m.N) * m.Lambda)
-}
-
 // SteadyState returns the stationary distribution over 0..N failures of the
 // fully repairable chain (no absorption), via the closed-form birth-death
 // balance: pi[k+1]/pi[k] = lam_k/mu_{k+1}. Mu must be positive.

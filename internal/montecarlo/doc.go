@@ -5,10 +5,11 @@
 // independence assumption the closed forms need.
 //
 // Samplers compose with any predicate over sampled configurations:
-// Independent (the §3 baseline), CommonCause (one fleet-wide shock),
-// Domains (per-failure-domain shocks drawn first, then nodes — the
-// sampling mirror of core.AnalyzeDomains), and BetaCrash (beta-binomial
-// fault clustering from the storage literature). Invariants: every sampler
+// Independent (the §3 baseline) and BetaCrash (beta-binomial fault
+// clustering from the storage literature). Correlated failure domains are
+// sampled by RunImportanceTri below — per-domain shocks drawn first, then
+// nodes, the sampling mirror of core.AnalyzeDomains, and a plain sampler
+// when untilted (Boost 1). Invariants: every sampler
 // draws all randomness from the caller's single seeded RNG (runs are
 // bit-reproducible), a node is never both crashed and Byzantine in one
 // sample, and Run reports Wilson intervals that behave at p̂ ∈ {0, 1}.

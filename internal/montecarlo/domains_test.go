@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -23,6 +24,10 @@ func domainLayout() (core.Fleet, core.DomainSet, []int) {
 	return fleet, domains, member
 }
 
+// The shock-first sampler of correlated domains is RunImportanceTri; with
+// Boost 1 and no shock tilt its proposal is the true measure, so it is a
+// plain sampler and these check the measure itself, not the reweighting.
+
 func TestDomainsSamplerMatchesExact(t *testing.T) {
 	fleet, domains, member := domainLayout()
 	m := core.NewRaft(9)
@@ -30,50 +35,29 @@ func TestDomainsSamplerMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewDomains(fleet.Profiles(), member, domains)
+	notLive := func(crashed, byz int) bool { return !m.Live(crashed, byz) }
+	est, err := RunImportanceTri(fleet.Profiles(), member, domains, TriTilt{Boost: 1}, notLive, 300_000, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := Run(s, liveRaftPred(m), 300_000, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Live < est.Lo || exact.Live > est.Hi {
-		t.Errorf("exact domain-aware liveness %v outside CI %v", exact.Live, est)
+	if want := 1 - exact.Live; est.StdErr <= 0 || math.Abs(est.P-want) > 4*est.StdErr {
+		t.Errorf("exact domain-aware unavailability %v vs sampled %v", want, est)
 	}
 }
 
 func TestDomainsSamplerShockCouplesZone(t *testing.T) {
-	// With one certain-shock zone, all three members of that zone must be
-	// far more likely to crash together than independence allows.
+	// With one shock-prone rack, three crashes — the whole rack — must be
+	// far more likely than independence allows.
 	profiles := faultcurve.UniformProfiles(6, faultcurve.Crash(0.01))
 	member := []int{0, 0, 0, -1, -1, -1}
 	domains := []faultcurve.Domain{{Name: "rack", ShockProb: 0.1, CrashMultiplier: 60, ByzMultiplier: 1}}
-	s, err := NewDomains(profiles, member, domains)
+	threeDown := func(crashed, _ int) bool { return crashed >= 3 }
+	est, err := RunImportanceTri(profiles, member, domains, TriTilt{Boost: 1}, threeDown, 200_000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allRack := func(c Config) bool { return c.Crashed[0] && c.Crashed[1] && c.Crashed[2] }
-	est, err := Run(s, allRack, 200_000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Independent bound: (0.01)^3 = 1e-6. Shock path: 0.1 · 0.6^3 ≈ 0.022.
+	// Independent bound: C(6,3) · (0.01)^3 = 2e-5. Shock path: 0.1 · 0.6^3 ≈ 0.022.
 	if est.P < 0.01 {
-		t.Errorf("correlated zone crash probability %v, want ~0.022 >> 1e-6", est.P)
-	}
-}
-
-func TestNewDomainsValidation(t *testing.T) {
-	profiles := faultcurve.UniformProfiles(3, faultcurve.Crash(0.01))
-	if _, err := NewDomains(profiles, []int{0, 0}, nil); err == nil {
-		t.Error("membership length mismatch must be rejected")
-	}
-	if _, err := NewDomains(profiles, []int{0, 0, 0}, nil); err == nil {
-		t.Error("out-of-range domain index must be rejected")
-	}
-	bad := []faultcurve.Domain{{Name: "", ShockProb: 0.1, CrashMultiplier: 1, ByzMultiplier: 1}}
-	if _, err := NewDomains(profiles, []int{0, 0, 0}, bad); err == nil {
-		t.Error("invalid domain must be rejected")
+		t.Errorf("correlated rack crash probability %v, want ~0.022 >> 2e-5", est.P)
 	}
 }

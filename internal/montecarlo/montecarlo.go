@@ -55,32 +55,6 @@ func (s Independent) Sample(rng *rand.Rand, out *Config) {
 	}
 }
 
-// CommonCause samples a fleet-wide shock first (§2(3)), then nodes
-// independently from the base or elevated profiles.
-type CommonCause struct {
-	Base  []faultcurve.Profile
-	Shock faultcurve.CommonCause
-
-	elevated []faultcurve.Profile
-}
-
-// NewCommonCause precomputes the elevated profiles.
-func NewCommonCause(base []faultcurve.Profile, shock faultcurve.CommonCause) *CommonCause {
-	return &CommonCause{Base: base, Shock: shock, elevated: shock.Elevated(base)}
-}
-
-// N implements Sampler.
-func (s *CommonCause) N() int { return len(s.Base) }
-
-// Sample implements Sampler.
-func (s *CommonCause) Sample(rng *rand.Rand, out *Config) {
-	profiles := s.Base
-	if rng.Float64() < s.Shock.ShockProb {
-		profiles = s.elevated
-	}
-	Independent{Profiles: profiles}.Sample(rng, out)
-}
-
 // BetaCrash models cluster-level correlation with a shared frailty: each
 // sample first draws a fleet-wide crash probability from a Beta
 // distribution with the given mean and "correlation" rho in (0,1), then

@@ -69,20 +69,23 @@ func TestRunReproducible(t *testing.T) {
 }
 
 func TestCommonCauseSamplerMatchesExactMixture(t *testing.T) {
-	fleet := core.UniformCrashFleet(3, 0.01)
+	// A fleet-wide common-cause shock is one domain every node belongs to.
+	// Its exact unavailability is the shock-weighted mix of the base and
+	// the elevated fleet's; the untilted shock-first sampler must agree.
+	const shock, mult = 0.3, 20
 	m := core.NewRaft(3)
-	shock := faultcurve.CommonCause{ShockProb: 0.3, CrashMultiplier: 20, ByzMultiplier: 1}
-	exact, err := core.AnalyzeWithShock(fleet, m, shock)
+	base := core.MustAnalyze(core.UniformCrashFleet(3, 0.01), m)
+	up := core.MustAnalyze(core.UniformCrashFleet(3, 0.01*mult), m)
+	want := 1 - ((1-shock)*base.Live + shock*up.Live)
+	domains := []faultcurve.Domain{{Name: "fleet", ShockProb: shock, CrashMultiplier: mult, ByzMultiplier: 1}}
+	notLive := func(crashed, byz int) bool { return !m.Live(crashed, byz) }
+	est, err := RunImportanceTri(faultcurve.UniformProfiles(3, faultcurve.Crash(0.01)), []int{0, 0, 0}, domains,
+		TriTilt{Boost: 1}, notLive, 200_000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewCommonCause(fleet.Profiles(), shock)
-	est, err := Run(s, liveRaftPred(m), 200_000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Live < est.Lo || exact.Live > est.Hi {
-		t.Errorf("exact shock-mixture %v outside CI %v", exact.Live, est)
+	if est.StdErr <= 0 || math.Abs(est.P-want) > 4*est.StdErr {
+		t.Errorf("exact shock-mixture unavailability %v vs sampled %v", want, est)
 	}
 }
 

@@ -226,14 +226,6 @@ func (r *Registry) FindCounter(name string, labels Labels) *Counter {
 	return ch.c
 }
 
-// FamilyNames returns the registered family names in registration order
-// — the hook the metric-name lint test audits.
-func (r *Registry) FamilyNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // FamilyInfo describes one registered family for introspection — the
 // metric-name lint test checks naming conventions per kind with it.
 type FamilyInfo struct {

@@ -69,14 +69,6 @@ func (t *Trace) Since(name string, start time.Time) {
 	t.Spans.Since(name, start)
 }
 
-// ObserveSpan records one completed span. Nil-safe.
-func (t *Trace) ObserveSpan(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.Spans.Observe(name, d)
-}
-
 // Event records one point-in-time annotation. Nil-safe.
 func (t *Trace) Event(name, detail string) {
 	if t == nil {

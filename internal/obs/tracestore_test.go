@@ -218,7 +218,6 @@ func TestTraceEventsAndCounters(t *testing.T) {
 func TestNilTraceMethodsAreSafe(t *testing.T) {
 	var tr *Trace
 	tr.Since("x", time.Now())
-	tr.ObserveSpan("x", time.Second)
 	tr.Event("x", "y")
 	tr.SetCache("hit")
 	tr.SetError("boom")

@@ -26,7 +26,11 @@ func oracleGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float64) {
 		return 0
 	}
 	hardened := p.fleetAt(x)
-	loo.Reset(faultcurve.TriStates(hardened.Profiles()))
+	tri := make([]dist.TriState, n)
+	for i, node := range hardened {
+		tri[i] = node.Profile.TriState()
+	}
+	loo.Reset(tri)
 	safeAndLive := loo.Full().SumWhere(func(c, b int) bool {
 		return p.Model.Safe(c, b) && p.Model.Live(c, b)
 	})

@@ -173,8 +173,6 @@ type Node struct {
 	epoch uint64 // timer invalidation
 
 	onCommit func(seq int, value string)
-
-	viewChanges uint64
 }
 
 // NewNode constructs a replica and registers it with the network.
@@ -213,9 +211,6 @@ func (n *Node) ID() int { return n.id }
 // View returns the current view.
 func (n *Node) View() int { return n.view }
 
-// ViewChanges returns how many view changes this node has joined.
-func (n *Node) ViewChanges() uint64 { return n.viewChanges }
-
 // Alive reports liveness of the process.
 func (n *Node) Alive() bool { return n.alive }
 
@@ -234,13 +229,6 @@ func (n *Node) Crash() {
 // Restart implements sim.Crashable. PBFT replicas persist everything
 // relevant here (view, slots); the simulation keeps them in memory.
 func (n *Node) Restart() { n.alive = true }
-
-func (n *Node) send(to int, payload any) {
-	if n.behavior == Silent {
-		return
-	}
-	n.net.Send(n.id, to, payload)
-}
 
 func (n *Node) broadcast(payload any) {
 	if n.behavior == Silent {
@@ -540,7 +528,6 @@ func (n *Node) startViewChange(target int) {
 	if target > n.joinedMax {
 		n.joinedMax = target
 	}
-	n.viewChanges++
 	cert := n.preparedCert()
 	n.broadcast(ViewChange{View: target, Prepared: cert})
 	n.storeViewChange(n.id, ViewChange{View: target, Prepared: cert})

@@ -4,10 +4,10 @@
 //
 // The analysis engine (internal/core.Analyze) is pure and deterministic,
 // so its results can be memoized indefinitely under the canonical query
-// fingerprint (core.FleetModelFingerprint). Sharding keeps lock contention
-// bounded under concurrent serving load; singleflight guarantees that K
-// simultaneous identical queries cost exactly one O(N^3) computation — the
-// other K-1 callers block on the first caller's result. Failed
-// computations are never cached, so transient errors do not poison the
-// cache.
+// fingerprint (core.FleetModelDomainsFingerprint). Sharding keeps lock
+// contention bounded under concurrent serving load; singleflight
+// guarantees that K simultaneous identical queries cost exactly one O(N^3)
+// computation — the other K-1 callers block on the first caller's result.
+// Failed computations are never cached, so transient errors do not poison
+// the cache.
 package qcache

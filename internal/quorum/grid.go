@@ -63,16 +63,3 @@ func (g Grid) MinSize() int { return g.Rows + g.Cols - 1 }
 
 // String implements System.
 func (g Grid) String() string { return fmt.Sprintf("grid(%dx%d)", g.Rows, g.Cols) }
-
-// RowColQuorum returns the canonical minimal quorum made of row r and
-// column c.
-func (g Grid) RowColQuorum(r, c int) Set {
-	s := NewSet(g.N())
-	for i := 0; i < g.Cols; i++ {
-		s.Add(g.index(r, i))
-	}
-	for i := 0; i < g.Rows; i++ {
-		s.Add(g.index(i, c))
-	}
-	return s
-}

@@ -2,7 +2,6 @@ package quorum
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dist"
 )
@@ -49,16 +48,6 @@ func Availability(sys System, probs []float64) (float64, error) {
 		total.Add(p)
 	}
 	return dist.Clamp01(total.Sum()), nil
-}
-
-// FailureProb is 1 - Availability: the probability the system is dead (no
-// live quorum) — Naor-Wool's F_p, heterogeneous.
-func FailureProb(sys System, probs []float64) (float64, error) {
-	a, err := Availability(sys, probs)
-	if err != nil {
-		return 0, err
-	}
-	return dist.Complement(a), nil
 }
 
 // SystemLoad returns the load of the quorum system under the best
@@ -130,17 +119,6 @@ func bruteLoad(sys System) (float64, error) {
 		}
 	}
 	return max, nil
-}
-
-// LoadLowerBound returns Naor-Wool's universal bound
-// max(1/c(S), c(S)/n) where c(S) = MinSize.
-func LoadLowerBound(sys System) float64 {
-	c := float64(sys.MinSize())
-	n := float64(sys.N())
-	if c <= 0 || n <= 0 {
-		return 0
-	}
-	return math.Max(1/c, c/n)
 }
 
 // CompareSystems evaluates availability and load for a set of systems over

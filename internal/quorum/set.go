@@ -23,15 +23,6 @@ func NewSet(n int) Set {
 	return Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// SetOf builds a set over n indices containing the given members.
-func SetOf(n int, members ...int) Set {
-	s := NewSet(n)
-	for _, m := range members {
-		s.Add(m)
-	}
-	return s
-}
-
 // FromMask builds a set over n <= 64 indices from a bitmask — the exact
 // enumeration engine iterates masks directly.
 func FromMask(n int, mask uint64) Set {
@@ -98,37 +89,6 @@ func (s Set) IntersectCount(t Set) int {
 	return c
 }
 
-// Intersects reports whether s and t share a member.
-func (s Set) Intersects(t Set) bool {
-	s.mustMatch(t)
-	for i, w := range s.words {
-		if w&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Union returns s ∪ t as a new set.
-func (s Set) Union(t Set) Set {
-	s.mustMatch(t)
-	u := s.Clone()
-	for i := range u.words {
-		u.words[i] |= t.words[i]
-	}
-	return u
-}
-
-// Minus returns s \ t as a new set.
-func (s Set) Minus(t Set) Set {
-	s.mustMatch(t)
-	u := s.Clone()
-	for i := range u.words {
-		u.words[i] &^= t.words[i]
-	}
-	return u
-}
-
 // Complement returns the universe minus s.
 func (s Set) Complement() Set {
 	u := s.Clone()
@@ -151,19 +111,6 @@ func (s Set) Members() []int {
 		}
 	}
 	return out
-}
-
-// Equal reports set equality.
-func (s Set) Equal(t Set) bool {
-	if s.n != t.n {
-		return false
-	}
-	for i := range s.words {
-		if s.words[i] != t.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders like "{0,2,5}/7".

@@ -115,9 +115,6 @@ func (c *Cluster) DriveWorkload(start sim.Time, interval sim.Time, count int) {
 	c.Sched.At(start, func() { submit(0) })
 }
 
-// Proposed returns how many operations have been accepted by a leader.
-func (c *Cluster) Proposed() int { return c.proposed }
-
 // MaxTerm returns the highest term any node has reached — the election
 // churn a fault schedule induced (each term past 1 is a leader election,
 // contested or not). Crashed nodes count too: their persistent term

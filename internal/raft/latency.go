@@ -51,12 +51,6 @@ func (l *LatencyTracker) Committed(cmd string, t sim.Time) {
 	l.commits++
 }
 
-// Count returns how many commits were measured.
-func (l *LatencyTracker) Count() int { return len(l.latency) }
-
-// Pending returns how many submitted commands never committed.
-func (l *LatencyTracker) Pending() int { return len(l.submitted) }
-
 // Percentile returns the q-quantile (0 < q <= 1) of commit latency.
 func (l *LatencyTracker) Percentile(q float64) (sim.Time, error) {
 	if len(l.latency) == 0 {

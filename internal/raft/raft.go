@@ -162,9 +162,6 @@ type Node struct {
 	// onCommit is invoked exactly once per newly committed slot, in order.
 	onCommit func(slot int, e Entry)
 	applied  int
-
-	// metrics
-	elections uint64
 }
 
 // NewNode constructs (but does not start) a node.
@@ -203,18 +200,6 @@ func (n *Node) Role() Role { return n.role }
 
 // Term returns the current term.
 func (n *Node) Term() uint64 { return n.ps.currentTerm }
-
-// Leader returns the node's view of the current leader (-1 unknown).
-func (n *Node) Leader() int { return n.leaderID }
-
-// CommitIndex returns the number of committed entries.
-func (n *Node) CommitIndex() int { return n.commitIndex }
-
-// Log returns a copy of the node's log (tests only).
-func (n *Node) Log() []Entry { return append([]Entry(nil), n.ps.log...) }
-
-// Elections returns how many elections this node has started.
-func (n *Node) Elections() uint64 { return n.elections }
 
 // Alive reports whether the node is running.
 func (n *Node) Alive() bool { return n.alive }
@@ -310,7 +295,6 @@ func (n *Node) resetElectionTimer() {
 }
 
 func (n *Node) startElection() {
-	n.elections++
 	n.role = Candidate
 	n.ps.currentTerm++
 	n.ps.votedFor = n.id

@@ -36,8 +36,8 @@ func TestElectsSingleLeader(t *testing.T) {
 	}
 	// Followers learn the leader.
 	for _, n := range c.Nodes {
-		if n.ID() != l && n.Leader() != l {
-			t.Errorf("node %d thinks leader is %d, want %d", n.ID(), n.Leader(), l)
+		if n.ID() != l && n.leaderID != l {
+			t.Errorf("node %d thinks leader is %d, want %d", n.ID(), n.leaderID, l)
 		}
 	}
 }
@@ -61,9 +61,9 @@ func TestReplicatesAndCommits(t *testing.T) {
 		}
 	}
 	// Logs identical.
-	ref := c.Nodes[0].Log()
+	ref := c.Nodes[0].ps.log
 	for _, n := range c.Nodes[1:] {
-		log := n.Log()
+		log := n.ps.log
 		if len(log) != len(ref) {
 			t.Fatalf("log length mismatch: %d vs %d", len(log), len(ref))
 		}
@@ -161,7 +161,7 @@ func TestRestartRecoversPersistentState(t *testing.T) {
 	}
 	victim := (c.Leader() + 1) % 3
 	termBefore := c.Nodes[victim].Term()
-	logBefore := len(c.Nodes[victim].Log())
+	logBefore := len(c.Nodes[victim].ps.log)
 	inj.CrashSet([]int{victim})
 	c.RunFor(1 * sim.Second)
 	c.Net.SetDown(victim, false)
@@ -169,7 +169,7 @@ func TestRestartRecoversPersistentState(t *testing.T) {
 	if c.Nodes[victim].Term() < termBefore {
 		t.Error("term regressed across restart")
 	}
-	if len(c.Nodes[victim].Log()) < logBefore {
+	if len(c.Nodes[victim].ps.log) < logBefore {
 		t.Error("log lost across restart")
 	}
 	c.RunFor(2 * sim.Second)
@@ -260,7 +260,7 @@ func TestFlexibleQuorumCommit(t *testing.T) {
 	}
 	// Recover one node: 4 alive = QPer, commit proceeds.
 	for i := 0; i < 5; i++ {
-		if c.Net.Down(i) {
+		if !c.Nodes[i].Alive() {
 			c.Net.SetDown(i, false)
 			c.Nodes[i].Restart()
 			break

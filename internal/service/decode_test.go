@@ -245,7 +245,7 @@ func diffDecode[Q any](t *testing.T, data []byte) {
 	for i := range scratch {
 		scratch[i] = 'X'
 	}
-	if gotErr != nil && (!IsClientError(gotErr) || !strings.HasPrefix(gotErr.Error(), "bad JSON body: ")) {
+	if gotErr != nil && (!isClientError(gotErr) || !strings.HasPrefix(gotErr.Error(), "bad JSON body: ")) {
 		t.Fatalf("%T: refusal is not a worded client error: %v", got, gotErr)
 	}
 	if isDuplicateField(gotErr) {
@@ -347,7 +347,7 @@ func TestDecodeErrorTexts(t *testing.T) {
 	} {
 		var req AnalyzeRequest
 		err := decodeRequest([]byte(tc.body), &req)
-		if err == nil || !IsClientError(err) || err.Error() != "bad JSON body: "+tc.want {
+		if err == nil || !isClientError(err) || err.Error() != "bad JSON body: "+tc.want {
 			t.Errorf("%s:\n got %v\nwant bad JSON body: %s", tc.body, err, tc.want)
 		}
 	}

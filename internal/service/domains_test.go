@@ -378,7 +378,7 @@ func TestSweepDomainsValidation(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	err := srv.Sweep(context.Background(), req, &buf)
-	if err == nil || !IsClientError(err) {
+	if err == nil || !isClientError(err) {
 		t.Fatalf("invalid sweep domains: err = %v, want client error", err)
 	}
 }

@@ -140,7 +140,7 @@ func FuzzTailRequest(f *testing.F) {
 		}
 		plan, err := planTail(req)
 		if err != nil {
-			if !IsClientError(err) {
+			if !isClientError(err) {
 				t.Fatalf("planTail returned a non-client error: %v", err)
 			}
 			return
@@ -207,7 +207,7 @@ func FuzzOptimizeRequest(f *testing.F) {
 		// or plan into a keyed problem with one label per budget dimension.
 		plan, err := planOptimize(req)
 		if err != nil {
-			if !IsClientError(err) {
+			if !isClientError(err) {
 				t.Fatalf("planOptimize returned a non-client error: %v", err)
 			}
 			return
@@ -303,7 +303,7 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 		jobs, results, deduped, err := srv.planBatch(req)
 		if err != nil {
-			if !IsClientError(err) {
+			if !isClientError(err) {
 				t.Fatalf("whole-request rejection is not a client error: %v", err)
 			}
 			return

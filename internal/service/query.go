@@ -30,9 +30,11 @@ type ModelSpec struct {
 
 // memoMap is a tiny capped memoization map: lock-free-ish reads through
 // an RWMutex, lazy initialization, and a size cap that bounds memory
-// against adversarial key churn (entries past the cap are computed but
-// not retained). It is the single home of the locking discipline shared
-// by the model and model-name caches below.
+// against adversarial key churn. A put that finds the map full clears it
+// first (as core's evaluator maps do in maybeEvict), so a flood of
+// distinct keys costs the legitimate ones one recomputation each and the
+// map always retains what was put last. It is the single home of the
+// locking discipline shared by the model and model-name caches below.
 type memoMap[K comparable, V any] struct {
 	mu  sync.RWMutex
 	m   map[K]V
@@ -51,9 +53,10 @@ func (c *memoMap[K, V]) put(k K, v V) {
 	if c.m == nil {
 		c.m = make(map[K]V)
 	}
-	if len(c.m) < c.cap {
-		c.m[k] = v
+	if len(c.m) >= c.cap {
+		clear(c.m)
 	}
+	c.m[k] = v
 	c.mu.Unlock()
 }
 

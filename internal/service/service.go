@@ -201,12 +201,6 @@ func (e clientError) Unwrap() error { return e.err }
 
 func badRequest(err error) error { return clientError{err, http.StatusBadRequest} }
 
-// IsClientError reports whether err is a request-validation failure.
-func IsClientError(err error) bool {
-	var ce clientError
-	return errors.As(err, &ce)
-}
-
 // Cache verdicts: where a cached endpoint's answer came from. They label
 // the request's trace and the analyze debug block.
 const (

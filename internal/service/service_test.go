@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -22,6 +23,13 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qcache"
 )
+
+// isClientError reports whether err is a request-validation failure (the
+// errors the handlers answer with a 4xx).
+func isClientError(err error) bool {
+	var ce clientError
+	return errors.As(err, &ce)
+}
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
@@ -624,6 +632,38 @@ func TestAnalyzeHotPathAllocationGuard(t *testing.T) {
 		}
 	}); n > 3 {
 		t.Errorf("L1 hit allocates %v/op, want <= 3", n)
+	}
+}
+
+// TestModelCacheRecoversFromFlood: the resolved-model memo is capped, and
+// a client walking more distinct valid specs than the cap (q_per × q_vc
+// at a few n) must not switch it off for the life of the process. After
+// 5 000 such specs a fresh legitimate spec is memoized again: its second
+// resolution allocates nothing.
+func TestModelCacheRecoversFromFlood(t *testing.T) {
+	flooded := 0
+	for n := 64; flooded < 5000; n++ {
+		for qper := 1; qper <= n && flooded < 5000; qper++ {
+			for qvc := 1; qvc <= n && flooded < 5000; qvc++ {
+				if _, err := (ModelSpec{Protocol: "raft", N: n, QPer: qper, QVC: qvc}).Model(); err == nil {
+					flooded++
+				}
+			}
+		}
+	}
+	if flooded <= modelCache.cap {
+		t.Fatalf("flood of %d specs does not overflow the cap of %d", flooded, modelCache.cap)
+	}
+	fresh := ModelSpec{Protocol: "pbft", N: 13}
+	if _, err := fresh.Model(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := fresh.Model(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("resolving a memoized spec after the flood allocates %v/op, want 0", n)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestTailAutoDispatch(t *testing.T) {
 		t.Fatalf("samples = %d, want 20 from max_work 100 over 5 nodes", bounded.Samples)
 	}
 	_, err = srv.Tail(TailRequest{Model: ModelSpec{Protocol: "raft", N: 5}, P: &p, Event: EventNotLive, Method: MethodExact, MaxWork: 100})
-	if err == nil || !IsClientError(err) {
+	if err == nil || !isClientError(err) {
 		t.Fatalf("explicit exact over bound: err = %v, want client error", err)
 	}
 }

@@ -80,16 +80,10 @@ func (nw *Network) N() int { return len(nw.handlers) }
 // Scheduler returns the underlying scheduler.
 func (nw *Network) Scheduler() *Scheduler { return nw.sched }
 
-// Stats returns a copy of the counters.
-func (nw *Network) Stats() NetStats { return nw.stats }
-
 // SetDown marks node i crashed (true) or recovered (false). Messages to or
 // from a down node are cut; in-flight messages to it are dropped at
 // delivery time.
 func (nw *Network) SetDown(i int, down bool) { nw.down[i] = down }
-
-// Down reports node i's crash state.
-func (nw *Network) Down(i int) bool { return nw.down[i] }
 
 // Partition splits the network: nodes with different group labels cannot
 // exchange messages. Passing nil heals all partitions.

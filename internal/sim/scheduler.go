@@ -100,8 +100,5 @@ func (s *Scheduler) RunUntil(until Time) uint64 {
 	return s.steps - start
 }
 
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
-
 // Steps returns the total number of events processed.
 func (s *Scheduler) Steps() uint64 { return s.steps }

@@ -114,7 +114,7 @@ func TestNetworkDelivery(t *testing.T) {
 	if len(rs[0].got) != 1 || len(rs[2].got) != 0 {
 		t.Errorf("broadcast wrong: %v / %v", rs[0].got, rs[2].got)
 	}
-	st := nw.Stats()
+	st := nw.stats
 	if st.Sent != 3 || st.Delivered != 3 {
 		t.Errorf("stats %+v", st)
 	}
@@ -143,10 +143,10 @@ func TestNetworkDownNode(t *testing.T) {
 	if len(r.got) != 0 {
 		t.Error("crashed node managed to send")
 	}
-	if nw.Stats().Cut != 2 {
-		t.Errorf("cut count %d, want 2", nw.Stats().Cut)
+	if nw.stats.Cut != 2 {
+		t.Errorf("cut count %d, want 2", nw.stats.Cut)
 	}
-	if !nw.Down(0) || nw.Down(1) {
+	if !nw.down[0] || nw.down[1] {
 		t.Error("Down accessors wrong")
 	}
 }
@@ -192,7 +192,7 @@ func TestNetworkLoss(t *testing.T) {
 	if got < 4500 || got > 5500 {
 		t.Errorf("delivered %d of %d at 50%% loss", got, sent)
 	}
-	st := nw.Stats()
+	st := nw.stats
 	if st.Dropped+st.Delivered != sent {
 		t.Errorf("drop+deliver=%d, want %d", st.Dropped+st.Delivered, sent)
 	}
@@ -249,18 +249,18 @@ func TestInjectorSchedule(t *testing.T) {
 		{Node: 1, At: 200, Recover: 300},
 	})
 	s.RunUntil(150)
-	if nodes[0].crashed != 1 || !nw.Down(0) {
+	if nodes[0].crashed != 1 || !nw.down[0] {
 		t.Error("node 0 not crashed at 100")
 	}
 	if nodes[1].crashed != 0 {
 		t.Error("node 1 crashed early")
 	}
 	s.RunUntil(250)
-	if nodes[1].crashed != 1 || !nw.Down(1) {
+	if nodes[1].crashed != 1 || !nw.down[1] {
 		t.Error("node 1 not crashed at 200")
 	}
 	s.RunUntil(350)
-	if nodes[1].restarted != 1 || nw.Down(1) {
+	if nodes[1].restarted != 1 || nw.down[1] {
 		t.Error("node 1 not restarted at 300")
 	}
 	if nodes[0].restarted != 0 {
@@ -274,7 +274,7 @@ func TestInjectorCrashSet(t *testing.T) {
 	nodes := []*crashDummy{{}, {}, {}}
 	inj := NewInjector(nw, []Crashable{nodes[0], nodes[1], nodes[2]})
 	inj.CrashSet([]int{0, 2})
-	if !nw.Down(0) || nw.Down(1) || !nw.Down(2) {
+	if !nw.down[0] || nw.down[1] || !nw.down[2] {
 		t.Error("crash set wrong")
 	}
 	if nodes[0].crashed != 1 || nodes[2].crashed != 1 {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Recorder collects per-node committed logs. It is not safe for concurrent
@@ -128,14 +127,4 @@ func (r *Recorder) Summary() string {
 		counts[i] = len(r.logs[i])
 	}
 	return fmt.Sprintf("commits per node: %v (max slot %d)", counts, r.MaxSlot())
-}
-
-// Slots returns the sorted committed slots of a node (for tests).
-func (r *Recorder) Slots(node int) []int {
-	out := make([]int, 0, len(r.logs[node]))
-	for s := range r.logs[node] {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }

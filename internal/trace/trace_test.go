@@ -69,10 +69,6 @@ func TestCommittedDensePrefix(t *testing.T) {
 	if r.MaxSlot() != 3 {
 		t.Errorf("MaxSlot=%d", r.MaxSlot())
 	}
-	slots := r.Slots(0)
-	if len(slots) != 3 || slots[2] != 3 {
-		t.Errorf("Slots=%v", slots)
-	}
 }
 
 func TestCommonPrefix(t *testing.T) {

@@ -31,44 +31,3 @@ func TestOptimizeFacade(t *testing.T) {
 		t.Errorf("optimized split must beat uniform: gained %v nines", a.NinesGainedOverUniform())
 	}
 }
-
-// TestCachedOptimize checks the fingerprint-keyed memoization: the second
-// identical solve must be a cache hit with a bit-identical allocation.
-func TestCachedOptimize(t *testing.T) {
-	ca := NewCachedAnalyzer(64)
-	a1, err := ca.Optimize(hardeningExemplar(), OptimizeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := ca.Optimize(hardeningExemplar(), OptimizeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := ca.OptimizeStats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("optimize cache stats %+v, want exactly 1 miss + 1 hit", st)
-	}
-	for i := range a1.Spend {
-		if a1.Spend[i] != a2.Spend[i] {
-			t.Fatalf("cached allocation differs: %v vs %v", a1.Spend, a2.Spend)
-		}
-	}
-	// Mutating a returned allocation must not poison later cache hits.
-	a2.Spend[0] = -1
-	a3, err := ca.Optimize(hardeningExemplar(), OptimizeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a3.Spend[0] != a1.Spend[0] {
-		t.Fatalf("cache entry was mutated through a returned allocation: %v", a3.Spend)
-	}
-	// A different budget is a different fingerprint.
-	p := hardeningExemplar()
-	p.Budget = 2
-	if _, err := ca.Optimize(p, OptimizeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := ca.OptimizeStats(); st.Misses != 2 {
-		t.Errorf("budget change should miss: %+v", st)
-	}
-}
