@@ -705,36 +705,42 @@ func BenchmarkOptimizeHardening(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeSeededGrid times the Frank-Wolfe-seeded mixed-tier
-// search on the costopt exemplar and reports the pruning it buys over
-// the exhaustive grid.
-func BenchmarkOptimizeSeededGrid(b *testing.B) {
+// BenchmarkOptimizeTierSearch times the mixed-tier search on the costopt
+// exemplar — candidates sorted by cost, evaluated cheapest first — and
+// reports the exact engine runs one search spends (one joint-distribution
+// build per candidate up to the answer) beside the candidates it chose
+// among.
+func BenchmarkOptimizeTierSearch(b *testing.B) {
 	tiers := []cost.Tier{
 		{Name: "dedicated", PricePerHour: 1.00, Profile: faultcurve.Crash(0.01), CarbonPerHour: 10},
 		{Name: "spot", PricePerHour: 0.10, Profile: faultcurve.Crash(0.08), CarbonPerHour: 8},
 		{Name: "refurb", PricePerHour: 0.25, Profile: faultcurve.Crash(0.04), CarbonPerHour: 3},
 	}
-	o := cost.Optimizer{Tiers: tiers, MaxNodes: 11}
-	once("optimize-seeded", func() {
-		grid, err := o.CheapestMixed(3.5)
+	const maxNodes = 11
+	// Every single-tier size plus every split of every tier pair.
+	candidates := len(tiers)*maxNodes + len(tiers)*(len(tiers)-1)/2*(maxNodes*(maxNodes-1)/2)
+	o := cost.Optimizer{Tiers: tiers, MaxNodes: maxNodes}
+	once("optimize-tier-search", func() {
+		before := dist.JointBuilds()
+		plan, err := o.CheapestMixed(3.5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		seeded, err := o.CheapestMixedSeeded(3.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Printf("\n[O2] FW-seeded tier search @3.5 nines: plan %v == grid %v; "+
-			"%d exact + %d relaxation evaluations vs %d grid cells\n",
-			seeded.Plan, grid, seeded.ExactEvaluations, seeded.RelaxationEvaluations, seeded.GridSize)
+		fmt.Printf("\n[O2] tier search @3.5 nines, max %d nodes: plan %v; %d engine runs for %d candidates\n",
+			maxNodes, plan, dist.JointBuilds()-before, candidates)
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := dist.JointBuilds()
 	for i := 0; i < b.N; i++ {
-		s, err := o.CheapestMixedSeeded(3.5)
-		if err != nil || s.ExactEvaluations >= s.GridSize {
-			b.Fatal("seeding stopped pruning")
+		if _, err := o.CheapestMixed(3.5); err != nil {
+			b.Fatal(err)
 		}
+	}
+	runs := float64(dist.JointBuilds()-before) / float64(b.N)
+	b.ReportMetric(runs, "engine-runs/op")
+	if runs >= float64(candidates) {
+		b.Fatalf("%.0f engine runs per search over %d candidates: the search no longer stops at the first feasible one", runs, candidates)
 	}
 }
 

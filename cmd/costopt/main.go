@@ -6,15 +6,16 @@
 // Usage:
 //
 //	costopt -target 3.5
-//	costopt -target 4 -max 15 -mixed
-//	costopt -target 4 -max 15 -fw                  # FW-seeded mixed search
+//	costopt -target 4 -max 15 -mixed               # two-tier mixes too
 //	costopt -target 3.5 -budget 1.0                # harden the chosen fleet
 //	costopt -tiers tiers.json -target 4 -mixed     # custom tier table
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cost"
@@ -25,28 +26,49 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "costopt:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args and writes the report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("costopt", flag.ContinueOnError)
 	var (
-		target    = flag.Float64("target", 3.5, "required nines of safe-and-live reliability")
-		maxN      = flag.Int("max", 11, "maximum fleet size")
-		mixed     = flag.Bool("mixed", false, "allow two-tier mixed fleets (exhaustive grid)")
-		fw        = flag.Bool("fw", false, "Frank-Wolfe-seeded mixed search: a plan of the same cost as -mixed, fewer exact evaluations")
-		carbon    = flag.Bool("carbon", false, "minimise carbon instead of dollars")
-		tiersFile = flag.String("tiers", "", "JSON file defining the tier table (default: built-in three tiers)")
-		budget    = flag.Float64("budget", 0, "hardening budget to split across the chosen fleet's nodes (0 = off)")
-		iters     = flag.Int("iters", 500, "Frank-Wolfe iteration bound for -budget mode")
-		curveF    = flag.Float64("curve-floor", 0.1, "hardening floor: irreducible fraction of each node's fault probability")
-		curveS    = flag.Float64("curve-scale", 0.25, "hardening e-folding: spend that reduces the reducible share by e")
+		target    = fs.Float64("target", 3.5, "required nines of safe-and-live reliability")
+		maxN      = fs.Int("max", 11, "maximum fleet size")
+		mixed     = fs.Bool("mixed", false, "allow two-tier mixed fleets")
+		carbon    = fs.Bool("carbon", false, "minimise carbon instead of dollars")
+		tiersFile = fs.String("tiers", "", "JSON file defining the tier table (default: built-in three tiers)")
+		budget    = fs.Float64("budget", 0, "hardening budget to split across the chosen fleet's nodes (0 = off)")
+		iters     = fs.Int("iters", 500, "Frank-Wolfe iteration bound for -budget mode")
+		curveF    = fs.Float64("curve-floor", 0.1, "hardening floor: irreducible fraction of each node's fault probability")
+		curveS    = fs.Float64("curve-scale", 0.25, "hardening e-folding: spend that reduces the reducible share by e")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the FlagSet has printed the usage
+		}
+		return err
+	}
 
 	// Shared with the probconsd request validators (internal/inputcheck).
-	exitOn(inputcheck.CheckNonNegative("target", *target))
-	exitOn(inputcheck.CheckClusterSize(*maxN))
-	exitOn(inputcheck.CheckIterations(*iters))
+	checks := []error{
+		inputcheck.CheckNonNegative("target", *target),
+		inputcheck.CheckClusterSize(*maxN),
+		inputcheck.CheckIterations(*iters),
+	}
 	if *budget != 0 {
-		exitOn(inputcheck.CheckBudget("budget", *budget))
-		exitOn(inputcheck.CheckProb("curve-floor", *curveF))
-		exitOn(inputcheck.CheckPositive("curve-scale", *curveS))
+		checks = append(checks,
+			inputcheck.CheckBudget("budget", *budget),
+			inputcheck.CheckProb("curve-floor", *curveF),
+			inputcheck.CheckPositive("curve-scale", *curveS))
+	}
+	for _, err := range checks {
+		if err != nil {
+			return err
+		}
 	}
 
 	tiers := []cost.Tier{
@@ -56,7 +78,9 @@ func main() {
 	}
 	if *tiersFile != "" {
 		loaded, err := cost.LoadTiers(*tiersFile)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		tiers = loaded
 	}
 	obj := cost.MinimizePrice
@@ -65,39 +89,25 @@ func main() {
 	}
 	o := cost.Optimizer{Tiers: tiers, MaxNodes: *maxN, Objective: obj}
 
-	fmt.Printf("target: %.2f nines (S&L >= %s), tiers:\n", *target, dist.FormatPercent(dist.FromNines(*target), 2))
+	fmt.Fprintf(out, "target: %.2f nines (S&L >= %s), tiers:\n", *target, dist.FormatPercent(dist.FromNines(*target), 2))
 	for _, t := range tiers {
-		fmt.Printf("  %-10s $%.2f/h  carbon %.0f  p_u=%.3g\n", t.Name, t.PricePerHour, t.CarbonPerHour, t.Profile.PFail())
+		fmt.Fprintf(out, "  %-10s $%.2f/h  carbon %.0f  p_u=%.3g\n", t.Name, t.PricePerHour, t.CarbonPerHour, t.Profile.PFail())
 	}
 
-	var (
-		plan cost.Plan
-		err  error
-	)
-	switch {
-	case *fw:
-		var seeded cost.SeededResult
-		seeded, err = o.CheapestMixedSeeded(*target)
-		if err == nil {
-			plan = seeded.Plan
-			fmt.Printf("\nFW-seeded search: %d exact + %d relaxation evaluations (exhaustive grid: %d)\n",
-				seeded.ExactEvaluations, seeded.RelaxationEvaluations, seeded.GridSize)
-		}
-	case *mixed:
-		plan, err = o.CheapestMixed(*target)
-	default:
-		plan, err = o.CheapestSingleTier(*target)
+	search := o.CheapestSingleTier
+	if *mixed {
+		search = o.CheapestMixed
 	}
+	plan, err := search(*target)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "costopt:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("\nbest plan: %v\n", plan)
-	fmt.Printf("  %.2f nines, $%.3f/h, carbon %.1f/h\n",
+	fmt.Fprintf(out, "\nbest plan: %v\n", plan)
+	fmt.Fprintf(out, "  %.2f nines, $%.3f/h, carbon %.1f/h\n",
 		plan.Result.Nines(), plan.PricePerHour(), plan.CarbonPerHour())
 
 	if *budget == 0 {
-		return
+		return nil
 	}
 
 	// Hardening mode: split the budget across the chosen fleet's nodes
@@ -113,22 +123,18 @@ func main() {
 		Curves: curves,
 		Budget: *budget,
 	}, optimize.Options{MaxIterations: *iters})
-	exitOn(err)
-	fmt.Printf("\nhardening budget %.3f across %d nodes (floor %.0f%%, scale %.2f):\n",
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nhardening budget %.3f across %d nodes (floor %.0f%%, scale %.2f):\n",
 		*budget, len(fleet), *curveF*100, *curveS)
 	for i, n := range fleet {
-		fmt.Printf("  %-14s p=%.4f -> %.4f  spend %.4f\n",
+		fmt.Fprintf(out, "  %-14s p=%.4f -> %.4f  spend %.4f\n",
 			n.Name, n.Profile.PFail(), curves[i].Prob(alloc.Spend[i]), alloc.Spend[i])
 	}
-	fmt.Printf("  base      %.3f nines\n", alloc.Base.Nines())
-	fmt.Printf("  uniform   %.3f nines (even split)\n", alloc.Uniform.Nines())
-	fmt.Printf("  optimized %.3f nines (+%.3f over uniform; FW gap %.2g, %d iterations)\n",
+	fmt.Fprintf(out, "  base      %.3f nines\n", alloc.Base.Nines())
+	fmt.Fprintf(out, "  uniform   %.3f nines (even split)\n", alloc.Uniform.Nines())
+	fmt.Fprintf(out, "  optimized %.3f nines (+%.3f over uniform; FW gap %.2g, %d iterations)\n",
 		alloc.Optimized.Nines(), alloc.NinesGainedOverUniform(), alloc.Gap, alloc.Iterations)
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "costopt:", err)
-		os.Exit(1)
-	}
+	return nil
 }

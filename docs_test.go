@@ -32,6 +32,11 @@ func docFiles(t *testing.T) []string {
 
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// flagDef matches a flag definition in a cmd/*/main.go, on the package
+// FlagSet (flag.X, flag.XVar) or the command's own (fs.X), and captures
+// the flag's name.
+var flagDef = regexp.MustCompile(`\b(?:flag|fs)\.(?:String|Int|Int64|Bool|Duration|Float64)(?:Var\(&[^,]+,\s*|\()"([^"]+)"`)
+
 // slug reduces a heading to its GitHub anchor form.
 func slug(heading string) string {
 	s := strings.ToLower(strings.TrimSpace(heading))
@@ -112,7 +117,6 @@ func TestDocsMentionAllFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flagDef := regexp.MustCompile(`flag\.(?:String|Int|Bool|Duration|Float64)(?:Var\(&[^,]+,\s*|\()"([^"]+)"`)
 	var flags []string
 	for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
 		flags = append(flags, m[1])
@@ -187,5 +191,61 @@ func TestObservabilityDocCoversAllMetrics(t *testing.T) {
 		if !strings.Contains(doc, fam.Name) {
 			t.Errorf("docs/OBSERVABILITY.md does not document metric family %s (%s)", fam.Name, fam.Kind)
 		}
+	}
+}
+
+// TestReadmeCommandsUseRealFlags is TestDocsMentionAllFlags in the other
+// direction, for all four binaries: every `go run ./cmd/<name> …` command
+// in README.md, docs/ and the verify skill uses only flags that
+// cmd/<name>/main.go defines, so a deleted flag cannot live on in an
+// example.
+func TestReadmeCommandsUseRealFlags(t *testing.T) {
+	defined := map[string]map[string]bool{}
+	for _, name := range []string{"nines", "probsim", "costopt", "probconsd"} {
+		src, err := os.ReadFile(filepath.Join("cmd", name, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined[name] = map[string]bool{}
+		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+			defined[name][m[1]] = true
+		}
+		if len(defined[name]) < 4 {
+			t.Fatalf("found only %d %s flags; parser broken?", len(defined[name]), name)
+		}
+	}
+	files, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "README.md", ".claude/skills/verify/SKILL.md")
+	command := regexp.MustCompile("go run \\./cmd/(\\w+)([^|&;>#`\n]*)")
+	checked := 0
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range command.FindAllStringSubmatch(string(data), -1) {
+			name, args := m[1], strings.Fields(m[2])
+			flags, ok := defined[name]
+			if !ok {
+				t.Errorf("%s: `go run ./cmd/%s`: no such binary", file, name)
+				continue
+			}
+			for _, arg := range args {
+				if !strings.HasPrefix(arg, "-") {
+					continue // a flag's value
+				}
+				checked++
+				f, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+				if !flags[f] {
+					t.Errorf("%s: `go run ./cmd/%s%s` uses -%s, which cmd/%s/main.go does not define", file, name, m[2], f, name)
+				}
+			}
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("checked only %d flags in documented commands; is the regexp broken?", checked)
 	}
 }

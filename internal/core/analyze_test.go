@@ -93,6 +93,23 @@ func TestAnalyzeInputValidation(t *testing.T) {
 	}
 }
 
+// TestNaNProfileRefused: a NaN fault probability passes every `<` and `>`
+// range test, and an engine fed one answers with ordinary-looking numbers.
+// Every door that takes a fleet refuses it, and no cache key is issued.
+func TestNaNProfileRefused(t *testing.T) {
+	fleet := UniformCrashFleet(3, 0.01)
+	fleet[0].Profile.PCrash = math.NaN()
+	if res, err := Analyze(fleet, NewRaft(3)); err == nil {
+		t.Errorf("Analyze answered a NaN fleet: %v", res)
+	}
+	if res, err := AnalyzeDomains(fleet, NewRaft(3), nil); err == nil {
+		t.Errorf("AnalyzeDomains answered a NaN fleet: %v", res)
+	}
+	if fp, err := FleetModelDomainsFingerprint(fleet, NewRaft(3), nil); err == nil {
+		t.Errorf("fingerprint issued for a NaN fleet: %v", fp)
+	}
+}
+
 func TestMustAnalyzePanicsOnBadInput(t *testing.T) {
 	defer func() {
 		if recover() == nil {

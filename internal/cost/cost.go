@@ -111,72 +111,100 @@ type Optimizer struct {
 	Objective Objective
 }
 
-func (o Optimizer) objective(p Plan) float64 {
+// unitCost returns the tier's per-node cost under the optimizer's
+// objective.
+func (o Optimizer) unitCost(t Tier) float64 {
 	if o.Objective == MinimizeCarbon {
-		return p.CarbonPerHour()
+		return t.CarbonPerHour
 	}
-	return p.PricePerHour()
+	return t.PricePerHour
+}
+
+// candidate is one fleet of the search space: na nodes of tier a plus,
+// when nb > 0, nb nodes of tier b (indices into Optimizer.Tiers), with
+// its cost under the optimizer's objective. It is 24 bytes, so the
+// largest search inputcheck admits (1.57 M candidates at 1024 nodes) is
+// one ~38 MB slice rather than a []Spec per candidate.
+type candidate struct {
+	a, b   int32
+	na, nb int32
+	cost   float64
+}
+
+// candidates enumerates every single-tier fleet of 1..MaxNodes nodes and,
+// if mixed, every two-tier split of at most MaxNodes, tier by tier.
+func (o Optimizer) candidates(mixed bool) []candidate {
+	var out []candidate
+	n := o.MaxNodes
+	for i, a := range o.Tiers {
+		ua := o.unitCost(a)
+		for na := 1; na <= n; na++ {
+			out = append(out, candidate{a: int32(i), na: int32(na), cost: float64(na) * ua})
+		}
+		if !mixed {
+			continue
+		}
+		for j := i + 1; j < len(o.Tiers); j++ {
+			ub := o.unitCost(o.Tiers[j])
+			for na := 1; na < n; na++ {
+				for nb := 1; na+nb <= n; nb++ {
+					out = append(out, candidate{
+						a: int32(i), b: int32(j), na: int32(na), nb: int32(nb),
+						cost: float64(na)*ua + float64(nb)*ub,
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// specs materializes a candidate's fleet composition.
+func (o Optimizer) specs(c candidate) []Spec {
+	specs := []Spec{{Tier: o.Tiers[c.a], Count: int(c.na)}}
+	if c.nb > 0 {
+		specs = append(specs, Spec{Tier: o.Tiers[c.b], Count: int(c.nb)})
+	}
+	return specs
+}
+
+// cheapest is the one search: it evaluates the candidates cheapest first
+// and returns the first whose safe-and-live probability reaches target —
+// one exact engine run per candidate ordered before the answer. The sort
+// is stable, so among equally cheap feasible fleets the earliest
+// enumerated wins, which is the plan an exhaustive scan that replaces its
+// incumbent only on a strictly lower cost ends on.
+func (o Optimizer) cheapest(cands []candidate, target float64) (Plan, bool) {
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
+	for _, c := range cands {
+		if plan, ok := o.evalPlan(o.specs(c), target); ok {
+			return plan, true
+		}
+	}
+	return Plan{}, false
 }
 
 // CheapestSingleTier returns the cheapest single-tier majority-Raft fleet
 // whose safe-and-live probability reaches targetNines, or an error if no
 // fleet within MaxNodes does.
 func (o Optimizer) CheapestSingleTier(targetNines float64) (Plan, error) {
-	target := dist.FromNines(targetNines)
-	var best *Plan
-	for _, tier := range o.Tiers {
-		for n := 1; n <= o.MaxNodes; n++ {
-			plan, ok := o.evalPlan([]Spec{{Tier: tier, Count: n}}, target)
-			if !ok {
-				continue
-			}
-			if best == nil || o.objective(plan) < o.objective(*best) {
-				p := plan
-				best = &p
-			}
-			break // larger fleets of the same tier cost strictly more
-		}
-	}
-	if best == nil {
+	plan, ok := o.cheapest(o.candidates(false), dist.FromNines(targetNines))
+	if !ok {
 		return Plan{}, fmt.Errorf("cost: no single-tier fleet of <= %d nodes reaches %.2f nines", o.MaxNodes, targetNines)
 	}
-	return *best, nil
+	return plan, nil
 }
 
-// CheapestMixed searches all two-tier mixes up to MaxNodes (plus all
-// single-tier fleets) and returns the cheapest plan meeting targetNines.
-// Mixed fleets are the fault-curve-aware frontier the paper gestures at:
-// a few reliable anchors plus cheap bulk.
+// CheapestMixed returns the cheapest plan meeting targetNines among all
+// single-tier fleets and all two-tier mixes up to MaxNodes. Mixed fleets
+// are the fault-curve-aware frontier the paper gestures at: a few
+// reliable anchors plus cheap bulk.
 func (o Optimizer) CheapestMixed(targetNines float64) (Plan, error) {
-	target := dist.FromNines(targetNines)
-	var best *Plan
-	consider := func(specs []Spec) {
-		plan, ok := o.evalPlan(specs, target)
-		if !ok {
-			return
-		}
-		if best == nil || o.objective(plan) < o.objective(*best) {
-			p := plan
-			best = &p
-		}
-	}
-	for i, a := range o.Tiers {
-		for n := 1; n <= o.MaxNodes; n++ {
-			consider([]Spec{{Tier: a, Count: n}})
-		}
-		for j := i + 1; j < len(o.Tiers); j++ {
-			b := o.Tiers[j]
-			for na := 1; na < o.MaxNodes; na++ {
-				for nb := 1; na+nb <= o.MaxNodes; nb++ {
-					consider([]Spec{{Tier: a, Count: na}, {Tier: b, Count: nb}})
-				}
-			}
-		}
-	}
-	if best == nil {
+	plan, ok := o.cheapest(o.candidates(true), dist.FromNines(targetNines))
+	if !ok {
 		return Plan{}, fmt.Errorf("cost: no fleet of <= %d nodes reaches %.2f nines", o.MaxNodes, targetNines)
 	}
-	return *best, nil
+	return plan, nil
 }
 
 func (o Optimizer) evalPlan(specs []Spec, target float64) (Plan, bool) {
@@ -195,20 +223,22 @@ func (o Optimizer) evalPlan(specs []Spec, target float64) (Plan, bool) {
 	return plan, res.SafeAndLive >= target
 }
 
-// Frontier returns, for each node count 1..MaxNodes of a single tier, the
-// achieved reliability and price — the sweep behind the paper's "larger
-// networks of less reliable nodes can help" plot.
+// FrontierPoint is one fleet size of a single tier with the reliability
+// and price it achieves.
 type FrontierPoint struct {
 	N            int
 	Nines        float64
 	PricePerHour float64
 }
 
-// Frontier computes the reliability/price frontier of one tier.
+// Frontier returns a FrontierPoint for each node count 1..MaxNodes of one
+// tier — the sweep behind the paper's "larger networks of less reliable
+// nodes can help" plot.
 func (o Optimizer) Frontier(tier Tier) []FrontierPoint {
 	pts := make([]FrontierPoint, 0, o.MaxNodes)
 	for n := 1; n <= o.MaxNodes; n++ {
-		res := core.MustAnalyze(buildUniform(tier, n), core.NewRaft(n))
+		fleet := Plan{Specs: []Spec{{Tier: tier, Count: n}}}.Fleet()
+		res := core.MustAnalyze(fleet, core.NewRaft(n))
 		pts = append(pts, FrontierPoint{
 			N:            n,
 			Nines:        dist.Nines(res.SafeAndLive),
@@ -216,18 +246,6 @@ func (o Optimizer) Frontier(tier Tier) []FrontierPoint {
 		})
 	}
 	return pts
-}
-
-func buildUniform(tier Tier, n int) core.Fleet {
-	fleet := make(core.Fleet, n)
-	for i := range fleet {
-		fleet[i] = core.Node{
-			Name:        fmt.Sprintf("%s-%d", tier.Name, i),
-			Profile:     tier.Profile,
-			CostPerHour: tier.PricePerHour,
-		}
-	}
-	return fleet
 }
 
 // SortTiersByPrice orders tiers cheapest-first (stable), a convenience for

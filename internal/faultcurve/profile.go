@@ -31,9 +31,11 @@ func (p Profile) TriState() dist.TriState {
 	return dist.TriState{PCrash: p.PCrash, PByz: p.PByz}
 }
 
-// Validate reports an error if the probabilities are out of range.
+// Validate reports an error if the probabilities are out of range. The
+// test is written in the accepting form so that a NaN, which fails every
+// comparison, is refused.
 func (p Profile) Validate() error {
-	if p.PCrash < 0 || p.PByz < 0 || p.PCrash+p.PByz > 1 {
+	if !(p.PCrash >= 0 && p.PByz >= 0 && p.PCrash+p.PByz <= 1) {
 		return fmt.Errorf("faultcurve: invalid profile crash=%v byz=%v", p.PCrash, p.PByz)
 	}
 	return nil

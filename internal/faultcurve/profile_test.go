@@ -1,6 +1,7 @@
 package faultcurve
 
 import (
+	"math"
 	"testing"
 )
 
@@ -27,6 +28,12 @@ func TestProfileValidate(t *testing.T) {
 	}
 	if err := (Profile{PCrash: -0.1}).Validate(); err == nil {
 		t.Error("negative crash must be rejected")
+	}
+	if err := (Profile{PCrash: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN crash must be rejected")
+	}
+	if err := (Profile{PCrash: 0.1, PByz: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN byz must be rejected")
 	}
 }
 

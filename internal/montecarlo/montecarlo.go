@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/dist"
@@ -117,10 +118,10 @@ func sampleGamma(rng *rand.Rand, shape float64) float64 {
 		for u == 0 {
 			u = rng.Float64()
 		}
-		return sampleGamma(rng, shape+1) * pow(u, 1/shape)
+		return sampleGamma(rng, shape+1) * math.Pow(u, 1/shape)
 	}
 	d := shape - 1.0/3.0
-	c := 1 / sqrt(9*d)
+	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
 		v := 1 + c*x
@@ -136,7 +137,7 @@ func sampleGamma(rng *rand.Rand, shape float64) float64 {
 		if u < 1-0.0331*x2*x2 {
 			return d * v
 		}
-		if ln(u) < 0.5*x2+d*(1-v+ln(v)) {
+		if math.Log(u) < 0.5*x2+d*(1-v+math.Log(v)) {
 			return d * v
 		}
 	}

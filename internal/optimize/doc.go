@@ -3,7 +3,7 @@
 // polytopes of reliability-budget questions, driven entirely through
 // linear-minimization oracles — no projections, no external solver.
 //
-// What it answers that the grid search (internal/cost) cannot: continuous
+// What it answers that the tier search (internal/cost) cannot: continuous
 // allocation questions. "I have a $B hardening budget — how do I split it
 // across nodes (or across zone shock-hardening) to maximize nines?" The
 // paper's exact engines (internal/core) evaluate any candidate fleet;
@@ -11,10 +11,10 @@
 //
 // Three layers:
 //
-//   - Polytopes (polytope.go): linear-minimization oracles (LMOs) for the
-//     budget knapsack and the budgeted simplex (with zero costs, the plain
-//     scaled simplex). An LMO answers min_{v in P} <g, v> at a vertex — the
-//     only geometric primitive Frank-Wolfe needs.
+//   - Polytopes (polytope.go): the linear-minimization oracle (LMO) of
+//     the budget knapsack. An LMO answers min_{v in P} <g, v> at a vertex —
+//     the only geometric primitive Frank-Wolfe needs. (The solver's tests
+//     add a budgeted simplex in polytope_test.go.)
 //   - The solver (fw.go): away-step Frank-Wolfe with the duality-gap
 //     stopping certificate g(x) = max_v <∇f(x), x-v> (an upper bound on
 //     f(x)-f* for convex f, a stationarity measure otherwise). Away steps

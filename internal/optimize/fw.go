@@ -35,12 +35,11 @@ type Objective interface {
 }
 
 // FuncObjective adapts plain closures to Objective. G may be nil, in
-// which case Grad falls back to central differences with step H (H <= 0
-// selects the default step).
+// which case Grad falls back to central differences with step
+// DefaultDiffStep.
 type FuncObjective struct {
 	F func(x []float64) float64
 	G func(x, out []float64)
-	H float64
 }
 
 // Value implements Objective.
@@ -52,7 +51,7 @@ func (o FuncObjective) Grad(x, out []float64) {
 		o.G(x, out)
 		return
 	}
-	CentralDiffGrad(o.F, x, o.H, out)
+	CentralDiffGrad(o.F, x, DefaultDiffStep, out)
 }
 
 // Options tunes the solver. Zero values take defaults.

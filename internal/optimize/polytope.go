@@ -118,89 +118,3 @@ func (k Knapsack) LinearMinimize(grad []float64) []float64 {
 	}
 	return v
 }
-
-// BudgetedSimplex is the scaled simplex intersected with one budget
-// halfspace: { x : x_i >= 0, Σ x_i = Scale, Σ c_i x_i <= Budget } — "mix a
-// fixed total across tiers without overspending". Its vertices are the
-// affordable pure vertices plus the two-coordinate edge points where the
-// budget is tight, so the LMO enumerates O(n^2) candidates exactly.
-type BudgetedSimplex struct {
-	N      int
-	Scale  float64
-	Costs  []float64
-	Budget float64
-}
-
-// Dim implements Polytope.
-func (s BudgetedSimplex) Dim() int { return s.N }
-
-// Validate implements Polytope.
-func (s BudgetedSimplex) Validate() error {
-	if s.N < 1 {
-		return fmt.Errorf("optimize: simplex needs dimension >= 1, got %d", s.N)
-	}
-	if math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) || s.Scale <= 0 {
-		return fmt.Errorf("optimize: simplex scale must be finite and > 0, got %v", s.Scale)
-	}
-	if len(s.Costs) != s.N {
-		return fmt.Errorf("optimize: budgeted simplex has %d costs for %d coordinates", len(s.Costs), s.N)
-	}
-	cheapest := math.Inf(1)
-	for i, c := range s.Costs {
-		if math.IsNaN(c) || c < 0 || math.IsInf(c, 0) {
-			return fmt.Errorf("optimize: budgeted simplex cost %d must be finite and >= 0, got %v", i, c)
-		}
-		cheapest = math.Min(cheapest, c)
-	}
-	if math.IsNaN(s.Budget) || math.IsInf(s.Budget, 0) {
-		return fmt.Errorf("optimize: budgeted simplex budget must be finite, got %v", s.Budget)
-	}
-	if cheapest*s.Scale > s.Budget {
-		return fmt.Errorf("optimize: cheapest pure mix costs %v, budget %v (empty polytope)", cheapest*s.Scale, s.Budget)
-	}
-	return nil
-}
-
-// LinearMinimize implements Polytope.
-func (s BudgetedSimplex) LinearMinimize(grad []float64) []float64 {
-	bestVal := math.Inf(1)
-	var best []float64
-	consider := func(v []float64) {
-		val := 0.0
-		for i := range v {
-			val += grad[i] * v[i]
-		}
-		if val < bestVal {
-			bestVal = val
-			best = v
-		}
-	}
-	// Affordable pure vertices.
-	for i := 0; i < s.N; i++ {
-		if s.Costs[i]*s.Scale <= s.Budget {
-			v := make([]float64, s.N)
-			v[i] = s.Scale
-			consider(v)
-		}
-	}
-	// Budget-tight edge points between an over-budget coordinate i and a
-	// below-budget coordinate j: θ·Scale on i, (1-θ)·Scale on j with
-	// θ·c_i + (1-θ)·c_j = Budget/Scale.
-	beta := s.Budget / s.Scale
-	for i := 0; i < s.N; i++ {
-		if s.Costs[i] <= beta {
-			continue
-		}
-		for j := 0; j < s.N; j++ {
-			if s.Costs[j] >= beta {
-				continue
-			}
-			theta := (beta - s.Costs[j]) / (s.Costs[i] - s.Costs[j])
-			v := make([]float64, s.N)
-			v[i] = theta * s.Scale
-			v[j] = (1 - theta) * s.Scale
-			consider(v)
-		}
-	}
-	return best
-}

@@ -53,30 +53,17 @@ type PeerOptions struct {
 	// DialTimeout bounds connection establishment plus the hello exchange
 	// (default 1s).
 	DialTimeout time.Duration
-	// GetTimeout bounds a GET or PUT round trip (default 2s).
-	GetTimeout time.Duration
-	// ExecTimeout bounds an EXEC round trip, which may include the owner
-	// computing the answer (default 2m, matching the serving work bound).
-	ExecTimeout time.Duration
-	// ConnsPerPeer caps persistent connections kept per peer (default 4).
-	ConnsPerPeer int
 }
 
-func (o PeerOptions) withDefaults() PeerOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = time.Second
-	}
-	if o.GetTimeout <= 0 {
-		o.GetTimeout = 2 * time.Second
-	}
-	if o.ExecTimeout <= 0 {
-		o.ExecTimeout = 2 * time.Minute
-	}
-	if o.ConnsPerPeer <= 0 {
-		o.ConnsPerPeer = 4
-	}
-	return o
-}
+const (
+	// getTimeout bounds a GET or PUT round trip.
+	getTimeout = 2 * time.Second
+	// execTimeout bounds an EXEC round trip, which may include the owner
+	// computing the answer: it matches the serving work bound.
+	execTimeout = 2 * time.Minute
+	// connsPerPeer caps persistent connections kept per peer.
+	connsPerPeer = 4
+)
 
 // wireConn is one established peer connection with its buffered streams.
 type wireConn struct {
@@ -86,7 +73,7 @@ type wireConn struct {
 }
 
 // peerPool is a small pool of persistent connections to one peer. sem
-// counts live connections (capacity ConnsPerPeer); idle holds the ones
+// counts live connections (capacity connsPerPeer); idle holds the ones
 // not currently in a round trip. Acquirers race an idle connection
 // against permission to dial a new one, so a burst gets parallelism up
 // to the cap and a quiet client keeps one warm connection.
@@ -137,7 +124,9 @@ func NewPeerClient(self string, peers []string, opts PeerOptions) (*PeerClient, 
 		return nil, fmt.Errorf("qcache: self address %q is not in the peer list", self)
 	}
 	sort.Strings(sorted)
-	opts = opts.withDefaults()
+	if opts.DialTimeout <= 0 {
+		opts.DialTimeout = time.Second
+	}
 	c := &PeerClient{self: self, peers: sorted, pools: map[string]*peerPool{}, opts: opts}
 	for _, p := range sorted {
 		if p == self {
@@ -145,8 +134,8 @@ func NewPeerClient(self string, peers []string, opts PeerOptions) (*PeerClient, 
 		}
 		c.pools[p] = &peerPool{
 			addr: p,
-			idle: make(chan *wireConn, opts.ConnsPerPeer),
-			sem:  make(chan struct{}, opts.ConnsPerPeer),
+			idle: make(chan *wireConn, connsPerPeer),
+			sem:  make(chan struct{}, connsPerPeer),
 		}
 	}
 	return c, nil
@@ -178,19 +167,19 @@ func (c *PeerClient) SelfOwns(key string) bool { return c.Owner(key) == c.self }
 // clean miss; err covers transport and protocol failures (including the
 // owner being self — use SelfOwns first).
 func (c *PeerClient) Get(key string) (val []byte, ok bool, err error) {
-	return c.roundTrip(OpGet, key, nil, c.opts.GetTimeout)
+	return c.roundTrip(OpGet, key, nil, getTimeout)
 }
 
 // Exec asks the owner peer to answer payload for key, computing under the
 // owner's singleflight on a miss. ok is false only on an owner-side miss
 // status, which Exec should not produce; transport failures return err.
 func (c *PeerClient) Exec(key string, payload []byte) (val []byte, ok bool, err error) {
-	return c.roundTrip(OpExec, key, payload, c.opts.ExecTimeout)
+	return c.roundTrip(OpExec, key, payload, execTimeout)
 }
 
 // Put offers the owner peer a value for key, best-effort.
 func (c *PeerClient) Put(key string, val []byte) error {
-	_, _, err := c.roundTrip(OpPut, key, val, c.opts.GetTimeout)
+	_, _, err := c.roundTrip(OpPut, key, val, getTimeout)
 	return err
 }
 
