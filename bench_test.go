@@ -299,9 +299,8 @@ func BenchmarkAblationCorrelation(b *testing.B) {
 		return !m.Live(crashed, byz)
 	}
 	once("ablation-corr", func() {
-		ind := montecarlo.Independent{Profiles: faultcurve.UniformProfiles(n, faultcurve.Crash(p))}
-		indEst, _ := montecarlo.Run(ind, dead, 400_000, 5)
-		fmt.Printf("\n[A3] N=9 p=8%%: P[not live] independent %.5f", indEst.P)
+		ind, _ := core.AnalyzeMonteCarlo(core.UniformCrashFleet(n, p), m, 400_000, 5)
+		fmt.Printf("\n[A3] N=9 p=8%%: P[not live] independent %.5f", 1-ind.Live)
 		for _, rho := range []float64{0.1, 0.3, 0.5} {
 			corr := montecarlo.BetaCrash{Nodes: n, Mean: p, Rho: rho}
 			est, _ := montecarlo.Run(corr, dead, 400_000, 5)
@@ -493,16 +492,11 @@ func BenchmarkBenOr(b *testing.B) {
 // MC cannot see a 1e-10 event; the tilted estimator recovers it.
 func BenchmarkImportanceSampling(b *testing.B) {
 	profiles := faultcurve.UniformProfiles(5, faultcurve.Crash(0.01))
-	allFail := func(failed []bool) bool {
-		for _, f := range failed {
-			if !f {
-				return false
-			}
-		}
-		return true
-	}
+	member := []int{-1, -1, -1, -1, -1}
+	tilt := montecarlo.TiltForCount(profiles, 5, false)
+	allFail := func(crashed, byz int) bool { return crashed+byz == 5 }
 	once("importance", func() {
-		est, err := montecarlo.RunImportance(profiles, montecarlo.UniformTilt(5, 0.5), allFail, 200_000, 1)
+		est, err := montecarlo.RunImportanceTri(profiles, member, nil, tilt, allFail, 200_000, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -510,7 +504,7 @@ func BenchmarkImportanceSampling(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := montecarlo.RunImportance(profiles, montecarlo.UniformTilt(5, 0.5), allFail, 20_000, int64(i)); err != nil {
+		if _, err := montecarlo.RunImportanceTri(profiles, member, nil, tilt, allFail, 20_000, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

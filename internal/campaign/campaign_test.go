@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultcurve"
+	"repro/internal/montecarlo"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -184,6 +187,12 @@ func TestScheduleValidateRejects(t *testing.T) {
 		{"bad domain", func(s *ScheduleSpec) {
 			s.Cells[0].Domains = []faultcurve.Domain{{Name: "z", ShockProb: 2}}
 		}},
+		{"duplicate domain name", func(s *ScheduleSpec) {
+			s.Cells[0].Domains = []faultcurve.Domain{
+				{Name: "z", ShockProb: 0.1, CrashMultiplier: 2, ByzMultiplier: 1},
+				{Name: "z", ShockProb: 0.2, CrashMultiplier: 2, ByzMultiplier: 1},
+			}
+		}},
 		{"negative flaps", func(s *ScheduleSpec) { s.Cells[0].PartitionFlaps = -1 }},
 		{"too many flaps", func(s *ScheduleSpec) { s.Cells[0].PartitionFlaps = maxFlaps + 1 }},
 		{"cohorts over n", func(s *ScheduleSpec) { s.Cells[0].RollingCohorts = 4 }},
@@ -221,9 +230,10 @@ func TestRunnerRejectsBadSetup(t *testing.T) {
 // simulators cannot express.
 func TestRunConfig(t *testing.T) {
 	cell := CellSpec{Protocol: "raft", N: 5, PCrash: 0.4, Ops: 2, PartitionFlaps: 2}
+	draws := cellDraws(t, cell)
 	for seed := int64(1); seed <= 6; seed++ {
-		_, crashed := sampleConfig(cell, rand.New(rand.NewSource(seed)))
-		want, err := runTrial(cell, cell.model(), seed)
+		_, crashed := drawConfig(draws, cell.N, rand.New(rand.NewSource(seed)))
+		want, err := runTrial(cell, cell.model(), draws, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,6 +260,100 @@ func TestRunConfig(t *testing.T) {
 	} {
 		if _, _, err := run(); err == nil {
 			t.Errorf("%s: bad input accepted", name)
+		}
+	}
+}
+
+// cellDraws returns the sampler workspace the runner's trial workers use
+// for cell: its fleet's profiles and round-robin membership, untilted.
+func cellDraws(t *testing.T, cell CellSpec) *montecarlo.Draws {
+	t.Helper()
+	fleet := cell.fleet()
+	member, err := core.ResolveDomains(fleet, core.DomainSet(cell.Domains))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var draws montecarlo.Draws
+	if err := draws.Reset(fleet.Profiles(), member, cell.Domains, montecarlo.TriTilt{}); err != nil {
+		t.Fatal(err)
+	}
+	return &draws
+}
+
+// refSampleConfig is the campaign's own configuration sampler as it stood
+// before trials drew through the kernel (montecarlo.Draws), moved here
+// verbatim. It drew each node's Byzantine outcome before its crash
+// outcome, the kernel draws crash first, so the two agree draw for draw
+// exactly where a node's base and elevated profiles carry at most one
+// kind of fault.
+func refSampleConfig(cell CellSpec, rng *rand.Rand) (byzNodes, crashedNodes []int) {
+	fired := make([]bool, len(cell.Domains))
+	for d, dom := range cell.Domains {
+		fired[d] = rng.Float64() < dom.ShockProb
+	}
+	base := faultcurve.Profile{PCrash: cell.PCrash, PByz: cell.PByz}
+	for i := 0; i < cell.N; i++ {
+		p := base
+		if len(cell.Domains) > 0 {
+			if d := i % len(cell.Domains); fired[d] {
+				p = cell.Domains[d].Elevate(base)
+			}
+		}
+		u := rng.Float64()
+		switch {
+		case u < p.PByz:
+			byzNodes = append(byzNodes, i)
+		case u < p.PByz+p.PCrash:
+			crashedNodes = append(crashedNodes, i)
+		}
+	}
+	return byzNodes, crashedNodes
+}
+
+// TestDrawConfigMatchesOracle pins the trial's kernel-backed draw to the
+// historical sampler with == on the node lists, and the crash-time draws
+// that follow on the same generator, over the inputs the two could part
+// on: shocks of 0, 1 and -0, an empty domain, zero-mass and certain-fault
+// nodes, N = 1, Raft and PBFT. Every cell carries one kind of fault (see
+// refSampleConfig).
+func TestDrawConfigMatchesOracle(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	zone := func(name string, shock float64) faultcurve.Domain {
+		return faultcurve.Domain{Name: name, ShockProb: shock, CrashMultiplier: 8, ByzMultiplier: 8}
+	}
+	cells := []CellSpec{
+		{Name: "raft zones", Protocol: "raft", N: 7, PCrash: 0.06,
+			Domains: []faultcurve.Domain{zone("z1", 0.3), zone("z2", 0.1), zone("z3", 0.5)}},
+		{Name: "raft shocks 0 1 -0", Protocol: "raft", N: 6, PCrash: 0.05,
+			Domains: []faultcurve.Domain{zone("z1", 0), zone("z2", 1), zone("z3", negZero)}},
+		{Name: "raft empty domain", Protocol: "raft", N: 2, PCrash: 0.2,
+			Domains: []faultcurve.Domain{zone("z1", 0.5), zone("z2", 0.5), zone("empty", 0.5)}},
+		{Name: "raft zero mass", Protocol: "raft", N: 5,
+			Domains: []faultcurve.Domain{zone("z1", 0.5)}},
+		{Name: "raft certain crash", Protocol: "raft", N: 3, PCrash: 1},
+		{Name: "raft shock to certain crash", Protocol: "raft", N: 4, PCrash: 0.125,
+			Domains: []faultcurve.Domain{zone("z1", 0.5)}},
+		{Name: "raft n1", Protocol: "raft", N: 1, PCrash: 0.5},
+		{Name: "pbft byzantine zones", Protocol: "pbft", N: 7, PByz: 0.05,
+			Domains: []faultcurve.Domain{zone("z1", 0.4), zone("z2", 0)}},
+		{Name: "pbft certain byzantine", Protocol: "pbft", N: 4, PByz: 1},
+		{Name: "pbft n1", Protocol: "pbft", N: 1, PByz: 0.5,
+			Domains: []faultcurve.Domain{zone("z1", 1)}},
+		{Name: "pbft crash only", Protocol: "pbft", N: 4, PCrash: 0.3},
+	}
+	for _, cell := range cells {
+		draws := cellDraws(t, cell)
+		for seed := int64(1); seed <= 200; seed++ {
+			rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			byz, crashed := drawConfig(draws, cell.N, rng)
+			wantByz, wantCrashed := refSampleConfig(cell, ref)
+			if !slices.Equal(byz, wantByz) || !slices.Equal(crashed, wantCrashed) {
+				t.Fatalf("%s seed %d: kernel byz %v crashed %v, oracle byz %v crashed %v",
+					cell.Name, seed, byz, crashed, wantByz, wantCrashed)
+			}
+			if rng.Int63() != ref.Int63() {
+				t.Fatalf("%s seed %d: the generators left the draw at different points", cell.Name, seed)
+			}
 		}
 	}
 }

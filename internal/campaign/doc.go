@@ -12,8 +12,8 @@
 // The statistical design makes the comparison rigorous rather than
 // anecdotal: every trial samples its failure configuration from exactly
 // the measure the exact engine integrates (per-domain Bernoulli shocks,
-// then per-node trinomial draws from the shock-elevated profiles, using
-// the very same faultcurve.Domain.Elevate the engine uses), and the
+// then per-node trinomial draws from the shock-elevated profiles) through
+// the sampler kernel /v1/tail uses, montecarlo.Draws, untilted, and the
 // simulator supplies the per-configuration safety/liveness predicate. If
 // the protocol implementations obey Theorems 3.1/3.2, the measured
 // availability is a binomial draw from the predicted probability and the
@@ -24,8 +24,9 @@
 //
 // RunConfig is the same trial with the failure configuration imposed by
 // the caller instead of sampled: the theorem-validation experiments
-// (V1/V2, internal/validate's sweep) walk chosen configurations through
-// it, so every simulated-cluster run in the repo shares one driver.
+// (V1/V2 and the theorem sweep in this package's theorem_test.go) walk
+// chosen configurations through it, so every simulated-cluster run in the
+// repo shares one driver.
 //
 // Everything is deterministic under a pinned seed: trial seeds derive
 // from (schedule seed, cell index, trial index), trials run in parallel

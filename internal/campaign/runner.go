@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/faultcurve"
+	"repro/internal/montecarlo"
 	"repro/internal/pbft"
 	"repro/internal/raft"
 	"repro/internal/sim"
@@ -96,6 +96,12 @@ func (r *Runner) runCell(seed int64, cellIdx int, cell CellSpec) (CellReport, er
 		return CellReport{}, err
 	}
 
+	member, err := core.ResolveDomains(fleet, core.DomainSet(cell.Domains))
+	if err != nil {
+		return CellReport{}, err
+	}
+	profiles := fleet.Profiles()
+
 	outcomes := make([]trialOutcome, cell.Trials)
 	workers := r.Workers
 	if workers <= 0 {
@@ -110,8 +116,15 @@ func (r *Runner) runCell(seed int64, cellIdx int, cell CellSpec) (CellReport, er
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// One workspace per worker: the tables are the cell's, the
+			// per-draw scratch is the worker's.
+			var draws montecarlo.Draws
+			if err := draws.Reset(profiles, member, cell.Domains, montecarlo.TriTilt{}); err != nil {
+				errs[w] = err
+				return
+			}
 			for t := w; t < cell.Trials; t += workers {
-				out, err := runTrial(cell, model, trialSeed(seed, cellIdx, t))
+				out, err := runTrial(cell, model, &draws, trialSeed(seed, cellIdx, t))
 				if err != nil {
 					errs[w] = err
 					return
@@ -134,29 +147,18 @@ func trialSeed(seed int64, cellIdx, trial int) int64 {
 	return seed + int64(cellIdx)*1_000_003 + int64(trial)*7_919
 }
 
-// sampleConfig draws the trial's failure configuration from exactly the
-// measure the exact engine integrates: one Bernoulli per domain for the
-// shock, then one trinomial per node from the (possibly shock-elevated)
-// profile, Byzantine mass first. Draw order is fixed — domains in spec
-// order, then nodes in id order — so a seed pins the configuration.
-func sampleConfig(cell CellSpec, rng *rand.Rand) (byzNodes, crashedNodes []int) {
-	fired := make([]bool, len(cell.Domains))
-	for d, dom := range cell.Domains {
-		fired[d] = rng.Float64() < dom.ShockProb
-	}
-	base := faultcurve.Profile{PCrash: cell.PCrash, PByz: cell.PByz}
-	for i := 0; i < cell.N; i++ {
-		p := base
-		if len(cell.Domains) > 0 {
-			if d := i % len(cell.Domains); fired[d] {
-				p = cell.Domains[d].Elevate(base)
-			}
-		}
-		u := rng.Float64()
-		switch {
-		case u < p.PByz:
+// drawConfig draws the trial's failure configuration from rng through the
+// sampler kernel — the measure the exact engine integrates: one Bernoulli
+// per domain for the shock, then one trinomial per node from the
+// (possibly shock-elevated) profile — and lists the n nodes it made
+// Byzantine and crashed, in id order.
+func drawConfig(draws *montecarlo.Draws, n int, rng *rand.Rand) (byzNodes, crashedNodes []int) {
+	draws.Next(rng)
+	for i := 0; i < n; i++ {
+		switch crashed, byz := draws.Node(i); {
+		case byz:
 			byzNodes = append(byzNodes, i)
-		case u < p.PByz+p.PCrash:
+		case crashed:
 			crashedNodes = append(crashedNodes, i)
 		}
 	}
@@ -180,12 +182,13 @@ func overlayEnd(cell CellSpec) sim.Time {
 	return end + overlaySlack
 }
 
-// runTrial executes one simulated protocol run under the sampled fault
-// schedule and scores it against the theorem's prediction for the
-// realized configuration.
-func runTrial(cell CellSpec, model core.CountModel, seed int64) (trialOutcome, error) {
+// runTrial executes one simulated protocol run under a fault schedule
+// drawn from draws (reset to the cell's fleet) and scores it against the
+// theorem's prediction for the realized configuration. One generator,
+// seeded with seed, draws the configuration and then the crash times.
+func runTrial(cell CellSpec, model core.CountModel, draws *montecarlo.Draws, seed int64) (trialOutcome, error) {
 	rng := rand.New(rand.NewSource(seed))
-	byzNodes, crashedNodes := sampleConfig(cell, rng)
+	byzNodes, crashedNodes := drawConfig(draws, cell.N, rng)
 	var out trialOutcome
 	out.crashed, out.byz = len(crashedNodes), len(byzNodes)
 	var err error
@@ -205,7 +208,7 @@ func runTrial(cell CellSpec, model core.CountModel, seed int64) (trialOutcome, e
 }
 
 // RunConfig is one trial under a failure configuration the caller imposes
-// instead of one sampleConfig draws: byzNodes are Silent from the start,
+// instead of one drawConfig draws: byzNodes are Silent from the start,
 // crashedNodes fail-stop at seed-derived times inside the crash window,
 // the cell's overlays run, and the retry workload drives cell.Ops ops plus
 // the terminal probe. It reports what the run showed — no agreement

@@ -28,9 +28,10 @@ type CellSpec struct {
 	PByz   float64 `json:"p_byz,omitempty"`
 	Trials int     `json:"trials"`
 	Ops    int     `json:"ops"`
-	// Domains declares correlated failure domains; fleet membership is
-	// round-robin (node i joins domain i mod D), matching the serving
-	// layer's uniform-fleet convention.
+	// Domains declares correlated failure domains (distinct names, as the
+	// exact engine's resolver requires); fleet membership is round-robin
+	// (node i joins domain i mod D), matching the serving layer's
+	// uniform-fleet convention.
 	Domains []faultcurve.Domain `json:"domains,omitempty"`
 	// PartitionFlaps > 0 isolates node (flap mod N) for flapDur once per
 	// flapPeriod — the election-storm schedule.
@@ -89,10 +90,8 @@ func (s ScheduleSpec) Validate() error {
 		if err := inputcheck.CheckDomainCount(len(c.Domains)); err != nil {
 			return fmt.Errorf("campaign: cell %q: %w", c.Name, err)
 		}
-		for _, d := range c.Domains {
-			if err := d.Validate(); err != nil {
-				return fmt.Errorf("campaign: cell %q: %w", c.Name, err)
-			}
+		if err := core.DomainSet(c.Domains).Validate(c.fleet()); err != nil {
+			return fmt.Errorf("campaign: cell %q: %w", c.Name, err)
 		}
 		if c.PartitionFlaps < 0 || c.PartitionFlaps > maxFlaps {
 			return fmt.Errorf("campaign: cell %q: partition_flaps must be in [0, %d]", c.Name, maxFlaps)

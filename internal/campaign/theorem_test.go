@@ -1,7 +1,8 @@
-// Package validate cross-checks the analytical predicates of Theorems 3.1
-// and 3.2 against the executing protocol implementations: experiments V1
-// and V2 of DESIGN.md and the table-driven theorem sweep. It holds tests
-// only.
+package campaign_test
+
+// Experiments V1 and V2 of DESIGN.md and the table-driven theorem sweep:
+// the analytical predicates of Theorems 3.1 and 3.2 checked against the
+// executing protocol implementations.
 //
 // The experimental design mirrors §3's definition of a safe/live failure
 // configuration: rather than sampling rare fault events end-to-end (which
@@ -12,7 +13,6 @@
 // campaign.RunConfig — the campaign runner's trial with the configuration
 // given instead of sampled — so the sweep and the campaigns share one
 // simulated-cluster driver.
-package validate
 
 import (
 	"fmt"

@@ -16,6 +16,9 @@
 //     predicates on the identity of failed nodes, N ≲ 16;
 //   - Monte-Carlo sampling — approximate with confidence intervals, works
 //     for any predicate and fleet size, and for correlated fault models.
+//     It counts the model's predicates over draws from internal/montecarlo's
+//     kernel (montecarlo.Draws, untilted), the one sampler of the failure
+//     measure, so this package imports montecarlo and never the reverse.
 //
 // The three agree to float64 precision on their common domain, which the
 // test suite exploits heavily.

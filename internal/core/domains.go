@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/faultcurve"
+	"repro/internal/montecarlo"
 )
 
 // This file is the correlated-failure engine: exact safety/liveness
@@ -128,7 +129,7 @@ func (l *domainLayout) members(n int) []int {
 
 // ResolveDomains validates the layout and returns each node's domain as an
 // index into domains, -1 for independent nodes — the membership encoding of
-// the samplers (montecarlo.RunImportanceTri) and of positional cache keys.
+// the sampler kernel (montecarlo.Draws) and of positional cache keys.
 func ResolveDomains(fleet Fleet, domains DomainSet) ([]int, error) {
 	var l domainLayout
 	if err := l.resolve(fleet, domains); err != nil {
@@ -311,9 +312,10 @@ func AnalyzeDomainsMixture(fleet Fleet, m CountModel, domains DomainSet) (Result
 // AnalyzeDomainsMonteCarlo estimates the domain-aware Result by sampling
 // in the same two stages as the exact conditioning: each domain's shock is
 // drawn first, then every node independently from its base — or, if its
-// domain shocked, elevated — profile. It is the validation oracle for the
-// exact domain engines (montecarlo.Domains is the composable-sampler
-// counterpart for predicate-level estimation).
+// domain shocked, elevated — profile. The draws are the sampler kernel's
+// (montecarlo.Draws, untilted, on a generator seeded with seed); this
+// counts the three predicates over them. It is the validation oracle for
+// the exact domain engines.
 func AnalyzeDomainsMonteCarlo(fleet Fleet, m CountModel, domains DomainSet, samples int, seed int64) (MCResult, error) {
 	var l domainLayout
 	if err := l.resolveQuery(fleet, m, domains); err != nil {
@@ -322,36 +324,14 @@ func AnalyzeDomainsMonteCarlo(fleet Fleet, m CountModel, domains DomainSet, samp
 	if samples <= 0 {
 		return MCResult{}, fmt.Errorf("core: need samples > 0, got %d", samples)
 	}
-	member := l.members(len(fleet))
-	elevated := make([]faultcurve.Profile, len(fleet))
-	for i, n := range fleet {
-		if di := member[i]; di >= 0 {
-			elevated[i] = domains[di].Elevate(n.Profile)
-		} else {
-			elevated[i] = n.Profile
-		}
+	var draws montecarlo.Draws
+	if err := draws.Reset(fleet.Profiles(), l.members(len(fleet)), domains, montecarlo.TriTilt{}); err != nil {
+		return MCResult{}, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	shocked := make([]bool, len(domains))
 	var nSafe, nLive, nBoth int
 	for s := 0; s < samples; s++ {
-		for d := range domains {
-			shocked[d] = rng.Float64() < domains[d].ShockProb
-		}
-		var crashed, byz int
-		for i, n := range fleet {
-			p := n.Profile
-			if di := member[i]; di >= 0 && shocked[di] {
-				p = elevated[i]
-			}
-			u := rng.Float64()
-			switch {
-			case u < p.PCrash:
-				crashed++
-			case u < p.PCrash+p.PByz:
-				byz++
-			}
-		}
+		crashed, byz, _ := draws.Next(rng)
 		sOK := m.Safe(crashed, byz)
 		lOK := m.Live(crashed, byz)
 		if sOK {

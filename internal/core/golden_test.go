@@ -14,9 +14,10 @@ import (
 //
 //   - Analyze       — the joint (#crashed, #Byzantine) dynamic program;
 //   - AnalyzeSet    — explicit enumeration of all 3^7 configurations;
-//   - Monte Carlo   — both core.AnalyzeMonteCarlo and the
-//     internal/montecarlo Independent sampler, which must bracket the
-//     exact value inside their 95% Wilson intervals.
+//   - Monte Carlo   — both core.AnalyzeMonteCarlo and the plain sampler
+//     behind internal/montecarlo's RunImportanceTri, which must bracket
+//     the exact value (95% Wilson interval, respectively 4 standard
+//     errors).
 //
 // The two exact engines share no code beyond the predicate: one sums a
 // trinomial DP table, the other walks 2187 explicit configurations. Their
@@ -108,24 +109,25 @@ func TestGoldenMonteCarloBracketsExact(t *testing.T) {
 }
 
 // TestGoldenIndependentSamplerAgrees drives the third engine through the
-// internal/montecarlo package — an independent sampling path (its own
-// Sampler abstraction, RNG stream, and hit counting; the Wilson interval
-// itself is the shared dist kernel) — closing the loop between packages.
+// internal/montecarlo package's own front door — RunImportanceTri at
+// Boost 1, the plain sampler, on its own seed and with its own estimator
+// (a weighted mean and standard error, not a Wilson interval) — closing
+// the loop between packages.
 func TestGoldenIndependentSamplerAgrees(t *testing.T) {
 	fleet := goldenFleet()
-	sampler := montecarlo.Independent{Profiles: fleet.Profiles()}
+	member := make([]int, len(fleet))
+	for i := range member {
+		member[i] = -1
+	}
 	for name, m := range goldenModels() {
 		exact := MustAnalyze(fleet, m)
-		pred := func(cfg montecarlo.Config) bool {
-			c, b := cfg.Counts()
-			return m.Safe(c, b) && m.Live(c, b)
-		}
-		est, err := montecarlo.Run(sampler, pred, 200000, 7)
+		pred := func(c, b int) bool { return m.Safe(c, b) && m.Live(c, b) }
+		est, err := montecarlo.RunImportanceTri(fleet.Profiles(), member, nil, montecarlo.TriTilt{Boost: 1}, pred, 200000, 7)
 		if err != nil {
-			t.Fatalf("%s: montecarlo.Run: %v", name, err)
+			t.Fatalf("%s: montecarlo.RunImportanceTri: %v", name, err)
 		}
-		if exact.SafeAndLive < est.Lo || exact.SafeAndLive > est.Hi {
-			t.Errorf("%s: exact S&L %.8f outside sampler CI %v", name, exact.SafeAndLive, est)
+		if est.StdErr <= 0 || math.Abs(est.P-exact.SafeAndLive) > 4*est.StdErr {
+			t.Errorf("%s: exact S&L %.8f vs sampled %v", name, exact.SafeAndLive, est)
 		}
 	}
 }

@@ -143,10 +143,10 @@ func TestCheapestMixedLadder(t *testing.T) {
 	}
 }
 
-// TestSeededMatchesGrid keeps its recorded name: on the costopt exemplar
-// the search returns the exhaustive grid's plan for several targets while
-// evaluating fewer fleets than the grid has cells.
-func TestSeededMatchesGrid(t *testing.T) {
+// TestCheapestMixedMatchesGrid: on the costopt exemplar the search
+// returns the exhaustive grid's plan for several targets while evaluating
+// fewer fleets than the grid has cells.
+func TestCheapestMixedMatchesGrid(t *testing.T) {
 	for _, target := range []float64{2.5, 3.5, 4.0, 4.5} {
 		o := Optimizer{Tiers: exemplarTiers(), MaxNodes: 11}
 		grid, err := gridCheapestMixed(o, target)
@@ -166,8 +166,9 @@ func TestSeededMatchesGrid(t *testing.T) {
 	}
 }
 
-// TestSeededUnreachableTarget mirrors the grid's error behaviour.
-func TestSeededUnreachableTarget(t *testing.T) {
+// TestCheapestMixedUnreachableLikeGrid mirrors the grid oracle's
+// error behaviour.
+func TestCheapestMixedUnreachableLikeGrid(t *testing.T) {
 	o := Optimizer{Tiers: exemplarTiers(), MaxNodes: 3}
 	if _, err := o.CheapestMixed(12); err == nil {
 		t.Fatal("want error for an unreachable target")
@@ -180,10 +181,10 @@ func TestSeededUnreachableTarget(t *testing.T) {
 	}
 }
 
-// TestSeededCarbonObjective checks the search follows the selected
-// objective: under MinimizeCarbon the answer is the carbon-optimal grid
-// answer, not the price-optimal one.
-func TestSeededCarbonObjective(t *testing.T) {
+// TestCheapestMixedCarbonMatchesGrid checks the search follows the
+// selected objective: under MinimizeCarbon the answer is the carbon-optimal
+// grid answer, not the price-optimal one.
+func TestCheapestMixedCarbonMatchesGrid(t *testing.T) {
 	o := Optimizer{Tiers: exemplarTiers(), MaxNodes: 9, Objective: MinimizeCarbon}
 	grid, err := gridCheapestMixed(o, 3)
 	if err != nil {

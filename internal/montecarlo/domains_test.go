@@ -1,4 +1,4 @@
-package montecarlo
+package montecarlo_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultcurve"
+	"repro/internal/montecarlo"
 )
 
 func domainLayout() (core.Fleet, core.DomainSet, []int) {
@@ -36,7 +37,7 @@ func TestDomainsSamplerMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	notLive := func(crashed, byz int) bool { return !m.Live(crashed, byz) }
-	est, err := RunImportanceTri(fleet.Profiles(), member, domains, TriTilt{Boost: 1}, notLive, 300_000, 31)
+	est, err := montecarlo.RunImportanceTri(fleet.Profiles(), member, domains, untilted, notLive, 300_000, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestDomainsSamplerShockCouplesZone(t *testing.T) {
 	member := []int{0, 0, 0, -1, -1, -1}
 	domains := []faultcurve.Domain{{Name: "rack", ShockProb: 0.1, CrashMultiplier: 60, ByzMultiplier: 1}}
 	threeDown := func(crashed, _ int) bool { return crashed >= 3 }
-	est, err := RunImportanceTri(profiles, member, domains, TriTilt{Boost: 1}, threeDown, 200_000, 9)
+	est, err := montecarlo.RunImportanceTri(profiles, member, domains, untilted, threeDown, 200_000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,24 +2,27 @@ package montecarlo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/faultcurve"
 )
 
+// noDomains returns the membership of n independent nodes.
+func noDomains(n int) []int {
+	member := make([]int, n)
+	for i := range member {
+		member[i] = -1
+	}
+	return member
+}
+
 func TestImportanceRecoversDeepTail(t *testing.T) {
 	// P[all 5 nodes fail] at p=1% is 1e-10 — invisible to naive MC but
 	// easy under a 0.5 tilt.
 	profiles := faultcurve.UniformProfiles(5, faultcurve.Crash(0.01))
-	allFail := func(failed []bool) bool {
-		for _, f := range failed {
-			if !f {
-				return false
-			}
-		}
-		return true
-	}
-	est, err := RunImportance(profiles, UniformTilt(5, 0.5), allFail, 200_000, 1)
+	allFail := func(c, b int) bool { return c+b == 5 }
+	est, err := RunImportanceTri(profiles, noDomains(5), nil, TiltForCount(profiles, 5, false), allFail, 200_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,29 +33,20 @@ func TestImportanceRecoversDeepTail(t *testing.T) {
 		t.Errorf("stderr %v implausible", est.StdErr)
 	}
 	// Naive sampling finds nothing at this budget.
-	naive := Independent{Profiles: profiles}
-	n, _ := Run(naive, func(c Config) bool {
-		crashed, _ := c.Counts()
-		return crashed == 5
-	}, 200_000, 1)
-	if n.P != 0 {
-		t.Logf("naive unexpectedly saw the event: %v", n.P)
+	naive, err := RunImportanceTri(profiles, noDomains(5), nil, TriTilt{Boost: 1}, allFail, 200_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.P != 0 {
+		t.Logf("naive unexpectedly saw the event: %v", naive.P)
 	}
 }
 
 func TestImportanceMatchesExactModerateTail(t *testing.T) {
 	// P[>= 4 of 9 fail] at p=8%: exact binomial tail.
 	profiles := faultcurve.UniformProfiles(9, faultcurve.Crash(0.08))
-	pred := func(failed []bool) bool {
-		c := 0
-		for _, f := range failed {
-			if f {
-				c++
-			}
-		}
-		return c >= 4
-	}
-	est, err := RunImportance(profiles, UniformTilt(9, 0.4), pred, 300_000, 2)
+	pred := func(c, b int) bool { return c+b >= 4 }
+	est, err := RunImportanceTri(profiles, noDomains(9), nil, TriTilt{Boost: 5}, pred, 300_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,44 +73,46 @@ func choose(n, k int) float64 {
 
 func TestImportanceHeterogeneousTargetedLoss(t *testing.T) {
 	// E5's targeted-loss event on a heterogeneous fleet: the specific
-	// nodes {0,1,2} all fail, p = (0.1, 0.05, 0.02) -> 1e-4.
+	// nodes {0,1,2} all fail, p = (0.1, 0.05, 0.02) -> 1e-4. The event
+	// names nodes, not counts, so it reads the per-node outcomes and
+	// weights each hit by its likelihood ratio.
 	profiles := []faultcurve.Profile{
 		faultcurve.Crash(0.1), faultcurve.Crash(0.05), faultcurve.Crash(0.02),
 		faultcurve.Crash(0.3), faultcurve.Crash(0.3),
 	}
-	pred := func(failed []bool) bool { return failed[0] && failed[1] && failed[2] }
-	tilt := []float64{0.5, 0.5, 0.5, 0.3, 0.3}
-	est, err := RunImportance(profiles, tilt, pred, 300_000, 3)
-	if err != nil {
+	var d Draws
+	if err := d.Reset(profiles, noDomains(5), nil, TriTilt{Boost: 10}); err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(3))
+	const samples = 300_000
+	var sumW, sumW2 float64
+	for s := 0; s < samples; s++ {
+		_, _, logW := d.Next(rng)
+		hit := true
+		for i := 0; i < 3; i++ {
+			if c, _ := d.Node(i); !c {
+				hit = false
+			}
+		}
+		if hit {
+			w := math.Exp(logW)
+			sumW += w
+			sumW2 += w * w
+		}
+	}
+	p := sumW / samples
+	stdErr := math.Sqrt((sumW2/samples - p*p) / samples)
 	want := 0.1 * 0.05 * 0.02
-	if math.Abs(est.P-want) > 4*est.StdErr+1e-7 {
-		t.Errorf("estimate %v vs exact %v", est, want)
-	}
-}
-
-func TestImportanceValidation(t *testing.T) {
-	profiles := faultcurve.UniformProfiles(3, faultcurve.Crash(0.1))
-	pred := func([]bool) bool { return true }
-	if _, err := RunImportance(profiles, UniformTilt(2, 0.5), pred, 100, 1); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := RunImportance(profiles, UniformTilt(3, 0), pred, 100, 1); err == nil {
-		t.Error("q=0 accepted")
-	}
-	if _, err := RunImportance(profiles, UniformTilt(3, 1), pred, 100, 1); err == nil {
-		t.Error("q=1 accepted")
-	}
-	if _, err := RunImportance(profiles, UniformTilt(3, 0.5), pred, 0, 1); err == nil {
-		t.Error("samples=0 accepted")
+	if stdErr <= 0 || math.Abs(p-want) > 4*stdErr+1e-7 {
+		t.Errorf("estimate %v ± %v vs exact %v", p, stdErr, want)
 	}
 }
 
 func TestImportanceTrivialPredicate(t *testing.T) {
 	// pred == true always: estimate must be ~1 (weights average to 1).
 	profiles := faultcurve.UniformProfiles(4, faultcurve.Crash(0.2))
-	est, err := RunImportance(profiles, UniformTilt(4, 0.5), func([]bool) bool { return true }, 200_000, 4)
+	est, err := RunImportanceTri(profiles, noDomains(4), nil, TriTilt{Boost: 2.5}, func(int, int) bool { return true }, 200_000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/dist"
-	"repro/internal/faultcurve"
 )
 
 // Config is one sampled failure configuration.
@@ -36,24 +35,6 @@ func (c Config) Counts() (crashed, byz int) {
 type Sampler interface {
 	Sample(rng *rand.Rand, out *Config)
 	N() int
-}
-
-// Independent samples each node independently from its profile — the §3
-// baseline model.
-type Independent struct {
-	Profiles []faultcurve.Profile
-}
-
-// N implements Sampler.
-func (s Independent) N() int { return len(s.Profiles) }
-
-// Sample implements Sampler.
-func (s Independent) Sample(rng *rand.Rand, out *Config) {
-	for i, p := range s.Profiles {
-		u := rng.Float64()
-		out.Crashed[i] = u < p.PCrash
-		out.Byz[i] = !out.Crashed[i] && u < p.PCrash+p.PByz
-	}
 }
 
 // BetaCrash models cluster-level correlation with a shared frailty: each

@@ -5,16 +5,15 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/dist"
 	"repro/internal/faultcurve"
 )
 
-// The importance samplers as they stood before the table-driven kernel
+// The importance sampler as it stood before the table-driven kernel
 // (proposal.go), moved here verbatim: every draw re-derives the tilted
-// proposal and takes its logarithms afresh. They are the reference the
+// proposal and takes its logarithms afresh. It is the reference the
 // kernel must reproduce bit for bit — same generator, same draw order,
 // same floating-point operation order — and nothing outside the tests
-// calls them.
+// calls it.
 
 // refImportanceTri is the historical RunImportanceTri.
 func refImportanceTri(profiles []faultcurve.Profile, member []int, domains []faultcurve.Domain,
@@ -86,67 +85,6 @@ func refImportanceTri(profiles []faultcurve.Profile, member []int, domains []fau
 		}
 		if pred(crashed, byz) {
 			w := math.Exp(logW)
-			sumW += w
-			sumW2 += w * w
-		}
-	}
-	nf := float64(samples)
-	mean := sumW / nf
-	variance := sumW2/nf - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	ess := 0.0
-	if sumW2 > 0 {
-		ess = sumW * sumW / sumW2
-	}
-	return ImportanceEstimate{
-		P:                mean,
-		StdErr:           math.Sqrt(variance / nf),
-		Samples:          samples,
-		EffectiveSamples: ess,
-	}, nil
-}
-
-// refImportance is the historical RunImportance (its never-read sumAll
-// accumulator included).
-func refImportance(profiles []faultcurve.Profile, tilted []float64, pred func(failed []bool) bool, samples int, seed int64) (ImportanceEstimate, error) {
-	n := len(profiles)
-	if len(tilted) != n {
-		return ImportanceEstimate{}, fmt.Errorf("montecarlo: %d tilted probs for %d nodes", len(tilted), n)
-	}
-	if samples <= 0 {
-		return ImportanceEstimate{}, fmt.Errorf("montecarlo: need samples > 0")
-	}
-	p := make([]float64, n)
-	for i, prof := range profiles {
-		p[i] = dist.Clamp01(prof.PFail())
-	}
-	for i, q := range tilted {
-		if q <= 0 || q >= 1 {
-			return ImportanceEstimate{}, fmt.Errorf("montecarlo: tilted prob %v at %d out of (0,1)", q, i)
-		}
-		if p[i] > 0 && (p[i] >= 1) {
-			return ImportanceEstimate{}, fmt.Errorf("montecarlo: degenerate true prob at %d", i)
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	failed := make([]bool, n)
-	var sumW, sumW2, sumAll float64
-	for s := 0; s < samples; s++ {
-		logW := 0.0
-		for i := 0; i < n; i++ {
-			if rng.Float64() < tilted[i] {
-				failed[i] = true
-				logW += math.Log(p[i]) - math.Log(tilted[i])
-			} else {
-				failed[i] = false
-				logW += math.Log1p(-p[i]) - math.Log1p(-tilted[i])
-			}
-		}
-		w := math.Exp(logW)
-		sumAll += w
-		if pred(failed) {
 			sumW += w
 			sumW2 += w * w
 		}

@@ -7,12 +7,10 @@ import (
 )
 
 // Trinomial importance sampling: the deep-tail estimator behind the
-// service's /v1/tail endpoint. RunImportance folds crash and Byzantine
-// mass into one "failed" coin, which is exact only for count-threshold
-// predicates over total failures. Protocol predicates distinguish the two
-// (Theorem 3.1's safety depends on the Byzantine count alone), so this
-// sampler keeps the full trinomial per node — correct, crashed, or
-// Byzantine — and additionally supports correlated failure domains by
+// service's /v1/tail endpoint. It keeps the full trinomial per node —
+// correct, crashed, or Byzantine — because protocol predicates
+// distinguish the two faults (Theorem 3.1's safety depends on the
+// Byzantine count alone), and supports correlated failure domains by
 // sampling the shock layer first, exactly as the exact mixture engine
 // conditions on it. Tilting raises every node's failure mass (preserving
 // its crash/Byzantine split) and optionally the per-domain shock
@@ -29,7 +27,7 @@ type TriTilt struct {
 	// elevated by any fired shock), preserving the crash/Byzantine ratio.
 	// The tilted mass is clamped to [true mass, MaxTiltMass] so tilting
 	// never moves probability *away* from the rare region and weights stay
-	// bounded. Boost <= 1 leaves the nodes untilted.
+	// bounded. Boost <= 1 leaves the nodes untilted; NaN is refused.
 	Boost float64
 	// ShockProb, when in (0, 1), replaces every domain's shock probability
 	// in the proposal — shocks dominate deep tails of correlated fleets,
@@ -71,48 +69,15 @@ func TiltForCount(profiles []faultcurve.Profile, k int, withShocks bool) TriTilt
 // happens under tilt; every sample's weight is the likelihood ratio of
 // the true measure to the proposal, so the estimate is unbiased for any
 // tilt. Cost is O(samples * (n + len(domains))) after an O(n) table build:
-// every draw-independent quantity is computed once per run (proposal.go).
+// every draw-independent quantity is computed once per run (Draws.Reset).
 func RunImportanceTri(profiles []faultcurve.Profile, member []int, domains []faultcurve.Domain,
 	tilt TriTilt, pred TriPred, samples int, seed int64) (ImportanceEstimate, error) {
-	n := len(profiles)
-	if len(member) != n {
-		return ImportanceEstimate{}, fmt.Errorf("montecarlo: %d memberships for %d nodes", len(member), n)
-	}
-	for i, m := range member {
-		if m < -1 || m >= len(domains) {
-			return ImportanceEstimate{}, fmt.Errorf("montecarlo: node %d references domain %d of %d", i, m, len(domains))
-		}
+	var d Draws
+	if err := d.Reset(profiles, member, domains, tilt); err != nil {
+		return ImportanceEstimate{}, err
 	}
 	if samples <= 0 {
 		return ImportanceEstimate{}, fmt.Errorf("montecarlo: need samples > 0, got %d", samples)
 	}
-	if tilt.Boost < 1 {
-		tilt.Boost = 1
-	}
-	if tilt.ShockProb < 0 || tilt.ShockProb >= 1 {
-		return ImportanceEstimate{}, fmt.Errorf("montecarlo: shock tilt %v out of [0, 1)", tilt.ShockProb)
-	}
-	prop := proposal{
-		shocks: make([]cell, len(domains)),
-		nodes:  make([]cell, 2*n),
-		slot:   make([]int, n),
-		fired:  make([]int, len(domains)+1),
-	}
-	for d, dom := range domains {
-		q := dom.ShockProb
-		qt := q
-		if tilt.ShockProb > 0 && q > 0 && q < 1 {
-			qt = tilt.ShockProb
-		}
-		prop.shocks[d] = coinCell(q, qt)
-	}
-	for i, p := range profiles {
-		prop.nodes[i] = triCell(p.PCrash, p.PByz, tilt.Boost)
-		if m := member[i]; m >= 0 {
-			prop.slot[i] = m + 1
-			e := domains[m].Elevate(p)
-			prop.nodes[n+i] = triCell(e.PCrash, e.PByz, tilt.Boost)
-		}
-	}
-	return prop.estimate(samples, seed, pred), nil
+	return d.estimate(samples, seed, pred), nil
 }

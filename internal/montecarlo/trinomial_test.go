@@ -182,47 +182,6 @@ func servedFleet(withDomains bool) ([]faultcurve.Profile, []int, []faultcurve.Do
 	return profiles, member, domains
 }
 
-// TestKernelMatchesOracleBinary is the same pin for RunImportance, whose
-// predicate sees the failed set itself.
-func TestKernelMatchesOracleBinary(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for f := 0; f < 400; f++ {
-		n := 1 + rng.Intn(10)
-		profiles := make([]faultcurve.Profile, n)
-		tilted := make([]float64, n)
-		for i := range profiles {
-			for {
-				profiles[i] = randomProfile(rng)
-				if profiles[i].PFail() < 1 {
-					break
-				}
-			}
-			tilted[i] = 0.05 + 0.9*rng.Float64()
-		}
-		mask := rng.Intn(1 << n)
-		pred := func(failed []bool) bool {
-			for i, f := range failed {
-				if mask>>i&1 == 1 && !f {
-					return false
-				}
-			}
-			return true
-		}
-		samples, seed := 1+rng.Intn(300), rng.Int63()
-		got, err := RunImportance(profiles, tilted, pred, samples, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := refImportance(profiles, tilted, pred, samples, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameEstimate(got, want) {
-			t.Fatalf("fixture %d: kernel %+v != oracle %+v (profiles %+v tilted %v mask %b)", f, got, want, profiles, tilted, mask)
-		}
-	}
-}
-
 // enumerateTri sums P[pred] exactly over every shock pattern and every
 // correct/crashed/Byzantine assignment — 2^D · 3^N terms.
 func enumerateTri(profiles []faultcurve.Profile, member []int, domains []faultcurve.Domain, pred TriPred) float64 {
@@ -339,6 +298,8 @@ func TestImportanceTriValidation(t *testing.T) {
 		{"negative samples", ok, TriTilt{Boost: 2}, -5, "need samples > 0"},
 		{"negative shock tilt", ok, TriTilt{Boost: 2, ShockProb: -0.1}, 10, "out of [0, 1)"},
 		{"shock tilt of one", ok, TriTilt{Boost: 2, ShockProb: 1}, 10, "out of [0, 1)"},
+		{"NaN shock tilt", ok, TriTilt{Boost: 2, ShockProb: math.NaN()}, 10, "out of [0, 1)"},
+		{"NaN boost", ok, TriTilt{Boost: math.NaN()}, 10, "boost NaN is not a number"},
 	}
 	for _, tc := range cases {
 		_, err := RunImportanceTri(profiles, tc.member, domains, tc.tilt, pred, tc.samples, 1)
@@ -348,9 +309,6 @@ func TestImportanceTriValidation(t *testing.T) {
 	}
 	if _, err := RunImportanceTri(profiles, ok, domains, TriTilt{}, pred, 10, 1); err != nil {
 		t.Errorf("zero tilt rejected: %v", err)
-	}
-	if _, err := RunImportance([]faultcurve.Profile{{PCrash: 0.6, PByz: 0.4}}, UniformTilt(1, 0.5), func([]bool) bool { return true }, 10, 1); err == nil {
-		t.Error("true probability 1 accepted")
 	}
 }
 
@@ -387,18 +345,6 @@ func TestImportanceAllocationsIndependentOfSamples(t *testing.T) {
 	}
 	if many > 8 {
 		t.Errorf("RunImportanceTri: %v allocs per run, want tables + generator only (<= 8)", many)
-	}
-	tilted := UniformTilt(len(profiles), 0.5)
-	all := func([]bool) bool { return true }
-	runBinary := func(samples int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := RunImportance(profiles, tilted, all, samples, 1); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if few, many := runBinary(10), runBinary(5000); few != many {
-		t.Errorf("RunImportance: %v allocs at 10 samples, %v at 5000", few, many)
 	}
 }
 
