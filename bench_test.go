@@ -933,40 +933,6 @@ func BenchmarkEvaluatorAnalyze(b *testing.B) {
 	})
 }
 
-// BenchmarkEvaluatorUniformNSweep measures the uniform-fleet N-sweep two
-// ways: a from-scratch DP per size versus one prefix-extended DP. The
-// sizes are the odd clusters from 3 to 25 at p = 2%.
-func BenchmarkEvaluatorUniformNSweep(b *testing.B) {
-	var ns []int
-	for n := 3; n <= 25; n += 2 {
-		ns = append(ns, n)
-	}
-	modelFor := func(n int) core.CountModel { return core.NewRaft(n) }
-	b.Run("perSize", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, n := range ns {
-				if _, err := core.Analyze(core.UniformCrashFleet(n, 0.02), core.NewRaft(n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("prefixExtended", func(b *testing.B) {
-		ev := core.NewEvaluator()
-		dst := make([]core.Result, 0, len(ns))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			dst, err = ev.AnalyzeUniformNsInto(dst[:0], faultcurve.Crash(0.02), ns, modelFor)
-			if err != nil || len(dst) != len(ns) {
-				b.Fatal("sweep broke")
-			}
-		}
-	})
-}
-
 // domainBenchLayout is the N=9, D=3 correlated layout the domain-engine
 // benchmarks share: three zones of three nodes with distinct shock
 // probabilities and multipliers, the shape of the paper's §2(3)

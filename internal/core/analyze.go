@@ -28,10 +28,11 @@ func (r Result) String() string {
 }
 
 // Analyze computes the exact Result for a fleet under a count-based
-// protocol model using the joint (#crashed, #Byzantine) distribution.
-// Cost is O(N^3); exact for heterogeneous fleets of any composition. It
-// runs on a throwaway Evaluator; callers on a hot path should hold a
-// long-lived Evaluator (or EvaluatorPool) and reuse its workspaces.
+// protocol model with one count-region pass over the fleet: at most
+// O(N^2) per node, far less for the textbook sizings; exact for
+// heterogeneous fleets of any composition. It runs on a throwaway
+// Evaluator; callers on a hot path should hold a long-lived Evaluator (or
+// EvaluatorPool) and reuse its workspaces.
 func Analyze(fleet Fleet, m CountModel) (Result, error) {
 	var e Evaluator
 	return e.Analyze(fleet, m)

@@ -10,8 +10,13 @@
 // computes the exact probability mass of the safe (respectively live)
 // configurations three independent ways:
 //
-//   - a count-based dynamic program over the joint (#crashed, #Byzantine)
-//     distribution — exact, O(N^3), works for any fleet size;
+//   - a count-based dynamic program over (#crashed, #Byzantine) outcomes —
+//     exact, works for any fleet size. Each model's safe and live sets are
+//     count regions (CountModel.Regions), so a domain-free analysis folds
+//     the fleet once into three tables truncated to those regions
+//     (dist.RegionPass, O(N·(β+1)·(κ+1))); the full O(N^3) joint table
+//     serves the domain engines, the quorum sweeps and the gradients, and
+//     is the region pass's test oracle;
 //   - explicit enumeration of all 3^N configurations — exact, supports
 //     predicates on the identity of failed nodes, N ≲ 16;
 //   - Monte-Carlo sampling — approximate with confidence intervals, works

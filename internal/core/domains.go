@@ -251,8 +251,11 @@ func square(n int) float64 { f := float64(n); return f * f }
 
 // DomainsWorkEstimate returns the estimated engine cost of AnalyzeDomains
 // for this query in DP cell updates — the unit the serving layer's work
-// bounds are denominated in (n^3 for the domain-free engine). A layout the
-// resolver rejects never reaches an engine and is priced as domain-free.
+// bounds are denominated in. A domain-free query is priced at n^3, the
+// joint table's cost: an upper bound on its region pass, O(n·(β+1)·(κ+1)),
+// kept so that admission, tail dispatch and the wire work field price
+// queries as before. A layout the resolver rejects never reaches an engine
+// and is priced as domain-free.
 func DomainsWorkEstimate(fleet Fleet, domains DomainSet) float64 {
 	var l domainLayout
 	if l.resolve(fleet, domains) != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/faultcurve"
 	"repro/internal/obs"
 )
 
@@ -14,17 +13,17 @@ import (
 // registered on the process-global obs registry next to the dist DP
 // counters. The stage split (dp_build vs tail_fold) is the aggregate
 // form of the request-scoped span timer the service's debug block
-// carries: dp_build is the O(N^3) joint construction, tail_fold the
-// O(N^2) predicate summation. Observing costs two monotonic clock reads
-// per stage and zero allocations, so the evaluator's zero-alloc
-// guarantees hold with instrumentation active (pinned by
-// TestEvaluatorAnalyzeZeroAllocs).
+// carries: dp_build is a domain-free analysis's count-region pass over
+// the fleet, tail_fold the summation of its region masses. Observing
+// costs two monotonic clock reads per stage and zero allocations, so the
+// evaluator's zero-alloc guarantees hold with instrumentation active
+// (pinned by TestEvaluatorAnalyzeZeroAllocs).
 var (
 	stageDPBuild = obs.Default().Histogram("probcons_engine_stage_seconds",
-		"Engine stage latency: dp_build is the joint-DP construction, tail_fold the predicate summation.",
+		"Engine stage latency of a domain-free analysis: dp_build is its count-region pass, tail_fold the summation of the region masses.",
 		obs.LatencyBuckets, obs.Labels{"stage": "dp_build"})
 	stageTailFold = obs.Default().Histogram("probcons_engine_stage_seconds",
-		"Engine stage latency: dp_build is the joint-DP construction, tail_fold the predicate summation.",
+		"Engine stage latency of a domain-free analysis: dp_build is its count-region pass, tail_fold the summation of the region masses.",
 		obs.LatencyBuckets, obs.Labels{"stage": "tail_fold"})
 	evalPoolGets = obs.Default().Counter("probcons_engine_evaluator_pool_gets_total",
 		"Evaluators borrowed from an EvaluatorPool.", nil)
@@ -38,9 +37,9 @@ var (
 // buffers every exact count-based analysis needs, so a long-lived
 // Evaluator answers a stream of queries with zero steady-state
 // allocations (pinned by TestEvaluatorAnalyzeZeroAllocs). It also carries
-// the incremental machinery the hot paths stack on: prefix-extended
-// uniform N-sweeps and the one-pass quorum-sizing sweeps that build the
-// joint DP once per fleet.
+// the incremental machinery the hot paths stack on: the one-pass
+// quorum-sizing sweeps that build the joint DP once per fleet and the
+// correlated-domain caches.
 //
 // Ownership rules (see DESIGN.md "Incremental evaluation engine"):
 //
@@ -52,9 +51,10 @@ var (
 // The package-level Analyze/Sweep functions are thin wrappers that run a
 // throwaway Evaluator — identical answers, fresh allocations.
 type Evaluator struct {
-	tri   []dist.TriState
-	joint dist.JointCrashByz
-	tails quorumTails
+	tri     []dist.TriState
+	regions dist.RegionPass
+	joint   dist.JointCrashByz
+	tails   quorumTails
 	// dom holds the resolved domain layout of the query in flight and the
 	// correlated-domain workspace and caches (see domaincache.go).
 	dom domainState
@@ -64,19 +64,21 @@ type Evaluator struct {
 // and are reused afterwards.
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
-// resultFromJointModel sums a model's safety and liveness predicates over
-// a joint table in one pass: each cell's predicates are evaluated once and
+// resultFromJointModel sums a model's safety and liveness regions over a
+// joint table in one pass: each cell's membership is decided once and
 // folded into three compensated sums. Equivalent to (and bit-compatible
-// with) three SumWhere passes, without the closure allocations.
+// with) three SumWhere passes, without the closure allocations. It is the
+// base of the domain engines and the oracle of Analyze's region pass.
 func resultFromJointModel(j *dist.JointCrashByz, m CountModel) Result {
+	safe, live := m.Regions()
 	var sSafe, sLive, sBoth dist.KahanSum
 	for c, rows := 0, j.Rows(); c < rows; c++ {
 		for b, mass := range j.Row(c) {
 			if mass == 0 {
 				continue
 			}
-			s := m.Safe(c, b)
-			l := m.Live(c, b)
+			s := safe.Holds(c, b)
+			l := live.Holds(c, b)
 			if s {
 				sSafe.Add(mass)
 			}
@@ -95,18 +97,9 @@ func resultFromJointModel(j *dist.JointCrashByz, m CountModel) Result {
 	}
 }
 
-// buildJoint validates the query and (re)builds the joint DP workspace
-// for the fleet — the single O(N^3) step of every evaluator analysis.
-func (e *Evaluator) buildJoint(fleet Fleet, m CountModel) error {
-	if len(fleet) != m.N() {
-		return fmt.Errorf("core: fleet size %d != model N %d", len(fleet), m.N())
-	}
-	return e.buildJointFleet(fleet)
-}
-
-// buildJointFleet is buildJoint for model-free callers (quorum sweeps
-// evaluate many models against one fleet).
-func (e *Evaluator) buildJointFleet(fleet Fleet) error {
+// loadFleet validates the fleet and loads its nodes' tri-states into the
+// evaluator's workspace, the input of every DP over it.
+func (e *Evaluator) loadFleet(fleet Fleet) error {
 	if err := fleet.Validate(); err != nil {
 		return err
 	}
@@ -114,22 +107,29 @@ func (e *Evaluator) buildJointFleet(fleet Fleet) error {
 	for _, n := range fleet {
 		e.tri = append(e.tri, n.Profile.TriState())
 	}
-	e.joint.Reset(e.tri)
 	return nil
 }
 
 // Analyze computes the exact Result for a fleet under a count-based
 // protocol model, reusing the evaluator's workspaces: zero steady-state
-// allocations once the buffers have grown to the fleet size. Identical
-// answers to the package-level Analyze.
+// allocations once the buffers have grown to the fleet size. The model's
+// safe, live and safe-and-live sets are count regions, so one truncated
+// region pass (dist.RegionPass) answers all three without the joint table
+// (DESIGN.md "Count regions"). Identical answers to the package-level
+// Analyze.
 func (e *Evaluator) Analyze(fleet Fleet, m CountModel) (Result, error) {
 	start := time.Now()
-	if err := e.buildJoint(fleet, m); err != nil {
+	if len(fleet) != m.N() {
+		return Result{}, fmt.Errorf("core: fleet size %d != model N %d", len(fleet), m.N())
+	}
+	if err := e.loadFleet(fleet); err != nil {
 		return Result{}, err
 	}
+	safe, live := m.Regions()
+	e.regions.Reset(e.tri, [3]dist.Region{safe, live, safe.Intersect(live)})
 	folded := time.Now()
 	stageDPBuild.ObserveDuration(folded.Sub(start))
-	res := resultFromJointModel(&e.joint, m)
+	res := Result{Safe: e.regions.Mass(0), Live: e.regions.Mass(1), SafeAndLive: e.regions.Mass(2)}
 	stageTailFold.ObserveSince(folded)
 	return res, nil
 }
@@ -152,36 +152,6 @@ func (e *Evaluator) AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet)
 		return e.analyzeDomainsConditioned(fleet, m, domains)
 	}
 	return e.analyzeDomainsMixture(fleet, m, domains)
-}
-
-// AnalyzeUniformNsInto evaluates a uniform fleet at every size in ns —
-// which must be positive and ascending — by prefix-extending a single
-// joint DP: one O(ns[0]^3) build, then O(n^2) ExtendWith folds per
-// additional node, instead of a from-scratch DP per size. modelFor maps
-// each size to its protocol model (e.g. NewRaft). Results are appended to
-// dst and returned; the extended tables are bit-identical to fresh
-// builds, so answers match per-size Analyze calls exactly.
-func (e *Evaluator) AnalyzeUniformNsInto(dst []Result, profile faultcurve.Profile, ns []int, modelFor func(n int) CountModel) ([]Result, error) {
-	if err := profile.Validate(); err != nil {
-		return dst, err
-	}
-	tri := profile.TriState()
-	cur := 0
-	e.joint.Reset(nil)
-	for i, n := range ns {
-		if n <= 0 || n < cur {
-			return dst, fmt.Errorf("core: uniform N-sweep sizes must be positive and ascending, got %v at index %d", n, i)
-		}
-		for ; cur < n; cur++ {
-			e.joint.ExtendWith(tri)
-		}
-		m := modelFor(n)
-		if m == nil || m.N() != n {
-			return dst, fmt.Errorf("core: uniform N-sweep model for n=%d has N=%v", n, m)
-		}
-		dst = append(dst, resultFromJointModel(&e.joint, m))
-	}
-	return dst, nil
 }
 
 // EvaluatorPool shares evaluators across goroutines: each worker takes a

@@ -102,43 +102,6 @@ func TestEvaluatorAnalyzeDomainsParity(t *testing.T) {
 	resultsClose(t, "domain-free query through evaluator", got, want, 0)
 }
 
-// TestEvaluatorUniformNsMatchesFresh pins the prefix-extension N-sweep
-// against per-size from-scratch analyses: bit-identical, one DP build.
-func TestEvaluatorUniformNsMatchesFresh(t *testing.T) {
-	profile := faultcurve.Profile{PCrash: 0.03, PByz: 0.001}
-	ns := []int{1, 3, 4, 7, 12}
-	modelFor := func(n int) CountModel { return NewRaft(n) }
-	e := NewEvaluator()
-	before := dist.JointBuilds()
-	got, err := e.AnalyzeUniformNsInto(nil, profile, ns, modelFor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builds := dist.JointBuilds() - before; builds != 1 {
-		t.Errorf("uniform N-sweep performed %d DP builds, want 1", builds)
-	}
-	for i, n := range ns {
-		fleet := make(Fleet, n)
-		for j := range fleet {
-			fleet[j] = Node{Profile: profile}
-		}
-		want := MustAnalyze(fleet, NewRaft(n))
-		if got[i] != want {
-			t.Errorf("n=%d: extended %+v != fresh %+v", n, got[i], want)
-		}
-	}
-	// Non-ascending and invalid sizes are rejected.
-	if _, err := e.AnalyzeUniformNsInto(nil, profile, []int{3, 2}, modelFor); err == nil {
-		t.Error("descending sizes accepted")
-	}
-	if _, err := e.AnalyzeUniformNsInto(nil, profile, []int{0}, modelFor); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := e.AnalyzeUniformNsInto(nil, profile, []int{3}, func(n int) CountModel { return NewRaft(n + 1) }); err == nil {
-		t.Error("mismatched model accepted")
-	}
-}
-
 // TestSweepRaftQuorumsSingleDPBuild pins the acceptance criterion: the
 // N=9 quorum sweep performs exactly one joint-DP build.
 func TestSweepRaftQuorumsSingleDPBuild(t *testing.T) {
@@ -204,13 +167,16 @@ func TestSweepPBFTQuorumsMatchesPerPair(t *testing.T) {
 }
 
 // TestEvaluatorPoolConcurrentSweeps races many goroutines over one shared
-// pool, mixing analyses, quorum sweeps, and uniform N-sweeps, and checks
-// every answer against serially-computed goldens. Run under -race (CI
-// does) this pins the pool's workspace isolation.
+// pool, mixing region-pass analyses (row-shaped and general tables) with
+// Raft and PBFT quorum sweeps, and checks every answer against
+// serially-computed goldens. Run under -race (CI does) this pins the
+// pool's workspace isolation.
 func TestEvaluatorPoolConcurrentSweeps(t *testing.T) {
 	pool := NewEvaluatorPool()
 	fleet := heterogeneousFleet(9)
 	wantAnalyze := MustAnalyze(fleet, NewRaft(9))
+	general := PBFT{NNodes: 9, QEq: 6, QPer: 6, QVC: 6, QVCT: 2} // the general region table
+	wantGeneral := MustAnalyze(fleet, general)
 	wantSweep, err := SweepRaftQuorums(fleet, true)
 	if err != nil {
 		t.Fatal(err)
@@ -250,11 +216,17 @@ func TestEvaluatorPoolConcurrentSweeps(t *testing.T) {
 					}
 				case 2:
 					e := pool.Get()
-					_, err := e.AnalyzeUniformNsInto(nil, faultcurve.Crash(0.02), []int{3, 5, 9},
-						func(n int) CountModel { return NewRaft(n) })
+					got, err := e.Analyze(fleet, general)
+					if err == nil {
+						_, err = e.SweepPBFTQuorums(fleet)
+					}
 					pool.Put(e)
 					if err != nil {
 						errs <- err
+						return
+					}
+					if got != wantGeneral {
+						errs <- fmt.Errorf("pooled general-region analyze %+v != %+v", got, wantGeneral)
 						return
 					}
 				}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"repro/internal/dist"
 )
 
 // CountModel is a protocol whose safety and liveness depend only on how
@@ -10,6 +12,11 @@ import (
 type CountModel interface {
 	// N returns the cluster size the model is specialised for.
 	N() int
+	// Regions returns the model's safe and live sets of (#crashed,
+	// #Byzantine) outcomes. Both theorems' conditions bound only the
+	// Byzantine count and the faulty count, so each set is a count
+	// region; Safe and Live are membership in them.
+	Regions() (safe, live dist.Region)
 	// Safe reports whether every run of a configuration with the given
 	// fault counts preserves agreement.
 	Safe(crashed, byz int) bool
@@ -52,15 +59,28 @@ func (r Raft) QuorumsSafe() bool {
 	return r.NNodes < r.QPer+r.QVC && r.NNodes < 2*r.QVC
 }
 
-// Safe implements CountModel.
-func (r Raft) Safe(crashed, byz int) bool {
-	return r.QuorumsSafe() && byz == 0
+// Regions implements CountModel. Safe: the quorum conditions hold and no
+// node is Byzantine (b <= 0), empty otherwise. Live: |Correct| >= QPer and
+// |Correct| >= QVC, i.e. c + b <= N - max(QPer, QVC).
+func (r Raft) Regions() (safe, live dist.Region) {
+	safe = dist.Region{Byz: 0, Faulty: r.NNodes}
+	if !r.QuorumsSafe() {
+		safe.Byz = -1
+	}
+	live = dist.Region{Byz: r.NNodes, Faulty: r.NNodes - max(r.QPer, r.QVC)}
+	return safe, live
 }
 
-// Live implements CountModel: |Correct| >= |QPer| and |Correct| >= |QVC|.
+// Safe implements CountModel.
+func (r Raft) Safe(crashed, byz int) bool {
+	safe, _ := r.Regions()
+	return safe.Holds(crashed, byz)
+}
+
+// Live implements CountModel.
 func (r Raft) Live(crashed, byz int) bool {
-	correct := r.NNodes - crashed - byz
-	return correct >= r.QPer && correct >= r.QVC
+	_, live := r.Regions()
+	return live.Holds(crashed, byz)
 }
 
 // Name implements CountModel.
@@ -127,21 +147,27 @@ func NewPBFTForN(n int) PBFT {
 // N implements CountModel.
 func (p PBFT) N() int { return p.NNodes }
 
+// Regions implements CountModel. Safety (1) and (2) bound b alone:
+// b <= min(2·QEq - N, QPer + QVC - N) - 1. Liveness (1) and (3) bound b,
+// b <= min(QVC - QVCT, QVCT - 1), and (2) the faulty count,
+// c + b <= N - max(QEq, QPer, QVC).
+func (p PBFT) Regions() (safe, live dist.Region) {
+	n := p.NNodes
+	safe = dist.Region{Byz: min(2*p.QEq-n, p.QPer+p.QVC-n) - 1, Faulty: n}
+	live = dist.Region{Byz: min(p.QVC-p.QVCT, p.QVCT-1), Faulty: n - max(p.QEq, p.QPer, p.QVC)}
+	return safe, live
+}
+
 // Safe implements CountModel.
 func (p PBFT) Safe(crashed, byz int) bool {
-	return byz < 2*p.QEq-p.NNodes && byz < p.QPer+p.QVC-p.NNodes
+	safe, _ := p.Regions()
+	return safe.Holds(crashed, byz)
 }
 
 // Live implements CountModel.
 func (p PBFT) Live(crashed, byz int) bool {
-	correct := p.NNodes - crashed - byz
-	if byz > p.QVC-p.QVCT {
-		return false
-	}
-	if correct < p.QEq || correct < p.QPer || correct < p.QVC {
-		return false
-	}
-	return byz < p.QVCT
+	_, live := p.Regions()
+	return live.Holds(crashed, byz)
 }
 
 // Name implements CountModel.

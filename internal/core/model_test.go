@@ -153,3 +153,77 @@ func TestNewPBFTTextbookSizes(t *testing.T) {
 		t.Errorf("NewPBFT(2) = %+v", p)
 	}
 }
+
+// The Theorem 3.1 and 3.2 inequalities as they were written before the
+// models returned count regions, kept verbatim as the oracle of
+// CountModel.Regions.
+
+func oracleRaftSafe(r Raft, crashed, byz int) bool {
+	return r.QuorumsSafe() && byz == 0
+}
+
+func oracleRaftLive(r Raft, crashed, byz int) bool {
+	correct := r.NNodes - crashed - byz
+	return correct >= r.QPer && correct >= r.QVC
+}
+
+func oraclePBFTSafe(p PBFT, crashed, byz int) bool {
+	return byz < 2*p.QEq-p.NNodes && byz < p.QPer+p.QVC-p.NNodes
+}
+
+func oraclePBFTLive(p PBFT, crashed, byz int) bool {
+	correct := p.NNodes - crashed - byz
+	if byz > p.QVC-p.QVCT {
+		return false
+	}
+	if correct < p.QEq || correct < p.QPer || correct < p.QVC {
+		return false
+	}
+	return byz < p.QVCT
+}
+
+// checkRegions compares a model's regions (and their intersection) with
+// the oracle predicates at every outcome (c, b), c + b <= N.
+func checkRegions(t *testing.T, m CountModel, safeOK, liveOK func(c, b int) bool) {
+	t.Helper()
+	safe, live := m.Regions()
+	both := safe.Intersect(live)
+	n := m.N()
+	for c := 0; c <= n; c++ {
+		for b := 0; c+b <= n; b++ {
+			s, l := safeOK(c, b), liveOK(c, b)
+			if safe.Holds(c, b) != s || m.Safe(c, b) != s ||
+				live.Holds(c, b) != l || m.Live(c, b) != l || both.Holds(c, b) != (s && l) {
+				t.Fatalf("%s at (c=%d, b=%d): regions safe %+v live %+v disagree with the inequalities (safe %v, live %v)",
+					m.Name(), c, b, safe, live, s, l)
+			}
+		}
+	}
+}
+
+func TestRegionsMatchTheoremInequalities(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for qper := 1; qper <= n; qper++ {
+			for qvc := 1; qvc <= n; qvc++ {
+				r := Raft{NNodes: n, QPer: qper, QVC: qvc}
+				checkRegions(t, r,
+					func(c, b int) bool { return oracleRaftSafe(r, c, b) },
+					func(c, b int) bool { return oracleRaftLive(r, c, b) })
+			}
+		}
+	}
+	for n := 1; n <= 10; n++ {
+		for qeq := 1; qeq <= n; qeq++ {
+			for qper := 1; qper <= n; qper++ {
+				for qvc := 1; qvc <= n; qvc++ {
+					for qvct := 1; qvct <= n; qvct++ {
+						p := PBFT{NNodes: n, QEq: qeq, QPer: qper, QVC: qvc, QVCT: qvct}
+						checkRegions(t, p,
+							func(c, b int) bool { return oraclePBFTSafe(p, c, b) },
+							func(c, b int) bool { return oraclePBFTLive(p, c, b) })
+					}
+				}
+			}
+		}
+	}
+}

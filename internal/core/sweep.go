@@ -15,14 +15,13 @@ import (
 // The sweeps are one-pass: the joint (#crashed, #Byzantine) DP depends
 // only on the fleet, never on the quorum sizes, so it is built exactly
 // once per fleet (pinned by TestSweepRaftQuorumsSingleDPBuild) and every
-// (QPer, QVC) / (q, qt) pair is answered from O(N^2) cached tail sums:
+// (QPer, QVC) / (q, qt) pair is answered from O(N^2) cached tail sums.
+// Each sizing's safe and live sets are count regions {b <= β, c + b <= κ}
+// (CountModel.Regions), and a region's mass is one of
 //
-//   - colCum[b][c] = P[B = b, C <= c]  — safety-and-liveness slices at a
-//     fixed Byzantine count;
-//   - bCum[b]      = P[B <= b]         — PBFT safety, which depends only
-//     on the Byzantine marginal;
-//   - diagCum[t]   = P[C + B <= t]     — Raft liveness, which depends
-//     only on the total failure count.
+//   - diagCum[κ]            = P[C + B <= κ] when β >= κ (the Byzantine
+//     bound is implied), Raft and textbook-PBFT liveness;
+//   - Σ_{b<=β} colCum[b][κ-b] = Σ P[B = b, C <= κ - b] otherwise.
 //
 // That turns an O(N^2 pairs × N^3 DP) sweep into one O(N^3) build plus
 // O(N) per pair — asymptotically the cost of a single analysis.
@@ -33,7 +32,6 @@ import (
 type quorumTails struct {
 	n       int
 	colCum  []float64       // colCum[b*(n+1)+c] = P[B == b, C <= c]
-	bCum    []float64       // bCum[b] = P[B <= b]
 	diagCum []float64       // diagCum[t] = P[C+B <= t]
 	kah     []dist.KahanSum // per-diagonal scratch
 }
@@ -43,7 +41,6 @@ func (t *quorumTails) build(j *dist.JointCrashByz) {
 	w := n + 1
 	t.n = n
 	t.colCum = grow(t.colCum, w*w)
-	t.bCum = grow(t.bCum, w)
 	t.diagCum = grow(t.diagCum, w)
 	t.kah = grow(t.kah, w)
 	for b := 0; b <= n; b++ {
@@ -52,11 +49,6 @@ func (t *quorumTails) build(j *dist.JointCrashByz) {
 			s.Add(j.PMF(c, b))
 			t.colCum[b*w+c] = dist.Clamp01(s.Sum())
 		}
-	}
-	var sb dist.KahanSum
-	for b := 0; b <= n; b++ {
-		sb.Add(t.colCum[b*w+n])
-		t.bCum[b] = dist.Clamp01(sb.Sum())
 	}
 	for i := range t.kah {
 		t.kah[i].Reset()
@@ -73,68 +65,26 @@ func (t *quorumTails) build(j *dist.JointCrashByz) {
 	}
 }
 
-// pBAndCLe returns P[B = b, C <= c], tolerating out-of-range c.
-func (t *quorumTails) pBAndCLe(b, c int) float64 {
-	if c < 0 || b < 0 || b > t.n {
+// mass returns P[(C, B) ∈ r] from the cached tails.
+func (t *quorumTails) mass(r dist.Region) float64 {
+	byz, faulty := min(r.Byz, t.n), min(r.Faulty, t.n)
+	if byz < 0 || faulty < 0 {
 		return 0
 	}
-	if c > t.n {
-		c = t.n
+	if byz >= faulty {
+		return t.diagCum[faulty]
 	}
-	return t.colCum[b*(t.n+1)+c]
+	var s dist.KahanSum
+	for b := 0; b <= byz; b++ {
+		s.Add(t.colCum[b*(t.n+1)+faulty-b])
+	}
+	return dist.Clamp01(s.Sum())
 }
 
-// raftResult answers one Raft sizing from the cached tails: safety is the
-// static quorum condition times P[B = 0], liveness the total-failure tail
-// at n - max(QPer, QVC).
-func (t *quorumTails) raftResult(m Raft) Result {
-	var res Result
-	tl := t.n - m.QPer
-	if m.QVC > m.QPer {
-		tl = t.n - m.QVC
-	}
-	if tl >= 0 {
-		res.Live = t.diagCum[tl]
-	}
-	if m.QuorumsSafe() {
-		res.Safe = t.pBAndCLe(0, t.n)
-		res.SafeAndLive = t.pBAndCLe(0, tl)
-	}
-	return res
-}
-
-// pbftResult answers one symmetric PBFT sizing (QEq = QPer = QVC = q,
-// trigger qt) from the cached tails. Safety depends only on the Byzantine
-// marginal; liveness sums the per-b column prefixes up to the Byzantine
-// caps of Theorem 3.1.
-func (t *quorumTails) pbftResult(m PBFT) Result {
-	var res Result
-	q, qt := m.QVC, m.QVCT
-	bSafeMax := 2*q - t.n - 1 // b < 2*QEq - N and b < QPer + QVC - N collapse for symmetric quorums
-	if bSafeMax >= 0 {
-		if bSafeMax > t.n {
-			bSafeMax = t.n
-		}
-		res.Safe = t.bCum[bSafeMax]
-	}
-	bLiveMax := q - qt // b <= QVC - QVCT
-	if qt-1 < bLiveMax {
-		bLiveMax = qt - 1 // b < QVCT
-	}
-	if t.n-q < bLiveMax {
-		bLiveMax = t.n - q // need c >= 0 at c <= n - q - b
-	}
-	var live, both dist.KahanSum
-	for b := 0; b <= bLiveMax; b++ {
-		p := t.pBAndCLe(b, t.n-q-b)
-		live.Add(p)
-		if b <= bSafeMax {
-			both.Add(p)
-		}
-	}
-	res.Live = dist.Clamp01(live.Sum())
-	res.SafeAndLive = dist.Clamp01(both.Sum())
-	return res
+// result answers one sizing from the cached tails.
+func (t *quorumTails) result(m CountModel) Result {
+	safe, live := m.Regions()
+	return Result{Safe: t.mass(safe), Live: t.mass(live), SafeAndLive: t.mass(safe.Intersect(live))}
 }
 
 // RaftSizing is one point of the Raft quorum-sizing sweep.
@@ -158,9 +108,10 @@ func (e *Evaluator) SweepRaftQuorums(fleet Fleet, safeOnly bool) ([]RaftSizing, 
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty fleet")
 	}
-	if err := e.buildJointFleet(fleet); err != nil {
+	if err := e.loadFleet(fleet); err != nil {
 		return nil, err
 	}
+	e.joint.Reset(e.tri)
 	e.tails.build(&e.joint)
 	out := make([]RaftSizing, 0, n*n)
 	for qper := 1; qper <= n; qper++ {
@@ -169,7 +120,7 @@ func (e *Evaluator) SweepRaftQuorums(fleet Fleet, safeOnly bool) ([]RaftSizing, 
 			if safeOnly && !m.QuorumsSafe() {
 				continue
 			}
-			out = append(out, RaftSizing{Model: m, Res: e.tails.raftResult(m)})
+			out = append(out, RaftSizing{Model: m, Res: e.tails.result(m)})
 		}
 	}
 	return out, nil
@@ -216,15 +167,16 @@ func (e *Evaluator) SweepPBFTQuorums(fleet Fleet) ([]PBFTSizing, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty fleet")
 	}
-	if err := e.buildJointFleet(fleet); err != nil {
+	if err := e.loadFleet(fleet); err != nil {
 		return nil, err
 	}
+	e.joint.Reset(e.tri)
 	e.tails.build(&e.joint)
 	out := make([]PBFTSizing, 0, n*(n+1)/2)
 	for q := 1; q <= n; q++ {
 		for qt := 1; qt <= q; qt++ {
 			m := PBFT{NNodes: n, QEq: q, QPer: q, QVC: q, QVCT: qt}
-			out = append(out, PBFTSizing{Model: m, Res: e.tails.pbftResult(m)})
+			out = append(out, PBFTSizing{Model: m, Res: e.tails.result(m)})
 		}
 	}
 	return out, nil

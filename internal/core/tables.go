@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/dist"
-	"repro/internal/faultcurve"
 )
 
 // This file regenerates the paper's evaluation tables from the analysis
@@ -63,27 +62,16 @@ func Table2PUs() []float64 { return []float64{0.01, 0.02, 0.04, 0.08} }
 // Table2Sizes is the paper's set of cluster sizes.
 func Table2Sizes() []int { return []int{3, 5, 7, 9} }
 
-// Table2 computes every Table 2 cell. Each p_u column is one prefix-
-// extended DP across the ascending cluster sizes (uniform fleets extend
-// bit-identically), so the whole table costs 4 joint-DP builds instead of
-// 16.
+// Table2 computes every Table 2 cell, one Analyze (one region pass) per
+// cell.
 func Table2() []Table2Row {
 	pus := Table2PUs()
 	ns := Table2Sizes()
 	rows := make([]Table2Row, len(ns))
 	for i, n := range ns {
 		rows[i] = Table2Row{Model: NewRaft(n), PU: pus, SafeAndLive: make([]float64, len(pus))}
-	}
-	e := NewEvaluator()
-	col := make([]Result, 0, len(ns))
-	for pi, p := range pus {
-		col = col[:0]
-		col, err := e.AnalyzeUniformNsInto(col, faultcurve.Crash(p), ns, func(n int) CountModel { return NewRaft(n) })
-		if err != nil {
-			panic(err) // static inputs: ns ascending, valid profile
-		}
-		for i := range ns {
-			rows[i].SafeAndLive[pi] = col[i].SafeAndLive
+		for pi, p := range pus {
+			rows[i].SafeAndLive[pi] = MustAnalyze(UniformCrashFleet(n, p), NewRaft(n)).SafeAndLive
 		}
 	}
 	return rows

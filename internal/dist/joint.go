@@ -17,8 +17,8 @@ import (
 // so construction is O(n^3) total and O(n^2) space — exact for
 // heterogeneous fleets of any composition, with no 3^N blow-up.
 //
-// The zero value is an empty (n=0) table ready for Reset or ExtendWith.
-// Reset rebuilds in place, reusing both internal buffers, so a long-lived
+// The zero value is an empty (n=0) table ready for Reset. Reset rebuilds
+// in place, reusing both internal buffers, so a long-lived
 // JointCrashByz reaches zero steady-state allocations (pinned by
 // TestWorkspaceZeroAllocs) — the workspace discipline every hot path of
 // the evaluation engine is built on. A JointCrashByz is not safe for
@@ -29,14 +29,14 @@ type JointCrashByz struct {
 	// row-major, p[c*(n+1)+b] = P[exactly c crashed and b Byzantine],
 	// c+b <= n, together with its live extents.
 	band
-	// scratch is the DP's second buffer, kept so Reset and ExtendWith
-	// never reallocate in steady state.
+	// scratch is the DP's second buffer, kept so Reset never reallocates
+	// in steady state.
 	scratch band
 }
 
-// flushBelow is τ = 2⁻⁹⁰⁰ ≈ 1.2e-271: Reset and ExtendWith store any cell
-// below it as exact 0, so no fold ever reads a subnormal back (Go cannot
-// set FTZ/DAZ, and each subnormal operand costs a microcode assist).
+// flushBelow is τ = 2⁻⁹⁰⁰ ≈ 1.2e-271: Reset and RegionPass.Reset store
+// any cell below it as exact 0, so no fold ever reads a subnormal back (Go
+// cannot set FTZ/DAZ, and each subnormal operand costs a microcode assist).
 // Cells >= ~1e-250 are untouched, mass is only ever removed, and one
 // build removes less than (N+1)(N+2)(N+3)/6·τ ≈ N³/6·τ in total
 // (DESIGN.md "Incremental-DP math"; pinned by TestFlushBound). A
@@ -109,23 +109,24 @@ func (t *band) resetDense(n int) {
 	t.rows = n + 1
 }
 
-// jointBuilds counts from-scratch table constructions (Reset and therefore
-// NewJointCrashByz, plus LeaveOneOut's rebuild fallback) — formerly a
-// test-only hook pinning "one DP build per fleet" claims like
-// SweepRaftQuorums', now a registered metric scraped from /metrics.
-// Incremental ExtendWith folds and leave-one-out deflations do not count.
-// workspaceReuses is its symmetric companion: Resets whose buffers were
-// already large enough, so the build allocated nothing.
+// jointBuilds counts from-scratch DPs over a fleet: joint-table
+// constructions (Reset and therefore NewJointCrashByz, plus LeaveOneOut's
+// rebuild fallback) and count-region passes (RegionPass.Reset, one per
+// domain-free analysis) — formerly a test-only hook pinning "one DP build
+// per fleet" claims like SweepRaftQuorums', now a registered metric scraped
+// from /metrics. Leave-one-out deflations do not count. workspaceReuses is
+// its symmetric companion: builds whose buffers were already large enough,
+// so the build allocated nothing.
 var (
 	jointBuilds = obs.Default().Counter("probcons_engine_joint_builds_total",
-		"From-scratch O(n^3) joint crash/Byzantine DP table constructions.", nil)
+		"From-scratch DPs over a fleet: joint crash/Byzantine table builds and count-region passes (one per domain-free analysis).", nil)
 	workspaceReuses = obs.Default().Counter("probcons_engine_workspace_reuses_total",
-		"Joint-DP Resets served entirely from existing workspace buffers (no allocation).", nil)
+		"DP builds (joint tables and region passes) served entirely from existing workspace buffers (no allocation).", nil)
 )
 
-// JointBuilds returns the number of from-scratch joint-DP constructions
-// performed by this process so far. Tests diff it around a call to assert
-// how many full O(n^3) builds the call performed.
+// JointBuilds returns the number of from-scratch DPs over a fleet (joint
+// tables and region passes) performed by this process so far. Tests diff
+// it around a call to assert how many builds the call performed.
 func JointBuilds() int64 { return jointBuilds.Load() }
 
 // clampTri normalises one node's tri-state to a valid distribution, crash
@@ -170,23 +171,7 @@ func (d *JointCrashByz) Reset(nodes []TriState) {
 	d.n = len(nodes)
 }
 
-// ExtendWith folds one more node into the table in O(n^2) — the prefix-
-// extension primitive that lets a uniform-fleet N-sweep reuse a single DP
-// instead of rebuilding from scratch at every size. It is the same fold
-// Reset runs, gathering from the old stride into the new one, so an
-// extended table is bit-identical to a fresh build by construction.
-func (d *JointCrashByz) ExtendWith(t TriState) {
-	pc, pb, pok := clampTri(t)
-	if len(d.hi) == 0 { // zero value: the n=0 table was never materialised
-		d.band.resetNoNodes(1)
-	}
-	d.scratch.reset(d.n + 2)
-	fold(&d.scratch, &d.band, pc, pb, pok)
-	d.band, d.scratch = d.scratch, d.band
-	d.n++
-}
-
-// fold folds one node into dst from src, whose strides may differ:
+// fold folds one node into dst from src, two buffers of the same stride:
 //
 //	dst[c][b] = src[c-1][b]·pc + src[c][b-1]·pb + src[c][b]·pok
 //
@@ -197,31 +182,25 @@ func (d *JointCrashByz) ExtendWith(t TriState) {
 // the out-of-support terms. dst must satisfy the band invariant on entry
 // (its own stale extents are cleared as rows are rewritten).
 func fold(dst, src *band, pc, pb, pok float64) {
-	ws, wd := len(src.hi), len(dst.hi)
+	w := len(src.hi)
 	rows := src.rows + 1
-	zero := src.p[ws*ws : ws*ws+ws]
+	zero := src.p[w*w : w*w+w]
 	for c := 0; c < rows; c++ {
 		prev, hp := zero, 0
 		if c > 0 {
-			prev, hp = src.p[(c-1)*ws:c*ws], src.hi[c-1]
+			prev, hp = src.p[(c-1)*w:c*w], src.hi[c-1]
 		}
-		cur, hc := src.p[c*ws:(c+1)*ws], 0 // row ws is the zero row
-		if c < ws {
-			hc = src.hi[c]
-		}
-		out := dst.p[c*wd : (c+1)*wd]
+		cur, hc := src.p[c*w:(c+1)*w], src.hi[c]
+		out := dst.p[c*w : (c+1)*w]
 		m := hp
 		if hc >= m && hc > 0 {
 			m = hc + 1
 		}
-		if k := min(m, ws); k > 0 {
-			prev, cur, o := prev[:k], cur[:k], out[:k]
+		if m > 0 {
+			prev, cur, o := prev[:m], cur[:m], out[:m]
 			o[0] = flush(prev[0]*pc + cur[0]*pok)
 			for b := 1; b < len(o); b++ {
 				o[b] = flush(prev[b]*pc + cur[b-1]*pb + cur[b]*pok)
-			}
-			if m > k { // only when extending a row that fills the old stride
-				out[k] = flush(cur[k-1] * pb)
 			}
 		}
 		for m > 0 && out[m-1] == 0 {
@@ -233,7 +212,7 @@ func fold(dst, src *band, pc, pb, pok float64) {
 		dst.hi[c] = m
 	}
 	for c := rows; c < dst.rows; c++ {
-		clear(dst.p[c*wd : c*wd+dst.hi[c]])
+		clear(dst.p[c*w : c*w+dst.hi[c]])
 		dst.hi[c] = 0
 	}
 	for rows > 0 && dst.hi[rows-1] == 0 {

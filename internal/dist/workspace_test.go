@@ -89,29 +89,6 @@ func TestJointResetMatchesNew(t *testing.T) {
 	}
 }
 
-func TestJointExtendWithMatchesNew(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	// The second fleet is large and unreliable-in-the-small enough
-	// (p ≈ 0.03/0.001, N = 220) that the τ flush engages on the way up:
-	// extension and fresh build must flush the very same cells.
-	for _, nodes := range [][]TriState{randomTriStatesCapped(rng, 12, 0.3), coldFleet(rng, 220)} {
-		var d JointCrashByz // the zero value extends like Reset(nil)
-		for i, tri := range nodes {
-			d.ExtendWith(tri)
-			if i >= 12 && i%20 != 0 && i != len(nodes)-1 {
-				continue // every step on the small fleet, every 20th on the large
-			}
-			fresh := NewJointCrashByz(nodes[:i+1])
-			if diff := maxJointDiff(t, &d, fresh); diff != 0 {
-				t.Fatalf("after %d extends: differs from fresh by %g", i+1, diff)
-			}
-		}
-		if flushed := checkAgainstOracle(t, "extended", nodes, &d, 1e-250); len(nodes) > 200 && flushed == 0 {
-			t.Fatal("the flush never engaged on the large fleet")
-		}
-	}
-}
-
 func TestLeaveOneOutWithoutMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// maxFail 0.4 keeps every node above the deflation threshold; 0.9
@@ -139,11 +116,11 @@ func TestLeaveOneOutRoundTrip(t *testing.T) {
 	l.Reset(nodes)
 	full := NewJointCrashByz(nodes)
 	for i := range nodes {
-		// Remove node i, then fold it back in: counts are exchangeable, so
-		// the round-trip must land back on the full table.
-		j := l.Without(i)
-		j.ExtendWith(l.nodes[i])
-		if diff := maxJointDiff(t, j, full); diff > 1e-12 {
+		// Remove node i, then convolve it back in: counts are
+		// exchangeable, so the round-trip must land back on the full table.
+		var j JointCrashByz
+		ConvolveJointCrashByzInto(&j, l.Without(i), NewJointCrashByz(l.nodes[i:i+1]))
+		if diff := maxJointDiff(t, &j, full); diff > 1e-12 {
 			t.Fatalf("remove/re-add round-trip of node %d drifts by %g", i, diff)
 		}
 	}
@@ -198,17 +175,25 @@ func TestWorkspaceZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { l.Reset(nodes) }); n != 0 {
 		t.Errorf("LeaveOneOut.Reset allocates %v/op", n)
 	}
+
+	var rp RegionPass
+	regions := [3]Region{{Byz: 0, Faulty: 20}, {Byz: 20, Faulty: 9}, {Byz: 2, Faulty: 9}}
+	rp.Reset(nodes, regions)
+	if n := testing.AllocsPerRun(100, func() { rp.Reset(nodes, regions) }); n != 0 {
+		t.Errorf("RegionPass.Reset allocates %v/op", n)
+	}
 }
 
 func TestJointBuildCounter(t *testing.T) {
 	nodes := randomTriStatesCapped(rand.New(rand.NewSource(15)), 6, 0.3)
 	before := JointBuilds()
-	d := NewJointCrashByz(nodes)
-	d.ExtendWith(TriState{PCrash: 0.1})
+	NewJointCrashByz(nodes)
 	var l LeaveOneOut
 	l.Reset(nodes)
 	l.Without(2)
-	if got := JointBuilds() - before; got != 2 {
-		t.Errorf("counted %d builds, want 2 (extend and deflation must not count)", got)
+	var rp RegionPass
+	rp.Reset(nodes, [3]Region{{Byz: 0, Faulty: 6}, {Byz: 6, Faulty: 3}, {Byz: 1, Faulty: 3}})
+	if got := JointBuilds() - before; got != 3 {
+		t.Errorf("counted %d builds, want 3 (a region pass is one, a deflation none)", got)
 	}
 }

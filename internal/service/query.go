@@ -390,7 +390,8 @@ type SweepRequest struct {
 }
 
 // MaxSweepCells bounds one sweep request's grid size; MaxSweepWork bounds
-// its total engine cost (sum of n^3 over all cells — the O(N^3) DP unit).
+// its total engine cost (sum of n^3 over all cells — the joint-DP unit,
+// an upper bound on a domain-free cell's region pass).
 // 2e10 is roughly a minute of single-core work: big enough for any
 // paper-style grid, small enough that one request cannot occupy the pool
 // indefinitely. Per-cell size alone would not do: 65536 cells of N=1024

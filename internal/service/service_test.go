@@ -116,6 +116,25 @@ func TestAnalyzeGoldenTable1(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCrashOnlyRaftExactlySafe pins the wire form of the crash-only
+// Raft safety answer: exactly 1, rendered "100%".
+func TestAnalyzeCrashOnlyRaftExactlySafe(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, n := range []int{3, 5, 256} {
+		resp, b := postJSON(t, ts.URL+"/v1/analyze", fmt.Sprintf(`{"model":{"protocol":"raft","n":%d},"p":0.01}`, n))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("n=%d: status %d: %s", n, resp.StatusCode, b)
+		}
+		var got AnalyzeResponse
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Safe != 1 || got.Percent.Safe != "100%" {
+			t.Errorf("n=%d: safe %.17g (%s), want exactly 1 (100%%)", n, got.Safe, got.Percent.Safe)
+		}
+	}
+}
+
 func TestAnalyzeHeterogeneousFleetAndCacheFlag(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := `{"model":{"protocol":"raft","n":3},

@@ -49,7 +49,7 @@ func Example_quickstart() {
 
 	// Output:
 	// 3-node Raft, p_u = 1%:
-	//   safe:        99.99999999999999%
+	//   safe:        100%
 	//   live:        99.97%
 	//   safe & live: 99.97%  (3.53 nines — not 100%!)
 	//
