@@ -232,7 +232,7 @@ func TestRunConfig(t *testing.T) {
 	cell := CellSpec{Protocol: "raft", N: 5, PCrash: 0.4, Ops: 2, PartitionFlaps: 2}
 	draws := cellDraws(t, cell)
 	for seed := int64(1); seed <= 6; seed++ {
-		_, crashed := drawConfig(draws, cell.N, rand.New(rand.NewSource(seed)))
+		_, crashed := drawConfig(draws, cell.N, montecarlo.NewStream(seed))
 		want, err := runTrial(cell, cell.model(), draws, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -344,14 +344,14 @@ func TestDrawConfigMatchesOracle(t *testing.T) {
 	for _, cell := range cells {
 		draws := cellDraws(t, cell)
 		for seed := int64(1); seed <= 200; seed++ {
-			rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			byz, crashed := drawConfig(draws, cell.N, rng)
+			s, ref := montecarlo.NewStream(seed), rand.New(rand.NewSource(seed))
+			byz, crashed := drawConfig(draws, cell.N, s)
 			wantByz, wantCrashed := refSampleConfig(cell, ref)
 			if !slices.Equal(byz, wantByz) || !slices.Equal(crashed, wantCrashed) {
 				t.Fatalf("%s seed %d: kernel byz %v crashed %v, oracle byz %v crashed %v",
 					cell.Name, seed, byz, crashed, wantByz, wantCrashed)
 			}
-			if rng.Int63() != ref.Int63() {
+			if rand.New(s).Int63() != ref.Int63() {
 				t.Fatalf("%s seed %d: the generators left the draw at different points", cell.Name, seed)
 			}
 		}

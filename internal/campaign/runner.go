@@ -147,13 +147,13 @@ func trialSeed(seed int64, cellIdx, trial int) int64 {
 	return seed + int64(cellIdx)*1_000_003 + int64(trial)*7_919
 }
 
-// drawConfig draws the trial's failure configuration from rng through the
+// drawConfig draws the trial's failure configuration from s through the
 // sampler kernel — the measure the exact engine integrates: one Bernoulli
 // per domain for the shock, then one trinomial per node from the
 // (possibly shock-elevated) profile — and lists the n nodes it made
 // Byzantine and crashed, in id order.
-func drawConfig(draws *montecarlo.Draws, n int, rng *rand.Rand) (byzNodes, crashedNodes []int) {
-	draws.Next(rng)
+func drawConfig(draws *montecarlo.Draws, n int, s *montecarlo.Stream) (byzNodes, crashedNodes []int) {
+	draws.Next(s)
 	for i := 0; i < n; i++ {
 		switch crashed, byz := draws.Node(i); {
 		case byz:
@@ -184,15 +184,16 @@ func overlayEnd(cell CellSpec) sim.Time {
 
 // runTrial executes one simulated protocol run under a fault schedule
 // drawn from draws (reset to the cell's fleet) and scores it against the
-// theorem's prediction for the realized configuration. One generator,
-// seeded with seed, draws the configuration and then the crash times.
+// theorem's prediction for the realized configuration. One stream — the
+// one rand.NewSource(seed) produces — yields the configuration and then,
+// through rand.New, the crash times.
 func runTrial(cell CellSpec, model core.CountModel, draws *montecarlo.Draws, seed int64) (trialOutcome, error) {
-	rng := rand.New(rand.NewSource(seed))
-	byzNodes, crashedNodes := drawConfig(draws, cell.N, rng)
+	s := montecarlo.NewStream(seed)
+	byzNodes, crashedNodes := drawConfig(draws, cell.N, s)
 	var out trialOutcome
 	out.crashed, out.byz = len(crashedNodes), len(byzNodes)
 	var err error
-	out.safe, out.live, out.churn, out.steps, err = runConfig(cell, byzNodes, crashedNodes, rng, seed)
+	out.safe, out.live, out.churn, out.steps, err = runConfig(cell, byzNodes, crashedNodes, rand.New(s), seed)
 	if err != nil {
 		return trialOutcome{}, err
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/dist"
 	"repro/internal/faultcurve"
@@ -316,7 +315,7 @@ func AnalyzeDomainsMixture(fleet Fleet, m CountModel, domains DomainSet) (Result
 // in the same two stages as the exact conditioning: each domain's shock is
 // drawn first, then every node independently from its base — or, if its
 // domain shocked, elevated — profile. The draws are the sampler kernel's
-// (montecarlo.Draws, untilted, on a generator seeded with seed); this
+// (montecarlo.Draws, untilted, on the stream seed selects); this
 // counts the three predicates over them. It is the validation oracle for
 // the exact domain engines.
 func AnalyzeDomainsMonteCarlo(fleet Fleet, m CountModel, domains DomainSet, samples int, seed int64) (MCResult, error) {
@@ -331,10 +330,10 @@ func AnalyzeDomainsMonteCarlo(fleet Fleet, m CountModel, domains DomainSet, samp
 	if err := draws.Reset(fleet.Profiles(), l.members(len(fleet)), domains, montecarlo.TriTilt{}); err != nil {
 		return MCResult{}, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	stream := montecarlo.NewStream(seed)
 	var nSafe, nLive, nBoth int
 	for s := 0; s < samples; s++ {
-		crashed, byz, _ := draws.Next(rng)
+		crashed, byz := draws.Next(stream)
 		sOK := m.Safe(crashed, byz)
 		lOK := m.Live(crashed, byz)
 		if sOK {

@@ -17,8 +17,13 @@
 // The kernel's invariants are part of the package's contract, because
 // served and recorded estimates are compared with ==:
 //
-//   - The caller's generator (RunImportanceTri seeds one per run).
-//   - Each sample takes exactly one Float64 draw per domain, in domain
+//   - The caller's Stream, which is rand.NewSource(seed)'s output
+//     sequence exactly (RunImportanceTri seeds one per run), so every
+//     draw is the value rand.New(rand.NewSource(seed)).Float64 would
+//     return — including its rule of drawing again on a value that
+//     rounds to 1 — read from a block buffer instead of through
+//     math/rand's interface.
+//   - Each sample takes exactly one such draw per domain, in domain
 //     order, then exactly one per node, in node order — whether or not
 //     the coin is degenerate (probability 0 or 1) or tilted. A node's
 //     crash outcome is the low end of its draw's range, Byzantine the
@@ -27,12 +32,14 @@
 //     increment per draw; each increment is (log true − log proposal) of
 //     the outcome drawn. The increments depend only on (coin, shock
 //     state, outcome), so they are computed once per Reset; the sum is
-//     not reassociated. Weights are exponentiated only for samples the
-//     predicate accepts.
+//     not reassociated. Next only counts; LogW sums the increments of
+//     the recorded outcomes, and the estimator calls it — and
+//     exponentiates — only for samples the predicate accepts.
 //   - Hence same inputs and seed give the same numbers bit for bit, on
 //     any run and against the loops the kernel replaced, kept as test
-//     oracles: oracle_test.go (TestKernelMatchesOracle*), core's
-//     TestMonteCarloMatchesOracle, and campaign's
-//     TestDrawConfigMatchesOracle (on cells with one kind of fault: the
-//     old campaign loop drew Byzantine first).
+//     oracles drawing from rand.New(rand.NewSource(seed)): oracle_test.go
+//     (TestKernelMatchesOracle*), core's TestMonteCarloMatchesOracle, and
+//     campaign's TestDrawConfigMatchesOracle (on cells with one kind of
+//     fault: the old campaign loop drew Byzantine first). stream_test.go
+//     pins Stream to rand.NewSource output for output.
 package montecarlo

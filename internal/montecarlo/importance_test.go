@@ -2,7 +2,6 @@ package montecarlo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/faultcurve"
@@ -84,11 +83,11 @@ func TestImportanceHeterogeneousTargetedLoss(t *testing.T) {
 	if err := d.Reset(profiles, noDomains(5), nil, TriTilt{Boost: 10}); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
+	s := NewStream(3)
 	const samples = 300_000
 	var sumW, sumW2 float64
-	for s := 0; s < samples; s++ {
-		_, _, logW := d.Next(rng)
+	for k := 0; k < samples; k++ {
+		d.Next(s)
 		hit := true
 		for i := 0; i < 3; i++ {
 			if c, _ := d.Node(i); !c {
@@ -96,7 +95,7 @@ func TestImportanceHeterogeneousTargetedLoss(t *testing.T) {
 			}
 		}
 		if hit {
-			w := math.Exp(logW)
+			w := math.Exp(d.LogW())
 			sumW += w
 			sumW2 += w * w
 		}

@@ -2,7 +2,6 @@ package montecarlo_test
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -47,12 +46,12 @@ func TestIndependentTriState(t *testing.T) {
 	if err := d.Reset(profiles, independent(6), nil, untilted); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
+	s := montecarlo.NewStream(2)
 	const samples = 100_000
 	byz0 := 0
-	for s := 0; s < samples; s++ {
-		crashed, byz, logW := d.Next(rng)
-		if logW != 0 {
+	for k := 0; k < samples; k++ {
+		crashed, byz := d.Next(s)
+		if logW := d.LogW(); logW != 0 {
 			t.Fatalf("untilted draw has log-weight %v", logW)
 		}
 		for j := range profiles {

@@ -18,6 +18,13 @@ import (
 // refImportanceTri is the historical RunImportanceTri.
 func refImportanceTri(profiles []faultcurve.Profile, member []int, domains []faultcurve.Domain,
 	tilt TriTilt, pred TriPred, samples int, seed int64) (ImportanceEstimate, error) {
+	return refImportanceTriOn(profiles, member, domains, tilt, pred, samples, rand.New(rand.NewSource(seed)))
+}
+
+// refImportanceTriOn is refImportanceTri drawing from rng, whatever its
+// source.
+func refImportanceTriOn(profiles []faultcurve.Profile, member []int, domains []faultcurve.Domain,
+	tilt TriTilt, pred TriPred, samples int, rng *rand.Rand) (ImportanceEstimate, error) {
 	n := len(profiles)
 	if len(member) != n {
 		return ImportanceEstimate{}, fmt.Errorf("montecarlo: %d memberships for %d nodes", len(member), n)
@@ -36,7 +43,6 @@ func refImportanceTri(profiles []faultcurve.Profile, member []int, domains []fau
 	if tilt.ShockProb < 0 || tilt.ShockProb >= 1 {
 		return ImportanceEstimate{}, fmt.Errorf("montecarlo: shock tilt %v out of [0, 1)", tilt.ShockProb)
 	}
-	rng := rand.New(rand.NewSource(seed))
 	fired := make([]bool, len(domains))
 	var sumW, sumW2 float64
 	for s := 0; s < samples; s++ {

@@ -3,7 +3,6 @@ package montecarlo
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/faultcurve"
 )
@@ -12,16 +11,18 @@ import (
 // depend on the random draws — for every coin the run can flip, the
 // cumulative thresholds the draw is compared against and the
 // log-likelihood-ratio increment of each outcome — so a sample is one
-// draw, two integer compares, one table read and one add per coin.
+// draw and two integer compares per coin, and, only for a sample the
+// caller keeps, one table read and one add per coin.
 
 // cell is one coin of the proposal: a node in one shock state, or one
-// domain's shock. A uniform draw u lands on outcome 2 (crashed) when
-// u < t0, on 1 (Byzantine) when t0 <= u < t1 and on 0 (correct)
-// otherwise — the outcome index is the number of thresholds above the
-// draw — and adds inc[outcome] to the sample's log-weight. Two-outcome
-// coins have t0 == t1, so outcome 1 never comes up.
+// domain's shock. A draw x (a 63-bit integer that stands for the uniform
+// x / 2^63) lands on outcome 2 (crashed) when x < t0, on 1 (Byzantine)
+// when t0 <= x < t1 and on 0 (correct) otherwise — the outcome index is
+// the number of thresholds above the draw — and its log-weight
+// increment is inc[outcome]. Two-outcome coins have t0 == t1, so outcome
+// 1 never comes up.
 type cell struct {
-	t0, t1 int64 // bit patterns of the thresholds, t0 <= t1
+	t0, t1 int64 // thresholds in draw units, t0 <= t1
 	inc    [3]float64
 	// last is the outcome of the most recent draw that landed on this
 	// cell: the loop stores it through the pointer it already holds, so
@@ -29,15 +30,22 @@ type cell struct {
 	last uint8
 }
 
-// threshold returns the bit pattern pick compares draws against. For
-// the non-negative values involved float order is bit-pattern order;
-// anything no draw from [0, 1) is below — 0, -0, a negative, NaN —
-// becomes +0, so a sign or NaN bit cannot flip the integer comparison.
+// threshold returns the number of draws x whose uniform float64(x) / 2^63
+// — rand.Float64's value — is below t: those are exactly x < threshold(t),
+// because the conversion is monotone. A t no uniform is below — 0, -0, a
+// negative, NaN — gives 0 and a t every uniform is below gives
+// resampleAt, so the draw-time compare is between non-negative integers.
 func threshold(t float64) int64 {
-	if !(t > 0) {
-		return 0
+	lo, hi := int64(0), int64(resampleAt)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return int64(math.Float64bits(t))
+	return lo
 }
 
 // triCell is the coin of a node with true crash/Byzantine probabilities
@@ -73,31 +81,37 @@ func coinCell(p, q float64) cell {
 	return c
 }
 
-// pick returns the outcome of draw u in [0, 1) without a branch: both
-// operands of each subtraction are non-negative, so it cannot overflow
-// and its sign bit is exactly "u is below the threshold". The obvious
-// three-way switch mispredicts on nearly every node, because the tilt
-// drives each node's failure mass to MaxTiltMass — a coin flip.
-func (c *cell) pick(u float64) int {
-	ub := int64(math.Float64bits(u))
-	return int(uint64(ub-c.t0)>>63 + uint64(ub-c.t1)>>63)
+// pick draws x on the coin without a branch and records the outcome:
+// crash is 1 when x < t0, fail when x < t1 (crashed or Byzantine, as
+// t0 <= t1). Both operands of each subtraction are in [0, 2^63), so it
+// cannot overflow and its sign bit is exactly "x is below the
+// threshold". The obvious three-way switch mispredicts on nearly every
+// node, because the tilt drives each node's failure mass to MaxTiltMass
+// — a coin flip.
+func (c *cell) pick(x int64) (crash, fail int) {
+	crash = int(uint64(x-c.t0) >> 63)
+	fail = int(uint64(x-c.t1) >> 63)
+	c.last = uint8(crash + fail)
+	return crash, fail
 }
 
 // Draws samples failure configurations — one Bernoulli shock per domain,
 // then one correct / crashed / Byzantine outcome per node from its base
-// or, if its domain shocked, elevated profile — under a tilt, with each
-// sample's log likelihood ratio. It is the one place a shock or a node
-// outcome is drawn (see the package comment). A Draws is a workspace:
-// Reset it, then Next rewrites its scratch; one goroutine at a time.
+// or, if its domain shocked, elevated profile — under a tilt, and prices
+// each with its log likelihood ratio on demand. It is the one place a
+// shock or a node outcome is drawn (see the package comment). A Draws is
+// a workspace: Reset it, then Next rewrites its scratch; one goroutine at
+// a time.
 //
 // nodes holds a bank of n base cells and a bank of n shock-elevated
-// cells; node i reads bank fired[slot[i]], where slot 0 is the
+// cells; node i reads cell fired[slot[i]] + i, where slot 0 is the
 // never-firing "no domain" entry and slot d+1 belongs to domain d.
 type Draws struct {
 	shocks []cell
 	nodes  []cell
 	slot   []int
-	fired  []int // 0 or 1, rewritten every sample
+	fired  []int    // 0 or n (the elevated bank), rewritten every sample
+	xs     []uint64 // one sample's draws when they cannot be read in place
 }
 
 // Reset builds the tables for a fleet: profiles[i] is node i's true
@@ -127,6 +141,7 @@ func (d *Draws) Reset(profiles []faultcurve.Profile, member []int, domains []fau
 	d.nodes = make([]cell, 2*n)
 	d.slot = make([]int, n)
 	d.fired = make([]int, len(domains)+1)
+	d.xs = make([]uint64, len(domains)+n)
 	for k, dom := range domains {
 		q := dom.ShockProb
 		qt := q
@@ -146,46 +161,99 @@ func (d *Draws) Reset(profiles []faultcurve.Profile, member []int, domains []fau
 	return nil
 }
 
-// Next draws one configuration from rng — one Float64 per domain in
-// order, then one per node in order — and returns its fault counts and
-// log likelihood ratio, accumulated in draw order.
-func (d *Draws) Next(rng *rand.Rand) (crashed, byz int, logW float64) {
+// Next draws one configuration from s — one draw per domain in order,
+// then one per node in order — records each outcome on the cell it
+// used, and returns the configuration's fault counts. LogW prices it.
+//
+// The draws are read in place from the stream's block whenever the
+// sample fits in what is left of it; a sample that straddles two blocks,
+// or meets a value rand.Float64 would skip, is drawn again from a copy
+// that Stream.read has stitched and cleaned.
+func (d *Draws) Next(s *Stream) (crashed, byz int) {
+	if xs := s.view(len(d.xs)); xs != nil {
+		if crashed, byz, ok := d.take(xs); ok {
+			s.pos += len(xs)
+			return crashed, byz
+		}
+	}
+	s.read(d.xs)
+	crashed, byz, _ = d.take(d.xs)
+	return crashed, byz
+}
+
+// take runs one sample on the raw outputs xs, one per coin; ok is false
+// when one of them is a value rand.Float64 skips (the sample is then
+// void, and Next draws it again).
+func (d *Draws) take(xs []uint64) (crashed, byz int, ok bool) {
+	// x + (2^63 - resampleAt) wraps negative exactly when x must be
+	// skipped; or-ing them all leaves one sign bit to test per sample.
+	var skip int64
+	shocks, fired := d.shocks, d.fired
+	n := len(d.slot)
+	xs = xs[:len(shocks)+n]
+	for k := range shocks {
+		x := int64(xs[k] &^ (1 << 63))
+		skip |= x + (1<<63 - resampleAt)
+		fire, _ := shocks[k].pick(x)
+		fired[k+1] = fire * n
+	}
+	xs = xs[len(shocks):]
+	failed := 0
+	if len(shocks) == 0 {
+		// No domain, no shock: every node is on the base bank, and the
+		// loop needs no bank lookup.
+		base := d.nodes[:len(xs)]
+		for i, v := range xs {
+			x := int64(v &^ (1 << 63))
+			skip |= x + (1<<63 - resampleAt)
+			crash, fail := base[i].pick(x)
+			crashed += crash
+			failed += fail
+		}
+	} else {
+		nodes, slot := d.nodes, d.slot[:len(xs)]
+		for i, v := range xs {
+			x := int64(v &^ (1 << 63))
+			skip |= x + (1<<63 - resampleAt)
+			crash, fail := nodes[fired[slot[i]]+i].pick(x)
+			crashed += crash
+			failed += fail
+		}
+	}
+	return crashed, failed - crashed, skip >= 0
+}
+
+// LogW returns the log likelihood ratio of the last draw: the recorded
+// outcomes' increments summed in draw order, shocks by index, then nodes
+// by index.
+func (d *Draws) LogW() (logW float64) {
 	for k := range d.shocks {
 		c := &d.shocks[k]
-		o := c.pick(rng.Float64())
-		d.fired[k+1] = o >> 1
-		logW += c.inc[o]
+		logW += c.inc[c.last]
 	}
-	n := len(d.slot)
-	for i, s := range d.slot {
-		c := &d.nodes[d.fired[s]*n+i]
-		o := c.pick(rng.Float64())
-		c.last = uint8(o)
-		crashed += o >> 1
-		byz += o & 1
-		logW += c.inc[o]
+	for i, sl := range d.slot {
+		c := &d.nodes[d.fired[sl]+i]
+		logW += c.inc[c.last]
 	}
-	return crashed, byz, logW
+	return logW
 }
 
 // Node reports whether node i crashed or turned Byzantine in the last
 // draw (never both): the outcome recorded on the cell that draw used,
 // which the shock states it left in fired still select.
 func (d *Draws) Node(i int) (crashed, byz bool) {
-	o := d.nodes[d.fired[d.slot[i]]*len(d.slot)+i].last
+	o := d.nodes[d.fired[d.slot[i]]+i].last
 	return o == 2, o == 1
 }
 
-// estimate runs the sample loop: seeds the generator, draws samples
-// configurations, and averages the likelihood-ratio weights of those
-// hit accepts.
-func (d *Draws) estimate(samples int, seed int64, hit TriPred) ImportanceEstimate {
-	rng := rand.New(rand.NewSource(seed))
+// estimate runs the sample loop: draws samples configurations from s
+// and averages the likelihood-ratio weights of those hit accepts. Only
+// those are priced: the counts decide hit, and a miss weighs nothing.
+func (d *Draws) estimate(samples int, s *Stream, hit TriPred) ImportanceEstimate {
 	var sumW, sumW2 float64
-	for s := 0; s < samples; s++ {
-		crashed, byz, logW := d.Next(rng)
-		if hit(crashed, byz) {
-			w := math.Exp(logW)
+	for k := 0; k < samples; k++ {
+		if hit(d.Next(s)) {
+			w := math.Exp(d.LogW())
 			sumW += w
 			sumW2 += w * w
 		}

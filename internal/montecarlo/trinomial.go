@@ -79,5 +79,7 @@ func RunImportanceTri(profiles []faultcurve.Profile, member []int, domains []fau
 	if samples <= 0 {
 		return ImportanceEstimate{}, fmt.Errorf("montecarlo: need samples > 0, got %d", samples)
 	}
-	return d.estimate(samples, seed, pred), nil
+	var s Stream
+	s.Seed(seed)
+	return d.estimate(samples, &s, pred), nil
 }

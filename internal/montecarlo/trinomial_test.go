@@ -376,4 +376,39 @@ func BenchmarkImportanceTri(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/draws, "ns/draw")
 		})
 	}
+	// The generator alone, as many draws as one N25 run takes: the stream
+	// read a sample at a time the way Draws.Next reads it, and the
+	// rand.Rand.Float64 loop the kernel drew from before. Their difference
+	// is what the stream saves per draw; N25 minus "stream" is the loop.
+	const n = 25
+	for _, gen := range []string{"stream", "rand"} {
+		b.Run("generator/"+gen, func(b *testing.B) {
+			xs := make([]uint64, n)
+			var acc uint64
+			for i := 0; i < b.N; i++ {
+				if gen == "rand" {
+					rng := rand.New(rand.NewSource(int64(i + 1)))
+					for k := 0; k < samples*n; k++ {
+						acc ^= math.Float64bits(rng.Float64())
+					}
+					continue
+				}
+				s := NewStream(int64(i + 1))
+				for k := 0; k < samples; k++ {
+					v := s.view(n)
+					if v == nil {
+						s.read(xs)
+						v = xs
+					} else {
+						s.pos += n
+					}
+					for _, x := range v {
+						acc ^= x &^ (1 << 63)
+					}
+				}
+			}
+			benchSink.Samples = int(acc)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*samples*n), "ns/draw")
+		})
+	}
 }

@@ -52,7 +52,8 @@ const (
 // otherwise), "exact" (400 if over the bound), or "importance" (forced —
 // the serving twin of the validation experiments). samples and seed
 // apply to the importance path only; seed defaults to 1 so repeated
-// queries are deterministic and cacheable.
+// queries are deterministic and cacheable, and only seed mod (2^31 − 1)
+// selects the stream (montecarlo.StreamSeed).
 type TailRequest struct {
 	Model   ModelSpec    `json:"model"`
 	Fleet   []NodeSpec   `json:"fleet,omitempty"`
@@ -239,7 +240,9 @@ func planTail(req TailRequest) (tailPlan, error) {
 	}
 	key := query.key + "/tail/" + req.Event + "/" + resolved
 	if resolved == MethodImportance {
-		key = fmt.Sprintf("%s/s%d/x%d", key, samples, seed)
+		// Seeds that select the same generator stream get the same
+		// estimate, so they share one entry.
+		key = fmt.Sprintf("%s/s%d/x%d", key, samples, montecarlo.StreamSeed(seed))
 	}
 
 	plan = tailPlan{

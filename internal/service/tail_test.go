@@ -314,3 +314,53 @@ func TestTailDeterminism(t *testing.T) {
 		t.Fatalf("rel_ci99 %g inconsistent with z99 * stderr / p", a.RelCI99)
 	}
 }
+
+// TestTailAliasedSeedsShareEntry pins the importance key to the stream a
+// seed selects, not to its spelling: math/rand reduces a seed modulo
+// 2^31 − 1, so 1, 2^31 and −(2^31 − 2) draw the same numbers. The later
+// spellings are cache hits with the first one's p, and a batch holding
+// two of them runs one job.
+func TestTailAliasedSeedsShareEntry(t *testing.T) {
+	srv, _ := newTestServer(t)
+	p := 0.0005
+	req := func(seed int64) TailRequest {
+		return TailRequest{Model: ModelSpec{Protocol: "raft", N: 5}, P: &p, Event: EventNotLive,
+			Method: MethodImportance, Samples: 2000, Seed: seed}
+	}
+	first, err := srv.Tail(req(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || first.P <= 0 {
+		t.Fatalf("first answer %+v, want an uncached nonzero estimate", first)
+	}
+	for _, seed := range []int64{1 << 31, -(1<<31 - 2)} {
+		got, err := srv.Tail(req(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Cached || got.P != first.P {
+			t.Errorf("seed %d: cached=%v p=%v, want a hit with p=%v", seed, got.Cached, got.P, first.P)
+		}
+	}
+	// Uncached, the aliased seed computes the same estimate.
+	fresh, err := New(Options{}).Tail(req(1 << 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Cached || fresh.P != first.P || fresh.StdErr != first.StdErr {
+		t.Errorf("seed 2^31 on a fresh server: %+v, want p=%v std_err=%v", fresh, first.P, first.StdErr)
+	}
+
+	a, b := req(7), req(7+(1<<31-1))
+	resp, err := New(Options{}).Batch(BatchRequest{Items: []BatchItem{{Tail: &a}, {Tail: &b}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Distinct != 1 || resp.Deduped != 1 {
+		t.Fatalf("aliased batch: distinct=%d deduped=%d, want 1/1", resp.Distinct, resp.Deduped)
+	}
+	if resp.Items[0].Tail == nil || resp.Items[1].Tail == nil || resp.Items[0].Tail.P != resp.Items[1].Tail.P {
+		t.Fatalf("aliased batch items answered differently: %+v", resp.Items)
+	}
+}
