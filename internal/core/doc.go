@@ -16,7 +16,9 @@
 //     the fleet once into three tables truncated to those regions
 //     (dist.RegionPass, O(N·(β+1)·(κ+1))); the full O(N^3) joint table
 //     serves the domain engines, the quorum sweeps and the gradients, and
-//     is the region pass's test oracle;
+//     is the region pass's test oracle. The engines read it region by
+//     region too (dist.JointCrashByz.RegionSum), never cell by cell
+//     through Safe / Live;
 //   - explicit enumeration of all 3^N configurations — exact, supports
 //     predicates on the identity of failed nodes, N ≲ 16;
 //   - Monte-Carlo sampling — approximate with confidence intervals, works

@@ -19,9 +19,10 @@ import (
 // Three layers, cheapest first:
 //
 //  1. Rest-table fast path. For a populated domain d, rest_d is the joint
-//     distribution of every node OUTSIDE d. Folding the model's predicates
-//     through rest_d once yields three (k_d+1)^2 tables
-//     (safe/live/both)[cd][bd] = P[predicate | d contributes (cd, bd)].
+//     distribution of every node OUTSIDE d. Summing the model's regions,
+//     shifted by what d contributes, over rest_d once yields three
+//     (k_d+1)^2 tables (safe/live/both)[cd][bd] = P[predicate | d
+//     contributes (cd, bd)].
 //     Any later query that differs from the cached layout ONLY inside d —
 //     its shock probability, its multipliers, its members' profiles — is
 //     answered by mixing d's two block DPs and taking an O(k_d^2) dot
@@ -87,8 +88,8 @@ var (
 )
 
 // restTables is the leave-one-block-out summary for one populated domain:
-// the model's predicates folded through the joint distribution of every
-// node outside the domain. Entry [cd*(k+1)+bd] is the probability the
+// the model's regions summed over the joint distribution of every node
+// outside the domain. Entry [cd*(k+1)+bd] is the probability the
 // predicate holds given the domain contributes exactly (cd, bd) faults.
 type restTables struct {
 	k                int
@@ -120,11 +121,6 @@ type domainState struct {
 	fastMix   dist.JointCrashByz
 	prefixPtr []*dist.JointCrashByz
 	suffixPtr []*dist.JointCrashByz
-
-	// Predicate grids over the full (c, b) fleet range, filled once per
-	// full-path query so rest-table population never calls the model's
-	// predicates per source cell.
-	okSafe, okLive []bool
 }
 
 func (ds *domainState) maybeEvict() {
@@ -256,35 +252,22 @@ func grow[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
-// fillPredGrids evaluates the model's predicates once per (c, b) cell of
-// the full fleet range so the rest-table population loops are pure array
-// arithmetic.
-func (ds *domainState) fillPredGrids(n int, m CountModel) {
-	w := n + 1
-	ds.okSafe = grow(ds.okSafe, w*w)
-	ds.okLive = grow(ds.okLive, w*w)
-	for c := 0; c <= n; c++ {
-		row := c * w
-		for b := 0; c+b <= n; b++ {
-			ds.okSafe[row+b] = m.Safe(c, b)
-			ds.okLive[row+b] = m.Live(c, b)
-		}
-	}
-}
-
-// populate folds the predicate grids through the rest distribution r (over
-// n-k nodes of an n-node fleet): entry (cd, bd) becomes the probability
-// mass of rest outcomes under which the predicate holds when the domain
-// contributes (cd, bd). Compensated per entry, so the fast-path answer
+// populate sums the model's regions — safe, live and both — over the rest
+// distribution: entry (cd, bd) is the rest mass under which a region holds
+// when the domain contributes (cd, bd) faults. A rest outcome (c, b) lands
+// the fleet on (c + cd, b + bd), inside {b <= β, c + b <= κ} exactly when
+// (c, b) is inside the shifted region {b <= β − bd, c + b <= κ − cd − bd},
+// so each entry is one compensated dist.RegionSum and the fast-path answer
 // matches a full recombination to ~1e-15.
-func (rt *restTables) populate(r *dist.JointCrashByz, k, n int, okSafe, okLive []bool) {
+func (rt *restTables) populate(rest *dist.JointCrashByz, k int, safe, live, both dist.Region) {
 	w := k + 1
 	rt.k = k
 	rt.safe = grow(rt.safe, w*w)
 	rt.live = grow(rt.live, w*w)
 	rt.both = grow(rt.both, w*w)
-	nr := r.N()
-	gw := n + 1
+	shift := func(r dist.Region, cd, bd int) dist.Region {
+		return dist.Region{Byz: r.Byz - bd, Faulty: r.Faulty - cd - bd}
+	}
 	for cd := 0; cd <= k; cd++ {
 		for bd := 0; bd <= k; bd++ {
 			i := cd*w + bd
@@ -292,28 +275,9 @@ func (rt *restTables) populate(r *dist.JointCrashByz, k, n int, okSafe, okLive [
 				rt.safe[i], rt.live[i], rt.both[i] = 0, 0, 0
 				continue
 			}
-			var sS, sL, sB dist.KahanSum
-			for c := 0; c <= nr; c++ {
-				g := (c + cd) * gw
-				for b := 0; c+b <= nr; b++ {
-					mass := r.PMF(c, b)
-					if mass == 0 {
-						continue
-					}
-					gi := g + b + bd
-					s, l := okSafe[gi], okLive[gi]
-					if s {
-						sS.Add(mass)
-					}
-					if l {
-						sL.Add(mass)
-					}
-					if s && l {
-						sB.Add(mass)
-					}
-				}
-			}
-			rt.safe[i], rt.live[i], rt.both[i] = sS.Sum(), sL.Sum(), sB.Sum()
+			rt.safe[i] = rest.RegionSum(shift(safe, cd, bd))
+			rt.live[i] = rest.RegionSum(shift(live, cd, bd))
+			rt.both[i] = rest.RegionSum(shift(both, cd, bd))
 		}
 	}
 }
@@ -358,7 +322,6 @@ func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains Dom
 	if ds.resultCache == nil {
 		ds.resultCache = make(map[blockKey]Result)
 	}
-	n := len(fleet)
 	D := len(ds.act)
 
 	// Exact repeats return the memoized Result before any cache-state-
@@ -420,7 +383,8 @@ func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains Dom
 		dist.ConvolveJointCrashByzInto(&ds.suffix[pos], &ds.mixed[pos], ds.suffixPtr[pos+1])
 		ds.suffixPtr[pos] = &ds.suffix[pos]
 	}
-	ds.fillPredGrids(n, m)
+	safe, live := m.Regions()
+	both := safe.Intersect(live)
 	for pos, di := range ds.act {
 		restJ := ds.prefixPtr[pos]
 		if pos < D-1 {
@@ -431,7 +395,7 @@ func (e *Evaluator) analyzeDomainsMixture(fleet Fleet, m CountModel, domains Dom
 		if rt == nil {
 			rt = &restTables{}
 		}
-		rt.populate(restJ, len(ds.blocks[di]), n, ds.okSafe, ds.okLive)
+		rt.populate(restJ, len(ds.blocks[di]), safe, live, both)
 		ds.restCache[ds.restKeys[pos]] = rt
 	}
 	ds.resultCache[qkey] = result

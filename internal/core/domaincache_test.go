@@ -1,12 +1,170 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/faultcurve"
 )
+
+// refFillPredGrids and refPopulate are the rest-table population the
+// region sums replaced, kept as its oracle: the model's predicates
+// evaluated once per (c, b) cell of the whole n-node fleet into bool
+// grids, then every rest cell looked up at its shifted position and folded
+// into three compensated sums per entry.
+func refFillPredGrids(okSafe, okLive []bool, n int, m CountModel) ([]bool, []bool) {
+	w := n + 1
+	okSafe = grow(okSafe, w*w)
+	okLive = grow(okLive, w*w)
+	for c := 0; c <= n; c++ {
+		row := c * w
+		for b := 0; c+b <= n; b++ {
+			okSafe[row+b] = m.Safe(c, b)
+			okLive[row+b] = m.Live(c, b)
+		}
+	}
+	return okSafe, okLive
+}
+
+func refPopulate(rt *restTables, r *dist.JointCrashByz, k, n int, okSafe, okLive []bool) {
+	w := k + 1
+	rt.k = k
+	rt.safe = grow(rt.safe, w*w)
+	rt.live = grow(rt.live, w*w)
+	rt.both = grow(rt.both, w*w)
+	nr := r.N()
+	gw := n + 1
+	for cd := 0; cd <= k; cd++ {
+		for bd := 0; bd <= k; bd++ {
+			i := cd*w + bd
+			if cd+bd > k {
+				rt.safe[i], rt.live[i], rt.both[i] = 0, 0, 0
+				continue
+			}
+			var sS, sL, sB dist.KahanSum
+			for c := 0; c <= nr; c++ {
+				g := (c + cd) * gw
+				for b := 0; c+b <= nr; b++ {
+					mass := r.PMF(c, b)
+					if mass == 0 {
+						continue
+					}
+					gi := g + b + bd
+					s, l := okSafe[gi], okLive[gi]
+					if s {
+						sS.Add(mass)
+					}
+					if l {
+						sL.Add(mass)
+					}
+					if s && l {
+						sB.Add(mass)
+					}
+				}
+			}
+			rt.safe[i], rt.live[i], rt.both[i] = sS.Sum(), sL.Sum(), sB.Sum()
+		}
+	}
+}
+
+// triStates is the fleet's nodes as the DP reads them.
+func triStates(f Fleet) []dist.TriState {
+	tri := make([]dist.TriState, len(f))
+	for i, node := range f {
+		tri[i] = node.Profile.TriState()
+	}
+	return tri
+}
+
+// populateRegions is the production population for model m.
+func populateRegions(rt *restTables, rest *dist.JointCrashByz, k int, m CountModel) {
+	safe, live := m.Regions()
+	rt.populate(rest, k, safe, live, safe.Intersect(live))
+}
+
+// TestRestTablesMatchRef pins every rest-table entry to the bool-grid
+// population it replaced, bit for bit: rest tables over random fleets
+// (never-failing, never-correct and always-Byzantine nodes mixed in) and
+// over convolutions of two, domains of 0 to 12 nodes, both protocols at
+// the region-pass models and random sizings — empty regions and regions
+// the domain alone can leave included. One restTables is reused
+// throughout, as the evaluator's cache reuses them.
+func TestRestTablesMatchRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	var got, want restTables
+	var okSafe, okLive []bool
+	entries := 0
+	for iter := 0; iter < 300; iter++ {
+		nr := rng.Intn(30)
+		k := rng.Intn(13)
+		n := nr + k
+		if n == 0 {
+			continue
+		}
+		rest := dist.NewJointCrashByz(triStates(regionFleet(rng, nr, iter%3 == 0)))
+		if iter%2 == 1 {
+			split := rng.Intn(nr + 1)
+			a := triStates(regionFleet(rng, split, false))
+			b := triStates(regionFleet(rng, nr-split, iter%4 == 1))
+			rest = dist.ConvolveJointCrashByz(dist.NewJointCrashByz(a), dist.NewJointCrashByz(b))
+		}
+		for _, m := range append(regionModels(n), randomSizing(rng, n), randomSizing(rng, n)) {
+			populateRegions(&got, rest, k, m)
+			okSafe, okLive = refFillPredGrids(okSafe, okLive, n, m)
+			refPopulate(&want, rest, k, n, okSafe, okLive)
+			if got.k != want.k {
+				t.Fatalf("iter %d %s: k %d, oracle %d", iter, m.Name(), got.k, want.k)
+			}
+			for i := range want.safe {
+				if got.safe[i] != want.safe[i] || got.live[i] != want.live[i] || got.both[i] != want.both[i] {
+					t.Fatalf("iter %d %s k=%d entry (%d, %d): safe/live/both %v %v %v, oracle %v %v %v", iter, m.Name(), k,
+						i/(k+1), i%(k+1), got.safe[i], got.live[i], got.both[i], want.safe[i], want.live[i], want.both[i])
+				}
+			}
+			entries += len(want.safe)
+		}
+	}
+	t.Logf("%d rest-table entries bit-identical to the bool-grid population", entries)
+}
+
+// BenchmarkRestTables prices the cold recombination's table cost for one
+// zone at domain_churn's shape — a 48-node fleet in 4 zones of 12, so one
+// 12-node zone over a 36-node rest — for majority Raft and textbook PBFT:
+// region is the production population (one RegionSum per entry and
+// region), ref the bool-grid population it replaced (the grids filled for
+// the whole fleet, then every rest cell looked up per entry).
+func BenchmarkRestTables(b *testing.B) {
+	const n, k = 48, 12
+	rng := rand.New(rand.NewSource(48))
+	tri := make([]dist.TriState, n-k)
+	for i := range tri {
+		tri[i] = dist.TriState{PCrash: 0.002 + 0.028*rng.Float64(), PByz: 0.0001 + 0.0019*rng.Float64()}
+	}
+	rest := dist.NewJointCrashByz(tri)
+	for _, tc := range []struct {
+		protocol string
+		m        CountModel
+	}{{"raft", NewRaft(n)}, {"pbft", NewPBFTForN(n)}} {
+		m := tc.m
+		b.Run(fmt.Sprintf("%s/N=%d/k=%d/region", tc.protocol, n, k), func(b *testing.B) {
+			var rt restTables
+			for i := 0; i < b.N; i++ {
+				populateRegions(&rt, rest, k, m)
+			}
+		})
+		b.Run(fmt.Sprintf("%s/N=%d/k=%d/ref", tc.protocol, n, k), func(b *testing.B) {
+			var rt restTables
+			var okSafe, okLive []bool
+			for i := 0; i < b.N; i++ {
+				okSafe, okLive = refFillPredGrids(okSafe, okLive, n, m)
+				refPopulate(&rt, rest, k, n, okSafe, okLive)
+			}
+		})
+	}
+}
 
 // domainCacheStats snapshots the process-wide domain-cache counters;
 // tests diff two snapshots around a query stream. Nothing else in the

@@ -64,36 +64,15 @@ type Evaluator struct {
 // and are reused afterwards.
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
-// resultFromJointModel sums a model's safety and liveness regions over a
-// joint table in one pass: each cell's membership is decided once and
-// folded into three compensated sums. Equivalent to (and bit-compatible
-// with) three SumWhere passes, without the closure allocations. It is the
-// base of the domain engines and the oracle of Analyze's region pass.
+// resultFromJointModel sums a model's safe, live and safe-and-live regions
+// over a joint table, one dist.RegionSum each, clamped. It is the base of
+// the domain engines and the oracle of Analyze's region pass.
 func resultFromJointModel(j *dist.JointCrashByz, m CountModel) Result {
 	safe, live := m.Regions()
-	var sSafe, sLive, sBoth dist.KahanSum
-	for c, rows := 0, j.Rows(); c < rows; c++ {
-		for b, mass := range j.Row(c) {
-			if mass == 0 {
-				continue
-			}
-			s := safe.Holds(c, b)
-			l := live.Holds(c, b)
-			if s {
-				sSafe.Add(mass)
-			}
-			if l {
-				sLive.Add(mass)
-			}
-			if s && l {
-				sBoth.Add(mass)
-			}
-		}
-	}
 	return Result{
-		Safe:        dist.Clamp01(sSafe.Sum()),
-		Live:        dist.Clamp01(sLive.Sum()),
-		SafeAndLive: dist.Clamp01(sBoth.Sum()),
+		Safe:        dist.Clamp01(j.RegionSum(safe)),
+		Live:        dist.Clamp01(j.RegionSum(live)),
+		SafeAndLive: dist.Clamp01(j.RegionSum(safe.Intersect(live))),
 	}
 }
 

@@ -45,6 +45,80 @@ func regionModels(n int) []CountModel {
 	return ms
 }
 
+// randomSizing draws a Raft or PBFT model over n nodes with every quorum
+// uniform in [1, n]: sizings that are unsafe, never live, or whose
+// Byzantine bound exceeds its faulty bound all come up.
+func randomSizing(rng *rand.Rand, n int) CountModel {
+	q := func() int { return 1 + rng.Intn(n) }
+	if rng.Intn(2) == 0 {
+		return Raft{NNodes: n, QPer: q(), QVC: q()}
+	}
+	return PBFT{NNodes: n, QEq: q(), QPer: q(), QVC: q(), QVCT: q()}
+}
+
+// refResultFromJointModel is resultFromJointModel as it was before the
+// regions were summed as regions, kept as its oracle: each cell's
+// membership decided once, folded into three compensated sums.
+func refResultFromJointModel(j *dist.JointCrashByz, m CountModel) Result {
+	safe, live := m.Regions()
+	var sSafe, sLive, sBoth dist.KahanSum
+	for c, rows := 0, j.Rows(); c < rows; c++ {
+		for b, mass := range j.Row(c) {
+			if mass == 0 {
+				continue
+			}
+			s := safe.Holds(c, b)
+			l := live.Holds(c, b)
+			if s {
+				sSafe.Add(mass)
+			}
+			if l {
+				sLive.Add(mass)
+			}
+			if s && l {
+				sBoth.Add(mass)
+			}
+		}
+	}
+	return Result{
+		Safe:        dist.Clamp01(sSafe.Sum()),
+		Live:        dist.Clamp01(sLive.Sum()),
+		SafeAndLive: dist.Clamp01(sBoth.Sum()),
+	}
+}
+
+// TestResultFromJointModelMatchesRef pins the three region sums to the
+// cell scan they replaced, bit for bit: random fleets (with never-failing,
+// never-correct and always-Byzantine nodes mixed in), both protocols at
+// the region-pass models and random sizings, on plain joint tables and on
+// mixtures of two (the shape the domain engines sum).
+func TestResultFromJointModelMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	var joint, elev, mixed dist.JointCrashByz
+	for iter := 0; iter < 600; iter++ {
+		n := 1 + rng.Intn(30)
+		fleet := regionFleet(rng, n, iter%3 == 0)
+		tri, hot := make([]dist.TriState, n), make([]dist.TriState, n)
+		for i, node := range fleet {
+			tri[i] = node.Profile.TriState()
+			hot[i] = faultcurve.Profile{PCrash: 0.5 * rng.Float64(), PByz: 0.1 * rng.Float64()}.TriState()
+		}
+		joint.Reset(tri)
+		elev.Reset(hot)
+		if err := dist.MixJointCrashByzInto(&mixed, &joint, &elev, 0.9, 0.1); err != nil {
+			t.Fatal(err)
+		}
+		models := append(regionModels(n), randomSizing(rng, n), randomSizing(rng, n))
+		for _, m := range models {
+			for _, j := range []*dist.JointCrashByz{&joint, &mixed} {
+				if got, want := resultFromJointModel(j, m), refResultFromJointModel(j, m); got != want {
+					t.Fatalf("iter %d %s: region sums %+v, cell scan %+v", iter, m.Name(), got, want)
+				}
+			}
+		}
+	}
+}
+
 func resultsWithin(t *testing.T, what string, got, want Result, tol float64) {
 	t.Helper()
 	if math.Abs(got.Safe-want.Safe) > tol || math.Abs(got.Live-want.Live) > tol ||

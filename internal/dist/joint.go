@@ -8,8 +8,9 @@ import (
 
 // JointCrashByz is the exact joint distribution of (#crashed, #Byzantine)
 // across a fleet of independent tri-state nodes — the object at the heart
-// of the paper's count-based analysis: a protocol model is a predicate on
-// (c, b), and its probability of holding is a sum over this table.
+// of the paper's count-based analysis: a protocol model's safe and live
+// sets are count regions over (c, b), and the probability of each is a
+// sum over this table (RegionSum).
 //
 // The table is built by a 2-D trinomial dynamic program: folding in one
 // node splits every (c, b) cell three ways (correct / crashed /
@@ -243,6 +244,24 @@ func (d *JointCrashByz) Rows() int { return d.rows }
 func (d *JointCrashByz) Row(c int) []float64 {
 	w := d.n + 1
 	return d.p[c*w : c*w+d.hi[c]]
+}
+
+// RegionSum returns the probability mass of the cells of region r: a
+// compensated sum over the live cells of r in row-major order (c
+// ascending, then b ascending up to min(r.Byz, r.Faulty − c)). It does not
+// clamp, and an empty region sums to 0. It is how every engine that reads
+// a joint table asks a theorem's question (DESIGN.md "Count regions"):
+// the domain engines' results, the rest tables (one shifted region per
+// entry) and the leave-one-out gradient's objective.
+func (d *JointCrashByz) RegionSum(r Region) float64 {
+	var s KahanSum
+	for c := 0; c < d.rows && c <= r.Faulty; c++ {
+		row := d.Row(c)
+		for _, v := range row[:max(0, min(len(row), r.Byz+1, r.Faulty-c+1))] {
+			s.Add(v)
+		}
+	}
+	return s.Sum()
 }
 
 // SumWhere returns the total probability mass of the cells where the

@@ -95,6 +95,80 @@ func TestRegionPassEdges(t *testing.T) {
 	}
 }
 
+// TestRegionSumMatchesCellScan pins RegionSum to the cell-by-cell scan it
+// stands for — every cell of the triangle, kept when the region holds it,
+// folded into one compensated sum in row-major order — with ==, on joint,
+// mixed, convolved and deflated tables (whose cells may be exactly 0 or,
+// after a deflation, carry round-off of either sign) and regions of every
+// kind: empty, vacuous, clipped by either bound.
+func TestRegionSumMatchesCellScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	scan := func(d *JointCrashByz, r Region) float64 {
+		var s KahanSum
+		for c := 0; c <= d.N(); c++ {
+			for b := 0; c+b <= d.N(); b++ {
+				if r.Holds(c, b) {
+					s.Add(d.PMF(c, b))
+				}
+			}
+		}
+		return s.Sum()
+	}
+	var loo LeaveOneOut
+	for iter := 0; iter < 300; iter++ {
+		n := rng.Intn(40)
+		nodes := randomTriStatesCapped(rng, n, []float64{0.05, 0.4, 1}[iter%3])
+		if iter%4 == 0 {
+			for i := range nodes {
+				if rng.Intn(4) == 0 {
+					nodes[i] = edgeNodes[rng.Intn(len(edgeNodes))]
+				}
+			}
+		}
+		joint := NewJointCrashByz(nodes)
+		mixed, err := MixJointCrashByz(joint, NewJointCrashByz(randomTriStatesCapped(rng, n, 1)), 0.7, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split := rng.Intn(n + 1)
+		tables := []*JointCrashByz{joint, mixed,
+			ConvolveJointCrashByz(NewJointCrashByz(nodes[:split]), NewJointCrashByz(nodes[split:]))}
+		if n > 0 {
+			loo.Reset(nodes)
+			tables = append(tables, loo.Without(rng.Intn(n)))
+		}
+		for _, d := range tables {
+			for k := 0; k < 12; k++ {
+				r := Region{Byz: rng.Intn(n+3) - 1, Faulty: rng.Intn(n+3) - 1}
+				if got, want := d.RegionSum(r), scan(d, r); got != want {
+					t.Fatalf("iter %d n=%d region %+v: RegionSum %.17g, cell scan %.17g", iter, n, r, got, want)
+				}
+			}
+		}
+	}
+	if got := NewJointCrashByz(edgeNodes).RegionSum(Region{Byz: -1, Faulty: 4}); got != 0 {
+		t.Fatalf("empty region sums to %g, want 0", got)
+	}
+}
+
+// regionSumSink keeps BenchmarkRegionSum's calls from being optimized away.
+var regionSumSink float64
+
+// BenchmarkRegionSum times one region's sum over a joint table at the
+// sizes the domain engines read (a 36-node rest table is domain_churn's)
+// for majority Raft's safe-and-live region.
+func BenchmarkRegionSum(b *testing.B) {
+	for _, n := range []int{36, 256} {
+		d := NewJointCrashByz(coldFleet(rand.New(rand.NewSource(int64(n))), n))
+		r := Region{Byz: 0, Faulty: n - (n/2 + 1)}
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				regionSumSink = d.RegionSum(r)
+			}
+		})
+	}
+}
+
 // BenchmarkRegionPass is the kernel's size ladder on the bench's cold_large
 // probabilities for the three regions of majority Raft (rows over b and
 // c + b, the b = 0 general column) beside the joint build they replace.

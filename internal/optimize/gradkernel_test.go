@@ -11,9 +11,10 @@ import (
 	"repro/internal/faultcurve"
 )
 
-// oracleGrad is the gradient hardeningGrad.grad replaced, kept as its
-// oracle: the indicator evaluated through the model's Safe/Live methods per
-// cell, the hardened fleet materialized per call.
+// oracleGrad is the closure-based gradient the table kernel
+// (refHardeningGrad) replaced, kept as the textbook oracle: the indicator
+// evaluated through the model's Safe/Live methods per cell, the hardened
+// fleet materialized per call.
 func oracleGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float64) {
 	n := len(p.Fleet)
 	ok := func(c, b int) float64 {
@@ -54,9 +55,68 @@ func oracleGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float64) {
 	}
 }
 
+// refHardeningGrad is hardeningGrad.grad as it was before the region's
+// boundary was read directly, kept as its bit-exact oracle: the safe-and-live
+// indicator as an (n+2)×(n+2) table of 0/1 floats (0 beyond c + b <= n),
+// the objective a compensated sum of m·ok over the full table, and each
+// coordinate two multiply-adds per leave-one-out cell over differences of
+// table entries.
+func refHardeningGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float64) {
+	n := len(p.Fleet)
+	w := n + 2
+	ok := make([]float64, w*w)
+	for c := 0; c <= n; c++ {
+		for b := 0; c+b <= n; b++ {
+			if p.Model.Safe(c, b) && p.Model.Live(c, b) {
+				ok[c*w+b] = 1
+			}
+		}
+	}
+	bf := make([]float64, n)
+	nodes := make([]dist.TriState, n)
+	for i, node := range p.Fleet {
+		bf[i] = byzFraction(node.Profile)
+		q := p.Curves[i].Prob(x[i])
+		nodes[i] = dist.TriState{PCrash: q * (1 - bf[i]), PByz: q * bf[i]}
+	}
+	loo.Reset(nodes)
+	var safeAndLive dist.KahanSum
+	full := loo.Full()
+	for c := 0; c < full.Rows(); c++ {
+		okRow := ok[c*w:]
+		for b, m := range full.Row(c) {
+			safeAndLive.Add(m * okRow[b])
+		}
+	}
+	u := math.Max(1-dist.Clamp01(safeAndLive.Sum()), unavailFloor)
+	for i := range nodes {
+		joint := loo.Without(i)
+		var dCrash, dByz float64
+		for c := 0; c < joint.Rows(); c++ {
+			okRow, next := ok[c*w:], ok[(c+1)*w:]
+			for b, m := range joint.Row(c) {
+				dCrash += m * (next[b] - okRow[b])
+				dByz += m * (okRow[b+1] - next[b])
+			}
+		}
+		dSL := dCrash + bf[i]*dByz
+		out[i] = -dSL * p.Curves[i].DProb(x[i]) / u
+	}
+}
+
 // gradProblem builds an n-node hardening problem from per-node base
 // profiles drawn by draw.
 func gradProblem(n int, pbft bool, draw func(i int) faultcurve.Profile) HardeningProblem {
+	var m core.CountModel = core.NewRaft(n)
+	if pbft {
+		m = core.NewPBFTForN(n)
+	}
+	return gradProblemFor(m, draw)
+}
+
+// gradProblemFor is gradProblem for any model, sized by m.N().
+func gradProblemFor(m core.CountModel, draw func(i int) faultcurve.Profile) HardeningProblem {
+	n := m.N()
 	fleet := make(core.Fleet, n)
 	curves := make([]faultcurve.Response, n)
 	for i := range fleet {
@@ -64,19 +124,19 @@ func gradProblem(n int, pbft bool, draw func(i int) faultcurve.Profile) Hardenin
 		fleet[i] = core.Node{Profile: prof}
 		curves[i] = faultcurve.HardeningResponse(prof.PFail(), 0.1, 0.5)
 	}
-	var m core.CountModel = core.NewRaft(n)
-	if pbft {
-		m = core.NewPBFTForN(n)
-	}
 	return HardeningProblem{Fleet: fleet, Model: m, Curves: curves, Budget: 1}
 }
 
-// TestGradKernelMatchesOracle compares the table-driven gradient with the
-// closure-based one it replaced, coordinate by coordinate to 1e-12
-// relative, across the branches of both: the Byzantine term (PBFT), crash-
-// only raft, the sizes from one node up, a node under dist's deflation
-// threshold (the rebuild fallback), a certainly-failing node, and fleets
-// with no Byzantine mass at all.
+// TestGradKernelMatchesOracle compares the region-boundary gradient with
+// the table kernel it replaced, coordinate by coordinate with ==, and with
+// the closure-based gradient before that to 1e-12 relative, across the
+// branches of all three: the Byzantine term (PBFT), crash-only raft, the
+// sizes from one node up, a node under dist's deflation threshold (the
+// rebuild fallback), a certainly-failing node, fleets with no Byzantine
+// mass at all, and the quorums /v1/optimize accepts — random Raft (QPer,
+// QVC) and PBFT (QEq, QPer, QVC, QVCT) sizings, an unsafe Raft sizing
+// whose safe-and-live region is empty (gradient exactly 0 at U = 1) and a
+// PBFT sizing whose Byzantine bound is at least its faulty bound.
 func TestGradKernelMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mixed := func(int) faultcurve.Profile {
@@ -110,6 +170,35 @@ func TestGradKernelMatchesOracle(t *testing.T) {
 			return crash(i)
 		})},
 	)
+	unsafeRaft := core.Raft{NNodes: 6, QPer: 2, QVC: 3}
+	wideByz := core.PBFT{NNodes: 7, QEq: 6, QPer: 6, QVC: 6, QVCT: 3}
+	if safe, _ := unsafeRaft.Regions(); safe.Byz >= 0 {
+		t.Fatalf("%s has a non-empty safe region %+v", unsafeRaft.Name(), safe)
+	}
+	safe, live := wideByz.Regions()
+	if r := safe.Intersect(live); r.Faulty < 0 || r.Byz < r.Faulty {
+		t.Fatalf("%s: safe-and-live region %+v is empty or has β < κ", wideByz.Name(), r)
+	}
+	problems = append(problems,
+		problem{"unsafe raft sizing", gradProblemFor(unsafeRaft, mixed)},
+		problem{"pbft sizing with β >= κ", gradProblemFor(wideByz, mixed)},
+	)
+	for k := 0; k < 40; k++ {
+		n := 1 + rng.Intn(12)
+		if k%10 == 0 {
+			n = 25
+		}
+		q := func() int { return 1 + rng.Intn(n) }
+		var m core.CountModel = core.Raft{NNodes: n, QPer: q(), QVC: q()}
+		if k%2 == 1 {
+			m = core.PBFT{NNodes: n, QEq: q(), QPer: q(), QVC: q(), QVCT: q()}
+		}
+		draw := mixed
+		if k%4 == 2 {
+			draw = crash
+		}
+		problems = append(problems, problem{fmt.Sprintf("random %s", m.Name()), gradProblemFor(m, draw)})
+	}
 	for _, tc := range problems {
 		if err := tc.p.Validate(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -117,7 +206,7 @@ func TestGradKernelMatchesOracle(t *testing.T) {
 		n := len(tc.p.Fleet)
 		obj := tc.p.Objective()
 		var loo dist.LeaveOneOut
-		got, want := make([]float64, n), make([]float64, n)
+		got, ref, want := make([]float64, n), make([]float64, n), make([]float64, n)
 		for trial := 0; trial < 4; trial++ {
 			// Spend 0 on the first trial (base probabilities, where the
 			// special nodes are special), a random split after.
@@ -126,10 +215,24 @@ func TestGradKernelMatchesOracle(t *testing.T) {
 				x[i] = float64(min(trial, 1)) * rng.Float64() * tc.p.Budget / float64(n)
 			}
 			obj.Grad(x, got)
+			refHardeningGrad(tc.p, &loo, x, ref)
 			oracleGrad(tc.p, &loo, x, want)
 			for i := range want {
+				if got[i] != ref[i] {
+					t.Errorf("%s trial %d coord %d: %v, table kernel %v", tc.name, trial, i, got[i], ref[i])
+				}
 				if diff := math.Abs(got[i] - want[i]); !(diff <= 1e-12*math.Abs(want[i])) {
 					t.Errorf("%s trial %d coord %d: %v, oracle %v (relative Δ %.3g)", tc.name, trial, i, got[i], want[i], diff/math.Abs(want[i]))
+				}
+			}
+			if tc.p.Model == core.CountModel(unsafeRaft) {
+				if u := logUnavail(tc.p.Eval(x)); u != 0 {
+					t.Errorf("%s: ln U = %v, want 0 (U = 1)", tc.name, u)
+				}
+				for i, g := range got {
+					if g != 0 {
+						t.Errorf("%s trial %d coord %d: %v, want exactly 0", tc.name, trial, i, g)
+					}
 				}
 			}
 		}
@@ -173,8 +276,9 @@ func TestGradAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkHardeningGrad times one analytic gradient — a DP build plus N
-// deflations and indicator sums — at the served size and at a large one.
+// BenchmarkHardeningGrad times one analytic gradient — a DP build, the
+// objective's region sum, and per coordinate one deflation and the two
+// O(N) boundary sums — at the served size and at a large one.
 func BenchmarkHardeningGrad(b *testing.B) {
 	for _, n := range []int{5, 25} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -189,36 +189,28 @@ func (p HardeningProblem) Objective() Objective {
 // hardeningGrad is the analytic gradient of an independent fleet's
 // objective together with everything it reuses from call to call. One is
 // built per Objective, so a solve — whose gradient calls are sequential —
-// pays for the tables once and allocates nothing per call. Not safe for
-// concurrent use.
+// pays for its workspaces once and allocates nothing per call. Not safe
+// for concurrent use.
 type hardeningGrad struct {
 	curves []faultcurve.Response
 	bf     []float64       // per-node Byzantine share of the fault mass
 	nodes  []dist.TriState // the hardened fleet at the current x
 	loo    dist.LeaveOneOut
-	// ok is the safe-and-live indicator as a (n+2)×(n+2) row-major table of
-	// 0/1 floats: ok[c*(n+2)+b] for c+b <= n, 0 beyond — the margin lets
-	// the kernel read ok(c+1, b) and ok(c, b+1) without bounds tests.
-	ok []float64
+	// ok is the model's safe-and-live region {b <= β, c + b <= κ}.
+	ok dist.Region
 }
 
 func newHardeningGrad(p HardeningProblem) *hardeningGrad {
 	n := len(p.Fleet)
+	safe, live := p.Model.Regions()
 	g := &hardeningGrad{
 		curves: p.Curves,
 		bf:     make([]float64, n),
 		nodes:  make([]dist.TriState, n),
-		ok:     make([]float64, (n+2)*(n+2)),
+		ok:     safe.Intersect(live),
 	}
 	for i, node := range p.Fleet {
 		g.bf[i] = byzFraction(node.Profile)
-	}
-	for c := 0; c <= n; c++ {
-		for b := 0; c+b <= n; b++ {
-			if p.Model.Safe(c, b) && p.Model.Live(c, b) {
-				g.ok[c*(n+2)+b] = 1
-			}
-		}
 	}
 	return g
 }
@@ -232,41 +224,45 @@ func newHardeningGrad(p HardeningProblem) *hardeningGrad {
 //	  = Σ J_{-i}·(ok(c+1,b) - ok(c,b)) + bf_i · Σ J_{-i}·(ok(c,b+1) - ok(c+1,b))
 //
 // where J_{-i} is the exact joint DP over the other nodes and ok is the
-// safe-and-live indicator. The second form is the one computed: two
-// multiply-adds per cell over differences of table entries, which are
-// exactly zero away from the indicator's boundary, so the sums carry no
-// cancellation between O(1) masses however small the derivative is. The
-// chain rule through the response curve and the log wrapper finishes the
-// job.
+// indicator of the safe-and-live region {b <= β, c + b <= κ}. Both
+// differences vanish except on the region's boundary, where they are −1:
+// ok(c+1,b) − ok(c,b) on the faulty edge c + b = κ (b <= β), and
+// ok(c,b+1) − ok(c+1,b) on the Byzantine edge b = β (c + b < κ). So
+//
+//	dCrash = −Σ_c J_{-i}(c, κ−c)   over 0 <= κ−c <= β,
+//	dByz   = −Σ_c J_{-i}(c, β)     over c <= κ−β−1,
+//
+// O(N) reads per coordinate, c ascending — the nonzero terms of the
+// cell-by-cell sum in its order, so the result is the same to the bit
+// (TestGradKernelMatchesOracle). Neither sum subtracts O(1) masses, so
+// there is no cancellation however small the derivative is. The chain rule
+// through the response curve and the log wrapper finishes the job.
 //
 // J_{-i} comes from the leave-one-out state: one O(N^3) DP build of the
 // full hardened fleet, then an O(N^2) deflation per coordinate — the whole
 // gradient costs asymptotically one analysis. The full table also yields
-// the objective value, so no separate engine run is needed.
+// the objective value, its region sum, so no separate engine run is
+// needed.
 func (g *hardeningGrad) grad(x, out []float64) {
-	w := len(g.nodes) + 2
 	for i, c := range g.curves {
 		p := c.Prob(x[i])
 		g.nodes[i] = dist.TriState{PCrash: p * (1 - g.bf[i]), PByz: p * g.bf[i]}
 	}
 	g.loo.Reset(g.nodes)
-	var safeAndLive dist.KahanSum
-	full := g.loo.Full()
-	for c := 0; c < full.Rows(); c++ {
-		ok := g.ok[c*w:]
-		for b, m := range full.Row(c) {
-			safeAndLive.Add(m * ok[b])
-		}
-	}
-	u := math.Max(1-dist.Clamp01(safeAndLive.Sum()), unavailFloor)
+	u := math.Max(1-dist.Clamp01(g.loo.Full().RegionSum(g.ok)), unavailFloor)
+	beta, kappa := g.ok.Byz, g.ok.Faulty
 	for i := range g.nodes {
 		joint := g.loo.Without(i)
-		var dCrash, dByz float64 // Σ m·(ok(c+1,b)-ok(c,b)), Σ m·(ok(c,b+1)-ok(c+1,b))
-		for c := 0; c < joint.Rows(); c++ {
-			ok, next := g.ok[c*w:], g.ok[(c+1)*w:]
-			for b, m := range joint.Row(c) {
-				dCrash += m * (next[b] - ok[b])
-				dByz += m * (ok[b+1] - next[b])
+		rows := joint.Rows()
+		var dCrash, dByz float64
+		for c := max(0, kappa-beta); c <= kappa && c < rows; c++ {
+			if row := joint.Row(c); kappa-c < len(row) {
+				dCrash -= row[kappa-c]
+			}
+		}
+		for c := 0; beta >= 0 && c < kappa-beta && c < rows; c++ {
+			if row := joint.Row(c); beta < len(row) {
+				dByz -= row[beta]
 			}
 		}
 		dSL := dCrash + g.bf[i]*dByz

@@ -127,6 +127,18 @@ var tailFuzzSeeds = []string{
 	`{"model":{"protocol":"raft","n":5},"p":1.5,"event":"not_live"}`,
 	`{"event":"not_live"}`,
 	`not json`,
+	// Hostile fleets and odd sizings, for the kMin referee: no fault mass
+	// at all, crash-only and Byzantine-only nodes beside a zero-mass one, a
+	// certainly-crashing node, an unsafe Raft sizing (empty safe region), a
+	// PBFT sizing whose Byzantine bound exceeds its faulty bound, and one
+	// with several Byzantine columns.
+	`{"model":{"protocol":"raft","n":3},"p":0,"event":"not_live","method":"importance"}`,
+	`{"model":{"protocol":"pbft","n":4},"fleet":[{"p_crash":0.01},{"p_crash":0.02},{"p_byz":0.001},{}],"event":"not_ok"}`,
+	`{"model":{"protocol":"pbft","n":4},"fleet":[{"p_byz":0.01},{"p_byz":0.02},{},{}],"event":"unsafe","method":"importance"}`,
+	`{"model":{"protocol":"raft","n":3},"fleet":[{"p_crash":1},{},{}],"event":"not_live"}`,
+	`{"model":{"protocol":"raft","n":6,"q_per":2,"q_vc":3},"p":0.01,"event":"unsafe"}`,
+	`{"model":{"protocol":"pbft","n":7,"q_eq":6,"q_per":6,"q_vc":6,"q_vct":3},"p":0.01,"event":"not_ok","method":"importance"}`,
+	`{"model":{"protocol":"pbft","n":9,"q_eq":5,"q_per":5,"q_vc":5,"q_vct":2},"fleet":[{"p_byz":0.01},{"p_byz":0.01},{"p_byz":0.01},{"p_crash":0.01},{},{},{},{},{}],"event":"not_live"}`,
 }
 
 func FuzzTailRequest(f *testing.F) {
@@ -164,6 +176,11 @@ func FuzzTailRequest(f *testing.F) {
 		}
 		if plan.seed == 0 {
 			t.Fatalf("accepted plan with unseeded sampler")
+		}
+		// The closed-form minimal count against the scan it replaced,
+		// through the event's predicate as the model states it.
+		if want := refMinEventCount(plan.query.fleet, refTailPred(plan.query.model, plan.event)); plan.kMin != want {
+			t.Fatalf("plan kMin %d, scan %d", plan.kMin, want)
 		}
 		switch plan.resolved {
 		case MethodImportance:

@@ -87,50 +87,50 @@ type TailResponse struct {
 	Cached           bool    `json:"cached"`
 }
 
-// tailPred maps the event name onto the model's predicates.
-func tailPred(m core.CountModel, event string) montecarlo.TriPred {
+// eventRegion is the count region whose complement is the event: the
+// model's safe region for unsafe, its live region for not_live, their
+// intersection for not_ok.
+func eventRegion(m core.CountModel, event string) dist.Region {
+	safe, live := m.Regions()
 	switch event {
 	case EventUnsafe:
-		return func(c, b int) bool { return !m.Safe(c, b) }
+		return safe
 	case EventNotLive:
-		return func(c, b int) bool { return !m.Live(c, b) }
+		return live
 	default: // EventNotOK; validated upstream
-		return func(c, b int) bool { return !(m.Safe(c, b) && m.Live(c, b)) }
+		return safe.Intersect(live)
 	}
 }
 
-// minEventCount scans the achievable failure configurations for the
-// smallest total failure count that triggers the event, or -1 if no
-// achievable configuration does (the event then has exact probability 0,
-// and the sampler would only burn its budget confirming it). A
-// configuration (c, b) is achievable iff c crash-capable and b
-// Byzantine-capable nodes can be chosen disjointly; shocks only multiply
-// probabilities, so a node with zero mass stays at zero.
-func minEventCount(fleet core.Fleet, pred montecarlo.TriPred) int {
-	var nCrash, nByz, nEither int
+// minEventCount is the smallest total failure count of an achievable
+// configuration outside r — one that triggers the event — or -1 if there
+// is none (the event then has exact probability 0, and the sampler would
+// only burn its budget confirming it). A configuration (c, b) is
+// achievable iff c crash-capable and b Byzantine-capable nodes can be
+// chosen disjointly; shocks only multiply probabilities, so a node with
+// zero mass stays at zero. Leaving r = {b <= β, c + b <= κ} takes either
+// κ + 1 faulty nodes, achievable iff that many nodes have any fault mass,
+// or β + 1 Byzantine ones, achievable iff that many have Byzantine mass;
+// an empty r is left by (0, 0).
+func minEventCount(fleet core.Fleet, r dist.Region) int {
+	if r.Byz < 0 || r.Faulty < 0 {
+		return 0
+	}
+	var nByz, nEither int
 	for _, node := range fleet {
-		pc, pb := node.Profile.PCrash > 0, node.Profile.PByz > 0
-		if pc {
-			nCrash++
-		}
-		if pb {
+		if node.Profile.PByz > 0 {
 			nByz++
 		}
-		if pc || pb {
+		if node.Profile.PCrash > 0 || node.Profile.PByz > 0 {
 			nEither++
 		}
 	}
-	n := len(fleet)
 	best := -1
-	for c := 0; c <= n; c++ {
-		for b := 0; b+c <= n; b++ {
-			if c > nCrash || b > nByz || c+b > nEither {
-				continue
-			}
-			if pred(c, b) && (best == -1 || c+b < best) {
-				best = c + b
-			}
-		}
+	if r.Faulty+1 <= nEither {
+		best = r.Faulty + 1
+	}
+	if r.Byz+1 <= nByz && (best == -1 || r.Byz+1 < best) {
+		best = r.Byz + 1
 	}
 	return best
 }
@@ -189,13 +189,14 @@ func planTail(req TailRequest) (tailPlan, error) {
 	if err != nil {
 		return plan, badRequest(err)
 	}
-	pred := tailPred(m, req.Event)
+	r := eventRegion(m, req.Event)
+	pred := func(c, b int) bool { return !r.Holds(c, b) }
 	n := len(fleet)
 	estimate := core.DomainsWorkEstimate(fleet, domains)
 
-	// Impossible events answer exactly, whatever the method: the scan is
-	// O(n^2) and the alternative is a sampler that cannot hit.
-	kMin := minEventCount(fleet, pred)
+	// Impossible events answer exactly, whatever the method: the count is
+	// O(n) and the alternative is a sampler that cannot hit.
+	kMin := minEventCount(fleet, r)
 
 	// Dispatch.
 	resolved := method

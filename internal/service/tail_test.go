@@ -2,15 +2,107 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/faultcurve"
 )
+
+// refTailPred and refMinEventCount are the event predicates and the
+// minimal-count scan eventRegion and the closed-form minEventCount
+// replaced, kept as their oracles: the event through the model's Safe /
+// Live per cell, and every achievable (c, b) scanned for the smallest
+// c + b that triggers it.
+func refTailPred(m core.CountModel, event string) func(c, b int) bool {
+	switch event {
+	case EventUnsafe:
+		return func(c, b int) bool { return !m.Safe(c, b) }
+	case EventNotLive:
+		return func(c, b int) bool { return !m.Live(c, b) }
+	default:
+		return func(c, b int) bool { return !(m.Safe(c, b) && m.Live(c, b)) }
+	}
+}
+
+func refMinEventCount(fleet core.Fleet, pred func(c, b int) bool) int {
+	var nCrash, nByz, nEither int
+	for _, node := range fleet {
+		pc, pb := node.Profile.PCrash > 0, node.Profile.PByz > 0
+		if pc {
+			nCrash++
+		}
+		if pb {
+			nByz++
+		}
+		if pc || pb {
+			nEither++
+		}
+	}
+	n := len(fleet)
+	best := -1
+	for c := 0; c <= n; c++ {
+		for b := 0; b+c <= n; b++ {
+			if c > nCrash || b > nByz || c+b > nEither {
+				continue
+			}
+			if pred(c, b) && (best == -1 || c+b < best) {
+				best = c + b
+			}
+		}
+	}
+	return best
+}
+
+// TestMinEventCountMatchesRef pins the event regions and the closed-form
+// minimal count to the predicate closures and the O(n²) scan, on 20 000
+// random fleets × the three events: Raft and PBFT with every quorum drawn
+// from [1, n] (so empty, vacuous and β >= κ regions all occur), fleets
+// mixing zero-mass, crash-only, Byzantine-only and certainly-failing nodes.
+func TestMinEventCountMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	profiles := []func() faultcurve.Profile{
+		func() faultcurve.Profile { return faultcurve.Profile{} },
+		func() faultcurve.Profile { return faultcurve.Profile{PCrash: 0.1 * rng.Float64()} },
+		func() faultcurve.Profile { return faultcurve.Profile{PByz: 0.1 * rng.Float64()} },
+		func() faultcurve.Profile {
+			return faultcurve.Profile{PCrash: 0.1 * rng.Float64(), PByz: 0.01 * rng.Float64()}
+		},
+		func() faultcurve.Profile { return faultcurve.Profile{PCrash: 1} },
+	}
+	for iter := 0; iter < 20_000; iter++ {
+		n := 1 + rng.Intn(16)
+		fleet := make(core.Fleet, n)
+		kinds := 1 + rng.Intn(len(profiles))
+		for i := range fleet {
+			fleet[i].Profile = profiles[rng.Intn(kinds)]()
+		}
+		q := func() int { return 1 + rng.Intn(n) }
+		var m core.CountModel = core.Raft{NNodes: n, QPer: q(), QVC: q()}
+		if iter%2 == 1 {
+			m = core.PBFT{NNodes: n, QEq: q(), QPer: q(), QVC: q(), QVCT: q()}
+		}
+		for _, event := range []string{EventNotLive, EventUnsafe, EventNotOK} {
+			r, ref := eventRegion(m, event), refTailPred(m, event)
+			for c := 0; c <= n; c++ {
+				for b := 0; c+b <= n; b++ {
+					if r.Holds(c, b) != !ref(c, b) {
+						t.Fatalf("%s %s: region %+v at (%d, %d) disagrees with the predicate", m.Name(), event, r, c, b)
+					}
+				}
+			}
+			if got, want := minEventCount(fleet, r), refMinEventCount(fleet, ref); got != want {
+				t.Fatalf("%s %s fleet %s: minEventCount %d, scan %d", m.Name(), event, fmt.Sprint(fleet.Profiles()), got, want)
+			}
+		}
+	}
+}
 
 // TestTailDeepTailAcceptance is the PR's acceptance criterion: a ~1e-10
 // deep-tail query answered within a configured work bound, with the
