@@ -445,8 +445,8 @@ func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 // TestEvaluatorDomainsLargeFleet exercises the correlated path at the
 // sizes the ROADMAP called a wall: the dispatcher prices an N=256, D=8
 // layout far under the serving work bound, and an N=128 query stream runs
-// the parallel row-split (width >= dist.ParallelRowThreshold) with the
-// incremental follow-up answered from rest tables with zero new builds.
+// its block convolutions cold, with the incremental follow-up answered
+// from rest tables with zero new builds.
 func TestEvaluatorDomainsLargeFleet(t *testing.T) {
 	mkFleet := func(n, d int) (Fleet, DomainSet) {
 		fleet := make(Fleet, n)

@@ -152,9 +152,10 @@ func blockTriStates(fleet Fleet, idxs []int, elevate *faultcurve.Domain) []dist.
 }
 
 // defaultEvaluators backs the package-level entry points: every call
-// borrows a pooled Evaluator, so package callers (including the serving
-// layer's default AnalyzeFunc) share warm workspaces and the correlated-
-// domain block cache instead of allocating fresh state per query.
+// borrows a pooled Evaluator, so package callers (the serving layer's
+// default AnalyzeFunc and the optimizer's objectives) share warm
+// workspaces and the correlated-domain block cache instead of allocating
+// fresh state per query.
 var defaultEvaluators = NewEvaluatorPool()
 
 // AnalyzeDomains computes the exact Result of a fleet whose nodes belong

@@ -19,4 +19,7 @@
 // convex mixtures (conditioning on a shock) and ConvolveJointCrashByz adds
 // counts of independent groups — the two operations the correlated
 // failure-domain engine in internal/core is built from.
+//
+// Every kernel runs on its caller's goroutine and starts none: a server's
+// engine parallelism is its bounded worker slots, one query per slot.
 package dist

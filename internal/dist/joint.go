@@ -123,6 +123,11 @@ var (
 		"From-scratch DPs over a fleet: joint crash/Byzantine table builds and count-region passes (one per domain-free analysis).", nil)
 	workspaceReuses = obs.Default().Counter("probcons_engine_workspace_reuses_total",
 		"DP builds (joint tables and region passes) served entirely from existing workspace buffers (no allocation).", nil)
+	// Block convolutions no longer split their rows (DESIGN.md "Engine
+	// concurrency"), so this family is constantly 0. The frozen benchmark
+	// scrapes it and fails on a missing sample, so it stays registered.
+	_ = obs.Default().Counter("probcons_engine_parallel_folds_total",
+		"Retired (block convolutions run serially; constantly 0); kept until the benchmark manifest drops dist.parallel_folds_per_req.", nil)
 )
 
 // JointBuilds returns the number of from-scratch DPs over a fleet (joint

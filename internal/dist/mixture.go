@@ -66,50 +66,25 @@ func ConvolveJointCrashByz(a, b *JointCrashByz) *JointCrashByz {
 }
 
 // ConvolveJointCrashByzInto convolves a and b into dst, reusing dst's
-// buffer. dst must not alias a or b. The accumulation is written in gather
-// form — each output cell is one compensated sum over its (ca, ba) sources
-// in ascending order — so the table splits across the bounded dist worker
-// group above ParallelRowThreshold rows with bit-identical results, and
-// serial runs match the historical scatter-form accumulation bit for bit.
+// buffer, on the calling goroutine. dst must not alias a or b. The
+// accumulation is written in gather form — each output cell is one
+// compensated sum over its (ca, ba) sources in ascending order — and
+// matches the historical scatter-form accumulation bit for bit.
 func ConvolveJointCrashByzInto(dst *JointCrashByz, a, b *JointCrashByz) {
-	workers := 1
-	if a.n+b.n+1 >= ParallelRowThreshold { // small tables never ask: GOMAXPROCS takes the scheduler lock
-		workers = jointWorkers()
-	}
-	convolveInto(dst, a, b, workers)
-}
-
-// convolveInto is ConvolveJointCrashByzInto with the worker count of the
-// row split given (1 forces serial execution: the bit-identity tests diff
-// serial against parallel convolutions). Tables under ParallelRowThreshold
-// rows stay serial whatever the count.
-func convolveInto(dst, a, b *JointCrashByz, workers int) {
 	n := a.n + b.n
-	w := n + 1
 	dst.band.resetDense(n)
 	dst.n = n
-	if workers > 1 && w >= ParallelRowThreshold {
-		// Branch-local copies so only the large-N path pays the closure's
-		// heap escapes; the serial path below stays allocation-free.
-		dp, ap, bp := dst.p, a.p, b.p
-		an, bn := a.n, b.n
-		splitRows(w, workers, func(lo, hi int) {
-			convolveRows(dp, ap, bp, an, bn, lo, hi)
-		})
-	} else {
-		convolveRows(dst.p, a.p, b.p, a.n, b.n, 0, w)
-	}
+	convolveRows(dst.p, a.p, b.p, a.n, b.n)
 }
 
-// convolveRows computes output rows [lo, hi) of the convolution of joint
-// tables ap (over an nodes) and bp (over bn nodes) into dp, which the
-// caller has reset (out-of-triangle cells are already zero). Each output
-// cell is one compensated sum over its (ca, ba) sources in ascending order.
-func convolveRows(dp, ap, bp []float64, an, bn, lo, hi int) {
+// convolveRows computes the convolution of joint tables ap (over an nodes)
+// and bp (over bn nodes) into dp, which the caller has reset
+// (out-of-triangle cells are already zero).
+func convolveRows(dp, ap, bp []float64, an, bn int) {
 	n := an + bn
 	w := n + 1
 	wa, wb := an+1, bn+1
-	for c := lo; c < hi; c++ {
+	for c := 0; c < w; c++ {
 		out := dp[c*w : (c+1)*w]
 		bMaxRow := n - c
 		caLo := c - bn

@@ -1,23 +1,21 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 )
 
-// TestJointParallelBitIdentical pins that the process's parallelism — the
-// row split's worker count derives from GOMAXPROCS — cannot perturb a
-// Reset: builds under GOMAXPROCS 1 and 4 are bit-for-bit identical at
-// sizes straddling ParallelRowThreshold. Reset's folds are serial since
-// the band-limited kernel (a split fold lost to fan-out cost), so this
-// holds by construction; the test stays so any future fold split must keep
-// every other equality pin in the repo free to ignore parallelism. The
-// split that remains is the block convolution's, pinned by
-// TestConvolveParallelBitIdentical below.
+// TestJointParallelBitIdentical pins that the process's parallelism cannot
+// perturb a Reset: builds under GOMAXPROCS 1 and 4 are bit-for-bit
+// identical. Every dist kernel runs on its caller's goroutine (DESIGN.md
+// "Engine concurrency"), so this holds by construction; the test stays so
+// any future split must keep every other equality pin in the repo free to
+// ignore parallelism.
 func TestJointParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{ParallelRowThreshold - 2, ParallelRowThreshold + 1, 200} {
+	for _, n := range []int{126, 129, 200} {
 		nodes := randomTriStatesCapped(rng, n, 0.3)
 
 		prev := runtime.GOMAXPROCS(1)
@@ -35,27 +33,6 @@ func TestJointParallelBitIdentical(t *testing.T) {
 				if s != p {
 					t.Fatalf("n=%d: Reset PMF(%d,%d) differs: serial %v parallel %v", n, c, b, s, p)
 				}
-			}
-		}
-	}
-}
-
-func TestConvolveParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	na, nb := 90, 80 // combined table has 171 rows, above the threshold
-	a := NewJointCrashByz(randomTriStatesCapped(rng, na, 0.3))
-	b := NewJointCrashByz(randomTriStatesCapped(rng, nb, 0.3))
-
-	var serial, parallel JointCrashByz
-	convolveInto(&serial, a, b, 1)
-	convolveInto(&parallel, a, b, 4)
-
-	n := na + nb
-	for c := 0; c <= n; c++ {
-		for bb := 0; c+bb <= n; bb++ {
-			s, p := serial.PMF(c, bb), parallel.PMF(c, bb)
-			if s != p {
-				t.Fatalf("convolve PMF(%d,%d) differs: serial %v parallel %v", c, bb, s, p)
 			}
 		}
 	}
@@ -142,32 +119,22 @@ func TestMixIntoMatchesAllocating(t *testing.T) {
 	}
 }
 
-// TestSetParallelism pins the contract the bit-identity test above relies
-// on — the worker count handed to convolveInto decides whether the rows
-// fan out (else it would diff serial against serial) — and the bounds of
-// the default ConvolveJointCrashByzInto passes.
-func TestSetParallelism(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	a := NewJointCrashByz(randomTriStatesCapped(rng, 90, 0.3))
-	b := NewJointCrashByz(randomTriStatesCapped(rng, 80, 0.3))
-	small := NewJointCrashByz(randomTriStatesCapped(rng, 5, 0.3))
-	var dst JointCrashByz
-	for _, tc := range []struct {
-		a, b    *JointCrashByz
-		workers int
-		folds   int64
-	}{
-		{a, b, 1, 0},         // one worker: serial
-		{a, b, 4, 1},         // 171 rows across 4 workers
-		{small, small, 4, 0}, // below ParallelRowThreshold: serial whatever the count
-	} {
-		before := parallelFolds.Load()
-		convolveInto(&dst, tc.a, tc.b, tc.workers)
-		if got := parallelFolds.Load() - before; got != tc.folds {
-			t.Errorf("N=%d+%d with %d workers: %d parallel folds, want %d", tc.a.N(), tc.b.N(), tc.workers, got, tc.folds)
-		}
-	}
-	if got := jointWorkers(); got < 1 || got > maxJointWorkers {
-		t.Fatalf("jointWorkers() = %d, want in [1, %d]", got, maxJointWorkers)
+// BenchmarkConvolve times one block convolution into a warm destination:
+// two equal groups of 64 and of 128 nodes (129 and 257 output rows), the
+// mixture engine's whole-triangle recombination step.
+func BenchmarkConvolve(b *testing.B) {
+	for _, n := range []int{64, 128} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		x := NewJointCrashByz(randomTriStatesCapped(rng, n, 0.3))
+		y := NewJointCrashByz(randomTriStatesCapped(rng, n, 0.3))
+		b.Run(fmt.Sprintf("N=%d+%d", n, n), func(b *testing.B) {
+			var dst JointCrashByz
+			ConvolveJointCrashByzInto(&dst, x, y)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ConvolveJointCrashByzInto(&dst, x, y)
+			}
+		})
 	}
 }

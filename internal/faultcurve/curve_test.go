@@ -210,37 +210,3 @@ func TestScaledAndShifted(t *testing.T) {
 		t.Error("shifted FailProb mismatch")
 	}
 }
-
-func TestMixture(t *testing.T) {
-	good := FromAFR(0.01)
-	bad := FromAFR(0.20)
-	m, err := NewMixture([]float64{3, 1}, []Curve{good, bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Population one-year failure = 0.75*0.01 + 0.25*0.20.
-	want := 0.75*0.01 + 0.25*0.20
-	if got := FailProb(m, 0, HoursPerYear); !almostEq(got, want, 1e-9) {
-		t.Errorf("mixture one-year fail %v, want %v", got, want)
-	}
-	// Population hazard decreases as the bad units die off (classic
-	// frailty-mixture effect).
-	if !(m.Hazard(20*HoursPerYear) < m.Hazard(0.1*HoursPerYear)) {
-		t.Error("mixture hazard should decrease as frail units fail out")
-	}
-	if m.CumHazard(0) != 0 {
-		t.Error("mixture CumHazard(0) must be 0")
-	}
-}
-
-func TestMixtureValidation(t *testing.T) {
-	if _, err := NewMixture([]float64{1}, []Curve{FromAFR(0.1), FromAFR(0.2)}); err == nil {
-		t.Error("mismatched lengths must be rejected")
-	}
-	if _, err := NewMixture(nil, nil); err == nil {
-		t.Error("empty mixture must be rejected")
-	}
-	if _, err := NewMixture([]float64{0, 1}, []Curve{FromAFR(0.1), FromAFR(0.2)}); err == nil {
-		t.Error("zero weight must be rejected")
-	}
-}

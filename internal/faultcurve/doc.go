@@ -3,8 +3,8 @@
 // A fault curve captures the unique, time-dependent fault profile of a
 // server. The package provides the hazard-rate models the reliability
 // literature uses for hardware (constant/AFR, Weibull, the disk "bathtub"
-// curve, piecewise rollout spikes), population mixtures, common-cause
-// correlation shocks (§2(3)), and the tri-state crash/Byzantine split
+// curve, piecewise rollout spikes), common-cause correlation shocks
+// (§2(3)), and the tri-state crash/Byzantine split
 // (§2(4): most faults are crashes, a small fraction — e.g. Google's ~0.01%
 // mercurial-core rate vs a 4% AFR — are effectively Byzantine).
 //

@@ -181,62 +181,3 @@ func (s Shifted) Hazard(t float64) float64 { return s.Base.Hazard(t + s.Offset) 
 func (s Shifted) CumHazard(t float64) float64 {
 	return s.Base.CumHazard(t+s.Offset) - s.Base.CumHazard(s.Offset)
 }
-
-// Mixture models a population drawn from several sub-populations (e.g. two
-// manufacturers with different curves, §2(1)). The survival function is the
-// weighted mix of component survivals; the reported CumHazard is the
-// population hazard -ln(S(t)).
-type Mixture struct {
-	Weights []float64
-	Curves  []Curve
-}
-
-// NewMixture validates weights (must be positive; they are normalised).
-func NewMixture(weights []float64, curves []Curve) (Mixture, error) {
-	if len(weights) != len(curves) || len(curves) == 0 {
-		return Mixture{}, fmt.Errorf("faultcurve: mixture needs matching non-empty weights/curves, got %d/%d", len(weights), len(curves))
-	}
-	var sum float64
-	for i, w := range weights {
-		if w <= 0 {
-			return Mixture{}, fmt.Errorf("faultcurve: mixture weight %d is %v, must be > 0", i, w)
-		}
-		sum += w
-	}
-	norm := make([]float64, len(weights))
-	for i, w := range weights {
-		norm[i] = w / sum
-	}
-	return Mixture{Weights: norm, Curves: curves}, nil
-}
-
-func (m Mixture) survival(t float64) float64 {
-	var s float64
-	for i, c := range m.Curves {
-		s += m.Weights[i] * Survival(c, t)
-	}
-	return s
-}
-
-// CumHazard implements Curve.
-func (m Mixture) CumHazard(t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return -math.Log(m.survival(t))
-}
-
-// Hazard implements Curve via the mixture hazard
-// h(t) = sum_i w_i f_i(t) / sum_i w_i S_i(t).
-func (m Mixture) Hazard(t float64) float64 {
-	var num, den float64
-	for i, c := range m.Curves {
-		si := Survival(c, t)
-		num += m.Weights[i] * si * c.Hazard(t)
-		den += m.Weights[i] * si
-	}
-	if den == 0 {
-		return math.Inf(1)
-	}
-	return num / den
-}

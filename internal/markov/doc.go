@@ -11,7 +11,5 @@
 //
 // States at or beyond the protocol's tolerance are absorbing for the
 // mean-hitting-time computations. Expected hitting times solve a tridiagonal
-// linear system exactly (Thomas algorithm); the steady-state distribution of
-// the repairable (non-absorbing) chain solves the birth-death balance
-// equations in closed form.
+// linear system exactly (Thomas algorithm).
 package markov

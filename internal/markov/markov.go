@@ -90,56 +90,6 @@ func (m BirthDeath) MeanTimeToAbsorption(absorb int) (float64, error) {
 	return h[0], nil
 }
 
-// SteadyState returns the stationary distribution over 0..N failures of the
-// fully repairable chain (no absorption), via the closed-form birth-death
-// balance: pi[k+1]/pi[k] = lam_k/mu_{k+1}. Mu must be positive.
-func (m BirthDeath) SteadyState() ([]float64, error) {
-	if m.Mu <= 0 {
-		return nil, fmt.Errorf("markov: steady state needs mu > 0")
-	}
-	pi := make([]float64, m.N+1)
-	pi[0] = 1
-	for k := 0; k < m.N; k++ {
-		pi[k+1] = pi[k] * m.failRate(k) / m.repairRate(k+1)
-	}
-	var total float64
-	for _, p := range pi {
-		total += p
-	}
-	for k := range pi {
-		pi[k] /= total
-	}
-	return pi, nil
-}
-
-// UnavailabilityBeyond returns the steady-state probability of having at
-// least k simultaneous failures — the long-run fraction of time the system
-// spends outside a tolerance of k-1 faults.
-func (m BirthDeath) UnavailabilityBeyond(k int) (float64, error) {
-	pi, err := m.SteadyState()
-	if err != nil {
-		return 0, err
-	}
-	if k < 0 {
-		k = 0
-	}
-	var s float64
-	for i := k; i <= m.N; i++ {
-		s += pi[i]
-	}
-	return s, nil
-}
-
-// Availability is a convenience alias: the steady-state probability of
-// strictly fewer than k simultaneous failures.
-func (m BirthDeath) Availability(k int) (float64, error) {
-	u, err := m.UnavailabilityBeyond(k)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - u, nil
-}
-
 // NinesFromMTTDL converts a mean time to "something bad" and a mission
 // window into the nines of surviving the window, assuming the bad event is
 // (approximately) exponentially distributed at rate 1/MTTDL — the standard

@@ -109,72 +109,6 @@ func TestMeanTimeToAbsorptionBounds(t *testing.T) {
 	}
 }
 
-func TestSteadyStateSumsToOne(t *testing.T) {
-	m, _ := NewBirthDeath(6, 0.002, 0.05, 2)
-	pi, err := m.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, p := range pi {
-		total += p
-	}
-	if !almostEq(total, 1, 1e-12) {
-		t.Errorf("steady state sums to %v", total)
-	}
-	// Mass concentrates near 0 failures when mu >> lambda.
-	if pi[0] < 0.7 {
-		t.Errorf("pi[0]=%v, expected dominant", pi[0])
-	}
-	for k := 1; k < len(pi); k++ {
-		if pi[k] > pi[k-1] {
-			t.Errorf("pi must decrease when mu >> lambda: pi[%d]=%v > pi[%d]=%v", k, pi[k], k-1, pi[k-1])
-		}
-	}
-}
-
-func TestSteadyStateDetailedBalance(t *testing.T) {
-	m, _ := NewBirthDeath(4, 0.01, 0.2, 2)
-	pi, _ := m.SteadyState()
-	for k := 0; k < 4; k++ {
-		lhs := pi[k] * m.failRate(k)
-		rhs := pi[k+1] * m.repairRate(k+1)
-		if !almostEq(lhs, rhs, 1e-10) {
-			t.Errorf("detailed balance broken at %d: %v vs %v", k, lhs, rhs)
-		}
-	}
-}
-
-func TestSteadyStateRequiresRepair(t *testing.T) {
-	m, _ := NewBirthDeath(3, 0.01, 0, 1)
-	if _, err := m.SteadyState(); err == nil {
-		t.Error("mu=0 must reject steady state")
-	}
-}
-
-func TestAvailability(t *testing.T) {
-	m, _ := NewBirthDeath(5, 0.001, 0.1, 1)
-	u, err := m.UnavailabilityBeyond(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := m.Availability(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(u+a, 1, 1e-12) {
-		t.Errorf("u+a = %v", u+a)
-	}
-	full, _ := m.UnavailabilityBeyond(0)
-	if !almostEq(full, 1, 1e-12) {
-		t.Errorf("UnavailabilityBeyond(0) = %v, want 1", full)
-	}
-	neg, _ := m.UnavailabilityBeyond(-2)
-	if !almostEq(neg, 1, 1e-12) {
-		t.Errorf("negative k treated as 0, got %v", neg)
-	}
-}
-
 func TestNinesFromMTTDL(t *testing.T) {
 	// MTTDL = 100x window: P(survive) = exp(-0.01) ~ 0.99 -> ~2 nines.
 	n := NinesFromMTTDL(100, 1)

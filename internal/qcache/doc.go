@@ -10,4 +10,11 @@
 // computation — the other K-1 callers block on the first caller's result.
 // Failed computations are never cached, so transient errors do not poison
 // the cache.
+//
+// The same package carries the fleet tier: PeerServer serves a member's
+// cache to its peers and PeerClient routes a miss to the key's owner over
+// the PQL2 wire protocol, whose two ops are EXEC (the owner answers the
+// carried request, computing it under its own singleflight on a miss) and
+// GET (a cached value, never a compute). No op stores a value on a peer.
+// The -cache-dump file reuses the wire's key/value framing.
 package qcache

@@ -28,8 +28,6 @@ type L2Handler interface {
 	// L2Exec answers the serialized request in payload for key, computing
 	// under the local singleflight on a miss.
 	L2Exec(key string, payload []byte) ([]byte, error)
-	// L2Put offers a serialized value for key (best-effort warm).
-	L2Put(key string, val []byte) error
 }
 
 // rendezvousScore ranks peer as an owner for key — allocation-free and
@@ -56,7 +54,7 @@ type PeerOptions struct {
 }
 
 const (
-	// getTimeout bounds a GET or PUT round trip.
+	// getTimeout bounds a GET round trip.
 	getTimeout = 2 * time.Second
 	// execTimeout bounds an EXEC round trip, which may include the owner
 	// computing the answer: it matches the serving work bound.
@@ -175,12 +173,6 @@ func (c *PeerClient) Get(key string) (val []byte, ok bool, err error) {
 // status, which Exec should not produce; transport failures return err.
 func (c *PeerClient) Exec(key string, payload []byte) (val []byte, ok bool, err error) {
 	return c.roundTrip(OpExec, key, payload, execTimeout)
-}
-
-// Put offers the owner peer a value for key, best-effort.
-func (c *PeerClient) Put(key string, val []byte) error {
-	_, _, err := c.roundTrip(OpPut, key, val, getTimeout)
-	return err
 }
 
 func (c *PeerClient) roundTrip(op byte, key string, payload []byte, timeout time.Duration) ([]byte, bool, error) {
@@ -398,30 +390,22 @@ func (s *PeerServer) serveConn(c net.Conn) {
 	}
 }
 
-// dispatch answers one request frame. Handler errors become StatusError
-// with the message as the value, bounded to the entry size.
+// dispatch answers one request frame, a GET or an EXEC (ReadRequest
+// refuses every other op). Handler errors become StatusError with the
+// message as the value, bounded to the entry size.
 func (s *PeerServer) dispatch(op byte, key string, payload []byte) (byte, []byte) {
-	switch op {
-	case OpGet:
+	if op == OpGet {
 		val, ok := s.h.L2Get(key)
 		if !ok {
 			return StatusMiss, nil
 		}
 		return StatusOK, val
-	case OpExec:
-		val, err := s.h.L2Exec(key, payload)
-		if err != nil {
-			return StatusError, errVal(err)
-		}
-		return StatusOK, val
-	case OpPut:
-		if err := s.h.L2Put(key, payload); err != nil {
-			return StatusError, errVal(err)
-		}
-		return StatusOK, nil
-	default:
-		return StatusError, []byte(fmt.Sprintf("unknown op %d", op))
 	}
+	val, err := s.h.L2Exec(key, payload)
+	if err != nil {
+		return StatusError, errVal(err)
+	}
+	return StatusOK, val
 }
 
 func errVal(err error) []byte {

@@ -2,6 +2,8 @@ package qcache
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -37,13 +39,6 @@ func (h *mapHandler) L2Exec(key string, payload []byte) ([]byte, error) {
 	v := append([]byte("exec:"), payload...)
 	h.m[key] = v
 	return v, nil
-}
-
-func (h *mapHandler) L2Put(key string, val []byte) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.m[key] = append([]byte(nil), val...)
-	return nil
 }
 
 // startPeer serves h on a loopback listener and returns its address.
@@ -140,14 +135,16 @@ func TestPeerLoopbackGetPutExec(t *testing.T) {
 	key := peerKey(t, client, addr, "k")
 
 	if _, ok, err := client.Get(key); err != nil || ok {
-		t.Fatalf("get before put: ok=%v err=%v, want clean miss", ok, err)
+		t.Fatalf("get before the owner caches: ok=%v err=%v, want clean miss", ok, err)
 	}
-	if err := client.Put(key, []byte("cached-value")); err != nil {
-		t.Fatal(err)
-	}
+	// No peer can place a value on the owner (TestPeerServerRefusesPut):
+	// the owner's own cache fills it.
+	h.mu.Lock()
+	h.m[key] = []byte("cached-value")
+	h.mu.Unlock()
 	val, ok, err := client.Get(key)
 	if err != nil || !ok || string(val) != "cached-value" {
-		t.Fatalf("get after put: val=%q ok=%v err=%v", val, ok, err)
+		t.Fatalf("get after the owner cached: val=%q ok=%v err=%v", val, ok, err)
 	}
 
 	ekey := peerKey(t, client, addr, "exec")
@@ -214,6 +211,42 @@ func TestPeerServerRejectsBadHello(t *testing.T) {
 	}
 }
 
+// TestPeerServerRefusesPut: op 2, the retired PUT, is an unknown op. The
+// frame does not decode, and a server sent it closes the connection
+// without answering.
+func TestPeerServerRefusesPut(t *testing.T) {
+	put := []byte{2, 0, 3, 'k', 'e', 'y', 0, 0, 0, 1, 'v'}
+	if _, _, _, err := ReadRequest(bytes.NewReader(put)); !errors.Is(err, ErrWire) {
+		t.Fatalf("ReadRequest(op 2) err = %v, want ErrWire", err)
+	}
+
+	h := newMapHandler()
+	nc, err := net.Dial("tcp", startPeer(t, h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteHello(nc); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadHello(br); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(put); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := br.ReadByte(); err == nil {
+		t.Fatalf("server answered a PUT frame (first byte %d), want connection close", b)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.m) != 0 {
+		t.Fatalf("PUT frame stored %d entries on the owner", len(h.m))
+	}
+}
+
 func TestPeerDownDegradesToError(t *testing.T) {
 	// Bind a port, then close it: nothing listens there anymore.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -246,7 +279,7 @@ func TestPeerClientClosedRefusesRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := peerKey(t, client, addr, "k")
-	if err := client.Put(key, []byte("v")); err != nil {
+	if _, _, err := client.Get(key); err != nil {
 		t.Fatal(err)
 	}
 	client.Close()

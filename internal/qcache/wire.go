@@ -39,12 +39,11 @@ const WireVersion = 1
 // wireMagic opens every connection and dump file.
 var wireMagic = [4]byte{'P', 'Q', 'L', '2'}
 
-// L2 operations.
+// L2 operations. Op 2 was a PUT that nothing sent; it is now an unknown op,
+// so a peer that still sends it gets its connection closed.
 const (
 	// OpGet asks the owner for its cached value for a key (no compute).
 	OpGet byte = 1
-	// OpPut offers the owner a value for a key (best-effort warm).
-	OpPut byte = 2
 	// OpExec asks the owner to answer the request carried in the value,
 	// computing it under the owner's own singleflight on a miss. This is
 	// what preserves "exactly one engine call" fleet-wide: every peer's
@@ -156,7 +155,7 @@ func readKV(r io.Reader) (key string, val []byte, err error) {
 // WriteRequest writes one request frame in a single Write call.
 func WriteRequest(w io.Writer, op byte, key string, val []byte) error {
 	switch op {
-	case OpGet, OpPut, OpExec:
+	case OpGet, OpExec:
 	default:
 		return wireErrf("unknown op %d", op)
 	}
@@ -186,7 +185,7 @@ func ReadRequest(r io.Reader) (op byte, key string, val []byte, err error) {
 	}
 	op = ob[0]
 	switch op {
-	case OpGet, OpPut, OpExec:
+	case OpGet, OpExec:
 	default:
 		return 0, "", nil, wireErrf("unknown op %d", op)
 	}

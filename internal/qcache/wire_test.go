@@ -39,7 +39,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 		val []byte
 	}{
 		{OpGet, "abc123", nil},
-		{OpPut, strings.Repeat("f", MaxKeyLen), []byte(`{"safe":1}`)},
+		{OpGet, strings.Repeat("f", MaxKeyLen), []byte(`{"safe":1}`)},
 		{OpExec, "fp", bytes.Repeat([]byte{0xAB}, 4096)},
 	}
 	for _, tc := range cases {
@@ -158,8 +158,8 @@ func TestWireDumpEntryRoundTripAndEOF(t *testing.T) {
 }
 
 // FuzzL2Wire feeds arbitrary bytes through every decoder: decoding must
-// never panic, and anything that decodes must re-encode and re-decode to
-// the same frame.
+// never panic, a request decodes only as GET or EXEC, and anything that
+// decodes must re-encode and re-decode to the same frame.
 func FuzzL2Wire(f *testing.F) {
 	seed := func(build func(w io.Writer) error) {
 		var buf bytes.Buffer
@@ -175,8 +175,12 @@ func FuzzL2Wire(f *testing.F) {
 	seed(func(w io.Writer) error { return WriteResponse(w, StatusMiss, nil) })
 	seed(func(w io.Writer) error { return WriteDumpEntry(w, "key", []byte("value")) })
 	f.Add([]byte{OpExec, 0xFF, 0xFF})
+	f.Add([]byte{2, 0, 2, 'f', 'p', 0, 0, 0, 1, 'v'}) // the retired PUT: refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if op, key, val, err := ReadRequest(bytes.NewReader(data)); err == nil {
+			if op != OpGet && op != OpExec {
+				t.Fatalf("decoded request op %d, want GET or EXEC", op)
+			}
 			var buf bytes.Buffer
 			if err := WriteRequest(&buf, op, key, val); err != nil {
 				t.Fatalf("re-encode decoded request: %v", err)

@@ -1,6 +1,6 @@
 // Package quorum provides quorum-system abstractions for consensus analysis:
-// node sets, classic majority and threshold systems, weighted systems,
-// reliability-aware systems that must include dependable nodes (§3.2's
+// node sets, classic majority and threshold systems, reliability-aware
+// systems that must include dependable nodes (§3.2's
 // "require quorums to include at least one reliable node"), and the
 // probabilistic sampling quorums of §4 (intersect with high probability
 // instead of always).

@@ -39,53 +39,6 @@ func (t Threshold) MinSize() int { return t.K }
 // String implements System.
 func (t Threshold) String() string { return fmt.Sprintf("threshold(%d of %d)", t.K, t.Nodes) }
 
-// Weighted assigns each node a weight; a set is a quorum when its total
-// weight reaches Need. Stake-weighted consensus (§2(1): stake as a fault
-// probability proxy) is the motivating instance.
-type Weighted struct {
-	Weights []float64
-	Need    float64
-}
-
-// N implements System.
-func (w Weighted) N() int { return len(w.Weights) }
-
-// IsQuorum implements System.
-func (w Weighted) IsQuorum(s Set) bool {
-	var total float64
-	for i := 0; i < len(w.Weights); i++ {
-		if s.Has(i) {
-			total += w.Weights[i]
-		}
-	}
-	return total >= w.Need
-}
-
-// MinSize implements System: the fewest nodes whose weights can reach Need
-// (take heaviest first).
-func (w Weighted) MinSize() int {
-	ws := append([]float64(nil), w.Weights...)
-	// insertion sort descending; fleets are small
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j] > ws[j-1]; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
-	var total float64
-	for i, x := range ws {
-		total += x
-		if total >= w.Need {
-			return i + 1
-		}
-	}
-	return len(ws) + 1 // unreachable quorum
-}
-
-// String implements System.
-func (w Weighted) String() string {
-	return fmt.Sprintf("weighted(need %.3g of %d nodes)", w.Need, len(w.Weights))
-}
-
 // ReliabilityAware wraps a base system with the §3.2 refinement: a quorum
 // must additionally include at least MinReliable members of the Reliable
 // set. This is what lifts the durability of the heterogeneous 7-node Raft

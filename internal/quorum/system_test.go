@@ -76,40 +76,6 @@ func TestAlwaysIntersect(t *testing.T) {
 	}
 }
 
-func TestWeighted(t *testing.T) {
-	w := Weighted{Weights: []float64{5, 1, 1, 1, 1}, Need: 5}
-	if !w.IsQuorum(SetOf(5, 0)) {
-		t.Error("heavy node alone should be a quorum")
-	}
-	if w.IsQuorum(SetOf(5, 1, 2, 3)) {
-		t.Error("3 light nodes (weight 3) should not reach 5")
-	}
-	if w.IsQuorum(SetOf(5, 1, 2, 3, 4)) {
-		t.Error("all four light nodes weigh 4 < 5, must not be a quorum")
-	}
-	if !w.IsQuorum(SetOf(5, 0, 1)) {
-		t.Error("heavy plus light (weight 6) must be a quorum")
-	}
-}
-
-func TestWeightedMinSize(t *testing.T) {
-	w := Weighted{Weights: []float64{5, 1, 1, 1, 1}, Need: 5}
-	if got := w.MinSize(); got != 1 {
-		t.Errorf("MinSize=%d, want 1 (the heavy node)", got)
-	}
-	w2 := Weighted{Weights: []float64{1, 1, 1}, Need: 2.5}
-	if got := w2.MinSize(); got != 3 {
-		t.Errorf("MinSize=%d, want 3", got)
-	}
-	w3 := Weighted{Weights: []float64{1, 1}, Need: 10}
-	if got := w3.MinSize(); got != 3 {
-		t.Errorf("unreachable quorum MinSize=%d, want n+1=3", got)
-	}
-	if w2.N() != 3 {
-		t.Error("N wrong")
-	}
-}
-
 func TestReliabilityAware(t *testing.T) {
 	reliable := SetOf(7, 0, 1, 2)
 	ra := ReliabilityAware{Base: Majority(7), Reliable: reliable, MinReliable: 1}
@@ -166,7 +132,6 @@ func TestMinIntersectionPanics(t *testing.T) {
 func TestSystemStrings(t *testing.T) {
 	for _, s := range []System{
 		Majority(5),
-		Weighted{Weights: []float64{1, 2}, Need: 2},
 		ReliabilityAware{Base: Majority(3), Reliable: SetOf(3, 0), MinReliable: 1},
 	} {
 		if s.String() == "" {

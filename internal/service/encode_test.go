@@ -187,9 +187,9 @@ func TestDebugHitLeavesStoredBodyAlone(t *testing.T) {
 	}
 }
 
-// TestWarmedEntriesServePlainHits: an entry that arrives by LoadCache or
-// L2Put was never encoded by this server; its first and second hits must
-// still be the reference encoding of the value that was put.
+// TestWarmedEntriesServePlainHits: an entry that arrives by LoadCache was
+// never encoded by this server; its first and second hits must still be
+// the reference encoding of the value that was dumped.
 func TestWarmedEntriesServePlainHits(t *testing.T) {
 	const q = `{"model":{"protocol":"raft","n":7},"p":0.015}`
 	origin := New(Options{})
@@ -199,33 +199,21 @@ func TestWarmedEntriesServePlainHits(t *testing.T) {
 	if n, err := origin.DumpCache(&dump); err != nil || n != 1 {
 		t.Fatalf("DumpCache = %d, %v", n, err)
 	}
-	wire, err := marshalCached(want)
-	if err != nil {
+	calls := 0
+	srv := New(Options{AnalyzeFunc: func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error) {
+		calls++
+		return core.Result{}, nil
+	}})
+	if _, err := srv.LoadCache(bytes.NewReader(dump.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	for _, warm := range []struct {
-		name string
-		fill func(*Server) error
-	}{
-		{"LoadCache", func(s *Server) error { _, err := s.LoadCache(bytes.NewReader(dump.Bytes())); return err }},
-		{"L2Put", func(s *Server) error { return s.L2Put(want.Fingerprint, wire) }},
-	} {
-		calls := 0
-		srv := New(Options{AnalyzeFunc: func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error) {
-			calls++
-			return core.Result{}, nil
-		}})
-		if err := warm.fill(srv); err != nil {
-			t.Fatalf("%s: %v", warm.name, err)
+	for i := 0; i < 2; i++ {
+		if got := serve(srv.Handler(), http.MethodPost, "/v1/analyze", q).Body.Bytes(); !bytes.Equal(got, referenceBody(t, want)) {
+			t.Errorf("hit %d:\n%s\nwant\n%s", i+1, got, referenceBody(t, want))
 		}
-		for i := 0; i < 2; i++ {
-			if got := serve(srv.Handler(), http.MethodPost, "/v1/analyze", q).Body.Bytes(); !bytes.Equal(got, referenceBody(t, want)) {
-				t.Errorf("%s: hit %d:\n%s\nwant\n%s", warm.name, i+1, got, referenceBody(t, want))
-			}
-		}
-		if calls != 0 {
-			t.Errorf("%s: the warmed entry was recomputed %d times", warm.name, calls)
-		}
+	}
+	if calls != 0 {
+		t.Errorf("the warmed entry was recomputed %d times", calls)
 	}
 }
 

@@ -119,7 +119,7 @@ func marshalCached(resp AnalyzeResponse) ([]byte, error) {
 }
 
 // unmarshalCached is marshalCached's inverse for a value arriving under
-// key — a peer's answer, a warmed put, a dump entry — as the cache entry to
+// key — a peer's answer or a dump entry — as the cache entry to
 // insert. The value must decode and carry key as its fingerprint, so
 // nothing can be planted under a foreign key; it is not re-verified
 // against the engine.
@@ -185,19 +185,6 @@ func (s *Server) L2Exec(key string, payload []byte) (val []byte, err error) {
 	return marshalCached(resp)
 }
 
-// L2Put implements qcache.L2Handler: accept a warmed value for a key this
-// member owns (same trust model as -cache-load).
-func (s *Server) L2Put(key string, val []byte) error {
-	e, err := unmarshalCached(key, val)
-	if err != nil {
-		s.m.l2ServePutErr.Inc()
-		return fmt.Errorf("l2 put: %w", err)
-	}
-	s.cache.Put(key, e)
-	s.m.l2ServePutOK.Inc()
-	return nil
-}
-
 // L2Stats is the /statsz view of the tier, present only when one is
 // configured.
 type L2Stats struct {
@@ -210,7 +197,6 @@ type L2Stats struct {
 	// Served counts requests this member answered for its peers, by op.
 	ServedGet  int64 `json:"served_get"`
 	ServedExec int64 `json:"served_exec"`
-	ServedPut  int64 `json:"served_put"`
 }
 
 // l2Stats snapshots the tier counters, or nil without a tier.
@@ -227,7 +213,6 @@ func (s *Server) l2Stats() *L2Stats {
 		Local:      s.m.l2Local.Load(),
 		ServedGet:  s.m.l2ServeGetHit.Load() + s.m.l2ServeGetMiss.Load(),
 		ServedExec: s.m.l2ServeExecOK.Load() + s.m.l2ServeExecErr.Load(),
-		ServedPut:  s.m.l2ServePutOK.Load() + s.m.l2ServePutErr.Load(),
 	}
 }
 

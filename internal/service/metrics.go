@@ -84,8 +84,6 @@ type serverMetrics struct {
 	l2ServeGetMiss *obs.Counter
 	l2ServeExecOK  *obs.Counter
 	l2ServeExecErr *obs.Counter
-	l2ServePutOK   *obs.Counter
-	l2ServePutErr  *obs.Counter
 
 	// Batch endpoint: item traffic by kind, dedup wins, item rejections.
 	batchItems      map[string]*obs.Counter
@@ -159,8 +157,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 	m.l2ServeGetMiss = reg.Counter("probconsd_l2_serve_total", l2ServeHelp, obs.Labels{"op": "get", "outcome": "miss"})
 	m.l2ServeExecOK = reg.Counter("probconsd_l2_serve_total", l2ServeHelp, obs.Labels{"op": "exec", "outcome": "ok"})
 	m.l2ServeExecErr = reg.Counter("probconsd_l2_serve_total", l2ServeHelp, obs.Labels{"op": "exec", "outcome": "error"})
-	m.l2ServePutOK = reg.Counter("probconsd_l2_serve_total", l2ServeHelp, obs.Labels{"op": "put", "outcome": "ok"})
-	m.l2ServePutErr = reg.Counter("probconsd_l2_serve_total", l2ServeHelp, obs.Labels{"op": "put", "outcome": "error"})
 
 	const batchItemHelp = "Batch items accepted, by query kind."
 	m.batchItems = map[string]*obs.Counter{}

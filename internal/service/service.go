@@ -30,8 +30,9 @@ type Options struct {
 	// its own singleflight on a fleet-wide miss) before this server
 	// computes. Best-effort — peer failures degrade to a local compute.
 	L2 L2Tier
-	// AnalyzeFunc computes one query; defaults to a core.EvaluatorPool
-	// whose pooled workspaces give every sweep worker an allocation-free
+	// AnalyzeFunc computes one query; defaults to core.AnalyzeDomains,
+	// whose process-wide evaluator pool (the one the optimizer's
+	// objectives borrow from) gives every sweep worker an allocation-free
 	// engine (reducing to core.Analyze semantics for domain-free fleets).
 	// Tests instrument it to count underlying engine calls.
 	AnalyzeFunc func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error)
@@ -109,7 +110,7 @@ func New(opts Options) *Server {
 		// Each engine run borrows a pooled evaluator: concurrent sweep
 		// workers never share a workspace, and steady-state engine runs
 		// stop allocating DP tables.
-		opts.AnalyzeFunc = core.NewEvaluatorPool().AnalyzeDomains
+		opts.AnalyzeFunc = core.AnalyzeDomains
 	}
 	s := &Server{
 		cache:     qcache.New[*analyzeEntry](opts.CacheCapacity, opts.CacheShards).WithSizer(sizeofAnalyzeEntry),
