@@ -62,7 +62,7 @@ func randomSizing(rng *rand.Rand, n int) CountModel {
 func refResultFromJointModel(j *dist.JointCrashByz, m CountModel) Result {
 	safe, live := m.Regions()
 	var sSafe, sLive, sBoth dist.KahanSum
-	for c, rows := 0, j.Rows(); c < rows; c++ {
+	for c := 0; c <= j.N(); c++ {
 		for b, mass := range j.Row(c) {
 			if mass == 0 {
 				continue

@@ -111,9 +111,9 @@ func (t *band) resetDense(n int) {
 }
 
 // jointBuilds counts from-scratch DPs over a fleet: joint-table
-// constructions (Reset and therefore NewJointCrashByz, plus LeaveOneOut's
-// rebuild fallback) and count-region passes (RegionPass.Reset, one per
-// domain-free analysis) — formerly a test-only hook pinning "one DP build
+// constructions (Reset and therefore NewJointCrashByz) and count-region
+// folds (RegionPass.Reset, one per domain-free analysis; RegionLeaveOneOut's
+// Reset and re-folds) — formerly a test-only hook pinning "one DP build
 // per fleet" claims like SweepRaftQuorums', now a registered metric scraped
 // from /metrics. Leave-one-out deflations do not count. workspaceReuses is
 // its symmetric companion: builds whose buffers were already large enough,
@@ -238,14 +238,10 @@ func (d *JointCrashByz) PMF(c, b int) float64 {
 	return d.p[c*(d.n+1)+b]
 }
 
-// Rows returns one past the last row (crash count) holding any mass;
-// Row(c) for c >= Rows() is empty.
-func (d *JointCrashByz) Rows() int { return d.rows }
-
-// Row returns row c's cells P[c, 0..], cut where the row's all-zero tail
-// begins — the slice whole-table consumers walk instead of calling PMF
-// per cell. It aliases the table: read-only, valid until the next
-// mutation.
+// Row returns row c <= N()'s cells P[c, 0..], cut where the row's all-zero
+// tail begins (empty past the last row holding mass) — the slice
+// whole-table consumers walk instead of calling PMF per cell. It aliases
+// the table: read-only, valid until the next mutation.
 func (d *JointCrashByz) Row(c int) []float64 {
 	w := d.n + 1
 	return d.p[c*w : c*w+d.hi[c]]

@@ -71,45 +71,19 @@ func ConvolveJointCrashByz(a, b *JointCrashByz) *JointCrashByz {
 // compensated sum over its (ca, ba) sources in ascending order — and
 // matches the historical scatter-form accumulation bit for bit.
 func ConvolveJointCrashByzInto(dst *JointCrashByz, a, b *JointCrashByz) {
-	n := a.n + b.n
+	an, bn := a.n, b.n
+	n := an + bn
 	dst.band.resetDense(n)
 	dst.n = n
-	convolveRows(dst.p, a.p, b.p, a.n, b.n)
-}
-
-// convolveRows computes the convolution of joint tables ap (over an nodes)
-// and bp (over bn nodes) into dp, which the caller has reset
-// (out-of-triangle cells are already zero).
-func convolveRows(dp, ap, bp []float64, an, bn int) {
-	n := an + bn
-	w := n + 1
-	wa, wb := an+1, bn+1
+	w, wa, wb := n+1, an+1, bn+1
 	for c := 0; c < w; c++ {
-		out := dp[c*w : (c+1)*w]
-		bMaxRow := n - c
-		caLo := c - bn
-		if caLo < 0 {
-			caLo = 0
-		}
-		caHi := c
-		if caHi > an {
-			caHi = an
-		}
-		for bOut := 0; bOut <= bMaxRow; bOut++ {
+		out := dst.p[c*w : (c+1)*w]
+		for bOut := 0; bOut <= n-c; bOut++ {
 			var s KahanSum
-			for ca := caLo; ca <= caHi; ca++ {
+			for ca, caHi := max(c-bn, 0), min(c, an); ca <= caHi; ca++ {
 				cb := c - ca
-				rowA := ap[ca*wa:]
-				rowB := bp[cb*wb:]
-				baLo := bOut - (bn - cb)
-				if baLo < 0 {
-					baLo = 0
-				}
-				baHi := bOut
-				if m := an - ca; baHi > m {
-					baHi = m
-				}
-				for ba := baLo; ba <= baHi; ba++ {
+				rowA, rowB := a.p[ca*wa:], b.p[cb*wb:]
+				for ba, baHi := max(bOut-(bn-cb), 0), min(bOut, an-ca); ba <= baHi; ba++ {
 					ma := rowA[ba]
 					if ma == 0 {
 						continue

@@ -90,8 +90,9 @@ func (rp *RegionPass) Reset(nodes []TriState, regions [3]Region) {
 
 // Mass returns region i's probability mass after the last Reset,
 // compensated and clamped.
-func (rp *RegionPass) Mass(i int) float64 {
-	t := &rp.tabs[i]
+func (rp *RegionPass) Mass(i int) float64 { return rp.tabs[i].mass() }
+
+func (t *regionTable) mass() float64 {
 	var s KahanSum
 	for b, h := range t.hi {
 		for _, v := range t.p[b*t.w : b*t.w+h] {
@@ -104,6 +105,15 @@ func (rp *RegionPass) Mass(i int) float64 {
 // reset shapes the table for region r over n nodes, all mass on no faults.
 // It reports whether a buffer had to grow.
 func (t *regionTable) reset(r Region, n int) (grew bool) {
+	grew = t.resize(r, n)
+	if len(t.hi) > 0 {
+		t.p[0], t.hi[0] = 1, 1
+	}
+	return grew
+}
+
+// resize shapes the table for region r over n nodes, every cell 0.
+func (t *regionTable) resize(r Region, n int) (grew bool) {
 	for b, h := range t.hi { // clear what the previous pass left live
 		clear(t.p[b*t.w : b*t.w+h])
 	}
@@ -133,7 +143,6 @@ func (t *regionTable) reset(r Region, n int) (grew bool) {
 	}
 	t.hi = t.hi[:cols]
 	clear(t.hi)
-	t.p[0], t.hi[0] = 1, 1
 	return grew
 }
 

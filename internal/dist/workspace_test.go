@@ -182,6 +182,25 @@ func TestWorkspaceZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { rp.Reset(nodes, regions) }); n != 0 {
 		t.Errorf("RegionPass.Reset allocates %v/op", n)
 	}
+
+	// Every shape, and a node under the deflation threshold (the re-fold).
+	slow := append(append([]TriState(nil), nodes...), TriState{PCrash: 0.2, PByz: 0.1})
+	var rl RegionLeaveOneOut
+	for _, r := range []Region{{Byz: -1}, {Byz: 21, Faulty: 9}, {Byz: 2, Faulty: 21}, {Byz: 2, Faulty: 9}} {
+		rl.Reset(slow, r)
+		for i := range slow {
+			rl.Edges(i)
+		}
+		if n := testing.AllocsPerRun(100, func() { rl.Reset(slow, r) }); n != 0 {
+			t.Errorf("RegionLeaveOneOut.Reset(%+v) allocates %v/op", r, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			rl.Edges(i % len(slow))
+			i++
+		}); n != 0 {
+			t.Errorf("RegionLeaveOneOut.Edges over %+v allocates %v/op", r, n)
+		}
+	}
 }
 
 func TestJointBuildCounter(t *testing.T) {
@@ -195,5 +214,15 @@ func TestJointBuildCounter(t *testing.T) {
 	rp.Reset(nodes, [3]Region{{Byz: 0, Faulty: 6}, {Byz: 6, Faulty: 3}, {Byz: 1, Faulty: 3}})
 	if got := JointBuilds() - before; got != 3 {
 		t.Errorf("counted %d builds, want 3 (a region pass is one, a deflation none)", got)
+	}
+
+	before = JointBuilds()
+	var rl RegionLeaveOneOut
+	rl.Reset(nodes, Region{Byz: 1, Faulty: 3})
+	for i := range nodes {
+		rl.Edges(i)
+	}
+	if got := JointBuilds() - before; got != 1 {
+		t.Errorf("a region leave-one-out and %d edge reads counted %d builds, want 1", len(nodes), got)
 	}
 }

@@ -68,11 +68,11 @@ func (r ExpResponse) Prob(spend float64) float64 {
 // the curve is smooth and the true (one-sided) derivative applies, so a
 // certainly-failing node still attracts gradient.
 func (r ExpResponse) DProb(spend float64) float64 {
-	p := r.Floor + (r.P0-r.Floor)*math.Exp(-spend/r.Scale)
-	if p < 0 || p > 1 {
+	e := math.Exp(-spend / r.Scale)
+	if p := r.Floor + (r.P0-r.Floor)*e; p < 0 || p > 1 {
 		return 0 // clamped region: flat
 	}
-	return -(r.P0 - r.Floor) * math.Exp(-spend/r.Scale) / r.Scale
+	return -(r.P0 - r.Floor) * e / r.Scale
 }
 
 // HardeningResponse builds the default ExpResponse for a base probability:

@@ -82,3 +82,43 @@ func TestExpResponseValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestExpResponseDProbOneExp pins DProb, which evaluates the exponential
+// once, to the two-exponential expression it replaced with ==, over
+// spends that cover negative finite-difference probes, the clamped region
+// on both sides (p > 1 and, for a curve Validate would refuse, p < 0) and
+// a curve with nothing to reduce (P0 == Floor).
+func TestExpResponseDProbOneExp(t *testing.T) {
+	twoExp := func(r ExpResponse, spend float64) float64 {
+		p := r.Floor + (r.P0-r.Floor)*math.Exp(-spend/r.Scale)
+		if p < 0 || p > 1 {
+			return 0
+		}
+		return -(r.P0 - r.Floor) * math.Exp(-spend/r.Scale) / r.Scale
+	}
+	curves := []ExpResponse{
+		HardeningResponse(0.08, 0.1, 0.25),
+		HardeningResponse(1, 0.1, 0.25), // p > 1 at any negative spend
+		{P0: 0.3, Floor: 0.3, Scale: 0.5},
+		{P0: 0.2, Floor: -0.4, Scale: 0.5}, // p < 0 past spend ≈ 0.2
+		HardeningResponse(0, 0, 1),
+	}
+	var below, above int
+	for _, r := range curves {
+		for spend := -2.0; spend <= 4; spend += 1.0 / 64 {
+			got, want := r.DProb(spend), twoExp(r, spend)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v at spend %v: DProb %v, two-exp expression %v", r, spend, got, want)
+			}
+			switch p := r.Floor + (r.P0-r.Floor)*math.Exp(-spend/r.Scale); {
+			case p < 0:
+				below++
+			case p > 1:
+				above++
+			}
+		}
+	}
+	if below == 0 || above == 0 {
+		t.Fatalf("the sweep reached p < 0 at %d spends and p > 1 at %d; it must reach both", below, above)
+	}
+}

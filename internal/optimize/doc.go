@@ -25,10 +25,10 @@
 //     vector to per-node or per-domain fault probabilities through
 //     faultcurve spend→probability response curves, evaluating
 //     log-unavailability via the exact engines. Gradients are analytic
-//     for independent fleets — the leave-one-out trinomial DP read only on
-//     the boundary of the model's safe-and-live count region, O(N) per
-//     coordinate — and central differences for the domain-correlated
-//     engines.
+//     for independent fleets — one fold into the model's safe-and-live
+//     region table, then an O(κ) leave-one-out deflation per coordinate
+//     read on the region's two edges — and central differences for the
+//     domain-correlated engines.
 //
 // Invariants: every iterate is a convex combination of LMO vertices
 // and therefore feasible — no projection can be needed by construction.

@@ -11,8 +11,8 @@ import (
 // the FrankWolfe.jl-style per-iteration discipline (arxiv 2104.06675)
 // reduced to what a fleet dashboard needs — how many solves ran, how many
 // conditional-gradient iterations (one LMO call each) and how many
-// gradient evaluations they spent. Each analytic gradient costs a DP build
-// plus N deflations, so grad_evaluations_total is the direct proxy for
+// gradient evaluations they spent. Each analytic gradient costs a region
+// fold plus N deflations, so grad_evaluations_total is the direct proxy for
 // optimizer engine load, and its ratio to iterations_total is what the
 // step rule costs per iteration.
 var (

@@ -11,11 +11,17 @@ import (
 	"repro/internal/faultcurve"
 )
 
+// without returns the nodes other than i.
+func without(nodes []dist.TriState, i int) []dist.TriState {
+	return append(append([]dist.TriState(nil), nodes[:i]...), nodes[i+1:]...)
+}
+
 // oracleGrad is the closure-based gradient the table kernel
 // (refHardeningGrad) replaced, kept as the textbook oracle: the indicator
 // evaluated through the model's Safe/Live methods per cell, the hardened
-// fleet materialized per call.
-func oracleGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float64) {
+// fleet materialized per call, each J₋ᵢ a fresh joint table over the other
+// nodes. It returns its U.
+func oracleGrad(p HardeningProblem, x, out []float64) (u float64) {
 	n := len(p.Fleet)
 	ok := func(c, b int) float64 {
 		if c < 0 || b < 0 || c+b > n {
@@ -31,13 +37,12 @@ func oracleGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float64) {
 	for i, node := range hardened {
 		tri[i] = node.Profile.TriState()
 	}
-	loo.Reset(tri)
-	safeAndLive := loo.Full().SumWhere(func(c, b int) bool {
+	safeAndLive := dist.NewJointCrashByz(tri).SumWhere(func(c, b int) bool {
 		return p.Model.Safe(c, b) && p.Model.Live(c, b)
 	})
-	u := math.Max(1-safeAndLive, unavailFloor)
+	u = math.Max(1-safeAndLive, unavailFloor)
 	for i := 0; i < n; i++ {
-		joint := loo.Without(i)
+		joint := dist.NewJointCrashByz(without(tri, i))
 		bf := byzFraction(p.Fleet[i].Profile)
 		cf := 1 - bf
 		var dSL float64
@@ -53,15 +58,16 @@ func oracleGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float64) {
 		// f = ln(U), U = 1 - SafeAndLive: df/dx_i = -dSL/dp · p'(x_i) / U.
 		out[i] = -dSL * p.Curves[i].DProb(x[i]) / u
 	}
+	return u
 }
 
 // refHardeningGrad is hardeningGrad.grad as it was before the region's
-// boundary was read directly, kept as its bit-exact oracle: the safe-and-live
-// indicator as an (n+2)×(n+2) table of 0/1 floats (0 beyond c + b <= n),
-// the objective a compensated sum of m·ok over the full table, and each
-// coordinate two multiply-adds per leave-one-out cell over differences of
-// table entries.
-func refHardeningGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float64) {
+// boundary was read directly: the safe-and-live indicator as an
+// (n+2)×(n+2) table of 0/1 floats (0 beyond c + b <= n), the objective a
+// compensated sum of m·ok over the full joint table, and each coordinate
+// two multiply-adds per cell of J₋ᵢ, a fresh joint table over the other
+// nodes, over differences of table entries. It returns its U.
+func refHardeningGrad(p HardeningProblem, x, out []float64) (u float64) {
 	n := len(p.Fleet)
 	w := n + 2
 	ok := make([]float64, w*w)
@@ -79,20 +85,19 @@ func refHardeningGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float6
 		q := p.Curves[i].Prob(x[i])
 		nodes[i] = dist.TriState{PCrash: q * (1 - bf[i]), PByz: q * bf[i]}
 	}
-	loo.Reset(nodes)
 	var safeAndLive dist.KahanSum
-	full := loo.Full()
-	for c := 0; c < full.Rows(); c++ {
+	full := dist.NewJointCrashByz(nodes)
+	for c := 0; c <= full.N(); c++ {
 		okRow := ok[c*w:]
 		for b, m := range full.Row(c) {
 			safeAndLive.Add(m * okRow[b])
 		}
 	}
-	u := math.Max(1-dist.Clamp01(safeAndLive.Sum()), unavailFloor)
+	u = math.Max(1-dist.Clamp01(safeAndLive.Sum()), unavailFloor)
 	for i := range nodes {
-		joint := loo.Without(i)
+		joint := dist.NewJointCrashByz(without(nodes, i))
 		var dCrash, dByz float64
-		for c := 0; c < joint.Rows(); c++ {
+		for c := 0; c <= joint.N(); c++ {
 			okRow, next := ok[c*w:], ok[(c+1)*w:]
 			for b, m := range joint.Row(c) {
 				dCrash += m * (next[b] - okRow[b])
@@ -102,6 +107,7 @@ func refHardeningGrad(p HardeningProblem, loo *dist.LeaveOneOut, x, out []float6
 		dSL := dCrash + bf[i]*dByz
 		out[i] = -dSL * p.Curves[i].DProb(x[i]) / u
 	}
+	return u
 }
 
 // gradProblem builds an n-node hardening problem from per-node base
@@ -127,16 +133,20 @@ func gradProblemFor(m core.CountModel, draw func(i int) faultcurve.Profile) Hard
 	return HardeningProblem{Fleet: fleet, Model: m, Curves: curves, Budget: 1}
 }
 
-// TestGradKernelMatchesOracle compares the region-boundary gradient with
-// the table kernel it replaced, coordinate by coordinate with ==, and with
-// the closure-based gradient before that to 1e-12 relative, across the
-// branches of all three: the Byzantine term (PBFT), crash-only raft, the
-// sizes from one node up, a node under dist's deflation threshold (the
-// rebuild fallback), a certainly-failing node, fleets with no Byzantine
-// mass at all, and the quorums /v1/optimize accepts — random Raft (QPer,
-// QVC) and PBFT (QEq, QPer, QVC, QVCT) sizings, an unsafe Raft sizing
-// whose safe-and-live region is empty (gradient exactly 0 at U = 1) and a
-// PBFT sizing whose Byzantine bound is at least its faulty bound.
+// TestGradKernelMatchesOracle compares the region leave-one-out gradient
+// with the table kernel it replaced and with the closure-based gradient
+// before that, both of which build each J₋ᵢ as a fresh joint table over
+// the other nodes. Its U is pinned with == to Eval's: value and gradient
+// read one region table. Each coordinate, rescaled to the oracle's U (the
+// two U are complements formed from different tables, so they part where U
+// nears ulp·N), is pinned to 1e-12 relative. The cases span the branches of
+// all three: the Byzantine term (PBFT), crash-only raft, the sizes from one
+// node up to 256, a node under dist's deflation threshold (the re-fold
+// fallback), a certainly-failing node, fleets with no Byzantine mass at
+// all, and the quorums /v1/optimize accepts — random Raft (QPer, QVC) and
+// PBFT (QEq, QPer, QVC, QVCT) sizings, an unsafe Raft sizing whose
+// safe-and-live region is empty (gradient exactly 0 at U = 1) and a PBFT
+// sizing whose Byzantine bound is at least its faulty bound.
 func TestGradKernelMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mixed := func(int) faultcurve.Profile {
@@ -157,6 +167,8 @@ func TestGradKernelMatchesOracle(t *testing.T) {
 		)
 	}
 	problems = append(problems,
+		problem{"raft crash-only n=256", gradProblem(256, false, crash)},
+		problem{"pbft mixed n=256", gradProblem(256, true, mixed)},
 		problem{"node below the deflation threshold", gradProblem(7, true, func(i int) faultcurve.Profile {
 			if i == 2 {
 				return faultcurve.Profile{PCrash: 0.3, PByz: 0.1}
@@ -204,25 +216,39 @@ func TestGradKernelMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		n := len(tc.p.Fleet)
-		obj := tc.p.Objective()
-		var loo dist.LeaveOneOut
+		g := newHardeningGrad(tc.p)
 		got, ref, want := make([]float64, n), make([]float64, n), make([]float64, n)
-		for trial := 0; trial < 4; trial++ {
+		trials := 4
+		if n == 256 {
+			trials = 2 // each oracle call is 256 joint builds
+		}
+		for trial := 0; trial < trials; trial++ {
 			// Spend 0 on the first trial (base probabilities, where the
 			// special nodes are special), a random split after.
 			x := make([]float64, n)
 			for i := range x {
 				x[i] = float64(min(trial, 1)) * rng.Float64() * tc.p.Budget / float64(n)
 			}
-			obj.Grad(x, got)
-			refHardeningGrad(tc.p, &loo, x, ref)
-			oracleGrad(tc.p, &loo, x, want)
-			for i := range want {
-				if got[i] != ref[i] {
-					t.Errorf("%s trial %d coord %d: %v, table kernel %v", tc.name, trial, i, got[i], ref[i])
-				}
-				if diff := math.Abs(got[i] - want[i]); !(diff <= 1e-12*math.Abs(want[i])) {
-					t.Errorf("%s trial %d coord %d: %v, oracle %v (relative Δ %.3g)", tc.name, trial, i, got[i], want[i], diff/math.Abs(want[i]))
+			g.grad(x, got)
+			u := math.Max(1-g.loo.Mass(), unavailFloor)
+			if uEval := math.Max(1-tc.p.Eval(x).SafeAndLive, unavailFloor); u != uEval {
+				t.Errorf("%s trial %d: gradient's U %.17g, Eval's %.17g", tc.name, trial, u, uEval)
+			}
+			oracles := []struct {
+				name string
+				grad func(HardeningProblem, []float64, []float64) float64
+				out  []float64
+			}{{"table kernel", refHardeningGrad, ref}, {"closure oracle", oracleGrad, want}}
+			if n == 256 {
+				oracles = oracles[:1]
+			}
+			for _, o := range oracles {
+				uo := o.grad(tc.p, x, o.out)
+				for i, w := range o.out {
+					a, b := got[i]*u, w*uo
+					if diff := math.Abs(a - b); !(diff <= 1e-12*math.Abs(b)) {
+						t.Errorf("%s trial %d coord %d: %v·U, %s %v·U (relative Δ %.3g)", tc.name, trial, i, a, o.name, b, diff/math.Abs(b))
+					}
 				}
 			}
 			if tc.p.Model == core.CountModel(unsafeRaft) {
@@ -276,11 +302,12 @@ func TestGradAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkHardeningGrad times one analytic gradient — a DP build, the
-// objective's region sum, and per coordinate one deflation and the two
-// O(N) boundary sums — at the served size and at a large one.
+// BenchmarkHardeningGrad times one analytic gradient — a fold of the
+// fleet into the safe-and-live region's table, its mass, and per
+// coordinate one O(κ) deflation and the two edge sums — at the served size
+// and at two large ones.
 func BenchmarkHardeningGrad(b *testing.B) {
-	for _, n := range []int{5, 25} {
+	for _, n := range []int{5, 25, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			p := gradProblem(n, false, func(int) faultcurve.Profile { return servedProfile(rng) })

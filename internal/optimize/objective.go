@@ -139,10 +139,10 @@ func (p HardeningProblem) Eval(x []float64) core.Result {
 
 // UsesCentralDifferences reports whether the objective's gradient falls
 // back to central differences (two engine runs per coordinate) instead
-// of the analytic leave-one-out gradient (one DP build plus an O(N^2)
-// deflation per coordinate): true exactly
-// when the fleet has a populated domain layout. The serving layer's work
-// estimates dispatch on this, so it is the single home of the condition.
+// of the analytic leave-one-out gradient (one region fold plus an O(κ)
+// deflation per coordinate): true exactly when the fleet has a populated
+// domain layout. The serving layer's work estimates dispatch on this, so
+// it is the single home of the condition.
 func (p HardeningProblem) UsesCentralDifferences() bool {
 	if len(p.Domains) == 0 {
 		return false
@@ -195,7 +195,7 @@ type hardeningGrad struct {
 	curves []faultcurve.Response
 	bf     []float64       // per-node Byzantine share of the fault mass
 	nodes  []dist.TriState // the hardened fleet at the current x
-	loo    dist.LeaveOneOut
+	loo    dist.RegionLeaveOneOut
 	// ok is the model's safe-and-live region {b <= β, c + b <= κ}.
 	ok dist.Region
 }
@@ -215,57 +215,28 @@ func newHardeningGrad(p HardeningProblem) *hardeningGrad {
 	return g
 }
 
-// grad computes ∇f exactly for independent fleets. Writing node i's fault
-// mass as p_i with fixed crash share cf_i = 1 - bf_i and Byzantine share
-// bf_i, the joint count distribution is linear in each p_i, so
+// grad computes ∇f exactly for independent fleets. The count distribution
+// is linear in node i's fault mass p_i, so the derivative of SafeAndLive
+// is what J₋ᵢ, the other nodes' distribution, puts on the safe-and-live
+// region's two edges (DESIGN.md "Count regions"):
 //
-//	∂(SafeAndLive)/∂p_i = Σ_{c,b} J_{-i}(c,b) ·
-//	    ( cf_i·ok(c+1,b) + bf_i·ok(c,b+1) - ok(c,b) )
-//	  = Σ J_{-i}·(ok(c+1,b) - ok(c,b)) + bf_i · Σ J_{-i}·(ok(c,b+1) - ok(c+1,b))
+//	∂(SafeAndLive)/∂p_i = −Σ_{faulty edge} J₋ᵢ − bf_i · Σ_{Byzantine edge} J₋ᵢ,
 //
-// where J_{-i} is the exact joint DP over the other nodes and ok is the
-// indicator of the safe-and-live region {b <= β, c + b <= κ}. Both
-// differences vanish except on the region's boundary, where they are −1:
-// ok(c+1,b) − ok(c,b) on the faulty edge c + b = κ (b <= β), and
-// ok(c,b+1) − ok(c+1,b) on the Byzantine edge b = β (c + b < κ). So
-//
-//	dCrash = −Σ_c J_{-i}(c, κ−c)   over 0 <= κ−c <= β,
-//	dByz   = −Σ_c J_{-i}(c, β)     over c <= κ−β−1,
-//
-// O(N) reads per coordinate, c ascending — the nonzero terms of the
-// cell-by-cell sum in its order, so the result is the same to the bit
-// (TestGradKernelMatchesOracle). Neither sum subtracts O(1) masses, so
-// there is no cancellation however small the derivative is. The chain rule
-// through the response curve and the log wrapper finishes the job.
-//
-// J_{-i} comes from the leave-one-out state: one O(N^3) DP build of the
-// full hardened fleet, then an O(N^2) deflation per coordinate — the whole
-// gradient costs asymptotically one analysis. The full table also yields
-// the objective value, its region sum, so no separate engine run is
-// needed.
+// sums of positive masses, so no cancellation however small the derivative.
+// One fold of the hardened fleet into the region's table gives U, bit for
+// bit Eval's, and an O(κ) deflation per node the edges
+// (dist.RegionLeaveOneOut): O(N·(β+1)·(κ+1)) per gradient.
 func (g *hardeningGrad) grad(x, out []float64) {
 	for i, c := range g.curves {
 		p := c.Prob(x[i])
 		g.nodes[i] = dist.TriState{PCrash: p * (1 - g.bf[i]), PByz: p * g.bf[i]}
 	}
-	g.loo.Reset(g.nodes)
-	u := math.Max(1-dist.Clamp01(g.loo.Full().RegionSum(g.ok)), unavailFloor)
-	beta, kappa := g.ok.Byz, g.ok.Faulty
+	g.loo.Reset(g.nodes, g.ok)
+	u := math.Max(1-g.loo.Mass(), unavailFloor)
 	for i := range g.nodes {
-		joint := g.loo.Without(i)
-		rows := joint.Rows()
-		var dCrash, dByz float64
-		for c := max(0, kappa-beta); c <= kappa && c < rows; c++ {
-			if row := joint.Row(c); kappa-c < len(row) {
-				dCrash -= row[kappa-c]
-			}
-		}
-		for c := 0; beta >= 0 && c < kappa-beta && c < rows; c++ {
-			if row := joint.Row(c); beta < len(row) {
-				dByz -= row[beta]
-			}
-		}
-		dSL := dCrash + g.bf[i]*dByz
+		faulty, byz := g.loo.Edges(i)
+		// 0 − …, not −…: an empty boundary leaves dSL at +0, not −0.
+		dSL := 0 - faulty - g.bf[i]*byz
 		// f = ln(U), U = 1 - SafeAndLive: df/dx_i = -dSL/dp · p'(x_i) / U.
 		out[i] = -dSL * g.curves[i].DProb(x[i]) / u
 	}

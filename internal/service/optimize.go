@@ -210,11 +210,12 @@ func planOptimize(req OptimizeRequest) (optimizePlan, error) {
 			return optimizePlan{}, badRequest(err)
 		}
 		// Priced as one engine run per node. For the analytic gradient
-		// that is a deliberate over-estimate: it really costs one O(N^3)
-		// DP build plus N O(N^2) leave-one-out deflations, about two
-		// engine runs in all, not N. With populated domains the objective
-		// falls back to central differences, which is two engine runs per
-		// node and priced exactly.
+		// that is a deliberate over-estimate, and a larger one since the
+		// gradient left the joint table: it costs one region fold plus N
+		// O(κ) deflations, about one region pass in all, not N engine runs
+		// at the N^3 the estimate charges each. With populated domains the
+		// objective falls back to central differences, which is two engine
+		// runs per node and priced exactly.
 		gradWork = float64(len(fleet)) * engineWork
 		if p.UsesCentralDifferences() {
 			gradWork *= 2
