@@ -699,6 +699,59 @@ func BenchmarkOptimizeHardening(b *testing.B) {
 	}
 }
 
+// domainHardeningExemplar is the domain optimizer's benchmark instance: a
+// 9-node Raft fleet at p = 0.4% round-robin in three zones whose shocks
+// (3e-3, 1e-3, 3e-4, crash x300) harden along their own response curves,
+// with one unit of budget.
+func domainHardeningExemplar() optimize.DomainHardeningProblem {
+	shocks := []float64{3e-3, 1e-3, 3e-4}
+	domains := make(core.DomainSet, len(shocks))
+	curves := make([]faultcurve.Response, len(shocks))
+	for i, s := range shocks {
+		domains[i] = faultcurve.Domain{Name: fmt.Sprintf("zone-%d", i), ShockProb: s, CrashMultiplier: 300, ByzMultiplier: 1}
+		curves[i] = faultcurve.HardeningResponse(s, 0.05, 0.3)
+	}
+	fleet := core.UniformCrashFleet(9, 0.004)
+	for i := range fleet {
+		fleet[i].Domain = domains[i%3].Name
+	}
+	return optimize.DomainHardeningProblem{
+		Fleet: fleet, Model: core.NewRaft(9), Domains: domains, Curves: curves, Budget: 1.0,
+	}
+}
+
+// BenchmarkOptimizeDomainHardening times one away-step Frank-Wolfe solve
+// of the domain-hardening exemplar (central-difference gradients, gap <=
+// 1e-7): every probe and line-search step is one domain-engine query on the
+// objective's evaluator — two block folds from the rest tables when one
+// zone's shock moved, a full recombination when several did — and the
+// summary's three evaluations ride the package pool. It reports the
+// from-scratch block folds one solve performs.
+func BenchmarkOptimizeDomainHardening(b *testing.B) {
+	p := domainHardeningExemplar()
+	opts := optimize.Options{GapTolerance: 1e-7, MaxIterations: 300}
+	once("optimize-domain-hardening", func() {
+		before := dist.JointBuilds()
+		a, err := optimize.SolveDomainHardening(p, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fmt.Printf("\n[O3] shock hardening budget 1.0 over 3-zone Raft-9: %.3f -> %.3f nines "+
+			"(uniform %.3f), spend %.3f, gap %.1e, %d iterations, %d block folds\n",
+			a.Base.Nines(), a.Optimized.Nines(), a.Uniform.Nines(), a.Spend, a.Gap, a.Iterations,
+			dist.JointBuilds()-before)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := dist.JointBuilds()
+	for i := 0; i < b.N; i++ {
+		if _, err := optimize.SolveDomainHardening(p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(dist.JointBuilds()-before)/float64(b.N), "builds/solve")
+}
+
 // BenchmarkOptimizeTierSearch times the mixed-tier search on the costopt
 // exemplar — candidates sorted by cost, evaluated cheapest first — and
 // reports the exact engine runs one search spends (one joint-distribution
@@ -961,10 +1014,11 @@ func domainSweepShocks() []float64 {
 	return shocks
 }
 
-// BenchmarkDomainSweepShockFresh is the pre-cache baseline: every point
-// of the 64-point shock sweep recombines the correlated mixture from
-// scratch on a fresh evaluator — 5 block folds per point (the three
-// zones' identical base blocks share one), 320 per sweep.
+// BenchmarkDomainSweepShockFresh is the baseline without rest tables:
+// every point of the 64-point shock sweep recombines the correlated
+// mixture from scratch on a fresh evaluator — 7 block folds per point (the
+// independent remainder and each zone's base and elevated block), 448 per
+// sweep.
 func BenchmarkDomainSweepShockFresh(b *testing.B) {
 	fleet, m, domains := domainBenchLayout()
 	shocks := domainSweepShocks()
@@ -983,9 +1037,9 @@ func BenchmarkDomainSweepShockFresh(b *testing.B) {
 }
 
 // BenchmarkDomainSweepShockCached runs the same 64-point sweep on one
-// evaluator: the shock probability is a mixture weight, so after the cold
-// point every later point is a leave-one-block-out fast-path answer —
-// the whole sweep costs the cold point's 7 builds and not one more.
+// evaluator warmed by the cold point: only the first zone's shock moves,
+// so every point is a leave-one-block-out fast-path answer that folds that
+// zone's base and elevated block — 2 builds per point, 128 per sweep.
 func BenchmarkDomainSweepShockCached(b *testing.B) {
 	fleet, m, domains := domainBenchLayout()
 	shocks := domainSweepShocks()
@@ -1009,9 +1063,9 @@ func BenchmarkDomainSweepShockCached(b *testing.B) {
 }
 
 // BenchmarkEvaluatorDomainsHot measures the repeat-query path: the exact
-// same correlated query answered from the evaluator's result memo —
-// what a serving layer pays when its own caches miss but the engine's do
-// not.
+// same correlated query answered from the first zone's rest tables, two
+// block folds and a dot product — what a serving layer pays when its own
+// caches miss but the engine's do not.
 func BenchmarkEvaluatorDomainsHot(b *testing.B) {
 	fleet, m, domains := domainBenchLayout()
 	ev := core.NewEvaluator()
@@ -1029,8 +1083,9 @@ func BenchmarkEvaluatorDomainsHot(b *testing.B) {
 
 // BenchmarkEvaluatorDomainsN128Shock measures the incremental cost of a
 // shock perturbation at serving scale — N=128 across 8 domains, where a
-// from-scratch recombination is ~10^8 DP cell updates but a shock-only
-// change re-mixes one cached block against cached rest tables.
+// from-scratch recombination folds 17 blocks and chains 21 convolutions but
+// a shock-only change folds one zone's two 16-node blocks and dots their
+// mixture against cached rest tables.
 func BenchmarkEvaluatorDomainsN128Shock(b *testing.B) {
 	const n, d = 128, 8
 	domains := make(core.DomainSet, d)

@@ -36,7 +36,11 @@
 // conditioning: each domain's tables are the shock-weighted mixture of its
 // base and elevated block, convolved across domains (domains.go,
 // domaincache.go); AnalyzeDomainsConditioned, one region pass per shock
-// subset, is its referee. Invariants: with every shock probability zero
+// subset, is its referee. An Evaluator caches only each domain's
+// rest-of-fleet tables, so a query that changes one domain folds that
+// domain's blocks and answers with one dot product, and a full
+// recombination reads its answer off the same tables, so a repeat answers
+// bit-identically. Invariants: with every shock probability zero
 // the domain engine agrees with Analyze to 1e-12, one domain holding the
 // whole fleet equals the shock-weighted mix of two Analyze calls (base and
 // elevated fleet), and AnalyzeDomainsMonteCarlo brackets it within its

@@ -202,19 +202,15 @@ func BenchmarkRestTables(b *testing.B) {
 	}
 }
 
-// domainCacheStats snapshots the process-wide domain-cache counters;
-// tests diff two snapshots around a query stream. Nothing else in the
-// package's tests runs concurrently, so the deltas are this test's own.
+// domainCacheStats snapshots the process-wide rest-table counters; tests
+// diff two snapshots around a query stream. Nothing else in the package's
+// tests runs concurrently, so the deltas are this test's own.
 type domainCacheCounts struct {
-	BlockHits, BlockMisses, RestHits, RestMisses, ResultHits int64
+	RestHits, RestMisses int64
 }
 
 func domainCacheStats() domainCacheCounts {
-	return domainCacheCounts{
-		BlockHits: domBlockHits.Load(), BlockMisses: domBlockMisses.Load(),
-		RestHits: domRestHits.Load(), RestMisses: domRestMisses.Load(),
-		ResultHits: domResultHits.Load(),
-	}
+	return domainCacheCounts{RestHits: domRestHits.Load(), RestMisses: domRestMisses.Load()}
 }
 
 // TestEvaluatorDomainsCachedMatchesReference cycles one warm evaluator
@@ -239,13 +235,12 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 
 	check("cold", fleet, domains)
 
-	// Shock-only change in one domain: rest tables and all blocks hit.
+	// Shock-only change in one domain: its rest tables hit.
 	ds2 := append(DomainSet(nil), domains...)
 	ds2[1].ShockProb = 0.2
 	check("shock change", fleet, ds2)
 
-	// Multiplier change in one domain: rest tables hit, elevated block of
-	// that domain rebuilt.
+	// Multiplier change in one domain: its rest tables hit.
 	ds3 := append(DomainSet(nil), domains...)
 	ds3[2].CrashMultiplier = 35
 	check("multiplier change", fleet, ds3)
@@ -262,9 +257,9 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 	check("layout change", f3, domains)
 
 	// Sign of zero: -0 is the same shock and the same multiplier as +0, so
-	// it must find what +0 left behind — the result memo on an exact
-	// repeat, the rest tables when one other domain moved, the cached
-	// blocks when two did.
+	// it must find the rest tables +0 left behind — the first domain's on an
+	// exact repeat, the moved domain's when one other domain moved — and
+	// recombine only when two did.
 	negZero := math.Copysign(0, -1)
 	z := append(DomainSet(nil), domains...)
 	z[0].ShockProb, z[0].ByzMultiplier, z[1].ShockProb = 0, 0, 0.25 // two domains moved: a full recombination
@@ -278,26 +273,24 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 	z[1].ShockProb = 0.35
 	check("-0 beside two moved domains", fleet, z)
 	after := domainCacheStats()
-	if after.ResultHits != before.ResultHits+1 || after.RestHits != before.RestHits+1 ||
-		after.RestMisses != before.RestMisses+1 || after.BlockMisses != before.BlockMisses {
-		t.Errorf("-0 after +0: stats %+v -> %+v; want one result hit, one rest hit, one recombination, no block rebuilt", before, after)
+	if after.RestHits != before.RestHits+2 || after.RestMisses != before.RestMisses+1 {
+		t.Errorf("-0 after +0: stats %+v -> %+v; want two rest hits and one recombination", before, after)
 	}
 
 	end := domainCacheStats()
 	if end.RestHits == start.RestHits {
 		t.Fatalf("query stream never hit the rest-table fast path: %+v -> %+v", start, end)
 	}
-	if end.BlockHits == start.BlockHits {
-		t.Fatalf("query stream never hit the block cache: %+v -> %+v", start, end)
-	}
 }
 
 // TestEvaluatorDomainsColdMatchesPackageExactly pins that the engine's
-// cold recombination is deterministic, which the serving caches rely on: a
-// fresh evaluator and a fresh pool (the package entry point's path) return
-// bit-identical results. An evaluator that first absorbed a related query
-// answers by the rest-table fast path instead, within 1e-15 of the cold
-// answer, and repeats that answer exactly from its result memo.
+// answers are deterministic, which the serving caches rely on: a fresh
+// evaluator and a fresh pool (the package entry point's path) return
+// bit-identical results. A cold recombination answers as the fast path
+// does for the first domain, so an evaluator that first absorbed a query
+// differing only in that domain answers == the cold answer too, and so does
+// a repeat on an evaluator whose rest tables overflowed their cap in
+// between.
 func TestEvaluatorDomainsColdMatchesPackageExactly(t *testing.T) {
 	fleet, domains := domainFleet9()
 	m := NewRaft(9)
@@ -318,25 +311,51 @@ func TestEvaluatorDomainsColdMatchesPackageExactly(t *testing.T) {
 	if _, err := e.AnalyzeDomains(fleet, m, related); err != nil {
 		t.Fatal(err)
 	}
+	hits := domRestHits.Load()
 	fast, err := e.AnalyzeDomains(fleet, m, domains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsClose(t, "fast path vs cold", fast, want, 1e-15)
+	if domRestHits.Load() != hits+1 {
+		t.Fatal("query after a first-domain shock change missed the rest tables")
+	}
+	if fast != want {
+		t.Fatalf("fast path after a first-domain shock change %#v differs from the cold answer %#v", fast, want)
+	}
+
+	// More layouts than any cap the engine's caches have had (every domain
+	// but the last moves, so each one recombines and stores three rest
+	// tables), then a first-domain change, then the repeat.
+	e = NewEvaluator()
+	first, err := e.AnalyzeDomains(fleet, m, domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn := append(DomainSet(nil), domains...)
+	for i := 0; i < 16*maxRestCacheEntries+1; i++ {
+		churn[0].ShockProb = 0.01 + 1e-5*float64(i)
+		churn[1].ShockProb = 0.02 + 1e-5*float64(i)
+		if _, err := e.AnalyzeDomains(fleet, m, churn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.AnalyzeDomains(fleet, m, related); err != nil {
+		t.Fatal(err)
+	}
 	again, err := e.AnalyzeDomains(fleet, m, domains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != fast {
-		t.Fatalf("repeat %+v differs from the first answer %+v", again, fast)
+	if again != first {
+		t.Fatalf("repeat after %d layouts %#v differs from the first answer %#v", 16*maxRestCacheEntries+1, again, first)
 	}
 }
 
-// TestAnalyzeDomainsBlockReuse is the counter pin for the tentpole claim:
-// a 64-point shock sweep over one domain performs the cold query's block
-// builds once and then ZERO further from-scratch joint builds — against
-// 64 independent rebuild sets (7 per point at D=3) for the uncached
-// engine, far beyond the required 10x.
+// TestAnalyzeDomainsBlockReuse is the counter pin of the rest tables: a
+// 64-point shock sweep over one domain performs the cold query's block
+// folds once, and every later point only refolds that domain's two blocks
+// and answers from the rest tables — against 64 full recombinations (7
+// folds per point at D=3) without them.
 func TestAnalyzeDomainsBlockReuse(t *testing.T) {
 	fleet, domains := domainFleet9()
 	m := NewRaft(9)
@@ -354,14 +373,10 @@ func TestAnalyzeDomainsBlockReuse(t *testing.T) {
 
 	// Cold query: 1 independent-remainder block (empty here, still one
 	// unit-table build) + 3 domains × (base, elevated) = 7. Every later
-	// sweep point changes only a mixture weight: all blocks hit.
-	const coldBuilds = 7
-	if builds > coldBuilds {
-		t.Fatalf("64-point shock sweep performed %d joint builds, want <= %d", builds, coldBuilds)
-	}
-	fresh := int64(64 * coldBuilds)
-	if builds*10 > fresh {
-		t.Fatalf("sweep builds %d not >= 10x fewer than fresh %d", builds, fresh)
+	// sweep point folds the swept domain's base and elevated block.
+	const coldBuilds, pointBuilds = 7, 2
+	if want := int64(coldBuilds + 63*pointBuilds); builds != want {
+		t.Fatalf("64-point shock sweep performed %d joint builds, want %d", builds, want)
 	}
 
 	if got := domRestHits.Load() - restHits; got < 63 {
@@ -372,8 +387,8 @@ func TestAnalyzeDomainsBlockReuse(t *testing.T) {
 // TestAnalyzeDomainsZeroAllocs mirrors TestEvaluatorAnalyzeZeroAllocs for
 // the correlated path (the satellite bugfix: package AnalyzeDomains runs
 // on pooled evaluators): once warm, a repeated domain query allocates
-// nothing — partition scratch, cache keys, block lookups, the mixture and
-// the rest-table dot product all reuse evaluator-owned memory.
+// nothing — partition scratch, the rest key, the block folds, the mixture
+// and the rest-table dot product all reuse evaluator-owned memory.
 func TestAnalyzeDomainsZeroAllocs(t *testing.T) {
 	fleet, domains := domainFleet9()
 	// Box the model once: passing a concrete Raft would allocate the
@@ -462,10 +477,9 @@ func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The empty remainder, one base block both identical halves share, and
-	// an elevated block per half.
-	if builds := dist.JointBuilds() - start; builds != 4 || float64(builds) > work {
-		t.Fatalf("two halves: %d builds, want 4 within the estimate %v", builds, work)
+	// The empty remainder, and a base and an elevated block per half.
+	if builds := dist.JointBuilds() - start; builds != 5 || float64(builds) > work {
+		t.Fatalf("two halves: %d builds, want 5 within the estimate %v", builds, work)
 	}
 	start = dist.JointBuilds()
 	want, err := AnalyzeDomainsConditioned(bigFleet, bigModel, bigDomains)
@@ -482,7 +496,7 @@ func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 // sizes the ROADMAP called a wall: the dispatcher prices an N=256, D=8
 // layout far under the serving work bound, and an N=128 query stream runs
 // its block convolutions cold, with the incremental follow-up answered
-// from rest tables with zero new builds.
+// from rest tables after folding only the perturbed zone's two blocks.
 func TestEvaluatorDomainsLargeFleet(t *testing.T) {
 	mkFleet := func(n, d int) (Fleet, DomainSet) {
 		fleet := make(Fleet, n)
@@ -532,8 +546,8 @@ func TestEvaluatorDomainsLargeFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if builds := dist.JointBuilds() - start; builds != 0 {
-		t.Fatalf("shock-perturbed N=128 query performed %d builds, want 0", builds)
+	if builds := dist.JointBuilds() - start; builds != 2 {
+		t.Fatalf("shock-perturbed N=128 query performed %d builds, want 2 (the zone's base and elevated block)", builds)
 	}
 	want2, err := AnalyzeDomainsConditioned(fleet, m, ds2)
 	if err != nil {

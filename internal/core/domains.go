@@ -136,14 +136,14 @@ func ResolveDomains(fleet Fleet, domains DomainSet) ([]int, error) {
 // defaultEvaluators backs the package-level entry points: every call
 // borrows a pooled Evaluator, so package callers (the serving layer's
 // default AnalyzeFunc and the optimizer's objectives) share warm
-// workspaces and the correlated-domain block cache instead of allocating
+// workspaces and the correlated-domain rest tables instead of allocating
 // fresh state per query.
 var defaultEvaluators = NewEvaluatorPool()
 
 // AnalyzeDomains computes the exact Result of a fleet whose nodes belong
 // to correlated failure domains on the region-table domain engine. With no
 // domains (or no members) it is exactly Analyze. It runs on a pooled
-// Evaluator, so repeated related queries hit the domain block cache and
+// Evaluator, so repeated related queries hit the domain rest tables and
 // allocate nothing in steady state (pinned by TestAnalyzeDomainsZeroAllocs).
 func AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
 	return defaultEvaluators.AnalyzeDomains(fleet, m, domains)

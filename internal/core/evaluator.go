@@ -39,7 +39,7 @@ var (
 // allocations (pinned by TestEvaluatorAnalyzeZeroAllocs). It also carries
 // the incremental machinery the hot paths stack on: the one-pass
 // quorum-sizing sweeps that build the joint DP once per fleet and the
-// correlated-domain caches.
+// correlated-domain rest tables.
 //
 // Ownership rules (see DESIGN.md "Incremental evaluation engine"):
 //
@@ -56,7 +56,7 @@ type Evaluator struct {
 	joint   dist.JointCrashByz
 	tails   quorumTails
 	// dom holds the resolved domain layout of the query in flight and the
-	// correlated-domain workspace and caches (see domaincache.go).
+	// correlated-domain workspace and rest tables (see domaincache.go).
 	dom domainState
 }
 
@@ -116,9 +116,9 @@ func (e *Evaluator) Analyze(fleet Fleet, m CountModel) (Result, error) {
 // AnalyzeDomains is the evaluator counterpart of the package-level
 // AnalyzeDomains: domain-free queries (the common serving case) run
 // through the reusable workspace, and populated domain layouts run on the
-// evaluator's domain engine with its block cache and rest tables
-// (domaincache.go). A fleet whose nodes reference domains missing from the
-// set is rejected, never silently analyzed as independent.
+// evaluator's domain engine with its rest tables (domaincache.go). A fleet
+// whose nodes reference domains missing from the set is rejected, never
+// silently analyzed as independent.
 func (e *Evaluator) AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
 	if err := e.dom.resolveQuery(fleet, m, domains); err != nil {
 		return Result{}, err

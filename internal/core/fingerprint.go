@@ -192,7 +192,7 @@ func fillProfileKeys(keys [][2]uint64, fleet Fleet, idxs []int, all bool) {
 // appendDomainBits appends a domain's shock probability and its crash and
 // Byzantine multipliers as canonical bits — everything of a domain but its
 // name and members. Shared by the query fingerprint and the evaluator's
-// rest-table and result keys.
+// rest-table keys.
 func appendDomainBits(buf []byte, d faultcurve.Domain) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, canonBits(d.ShockProb))
 	buf = binary.BigEndian.AppendUint64(buf, canonBits(d.CrashMultiplier))

@@ -164,11 +164,11 @@ func (p HardeningProblem) Objective() Objective {
 	value := func(x []float64) float64 { return logUnavail(p.Eval(x)) }
 	if p.UsesCentralDifferences() {
 		// Correlated layout: every engine call runs through one dedicated
-		// evaluator whose domain block cache carries across the solve. A
+		// evaluator whose rest tables carry across the solve. A
 		// central-difference probe perturbs one node, so only that node's
-		// domain refolds its two small blocks — the rest of the fleet
-		// is answered from cached rest tables; line-search steps move all
-		// nodes but still convolve cached blocks.
+		// domain refolds its two small blocks — the rest of the fleet is
+		// answered from cached rest tables; line-search steps move all
+		// nodes and recombine.
 		e := core.NewEvaluator()
 		fleet := make(core.Fleet, len(p.Fleet))
 		return FuncObjective{F: func(x []float64) float64 {
@@ -335,11 +335,11 @@ func (p DomainHardeningProblem) Eval(x []float64) core.Result {
 // Objective returns f(x) = ln(1 - SafeAndLive(x)) with central-difference
 // gradients: the shock probability enters the domain engine non-linearly
 // per domain, so the leave-one-out trick does not apply. All engine calls
-// share one dedicated evaluator: a spend vector only moves shock
-// probabilities — mixture weights, never blocks — so after the first
-// evaluation folds the per-domain blocks and rest tables, every gradient
-// probe and line-search step is answered with zero block folds
-// (pinned by TestDomainHardeningBlockReuse).
+// share one dedicated evaluator, so a gradient probe, which moves one
+// domain's shock probability, folds that domain's two blocks and answers
+// from the rest tables the previous evaluation left; a step that moves
+// several domains recombines (BenchmarkOptimizeDomainHardening reports the
+// builds per solve).
 func (p DomainHardeningProblem) Objective() Objective {
 	e := core.NewEvaluator()
 	ds := make(core.DomainSet, len(p.Domains))
