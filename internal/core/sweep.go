@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/dist"
 )
@@ -184,23 +187,36 @@ func (e *Evaluator) SweepPBFTQuorums(fleet Fleet) ([]PBFTSizing, error) {
 
 // PBFTFrontier filters a sweep to its Pareto frontier in (safety,
 // liveness): points where no other sizing is at least as safe AND at least
-// as live (with one strictly better).
+// as live (with one strictly better). Equal points are all kept, in sweep
+// order. Sorted by safety, then liveness, both descending, a point is
+// dominated iff a strictly safer point is at least as live or an equally
+// safe one strictly more live: O(k log k) for k sizings.
 func PBFTFrontier(sweep []PBFTSizing) []PBFTSizing {
-	var out []PBFTSizing
-	for i, a := range sweep {
-		dominated := false
-		for j, b := range sweep {
-			if i == j {
-				continue
-			}
-			if b.Res.Safe >= a.Res.Safe && b.Res.Live >= a.Res.Live &&
-				(b.Res.Safe > a.Res.Safe || b.Res.Live > a.Res.Live) {
-				dominated = true
-				break
-			}
+	order := make([]int, len(sweep))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		a, b := sweep[i].Res, sweep[j].Res
+		if c := cmp.Compare(b.Safe, a.Safe); c != 0 {
+			return c
 		}
-		if !dominated {
-			out = append(out, a)
+		return cmp.Compare(b.Live, a.Live)
+	})
+	keep := make([]bool, len(sweep))
+	saferLive := math.Inf(-1) // the best liveness of any strictly safer point
+	for g := 0; g < len(order); {
+		safe, top := sweep[order[g]].Res.Safe, sweep[order[g]].Res.Live
+		for ; g < len(order) && cmp.Compare(sweep[order[g]].Res.Safe, safe) == 0; g++ {
+			live := sweep[order[g]].Res.Live
+			keep[order[g]] = live == top && live > saferLive
+		}
+		saferLive = max(saferLive, top)
+	}
+	var out []PBFTSizing
+	for i, s := range sweep {
+		if keep[i] {
+			out = append(out, s)
 		}
 	}
 	return out

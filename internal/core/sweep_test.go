@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -133,6 +136,68 @@ func TestPBFTFrontierDominance(t *testing.T) {
 	}
 	if !foundSafe || !foundLive {
 		t.Error("frontier missing an extreme point")
+	}
+}
+
+// frontierOracle is the quadratic Pareto filter PBFTFrontier replaced,
+// kept as its oracle: every sizing is compared with every other.
+func frontierOracle(sweep []PBFTSizing) []PBFTSizing {
+	var out []PBFTSizing
+	for i, a := range sweep {
+		dominated := false
+		for j, b := range sweep {
+			if i == j {
+				continue
+			}
+			if b.Res.Safe >= a.Res.Safe && b.Res.Live >= a.Res.Live &&
+				(b.Res.Safe > a.Res.Safe || b.Res.Live > a.Res.Live) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestPBFTFrontierMatchesOracle pins PBFTFrontier to the quadratic filter
+// with ==, set, order and ties: on random heterogeneous sweeps, on
+// synthetic sweeps whose (Safe, Live) take four values each, and on the
+// tie-heavy uniform N = 200 sweep, whose safest sizings tie by the
+// thousand.
+func TestPBFTFrontierMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	sweeps := map[string][]PBFTSizing{}
+	for i := 0; i < 30; i++ {
+		n := 1 + rng.Intn(40)
+		sweep, err := SweepPBFTQuorums(randomFleet(rng, n, []float64{0.01, 0.1, 0.5}[i%3]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweeps[fmt.Sprintf("heterogeneous %d (N=%d)", i, n)] = sweep
+		coarse := make([]PBFTSizing, len(sweep))
+		for k := range coarse {
+			coarse[k] = PBFTSizing{Model: sweep[k].Model, Res: Result{Safe: float64(rng.Intn(4)) / 4, Live: float64(rng.Intn(4)) / 4}}
+		}
+		sweeps[fmt.Sprintf("coarse %d (N=%d)", i, n)] = coarse
+	}
+	uniform, err := SweepPBFTQuorums(UniformByzFleet(200, 0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweeps["uniform N=200"] = uniform
+	for name, sweep := range sweeps {
+		if got, want := PBFTFrontier(sweep), frontierOracle(sweep); !slices.Equal(got, want) {
+			t.Fatalf("%s: frontier of %d sizings, oracle %d", name, len(got), len(want))
+		}
+	}
+	if got := len(PBFTFrontier(uniform)); got < 1000 {
+		t.Fatalf("uniform N=200: %d frontier points; the sweep no longer exercises ties", got)
+	}
+	if PBFTFrontier(nil) != nil {
+		t.Fatal("empty sweep has a frontier")
 	}
 }
 

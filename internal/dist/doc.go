@@ -15,7 +15,9 @@
 //
 // Every analysis reads a count region's truncated table (RegionPass), never
 // the whole joint (#crashed, #Byzantine) table, which serves only the
-// quorum sweeps and the tests as their oracle. Region tables compose:
+// quorum sweeps and the tests as their oracle. The joint table is itself a
+// region table, the general shape laid over the whole triangle: one
+// in-place fold kernel writes every (c, b) table. Region tables compose:
 // ResetGroup folds part of a fleet, Mix takes convex mixtures
 // (conditioning on a shock), Convolve adds the counts of independent
 // groups, and Shifted and Dot answer a group against the rest of the fleet

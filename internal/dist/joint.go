@@ -14,35 +14,31 @@ import (
 // (RegionPass); the whole table serves the quorum sweeps, which ask about
 // every sizing at once, and is the region kernels' test oracle.
 //
-// The table is built by a 2-D trinomial dynamic program: folding in one
-// node splits every (c, b) cell three ways (correct / crashed /
-// Byzantine). Each fold is O(i^2) over the cells reachable after i nodes,
-// so construction is O(n^3) total and O(n^2) space — exact for
+// The table is the count-region kernel's general table laid over the
+// whole triangle: n+1 columns of stride n+1, column b holding
+// P[C = c, B = b] for c ascending, c + b <= n. Folding in one node splits
+// every (c, b) cell three ways (correct / crashed / Byzantine) in place
+// (regionTable.fold). Each fold is O(i^2) over the cells reachable after
+// i nodes, so construction is O(n^3) total and O(n^2) space — exact for
 // heterogeneous fleets of any composition, with no 3^N blow-up.
 //
 // The zero value is an empty (n=0) table ready for Reset. Reset rebuilds
-// in place, reusing both internal buffers, so a long-lived
-// JointCrashByz reaches zero steady-state allocations (pinned by
-// TestWorkspaceZeroAllocs) — the workspace discipline every hot path of
-// the evaluation engine is built on. A JointCrashByz is not safe for
-// concurrent mutation; see core.EvaluatorPool for sharing across workers.
+// in place, reusing its buffer, so a long-lived JointCrashByz reaches zero
+// steady-state allocations (pinned by TestWorkspaceZeroAllocs) — the
+// workspace discipline every hot path of the evaluation engine is built
+// on. A JointCrashByz is not safe for concurrent mutation; see
+// core.EvaluatorPool for sharing across workers.
 type JointCrashByz struct {
 	n int
-	// band holds the table: the (n+1)x(n+1) lower triangle flattened
-	// row-major, p[c*(n+1)+b] = P[exactly c crashed and b Byzantine],
-	// c+b <= n, together with its live extents.
-	band
-	// scratch is the DP's second buffer, kept so Reset never reallocates
-	// in steady state.
-	scratch band
+	t regionTable
 }
 
-// flushBelow is τ = 2⁻⁹⁰⁰ ≈ 1.2e-271: Reset and RegionPass.Reset store
-// any cell below it as exact 0, so no fold ever reads a subnormal back (Go
-// cannot set FTZ/DAZ, and each subnormal operand costs a microcode assist).
-// Cells >= ~1e-250 are untouched, mass is only ever removed, and one
-// build removes less than (N+1)(N+2)(N+3)/6·τ ≈ N³/6·τ in total
-// (DESIGN.md "Incremental-DP math"; pinned by TestFlushBound). A
+// flushBelow is τ = 2⁻⁹⁰⁰ ≈ 1.2e-271: every fold (regionTable.fold)
+// stores any cell below it as exact 0, so no fold ever reads a subnormal
+// back (Go cannot set FTZ/DAZ, and each subnormal operand costs a
+// microcode assist). Cells >= ~1e-250 are untouched, mass is only ever
+// removed, and one build removes less than (N+1)(N+2)(N+3)/6·τ ≈ N³/6·τ
+// in total (DESIGN.md "Incremental-DP math"; pinned by TestFlushBound). A
 // constant, not a knob: nothing a caller can observe depends on it.
 const flushBelow = 0x1p-900
 
@@ -57,45 +53,6 @@ func flush(v float64) float64 {
 		u = 0
 	}
 	return math.Float64frombits(u)
-}
-
-// band is one DP buffer plus its live extents. Invariant: every cell of
-// p[:cap(p)] is exactly 0 except the first hi[c] cells of rows c < rows
-// (stride len(hi)) — so all-zero cells are neither computed nor re-zeroed,
-// whole-buffer readers (PMF, the sweeps' prefix sums) see zeros there, and
-// the w spare cells reset keeps past the table are a permanent zero row.
-type band struct {
-	p    []float64
-	hi   []int // row c is zero from b = hi[c] on (tight after a fold)
-	rows int   // hi[c] == 0 from c = rows on
-}
-
-// reset empties the band and sizes it for a w-row table. It clears only
-// the cells the buffer's previous occupant left live, never all w².
-func (t *band) reset(w int) {
-	ow := len(t.hi)
-	for c, h := range t.hi[:t.rows] {
-		clear(t.p[c*ow : c*ow+h])
-	}
-	if need := w * (w + 1); cap(t.p) < need {
-		t.p = make([]float64, w*w, need)
-	} else {
-		t.p = t.p[:w*w]
-	}
-	if cap(t.hi) < w {
-		t.hi = make([]int, w)
-	} else {
-		t.hi = t.hi[:w]
-		clear(t.hi)
-	}
-	t.rows = 0
-}
-
-// resetNoNodes is reset with all mass on (0, 0): the table over no nodes,
-// which every build folds up from.
-func (t *band) resetNoNodes(w int) {
-	t.reset(w)
-	t.p[0], t.hi[0], t.rows = 1, 1, 1
 }
 
 // jointBuilds counts from-scratch DPs over a fleet or a node group:
@@ -145,75 +102,20 @@ func NewJointCrashByz(nodes []TriState) *JointCrashByz {
 	return d
 }
 
-// Reset rebuilds the table for the given nodes in place, one band-limited
-// fold per node. Buffers are reused whenever they are large enough, so
-// resetting a warm table of the same (or smaller) size allocates nothing.
+// Reset rebuilds the table for the given nodes in place, one fold per
+// node. The buffer is reused whenever it is large enough, so resetting a
+// warm table of the same (or smaller) size allocates nothing.
 func (d *JointCrashByz) Reset(nodes []TriState) {
 	jointBuilds.Add(1)
 	w := len(nodes) + 1
-	if need := w * (w + 1); cap(d.p) >= need && cap(d.scratch.p) >= need {
+	if !d.t.size(shapeGeneral, w, w) {
 		workspaceReuses.Add(1)
 	}
-	d.band.resetNoNodes(w)
-	if len(d.scratch.hi) != w { // at an unchanged stride fold clears what is stale
-		d.scratch.reset(w)
-	}
+	d.t.p[0], d.t.hi[0] = 1, 1
 	for _, t := range nodes {
-		pc, pb, pok := clampTri(t)
-		fold(&d.scratch, &d.band, pc, pb, pok)
-		d.band, d.scratch = d.scratch, d.band
+		d.t.fold(clampTri(t))
 	}
 	d.n = len(nodes)
-}
-
-// fold folds one node into dst from src, two buffers of the same stride:
-//
-//	dst[c][b] = src[c-1][b]·pc + src[c][b-1]·pb + src[c][b]·pok
-//
-// in exactly that operation order (the order the historical scatter fold
-// delivered its contributions in), flushed below τ. Only the live band is
-// visited: row c is computed up to max(hi[c-1], hi[c]+1), the furthest a
-// non-zero source reaches, and src's zeros beyond its extents stand in for
-// the out-of-support terms. dst must satisfy the band invariant on entry
-// (its own stale extents are cleared as rows are rewritten).
-func fold(dst, src *band, pc, pb, pok float64) {
-	w := len(src.hi)
-	rows := src.rows + 1
-	zero := src.p[w*w : w*w+w]
-	for c := 0; c < rows; c++ {
-		prev, hp := zero, 0
-		if c > 0 {
-			prev, hp = src.p[(c-1)*w:c*w], src.hi[c-1]
-		}
-		cur, hc := src.p[c*w:(c+1)*w], src.hi[c]
-		out := dst.p[c*w : (c+1)*w]
-		m := hp
-		if hc >= m && hc > 0 {
-			m = hc + 1
-		}
-		if m > 0 {
-			prev, cur, o := prev[:m], cur[:m], out[:m]
-			o[0] = flush(prev[0]*pc + cur[0]*pok)
-			for b := 1; b < len(o); b++ {
-				o[b] = flush(prev[b]*pc + cur[b-1]*pb + cur[b]*pok)
-			}
-		}
-		for m > 0 && out[m-1] == 0 {
-			m--
-		}
-		if stale := dst.hi[c]; stale > m {
-			clear(out[m:stale])
-		}
-		dst.hi[c] = m
-	}
-	for c := rows; c < dst.rows; c++ {
-		clear(dst.p[c*w : c*w+dst.hi[c]])
-		dst.hi[c] = 0
-	}
-	for rows > 0 && dst.hi[rows-1] == 0 {
-		rows--
-	}
-	dst.rows = rows
 }
 
 // N returns the fleet size.
@@ -224,19 +126,25 @@ func (d *JointCrashByz) PMF(c, b int) float64 {
 	if c < 0 || b < 0 || c+b > d.n {
 		return 0
 	}
-	return d.p[c*(d.n+1)+b]
+	return d.t.p[b*d.t.w+c]
 }
 
 // SumWhere returns the total probability mass of the cells where the
 // predicate holds — e.g. a protocol model's Safe(c, b). The sum is
-// compensated and clamped.
+// compensated and clamped, and runs c-major (c ascending, then b), reading
+// across the columns.
 func (d *JointCrashByz) SumWhere(pred func(crashed, byz int) bool) float64 {
 	var s KahanSum
-	w := d.n + 1
-	for c := 0; c < d.rows; c++ {
-		for b, mass := range d.p[c*w : c*w+d.hi[c]] {
-			if pred(c, b) {
-				s.Add(mass)
+	t := &d.t
+	cols := t.liveCols()
+	rows := 0
+	for _, h := range t.hi[:cols] {
+		rows = max(rows, h)
+	}
+	for c := 0; c < rows; c++ {
+		for b, h := range t.hi[:cols] {
+			if c < h && pred(c, b) {
+				s.Add(t.p[b*t.w+c])
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +11,7 @@ import (
 
 // scatterOracle is the historical joint-DP build, kept only as a test
 // oracle: a dense scatter fold over the whole support triangle with no
-// band, no extents and no flush (values underflow gradually, as IEEE-754
+// live extents and no flush (values underflow gradually, as IEEE-754
 // does by default). It returns the (n+1)x(n+1) row-major table.
 func scatterOracle(nodes []TriState) []float64 {
 	w := len(nodes) + 1
@@ -64,35 +66,6 @@ func denseFleet(n int) []TriState {
 	return out
 }
 
-// checkBandInvariant asserts the band invariant over the whole buffer,
-// spare capacity included: zero outside the live extents, extents tight,
-// and nothing stored in (0, τ).
-func checkBandInvariant(t *testing.T, name string, b *band) {
-	t.Helper()
-	w := len(b.hi)
-	p := b.p[:cap(b.p)]
-	for i, v := range p {
-		c, col := i/w, i%w
-		if live := c < b.rows && col < b.hi[c]; !live && v != 0 {
-			t.Fatalf("%s: cell (%d,%d) = %g outside the live extent", name, c, col, v)
-		}
-		if v > 0 && v < flushBelow {
-			t.Fatalf("%s: cell (%d,%d) = %g stored inside (0, τ)", name, c, col, v)
-		}
-	}
-	for c, h := range b.hi {
-		if c >= b.rows && h != 0 {
-			t.Fatalf("%s: hi[%d] = %d past rows = %d", name, c, h, b.rows)
-		}
-		if h > 0 && p[c*w+h-1] == 0 {
-			t.Fatalf("%s: hi[%d] = %d is not tight", name, c, h)
-		}
-	}
-	if b.rows > 0 && b.hi[b.rows-1] == 0 {
-		t.Fatalf("%s: rows = %d is not tight", name, b.rows)
-	}
-}
-
 // checkAgainstOracle pins the flush contract for one built table: no cell
 // above the oracle, every cell >= eqAbove bit-equal, Σ|diff| within the
 // budget, total mass within 1e-12 of 1. It returns how many cells the
@@ -100,20 +73,20 @@ func checkBandInvariant(t *testing.T, name string, b *band) {
 func checkAgainstOracle(t *testing.T, name string, nodes []TriState, got *JointCrashByz, eqAbove float64) (flushed int) {
 	t.Helper()
 	n := len(nodes)
-	if got.N() != n || len(got.p) != (n+1)*(n+1) {
-		t.Fatalf("%s: table over %d nodes with %d cells, want %d nodes", name, got.N(), len(got.p), n)
+	if got.N() != n || len(got.t.p) != (n+1)*(n+1) {
+		t.Fatalf("%s: table over %d nodes with %d cells, want %d nodes", name, got.N(), len(got.t.p), n)
 	}
-	checkBandInvariant(t, name+" table", &got.band)
-	checkBandInvariant(t, name+" scratch", &got.scratch)
+	checkTableInvariant(t, name, &got.t)
 	want := scatterOracle(nodes)
 	var diff, mass KahanSum
 	for i, v := range want {
-		g := got.p[i]
+		c, b := i/(n+1), i%(n+1)
+		g := got.PMF(c, b)
 		if g > v {
-			t.Fatalf("%s: cell %d = %g above the oracle's %g", name, i, g, v)
+			t.Fatalf("%s: cell (%d,%d) = %g above the oracle's %g", name, c, b, g, v)
 		}
 		if v >= eqAbove && g != v {
-			t.Fatalf("%s: cell %d = %g differs from the oracle's %g", name, i, g, v)
+			t.Fatalf("%s: cell (%d,%d) = %g differs from the oracle's %g", name, c, b, g, v)
 		}
 		if g == 0 && v >= math.SmallestNonzeroFloat64 {
 			flushed++
@@ -130,8 +103,8 @@ func checkAgainstOracle(t *testing.T, name string, nodes []TriState, got *JointC
 	return flushed
 }
 
-// TestFlushBound pins the band kernel against the scatter oracle on random
-// heterogeneous fleets from both regimes.
+// TestFlushBound pins the joint table's fold against the scatter oracle on
+// random heterogeneous fleets from both regimes.
 func TestFlushBound(t *testing.T) {
 	if math.Float64bits(flushBelow) != flushBits || flushBelow != math.Ldexp(1, -900) {
 		t.Fatalf("τ = %g (bits %#x), flushBits = %#x", flushBelow, math.Float64bits(flushBelow), uint64(flushBits))
@@ -153,31 +126,67 @@ func TestFlushBound(t *testing.T) {
 }
 
 // TestBandWorkspaceReuse proves stale extents never leak: one workspace
-// runs a large banded build, a small one, a dense one, a banded one of the
-// same size and the dense writers in turn, and is checked against the
-// oracle (and the whole-buffer invariant) after every step.
+// runs a large build whose deep tail underflows, a small one, a dense one,
+// an underflowing one of the same size and the dense writers in turn, and
+// is checked against the oracle (and the whole-buffer invariant) after
+// every step.
 func TestBandWorkspaceReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	var d JointCrashByz
 	for i, nodes := range [][]TriState{
-		coldFleet(rng, 200), coldFleet(rng, 7), denseFleet(120), coldFleet(rng, 120), // same stride: fold clears the stale scratch
+		coldFleet(rng, 200), coldFleet(rng, 7), denseFleet(120), coldFleet(rng, 120), // same stride: Reset clears what the dense build left live
 		coldFleet(rng, 200), nil, coldFleet(rng, 64),
 	} {
 		d.Reset(nodes)
 		checkAgainstOracle(t, fmt.Sprintf("step %d (n=%d)", i, len(nodes)), nodes, &d, 1e-250)
 	}
-	// Dense writers into a buffer a larger banded build left live.
+	// Dense writers into a buffer a larger build left live.
 	a, b := NewJointCrashByz(coldFleet(rng, 9)), NewJointCrashByz(coldFleet(rng, 5))
 	d.Reset(coldFleet(rng, 200))
 	ConvolveJointCrashByzInto(&d, a, b)
-	checkBandInvariant(t, "convolved", &d.band)
+	checkTableInvariant(t, "convolved", &d.t)
 	d.Reset(coldFleet(rng, 200))
 	if err := MixJointCrashByzInto(&d, a, a, 0.25, 0.75); err != nil {
 		t.Fatal(err)
 	}
-	checkBandInvariant(t, "mixed", &d.band)
+	checkTableInvariant(t, "mixed", &d.t)
 	if diff := maxJointDiff(t, &d, a); diff > 1e-15 {
 		t.Fatalf("mixture of a table with itself drifts by %g", diff)
+	}
+}
+
+// TestJointGolden pins four tables bit for bit: an FNV-64a hash of every
+// cell's bits (c ascending, then b) and of one region's SumWhere. The
+// constants were recorded from the two-buffer row-major fold this table's
+// in-place column fold replaced, and must not move: TestFlushBound only
+// pins cells above 1e-250 bit for bit, and the cold fleet's triangle holds
+// cells all the way down to τ.
+func TestJointGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		nodes      []TriState
+		r          Region
+		hash, bits uint64
+	}{
+		{"cold N=256", coldFleet(rand.New(rand.NewSource(256)), 256), Region{Byz: 1, Faulty: 8}, 0x74349d67fcd0f81f, 0x3fe561f70952a157},
+		{"dense N=64", denseFleet(64), Region{Byz: 16, Faulty: 32}, 0x60f42252cc934aeb, 0x3fa685105c77dba3},
+		{"edge nodes", edgeNodes, Region{Byz: 1, Faulty: 3}, 0x1a06fe858f880890, 0x3fd0000000000000},
+		{"no nodes", nil, Region{}, 0x2be2cbea19a827c5, 0x3ff0000000000000},
+	} {
+		d := NewJointCrashByz(tc.nodes)
+		h := fnv.New64a()
+		word := func(v float64) { h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))) }
+		for c := 0; c <= d.N(); c++ {
+			for b := 0; c+b <= d.N(); b++ {
+				word(d.PMF(c, b))
+			}
+		}
+		sum := d.SumWhere(tc.r.Holds)
+		word(sum)
+		if h.Sum64() != tc.hash || math.Float64bits(sum) != tc.bits {
+			t.Errorf("%s: hash %#016x, SumWhere %.17g (bits %#016x); want hash %#016x, bits %#016x",
+				tc.name, h.Sum64(), sum, math.Float64bits(sum), tc.hash, tc.bits)
+		}
 	}
 }
 
@@ -204,9 +213,9 @@ func FuzzJointBand(f *testing.F) {
 	})
 }
 
-// BenchmarkJointReset is the kernel's size ladder on the two regimes the
-// band is sized against: the bench's cold_large probabilities, where most
-// of the triangle underflows, and p = 0.3/0.3, where none of it does.
+// BenchmarkJointReset is the full-triangle build's size ladder on two
+// regimes: the bench's cold_large probabilities, where most of the
+// triangle underflows, and p = 0.3/0.3, where none of it does.
 func BenchmarkJointReset(b *testing.B) {
 	for _, n := range []int{20, 64, 256, 1024} {
 		for _, tc := range []struct {

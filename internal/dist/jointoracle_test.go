@@ -28,18 +28,17 @@ func MixJointCrashByzInto(dst *JointCrashByz, a, b *JointCrashByz, wa, wb float6
 	}
 	w := a.n + 1
 	if dst != a && dst != b {
-		dst.band.reset(w)
+		dst.t.size(shapeGeneral, w, w)
 	}
 	dst.n = a.n
-	for c := 0; c < w; c++ {
-		h := max(a.hi[c], b.hi[c])
-		ra, rb, out := a.p[c*w:c*w+h], b.p[c*w:c*w+h], dst.p[c*w:c*w+h]
+	for col := 0; col < w; col++ {
+		h, o := max(a.t.hi[col], b.t.hi[col]), col*w
+		ra, rb, out := a.t.p[o:o+h], b.t.p[o:o+h], dst.t.p[o:o+h]
 		for i := range out {
 			out[i] = wa*ra[i] + wb*rb[i]
 		}
-		dst.hi[c] = h
+		dst.t.hi[col] = h
 	}
-	dst.rows = max(a.rows, b.rows)
 	return nil
 }
 
@@ -58,56 +57,49 @@ func ConvolveJointCrashByz(a, b *JointCrashByz) *JointCrashByz {
 func ConvolveJointCrashByzInto(dst *JointCrashByz, a, b *JointCrashByz) {
 	an, bn := a.n, b.n
 	n := an + bn
-	dst.band.resetDense(n)
-	dst.n = n
-	w, wa, wb := n+1, an+1, bn+1
-	for c := 0; c < w; c++ {
-		out := dst.p[c*w : (c+1)*w]
+	dst.resetDense(n)
+	for c := 0; c <= n; c++ {
 		for bOut := 0; bOut <= n-c; bOut++ {
 			var s KahanSum
 			for ca, caHi := max(c-bn, 0), min(c, an); ca <= caHi; ca++ {
 				cb := c - ca
-				rowA, rowB := a.p[ca*wa:], b.p[cb*wb:]
 				for ba, baHi := max(bOut-(bn-cb), 0), min(bOut, an-ca); ba <= baHi; ba++ {
-					ma := rowA[ba]
+					ma := a.PMF(ca, ba)
 					if ma == 0 {
 						continue
 					}
-					if mb := rowB[bOut-ba]; mb != 0 {
+					if mb := b.PMF(cb, bOut-ba); mb != 0 {
 						s.Add(ma * mb)
 					}
 				}
 			}
-			out[bOut] = s.Sum()
+			*dst.cell(c, bOut) = s.Sum()
 		}
 	}
 }
 
-// resetDense sizes the band for an n-node table whose whole support
-// triangle the caller is about to overwrite, and marks it all live. At an
-// unchanged stride nothing needs clearing first: live extents never leave
-// the triangle.
-func (t *band) resetDense(n int) {
-	if len(t.hi) != n+1 {
-		t.reset(n + 1)
+// resetDense sizes d for an n-node table whose whole support triangle the
+// caller is about to overwrite, and marks it all live.
+func (d *JointCrashByz) resetDense(n int) {
+	d.t.size(shapeGeneral, n+1, n+1)
+	for b := range d.t.hi {
+		d.t.hi[b] = n + 1 - b
 	}
-	for c := range t.hi {
-		t.hi[c] = n + 1 - c
-	}
-	t.rows = n + 1
+	d.n = n
 }
 
+// cell returns the address of d's cell (c, b), c + b <= n.
+func (d *JointCrashByz) cell(c, b int) *float64 { return &d.t.p[b*d.t.w+c] }
+
 // RegionSum returns the probability mass of the cells of region r: a
-// compensated sum over the live cells of r in row-major order (c
-// ascending, then b ascending up to min(r.Byz, r.Faulty − c)). It does not
-// clamp, and an empty region sums to 0.
+// compensated sum over the cells of r in row-major order (c ascending,
+// then b ascending up to min(r.Byz, r.Faulty − c)). It does not clamp,
+// and an empty region sums to 0.
 func (d *JointCrashByz) RegionSum(r Region) float64 {
 	var s KahanSum
-	w := d.n + 1
-	for c := 0; c < d.rows && c <= r.Faulty; c++ {
-		row := d.p[c*w : c*w+d.hi[c]]
-		for _, v := range row[:max(0, min(len(row), r.Byz+1, r.Faulty-c+1))] {
-			s.Add(v)
+	for c := 0; c <= min(d.n, r.Faulty); c++ {
+		for b := 0; b <= min(r.Byz, r.Faulty-c, d.n-c); b++ {
+			s.Add(d.PMF(c, b))
 		}
 	}
 	return s.Sum()

@@ -51,23 +51,19 @@ func (l *LeaveOneOut) Without(i int) *JointCrashByz {
 		return &l.loo
 	}
 	m := n - 1 // leave-one-out fleet size
-	wf := n + 1
-	w := m + 1
-	l.loo.band.resetDense(m)
-	out := l.loo.p
+	l.loo.resetDense(m)
 	for c := 0; c <= m; c++ {
 		for b := 0; b+c <= m; b++ {
-			v := l.full.p[c*wf+b]
+			v := l.full.PMF(c, b)
 			if c > 0 {
-				v -= out[(c-1)*w+b] * pc
+				v -= l.loo.PMF(c-1, b) * pc
 			}
 			if b > 0 {
-				v -= out[c*w+b-1] * pb
+				v -= l.loo.PMF(c, b-1) * pb
 			}
-			out[c*w+b] = v / pok
+			*l.loo.cell(c, b) = v / pok
 		}
 	}
-	l.loo.n = m
 	return &l.loo
 }
 

@@ -55,19 +55,18 @@ func TestConvolveIntoMatchesAllocating(t *testing.T) {
 	if dst.N() != want.N() {
 		t.Fatalf("N mismatch: %d vs %d", dst.N(), want.N())
 	}
-	n := dst.N()
-	w := n + 1
-	for c := 0; c <= n; c++ {
-		for bb := 0; bb <= n; bb++ {
-			g, wv := dst.p[c*w+bb], want.p[c*w+bb]
-			if g != wv {
-				t.Fatalf("cell (%d,%d): got %v want %v", c, bb, g, wv)
-			}
+	// The whole buffer, cells past the triangle included.
+	if len(dst.t.p) != len(want.t.p) {
+		t.Fatalf("buffer of %d cells, want %d", len(dst.t.p), len(want.t.p))
+	}
+	for i, wv := range want.t.p {
+		if g := dst.t.p[i]; g != wv {
+			t.Fatalf("cell %d: got %v want %v", i, g, wv)
 		}
 	}
 
 	var mass KahanSum
-	for _, v := range dst.p {
+	for _, v := range dst.t.p {
 		mass.Add(v)
 	}
 	if m := mass.Sum(); m < 1-1e-12 || m > 1+1e-12 {
@@ -96,9 +95,9 @@ func TestMixIntoMatchesAllocating(t *testing.T) {
 	if dst.N() != want.N() {
 		t.Fatalf("N mismatch: %d vs %d", dst.N(), want.N())
 	}
-	for i := range want.p {
-		if dst.p[i] != want.p[i] {
-			t.Fatalf("cell %d: got %v want %v", i, dst.p[i], want.p[i])
+	for i := range want.t.p {
+		if dst.t.p[i] != want.t.p[i] {
+			t.Fatalf("cell %d: got %v want %v", i, dst.t.p[i], want.t.p[i])
 		}
 	}
 

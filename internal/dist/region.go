@@ -29,7 +29,7 @@ func (r Region) Intersect(o Region) Region {
 // the joint table. Each region keeps its own table, truncated to the
 // region. Truncation is exact: a region is down-closed and a fold only
 // moves mass to higher counts, so no cell outside the region ever feeds
-// one inside. Cells below τ are flushed as in JointCrashByz.Reset.
+// one inside. Cells below τ are flushed (flushBelow).
 //
 // With both bounds clipped to the fleet size n, a region's table takes one
 // of three shapes (DESIGN.md "Count regions"), and a pass costs n folds of
@@ -53,7 +53,8 @@ type RegionPass struct {
 // regionTable is one region's truncated table: cols columns of stride
 // len(p)/cols, column b holding P[C = c, B = b] (general shape) or one row
 // holding P[C + B = k] or P[B = k] (cols == 1). hi[b] is column b's live
-// length; every cell past it is exactly 0.
+// length; every cell past it is exactly 0. JointCrashByz is the general
+// shape laid over the whole triangle.
 type regionTable struct {
 	shape regionShape
 	p     []float64
@@ -198,7 +199,8 @@ func (t *regionTable) fold(pc, pb, pok float64) {
 		t.hi[0] = foldRow(t.p, t.hi[0], 1-pb, pb)
 	case shapeGeneral:
 		// Descending b: column b reads column b-1 before it is folded.
-		for b := len(t.hi) - 1; b > 0; b-- {
+		// Columns past the first dead one stay 0, so the fold starts there.
+		for b := min(t.liveCols(), len(t.hi)-1); b > 0; b-- {
 			col := t.p[b*t.w : b*t.w+t.w-b] // c + b <= Faulty
 			left := t.p[(b-1)*t.w : b*t.w]
 			t.hi[b] = foldCol(col, left, t.hi[b], t.hi[b-1], pc, pb, pok)
@@ -232,10 +234,12 @@ func foldRow(row []float64, hi int, stay, move float64) int {
 //
 //	col[c] = col[c-1]·pc + left[c]·pb + col[c]·pok,
 //
-// the joint fold's operation order, with left the column b-1 before this
-// node (live length hiLeft). It returns the column's new live length.
+// in exactly that operation order, with left the column b-1 before this
+// node (live length hiLeft). It returns the column's new live length. col
+// holds at least cell c = 0; over the whole triangle, column n holds only
+// that cell.
 func foldCol(col, left []float64, hi, hiLeft int, pc, pb, pok float64) int {
-	n := min(max(hi+1, hiLeft), len(col)) // len(col) >= 2: b <= Byz < Faulty
+	n := min(max(hi+1, hiLeft), len(col))
 	for c := n - 1; c > 0; c-- {
 		col[c] = flush(col[c-1]*pc + left[c]*pb + col[c]*pok)
 	}

@@ -12,31 +12,42 @@ import (
 // Byzantine and one that always crashes.
 var edgeNodes = []TriState{{}, {PCrash: 0.25, PByz: 0.75}, {PByz: 1}, {PCrash: 1}}
 
-// checkRegionInvariant asserts every table's whole buffer is zero outside
-// its live extents and holds nothing inside (0, τ).
+// checkRegionInvariant asserts the whole-buffer invariant of every table.
 func checkRegionInvariant(t *testing.T, name string, rp *RegionPass) {
 	t.Helper()
 	for i := range rp.tabs {
-		tab := &rp.tabs[i]
-		p := tab.p[:cap(tab.p)]
-		for j, v := range p {
-			live := false
-			if tab.w > 0 {
-				b, c := j/tab.w, j%tab.w
-				live = b < len(tab.hi) && c < tab.hi[b]
-			}
-			if !live && v != 0 {
-				t.Fatalf("%s: table %d cell %d = %g outside the live extents %v", name, i, j, v, tab.hi)
-			}
-			if v > 0 && v < flushBelow {
-				t.Fatalf("%s: table %d cell %d = %g stored inside (0, τ)", name, i, j, v)
-			}
+		checkTableInvariant(t, fmt.Sprintf("%s: table %d", name, i), &rp.tabs[i])
+	}
+}
+
+// checkTableInvariant asserts a table's whole buffer, spare capacity
+// included, is zero outside its column extents, that every extent is
+// tight, and that nothing is stored inside (0, τ).
+func checkTableInvariant(t *testing.T, name string, tab *regionTable) {
+	t.Helper()
+	for j, v := range tab.p[:cap(tab.p)] {
+		live := false
+		if tab.w > 0 {
+			b, c := j/tab.w, j%tab.w
+			live = b < len(tab.hi) && c < tab.hi[b]
+		}
+		if !live && v != 0 {
+			t.Fatalf("%s: cell %d = %g outside the live extents %v", name, j, v, tab.hi)
+		}
+		if v > 0 && v < flushBelow {
+			t.Fatalf("%s: cell %d = %g stored inside (0, τ)", name, j, v)
+		}
+	}
+	for b, h := range tab.hi {
+		if h > 0 && tab.p[b*tab.w+h-1] == 0 {
+			t.Fatalf("%s: column %d's extent %d is not tight", name, b, h)
 		}
 	}
 }
 
-// TestRegionPassMatchesJoint pins the kernel against the joint table summed
-// over each region, on one reused workspace: random fleets, sizes and
+// TestRegionPassMatchesJoint pins the kernel against the dense scatter
+// oracle's joint table summed over each region (c ascending, then b), on
+// one reused workspace: random fleets, sizes and
 // regions of every shape (empty, vacuous, one row over c + b, one row over
 // b, the general table), with the edge tri-states mixed in.
 func TestRegionPassMatchesJoint(t *testing.T) {
@@ -62,9 +73,15 @@ func TestRegionPassMatchesJoint(t *testing.T) {
 		rp.Reset(nodes, regions)
 		name := fmt.Sprintf("iter %d n=%d regions %v", iter, n, regions)
 		checkRegionInvariant(t, name, &rp)
-		joint := NewJointCrashByz(nodes)
+		joint := scatterOracle(nodes)
 		for i, r := range regions {
-			want := joint.SumWhere(r.Holds)
+			var s KahanSum
+			for j, v := range joint {
+				if r.Holds(j/(n+1), j%(n+1)) {
+					s.Add(v)
+				}
+			}
+			want := Clamp01(s.Sum())
 			if got := rp.Mass(i); math.Abs(got-want) > 2e-15 {
 				t.Fatalf("%s: region %d mass %.17g, joint table %.17g", name, i, got, want)
 			}
