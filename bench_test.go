@@ -876,8 +876,8 @@ func BenchmarkServiceAnalyzeCold(b *testing.B) {
 }
 
 // BenchmarkServiceAnalyzeHot times the repeated-identical-query path: an
-// L1 hit — resolve, canonical fingerprint, sharded-LRU lookup, 3
-// allocs/op (pinned by TestAnalyzeHotPathAllocationGuard).
+// L1 hit — resolve, canonical fingerprint, sharded-LRU lookup, 1
+// alloc/op, the key (pinned by TestAnalyzeHotPathAllocationGuard).
 func BenchmarkServiceAnalyzeHot(b *testing.B) {
 	srv := service.New(service.Options{CacheCapacity: 4096})
 	req := serviceBenchRequest(0)

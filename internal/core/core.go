@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/faultcurve"
 )
@@ -29,21 +30,23 @@ type Fleet []Node
 // UniformCrashFleet builds the homogeneous crash-fault fleets of Table 2:
 // n nodes that each fail (crash) with probability p.
 func UniformCrashFleet(n int, p float64) Fleet {
-	f := make(Fleet, n)
-	for i := range f {
-		f[i] = Node{Name: fmt.Sprintf("node-%d", i), Profile: faultcurve.Crash(p)}
-	}
-	return f
+	return AppendUniformFleet(nil, n, faultcurve.Crash(p))
 }
 
 // UniformByzFleet builds the homogeneous Byzantine-fault fleets of Table 1:
 // n nodes that each turn Byzantine with probability p.
 func UniformByzFleet(n int, p float64) Fleet {
-	f := make(Fleet, n)
-	for i := range f {
-		f[i] = Node{Name: fmt.Sprintf("node-%d", i), Profile: faultcurve.Byzantine(p)}
+	return AppendUniformFleet(nil, n, faultcurve.Byzantine(p))
+}
+
+// AppendUniformFleet appends n nodes of one profile to dst, named node-0
+// to node-(n-1) as every uniform fleet is.
+func AppendUniformFleet(dst Fleet, n int, p faultcurve.Profile) Fleet {
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, Node{Name: fmt.Sprintf("node-%d", i), Profile: p})
 	}
-	return f
+	return dst
 }
 
 // Profiles extracts the fault profiles in node order.

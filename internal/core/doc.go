@@ -49,4 +49,6 @@
 // The package also owns the canonical query fingerprint
 // (FleetModelDomainsFingerprint): the serving layer's cache key, built so
 // that two queries share a key only if their Results are provably equal.
+// A Query resolves (fleet, model, domains) once, and its work estimate,
+// fingerprint and engine run (AnalyzeQuery) all read that resolution.
 package core

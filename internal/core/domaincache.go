@@ -87,14 +87,13 @@ var (
 		"Retired (a full recombination answers as the fast path does; constantly 0); kept until the benchmark manifest drops core.result_memo_hits_per_req.", nil)
 )
 
-// domainState is the Evaluator's correlated-domain workspace: the resolved
-// layout of the query in flight, the rest-table cache, and the tables of
-// the recombination chains.
+// domainState is the Evaluator's correlated-domain workspace: the
+// rest-table cache and the tables of the recombination chains. The
+// query's resolved layout comes in with each call.
 type domainState struct {
-	domainLayout
-
 	regions  [3]dist.Region // the query model's safe, live, safe-and-live
 	keyBuf   []byte
+	keys     profileKeys
 	restKeys []restKey
 	tri      []dist.TriState
 
@@ -124,22 +123,22 @@ func (ds *domainState) maybeEvict() {
 }
 
 // restKeyFor identifies the rest tables of the populated domain at
-// position pos of ds.act: model bits, pos, the domain's member count, and
+// position pos of l.act: model bits, pos, the domain's member count, and
 // the full parameterisation of everything OUTSIDE the domain.
-func (ds *domainState) restKeyFor(fleet Fleet, m CountModel, domains DomainSet, pos int) restKey {
+func (ds *domainState) restKeyFor(fleet Fleet, m CountModel, domains DomainSet, l *domainLayout, pos int) restKey {
 	buf := append(ds.keyBuf[:0], restKeyDomain...)
 	buf = appendModelBits(buf, m)
-	di := ds.act[pos]
+	di := l.act[pos]
 	buf = binary.BigEndian.AppendUint64(buf, uint64(pos))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(ds.blocks[di])))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(l.blocks[di])))
 	buf = append(buf, 'I')
-	buf = appendSortedProfileBits(buf, fleet, ds.indep, false)
-	for _, dj := range ds.act {
+	buf = ds.keys.appendSorted(buf, fleet, l.indep, false)
+	for _, dj := range l.act {
 		if dj == di {
 			continue
 		}
 		buf = appendDomainBits(buf, domains[dj])
-		buf = appendSortedProfileBits(buf, fleet, ds.blocks[dj], false)
+		buf = ds.keys.appendSorted(buf, fleet, l.blocks[dj], false)
 	}
 	ds.keyBuf = buf
 	return sha256.Sum256(buf)
@@ -159,12 +158,13 @@ func (ds *domainState) fold(dst *dist.RegionPass, fleet Fleet, idxs []int, eleva
 	dst.ResetGroup(ds.tri, ds.regions, len(fleet))
 }
 
-// mixedInto writes domain di's shock-weighted block into dst, folding its
-// base and elevated blocks into the scratch.
-func (ds *domainState) mixedInto(dst *dist.RegionPass, fleet Fleet, domains DomainSet, di int) {
+// mixedInto writes the shock-weighted block of domain di, whose members
+// are idxs, into dst, folding its base and elevated blocks into the
+// scratch.
+func (ds *domainState) mixedInto(dst *dist.RegionPass, fleet Fleet, domains DomainSet, di int, idxs []int) {
 	d := &domains[di]
-	ds.fold(&ds.base, fleet, ds.blocks[di], nil)
-	ds.fold(&ds.elev, fleet, ds.blocks[di], d)
+	ds.fold(&ds.base, fleet, idxs, nil)
+	ds.fold(&ds.elev, fleet, idxs, d)
 	s := dist.Clamp01(d.ShockProb)
 	dst.Mix(&ds.base, &ds.elev, 1-s, s)
 }
@@ -187,31 +187,31 @@ func grow[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
-// analyzeDomains is the evaluator's domain engine. The caller has
-// resolved the query into ds; ds.act is non-empty. A query whose first
-// populated domain's rest tables are cached answers == a cold
-// recombination of it; one answered from a later domain's rest tables
-// agrees with it to ~1e-15.
-func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet) Result {
+// analyzeDomains is the evaluator's domain engine over the query's
+// resolved layout l, whose act is non-empty; the evaluator reads l only
+// for the duration of the call. A query whose first populated domain's
+// rest tables are cached answers == a cold recombination of it; one
+// answered from a later domain's rest tables agrees with it to ~1e-15.
+func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet, l *domainLayout) Result {
 	ds := &e.dom
 	ds.maybeEvict()
 	if ds.restCache == nil {
 		ds.restCache = make(map[restKey]*dist.RegionPass)
 	}
 	ds.regions = modelRegions(m)
-	D := len(ds.act)
+	D := len(l.act)
 	ds.mixed = grow(ds.mixed, D)
 
 	// Fast path: the first populated domain whose rest tables survive from
 	// an earlier query answers with one dot product per region after two
 	// block folds.
 	ds.restKeys = ds.restKeys[:0]
-	for pos, di := range ds.act {
-		key := ds.restKeyFor(fleet, m, domains, pos)
+	for pos, di := range l.act {
+		key := ds.restKeyFor(fleet, m, domains, l, pos)
 		ds.restKeys = append(ds.restKeys, key)
 		if shifted, ok := ds.restCache[key]; ok {
 			domRestHits.Inc()
-			ds.mixedInto(&ds.mixed[pos], fleet, domains, di)
+			ds.mixedInto(&ds.mixed[pos], fleet, domains, di, l.blocks[di])
 			return dotResult(&ds.mixed[pos], shifted)
 		}
 	}
@@ -225,10 +225,10 @@ func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet)
 	ds.prefix = grow(ds.prefix, D)
 	ds.suffix = grow(ds.suffix, D)
 	ds.suffixPtr = grow(ds.suffixPtr, D)
-	ds.fold(&ds.remainder, fleet, ds.indep, nil)
+	ds.fold(&ds.remainder, fleet, l.indep, nil)
 	ds.prefixPtr = append(ds.prefixPtr[:0], &ds.remainder)
-	for pos, di := range ds.act {
-		ds.mixedInto(&ds.mixed[pos], fleet, domains, di)
+	for pos, di := range l.act {
+		ds.mixedInto(&ds.mixed[pos], fleet, domains, di, l.blocks[di])
 		if pos < D-1 {
 			ds.prefix[pos].Convolve(ds.prefixPtr[pos], &ds.mixed[pos])
 			ds.prefixPtr = append(ds.prefixPtr, &ds.prefix[pos])
@@ -239,7 +239,7 @@ func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet)
 		ds.suffix[pos].Convolve(&ds.mixed[pos], ds.suffixPtr[pos+1])
 		ds.suffixPtr[pos] = &ds.suffix[pos]
 	}
-	for pos := range ds.act {
+	for pos := range l.act {
 		rest := ds.prefixPtr[pos]
 		if pos < D-1 {
 			ds.rest.Convolve(rest, ds.suffixPtr[pos+1])

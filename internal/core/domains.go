@@ -6,6 +6,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/faultcurve"
 	"repro/internal/montecarlo"
+	"repro/internal/obs"
 )
 
 // This file is the correlated-failure engine: exact safety/liveness
@@ -52,12 +53,20 @@ type domainLayout struct {
 	act    []int   // indices of the populated domains, DomainSet order
 }
 
+// layoutResolves counts resolve calls, process-wide. A served analyze
+// request resolves its query once (Query.Resolve) and every later stage
+// reads that layout; the serving layer's tests pin it by diffing this
+// around a request stream.
+var layoutResolves = obs.Default().Counter("probcons_engine_layout_resolves_total",
+	"Failure-domain layouts resolved (each resolve also checks the fleet against the domain set); a served analyze request resolves exactly one.", nil)
+
 // resolve validates domains against fleet and fills the layout. With an
 // empty set — the serving layer's common query — it only checks that no
 // node names a domain: no name index, and indep is left empty rather than
 // listing every node, so a throwaway layout costs no allocation. Callers
 // that index nodes take their domain-free path when len(domains) == 0.
 func (l *domainLayout) resolve(fleet Fleet, domains DomainSet) error {
+	layoutResolves.Inc()
 	l.indep, l.act = l.indep[:0], l.act[:0]
 	l.blocks = grow(l.blocks, len(domains))
 	if len(domains) > 0 && l.byName == nil {
@@ -98,13 +107,21 @@ func (l *domainLayout) resolve(fleet Fleet, domains DomainSet) error {
 // resolveQuery is the validation every domain-aware entry point runs: the
 // model fits the fleet, the fleet's profiles are valid, the layout resolves.
 func (l *domainLayout) resolveQuery(fleet Fleet, m CountModel, domains DomainSet) error {
-	if len(fleet) != m.N() {
-		return fmt.Errorf("core: fleet size %d != model N %d", len(fleet), m.N())
+	if err := checkSize(fleet, m); err != nil {
+		return err
 	}
 	if err := fleet.Validate(); err != nil {
 		return err
 	}
 	return l.resolve(fleet, domains)
+}
+
+// checkSize refuses a model that does not fit the fleet.
+func checkSize(fleet Fleet, m CountModel) error {
+	if len(fleet) != m.N() {
+		return fmt.Errorf("core: fleet size %d != model N %d", len(fleet), m.N())
+	}
+	return nil
 }
 
 // members returns, for each of n nodes, the index of its domain in the
@@ -153,18 +170,18 @@ func AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet) (Result, error
 const maxConditionedDomains = 24
 
 // DomainsWorkEstimate returns the estimated engine cost of AnalyzeDomains
-// for this query in cell updates — the unit the serving layer's work
-// bounds are denominated in. A populated layout is priced from the model's
-// region tables (domainLayout.work). A domain-free query is priced at n^3,
-// the joint table's cost: an upper bound on its region pass,
-// O(n·(β+1)·(κ+1)), kept so that /v1/tail's choice between the exact
-// engine and the sampler does not move until that dispatch is re-derived.
-// A layout the resolver rejects never reaches an engine and is priced as
-// domain-free.
+// for this query in cell updates: Query.Work without a Query. A layout the
+// resolver rejects never reaches an engine and is priced as domain-free.
 func DomainsWorkEstimate(fleet Fleet, m CountModel, domains DomainSet) float64 {
 	var l domainLayout
-	n := len(fleet)
-	if l.resolve(fleet, domains) != nil || len(l.act) == 0 {
+	_ = l.resolve(fleet, domains) // a rejected layout is left empty: priced as domain-free
+	return l.price(len(fleet), m)
+}
+
+// price is the work estimate of the resolved layout over n nodes under m
+// (Query.Work).
+func (l *domainLayout) price(n int, m CountModel) float64 {
+	if len(l.act) == 0 {
 		return float64(n) * float64(n) * float64(n)
 	}
 	return l.work(n, modelRegions(m))

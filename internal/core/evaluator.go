@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -55,8 +54,11 @@ type Evaluator struct {
 	regions dist.RegionPass
 	joint   dist.JointCrashByz
 	tails   quorumTails
-	// dom holds the resolved domain layout of the query in flight and the
-	// correlated-domain workspace and rest tables (see domaincache.go).
+	// layout is the resolved domain layout of an AnalyzeDomains call; a
+	// Query brings its own.
+	layout domainLayout
+	// dom holds the correlated-domain workspace and rest tables (see
+	// domaincache.go).
 	dom domainState
 }
 
@@ -83,34 +85,45 @@ func (e *Evaluator) loadFleet(fleet Fleet) error {
 	if err := fleet.Validate(); err != nil {
 		return err
 	}
+	e.loadTri(fleet)
+	return nil
+}
+
+// loadTri loads a checked fleet's tri-states into the workspace.
+func (e *Evaluator) loadTri(fleet Fleet) {
 	e.tri = e.tri[:0]
 	for _, n := range fleet {
 		e.tri = append(e.tri, n.Profile.TriState())
 	}
-	return nil
 }
 
 // Analyze computes the exact Result for a fleet under a count-based
 // protocol model, reusing the evaluator's workspaces: zero steady-state
-// allocations once the buffers have grown to the fleet size. The model's
-// safe, live and safe-and-live sets are count regions, so one truncated
-// region pass (dist.RegionPass) answers all three without the joint table
-// (DESIGN.md "Count regions"). Identical answers to the package-level
-// Analyze.
+// allocations once the buffers have grown to the fleet size. Identical
+// answers to the package-level Analyze.
 func (e *Evaluator) Analyze(fleet Fleet, m CountModel) (Result, error) {
-	start := time.Now()
-	if len(fleet) != m.N() {
-		return Result{}, fmt.Errorf("core: fleet size %d != model N %d", len(fleet), m.N())
-	}
-	if err := e.loadFleet(fleet); err != nil {
+	if err := checkSize(fleet, m); err != nil {
 		return Result{}, err
 	}
+	if err := fleet.Validate(); err != nil {
+		return Result{}, err
+	}
+	return e.analyze(fleet, m), nil
+}
+
+// analyze is the domain-free engine over a checked fleet. The model's
+// safe, live and safe-and-live sets are count regions, so one truncated
+// region pass (dist.RegionPass) answers all three without the joint table
+// (DESIGN.md "Count regions").
+func (e *Evaluator) analyze(fleet Fleet, m CountModel) Result {
+	start := time.Now()
+	e.loadTri(fleet)
 	e.regions.Reset(e.tri, modelRegions(m))
 	folded := time.Now()
 	stageDPBuild.ObserveDuration(folded.Sub(start))
 	res := regionResult(&e.regions)
 	stageTailFold.ObserveSince(folded)
-	return res, nil
+	return res
 }
 
 // AnalyzeDomains is the evaluator counterpart of the package-level
@@ -120,13 +133,24 @@ func (e *Evaluator) Analyze(fleet Fleet, m CountModel) (Result, error) {
 // whose nodes reference domains missing from the set is rejected, never
 // silently analyzed as independent.
 func (e *Evaluator) AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
-	if err := e.dom.resolveQuery(fleet, m, domains); err != nil {
+	if err := e.layout.resolveQuery(fleet, m, domains); err != nil {
 		return Result{}, err
 	}
-	if len(e.dom.act) == 0 {
-		return e.Analyze(fleet, m)
+	return e.analyzeResolved(fleet, m, domains, &e.layout), nil
+}
+
+// AnalyzeQuery is AnalyzeDomains for a resolved Query: the engine reads
+// the query's layout and checks nothing again.
+func (e *Evaluator) AnalyzeQuery(q *Query) Result {
+	return e.analyzeResolved(q.Fleet, q.Model, q.Domains, &q.layout)
+}
+
+// analyzeResolved dispatches a checked query on its resolved layout.
+func (e *Evaluator) analyzeResolved(fleet Fleet, m CountModel, domains DomainSet, l *domainLayout) Result {
+	if len(l.act) == 0 {
+		return e.analyze(fleet, m)
 	}
-	return e.analyzeDomains(fleet, m, domains), nil
+	return e.analyzeDomains(fleet, m, domains, l)
 }
 
 // EvaluatorPool shares evaluators across goroutines: each worker takes a
@@ -163,10 +187,17 @@ func (p *EvaluatorPool) Analyze(fleet Fleet, m CountModel) (Result, error) {
 	return e.Analyze(fleet, m)
 }
 
-// AnalyzeDomains runs one domain-aware analysis on a pooled evaluator —
-// the drop-in engine the serving layer's worker pool uses.
+// AnalyzeDomains runs one domain-aware analysis on a pooled evaluator.
 func (p *EvaluatorPool) AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
 	e := p.Get()
 	defer p.Put(e)
 	return e.AnalyzeDomains(fleet, m, domains)
+}
+
+// AnalyzeQuery runs one resolved query on a pooled evaluator — the engine
+// the serving layer's worker pool uses.
+func (p *EvaluatorPool) AnalyzeQuery(q *Query) Result {
+	e := p.Get()
+	defer p.Put(e)
+	return e.AnalyzeQuery(q)
 }

@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/faultcurve"
 )
@@ -63,35 +64,41 @@ const fingerprintDomain = "probcons-query-v1"
 // analysing fleet under m with the given failure-domain layout — the cache
 // key of AnalyzeDomains queries. It validates the fleet and the domain
 // layout so a fingerprint is only ever issued for a query the engines
-// would accept. The encoding is built in one contiguous buffer and hashed
-// with a single Sum256 call: this sits on the serving layer's cache-miss
-// path.
+// would accept. It is Query.Fingerprint on a throwaway Query.
 func FleetModelDomainsFingerprint(fleet Fleet, m CountModel, domains DomainSet) (Fingerprint, error) {
-	var l domainLayout
-	if err := l.resolveQuery(fleet, m, domains); err != nil {
+	q := Query{Fleet: fleet, Model: m, Domains: domains}
+	if err := q.layout.resolveQuery(fleet, m, domains); err != nil {
 		return Fingerprint{}, err
 	}
-	buf := make([]byte, 0, 128+16*len(fleet)+56*len(domains))
+	return q.Fingerprint(), nil
+}
+
+// fingerprintEncoder is a Query's fingerprint workspace: the encoding, the
+// profile keys of the group being sorted, and every populated domain's
+// chunk back to back with its span. A reused encoder hashes without
+// allocating.
+type fingerprintEncoder struct {
+	buf    []byte
+	keys   profileKeys
+	chunks []byte
+	spans  [][2]int // [start, end) of each chunk in chunks
+}
+
+// Fingerprint returns the canonical fingerprint of the resolved query,
+// encoded in one contiguous buffer and hashed with a single Sum256 call:
+// this sits on the serving layer's cache-miss path.
+func (q *Query) Fingerprint() Fingerprint {
+	e, l := &q.enc, &q.layout
+	buf := slices.Grow(e.buf[:0], 128+16*len(q.Fleet)+56*len(q.Domains))
 	buf = append(buf, fingerprintDomain...)
-
-	buf = appendModelBits(buf, m)
-
-	appendU64 := func(v uint64) { buf = binary.BigEndian.AppendUint64(buf, v) }
-	appendStr := func(s string) {
-		appendU64(uint64(len(s)))
-		buf = append(buf, s...)
-	}
+	buf = appendModelBits(buf, q.Model)
 
 	// Sorted (PCrash, PByz) bit pairs of the independent nodes:
 	// permutation-invariant, exact. With no populated domains this is the
 	// whole fleet and the encoding is identical to the domain-free one.
 	// The domain-free case (the serving layer's hot sweep path) has no
-	// index slices to walk: the resolver built none.
-	if len(domains) == 0 {
-		buf = appendSortedProfileBits(buf, fleet, nil, true)
-	} else {
-		buf = appendSortedProfileBits(buf, fleet, l.indep, false)
-	}
+	// index slice to walk: the resolver built none.
+	buf = e.keys.appendSorted(buf, q.Fleet, l.indep, len(q.Domains) == 0)
 
 	// One chunk per populated domain: shock parameters followed by the
 	// sorted member profile bits. Chunks are sorted byte-wise before being
@@ -99,22 +106,29 @@ func FleetModelDomainsFingerprint(fleet Fleet, m CountModel, domains DomainSet) 
 	// reordering (which cannot change the Result) while any change to a
 	// shock probability, a multiplier, or a node's domain membership
 	// produces a different key.
-	var chunks [][]byte
-	for _, di := range l.act {
-		chunk := appendDomainBits(nil, domains[di])
-		chunk = appendSortedProfileBits(chunk, fleet, l.blocks[di], false)
-		chunks = append(chunks, chunk)
-	}
-	if len(chunks) > 0 {
-		sort.Slice(chunks, func(i, j int) bool { return bytes.Compare(chunks[i], chunks[j]) < 0 })
-		appendStr("domains")
-		appendU64(uint64(len(chunks)))
-		for _, c := range chunks {
-			appendU64(uint64(len(c)))
-			buf = append(buf, c...)
+	if len(l.act) > 0 {
+		e.chunks = slices.Grow(e.chunks[:0], 40*len(l.act)+16*(len(q.Fleet)-len(l.indep)))
+		e.spans = e.spans[:0]
+		for _, di := range l.act {
+			start := len(e.chunks)
+			e.chunks = appendDomainBits(e.chunks, q.Domains[di])
+			e.chunks = e.keys.appendSorted(e.chunks, q.Fleet, l.blocks[di], false)
+			e.spans = append(e.spans, [2]int{start, len(e.chunks)})
+		}
+		chunks := e.chunks
+		slices.SortFunc(e.spans, func(a, b [2]int) int {
+			return bytes.Compare(chunks[a[0]:a[1]], chunks[b[0]:b[1]])
+		})
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len("domains")))
+		buf = append(buf, "domains"...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(e.spans)))
+		for _, sp := range e.spans {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(sp[1]-sp[0]))
+			buf = append(buf, chunks[sp[0]:sp[1]]...)
 		}
 	}
-	return sha256.Sum256(buf), nil
+	e.buf = buf
+	return sha256.Sum256(buf)
 }
 
 // appendModelBits appends the canonical encoding of a CountModel — its
@@ -148,45 +162,48 @@ func appendModelBits(buf []byte, m CountModel) []byte {
 	return buf
 }
 
-// appendSortedProfileBits appends the count and the sorted exact IEEE-754
-// (PCrash, PByz) bit pairs of the given fleet indices (the whole fleet
-// when all is set, so domain-free callers need no index slice).
-func appendSortedProfileBits(buf []byte, fleet Fleet, idxs []int, all bool) []byte {
+// profileKeys is a reused buffer of (PCrash, PByz) bit pairs, sorted in
+// place: the profile encoding of the fingerprint and of the evaluator's
+// rest-table keys.
+type profileKeys [][2]uint64
+
+// appendSorted appends the count and the sorted exact IEEE-754 (PCrash,
+// PByz) bit pairs of the given fleet indices, or of the whole fleet when
+// all is set (domain-free callers need no index slice).
+func (k *profileKeys) appendSorted(buf []byte, fleet Fleet, idxs []int, all bool) []byte {
 	n := len(idxs)
 	if all {
 		n = len(fleet)
 	}
-	// Fleets up to typical serving sizes sort in a stack buffer with an
-	// allocation-free insertion sort (the keys are few and often
-	// pre-sorted — uniform fleets are constant); larger fleets take the
-	// allocating sort.Slice path.
-	if n <= 64 {
-		var arr [64][2]uint64
-		keys := arr[:n]
-		fillProfileKeys(keys, fleet, idxs, all)
-		insertionSortProfileKeys(keys)
-		return appendProfileKeys(buf, keys)
-	}
-	keys := make([][2]uint64, n)
-	fillProfileKeys(keys, fleet, idxs, all)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	keys := slices.Grow((*k)[:0], n)
+	if all {
+		for _, node := range fleet {
+			keys = append(keys, profileKey(node.Profile))
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	return appendProfileKeys(buf, keys)
+	} else {
+		for _, i := range idxs {
+			keys = append(keys, profileKey(fleet[i].Profile))
+		}
+	}
+	slices.SortFunc(keys, compareProfileKeys)
+	*k = keys
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(keys)))
+	for _, key := range keys {
+		buf = binary.BigEndian.AppendUint64(buf, key[0])
+		buf = binary.BigEndian.AppendUint64(buf, key[1])
+	}
+	return buf
 }
 
-func fillProfileKeys(keys [][2]uint64, fleet Fleet, idxs []int, all bool) {
-	for j := range keys {
-		i := j
-		if !all {
-			i = idxs[j]
-		}
-		p := fleet[i].Profile
-		keys[j] = [2]uint64{canonBits(p.PCrash), canonBits(p.PByz)}
+func profileKey(p faultcurve.Profile) [2]uint64 {
+	return [2]uint64{canonBits(p.PCrash), canonBits(p.PByz)}
+}
+
+func compareProfileKeys(a, b [2]uint64) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
 	}
+	return cmp.Compare(a[1], b[1])
 }
 
 // appendDomainBits appends a domain's shock probability and its crash and
@@ -203,24 +220,3 @@ func appendDomainBits(buf []byte, d faultcurve.Domain) []byte {
 // +0 under round-to-nearest, and the addition changes no other value the
 // validators admit.
 func canonBits(v float64) uint64 { return math.Float64bits(v + 0) }
-
-func insertionSortProfileKeys(keys [][2]uint64) {
-	for i := 1; i < len(keys); i++ {
-		k := keys[i]
-		j := i - 1
-		for j >= 0 && (keys[j][0] > k[0] || (keys[j][0] == k[0] && keys[j][1] > k[1])) {
-			keys[j+1] = keys[j]
-			j--
-		}
-		keys[j+1] = k
-	}
-}
-
-func appendProfileKeys(buf []byte, keys [][2]uint64) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(keys)))
-	for _, k := range keys {
-		buf = binary.BigEndian.AppendUint64(buf, k[0])
-		buf = binary.BigEndian.AppendUint64(buf, k[1])
-	}
-	return buf
-}

@@ -267,3 +267,93 @@ func TestFingerprintDomainRejectsInvalid(t *testing.T) {
 		t.Fatal("unresolved membership must be rejected")
 	}
 }
+
+// fpGoldenFleet is an n-node fleet whose profiles repeat with period 13 in
+// a scrambled order, so every sort path (insertion sort up to 64 keys, the
+// large-fleet sort beyond) has out-of-order keys and ties to settle.
+func fpGoldenFleet(n int, byz bool) Fleet {
+	f := make(Fleet, n)
+	for i := range f {
+		k := (i * 7) % 13
+		p := faultcurve.Profile{PCrash: 0.001 * float64(k+1), PByz: 1e-5 * float64(k%3)}
+		if byz {
+			p = faultcurve.Profile{PCrash: 1e-4 * float64(k%4), PByz: 0.002 * float64(k+1)}
+		}
+		f[i] = Node{Name: "n", Profile: p}
+	}
+	return f
+}
+
+// fpGoldenZones spreads fleet round-robin over zones and returns their
+// definitions listed in reverse order of membership.
+func fpGoldenZones(fleet Fleet, zones int) DomainSet {
+	names := []string{"zone-a", "zone-b", "zone-c", "zone-d"}[:zones]
+	for i := range fleet {
+		fleet[i].Domain = names[i%zones]
+	}
+	var ds DomainSet
+	for z := zones - 1; z >= 0; z-- {
+		ds = append(ds, faultcurve.Domain{
+			Name:            names[z],
+			ShockProb:       0.001 * float64(z+2),
+			CrashMultiplier: 2 + float64(z),
+			ByzMultiplier:   1,
+		})
+	}
+	return ds
+}
+
+// TestFingerprintGolden pins the hex key of representative queries. The
+// fingerprint is the analyze cache key, the key of every -cache-dump
+// record and what peers of mixed versions must agree on, so a change to
+// its encoding — byte order, chunk layout, sort order, the sign of zero —
+// is a re-keying and must show here. The values were recorded before the
+// encoder moved to reused buffers and typed sorts.
+func TestFingerprintGolden(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name  string
+		query func() (Fleet, CountModel, DomainSet)
+		want  string
+	}{
+		{"raft-9", func() (Fleet, CountModel, DomainSet) {
+			return fpGoldenFleet(9, false), NewRaft(9), nil
+		}, "203d8aed93b55275c316fbb3f6c240e554f3785235ca9e1c9619e8561eb5bd30"},
+		{"raft-256", func() (Fleet, CountModel, DomainSet) {
+			return fpGoldenFleet(256, false), NewRaft(256), nil
+		}, "86bbfe08d00c06bfccf96bef628046b0ac43ab0c95298b2c3682e3cb130c06dc"},
+		{"pbft-7", func() (Fleet, CountModel, DomainSet) {
+			return fpGoldenFleet(7, true), NewPBFTForN(7), nil
+		}, "a7d34bbdd373427ec91cdcba1e33e616bdc9a42dd587c9e7e2db5aa3eefb0231"},
+		{"raft-48-four-zones-reversed", func() (Fleet, CountModel, DomainSet) {
+			f := fpGoldenFleet(48, false)
+			return f, NewRaft(48), fpGoldenZones(f, 4)
+		}, "e3ddb2d63db9cf9cc0b5a5f4835a77aae78ef24c810dcab257ede66cabc13ea7"},
+		{"raft-256-four-zones-reversed", func() (Fleet, CountModel, DomainSet) {
+			f := fpGoldenFleet(256, false)
+			return f, NewRaft(256), fpGoldenZones(f, 4)
+		}, "5d98bd0f31667dad28f179cf1b029b2e0f7c1eca85e34f8672374f38b2d61ae0"},
+		{"negative-zero-profile", func() (Fleet, CountModel, DomainSet) {
+			f := fpGoldenFleet(5, false)
+			f[3].Profile = faultcurve.Profile{PCrash: negZero, PByz: 0.001}
+			return f, NewRaft(5), nil
+		}, "d899ea4c0a0357235c2172bda7dfdcfab6b5105eea54b77af9f5440b631873e5"},
+		{"memberless-domain", func() (Fleet, CountModel, DomainSet) {
+			f := fpGoldenFleet(12, false)
+			ds := fpGoldenZones(f, 2)
+			return f, NewRaft(12), append(ds, faultcurve.Domain{Name: "empty", ShockProb: 0.5, CrashMultiplier: 9, ByzMultiplier: 9})
+		}, "bb41476b3f9999c45bafa0a653f8d33872d8e72b70741be5568d4bbd1e994509"},
+		{"only-memberless-domain", func() (Fleet, CountModel, DomainSet) {
+			return fpGoldenFleet(6, false), NewRaft(6), DomainSet{{Name: "empty", ShockProb: 0.5, CrashMultiplier: 9, ByzMultiplier: 9}}
+		}, "14da04cfde646b5cf11306923d843becda683ea5c025fafb654b1b052f4f88b2"},
+	} {
+		fleet, m, domains := tc.query()
+		f, err := FleetModelDomainsFingerprint(fleet, m, domains)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := f.String(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -77,7 +77,11 @@ func (f *family) write(w *bufio.Writer) {
 			w.WriteString(f.name)
 			w.WriteString(ch.labels)
 			w.WriteByte(' ')
-			w.WriteString(strconv.FormatInt(ch.c.Load(), 10))
+			if ch.fn != nil {
+				w.WriteString(formatValue(ch.fn()))
+			} else {
+				w.WriteString(strconv.FormatInt(ch.c.Load(), 10))
+			}
 			w.WriteByte('\n')
 		case kindGauge:
 			w.WriteString(f.name)

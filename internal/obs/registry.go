@@ -34,8 +34,8 @@ func (k kind) String() string {
 
 // child is one (metric family, label set) instance. Exactly one of the
 // value fields is populated, matching the family's kind; fn and hfn,
-// when set, override the stored value at collection time (gauge and
-// histogram funcs).
+// when set, override the stored value at collection time (counter, gauge
+// and histogram funcs).
 type child struct {
 	labels string // pre-rendered {a="b",c="d"} suffix, "" when unlabeled
 	c      *Counter
@@ -173,6 +173,13 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 // own accessors.
 func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter) {
 	r.register(name, help, kindCounter, labels, &child{c: c})
+}
+
+// CounterFunc registers a counter whose value is read from fn at
+// collection time — for monotonic totals that already live elsewhere (the
+// runtime's GC cycle and allocation counts). fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
+	r.register(name, help, kindCounter, labels, &child{fn: fn})
 }
 
 // Gauge creates and registers a gauge child.

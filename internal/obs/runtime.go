@@ -8,10 +8,12 @@ import (
 // This file is the runtime telemetry collector: a probcons_go_* family
 // on the process-global registry, backed by runtime/metrics and read at
 // scrape time (no background goroutine, no sampling loop — the runtime
-// already maintains these values). Gauges read single samples;
-// histograms convert the runtime's Float64Histogram into a
+// already maintains these values). Gauges and counters read single
+// samples; histograms convert the runtime's Float64Histogram into a
 // HistogramSnapshot via HistogramFunc, so /metrics renders GC pauses and
-// scheduler latency with the runtime's own bucket layout.
+// scheduler latency with the runtime's own bucket layout. The two
+// counters make allocation pressure readable from two scrapes: their
+// deltas over a request count's are bytes and GC cycles per request.
 
 // Runtime metric names, resolved against runtime/metrics.All.
 const (
@@ -19,6 +21,8 @@ const (
 	rmHeapBytes    = "/memory/classes/heap/objects:bytes"
 	rmGCPauses     = "/sched/pauses/total/gc:seconds"
 	rmSchedLatency = "/sched/latencies:seconds"
+	rmGCCycles     = "/gc/cycles/total:gc-cycles"
+	rmAllocBytes   = "/gc/heap/allocs:bytes"
 )
 
 func init() {
@@ -34,6 +38,12 @@ func registerRuntimeMetrics(r *Registry) {
 	r.GaugeFunc("probcons_go_heap_bytes",
 		"Bytes of live heap objects (runtime/metrics /memory/classes/heap/objects).", nil,
 		func() float64 { return readRuntimeValue(rmHeapBytes) })
+	r.CounterFunc("probcons_go_gc_cycles_total",
+		"GC cycles completed since the process started (runtime/metrics /gc/cycles/total).", nil,
+		func() float64 { return readRuntimeValue(rmGCCycles) })
+	r.CounterFunc("probcons_go_alloc_bytes_total",
+		"Bytes allocated on the heap since the process started, freed or not (runtime/metrics /gc/heap/allocs).", nil,
+		func() float64 { return readRuntimeValue(rmAllocBytes) })
 	r.HistogramFunc("probcons_go_gc_pause_seconds",
 		"Distribution of stop-the-world GC pause latencies (runtime/metrics; _sum is estimated from bucket midpoints).", nil,
 		func() HistogramSnapshot { return readRuntimeHistogram(rmGCPauses) })

@@ -26,6 +26,8 @@ func TestRuntimeMetricsRegistered(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE probcons_go_goroutines gauge",
 		"# TYPE probcons_go_heap_bytes gauge",
+		"# TYPE probcons_go_gc_cycles_total counter",
+		"# TYPE probcons_go_alloc_bytes_total counter",
 		"# TYPE probcons_go_gc_pause_seconds histogram",
 		"# TYPE probcons_go_sched_latency_seconds histogram",
 		"probcons_go_gc_pause_seconds_bucket{le=\"+Inf\"}",
@@ -42,7 +44,20 @@ func TestRuntimeMetricsRegistered(t *testing.T) {
 	if readRuntimeValue(rmHeapBytes) <= 0 {
 		t.Fatal("live heap bytes must be positive")
 	}
+	// The GC above completed a cycle, and a test binary has allocated.
+	cycles, allocated := readRuntimeValue(rmGCCycles), readRuntimeValue(rmAllocBytes)
+	if cycles < 1 || allocated <= 0 {
+		t.Fatalf("gc cycles %v and allocated bytes %v, want both positive", cycles, allocated)
+	}
+	allocSink = make([]byte, 1<<20)
+	runtime.GC()
+	if readRuntimeValue(rmGCCycles) <= cycles || readRuntimeValue(rmAllocBytes) < allocated+1<<20 {
+		t.Fatal("the runtime counters must count a GC cycle and a 1 MiB allocation")
+	}
 }
+
+// allocSink keeps the test's allocation from being optimized away.
+var allocSink []byte
 
 // TestReadRuntimeHistogramShape checks the Float64Histogram conversion:
 // cumulative count equals the sum of bucket counts, bounds are strictly

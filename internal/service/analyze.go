@@ -43,41 +43,38 @@ func (e *analyzeEntry) hitBody(resp AnalyzeResponse) []byte {
 // analyzePlan is one validated analyze query with its cache key, the
 // canonical fleet+model+domains fingerprint.
 type analyzePlan struct {
-	fleet   core.Fleet
-	model   core.CountModel
-	domains core.DomainSet
-	key     string
+	q   *core.Query
+	key string
 }
 
 // planAnalyze resolves, validates, work-bounds and keys one analyze
-// request. All errors are client errors.
-func planAnalyze(req AnalyzeRequest, tr *obs.Trace) (analyzePlan, error) {
+// request, resolving into qs. All errors are client errors.
+func planAnalyze(req *AnalyzeRequest, qs *queryScratch, tr *obs.Trace) (analyzePlan, error) {
 	start := time.Now()
-	fleet, m, domains, err := req.Query()
+	q, err := req.query(qs)
 	if err != nil {
 		return analyzePlan{}, badRequest(err)
 	}
 	tr.Since("resolve", start)
-	return keyQuery(fleet, m, domains, tr)
+	return keyQuery(q, tr), nil
 }
 
-// keyQuery plans an already-validated query: sweep cells, the paper
-// tables and request plans all key through here.
-func keyQuery(fleet core.Fleet, m core.CountModel, domains core.DomainSet, tr *obs.Trace) (analyzePlan, error) {
+// keyQuery keys a resolved query: sweep cells, the paper tables and
+// request plans all key through here.
+func keyQuery(q *core.Query, tr *obs.Trace) analyzePlan {
 	start := time.Now()
-	fp, err := core.FleetModelDomainsFingerprint(fleet, m, domains)
-	if err != nil {
-		return analyzePlan{}, badRequest(err)
-	}
+	key := q.Fingerprint().String()
 	tr.Since("fingerprint", start)
-	return analyzePlan{fleet: fleet, model: m, domains: domains, key: fp.String()}, nil
+	return analyzePlan{q: q, key: key}
 }
 
 // Analyze resolves, validates, and answers one analyze query through the
 // analyze cache. It is the handler's core and the service benchmark
 // entry point.
 func (s *Server) Analyze(req AnalyzeRequest) (AnalyzeResponse, error) {
-	resp, _, err := s.analyzeTraced(req, nil)
+	sc := getScratch()
+	defer putScratch(sc)
+	resp, _, err := s.analyzeTraced(req, sc, nil)
 	return resp, err
 }
 
@@ -85,24 +82,25 @@ func (s *Server) Analyze(req AnalyzeRequest) (AnalyzeResponse, error) {
 // body when the answer is a plain L1 hit. Every other answer — a debugged
 // request, a miss, a tier answer, a coalesced wait — is encoded by the
 // handler, so a miss encodes exactly once.
-func (s *Server) analyzeServed(req AnalyzeRequest, tr *obs.Trace) (AnalyzeResponse, []byte, error) {
-	resp, hit, err := s.analyzeTraced(req, tr)
+func (s *Server) analyzeServed(req AnalyzeRequest, sc *scratch, tr *obs.Trace) (AnalyzeResponse, []byte, error) {
+	resp, hit, err := s.analyzeTraced(req, sc, tr)
 	if err != nil || hit == nil || req.Debug {
 		return resp, nil, err
 	}
 	return resp, hit.hitBody(resp), nil
 }
 
-// analyzeTraced is Analyze with the request's flight-recorder trace
-// threaded through (nil for direct library and benchmark calls — every
-// recording method no-ops on nil). HTTP requests always carry a trace, so
-// every request produces a span tree whether or not the caller asked for
-// the debug block. hit is the cache entry when L1 answered, else nil.
-func (s *Server) analyzeTraced(req AnalyzeRequest, tr *obs.Trace) (resp AnalyzeResponse, hit *analyzeEntry, err error) {
+// analyzeTraced is Analyze with the request's scratch and flight-recorder
+// trace threaded through (a nil trace for direct library and benchmark
+// calls — every recording method no-ops on nil). HTTP requests always
+// carry a trace, so every request produces a span tree whether or not the
+// caller asked for the debug block. hit is the cache entry when L1
+// answered, else nil.
+func (s *Server) analyzeTraced(req AnalyzeRequest, sc *scratch, tr *obs.Trace) (resp AnalyzeResponse, hit *analyzeEntry, err error) {
 	if tr == nil && req.Debug {
 		tr = &obs.Trace{} // ephemeral recorder for direct debugged calls
 	}
-	p, err := planAnalyze(req, tr)
+	p, err := planAnalyze(&req, sc.query(), tr)
 	if err != nil {
 		return AnalyzeResponse{}, nil, err
 	}
@@ -132,12 +130,12 @@ func (s *Server) analyzeQuery(p analyzePlan, tr *obs.Trace, allowL2 bool) (resp 
 		res, err := withWorker(s, func() (core.Result, error) {
 			estart := time.Now()
 			defer tr.Since("engine", estart)
-			return s.analyze(p.fleet, p.model, p.domains)
+			return s.analyze(p.q)
 		})
 		if err != nil {
 			return nil, err
 		}
-		return &analyzeEntry{resp: newAnalyzeResponse(p.model, res, p.key, false)}, nil
+		return &analyzeEntry{resp: newAnalyzeResponse(p.q.Model, res, p.key, false)}, nil
 	})
 	if err != nil {
 		return AnalyzeResponse{}, nil, fmt.Errorf("analysis failed: %w", err)
@@ -158,14 +156,13 @@ func (s *Server) analyzeQuery(p analyzePlan, tr *obs.Trace, allowL2 bool) (resp 
 	return resp, hit, nil
 }
 
-// answerQuery keys and answers an already-validated query: what a sweep
-// cell or a paper-table row needs.
-func (s *Server) answerQuery(fleet core.Fleet, m core.CountModel, domains core.DomainSet) (AnalyzeResponse, error) {
-	p, err := keyQuery(fleet, m, domains, nil)
-	if err != nil {
-		return AnalyzeResponse{}, err
+// answerQuery resolves into q, keys and answers an already-validated
+// query: what a sweep cell or a paper-table row needs.
+func (s *Server) answerQuery(q *core.Query, fleet core.Fleet, m core.CountModel, domains core.DomainSet) (AnalyzeResponse, error) {
+	if err := q.Resolve(fleet, m, domains); err != nil {
+		return AnalyzeResponse{}, badRequest(err)
 	}
-	resp, _, err := s.analyzeQuery(p, nil, true)
+	resp, _, err := s.analyzeQuery(keyQuery(q, nil), nil, true)
 	return resp, err
 }
 
@@ -175,7 +172,7 @@ func (s *Server) Tables() (TablesResponse, error) {
 	var out TablesResponse
 	for _, m := range core.Table1Configs() {
 		const pu = 0.01
-		resp, err := s.answerQuery(core.UniformByzFleet(m.NNodes, pu), m, nil)
+		resp, err := s.answerQuery(new(core.Query), core.UniformByzFleet(m.NNodes, pu), m, nil)
 		if err != nil {
 			return TablesResponse{}, err
 		}
@@ -184,7 +181,7 @@ func (s *Server) Tables() (TablesResponse, error) {
 	for _, n := range core.Table2Sizes() {
 		m := core.NewRaft(n)
 		for _, pu := range core.Table2PUs() {
-			resp, err := s.answerQuery(core.UniformCrashFleet(n, pu), m, nil)
+			resp, err := s.answerQuery(new(core.Query), core.UniformCrashFleet(n, pu), m, nil)
 			if err != nil {
 				return TablesResponse{}, err
 			}

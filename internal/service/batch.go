@@ -98,11 +98,12 @@ type batchJob struct {
 	run     func() BatchItemResult
 }
 
-// planBatch validates every item and builds the distinct job list.
-// Per-item validation failures land in results; the returned error is
-// non-nil only for whole-request (client) errors. Jobs are not yet run —
-// the fuzz target exercises planning without ever touching the engine.
-func (s *Server) planBatch(req BatchRequest) (jobs []*batchJob, results []BatchItemResult, deduped int, err error) {
+// planBatch validates every item and builds the distinct job list, each
+// item resolving into its own query slot of sc. Per-item validation
+// failures land in results; the returned error is non-nil only for
+// whole-request (client) errors. Jobs are not yet run — the fuzz target
+// exercises planning without ever touching the engine.
+func (s *Server) planBatch(req BatchRequest, sc *scratch) (jobs []*batchJob, results []BatchItemResult, deduped int, err error) {
 	if len(req.Items) == 0 {
 		return nil, nil, 0, badRequest(fmt.Errorf("batch items must be non-empty"))
 	}
@@ -129,7 +130,7 @@ func (s *Server) planBatch(req BatchRequest) (jobs []*batchJob, results []BatchI
 		kind, err := it.kind()
 		if err == nil {
 			s.m.batchItems[kind].Inc()
-			key, run, perr := s.planItem(kind, it)
+			key, run, perr := s.planItem(kind, it, sc)
 			if perr == nil {
 				add(i, key, run)
 				continue
@@ -146,16 +147,16 @@ func (s *Server) planBatch(req BatchRequest) (jobs []*batchJob, results []BatchI
 // the job that runs that plan: batch validation is endpoint validation,
 // and nothing is resolved, bounded or keyed a second time. key is the
 // dedup identity ("" = never deduplicated).
-func (s *Server) planItem(kind string, it BatchItem) (key string, run func() BatchItemResult, err error) {
+func (s *Server) planItem(kind string, it BatchItem, sc *scratch) (key string, run func() BatchItemResult, err error) {
 	switch kind {
 	case "analyze":
-		p, err := planAnalyze(*it.Analyze, nil)
+		p, err := planAnalyze(it.Analyze, sc.query(), nil)
 		return "analyze/" + p.key, func() BatchItemResult {
 			resp, _, err := s.analyzeQuery(p, nil, true)
 			return itemResult(BatchItemResult{Analyze: &resp}, err)
 		}, err
 	case "tail":
-		p, err := planTail(*it.Tail)
+		p, err := planTail(*it.Tail, sc.query())
 		return "tail/" + p.key, func() BatchItemResult {
 			resp, err := s.runTail(p, nil)
 			return itemResult(BatchItemResult{Tail: &resp}, err)
@@ -164,7 +165,7 @@ func (s *Server) planItem(kind string, it BatchItem) (key string, run func() Bat
 		// No dedup key: the optimize cache key is name-invariant while each
 		// response carries its own requester's labels, and identical
 		// concurrent items coalesce in the cache's singleflight anyway.
-		p, err := planOptimize(*it.Optimize)
+		p, err := planOptimize(*it.Optimize, sc.query())
 		return "", func() BatchItemResult {
 			resp, err := s.runOptimize(p, nil)
 			return itemResult(BatchItemResult{Optimize: &resp}, err)
@@ -203,17 +204,20 @@ func (s *Server) sweepCollect(req SweepRequest, domains core.DomainSet) []SweepL
 // Batch answers one batch request. It is the handler's core and the
 // batch benchmark entry point.
 func (s *Server) Batch(req BatchRequest) (BatchResponse, error) {
-	return s.batchTraced(req, nil)
+	sc := getScratch()
+	defer putScratch(sc)
+	return s.batchTraced(req, sc, nil)
 }
 
-// batchTraced is Batch with the request's trace threaded through. The
-// job fan-out uses a bounded worker group sized by the server's worker
-// count: the group bounds scheduling (goroutines, queue depth), while
-// engine concurrency stays bounded by the shared evaluator semaphore the
-// jobs' query paths already respect.
-func (s *Server) batchTraced(req BatchRequest, tr *obs.Trace) (BatchResponse, error) {
+// batchTraced is Batch with the request's scratch and trace threaded
+// through. The job fan-out uses a bounded worker group sized by the
+// server's worker count: the group bounds scheduling (goroutines, queue
+// depth), while engine concurrency stays bounded by the shared evaluator
+// semaphore the jobs' query paths already respect. Every job has finished
+// when it returns, so none outlives the request's scratch.
+func (s *Server) batchTraced(req BatchRequest, sc *scratch, tr *obs.Trace) (BatchResponse, error) {
 	pstart := time.Now()
-	jobs, results, deduped, err := s.planBatch(req)
+	jobs, results, deduped, err := s.planBatch(req, sc)
 	if err != nil {
 		return BatchResponse{}, err
 	}

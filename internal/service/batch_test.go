@@ -87,9 +87,9 @@ func TestBatchDedupSingleEngineCall(t *testing.T) {
 	pool := core.NewEvaluatorPool()
 	srv := New(Options{
 		CacheCapacity: 64, CacheShards: 2, Workers: 4,
-		AnalyzeFunc: func(f core.Fleet, m core.CountModel, d core.DomainSet) (core.Result, error) {
+		AnalyzeFunc: func(q *core.Query) (core.Result, error) {
 			calls.Add(1)
-			return pool.AnalyzeDomains(f, m, d)
+			return pool.AnalyzeQuery(q), nil
 		},
 	})
 	p := 0.017
@@ -256,7 +256,7 @@ func TestBatchPlansOnce(t *testing.T) {
 	if errA != nil || errT != nil || errO != nil {
 		t.Fatal(errA, errT, errO)
 	}
-	jobs, _, _, err := srv.planBatch(BatchRequest{Items: []BatchItem{{Analyze: &areq}, {Tail: &treq}, {Optimize: &oreq}}})
+	jobs, _, _, err := srv.planBatch(BatchRequest{Items: []BatchItem{{Analyze: &areq}, {Tail: &treq}, {Optimize: &oreq}}}, new(scratch))
 	if err != nil || len(jobs) != 3 {
 		t.Fatalf("planBatch = %d jobs, %v; want 3", len(jobs), err)
 	}

@@ -79,33 +79,39 @@ func putBody(buf *bytes.Buffer) {
 // readRequest is the front of every POST endpoint: count the request, then
 // read and decode its size-bounded body into req (a pointer to one of the
 // five request types), recording the two together as the trace's decode
-// span. A body over limit is a 413; every other failure is a 400.
-func readRequest(count *obs.Counter, limit int64, w http.ResponseWriter, r *http.Request, req any) error {
+// span. It returns how many body bytes it read. A body over limit is a
+// 413; every other failure is a 400.
+func readRequest(count *obs.Counter, limit int64, w http.ResponseWriter, r *http.Request, req any) (int, error) {
 	count.Inc()
 	start := time.Now()
-	err := decodeBody(http.MaxBytesReader(w, r.Body, limit), req)
+	n, err := decodeBody(http.MaxBytesReader(w, r.Body, limit), req)
 	TraceFrom(r.Context()).Since("decode", start)
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		return clientError{fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit), http.StatusRequestEntityTooLarge}
+		return n, clientError{fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit), http.StatusRequestEntityTooLarge}
 	}
-	return err
+	return n, err
 }
 
 // decodeBody reads body to its end into a pooled buffer and decodes what
-// it read.
-func decodeBody(body io.Reader, v any) error {
+// it read, returning how many bytes that was.
+func decodeBody(body io.Reader, v any) (int, error) {
 	buf := getBody()
 	defer putBody(buf)
 	if _, err := buf.ReadFrom(body); err != nil {
-		return badRequest(fmt.Errorf("reading request body: %w", err))
+		return buf.Len(), badRequest(fmt.Errorf("reading request body: %w", err))
 	}
-	return decodeRequest(buf.Bytes(), v)
+	return buf.Len(), decodeRequest(buf.Bytes(), v)
 }
 
 // decodeRequest decodes one complete body into v, a pointer to one of the
 // five request types. Strings in the result are copies: nothing in v
-// refers to data once it returns.
+// refers to data once it returns. v may hold an earlier request: every
+// field is overwritten, and one the body omits or spells null reads zero,
+// exactly as in a fresh target — but slices keep their arrays, pointers
+// their pointees and strings their value where the body repeats it, so a
+// pooled target (handlePost's) decodes a request like its predecessor
+// without allocating for it again.
 func decodeRequest(data []byte, v any) error {
 	d := decoder{data: data, presize: len(data) / presizeBytes}
 	var err *decodeError
@@ -310,6 +316,7 @@ func clip(lit []byte) string {
 }
 
 func (d *decoder) float(v *float64) *decodeError {
+	*v = 0
 	ok, err := d.numberStart()
 	if !ok {
 		return err
@@ -349,6 +356,7 @@ func (d *decoder) integer(bitSize int) (n int64, ok bool, err *decodeError) {
 }
 
 func (d *decoder) int(v *int) *decodeError {
+	*v = 0
 	n, ok, err := d.integer(strconv.IntSize)
 	if ok {
 		*v = int(n)
@@ -357,6 +365,7 @@ func (d *decoder) int(v *int) *decodeError {
 }
 
 func (d *decoder) int64(v *int64) *decodeError {
+	*v = 0
 	n, ok, err := d.integer(64)
 	if ok {
 		*v = n
@@ -365,6 +374,7 @@ func (d *decoder) int64(v *int64) *decodeError {
 }
 
 func (d *decoder) bool(v *bool) *decodeError {
+	*v = false
 	switch d.peek() {
 	case 'n':
 		return d.literal("null")
@@ -380,8 +390,12 @@ func (d *decoder) bool(v *bool) *decodeError {
 
 // str reads a string into a fresh Go string — a copy, never a view of the
 // body buffer: the buffer is pooled, and what is decoded here (node names
-// in a cached optimize response) outlives the request by hours.
+// in a cached optimize response) outlives the request by hours. A reused
+// target's string is kept when the body spells the same value: strings
+// are immutable, so keeping one is as good as a copy.
 func (d *decoder) str(v *string) *decodeError {
+	prev := *v
+	*v = ""
 	switch d.peek() {
 	case 'n':
 		return d.literal("null")
@@ -390,9 +404,12 @@ func (d *decoder) str(v *string) *decodeError {
 		if err != nil {
 			return err
 		}
-		if plain {
+		switch {
+		case plain && string(raw) == prev:
+			*v = prev
+		case plain:
 			*v = string(raw)
-		} else {
+		default:
 			*v = unquote(raw)
 		}
 		return nil
@@ -640,29 +657,38 @@ func keyIndex(keys []string, raw []byte, plain bool) int {
 }
 
 // decodeSlice reads an array into *v, one elem call per element. null
-// leaves *v alone and [] makes it empty but not nil, as encoding/json
-// does. hint sizes the first allocation when the length is foreseeable,
-// as far as the body's presize allowance still reaches.
+// makes *v nil and [] makes it empty but not nil, as encoding/json does
+// for a fresh target. The array *v already has is filled in place: elem
+// overwrites each element, keeping what it can reuse of it. A new array
+// is sized by hint when the length is foreseeable, as far as the body's
+// presize allowance still reaches.
 func decodeSlice[T any](d *decoder, v *[]T, hint int, elem func(*decoder, *T) *decodeError) *decodeError {
 	switch d.peek() {
 	case 'n':
+		*v = nil
 		return d.literal("null")
 	case '[':
 		d.pos++
 	default:
 		return d.wrongType("an array")
 	}
-	hint = min(hint, d.presize)
-	d.presize -= hint
-	s := make([]T, 0, hint)
+	s := (*v)[:0]
+	if hint = min(hint, d.presize); s == nil || cap(s) < hint {
+		d.presize -= hint
+		s = make([]T, 0, hint)
+	}
 	if d.peek() == ']' {
 		d.pos++
 		*v = s
 		return nil
 	}
 	for {
-		var zero T
-		s = append(s, zero)
+		if len(s) < cap(s) {
+			s = s[:len(s)+1]
+		} else {
+			var zero T
+			s = append(s, zero)
+		}
 		if err := elem(d, &s[len(s)-1]); err != nil {
 			return err.at(len(s) - 1)
 		}
@@ -679,17 +705,31 @@ func decodeSlice[T any](d *decoder, v *[]T, hint int, elem func(*decoder, *T) *d
 	}
 }
 
-// decodePtr reads an optional value: null leaves *v nil, anything else is
-// decoded into a fresh T.
+// decodePtr reads an optional value: null makes *v nil, anything else is
+// decoded into the T *v points to, a fresh one if it is nil.
 func decodePtr[T any](d *decoder, v **T, elem func(*decoder, *T) *decodeError) *decodeError {
 	if d.peek() == 'n' {
+		*v = nil
 		return d.literal("null")
 	}
-	*v = new(T)
+	if *v == nil {
+		*v = new(T)
+	}
 	return elem(d, *v)
 }
 
+// clearUnseen zeroes *f unless the walk read keys[i]: the struct decoders
+// keep a reused target's slices, pointers and strings until the body's
+// own are read, and clear the ones the body did not mention.
+func clearUnseen[T any](o *object, i int, f *T) {
+	if o.seen&(1<<i) == 0 {
+		var zero T
+		*f = zero
+	}
+}
+
 func (d *decoder) modelSpec(v *ModelSpec) *decodeError {
+	*v = ModelSpec{Protocol: v.Protocol}
 	o, err := d.object(modelSpecKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -707,10 +747,12 @@ func (d *decoder) modelSpec(v *ModelSpec) *decodeError {
 			err = d.int(&v.QVCT)
 		}
 	}
+	clearUnseen(&o, 0, &v.Protocol)
 	return err
 }
 
 func (d *decoder) nodeSpec(v *NodeSpec) *decodeError {
+	*v = NodeSpec{Name: v.Name, Domain: v.Domain}
 	o, err := d.object(nodeSpecKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -724,10 +766,13 @@ func (d *decoder) nodeSpec(v *NodeSpec) *decodeError {
 			err = d.str(&v.Domain)
 		}
 	}
+	clearUnseen(&o, 0, &v.Name)
+	clearUnseen(&o, 3, &v.Domain)
 	return err
 }
 
 func (d *decoder) domainSpec(v *DomainSpec) *decodeError {
+	*v = DomainSpec{Name: v.Name, CrashMult: v.CrashMult, ByzMult: v.ByzMult}
 	o, err := d.object(domainSpecKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -741,10 +786,14 @@ func (d *decoder) domainSpec(v *DomainSpec) *decodeError {
 			err = decodePtr(d, &v.ByzMult, (*decoder).float)
 		}
 	}
+	clearUnseen(&o, 0, &v.Name)
+	clearUnseen(&o, 2, &v.CrashMult)
+	clearUnseen(&o, 3, &v.ByzMult)
 	return err
 }
 
 func (d *decoder) curveSpec(v *CurveSpec) *decodeError {
+	*v = CurveSpec{}
 	o, err := d.object(curveSpecKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -773,7 +822,16 @@ func (d *decoder) queryField(i int, model *ModelSpec, fleet *[]NodeSpec, p **flo
 	}
 }
 
+// clearUnseenQuery clears the reused slices and pointer of the query block
+// a walk over one of the three request types sharing it did not read.
+func clearUnseenQuery(o *object, fleet *[]NodeSpec, p **float64, domains *[]DomainSpec) {
+	clearUnseen(o, 1, fleet)
+	clearUnseen(o, 2, p)
+	clearUnseen(o, 3, domains)
+}
+
 func (d *decoder) analyzeRequest(v *AnalyzeRequest) *decodeError {
+	*v = AnalyzeRequest{Fleet: v.Fleet, P: v.P, Domains: v.Domains}
 	o, err := d.object(analyzeRequestKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -783,10 +841,12 @@ func (d *decoder) analyzeRequest(v *AnalyzeRequest) *decodeError {
 			err = d.queryField(o.key, &v.Model, &v.Fleet, &v.P, &v.Domains)
 		}
 	}
+	clearUnseenQuery(&o, &v.Fleet, &v.P, &v.Domains)
 	return err
 }
 
 func (d *decoder) optimizeRequest(v *OptimizeRequest) *decodeError {
+	*v = OptimizeRequest{Fleet: v.Fleet, P: v.P, Domains: v.Domains, Target: v.Target}
 	o, err := d.object(optimizeRequestKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -806,10 +866,13 @@ func (d *decoder) optimizeRequest(v *OptimizeRequest) *decodeError {
 			err = d.queryField(o.key, &v.Model, &v.Fleet, &v.P, &v.Domains)
 		}
 	}
+	clearUnseenQuery(&o, &v.Fleet, &v.P, &v.Domains)
+	clearUnseen(&o, 7, &v.Target)
 	return err
 }
 
 func (d *decoder) tailRequest(v *TailRequest) *decodeError {
+	*v = TailRequest{Fleet: v.Fleet, P: v.P, Domains: v.Domains, Event: v.Event, Method: v.Method}
 	o, err := d.object(tailRequestKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -827,10 +890,14 @@ func (d *decoder) tailRequest(v *TailRequest) *decodeError {
 			err = d.queryField(o.key, &v.Model, &v.Fleet, &v.P, &v.Domains)
 		}
 	}
+	clearUnseenQuery(&o, &v.Fleet, &v.P, &v.Domains)
+	clearUnseen(&o, 4, &v.Event)
+	clearUnseen(&o, 5, &v.Method)
 	return err
 }
 
 func (d *decoder) sweepRequest(v *SweepRequest) *decodeError {
+	*v = SweepRequest{Protocol: v.Protocol, Ns: v.Ns, Ps: v.Ps, Domains: v.Domains}
 	o, err := d.object(sweepRequestKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -844,6 +911,10 @@ func (d *decoder) sweepRequest(v *SweepRequest) *decodeError {
 			err = decodeSlice(d, &v.Domains, 0, (*decoder).domainSpec)
 		}
 	}
+	clearUnseen(&o, 0, &v.Protocol)
+	clearUnseen(&o, 1, &v.Ns)
+	clearUnseen(&o, 2, &v.Ps)
+	clearUnseen(&o, 3, &v.Domains)
 	return err
 }
 
@@ -861,6 +932,10 @@ func (d *decoder) batchItem(v *BatchItem) *decodeError {
 			err = decodePtr(d, &v.Tail, (*decoder).tailRequest)
 		}
 	}
+	clearUnseen(&o, 0, &v.Analyze)
+	clearUnseen(&o, 1, &v.Sweep)
+	clearUnseen(&o, 2, &v.Optimize)
+	clearUnseen(&o, 3, &v.Tail)
 	return err
 }
 
@@ -869,5 +944,6 @@ func (d *decoder) batchRequest(v *BatchRequest) *decodeError {
 	for o.next(&err) {
 		err = decodeSlice(d, &v.Items, 0, (*decoder).batchItem)
 	}
+	clearUnseen(&o, 0, &v.Items)
 	return err
 }

@@ -181,6 +181,25 @@ func TestDecoderCoversEveryWireField(t *testing.T) {
 
 	// Every field set to its own value: a case wired to the wrong field, or
 	// missing from a switch, does not round-trip.
+	for _, typ := range requestTypes {
+		want := populated(typ)
+		body, err := json.Marshal(want.Interface())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := reflect.New(typ)
+		if err := decodeRequest(body, got.Interface()); err != nil {
+			t.Errorf("%v with every field set: %v\n%s", typ, err, body)
+		} else if !reflect.DeepEqual(got.Interface(), want.Interface()) {
+			t.Errorf("%v with every field set does not round-trip:\n got %+v\nwant %+v", typ, got.Elem(), want.Elem())
+		}
+	}
+}
+
+// populated returns a pointer to a typ with every field set to a value of
+// its own: pointers non-nil, slices of two, each string, number and flag
+// distinct.
+func populated(typ reflect.Type) reflect.Value {
 	counter := 0
 	var populate func(v reflect.Value)
 	populate = func(v reflect.Value) {
@@ -206,23 +225,12 @@ func TestDecoderCoversEveryWireField(t *testing.T) {
 		case reflect.Bool:
 			v.SetBool(true)
 		default:
-			t.Fatalf("wire types use a %v, which the decoder has no reader for", v.Kind())
+			panic(fmt.Sprintf("wire types use a %v, which the decoder has no reader for", v.Kind()))
 		}
 	}
-	for _, typ := range requestTypes {
-		want := reflect.New(typ)
-		populate(want.Elem())
-		body, err := json.Marshal(want.Interface())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := reflect.New(typ)
-		if err := decodeRequest(body, got.Interface()); err != nil {
-			t.Errorf("%v with every field set: %v\n%s", typ, err, body)
-		} else if !reflect.DeepEqual(got.Interface(), want.Interface()) {
-			t.Errorf("%v with every field set does not round-trip:\n got %+v\nwant %+v", typ, got.Elem(), want.Elem())
-		}
-	}
+	p := reflect.New(typ)
+	populate(p.Elem())
+	return p
 }
 
 // isDuplicateField reports the one refusal the reference does not share.
@@ -247,6 +255,25 @@ func diffDecode[Q any](t *testing.T, data []byte) {
 	}
 	if gotErr != nil && (!isClientError(gotErr) || !strings.HasPrefix(gotErr.Error(), "bad JSON body: ")) {
 		t.Fatalf("%T: refusal is not a worded client error: %v", got, gotErr)
+	}
+	// A pooled target holds the previous request. Decoded into a target a
+	// different seed body left dirty, and into one with every field set,
+	// data must give the fresh verdict and the fresh value: a field it
+	// omits reads zero, not the old value.
+	var seeded Q
+	for i := range dirtyBodies {
+		b := dirtyBodies[(len(data)+i)%len(dirtyBodies)]
+		if !bytes.Equal(b, data) && decodeRequest(b, &seeded) == nil {
+			break
+		}
+	}
+	for _, dirty := range []*Q{&seeded, populated(reflect.TypeOf(got)).Interface().(*Q)} {
+		if dirtyErr := decodeRequest(data, dirty); fmt.Sprint(dirtyErr) != fmt.Sprint(gotErr) {
+			t.Fatalf("%T: into a dirty target the verdict on %q is %v, fresh %v", got, data, dirtyErr, gotErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(*dirty, got) {
+			t.Fatalf("%T: into a dirty target %q decodes to\n %+v\nfresh\n %+v", got, data, *dirty, got)
+		}
 	}
 	if isDuplicateField(gotErr) {
 		return
@@ -300,9 +327,21 @@ var decodeEdgeCases = []string{
 	`{"p":0.5} `, `{"p":0.5}x`, `{"p":0.5}{}`, `{"p":0.5},`, `{"p":0.5}]`, `{"p":0.5} null`, `null null`, "{\"p\":0.5}\x0b", "{\"p\":0.5}\xc2\xa0",
 }
 
+// dirtyBodies are the seed bodies diffDecode leaves a target dirty with.
+var dirtyBodies = func() [][]byte {
+	var out [][]byte
+	for _, corpus := range [][]string{analyzeFuzzSeeds, sweepFuzzSeeds, tailFuzzSeeds, optimizeFuzzSeeds, batchFuzzSeeds, decodeEdgeCases} {
+		for _, s := range corpus {
+			out = append(out, []byte(s))
+		}
+	}
+	return append(out, hotBody, churnBody, coldBody, batchBig)
+}()
+
 // FuzzDecodeMatchesReference is the differential oracle of the request
 // decoder: every input goes through decodeRequest and decodeReference as
-// each of the five request types.
+// each of the five request types, and through decodeRequest again into a
+// target left dirty by another seed body.
 func FuzzDecodeMatchesReference(f *testing.F) {
 	for _, corpus := range [][]string{analyzeFuzzSeeds, sweepFuzzSeeds, tailFuzzSeeds, optimizeFuzzSeeds, batchFuzzSeeds, decodeEdgeCases} {
 		for _, s := range corpus {
@@ -434,19 +473,27 @@ func TestDecodeAllocationIsBoundedByBody(t *testing.T) {
 }
 
 // BenchmarkDecode times both decoders on the benchmark's analyze shapes,
-// each from an io.Reader over the body to a filled AnalyzeRequest.
+// each from an io.Reader over the body to a filled AnalyzeRequest: a fresh
+// target per body, and (reused) the one target handlePost's pool keeps.
 func BenchmarkDecode(b *testing.B) {
+	decodeBodyErr := func(r io.Reader, v any) error { _, err := decodeBody(r, v); return err }
 	for _, shape := range decodeShapes {
 		for _, side := range []struct {
 			name   string
 			decode func(io.Reader, any) error
-		}{{"ref", decodeReference}, {"new", decodeBody}} {
+			reuse  bool
+		}{{"ref", decodeReference, false}, {"new", decodeBodyErr, false}, {"reused", decodeBodyErr, true}} {
 			b.Run(shape.name+"/"+side.name, func(b *testing.B) {
 				b.SetBytes(int64(len(shape.body)))
 				b.ReportAllocs()
+				var pooled AnalyzeRequest
 				for i := 0; i < b.N; i++ {
-					var req AnalyzeRequest
-					if err := side.decode(bytes.NewReader(shape.body), &req); err != nil {
+					var fresh AnalyzeRequest
+					req := &fresh
+					if side.reuse {
+						req = &pooled
+					}
+					if err := side.decode(bytes.NewReader(shape.body), req); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -117,7 +117,7 @@ func entryFor(t *testing.T, srv *Server, body string) *analyzeEntry {
 	if err := decodeRequest([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	p, err := planAnalyze(req, nil)
+	p, err := planAnalyze(&req, new(queryScratch), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestWarmedEntriesServePlainHits(t *testing.T) {
 		t.Fatalf("DumpCache = %d, %v", n, err)
 	}
 	calls := 0
-	srv := New(Options{AnalyzeFunc: func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error) {
+	srv := New(Options{AnalyzeFunc: func(*core.Query) (core.Result, error) {
 		calls++
 		return core.Result{}, nil
 	}})
@@ -223,7 +223,7 @@ func TestWarmedEntriesServePlainHits(t *testing.T) {
 func TestEvictedEntryServesRecomputedBytes(t *testing.T) {
 	var runs atomic.Int64
 	srv := New(Options{CacheCapacity: 1, CacheShards: 1,
-		AnalyzeFunc: func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error) {
+		AnalyzeFunc: func(*core.Query) (core.Result, error) {
 			p := 1 - 0.125*float64(runs.Add(1))
 			return core.Result{Safe: p, Live: p, SafeAndLive: p}, nil
 		}})
@@ -388,8 +388,10 @@ func newLoggedHandler() http.Handler {
 // TestServeHitAllocationGuard extends TestAnalyzeHotPathAllocationGuard
 // from the method to the whole handler: decode, lookup, the stored body,
 // the log line and the trace of a plain hit on the benchmark's hot_small
-// shape — 37 allocations and 4037 B on go1.24. Before bodies were stored
-// and the log attrs typed, the same loop read 51 and 5263 B.
+// shape — 24 allocations and 2644 B on go1.24. Before the request scratch
+// (a pooled decode target, fleet and fingerprint buffers) the same loop
+// read 37 and 4061 B, and before bodies were stored and the log attrs
+// typed, 51 and 5263 B.
 func TestServeHitAllocationGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -400,25 +402,64 @@ func TestServeHitAllocationGuard(t *testing.T) {
 	}
 	allocs, bytesPer := serveAllocs(h, 200, func(int) []byte { return hotBody })
 	t.Logf("plain hit through the handler: %.2f allocs, %.0f B", allocs, bytesPer)
-	if allocs > 38 || bytesPer > 4150 {
-		t.Errorf("plain hit through the handler: %.2f allocs and %.0f B, want at most 38 and 4150", allocs, bytesPer)
+	if allocs > 25 || bytesPer > 2750 {
+		t.Errorf("plain hit through the handler: %.2f allocs and %.0f B, want at most 25 and 2750", allocs, bytesPer)
 	}
 }
 
-// uniqueHotBody is hotBody with its first node's p_crash replaced, so that
-// every i is a different fingerprint: a miss.
-func uniqueHotBody(i int) []byte {
-	const field = `"p_crash":`
-	at := bytes.Index(hotBody, []byte(field)) + len(field)
-	end := at + bytes.IndexByte(hotBody[at:], ',')
-	b := append([]byte(nil), hotBody[:at]...)
-	b = strconv.AppendFloat(b, 0.001+1e-7*float64(i), 'g', -1, 64)
-	return append(b, hotBody[end:]...)
+// TestServeMissAllocationGuard is TestServeHitAllocationGuard for misses,
+// at domain_churn's shape (48 nodes in four zones, one zone's shock moving
+// per request) and cold_large's (256 independent nodes): decode, resolve,
+// fingerprint, engine, insert, encode, log line and trace, all through
+// the handler the daemon runs — 42 allocations and 4.5 KB, and 42 and
+// 5.0 KB, on go1.24. Before the request scratch (pooled decode targets,
+// one resolve per request, reused fingerprint buffers) the same loops
+// read 277 and 19.5 KB, and 305 and 45.8 KB.
+func TestServeMissAllocationGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	for _, tc := range []struct {
+		name          string
+		body          func(int) []byte
+		allocs, bytes float64
+	}{
+		{"domain_churn", uniqueChurnBody, 45, 4800},
+		{"cold_large", uniqueColdBody, 45, 5300},
+	} {
+		h := newLoggedHandler()
+		for i := 0; i < 64; i++ { // warm pools, evaluators and the trace free list
+			serve(h, http.MethodPost, "/v1/analyze", string(tc.body(-1-i)))
+		}
+		allocs, bytesPer := serveAllocs(h, 200, tc.body)
+		t.Logf("%s miss through the handler: %.2f allocs, %.0f B", tc.name, allocs, bytesPer)
+		if allocs > tc.allocs || bytesPer > tc.bytes {
+			t.Errorf("%s miss through the handler: %.2f allocs and %.0f B, want at most %.0f and %.0f", tc.name, allocs, bytesPer, tc.allocs, tc.bytes)
+		}
+	}
 }
+
+// uniqueBody is body with the first value of field replaced by a value
+// unique to i, so that every i is a different fingerprint: a miss.
+func uniqueBody(body []byte, field string, i int) []byte {
+	at := bytes.Index(body, []byte(field)) + len(field)
+	end := at + bytes.IndexAny(body[at:], ",}")
+	b := append([]byte(nil), body[:at]...)
+	b = strconv.AppendFloat(b, 0.001+1e-7*float64(i), 'g', -1, 64)
+	return append(b, body[end:]...)
+}
+
+// The miss shapes: hot_small's fleet with one node's p_crash moved,
+// domain_churn's with one zone's shock moved, and cold_large's.
+func uniqueHotBody(i int) []byte   { return uniqueBody(hotBody, `"p_crash":`, i) }
+func uniqueChurnBody(i int) []byte { return uniqueBody(churnBody, `"shock":`, i) }
+func uniqueColdBody(i int) []byte  { return uniqueBody(coldBody, `"p_crash":`, i) }
 
 // BenchmarkServeHit and BenchmarkServeMiss time one analyze request
 // through the daemon's default handler — hot_small's and (at a ninth of
-// the fleet) domain_churn's per-request path.
+// the fleet) domain_churn's per-request path. BenchmarkServeMissDomains
+// and BenchmarkServeMissLarge are the misses at domain_churn's and
+// cold_large's own shapes.
 func BenchmarkServeHit(b *testing.B) {
 	h := newLoggedHandler()
 	for i := 0; i < 2; i++ { // the miss, then the hit that stores the body
@@ -435,13 +476,17 @@ func BenchmarkServeHit(b *testing.B) {
 	}
 }
 
-func BenchmarkServeMiss(b *testing.B) {
+func BenchmarkServeMiss(b *testing.B)        { benchmarkServeMiss(b, uniqueHotBody) }
+func BenchmarkServeMissDomains(b *testing.B) { benchmarkServeMiss(b, uniqueChurnBody) }
+func BenchmarkServeMissLarge(b *testing.B)   { benchmarkServeMiss(b, uniqueColdBody) }
+
+func benchmarkServeMiss(b *testing.B, body func(int) []byte) {
 	h := newLoggedHandler()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(uniqueHotBody(i))))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body(i))))
 		if rec.Code != http.StatusOK {
 			b.Fatal(rec.Code, rec.Body)
 		}

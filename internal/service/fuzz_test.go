@@ -150,7 +150,7 @@ func FuzzTailRequest(f *testing.F) {
 		if err := decodeStrict(data, &req); err != nil {
 			return
 		}
-		plan, err := planTail(req)
+		plan, err := planTail(req, new(queryScratch))
 		if err != nil {
 			if !isClientError(err) {
 				t.Fatalf("planTail returned a non-client error: %v", err)
@@ -162,13 +162,13 @@ func FuzzTailRequest(f *testing.F) {
 		if plan.resolved != MethodExact && plan.resolved != MethodImportance {
 			t.Fatalf("accepted plan with unresolved method %q", plan.resolved)
 		}
-		if len(plan.query.fleet) != plan.query.model.N() {
-			t.Fatalf("accepted plan with fleet size %d != model N %d", len(plan.query.fleet), plan.query.model.N())
+		if len(plan.query.q.Fleet) != plan.query.q.Model.N() {
+			t.Fatalf("accepted plan with fleet size %d != model N %d", len(plan.query.q.Fleet), plan.query.q.Model.N())
 		}
-		if err := plan.query.fleet.Validate(); err != nil {
+		if err := plan.query.q.Fleet.Validate(); err != nil {
 			t.Fatalf("accepted plan with invalid fleet: %v", err)
 		}
-		if err := plan.query.domains.Validate(plan.query.fleet); err != nil {
+		if err := plan.query.q.Domains.Validate(plan.query.q.Fleet); err != nil {
 			t.Fatalf("accepted plan with invalid domain layout: %v", err)
 		}
 		if plan.query.key == "" || plan.key == "" {
@@ -179,7 +179,7 @@ func FuzzTailRequest(f *testing.F) {
 		}
 		// The closed-form minimal count against the scan it replaced,
 		// through the event's predicate as the model states it.
-		if want := refMinEventCount(plan.query.fleet, refTailPred(plan.query.model, plan.event)); plan.kMin != want {
+		if want := refMinEventCount(plan.query.q.Fleet, refTailPred(plan.query.q.Model, plan.event)); plan.kMin != want {
 			t.Fatalf("plan kMin %d, scan %d", plan.kMin, want)
 		}
 		switch plan.resolved {
@@ -187,7 +187,7 @@ func FuzzTailRequest(f *testing.F) {
 			if plan.samples < 1 || plan.samples > MaxTailSamples {
 				t.Fatalf("importance plan with samples %d outside [1, %d]", plan.samples, MaxTailSamples)
 			}
-			if work := float64(plan.samples) * float64(len(plan.query.fleet)); work > plan.maxWork {
+			if work := float64(plan.samples) * float64(len(plan.query.q.Fleet)); work > plan.maxWork {
 				t.Fatalf("importance plan over its own bound: %g > %g", work, plan.maxWork)
 			}
 		case MethodExact:
@@ -222,7 +222,7 @@ func FuzzOptimizeRequest(f *testing.F) {
 		// planOptimize is everything /v1/optimize and a batch optimize item
 		// do before solving: arbitrary bytes either fail as a client error
 		// or plan into a keyed problem with one label per budget dimension.
-		plan, err := planOptimize(req)
+		plan, err := planOptimize(req, new(queryScratch))
 		if err != nil {
 			if !isClientError(err) {
 				t.Fatalf("planOptimize returned a non-client error: %v", err)
@@ -309,7 +309,7 @@ func FuzzBatchRequest(f *testing.F) {
 	}
 	srv := New(Options{
 		CacheCapacity: 16, CacheShards: 1, Workers: 1,
-		AnalyzeFunc: func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error) {
+		AnalyzeFunc: func(*core.Query) (core.Result, error) {
 			panic("planBatch must not run the engine")
 		},
 	})
@@ -318,7 +318,7 @@ func FuzzBatchRequest(f *testing.F) {
 		if err := decodeStrict(data, &req); err != nil {
 			return
 		}
-		jobs, results, deduped, err := srv.planBatch(req)
+		jobs, results, deduped, err := srv.planBatch(req, new(scratch))
 		if err != nil {
 			if !isClientError(err) {
 				t.Fatalf("whole-request rejection is not a client error: %v", err)

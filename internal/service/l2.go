@@ -78,7 +78,7 @@ func (s *Server) l2Fetch(p analyzePlan, tr *obs.Trace) (*analyzeEntry, bool) {
 		s.m.l2Local.Inc()
 		return nil, false
 	}
-	req, ok := wireAnalyzeRequest(p.fleet, p.model, p.domains)
+	req, ok := wireAnalyzeRequest(p.q.Fleet, p.q.Model, p.q.Domains)
 	if !ok {
 		s.m.l2Local.Inc()
 		return nil, false
@@ -168,7 +168,9 @@ func (s *Server) L2Exec(key string, payload []byte) (val []byte, err error) {
 	if err := decodeRequest(payload, &req); err != nil {
 		return nil, fmt.Errorf("l2 exec payload: %w", err)
 	}
-	p, err := planAnalyze(req, nil)
+	sc := getScratch()
+	defer putScratch(sc)
+	p, err := planAnalyze(&req, sc.query(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("l2 exec query: %w", err)
 	}

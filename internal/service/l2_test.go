@@ -45,9 +45,9 @@ func newFleet(t *testing.T, n int, calls *atomic.Int64) []*fleetMember {
 		srv := New(Options{
 			CacheCapacity: 256, CacheShards: 4, Workers: 4,
 			L2: client,
-			AnalyzeFunc: func(f core.Fleet, m core.CountModel, d core.DomainSet) (core.Result, error) {
+			AnalyzeFunc: func(q *core.Query) (core.Result, error) {
 				calls.Add(1)
-				return pool.AnalyzeDomains(f, m, d)
+				return pool.AnalyzeQuery(q), nil
 			},
 		})
 		peerSrv := qcache.NewPeerServer(srv)
@@ -196,7 +196,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 	var calls atomic.Int64
 	cold := New(Options{
 		CacheCapacity: 64, CacheShards: 2, Workers: 2,
-		AnalyzeFunc: func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error) {
+		AnalyzeFunc: func(*core.Query) (core.Result, error) {
 			calls.Add(1)
 			return core.Result{}, nil
 		},

@@ -159,18 +159,18 @@ type optimizePlan struct {
 // planOptimize validates the request, bounds its work and keys it. Each
 // target contributes its problem-specific pieces; the work bound, the
 // cache key and the rendering are shared. All errors are client errors.
-func planOptimize(req OptimizeRequest) (optimizePlan, error) {
+func planOptimize(req OptimizeRequest, qs *queryScratch) (optimizePlan, error) {
 	if err := req.validateCommon(); err != nil {
 		return optimizePlan{}, badRequest(err)
 	}
 	// Reuse the analyze resolution for fleet, model, and domains —
 	// including the per-query work bound on the underlying engine.
-	fleet, m, domains, err := AnalyzeRequest{
-		Model: req.Model, Fleet: req.Fleet, P: req.P, Domains: req.Domains,
-	}.Query()
+	ar := AnalyzeRequest{Model: req.Model, Fleet: req.Fleet, P: req.P, Domains: req.Domains}
+	q, err := ar.query(qs)
 	if err != nil {
 		return optimizePlan{}, badRequest(err)
 	}
+	fleet, m, domains := q.Fleet, q.Model, q.Domains
 	opts := optimize.Options{MaxIterations: req.Iterations, GapTolerance: req.Tolerance}
 	if opts.GapTolerance == 0 {
 		opts.GapTolerance = 1e-9
@@ -193,7 +193,7 @@ func planOptimize(req OptimizeRequest) (optimizePlan, error) {
 		problemFP func(optimize.Options) (string, error)
 		solve     func() (optimize.Allocation, error)
 	)
-	engineWork := core.DomainsWorkEstimate(fleet, m, domains)
+	engineWork := q.Work()
 	switch target {
 	case targetNodes:
 		curves = make([]faultcurve.Response, len(fleet))
@@ -286,14 +286,17 @@ func planOptimize(req OptimizeRequest) (optimizePlan, error) {
 
 // Optimize resolves, validates, solves, and caches one optimize query.
 func (s *Server) Optimize(req OptimizeRequest) (OptimizeResponse, error) {
-	return s.optimizeTraced(req, nil)
+	sc := getScratch()
+	defer putScratch(sc)
+	return s.optimizeTraced(req, sc, nil)
 }
 
-// optimizeTraced is Optimize with the request's flight-recorder trace
-// threaded through (nil for library calls; recording no-ops).
-func (s *Server) optimizeTraced(req OptimizeRequest, tr *obs.Trace) (OptimizeResponse, error) {
+// optimizeTraced is Optimize with the request's scratch and flight-recorder
+// trace threaded through (a nil trace for library calls; recording
+// no-ops).
+func (s *Server) optimizeTraced(req OptimizeRequest, sc *scratch, tr *obs.Trace) (OptimizeResponse, error) {
 	start := time.Now()
-	p, err := planOptimize(req)
+	p, err := planOptimize(req, sc.query())
 	if err != nil {
 		return OptimizeResponse{}, err
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -145,21 +146,21 @@ type DomainSpec struct {
 	ByzMult   *float64 `json:"byz_mult,omitempty"`
 }
 
-// resolveDomains validates the wire domains and builds the engine layout.
-func resolveDomains(specs []DomainSpec) (core.DomainSet, error) {
+// resolveDomains validates the wire domains and appends the engine layout
+// to dst.
+func resolveDomains(dst core.DomainSet, specs []DomainSpec) (core.DomainSet, error) {
 	if err := inputcheck.CheckDomainCount(len(specs)); err != nil {
 		return nil, err
 	}
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	ds := make(core.DomainSet, len(specs))
 	for i, spec := range specs {
 		if spec.Name == "" {
 			return nil, fmt.Errorf("domains[%d]: name is required", i)
 		}
-		if err := inputcheck.CheckProb(fmt.Sprintf("domains[%d].shock", i), spec.Shock); err != nil {
-			return nil, err
+		// Each check's message starts with the field name it is given, so
+		// the field's path is prefixed only on a refusal: a valid domain
+		// formats nothing.
+		if err := inputcheck.CheckProb("shock", spec.Shock); err != nil {
+			return nil, fmt.Errorf("domains[%d].%w", i, err)
 		}
 		crashMult, byzMult := 1.0, 1.0
 		if spec.CrashMult != nil {
@@ -168,20 +169,20 @@ func resolveDomains(specs []DomainSpec) (core.DomainSet, error) {
 		if spec.ByzMult != nil {
 			byzMult = *spec.ByzMult
 		}
-		if err := inputcheck.CheckShockMultiplier(fmt.Sprintf("domains[%d].crash_mult", i), crashMult); err != nil {
-			return nil, err
+		if err := inputcheck.CheckShockMultiplier("crash_mult", crashMult); err != nil {
+			return nil, fmt.Errorf("domains[%d].%w", i, err)
 		}
-		if err := inputcheck.CheckShockMultiplier(fmt.Sprintf("domains[%d].byz_mult", i), byzMult); err != nil {
-			return nil, err
+		if err := inputcheck.CheckShockMultiplier("byz_mult", byzMult); err != nil {
+			return nil, fmt.Errorf("domains[%d].%w", i, err)
 		}
-		ds[i] = faultcurve.Domain{
+		dst = append(dst, faultcurve.Domain{
 			Name:            spec.Name,
 			ShockProb:       spec.Shock,
 			CrashMultiplier: crashMult,
 			ByzMultiplier:   byzMult,
-		}
+		})
 	}
-	return ds, nil
+	return dst, nil
 }
 
 // assignRoundRobin spreads a uniform fleet across the domains: node i
@@ -225,64 +226,78 @@ const MaxAnalyzeWork = 2e10
 // inputs and enforces the analyze work bound. All validation errors are
 // client errors (HTTP 400).
 func (r AnalyzeRequest) Query() (core.Fleet, core.CountModel, core.DomainSet, error) {
-	fleet, m, domains, err := r.resolve()
+	q, err := r.query(new(queryScratch))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if work := core.DomainsWorkEstimate(fleet, m, domains); work > MaxAnalyzeWork {
-		return nil, nil, nil, fmt.Errorf("query needs ~%.2g engine operations, maximum is %.2g (fewer domains or a smaller fleet)", work, float64(MaxAnalyzeWork))
-	}
-	return fleet, m, domains, nil
+	return q.Fleet, q.Model, q.Domains, nil
 }
 
-// resolve validates the request and builds the (fleet, model, domains)
-// triple without enforcing any work bound — the tail endpoint applies its
-// own per-request bound and dispatches on the estimate instead.
-func (r AnalyzeRequest) resolve() (core.Fleet, core.CountModel, core.DomainSet, error) {
+// query is Query into qs: the request resolved, then bounded.
+func (r *AnalyzeRequest) query(qs *queryScratch) (*core.Query, error) {
+	q, err := r.resolve(qs)
+	if err != nil {
+		return nil, err
+	}
+	if work := q.Work(); work > MaxAnalyzeWork {
+		return nil, fmt.Errorf("query needs ~%.2g engine operations, maximum is %.2g (fewer domains or a smaller fleet)", work, float64(MaxAnalyzeWork))
+	}
+	return q, nil
+}
+
+// resolve validates the request and resolves its (fleet, model, domains)
+// into qs — the one resolution the work estimate, the fingerprint and the
+// engine all read — without enforcing any work bound: the tail endpoint
+// applies its own per-request bound and dispatches on the estimate
+// instead. Each node's profile is checked here, as it is copied, and
+// nowhere after.
+func (r *AnalyzeRequest) resolve(qs *queryScratch) (*core.Query, error) {
 	m, err := r.Model.Model()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	domains, err := resolveDomains(r.Domains)
+	domains, err := resolveDomains(qs.domains[:0], r.Domains)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	var fleet core.Fleet
+	qs.domains = domains
+	fleet := qs.fleet[:0]
 	switch {
 	case len(r.Fleet) > 0 && r.P != nil:
-		return nil, nil, nil, fmt.Errorf("give either fleet or p, not both")
+		return nil, fmt.Errorf("give either fleet or p, not both")
 	case len(r.Fleet) > 0:
 		if len(r.Fleet) != m.N() {
-			return nil, nil, nil, fmt.Errorf("fleet has %d nodes but model.n is %d", len(r.Fleet), m.N())
+			return nil, fmt.Errorf("fleet has %d nodes but model.n is %d", len(r.Fleet), m.N())
 		}
-		fleet = make(core.Fleet, len(r.Fleet))
+		fleet = slices.Grow(fleet, len(r.Fleet))
 		for i, ns := range r.Fleet {
 			if err := inputcheck.CheckProfile(ns.PCrash, ns.PByz); err != nil {
-				return nil, nil, nil, fmt.Errorf("fleet[%d]: %w", i, err)
+				return nil, fmt.Errorf("fleet[%d]: %w", i, err)
 			}
-			fleet[i] = core.Node{
+			fleet = append(fleet, core.Node{
 				Name:    ns.Name,
 				Profile: faultcurve.Profile{PCrash: ns.PCrash, PByz: ns.PByz},
 				Domain:  ns.Domain,
-			}
+			})
 		}
 	case r.P != nil:
 		if err := inputcheck.CheckProb("p", *r.P); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
+		profile := faultcurve.Crash(*r.P)
 		if r.Model.Protocol == "pbft" {
-			fleet = core.UniformByzFleet(m.N(), *r.P)
-		} else {
-			fleet = core.UniformCrashFleet(m.N(), *r.P)
+			profile = faultcurve.Byzantine(*r.P)
 		}
+		fleet = core.AppendUniformFleet(fleet, m.N(), profile)
 		assignRoundRobin(fleet, domains)
 	default:
-		return nil, nil, nil, fmt.Errorf("give a fleet or a uniform p")
+		return nil, fmt.Errorf("give a fleet or a uniform p")
 	}
-	if err := domains.Validate(fleet); err != nil {
-		return nil, nil, nil, err
+	qs.fleet = fleet
+	if err := qs.q.Resolve(fleet, m, domains); err != nil {
+		return nil, err
 	}
-	return fleet, m, domains, nil
+	return &qs.q, nil
 }
 
 // MaxNines caps nines renderings on the wire. float64 cannot represent
@@ -414,7 +429,7 @@ func (r SweepRequest) plan() (core.DomainSet, error) {
 	if cells := len(r.Ns) * len(r.Ps); cells > MaxSweepCells {
 		return nil, fmt.Errorf("sweep grid has %d cells, maximum is %d", cells, MaxSweepCells)
 	}
-	domains, err := resolveDomains(r.Domains)
+	domains, err := resolveDomains(nil, r.Domains)
 	if err != nil {
 		return nil, err
 	}

@@ -30,12 +30,12 @@ type Options struct {
 	// its own singleflight on a fleet-wide miss) before this server
 	// computes. Best-effort — peer failures degrade to a local compute.
 	L2 L2Tier
-	// AnalyzeFunc computes one query; defaults to core.AnalyzeDomains,
-	// whose process-wide evaluator pool (the one the optimizer's
-	// objectives borrow from) gives every sweep worker an allocation-free
-	// engine (reducing to core.Analyze semantics for domain-free fleets).
-	// Tests instrument it to count underlying engine calls.
-	AnalyzeFunc func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error)
+	// AnalyzeFunc computes one resolved query; defaults to
+	// core.AnalyzeQuery, whose process-wide evaluator pool (the one the
+	// optimizer's objectives borrow from) gives every sweep worker an
+	// allocation-free engine. Tests instrument it to count underlying
+	// engine calls.
+	AnalyzeFunc func(*core.Query) (core.Result, error)
 	// Logger, when non-nil, receives one structured access-log line per
 	// HTTP request (request ID, endpoint, status, duration). nil disables
 	// access logging; metrics are always on.
@@ -73,7 +73,7 @@ type Server struct {
 	ocache  *qcache.Cache[OptimizeResponse]
 	tcache  *qcache.Cache[TailResponse]
 	l2      L2Tier
-	analyze func(core.Fleet, core.CountModel, core.DomainSet) (core.Result, error)
+	analyze func(*core.Query) (core.Result, error)
 	workers int
 	sem     chan struct{}
 	start   time.Time
@@ -110,7 +110,7 @@ func New(opts Options) *Server {
 		// Each engine run borrows a pooled evaluator: concurrent sweep
 		// workers never share a workspace, and steady-state engine runs
 		// stop allocating DP tables.
-		opts.AnalyzeFunc = core.AnalyzeDomains
+		opts.AnalyzeFunc = func(q *core.Query) (core.Result, error) { return core.AnalyzeQuery(q), nil }
 	}
 	s := &Server{
 		cache:     qcache.New[*analyzeEntry](opts.CacheCapacity, opts.CacheShards).WithSizer(sizeofAnalyzeEntry),
@@ -347,38 +347,6 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 		status = ce.status
 	}
 	writeJSON(w, r, status, errorBody{Error: err.Error()})
-}
-
-// handlePost is the body of every JSON-in, JSON-out POST endpoint:
-// readRequest, the endpoint's traced call, and the response or its error
-// rendered as JSON. A call that returns a body has it sent as is, in
-// place of encoding the response.
-func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *obs.Trace) (R, []byte, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req Q
-		if err := readRequest(count, limit, w, r, &req); err != nil {
-			writeError(w, r, err)
-			return
-		}
-		resp, body, err := call(req, TraceFrom(r.Context()))
-		switch {
-		case err != nil:
-			writeError(w, r, err)
-		case body != nil:
-			writeBody(w, http.StatusOK, body)
-		default:
-			writeJSON(w, r, http.StatusOK, resp)
-		}
-	}
-}
-
-// encoded adapts a traced call that stores no bodies to handlePost: its
-// responses are always encoded.
-func encoded[Q, R any](call func(Q, *obs.Trace) (R, error)) func(Q, *obs.Trace) (R, []byte, error) {
-	return func(req Q, tr *obs.Trace) (R, []byte, error) {
-		resp, err := call(req, tr)
-		return resp, nil, err
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

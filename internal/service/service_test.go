@@ -401,10 +401,10 @@ func TestConcurrentIdenticalAnalyzeCoalesces(t *testing.T) {
 	srv := New(Options{
 		CacheCapacity: 64,
 		Workers:       4,
-		AnalyzeFunc: func(fleet core.Fleet, m core.CountModel, domains core.DomainSet) (core.Result, error) {
+		AnalyzeFunc: func(q *core.Query) (core.Result, error) {
 			engineCalls.Add(1)
 			<-gate // hold the flight open until every request has arrived
-			return core.AnalyzeDomains(fleet, m, domains)
+			return core.AnalyzeQuery(q), nil
 		},
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -555,10 +555,10 @@ func TestSweepCancellation(t *testing.T) {
 	block := make(chan struct{})
 	srv := New(Options{
 		Workers: 1,
-		AnalyzeFunc: func(fleet core.Fleet, m core.CountModel, domains core.DomainSet) (core.Result, error) {
+		AnalyzeFunc: func(q *core.Query) (core.Result, error) {
 			cells.Add(1)
 			<-block
-			return core.AnalyzeDomains(fleet, m, domains)
+			return core.AnalyzeQuery(q), nil
 		},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -607,10 +607,10 @@ func TestSweepStopsOnWriterError(t *testing.T) {
 	var cells atomic.Int64
 	srv := New(Options{
 		Workers: 1,
-		AnalyzeFunc: func(fleet core.Fleet, m core.CountModel, domains core.DomainSet) (core.Result, error) {
+		AnalyzeFunc: func(q *core.Query) (core.Result, error) {
 			cells.Add(1)
 			time.Sleep(5 * time.Millisecond) // make the spawner's progress observable
-			return core.AnalyzeDomains(fleet, m, domains)
+			return core.AnalyzeQuery(q), nil
 		},
 	})
 	ns := make([]int, 200)
@@ -632,9 +632,14 @@ func TestSweepStopsOnWriterError(t *testing.T) {
 
 // TestAnalyzeHotPathAllocationGuard is the serving layer's allocation-
 // regression guard: a repeated identical query is an L1 hit, which costs
-// exactly the resolved fleet, the fingerprint's canonical profile buffer
-// and its hex key — so resolve and fingerprint cannot silently grow.
+// exactly its hex key — the fleet is resolved and fingerprinted in pooled
+// scratch — so resolve and fingerprint cannot silently grow. Before the
+// scratch it cost three: the key, the resolved fleet and the fingerprint's
+// buffer.
 func TestAnalyzeHotPathAllocationGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
 	srv := New(Options{})
 	nodes := make([]NodeSpec, 9)
 	for i := range nodes {
@@ -649,8 +654,8 @@ func TestAnalyzeHotPathAllocationGuard(t *testing.T) {
 		if err != nil || !resp.Cached {
 			t.Fatal("hot path must hit L1")
 		}
-	}); n > 3 {
-		t.Errorf("L1 hit allocates %v/op, want <= 3", n)
+	}); n > 1 {
+		t.Errorf("L1 hit allocates %v/op, want <= 1", n)
 	}
 }
 
@@ -728,19 +733,19 @@ func TestCachedRunVerdicts(t *testing.T) {
 	}{
 		{"analyze", func(s *Server) qcache.Stats { return s.cache.Stats() },
 			func(s *Server, p *float64, tr *obs.Trace) (bool, error) {
-				r, _, err := s.analyzeTraced(AnalyzeRequest{Model: model, P: p}, tr)
+				r, _, err := s.analyzeTraced(AnalyzeRequest{Model: model, P: p}, new(scratch), tr)
 				return r.Cached, err
 			}},
 		{"optimize", func(s *Server) qcache.Stats { return s.ocache.Stats() },
 			func(s *Server, p *float64, tr *obs.Trace) (bool, error) {
-				r, err := s.optimizeTraced(OptimizeRequest{Model: model, P: p, Budget: 1, Curve: CurveSpec{FloorFrac: 0.1, Scale: 0.25}}, tr)
+				r, err := s.optimizeTraced(OptimizeRequest{Model: model, P: p, Budget: 1, Curve: CurveSpec{FloorFrac: 0.1, Scale: 0.25}}, new(scratch), tr)
 				return r.Cached, err
 			}},
 		// The exact tail method nests the analyze cache inside the tail
 		// cache's compute: the outer verdict must be the one reported.
 		{"tail", func(s *Server) qcache.Stats { return s.tcache.Stats() },
 			func(s *Server, p *float64, tr *obs.Trace) (bool, error) {
-				r, err := s.tailTraced(TailRequest{Model: model, P: p, Event: EventNotLive}, tr)
+				r, err := s.tailTraced(TailRequest{Model: model, P: p, Event: EventNotLive}, new(scratch), tr)
 				return r.Cached, err
 			}},
 	}
@@ -784,5 +789,61 @@ func TestCachedRunVerdicts(t *testing.T) {
 				t.Fatalf("cache stats = %+v, want 2 computes (one per key) and 1 hit", st)
 			}
 		})
+	}
+}
+
+// TestValidationErrorTexts pins the 400 bodies of queries the resolver,
+// the domain layout and the work bounds refuse, as clients read them: a
+// change to how requests are resolved must not reword a refusal.
+func TestValidationErrorTexts(t *testing.T) {
+	zones := func(n int, extra string) string {
+		var b strings.Builder
+		b.WriteString(`"domains":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(`{"name":"z` + string(rune('a'+i)) + `","shock":0.01,"crash_mult":4` + extra + `}`)
+		}
+		return b.String() + `]`
+	}
+	node := `{"p_crash":0.01,"domain":"za"}`
+	fleet3 := `"fleet":[` + node + `,` + node + `,` + node + `]`
+	h := New(Options{}).Handler()
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"p":0.5,` + fleet3 + `}`, `give either fleet or p, not both`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":4},` + fleet3 + `,` + zones(1, "") + `}`, `fleet has 3 nodes but model.n is 4`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"fleet":[{},{"p_crash":1.5},{}]}`, `fleet[1]: p_crash must be a probability in [0, 1], got 1.5`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"fleet":[{},{},{"p_crash":0.6,"p_byz":0.5}]}`, `fleet[2]: p_crash + p_byz must be <= 1, got 0.6 + 0.5`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"p":2}`, `p must be a probability in [0, 1], got 2`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3}}`, `give a fleet or a uniform p`},
+		{"/v1/analyze", `{"model":{"protocol":"paxos","n":3},"p":0.1}`, `unknown protocol "paxos" (want raft or pbft)`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":0},"p":0.1}`, `cluster size must be >= 1, got 0`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"p":0.1,` + zones(17, "") + `}`, `domain count must be in [0, 16], got 17`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"p":0.1,"domains":[{"shock":0.1}]}`, `domains[0]: name is required`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"p":0.1,"domains":[{"name":"a","shock":0.1},{"name":"b","shock":-1}]}`, `domains[1].shock must be a probability in [0, 1], got -1`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"p":0.1,"domains":[{"name":"a","shock":0.1,"crash_mult":-3}]}`, `domains[0].crash_mult must be a finite multiplier >= 0, got -3`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"p":0.1,"domains":[{"name":"a","shock":0.1},{"name":"b","shock":0.1,"byz_mult":-0.5}]}`, `domains[1].byz_mult must be a finite multiplier >= 0, got -0.5`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},` + fleet3 + `,"domains":[{"name":"za","shock":0.1},{"name":"za","shock":0.2}]}`, `core: duplicate domain name "za"`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},` + fleet3 + `,"domains":[{"name":"zb","shock":0.1}]}`, `core: node 0 () references undefined domain "za"`},
+		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"fleet":[{"name":"x","p_crash":0.1,"domain":"nowhere"},{},{}]}`, `core: node 0 (x) references undefined domain "nowhere"`},
+		{"/v1/analyze", `{"model":{"protocol":"pbft","n":1024,"q_per":600,"q_vc":600,"q_eq":600,"q_vct":300},"p":0.001,` + zones(4, "") + `}`, `query needs ~2.8e+11 engine operations, maximum is 2e+10 (fewer domains or a smaller fleet)`},
+		{"/v1/tail", `{"model":{"protocol":"raft","n":3},"p":0.1}`, `event is required (not_live, unsafe, or not_ok)`},
+		{"/v1/tail", `{"model":{"protocol":"raft","n":3},"p":0.1,"event":"not_live","method":"guess"}`, `unknown method "guess" (want auto, exact, or importance)`},
+		{"/v1/tail", `{"model":{"protocol":"raft","n":3},"fleet":[{},{"p_byz":-1},{}],"event":"unsafe"}`, `fleet[1]: p_byz must be a probability in [0, 1], got -1`},
+		{"/v1/tail", `{"model":{"protocol":"raft","n":64},"p":0.1,"event":"not_live","method":"exact","max_work":10}`, `exact evaluation needs ~2.6e+05 engine operations, max_work is 10 (raise it or use method importance)`},
+		{"/v1/tail", `{"model":{"protocol":"raft","n":3},"p":0.1,"event":"not_live",` + zones(2, `,"byz_mult":-1`) + `}`, `domains[0].byz_mult must be a finite multiplier >= 0, got -1`},
+		{"/v1/optimize", `{"model":{"protocol":"raft","n":3},"p":0.1,"budget":1,"curve":{"floor_frac":0.1,"scale":1},"target":"domains"}`, `target domains requires a domains block`},
+		{"/v1/optimize", `{"model":{"protocol":"raft","n":3},"fleet":[{},{},{"p_crash":2}],"budget":1,"curve":{"floor_frac":0.1,"scale":1}}`, `fleet[2]: p_crash must be a probability in [0, 1], got 2`},
+	} {
+		rec := serve(h, http.MethodPost, tc.path, tc.body)
+		var got errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, body %s", tc.path, tc.body, rec.Code, rec.Body)
+			continue
+		}
+		if got.Error != tc.want {
+			t.Errorf("%s %s:\n got %q\nwant %q", tc.path, tc.body, got.Error, tc.want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -115,11 +114,17 @@ func (s *Server) sweepCell(protocol string, n int, p float64, domains core.Domai
 		line.Error = err.Error()
 		return line
 	}
-	fp := getSweepFleet(protocol, n, p)
-	fleet := *fp
-	assignRoundRobin(fleet, domains)
-	resp, err := s.answerQuery(fleet, m, domains)
-	putSweepFleet(fp)
+	// A cell takes its own scratch, not the request's: a cell already
+	// scheduled finishes after a disconnected client's handler has
+	// returned. Nothing downstream retains it: the fingerprint copies the
+	// profile bits it needs and the engine reads the fleet only inside the
+	// synchronous analyze call.
+	sc := getScratch()
+	qs := sc.query()
+	qs.fleet = uniformCellFleet(qs.fleet, protocol, n, p)
+	assignRoundRobin(qs.fleet, domains)
+	resp, err := s.answerQuery(&qs.q, qs.fleet, m, domains)
+	putScratch(sc)
 	if err != nil {
 		line.Error = err.Error()
 		return line
@@ -132,42 +137,29 @@ func (s *Server) sweepCell(protocol string, n int, p float64, domains core.Domai
 	return line
 }
 
-// sweepFleets recycles the uniform fleets sweep cells stage their queries
-// in. Safe because nothing downstream of sweepCell retains the fleet: the
-// fingerprint copies the profile bits it needs and the engine reads the
-// fleet only inside the synchronous analyze call.
-var sweepFleets = sync.Pool{New: func() any { return new(core.Fleet) }}
-
-// getSweepFleet builds the uniform fleet of one sweep cell in a pooled
-// buffer — no per-node name rendering (sweep cells never surface node
+// uniformCellFleet builds the uniform fleet of one sweep cell in dst's
+// array — no per-node name rendering (sweep cells never surface node
 // names and the canonical fingerprint excludes them) and no steady-state
-// allocation. Return it with putSweepFleet.
-func getSweepFleet(protocol string, n int, p float64) *core.Fleet {
+// allocation.
+func uniformCellFleet(dst core.Fleet, protocol string, n int, p float64) core.Fleet {
 	profile := faultcurve.Crash(p)
 	if protocol == "pbft" {
 		profile = faultcurve.Byzantine(p)
 	}
-	fp := sweepFleets.Get().(*core.Fleet)
-	fleet := *fp
-	if cap(fleet) < n {
-		fleet = make(core.Fleet, n)
-	} else {
-		fleet = fleet[:n]
-	}
+	fleet := dst[:0]
 	// Every field of every slot is overwritten, so recycled metadata
 	// (domains from a previous request) cannot leak between cells.
-	for i := range fleet {
-		fleet[i] = core.Node{Profile: profile}
+	for i := 0; i < n; i++ {
+		fleet = append(fleet, core.Node{Profile: profile})
 	}
-	*fp = fleet
-	return fp
+	return fleet
 }
 
-func putSweepFleet(fp *core.Fleet) { sweepFleets.Put(fp) }
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	// The stream's target is not pooled: cells already scheduled outlive a
+	// disconnected client's handler, and they read req.
 	var req SweepRequest
-	if err := readRequest(s.m.req["sweep"], maxBodyBytes, w, r, &req); err != nil {
+	if _, err := readRequest(s.m.req["sweep"], maxBodyBytes, w, r, &req); err != nil {
 		writeError(w, r, err)
 		return
 	}

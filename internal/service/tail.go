@@ -151,9 +151,9 @@ type tailPlan struct {
 	key      string
 }
 
-// planTail validates the request and resolves its dispatch. All errors
-// are client errors.
-func planTail(req TailRequest) (tailPlan, error) {
+// planTail validates the request and resolves its dispatch, resolving
+// the query into qs. All errors are client errors.
+func planTail(req TailRequest, qs *queryScratch) (tailPlan, error) {
 	var plan tailPlan
 	switch req.Event {
 	case EventNotLive, EventUnsafe, EventNotOK:
@@ -185,18 +185,19 @@ func planTail(req TailRequest) (tailPlan, error) {
 		return plan, badRequest(fmt.Errorf("samples must be in [0, %d], got %d", MaxTailSamples, req.Samples))
 	}
 
-	fleet, m, domains, err := AnalyzeRequest{Model: req.Model, Fleet: req.Fleet, P: req.P, Domains: req.Domains}.resolve()
+	ar := AnalyzeRequest{Model: req.Model, Fleet: req.Fleet, P: req.P, Domains: req.Domains}
+	q, err := ar.resolve(qs)
 	if err != nil {
 		return plan, badRequest(err)
 	}
-	r := eventRegion(m, req.Event)
+	r := eventRegion(q.Model, req.Event)
 	pred := func(c, b int) bool { return !r.Holds(c, b) }
-	n := len(fleet)
-	estimate := core.DomainsWorkEstimate(fleet, m, domains)
+	n := len(q.Fleet)
+	estimate := q.Work()
 
 	// Impossible events answer exactly, whatever the method: the count is
 	// O(n) and the alternative is a sampler that cannot hit.
-	kMin := minEventCount(fleet, r)
+	kMin := minEventCount(q.Fleet, r)
 
 	// Dispatch.
 	resolved := method
@@ -235,10 +236,7 @@ func planTail(req TailRequest) (tailPlan, error) {
 		seed = 1
 	}
 
-	query, err := keyQuery(fleet, m, domains, nil)
-	if err != nil {
-		return plan, err
-	}
+	query := keyQuery(q, nil)
 	key := query.key + "/tail/" + req.Event + "/" + resolved
 	if resolved == MethodImportance {
 		// Seeds that select the same generator stream get the same
@@ -264,14 +262,16 @@ func planTail(req TailRequest) (tailPlan, error) {
 // Tail answers one tail query through the tail cache. It is the
 // handler's core and the campaign CLI's serving twin.
 func (s *Server) Tail(req TailRequest) (TailResponse, error) {
-	return s.tailTraced(req, nil)
+	sc := getScratch()
+	defer putScratch(sc)
+	return s.tailTraced(req, sc, nil)
 }
 
-// tailTraced is Tail with the request's flight-recorder trace threaded
-// through (nil for library calls; recording no-ops).
-func (s *Server) tailTraced(req TailRequest, tr *obs.Trace) (TailResponse, error) {
+// tailTraced is Tail with the request's scratch and flight-recorder trace
+// threaded through (a nil trace for library calls; recording no-ops).
+func (s *Server) tailTraced(req TailRequest, sc *scratch, tr *obs.Trace) (TailResponse, error) {
 	start := time.Now()
-	plan, err := planTail(req)
+	plan, err := planTail(req, sc.query())
 	if err != nil {
 		return TailResponse{}, err
 	}
@@ -305,7 +305,7 @@ func (s *Server) runTail(plan tailPlan, tr *obs.Trace) (TailResponse, error) {
 // ~1e-15 saturate; RelCI99 is 0 because the engine is exact.
 func (s *Server) tailExact(plan tailPlan, tr *obs.Trace) (TailResponse, error) {
 	resp := TailResponse{
-		Model:       modelName(plan.query.model),
+		Model:       modelName(plan.query.q.Model),
 		Event:       plan.event,
 		Method:      MethodExact,
 		Fingerprint: plan.query.key,
@@ -343,11 +343,8 @@ func (s *Server) tailImportance(plan tailPlan, tr *obs.Trace) (TailResponse, err
 		sstart := time.Now()
 		defer tr.Since("sample", sstart)
 		// The sampler's (profiles, membership, domains) view of the query.
-		member, err := core.ResolveDomains(plan.query.fleet, plan.query.domains)
-		if err != nil {
-			return TailResponse{}, err
-		}
-		prof, doms := plan.query.fleet.Profiles(), []faultcurve.Domain(plan.query.domains)
+		q := plan.query.q
+		member, prof, doms := q.Members(), q.Fleet.Profiles(), []faultcurve.Domain(q.Domains)
 		withShocks := false
 		for _, d := range doms {
 			if d.ShockProb > 0 && d.ShockProb < 1 {
@@ -360,7 +357,7 @@ func (s *Server) tailImportance(plan tailPlan, tr *obs.Trace) (TailResponse, err
 			return TailResponse{}, fmt.Errorf("importance sampling failed: %w", err)
 		}
 		resp := TailResponse{
-			Model:            modelName(plan.query.model),
+			Model:            modelName(q.Model),
 			Event:            plan.event,
 			Method:           MethodImportance,
 			P:                est.P,
@@ -368,7 +365,7 @@ func (s *Server) tailImportance(plan tailPlan, tr *obs.Trace) (TailResponse, err
 			StdErr:           est.StdErr,
 			Samples:          est.Samples,
 			EffectiveSamples: est.EffectiveSamples,
-			Work:             float64(est.Samples) * float64(len(plan.query.fleet)),
+			Work:             float64(est.Samples) * float64(len(q.Fleet)),
 			Fingerprint:      plan.query.key,
 		}
 		if est.P > 0 {

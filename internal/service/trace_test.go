@@ -328,8 +328,10 @@ func TestTraceMetricsFamilies(t *testing.T) {
 
 // TestTracedAnalyzeHotPathZeroAlloc extends the allocation guard to the
 // recorder-enabled path: acquiring a record, threading it through the L1
-// hit, and depositing it must add zero allocations to the three the
-// untraced hit costs (TestAnalyzeHotPathAllocationGuard).
+// hit, and depositing it must add zero allocations to the one the
+// untraced hit costs (TestAnalyzeHotPathAllocationGuard). The scratch is
+// held here, as handlePost holds it, so the bound does not depend on a
+// sync.Pool and holds under -race too.
 func TestTracedAnalyzeHotPathZeroAlloc(t *testing.T) {
 	srv := New(Options{TraceBuffer: 8, TraceSample: -1})
 	nodes := make([]NodeSpec, 9)
@@ -348,17 +350,19 @@ func TestTracedAnalyzeHotPathZeroAlloc(t *testing.T) {
 		tr.Status = 200
 		srv.traces.Deposit(tr)
 	}
+	sc := new(scratch) // the request scratch handlePost would pass in
 	if n := testing.AllocsPerRun(100, func() {
 		tr := srv.traces.Acquire()
 		tr.ID = "steady"
 		tr.Endpoint = "analyze"
 		tr.Status = 200
-		resp, _, err := srv.analyzeTraced(req, tr)
+		sc.used = 0
+		resp, _, err := srv.analyzeTraced(req, sc, tr)
 		if err != nil || !resp.Cached {
 			t.Fatalf("analyzeTraced = %+v, %v", resp, err)
 		}
 		srv.traces.Deposit(tr)
-	}); n > 3 {
-		t.Fatalf("traced L1 hot path allocates %.1f/op, want <= 3", n)
+	}); n > 1 {
+		t.Fatalf("traced L1 hot path allocates %.1f/op, want <= 1", n)
 	}
 }
