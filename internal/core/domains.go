@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/faultcurve"
 	"repro/internal/montecarlo"
-	"repro/internal/obs"
 )
 
 // This file is the correlated-failure engine: exact safety/liveness
@@ -55,10 +55,9 @@ type domainLayout struct {
 
 // layoutResolves counts resolve calls, process-wide. A served analyze
 // request resolves its query once (Query.Resolve) and every later stage
-// reads that layout; the serving layer's tests pin it by diffing this
-// around a request stream.
-var layoutResolves = obs.Default().Counter("probcons_engine_layout_resolves_total",
-	"Failure-domain layouts resolved (each resolve also checks the fleet against the domain set); a served analyze request resolves exactly one.", nil)
+// reads that layout; TestOneResolvePerRequest pins it by diffing this
+// around a request stream. Nothing else reads it.
+var layoutResolves atomic.Int64
 
 // resolve validates domains against fleet and fills the layout. With an
 // empty set — the serving layer's common query — it only checks that no
@@ -66,7 +65,7 @@ var layoutResolves = obs.Default().Counter("probcons_engine_layout_resolves_tota
 // listing every node, so a throwaway layout costs no allocation. Callers
 // that index nodes take their domain-free path when len(domains) == 0.
 func (l *domainLayout) resolve(fleet Fleet, domains DomainSet) error {
-	layoutResolves.Inc()
+	layoutResolves.Add(1)
 	l.indep, l.act = l.indep[:0], l.act[:0]
 	l.blocks = grow(l.blocks, len(domains))
 	if len(domains) > 0 && l.byName == nil {

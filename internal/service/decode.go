@@ -718,23 +718,25 @@ func decodePtr[T any](d *decoder, v **T, elem func(*decoder, *T) *decodeError) *
 	return elem(d, *v)
 }
 
-// clearUnseen zeroes *f unless the walk read keys[i]: the struct decoders
-// keep a reused target's slices, pointers and strings until the body's
-// own are read, and clear the ones the body did not mention.
-func clearUnseen[T any](o *object, i int, f *T) {
-	if o.seen&(1<<i) == 0 {
-		var zero T
-		*f = zero
-	}
+// reuse sets *f to spare and returns f. A struct decoder saves its
+// target's old value as the spare and zeroes the target, so a field the
+// body omits reads zero by construction; a field the body does spell is
+// decoded into reuse(&v.F, spare.F), which hands the field's decoder the
+// old slice, pointee or string to overwrite instead of allocating anew.
+// A field decoded without reuse is as correct, only not reused.
+func reuse[T any](f *T, spare T) *T {
+	*f = spare
+	return f
 }
 
 func (d *decoder) modelSpec(v *ModelSpec) *decodeError {
-	*v = ModelSpec{Protocol: v.Protocol}
+	spare := *v
+	*v = ModelSpec{}
 	o, err := d.object(modelSpecKeys)
 	for o.next(&err) {
 		switch o.key {
 		case 0:
-			err = d.str(&v.Protocol)
+			err = d.str(reuse(&v.Protocol, spare.Protocol))
 		case 1:
 			err = d.int(&v.N)
 		case 2:
@@ -747,48 +749,44 @@ func (d *decoder) modelSpec(v *ModelSpec) *decodeError {
 			err = d.int(&v.QVCT)
 		}
 	}
-	clearUnseen(&o, 0, &v.Protocol)
 	return err
 }
 
 func (d *decoder) nodeSpec(v *NodeSpec) *decodeError {
-	*v = NodeSpec{Name: v.Name, Domain: v.Domain}
+	spare := *v
+	*v = NodeSpec{}
 	o, err := d.object(nodeSpecKeys)
 	for o.next(&err) {
 		switch o.key {
 		case 0:
-			err = d.str(&v.Name)
+			err = d.str(reuse(&v.Name, spare.Name))
 		case 1:
 			err = d.float(&v.PCrash)
 		case 2:
 			err = d.float(&v.PByz)
 		case 3:
-			err = d.str(&v.Domain)
+			err = d.str(reuse(&v.Domain, spare.Domain))
 		}
 	}
-	clearUnseen(&o, 0, &v.Name)
-	clearUnseen(&o, 3, &v.Domain)
 	return err
 }
 
 func (d *decoder) domainSpec(v *DomainSpec) *decodeError {
-	*v = DomainSpec{Name: v.Name, CrashMult: v.CrashMult, ByzMult: v.ByzMult}
+	spare := *v
+	*v = DomainSpec{}
 	o, err := d.object(domainSpecKeys)
 	for o.next(&err) {
 		switch o.key {
 		case 0:
-			err = d.str(&v.Name)
+			err = d.str(reuse(&v.Name, spare.Name))
 		case 1:
 			err = d.float(&v.Shock)
 		case 2:
-			err = decodePtr(d, &v.CrashMult, (*decoder).float)
+			err = decodePtr(d, reuse(&v.CrashMult, spare.CrashMult), (*decoder).float)
 		case 3:
-			err = decodePtr(d, &v.ByzMult, (*decoder).float)
+			err = decodePtr(d, reuse(&v.ByzMult, spare.ByzMult), (*decoder).float)
 		}
 	}
-	clearUnseen(&o, 0, &v.Name)
-	clearUnseen(&o, 2, &v.CrashMult)
-	clearUnseen(&o, 3, &v.ByzMult)
 	return err
 }
 
@@ -806,47 +804,53 @@ func (d *decoder) curveSpec(v *CurveSpec) *decodeError {
 	return err
 }
 
-// queryField decodes field i of queryKeys, the block three request types
-// share. The fleet is sized from model.n when the model came first —
-// clamped, since n is not validated yet, and only a hint to decodeSlice.
-func (d *decoder) queryField(i int, model *ModelSpec, fleet *[]NodeSpec, p **float64, domains *[]DomainSpec) *decodeError {
+// queryBlock points at the fields of queryKeys, the block analyze,
+// optimize and tail requests share.
+type queryBlock struct {
+	model   *ModelSpec
+	fleet   *[]NodeSpec
+	p       **float64
+	domains *[]DomainSpec
+}
+
+func (v *AnalyzeRequest) block() queryBlock  { return queryBlock{&v.Model, &v.Fleet, &v.P, &v.Domains} }
+func (v *OptimizeRequest) block() queryBlock { return queryBlock{&v.Model, &v.Fleet, &v.P, &v.Domains} }
+func (v *TailRequest) block() queryBlock     { return queryBlock{&v.Model, &v.Fleet, &v.P, &v.Domains} }
+
+// queryField decodes field i of queryKeys into v, reusing spare's. The
+// fleet is sized from model.n when the model came first — clamped, since n
+// is not validated yet, and only a hint to decodeSlice.
+func (d *decoder) queryField(i int, v, spare queryBlock) *decodeError {
 	switch i {
 	case 0:
-		return d.modelSpec(model)
+		return d.modelSpec(reuse(v.model, *spare.model))
 	case 1:
-		return decodeSlice(d, fleet, min(max(model.N, 0), inputcheck.MaxClusterSize), (*decoder).nodeSpec)
+		return decodeSlice(d, reuse(v.fleet, *spare.fleet), min(max(v.model.N, 0), inputcheck.MaxClusterSize), (*decoder).nodeSpec)
 	case 2:
-		return decodePtr(d, p, (*decoder).float)
+		return decodePtr(d, reuse(v.p, *spare.p), (*decoder).float)
 	default:
-		return decodeSlice(d, domains, 0, (*decoder).domainSpec)
+		return decodeSlice(d, reuse(v.domains, *spare.domains), 0, (*decoder).domainSpec)
 	}
 }
 
-// clearUnseenQuery clears the reused slices and pointer of the query block
-// a walk over one of the three request types sharing it did not read.
-func clearUnseenQuery(o *object, fleet *[]NodeSpec, p **float64, domains *[]DomainSpec) {
-	clearUnseen(o, 1, fleet)
-	clearUnseen(o, 2, p)
-	clearUnseen(o, 3, domains)
-}
-
 func (d *decoder) analyzeRequest(v *AnalyzeRequest) *decodeError {
-	*v = AnalyzeRequest{Fleet: v.Fleet, P: v.P, Domains: v.Domains}
+	spare := *v
+	*v = AnalyzeRequest{}
 	o, err := d.object(analyzeRequestKeys)
 	for o.next(&err) {
 		switch o.key {
 		case 4:
 			err = d.bool(&v.Debug)
 		default:
-			err = d.queryField(o.key, &v.Model, &v.Fleet, &v.P, &v.Domains)
+			err = d.queryField(o.key, v.block(), spare.block())
 		}
 	}
-	clearUnseenQuery(&o, &v.Fleet, &v.P, &v.Domains)
 	return err
 }
 
 func (d *decoder) optimizeRequest(v *OptimizeRequest) *decodeError {
-	*v = OptimizeRequest{Fleet: v.Fleet, P: v.P, Domains: v.Domains, Target: v.Target}
+	spare := *v
+	*v = OptimizeRequest{}
 	o, err := d.object(optimizeRequestKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -857,29 +861,28 @@ func (d *decoder) optimizeRequest(v *OptimizeRequest) *decodeError {
 		case 6:
 			err = d.curveSpec(&v.Curve)
 		case 7:
-			err = d.str(&v.Target)
+			err = d.str(reuse(&v.Target, spare.Target))
 		case 8:
 			err = d.int(&v.Iterations)
 		case 9:
 			err = d.float(&v.Tolerance)
 		default:
-			err = d.queryField(o.key, &v.Model, &v.Fleet, &v.P, &v.Domains)
+			err = d.queryField(o.key, v.block(), spare.block())
 		}
 	}
-	clearUnseenQuery(&o, &v.Fleet, &v.P, &v.Domains)
-	clearUnseen(&o, 7, &v.Target)
 	return err
 }
 
 func (d *decoder) tailRequest(v *TailRequest) *decodeError {
-	*v = TailRequest{Fleet: v.Fleet, P: v.P, Domains: v.Domains, Event: v.Event, Method: v.Method}
+	spare := *v
+	*v = TailRequest{}
 	o, err := d.object(tailRequestKeys)
 	for o.next(&err) {
 		switch o.key {
 		case 4:
-			err = d.str(&v.Event)
+			err = d.str(reuse(&v.Event, spare.Event))
 		case 5:
-			err = d.str(&v.Method)
+			err = d.str(reuse(&v.Method, spare.Method))
 		case 6:
 			err = d.float(&v.MaxWork)
 		case 7:
@@ -887,63 +890,56 @@ func (d *decoder) tailRequest(v *TailRequest) *decodeError {
 		case 8:
 			err = d.int64(&v.Seed)
 		default:
-			err = d.queryField(o.key, &v.Model, &v.Fleet, &v.P, &v.Domains)
+			err = d.queryField(o.key, v.block(), spare.block())
 		}
 	}
-	clearUnseenQuery(&o, &v.Fleet, &v.P, &v.Domains)
-	clearUnseen(&o, 4, &v.Event)
-	clearUnseen(&o, 5, &v.Method)
 	return err
 }
 
 func (d *decoder) sweepRequest(v *SweepRequest) *decodeError {
-	*v = SweepRequest{Protocol: v.Protocol, Ns: v.Ns, Ps: v.Ps, Domains: v.Domains}
+	spare := *v
+	*v = SweepRequest{}
 	o, err := d.object(sweepRequestKeys)
 	for o.next(&err) {
 		switch o.key {
 		case 0:
-			err = d.str(&v.Protocol)
+			err = d.str(reuse(&v.Protocol, spare.Protocol))
 		case 1:
-			err = decodeSlice(d, &v.Ns, 0, (*decoder).int)
+			err = decodeSlice(d, reuse(&v.Ns, spare.Ns), 0, (*decoder).int)
 		case 2:
-			err = decodeSlice(d, &v.Ps, 0, (*decoder).float)
+			err = decodeSlice(d, reuse(&v.Ps, spare.Ps), 0, (*decoder).float)
 		case 3:
-			err = decodeSlice(d, &v.Domains, 0, (*decoder).domainSpec)
+			err = decodeSlice(d, reuse(&v.Domains, spare.Domains), 0, (*decoder).domainSpec)
 		}
 	}
-	clearUnseen(&o, 0, &v.Protocol)
-	clearUnseen(&o, 1, &v.Ns)
-	clearUnseen(&o, 2, &v.Ps)
-	clearUnseen(&o, 3, &v.Domains)
 	return err
 }
 
 func (d *decoder) batchItem(v *BatchItem) *decodeError {
+	spare := *v
+	*v = BatchItem{}
 	o, err := d.object(batchItemKeys)
 	for o.next(&err) {
 		switch o.key {
 		case 0:
-			err = decodePtr(d, &v.Analyze, (*decoder).analyzeRequest)
+			err = decodePtr(d, reuse(&v.Analyze, spare.Analyze), (*decoder).analyzeRequest)
 		case 1:
-			err = decodePtr(d, &v.Sweep, (*decoder).sweepRequest)
+			err = decodePtr(d, reuse(&v.Sweep, spare.Sweep), (*decoder).sweepRequest)
 		case 2:
-			err = decodePtr(d, &v.Optimize, (*decoder).optimizeRequest)
+			err = decodePtr(d, reuse(&v.Optimize, spare.Optimize), (*decoder).optimizeRequest)
 		case 3:
-			err = decodePtr(d, &v.Tail, (*decoder).tailRequest)
+			err = decodePtr(d, reuse(&v.Tail, spare.Tail), (*decoder).tailRequest)
 		}
 	}
-	clearUnseen(&o, 0, &v.Analyze)
-	clearUnseen(&o, 1, &v.Sweep)
-	clearUnseen(&o, 2, &v.Optimize)
-	clearUnseen(&o, 3, &v.Tail)
 	return err
 }
 
 func (d *decoder) batchRequest(v *BatchRequest) *decodeError {
+	spare := *v
+	*v = BatchRequest{}
 	o, err := d.object(batchRequestKeys)
 	for o.next(&err) {
-		err = decodeSlice(d, &v.Items, 0, (*decoder).batchItem)
+		err = decodeSlice(d, reuse(&v.Items, spare.Items), 0, (*decoder).batchItem)
 	}
-	clearUnseen(&o, 0, &v.Items)
 	return err
 }

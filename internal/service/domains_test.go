@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // domainsBody is a 9-node, 3-zone analyze request used across the tests:
@@ -385,37 +384,3 @@ func TestSweepDomainsValidation(t *testing.T) {
 }
 
 func f64(v float64) *float64 { return &v }
-
-// TestOneResolvePerRequest: an analyze request resolves its query once —
-// the work bound, the fingerprint and the engine read that one layout —
-// on a miss, on an L1 hit and on a correlated miss through /v1/tail.
-// Profiles are checked once too, by the node loop that builds the fleet:
-// neither Query.Resolve (TestQueryResolveSkipsProfiles) nor the engine's
-// AnalyzeQuery, which cannot fail, checks them again.
-func TestOneResolvePerRequest(t *testing.T) {
-	resolves := obs.Default().FindCounter("probcons_engine_layout_resolves_total", nil)
-	h := New(Options{}).Handler()
-	for _, tc := range []struct {
-		name, path string
-		body       func(i int) []byte
-	}{
-		{"domain_churn miss", "/v1/analyze", uniqueChurnBody},
-		{"cold_large miss", "/v1/analyze", uniqueColdBody},
-		{"hit", "/v1/analyze", func(int) []byte { return hotBody }},
-		{"tail", "/v1/tail", func(i int) []byte {
-			b := uniqueChurnBody(i)
-			return append(b[:len(b)-1], `,"event":"not_live"}`...)
-		}},
-	} {
-		const requests = 20
-		before := resolves.Load()
-		for i := 0; i < requests; i++ {
-			if rec := serve(h, http.MethodPost, tc.path, string(tc.body(i))); rec.Code != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
-			}
-		}
-		if got := resolves.Load() - before; got != requests {
-			t.Errorf("%s: %d requests resolved %d layouts, want one each", tc.name, requests, got)
-		}
-	}
-}

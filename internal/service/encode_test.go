@@ -385,25 +385,35 @@ func newLoggedHandler() http.Handler {
 	return New(Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}).Handler()
 }
 
+// guardBound is an allocation guard's bound on a pooled path: tight, or
+// race under the race detector. There sync.Pool drops one Put in four at
+// random, so about a quarter of requests start from fresh pool entries
+// (decode target, query scratch, body buffers): race sits well above that
+// average and well below a handler whose pools reuse nothing.
+func guardBound(tight, race float64) float64 {
+	if raceEnabled {
+		return race
+	}
+	return tight
+}
+
 // TestServeHitAllocationGuard extends TestAnalyzeHotPathAllocationGuard
 // from the method to the whole handler: decode, lookup, the stored body,
 // the log line and the trace of a plain hit on the benchmark's hot_small
-// shape — 24 allocations and 2644 B on go1.24. Before the request scratch
+// shape — 23 allocations and 2605 B on go1.24. Before the request scratch
 // (a pooled decode target, fleet and fingerprint buffers) the same loop
 // read 37 and 4061 B, and before bodies were stored and the log attrs
-// typed, 51 and 5263 B.
+// typed, 51 and 5263 B. Under -race it reads about 33 and 6.1 KB, and a
+// handler whose pools reuse nothing 48 and 8.1 KB.
 func TestServeHitAllocationGuard(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under -race")
-	}
 	h := newLoggedHandler()
 	for i := 0; i < 64; i++ { // miss, first hit, and a primed trace free list
 		serve(h, http.MethodPost, "/v1/analyze", string(hotBody))
 	}
 	allocs, bytesPer := serveAllocs(h, 200, func(int) []byte { return hotBody })
 	t.Logf("plain hit through the handler: %.2f allocs, %.0f B", allocs, bytesPer)
-	if allocs > 25 || bytesPer > 2750 {
-		t.Errorf("plain hit through the handler: %.2f allocs and %.0f B, want at most 25 and 2750", allocs, bytesPer)
+	if maxAllocs, maxBytes := guardBound(25, 41), guardBound(2750, 7600); allocs > maxAllocs || bytesPer > maxBytes {
+		t.Errorf("plain hit through the handler: %.2f allocs and %.0f B, want at most %.0f and %.0f", allocs, bytesPer, maxAllocs, maxBytes)
 	}
 }
 
@@ -411,21 +421,20 @@ func TestServeHitAllocationGuard(t *testing.T) {
 // at domain_churn's shape (48 nodes in four zones, one zone's shock moving
 // per request) and cold_large's (256 independent nodes): decode, resolve,
 // fingerprint, engine, insert, encode, log line and trace, all through
-// the handler the daemon runs — 42 allocations and 4.5 KB, and 42 and
-// 5.0 KB, on go1.24. Before the request scratch (pooled decode targets,
+// the handler the daemon runs — 41 allocations and 4.5 KB, and 41 and
+// 4.9 KB, on go1.24. Before the request scratch (pooled decode targets,
 // one resolve per request, reused fingerprint buffers) the same loops
-// read 277 and 19.5 KB, and 305 and 45.8 KB.
+// read 277 and 19.5 KB, and 305 and 45.8 KB. Under -race they read about
+// 125 and 28 KB, and 125 and 78 KB; a handler whose pools reuse nothing
+// reads about 240 and 40 KB, and 320 and 130 KB, there.
 func TestServeMissAllocationGuard(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under -race")
-	}
 	for _, tc := range []struct {
 		name          string
 		body          func(int) []byte
 		allocs, bytes float64
 	}{
-		{"domain_churn", uniqueChurnBody, 45, 4800},
-		{"cold_large", uniqueColdBody, 45, 5300},
+		{"domain_churn", uniqueChurnBody, guardBound(45, 185), guardBound(4800, 36000)},
+		{"cold_large", uniqueColdBody, guardBound(45, 185), guardBound(5300, 115000)},
 	} {
 		h := newLoggedHandler()
 		for i := 0; i < 64; i++ { // warm pools, evaluators and the trace free list

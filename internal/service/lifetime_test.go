@@ -209,3 +209,43 @@ func TestScratchLifetime(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchRetention: both scratch pools keep a scratch only while it is
+// small (scratch.reset). A batch body of 15 KB — well under the pooled body
+// limit — can resolve 256 uniform fleets of 1024 nodes; the scratch it
+// leaves behind must not be pooled, while one large fleet and
+// solver_mix's batch of 16 small analyze items are.
+func TestScratchRetention(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	batch := func(items, n int) []byte {
+		item := fmt.Sprintf(`{"analyze":{"model":{"protocol":"pbft","n":%d},"p":0.001}}`, n)
+		return []byte(`{"items":[` + strings.TrimSuffix(strings.Repeat(item+",", items), ",") + `]}`)
+	}
+	for _, tc := range []struct {
+		name     string
+		items, n int
+		pooled   bool
+	}{
+		{"one large fleet", 1, 1024, true},
+		{"solver_mix batch", 16, 9, true},
+		{"two large fleets", 2, 1024, false},
+		{"large-fleet batch", 256, 1024, false},
+		{"17 small slots", 17, 4, false},
+	} {
+		var p pooled[BatchRequest]
+		body := batch(tc.items, tc.n)
+		if len(body) > maxPooledBody {
+			t.Fatalf("%s: a %d-byte body is over the pooled body limit already", tc.name, len(body))
+		}
+		if err := decodeRequest(body, &p.req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.batchTraced(p.req, &p.sc, nil)
+		if err != nil || resp.Items[0].Error != "" {
+			t.Fatalf("%s: %v %+v", tc.name, err, resp.Items[0])
+		}
+		if got := p.sc.reset(); got != tc.pooled || p.sc.used != 0 {
+			t.Errorf("%s: reset() = %v with %d slots in use, want %v and 0", tc.name, got, p.sc.used, tc.pooled)
+		}
+	}
+}

@@ -48,9 +48,17 @@ type scratch struct {
 	used    int
 }
 
-// maxPooledQueries caps the query slots a pooled scratch outside
-// handlePost keeps: a library batch of large fleets is not worth pinning.
-const maxPooledQueries = 16
+// maxPooledQueries and maxPooledNodes are the retention rule of both
+// scratch pools (handlePost's and scratchPool): a scratch that has served
+// more query slots, or fleets of more nodes over all its slots, than a
+// large single request needs is dropped rather than pooled. A slot keeps
+// the largest fleet it resolved, with its names, layout and fingerprint
+// buffers, about 100 B a node; so a pooled scratch pins at most ~100 KB,
+// and a batch of large fleets (up to 256 slots of 1024 nodes) pins nothing.
+const (
+	maxPooledQueries = 16
+	maxPooledNodes   = 1024
+)
 
 // scratchPool serves the calls that come without a handlePost entry: the
 // library entry points (Server.Analyze and its siblings), peer EXEC
@@ -60,10 +68,23 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(sc *scratch) {
-	if sc.used <= maxPooledQueries {
-		sc.used = 0
+	if sc.reset() {
 		scratchPool.Put(sc)
 	}
+}
+
+// reset readies sc for its next request and reports whether it is small
+// enough to pool (maxPooledQueries, maxPooledNodes).
+func (sc *scratch) reset() bool {
+	sc.used = 0
+	if len(sc.queries) > maxPooledQueries {
+		return false
+	}
+	nodes := 0
+	for _, qs := range sc.queries {
+		nodes += cap(qs.fleet)
+	}
+	return nodes <= maxPooledNodes
 }
 
 func (sc *scratch) query() *queryScratch {
@@ -87,8 +108,9 @@ type pooled[Q any] struct {
 // pooled scratch, and the response or its error rendered as JSON. A call
 // that returns a body has it sent as is, in place of encoding the
 // response. The entry goes back to the pool once the response is
-// written, unless the body was larger than a pooled body buffer: what a
-// large request decodes into is not worth pinning.
+// written, unless the body was larger than a pooled body buffer or the
+// scratch outgrew the retention rule (scratch.reset): what a large
+// request decodes or resolves into is not worth pinning.
 func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *scratch, *obs.Trace) (R, []byte, error)) http.HandlerFunc {
 	var pool sync.Pool
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -110,8 +132,7 @@ func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *scratch
 				writeJSON(w, r, http.StatusOK, resp)
 			}
 		}
-		if n <= maxPooledBody {
-			p.sc.used = 0
+		if n <= maxPooledBody && p.sc.reset() {
 			pool.Put(p)
 		}
 	}
