@@ -22,9 +22,9 @@
 // (conditioning on a shock), Convolve adds the counts of independent
 // groups, and Shifted and Dot answer a group against the rest of the fleet
 // — what the failure-domain engine in internal/core is built from. A
-// region table also deflates: RegionLeaveOneOut takes one node back out of
-// it, by forward substitution under a running round-off bound, for the
-// optimizer.
+// region table also folds backward: RegionLeaveOneOut folds an edge's
+// indicator through the fleet in reverse, and its dot products with the
+// forward tables give, for the optimizer, every node's leave-one-out edges.
 //
 // Every kernel runs on its caller's goroutine and starts none: a server's
 // engine parallelism is its bounded worker slots, one query per slot.

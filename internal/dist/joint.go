@@ -58,11 +58,11 @@ func flush(v float64) float64 {
 // jointBuilds counts from-scratch DPs over a fleet or a node group:
 // joint-table constructions (Reset and therefore NewJointCrashByz) and
 // count-region folds (RegionPass.Reset, one per domain-free analysis;
-// RegionPass.ResetGroup, one per domain block; RegionLeaveOneOut's Reset
-// and re-folds) — formerly a test-only hook pinning "one DP build per
+// RegionPass.ResetGroup, one per domain block; RegionLeaveOneOut.Reset,
+// one per gradient) — formerly a test-only hook pinning "one DP build per
 // fleet" claims like SweepRaftQuorums', now a registered metric scraped
-// from /metrics. Mixtures, convolutions and leave-one-out deflations do
-// not count. workspaceReuses is its symmetric companion: builds whose
+// from /metrics. Mixtures, convolutions and backward edge folds do not
+// count. workspaceReuses is its symmetric companion: builds whose
 // buffers were already large enough, so the build allocated nothing.
 var (
 	jointBuilds = obs.Default().Counter("probcons_engine_joint_builds_total",
@@ -70,10 +70,13 @@ var (
 	workspaceReuses = obs.Default().Counter("probcons_engine_workspace_reuses_total",
 		"DP builds (joint tables and region passes) served entirely from existing workspace buffers (no allocation).", nil)
 	// Block convolutions no longer split their rows (DESIGN.md "Engine
-	// concurrency"), so this family is constantly 0. The frozen benchmark
-	// scrapes it and fails on a missing sample, so it stays registered.
+	// concurrency") and the leave-one-out no longer deflates, so these two
+	// families are constantly 0. The frozen benchmark scrapes them and
+	// fails on a missing sample, so they stay registered.
 	_ = obs.Default().Counter("probcons_engine_parallel_folds_total",
 		"Retired (block convolutions run serially; constantly 0); kept until the benchmark manifest drops dist.parallel_folds_per_req.", nil)
+	_ = obs.Default().Counter("probcons_engine_loo_deflations_total",
+		"Retired (the leave-one-out folds forward and backward, never deflates; constantly 0); kept until the benchmark manifest drops dist.loo_deflations_per_req.", nil)
 )
 
 // JointBuilds returns the number of from-scratch DPs over a fleet (joint
@@ -84,8 +87,8 @@ func JointBuilds() int64 { return jointBuilds.Load() }
 // clampTri normalises one node's tri-state to a valid distribution, crash
 // taking priority over Byzantine — the same branch order the Monte-Carlo
 // sampler uses — so DP tables always sum to exactly one node's worth of
-// mass even for un-validated inputs. All folds and deflations must share
-// this clamping so an incremental update inverts its fold exactly.
+// mass even for un-validated inputs. Forward and backward folds share
+// this clamping, so a node's backward fold is the adjoint of its forward.
 func clampTri(t TriState) (pc, pb, pok float64) {
 	pc = Clamp01(t.PCrash)
 	pb = Clamp01(t.PByz)

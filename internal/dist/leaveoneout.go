@@ -1,67 +1,93 @@
 package dist
 
-import (
-	"slices"
-
-	"repro/internal/obs"
-)
-
 // RegionLeaveOneOut is the leave-one-out over one count region: the fleet
 // folded into r's truncated table, as RegionPass folds it, and per node i
 // the mass the other nodes put on r's two edges, which the optimizer's
-// gradient reads (DESIGN.md "Count regions"). Node i comes back out of the
-// table by forward substitution, c ascending, one row or column at a time,
+// gradient reads (DESIGN.md "Leave-one-out by forward and backward
+// folds"). Reset keeps F_i, the table of the nodes before i, as it folds
+// forward, then folds each edge's indicator E backward through the nodes
+// after i, zero outside the region: a row as E'[k] = stay·E[k] +
+// move·E[k+1], the general table in place, b then c ascending, as
 //
-//	r₋ᵢ[k] = (r[k] − r₋ᵢ[k−1]·move − left₋ᵢ[k]·pb) / stay,
+//	E'[b][c] = pok·E[b][c] + pc·E[b][c+1] + pb·E[b+1][c].
 //
-// left being the column before in the general shape. The same substitution
-// with move and pb negated sums the magnitudes each cell was formed from, a
-// bound on its round-off. A deflation stands while stay >= looMinStay and
-// that bound is within looMaxAmp of both edges; otherwise, as in a deep
-// tail reached mostly through node i's own failure, Edges re-folds the
-// other nodes. Warm, nothing allocates. Not safe for concurrent use.
+// Node i's edge is Σ F_i·E over F_i's live cells: every term is positive,
+// however deep the tail. The workspace holds n·Cells(n, n) floats plus
+// three tables (the fleet's and both edges'); warm, nothing allocates. Not
+// safe for concurrent use.
 type RegionLeaveOneOut struct {
-	nodes          []TriState
-	r              Region
-	full, loo, amp regionTable // loo: full without node i; amp: loo's bound
+	full  regionTable  // every node folded
+	back  []float64    // the two edge indicators folded backward, in full's layout
+	fwd   []float64    // F_0 … F_{n-1}, len(full.p) cells each
+	fwdHi []int        // their live extents, len(full.hi) each
+	edges [][2]float64 // node i's faulty and Byzantine edges
 }
 
-// looDeflations and looRebuilds count Edges answered by deflation and by
-// re-folding, one or the other per gradient coordinate.
-var (
-	looDeflations = obs.Default().Counter("probcons_engine_loo_deflations_total",
-		"Leave-one-out region tables obtained by deflating one node out of the fleet's truncated safe-and-live table (one per analytic gradient coordinate).", nil)
-	looRebuilds = obs.Default().Counter("probcons_engine_loo_rebuilds_total",
-		"Leave-one-out region tables re-folded from the other nodes (stay share below 0.75, or a deflation whose error bound exceeds 1024x the edge).", nil)
-)
-
-const (
-	looMinStay = 0.75 // least stay share a deflation divides by
-	looMaxAmp  = 1024 // largest error bound a deflation keeps, over the edge
-)
-
-// Reset folds the nodes into r's truncated table. It is one from-scratch
-// DP over the fleet, counted like RegionPass.Reset.
+// Reset folds the nodes into r's truncated table and every node's edges.
+// It is one from-scratch DP over the fleet, counted like RegionPass.Reset.
 func (l *RegionLeaveOneOut) Reset(nodes []TriState, r Region) {
 	jointBuilds.Add(1)
-	l.nodes, l.r = append(l.nodes[:0], nodes...), r
-	if !l.full.reset(r, len(nodes)) {
+	n, t := len(nodes), &l.full
+	grew := t.reset(r, n)
+	cells, cols := len(t.p), len(t.hi)
+	l.back = resized(l.back, 2*cells, &grew)
+	l.fwd = resized(l.fwd, n*cells, &grew)
+	l.fwdHi = resized(l.fwdHi, n*cols, &grew)
+	l.edges = resized(l.edges, n, &grew)
+	if !grew {
 		workspaceReuses.Add(1)
 	}
-	for _, t := range nodes {
-		l.full.fold(clampTri(t))
+	for i, node := range nodes {
+		for b, h := range t.hi {
+			l.fwdHi[i*cols+b] = h
+			copy(l.fwd[i*cells+b*t.w:], t.p[b*t.w:b*t.w+h])
+		}
+		t.fold(clampTri(node))
 	}
-	if l.amp.shape != l.full.shape || l.amp.w != l.full.w || !slices.Equal(l.amp.hi, l.full.hi) {
-		l.shapeLike(&l.loo)
-		l.shapeLike(&l.amp)
+	// A row holds at most one edge: over c + b no Byzantine one, and a
+	// faulty one only below n, as the other nodes number n-1; over b
+	// (Faulty >= n) no faulty one. The general table holds both.
+	ef, eb := l.back[:cells], l.back[cells:]
+	clear(l.back)
+	switch t.shape {
+	case shapeFaulty:
+		if r.Faulty < n {
+			ef[r.Faulty] = 1
+		}
+	case shapeByz:
+		eb[r.Byz] = 1
+	case shapeGeneral:
+		for b := range t.hi {
+			ef[b*t.w+r.Faulty-b] = 1
+		}
+		for c := r.Byz * t.w; c < r.Byz*t.w+r.Faulty-r.Byz; c++ {
+			eb[c] = 1
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		if i < n-1 {
+			t.foldBack(ef, eb, nodes[i+1])
+		}
+		var f, bz float64
+		for b, h := range l.fwdHi[i*cols : (i+1)*cols] {
+			o := b * t.w
+			for c, v := range l.fwd[i*cells+o : i*cells+o+h] {
+				f += v * ef[o+c]
+				bz += v * eb[o+c]
+			}
+		}
+		l.edges[i] = [2]float64{f, bz}
 	}
 }
 
-// shapeLike gives t full's shape and live extents, every cell past them 0,
-// for deflations to overwrite; Reset skips it while that layout holds.
-func (l *RegionLeaveOneOut) shapeLike(t *regionTable) {
-	t.resize(l.r, len(l.nodes))
-	copy(t.hi, l.full.hi)
+// resized returns s at length n, reusing its buffer when that is large
+// enough, and records in grew when it is not.
+func resized[T any](s []T, n int, grew *bool) []T {
+	if cap(s) < n {
+		*grew = true
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Mass returns the region's probability mass after the last Reset,
@@ -72,80 +98,50 @@ func (l *RegionLeaveOneOut) Mass() float64 { return l.full.mass() }
 // faulty edge {c + b = Faulty, b <= Byz} and on its Byzantine edge
 // {b = Byz, c + b < Faulty}. An empty region has neither.
 func (l *RegionLeaveOneOut) Edges(i int) (faulty, byz float64) {
-	pc, pb, pok := clampTri(l.nodes[i])
-	stay, move := pok, pc+pb // the row over c + b
-	switch l.full.shape {
-	case shapeByz:
-		stay, move = 1-pb, pb
-	case shapeGeneral:
-		move = pc
-	}
-	n, t, e := len(l.nodes), &l.loo, &l.amp
-	if stay >= looMinStay {
-		for b, h := range t.hi {
-			o := b * t.w
-			var left, ampLeft []float64
-			if b > 0 {
-				left, ampLeft = t.p[o-t.w:o], e.p[o-t.w:o]
-			}
-			unfold(t.p[o:], e.p[o:], l.full.p[o:o+h], left, ampLeft, stay, move, pb)
-		}
-		f, bz, ef, eb := t.edges(l.r, n, e.p)
-		if ef <= looMaxAmp*f && eb <= looMaxAmp*bz {
-			looDeflations.Add(1)
-			return f, bz
-		}
-	}
-	looRebuilds.Add(1)
-	jointBuilds.Add(1)
-	t.reset(l.r, n) // full's shape, so edges reads it alike
-	for j, node := range l.nodes {
-		if j != i {
-			t.fold(clampTri(node))
-		}
-	}
-	faulty, byz, _, _ = t.edges(l.r, n, t.p)
-	l.shapeLike(t)
-	return faulty, byz
+	return l.edges[i][0], l.edges[i][1]
 }
 
-// edges reads region r's two edges off a table of n-1 nodes shaped for n,
-// and off amp, a second table of its layout. Cells past n-1 nodes hold
-// nothing, and only the faulty edge can lie there: a row over b has
-// Faulty >= n, so no faulty edge, and Byz < n.
-func (t *regionTable) edges(r Region, n int, amp []float64) (faulty, byz, ampF, ampB float64) {
+// foldBack folds one node backward into ef and eb, the faulty and
+// Byzantine edge tables in t's layout: each cell becomes the mass the node
+// moves from it onto the edge, the adjoint of fold. A row folds only the
+// edge it holds.
+func (t *regionTable) foldBack(ef, eb []float64, node TriState) {
+	pc, pb, pok := clampTri(node)
 	switch t.shape {
-	case shapeFaulty: // Byz >= Faulty, or both past n-1: no Byzantine edge
-		if r.Faulty < n {
-			faulty, ampF = t.p[r.Faulty], amp[r.Faulty]
-		}
+	case shapeFaulty:
+		foldBackRow(ef, pok, pc+pb)
 	case shapeByz:
-		byz, ampB = t.p[r.Byz], amp[r.Byz]
-	case shapeGeneral: // Byz < Faulty < n
-		for b := r.Byz; b >= 0; b-- { // c ascending
-			faulty += t.p[b*t.w+r.Faulty-b]
-			ampF += amp[b*t.w+r.Faulty-b]
-		}
-		for c := r.Byz * t.w; c < r.Byz*t.w+r.Faulty-r.Byz; c++ {
-			byz += t.p[c]
-			ampB += amp[c]
-		}
+		foldBackRow(eb, 1-pb, pb)
+	case shapeGeneral:
+		t.foldBackCols(ef, pc, pb, pok)
+		t.foldBackCols(eb, pc, pb, pok)
 	}
-	return faulty, byz, ampF, ampB
 }
 
-// unfold inverts one fold of a row or column, src, into dst, and its
-// round-off bound into amp. left and ampLeft are the column before (nil
-// for a row), whose cells moved in with share side.
-func unfold(dst, amp, src, left, ampLeft []float64, stay, move, side float64) {
-	x, a, inv := 0.0, 0.0, 1/stay
-	for k, v := range src {
-		var lx, la float64
-		if left != nil {
-			lx, la = left[k], ampLeft[k]
+// foldBackCols folds one node backward into e, a general table, in place,
+// b ascending: column b reads column b+1 before it is folded.
+func (t *regionTable) foldBackCols(e []float64, pc, pb, pok float64) {
+	last := len(t.hi) - 1
+	for b := 0; b < last; b++ {
+		col := e[b*t.w : b*t.w+t.w-b] // c + b <= Faulty
+		right := e[(b+1)*t.w : (b+1)*t.w+len(col)-1]
+		for c, v := range right {
+			col[c] = flush(col[c]*pok + col[c+1]*pc + v*pb)
 		}
-		x = (v - lx*side - x*move) / stay
-		a = (v + la*side + a*move) * inv
-		dst[k], amp[k] = x, a
+		col[len(right)] = flush(col[len(right)] * pok)
 	}
+	foldBackRow(e[last*t.w:last*t.w+t.w-last], pok, pc)
+}
+
+// foldBackRow folds one node backward into a count row in place,
+//
+//	row[k] = row[k]·stay + row[k+1]·move,
+//
+// ascending, so row[k+1] is read before it is folded.
+func foldBackRow(row []float64, stay, move float64) {
+	last := len(row) - 1
+	for k := 0; k < last; k++ {
+		row[k] = flush(row[k]*stay + row[k+1]*move)
+	}
+	row[last] = flush(row[last] * stay)
 }

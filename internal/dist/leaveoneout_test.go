@@ -16,7 +16,7 @@ import (
 //
 //	J₋ᵢ[c][b] = (full[c][b] - J₋ᵢ[c-1][b]·pc - J₋ᵢ[c][b-1]·pb) / pok,
 //
-// or, while pok is below looMinStay, rebuilt from scratch. The table
+// or, while pok is below jointMinStay, rebuilt from scratch. The table
 // returned by Without is owned by the LeaveOneOut and valid only until the
 // next Without or Reset call.
 type LeaveOneOut struct {
@@ -25,6 +25,9 @@ type LeaveOneOut struct {
 	full  JointCrashByz
 	loo   JointCrashByz
 }
+
+// jointMinStay is the least correct share Without divides by.
+const jointMinStay = 0.75
 
 // Reset rebuilds the full joint table for a new fleet, reusing every
 // buffer. This is the structure's one O(n^3) DP build.
@@ -44,7 +47,7 @@ func (l *LeaveOneOut) Full() *JointCrashByz { return &l.full }
 func (l *LeaveOneOut) Without(i int) *JointCrashByz {
 	pc, pb, pok := clampTri(l.nodes[i])
 	n := len(l.nodes)
-	if pok < looMinStay {
+	if pok < jointMinStay {
 		l.rest = append(l.rest[:0], l.nodes[:i]...)
 		l.rest = append(l.rest, l.nodes[i+1:]...)
 		l.loo.Reset(l.rest)
@@ -81,22 +84,39 @@ func jointEdges(d *JointCrashByz, r Region) (faulty, byz float64) {
 
 // freshEdges is the region oracle: a fresh fold of the nodes other than i
 // into r's table in the kernel's shape (the one r takes over all n nodes),
-// read at the two edges.
+// read at the two edges. Cells past n-1 nodes hold nothing, and only the
+// faulty edge can lie there: a row over b has Faulty >= n, so no faulty
+// edge, and Byz < n.
 func freshEdges(nodes []TriState, r Region, i int) (faulty, byz float64) {
 	var t regionTable
-	t.reset(r, len(nodes))
+	n := len(nodes)
+	t.reset(r, n)
 	for j, node := range nodes {
 		if j != i {
 			t.fold(clampTri(node))
 		}
 	}
-	f, b, _, _ := t.edges(r, len(nodes), t.p)
-	return f, b
+	switch t.shape {
+	case shapeFaulty: // Byz >= Faulty, or both past n-1: no Byzantine edge
+		if r.Faulty < n {
+			faulty = t.p[r.Faulty]
+		}
+	case shapeByz:
+		byz = t.p[r.Byz]
+	case shapeGeneral: // Byz < Faulty < n
+		for b := r.Byz; b >= 0; b-- { // c ascending
+			faulty += t.p[b*t.w+r.Faulty-b]
+		}
+		for c := r.Byz * t.w; c < r.Byz*t.w+r.Faulty-r.Byz; c++ {
+			byz += t.p[c]
+		}
+	}
+	return faulty, byz
 }
 
-// looEdgeNodes are edgeNodes plus a node under the deflation threshold in
-// every shape (pok 0.65, 1 − pb 0.7): p = 0, p_crash + p_byz = 1,
-// p_byz = 1 and p_crash = 1 besides.
+// looEdgeNodes are edgeNodes plus a node whose correct share is under the
+// joint oracle's jointMinStay in every shape (pok 0.65, 1 − pb 0.7): p = 0,
+// p_crash + p_byz = 1, p_byz = 1 and p_crash = 1 besides.
 var looEdgeNodes = append(append([]TriState(nil), edgeNodes...), TriState{PCrash: 0.05, PByz: 0.3})
 
 // edgeErr tracks the largest relative and absolute errors of edge sums
@@ -118,23 +138,59 @@ func (e *edgeErr) check(f, b, wf, wb, abs float64) bool {
 	return ok
 }
 
+// deepTailRaft is 256 crash-only nodes, p_crash 0.005–0.205, with crash-only
+// Raft's safe-and-live region over them, {b <= 0, c <= 127}: each node's
+// faulty edge is the other nodes' mass on c = 127, near 1e-60, most of it
+// reached through the nodes that fail most often.
+func deepTailRaft() ([]TriState, Region) {
+	rng := rand.New(rand.NewSource(256))
+	nodes := make([]TriState, 256)
+	for i := range nodes {
+		nodes[i] = TriState{PCrash: 0.005 + 0.2*rng.Float64()}
+	}
+	return nodes, Region{Byz: 0, Faulty: 127}
+}
+
 // TestRegionLeaveOneOutMatchesFresh pins the region leave-one-out, on one
 // reused workspace, against a fresh region fold over the other n − 1 nodes
-// (== on the re-fold fallback, 1e-12 relative on a deflation) and the
-// joint table over those nodes (1e-12 relative), and its mass against
-// RegionPass.Mass with ==. The joint oracle's Without(i) is checked on the
-// same edges to 1e-12 relative or 1e-15 absolute: it deflates without an
-// error bound, so on deep-tail edges only its absolute error is small.
+// and the joint table over those nodes, both to 1e-12 relative, and its
+// mass against RegionPass.Mass with ==. The joint oracle's Without(i) is
+// checked on the same edges to 1e-12 relative or 1e-15 absolute: it
+// deflates, so on deep-tail edges only its absolute error is small.
 // Regions cover every shape: empty, clipped by n, β ≥ κ, κ ≥ n, and general
-// tables of several columns; fleets mix in the edge tri-states and deep
-// tails reached mostly through one node, where the bound forces re-folds.
+// tables of several columns; fleets mix in the edge tri-states, and the
+// last leg is deepTailRaft, whose edges lie near 1e-60.
 func TestRegionLeaveOneOutMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	var l RegionLeaveOneOut
 	var rp RegionPass
 	var joint LeaveOneOut
 	var fresh, full, without edgeErr
-	var deflations, rebuilds int
+	var pairs int
+	check := func(name string, nodes []TriState, r Region) {
+		l.Reset(nodes, r)
+		rp.Reset(nodes, [3]Region{r, r, r})
+		if got, want := l.Mass(), rp.Mass(0); got != want {
+			t.Fatalf("%s: mass %.17g, RegionPass %.17g", name, got, want)
+		}
+		for i := range nodes {
+			f, b := l.Edges(i)
+			pairs++
+			ff, fb := freshEdges(nodes, r, i)
+			if !fresh.check(f, b, ff, fb, 0) {
+				t.Fatalf("%s node %d: edges (%.17g, %.17g), fresh fold (%.17g, %.17g)", name, i, f, b, ff, fb)
+			}
+			rest := append(append([]TriState(nil), nodes[:i]...), nodes[i+1:]...)
+			jf, jb := jointEdges(NewJointCrashByz(rest), r)
+			if !full.check(f, b, jf, jb, 0) {
+				t.Fatalf("%s node %d: edges (%.17g, %.17g), joint table (%.17g, %.17g)", name, i, f, b, jf, jb)
+			}
+			wf, wb := jointEdges(joint.Without(i), r)
+			if !without.check(f, b, wf, wb, 1e-15) {
+				t.Fatalf("%s node %d: edges (%.17g, %.17g), joint Without (%.17g, %.17g)", name, i, f, b, wf, wb)
+			}
+		}
+	}
 	for iter := 0; iter < 120; iter++ {
 		n := 1 + rng.Intn(24)
 		if iter%40 == 0 {
@@ -160,43 +216,60 @@ func TestRegionLeaveOneOutMatchesFresh(t *testing.T) {
 			{Byz: rng.Intn(n+3) - 1, Faulty: rng.Intn(n+3) - 1},
 		}
 		for _, r := range regions {
-			name := fmt.Sprintf("iter %d n=%d region %+v", iter, n, r)
-			l.Reset(nodes, r)
-			rp.Reset(nodes, [3]Region{r, r, r})
-			if got, want := l.Mass(), rp.Mass(0); got != want {
-				t.Fatalf("%s: mass %.17g, RegionPass %.17g", name, got, want)
-			}
-			for i := range nodes {
-				before := looRebuilds.Load()
-				f, b := l.Edges(i)
-				rebuilt := looRebuilds.Load() != before
-				ff, fb := freshEdges(nodes, r, i)
-				if rebuilt {
-					rebuilds++
-					if f != ff || b != fb {
-						t.Fatalf("%s node %d: rebuilt edges (%.17g, %.17g), fresh fold (%.17g, %.17g)", name, i, f, b, ff, fb)
-					}
-				} else {
-					deflations++
-					if !fresh.check(f, b, ff, fb, 0) {
-						t.Fatalf("%s node %d: deflated edges (%.17g, %.17g), fresh fold (%.17g, %.17g)", name, i, f, b, ff, fb)
-					}
-				}
-				rest := append(append([]TriState(nil), nodes[:i]...), nodes[i+1:]...)
-				jf, jb := jointEdges(NewJointCrashByz(rest), r)
-				if !full.check(f, b, jf, jb, 0) {
-					t.Fatalf("%s node %d: edges (%.17g, %.17g), joint table (%.17g, %.17g)", name, i, f, b, jf, jb)
-				}
-				wf, wb := jointEdges(joint.Without(i), r)
-				if !without.check(f, b, wf, wb, 1e-15) {
-					t.Fatalf("%s node %d: edges (%.17g, %.17g), joint Without (%.17g, %.17g)", name, i, f, b, wf, wb)
-				}
-			}
+			check(fmt.Sprintf("iter %d n=%d region %+v", iter, n, r), nodes, r)
 		}
 	}
-	if deflations == 0 || rebuilds == 0 {
-		t.Fatalf("%d deflations, %d rebuilds: both paths must be exercised", deflations, rebuilds)
+	nodes, r := deepTailRaft()
+	joint.Reset(nodes)
+	check("deep-tail raft n=256", nodes, r)
+	deepest := 1.0
+	for i := range nodes {
+		f, _ := l.Edges(i)
+		deepest = min(deepest, f)
 	}
-	t.Logf("%d deflations, %d rebuilds; largest relative, absolute error: fresh region fold %.3g, %.3g; joint table %.3g, %.3g; joint Without %.3g, %.3g",
-		deflations, rebuilds, fresh.rel, fresh.abs, full.rel, full.abs, without.rel, without.abs)
+	if deepest > 1e-50 {
+		t.Fatalf("deep-tail raft: smallest faulty edge %.3g, want the deep tail below 1e-50", deepest)
+	}
+	t.Logf("%d edge pairs (deep-tail leg: faulty edges from %.3g); largest relative, absolute error: fresh region fold %.3g, %.3g; joint table %.3g, %.3g; joint Without %.3g, %.3g",
+		pairs, deepest, fresh.rel, fresh.abs, full.rel, full.abs, without.rel, without.abs)
+}
+
+// FuzzRegionLeaveOneOut drives the region leave-one-out on fleets the
+// fuzzer shapes, as FuzzJointBand does (scale factors reaching products
+// that underflow past τ, certain failures, out-of-range inputs the clamp
+// absorbs), over regions of every shape: empty, clipped by n, β ≥ κ, κ ≥ n
+// and general. Every edge must be within 1e-12 relative of a fresh fold of
+// the other nodes, or both exactly 0 — or, where τ flushes cells, within
+// the flush bound: a fold or backward fold flushes less than τ per cell,
+// and mass only moves, so either side of one edge drops less than
+// n·Cells(n, n)·τ.
+func FuzzRegionLeaveOneOut(f *testing.F) {
+	f.Add(int64(1), uint8(20), 0.03, 0.001, 5, 2)
+	f.Add(int64(2), uint8(40), 0.3, 0.3, 20, 7)
+	f.Add(int64(3), uint8(40), 0.03, 1e-30, 30, 12) // products underflow past τ
+	f.Add(int64(4), uint8(30), 1.0, 1.0, 9, 9)
+	f.Add(int64(5), uint8(1), 0.5, 0.5, 0, 0)
+	f.Add(int64(6), uint8(63), 1e-200, 0.9, 70, 3)
+	f.Add(int64(7), uint8(12), 0.2, 0.1, -1, 4)
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, crashScale, byzScale float64, faulty, byz int) {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := make([]TriState, int(size)%64)
+		for i := range nodes {
+			nodes[i] = TriState{PCrash: crashScale * rng.Float64(), PByz: byzScale * rng.Float64()}
+		}
+		n := len(nodes)
+		// Bounds from -1 (empty) to n + 2 (clipped by n).
+		r := Region{Byz: int(uint(byz)%uint(n+4)) - 1, Faulty: int(uint(faulty)%uint(n+4)) - 1}
+		var l RegionLeaveOneOut
+		l.Reset(nodes, r)
+		flushBound := 2 * float64(n*r.Cells(n, n)) * flushBelow
+		var e edgeErr
+		for i := range nodes {
+			got, gotByz := l.Edges(i)
+			wf, wb := freshEdges(nodes, r, i)
+			if !e.check(got, gotByz, wf, wb, flushBound) {
+				t.Fatalf("region %+v node %d of %d: edges (%.17g, %.17g), fresh fold (%.17g, %.17g)", r, i, n, got, gotByz, wf, wb)
+			}
+		}
+	})
 }

@@ -115,9 +115,9 @@ func TestRegionPassEdges(t *testing.T) {
 // TestRegionSumMatchesCellScan pins RegionSum to the cell-by-cell scan it
 // stands for — every cell of the triangle, kept when the region holds it,
 // folded into one compensated sum in row-major order — with ==, on joint,
-// mixed, convolved and deflated tables (whose cells may be exactly 0 or,
-// after a deflation, carry round-off of either sign) and regions of every
-// kind: empty, vacuous, clipped by either bound.
+// mixed, convolved and the joint oracle's deflated tables (whose cells may
+// be exactly 0 or, after LeaveOneOut.Without, carry round-off of either
+// sign) and regions of every kind: empty, vacuous, clipped by either bound.
 func TestRegionSumMatchesCellScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	scan := func(d *JointCrashByz, r Region) float64 {

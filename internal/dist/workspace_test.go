@@ -91,8 +91,8 @@ func TestJointResetMatchesNew(t *testing.T) {
 
 func TestLeaveOneOutWithoutMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	// maxFail 0.4 keeps every node above the deflation threshold; 0.9
-	// exercises the rebuild fallback too.
+	// maxFail 0.4 keeps every node above the joint oracle's jointMinStay;
+	// 0.9 exercises its rebuild fallback too.
 	for _, maxFail := range []float64{0.05, 0.4, 0.9} {
 		for _, n := range []int{1, 2, 5, 9, 14} {
 			nodes := randomTriStatesCapped(rng, n, maxFail)
@@ -199,7 +199,7 @@ func TestWorkspaceZeroAllocs(t *testing.T) {
 		t.Errorf("RegionPass ResetGroup/Mix/Convolve/Shifted/Dot allocate %v/op", n)
 	}
 
-	// Every shape, and a node under the deflation threshold (the re-fold).
+	// Every shape, and a node that fails often (pok 0.7).
 	slow := append(append([]TriState(nil), nodes...), TriState{PCrash: 0.2, PByz: 0.1})
 	var rl RegionLeaveOneOut
 	for _, r := range []Region{{Byz: -1}, {Byz: 21, Faulty: 9}, {Byz: 2, Faulty: 21}, {Byz: 2, Faulty: 9}} {
@@ -229,7 +229,7 @@ func TestJointBuildCounter(t *testing.T) {
 	var rp RegionPass
 	rp.Reset(nodes, [3]Region{{Byz: 0, Faulty: 6}, {Byz: 6, Faulty: 3}, {Byz: 1, Faulty: 3}})
 	if got := JointBuilds() - before; got != 3 {
-		t.Errorf("counted %d builds, want 3 (a region pass is one, a deflation none)", got)
+		t.Errorf("counted %d builds, want 3 (a region pass is one, the joint oracle's deflation none)", got)
 	}
 
 	before = JointBuilds()

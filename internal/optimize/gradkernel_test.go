@@ -142,8 +142,8 @@ func gradProblemFor(m core.CountModel, draw func(i int) faultcurve.Profile) Hard
 // two U are complements formed from different tables, so they part where U
 // nears ulp·N), is pinned to 1e-12 relative. The cases span the branches of
 // all three: the Byzantine term (PBFT), crash-only raft, the sizes from one
-// node up to 256, a node under dist's deflation threshold (the re-fold
-// fallback), a certainly-failing node, fleets with no Byzantine mass at
+// node up to 256, a node that fails often (p_ok 0.6), a certainly-failing
+// node, fleets with no Byzantine mass at
 // all, and the quorums /v1/optimize accepts — random Raft (QPer, QVC) and
 // PBFT (QEq, QPer, QVC, QVCT) sizings, an unsafe Raft sizing whose
 // safe-and-live region is empty (gradient exactly 0 at U = 1) and a PBFT
@@ -170,7 +170,7 @@ func TestGradKernelMatchesOracle(t *testing.T) {
 	problems = append(problems,
 		problem{"raft crash-only n=256", gradProblem(256, false, crash)},
 		problem{"pbft mixed n=256", gradProblem(256, true, mixed)},
-		problem{"node below the deflation threshold", gradProblem(7, true, func(i int) faultcurve.Profile {
+		problem{"a node that fails often", gradProblem(7, true, func(i int) faultcurve.Profile {
 			if i == 2 {
 				return faultcurve.Profile{PCrash: 0.3, PByz: 0.1}
 			}
@@ -303,10 +303,11 @@ func TestGradAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkHardeningGrad times one analytic gradient — a fold of the
-// fleet into the safe-and-live region's table, its mass, and per
-// coordinate one O(κ) deflation and the two edge sums — at the served size
-// and at two large ones.
+// BenchmarkHardeningGrad times one analytic gradient — a forward fold of
+// the fleet into the safe-and-live region's table, keeping every prefix
+// table, its mass, one or two backward folds of the edge indicators and a
+// dot product per coordinate and edge — at the served size and at two
+// large ones.
 func BenchmarkHardeningGrad(b *testing.B) {
 	for _, n := range []int{5, 25, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -139,10 +139,10 @@ func (p HardeningProblem) Eval(x []float64) core.Result {
 
 // UsesCentralDifferences reports whether the objective's gradient falls
 // back to central differences (two engine runs per coordinate) instead
-// of the analytic leave-one-out gradient (one region fold plus an O(κ)
-// deflation per coordinate): true exactly when the fleet has a populated
-// domain layout. The serving layer's work estimates dispatch on this, so
-// it is the single home of the condition.
+// of the analytic leave-one-out gradient (one forward region fold and one
+// or two backward ones for all coordinates): true exactly when the fleet
+// has a populated domain layout. The serving layer's work estimates
+// dispatch on this, so it is the single home of the condition.
 func (p HardeningProblem) UsesCentralDifferences() bool {
 	if len(p.Domains) == 0 {
 		return false
@@ -223,9 +223,9 @@ func newHardeningGrad(p HardeningProblem) *hardeningGrad {
 //	∂(SafeAndLive)/∂p_i = −Σ_{faulty edge} J₋ᵢ − bf_i · Σ_{Byzantine edge} J₋ᵢ,
 //
 // sums of positive masses, so no cancellation however small the derivative.
-// One fold of the hardened fleet into the region's table gives U, bit for
-// bit Eval's, and an O(κ) deflation per node the edges
-// (dist.RegionLeaveOneOut): O(N·(β+1)·(κ+1)) per gradient.
+// One forward fold of the hardened fleet into the region's table gives U,
+// bit for bit Eval's, and one or two backward folds of the edges give
+// every node's (dist.RegionLeaveOneOut): O(N·(β+1)·(κ+1)) per gradient.
 func (g *hardeningGrad) grad(x, out []float64) {
 	for i, c := range g.curves {
 		p := c.Prob(x[i])

@@ -384,9 +384,10 @@ func (customResponse) DProb(float64) float64 { return 0 }
 func (customResponse) Validate() error       { return nil }
 
 // TestAnalyticGradSingleDPBuild pins the incremental-engine claim: one
-// gradient evaluation performs exactly one joint-DP build (the full
-// hardened fleet), with every per-coordinate J_{-i} obtained by O(N^2)
-// leave-one-out deflation rather than a from-scratch rebuild.
+// gradient evaluation performs exactly one DP build (the hardened fleet's
+// forward fold into the safe-and-live region), every node's leave-one-out
+// edges coming from backward folds of the edge indicators, which fold no
+// count table and are not builds, rather than from a rebuild per node.
 func TestAnalyticGradSingleDPBuild(t *testing.T) {
 	p := exemplarProblem()
 	if err := p.Validate(); err != nil {

@@ -211,11 +211,12 @@ func planOptimize(req OptimizeRequest, qs *queryScratch) (optimizePlan, error) {
 		}
 		// Priced as one engine run per node. For the analytic gradient
 		// that is a deliberate over-estimate, and a larger one since the
-		// gradient left the joint table: it costs one region fold plus N
-		// O(κ) deflations, about one region pass in all, not N engine runs
-		// at the N^3 the estimate charges each. With populated domains the
-		// objective falls back to central differences, which is two engine
-		// runs per node and priced exactly.
+		// gradient left the joint table: it costs a forward fold into the
+		// safe-and-live region's table, one or two backward folds of its
+		// edges and N dot products, a few region passes in all, not N
+		// engine runs at the N^3 the estimate charges each. With populated
+		// domains the objective falls back to central differences, which
+		// is two engine runs per node and priced exactly.
 		gradWork = float64(len(fleet)) * engineWork
 		if p.UsesCentralDifferences() {
 			gradWork *= 2

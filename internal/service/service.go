@@ -167,12 +167,11 @@ func sizeofTailResponse(r TailResponse) int {
 
 // traceCounterNames are the process-global engine counters every trace
 // snapshots around its request: the delta says what the engine actually
-// did for this request (builds vs rest-table answers vs deflations vs pool
-// traffic) — the "why was it slow" column of the flight record.
+// did for this request (builds vs rest-table answers vs pool traffic) —
+// the "why was it slow" column of the flight record.
 var traceCounterNames = []string{
 	"probcons_engine_joint_builds_total",
 	"probcons_engine_rest_table_hits_total",
-	"probcons_engine_loo_deflations_total",
 	"probcons_engine_evaluator_pool_gets_total",
 }
 
