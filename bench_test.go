@@ -723,10 +723,10 @@ func domainHardeningExemplar() optimize.DomainHardeningProblem {
 // BenchmarkOptimizeDomainHardening times one away-step Frank-Wolfe solve
 // of the domain-hardening exemplar (central-difference gradients, gap <=
 // 1e-7): every probe and line-search step is one domain-engine query on the
-// objective's evaluator — two block folds from the rest tables when one
-// zone's shock moved, a full recombination when several did — and the
+// objective's evaluator — one zone passed through its cached rest tables
+// when only its shock moved, a full walk when several did — and the
 // summary's three evaluations ride the package pool. It reports the
-// from-scratch block folds one solve performs.
+// from-scratch builds one solve performs, one per full walk.
 func BenchmarkOptimizeDomainHardening(b *testing.B) {
 	p := domainHardeningExemplar()
 	opts := optimize.Options{GapTolerance: 1e-7, MaxIterations: 300}
@@ -737,7 +737,7 @@ func BenchmarkOptimizeDomainHardening(b *testing.B) {
 			b.Fatal(err)
 		}
 		fmt.Printf("\n[O3] shock hardening budget 1.0 over 3-zone Raft-9: %.3f -> %.3f nines "+
-			"(uniform %.3f), spend %.3f, gap %.1e, %d iterations, %d block folds\n",
+			"(uniform %.3f), spend %.3f, gap %.1e, %d iterations, %d builds\n",
 			a.Base.Nines(), a.Optimized.Nines(), a.Uniform.Nines(), a.Spend, a.Gap, a.Iterations,
 			dist.JointBuilds()-before)
 	})
@@ -1015,10 +1015,9 @@ func domainSweepShocks() []float64 {
 }
 
 // BenchmarkDomainSweepShockFresh is the baseline without rest tables:
-// every point of the 64-point shock sweep recombines the correlated
-// mixture from scratch on a fresh evaluator — 7 block folds per point (the
-// independent remainder and each zone's base and elevated block), 448 per
-// sweep.
+// every point of the 64-point shock sweep walks the fleet from scratch on
+// a fresh evaluator — one build per point (the independent remainder), 64
+// per sweep.
 func BenchmarkDomainSweepShockFresh(b *testing.B) {
 	fleet, m, domains := domainBenchLayout()
 	shocks := domainSweepShocks()
@@ -1038,8 +1037,8 @@ func BenchmarkDomainSweepShockFresh(b *testing.B) {
 
 // BenchmarkDomainSweepShockCached runs the same 64-point sweep on one
 // evaluator warmed by the cold point: only the first zone's shock moves,
-// so every point is a leave-one-block-out fast-path answer that folds that
-// zone's base and elevated block — 2 builds per point, 128 per sweep.
+// so every point is a fast-path answer that passes that zone through its
+// cached rest tables — no build at all.
 func BenchmarkDomainSweepShockCached(b *testing.B) {
 	fleet, m, domains := domainBenchLayout()
 	shocks := domainSweepShocks()
@@ -1063,9 +1062,9 @@ func BenchmarkDomainSweepShockCached(b *testing.B) {
 }
 
 // BenchmarkEvaluatorDomainsHot measures the repeat-query path: the exact
-// same correlated query answered from the first zone's rest tables, two
-// block folds and a dot product — what a serving layer pays when its own
-// caches miss but the engine's do not.
+// same correlated query answered from the first zone's rest tables, a pass
+// through that zone and a dot product per region — what a serving layer
+// pays when its own caches miss but the engine's do not.
 func BenchmarkEvaluatorDomainsHot(b *testing.B) {
 	fleet, m, domains := domainBenchLayout()
 	ev := core.NewEvaluator()
@@ -1083,9 +1082,9 @@ func BenchmarkEvaluatorDomainsHot(b *testing.B) {
 
 // BenchmarkEvaluatorDomainsN128Shock measures the incremental cost of a
 // shock perturbation at serving scale — N=128 across 8 domains, where a
-// from-scratch recombination folds 17 blocks and chains 21 convolutions but
-// a shock-only change folds one zone's two 16-node blocks and dots their
-// mixture against cached rest tables.
+// from-scratch walk passes all 8 zones forward and 7 backward but a
+// shock-only change passes one 16-node zone through its cached rest tables
+// and takes a dot product per region.
 func BenchmarkEvaluatorDomainsN128Shock(b *testing.B) {
 	const n, d = 128, 8
 	domains := make(core.DomainSet, d)

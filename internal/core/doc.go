@@ -14,10 +14,10 @@
 //     exact, works for any fleet size. Each model's safe and live sets are
 //     count regions (CountModel.Regions), so a domain-free analysis folds
 //     the fleet once into three tables truncated to those regions
-//     (dist.RegionPass, O(N·(β+1)·(κ+1))), and the domain engine mixes
-//     and convolves such tables; the full O(N^3) joint table serves the
-//     quorum sweeps and is the engines' test oracle. No engine evaluates
-//     Safe / Live per cell of a table;
+//     (dist.RegionPass, O(N·(β+1)·(κ+1))), and the domain engine folds
+//     such tables through each domain's shock mixture; the full O(N^3)
+//     joint table serves the quorum sweeps and is the engines' test
+//     oracle. No engine evaluates Safe / Live per cell of a table;
 //   - explicit enumeration of all 3^N configurations — exact, supports
 //     predicates on the identity of failed nodes, N ≲ 16;
 //   - Monte-Carlo sampling — approximate with confidence intervals, works
@@ -33,14 +33,16 @@
 // (racks, zones, rollout cohorts — §2(3)'s correlated faults): each domain
 // carries a common-cause shock that elevates member fault probabilities,
 // and AnalyzeDomains computes the exact unconditional Result by
-// conditioning: each domain's tables are the shock-weighted mixture of its
-// base and elevated block, convolved across domains (domains.go,
-// domaincache.go); AnalyzeDomainsConditioned, one region pass per shock
-// subset, is its referee. An Evaluator caches only each domain's
-// rest-of-fleet tables, so a query that changes one domain folds that
-// domain's blocks and answers with one dot product, and a full
-// recombination reads its answer off the same tables, so a repeat answers
-// bit-identically. Invariants: with every shock probability zero
+// conditioning: a domain's counts are the shock-weighted mixture of its
+// base and elevated members' folds, so the tables fold through the domains
+// one after another, forward for the fleet and backward for the failure
+// tables of the domains after each one (domains.go, domaincache.go);
+// AnalyzeDomainsConditioned, one region pass per shock subset, is its
+// referee. An Evaluator caches only each domain's rest tables — the
+// forward tables before it and the failure tables after it — so a query
+// that changes one domain folds that domain onto them and answers with one
+// dot product per region, and a full walk reads its answer off the same
+// tables, so a repeat answers bit-identically. Invariants: with every shock probability zero
 // the domain engine agrees with Analyze to 1e-12, one domain holding the
 // whole fleet equals the shock-weighted mix of two Analyze calls (base and
 // elevated fleet), and AnalyzeDomainsMonteCarlo brackets it within its

@@ -10,49 +10,44 @@ import (
 )
 
 // This file is the correlated-domain engine: the one exact engine every
-// populated domain layout runs on, with the leave-one-block-out rest tables
-// that let an Evaluator answer a stream of related domain queries — shock
-// sweeps, optimizer gradient probes, hardening line searches — without
-// recombining the tables a query did not change. See DESIGN.md
-// "Correlated-domain rest tables".
+// populated domain layout runs on, with the per-domain rest tables that let
+// an Evaluator answer a stream of related domain queries — shock sweeps,
+// optimizer gradient probes, hardening line searches — without folding the
+// domains a query did not change. See DESIGN.md "Correlated-domain rest
+// tables".
 //
-// Every table is a dist.RegionPass: a node group's count distribution
-// truncated to the model's safe, live and safe-and-live regions and laid
-// out for the whole fleet (DESIGN.md "Count regions"). For Raft and
-// textbook PBFT each region is a one-dimensional row, so a block of k
-// nodes folds in O(k·κ), a mixture is element-wise, a convolution costs
-// O(k·κ) per block and a rest table is one cumulative row.
+// Every table is a dist.RegionPass truncated to the model's safe, live and
+// safe-and-live regions and laid out for the whole fleet; for Raft and
+// textbook PBFT each region is a row. A domain's shock mixes a base and an
+// elevated fold, so a table passes through domain d as (1 − s_d)·fold(T,
+// base members) + s_d·fold(T, elevated members): forward for count tables,
+// backward for failure tables, whose cell x holds P[x + Y ∉ region]. The
+// rest tables of the populated domain at position p are F_p, the count
+// tables of the independent remainder and domains 0..p−1, and Ḡ_{p+1}, the
+// failure tables of domains p+1..D−1. With T = F_p passed through domain p,
+// each region reads T.Mass − T.Dot(Ḡ_{p+1}).
 //
-// Two paths:
+//  1. Fast path. A query that differs from a cached layout ONLY inside
+//     domain p — its shock probability, its multipliers, its members'
+//     profiles — passes the cached F_p through p and takes one dot product
+//     per region. The search runs from the first populated domain.
+//  2. Full path. The remainder is folded once, a forward walk through the
+//     domains fills every F_p and a backward walk from empty failure
+//     tables every Ḡ_{p+1}; the answer is then read exactly as path 1
+//     reads it at p = 0, so an exact repeat answers == the cold answer on
+//     an evaluator however warm.
 //
-//  1. Rest-table fast path. For a populated domain d, rest_d is the table
-//     of every node OUTSIDE d; its Shifted tables hold, per cell x a block
-//     can land on, P[rest + x ∈ region]. A query that differs from a
-//     cached layout ONLY inside d — its shock probability, its
-//     multipliers, its members' profiles — folds d's base and elevated
-//     blocks (two k_d-node folds), mixes them, and takes one dot product
-//     per region over d's cells. The search runs from the first populated
-//     domain.
-//  2. Full path. Every block is folded, and the prefix/suffix convolution
-//     chains produce every domain's rest tables, so the next related query
-//     takes path 1. The answer is then read exactly as path 1 reads it for
-//     the first populated domain, from the same tables, so an exact repeat
-//     answers == the cold answer on an evaluator however warm.
-//
-// Blocks are folded into evaluator-owned scratch on every query; only rest
-// tables are cached. A rest key for the domain at position pos hashes the
-// model parameters, pos, d's member count, the independent nodes' profile
-// bits and every OTHER populated domain's (shock, multipliers, member
-// profile bits) in order — everything the rest's convolution chain reads,
-// and nothing about d itself beyond its size, so perturbing d never
-// invalidates rest_d. Every float goes in as canonBits, the query
-// fingerprint's encoder: exact IEEE-754 bits with -0 folded onto +0 (the
-// same probability, the same tables), so a "-0" shock or multiplier is a
-// hit, not a recombination.
+// A rest key for the domain at position pos hashes the model parameters,
+// pos, d's member count, the independent nodes' profile bits and every
+// OTHER populated domain's (shock, multipliers, member profile bits) in
+// order — everything F_pos and Ḡ_{pos+1} read, and nothing about d itself
+// beyond its size, so perturbing d never invalidates its entry. Every
+// float goes in as canonBits, the query fingerprint's encoder: exact
+// IEEE-754 bits with -0 folded onto +0 (the same probability, the same
+// tables), so a "-0" shock or multiplier is a hit, not a recombination.
 //
 // All workspaces live on the owning Evaluator: no locks, no sharing, zero
-// steady-state allocations on the fast path (pinned by
-// TestAnalyzeDomainsZeroAllocs).
+// steady-state allocations (pinned by TestAnalyzeDomainsZeroAllocs).
 
 // restKeyDomain versions the rest-key encoding, separate from the query
 // fingerprint domain so the two key spaces can never collide.
@@ -70,9 +65,9 @@ type restKey = [sha256.Size]byte
 // around a query stream (the companion of dist.JointBuilds).
 var (
 	domRestHits = obs.Default().Counter("probcons_engine_rest_table_hits_total",
-		"Correlated queries answered by the leave-one-block-out fast path (one dot product over a block's cells).", nil)
+		"Correlated queries answered from one domain's cached rest tables (a pass through that domain and one dot product per region).", nil)
 	domRestMisses = obs.Default().Counter("probcons_engine_rest_table_misses_total",
-		"Correlated queries that ran a full block recombination.", nil)
+		"Correlated queries that ran a full forward and backward walk.", nil)
 )
 
 // The block cache and the result memo are deleted, so these families are
@@ -80,15 +75,15 @@ var (
 // sample, so they stay registered.
 var (
 	_ = obs.Default().Counter("probcons_engine_block_cache_hits_total",
-		"Retired (blocks are folded per query; constantly 0); kept until the benchmark manifest drops core.block_cache_hit_share.", nil)
+		"Retired (domains are folded per query; constantly 0); kept until the benchmark manifest drops core.block_cache_hit_share.", nil)
 	_ = obs.Default().Counter("probcons_engine_block_cache_misses_total",
-		"Retired (blocks are folded per query; constantly 0); kept until the benchmark manifest drops core.block_cache_hit_share.", nil)
+		"Retired (domains are folded per query; constantly 0); kept until the benchmark manifest drops core.block_cache_hit_share.", nil)
 	_ = obs.Default().Counter("probcons_engine_result_memo_hits_total",
-		"Retired (a full recombination answers as the fast path does; constantly 0); kept until the benchmark manifest drops core.result_memo_hits_per_req.", nil)
+		"Retired (a full walk answers as the fast path does; constantly 0); kept until the benchmark manifest drops core.result_memo_hits_per_req.", nil)
 )
 
 // domainState is the Evaluator's correlated-domain workspace: the
-// rest-table cache and the tables of the recombination chains. The
+// rest-table cache and the scratch a pass through a domain folds into. The
 // query's resolved layout comes in with each call.
 type domainState struct {
 	regions  [3]dist.Region // the query model's safe, live, safe-and-live
@@ -97,27 +92,26 @@ type domainState struct {
 	restKeys []restKey
 	tri      []dist.TriState
 
-	restCache map[restKey]*dist.RegionPass // a rest's Shifted tables
+	restCache map[restKey]*restEntry
+	spare     []*restEntry // entries the cap cleared, refilled by later walks
+	entries   []*restEntry // the entries a full walk fills, by position
 
-	// Scratch blocks, refolded per query: a domain's base and elevated
-	// tables, and the independent remainder's.
-	base, elev, remainder dist.RegionPass
+	// Scratch, refilled per pass through a domain: the running table
+	// folded through its base and its elevated members, and their mixture.
+	base, elev, mixed dist.RegionPass
+}
 
-	// Recombination workspaces: mixed[j] is domain j's shock-weighted
-	// block, prefix[j] the convolution of the remainder and domains 0..j,
-	// suffix[j] the convolution of domains j..D-1; rest holds one
-	// leave-one-out product. Pointer slices let chain entries alias the
-	// remainder and the mixed blocks.
-	mixed     []dist.RegionPass
-	prefix    []dist.RegionPass
-	suffix    []dist.RegionPass
-	rest      dist.RegionPass
-	prefixPtr []*dist.RegionPass
-	suffixPtr []*dist.RegionPass
+// restEntry is the rest of the fleet around the populated domain at
+// position p: fwd is F_p and back is Ḡ_{p+1}.
+type restEntry struct {
+	fwd, back dist.RegionPass
 }
 
 func (ds *domainState) maybeEvict() {
 	if len(ds.restCache) > maxRestCacheEntries {
+		for _, e := range ds.restCache {
+			ds.spare = append(ds.spare, e)
+		}
 		clear(ds.restCache)
 	}
 }
@@ -144,9 +138,9 @@ func (ds *domainState) restKeyFor(fleet Fleet, m CountModel, domains DomainSet, 
 	return sha256.Sum256(buf)
 }
 
-// fold folds the given nodes — at their base profiles when elevate is nil,
-// else shock-elevated — into dst: one from-scratch region fold.
-func (ds *domainState) fold(dst *dist.RegionPass, fleet Fleet, idxs []int, elevate *faultcurve.Domain) {
+// tris returns the given nodes as the fold reads them: at their base
+// profiles when elevate is nil, else shock-elevated.
+func (ds *domainState) tris(fleet Fleet, idxs []int, elevate *faultcurve.Domain) []dist.TriState {
 	ds.tri = ds.tri[:0]
 	for _, i := range idxs {
 		p := fleet[i].Profile
@@ -155,24 +149,30 @@ func (ds *domainState) fold(dst *dist.RegionPass, fleet Fleet, idxs []int, eleva
 		}
 		ds.tri = append(ds.tri, p.TriState())
 	}
-	dst.ResetGroup(ds.tri, ds.regions, len(fleet))
+	return ds.tri
 }
 
-// mixedInto writes the shock-weighted block of domain di, whose members
-// are idxs, into dst, folding its base and elevated blocks into the
-// scratch.
-func (ds *domainState) mixedInto(dst *dist.RegionPass, fleet Fleet, domains DomainSet, di int, idxs []int) {
-	d := &domains[di]
-	ds.fold(&ds.base, fleet, idxs, nil)
-	ds.fold(&ds.elev, fleet, idxs, d)
+// through sets dst to src passed through domain d, whose members are idxs,
+// backward when src holds failure tables.
+func (ds *domainState) through(dst, src *dist.RegionPass, fleet Fleet, d *faultcurve.Domain, idxs []int, back bool) {
+	fold := (*dist.RegionPass).Fold
+	if back {
+		fold = (*dist.RegionPass).FoldBack
+	}
+	ds.base.Mix(src, src, 1, 0)
+	fold(&ds.base, ds.tris(fleet, idxs, nil))
+	ds.elev.Mix(src, src, 1, 0)
+	fold(&ds.elev, ds.tris(fleet, idxs, d))
 	s := dist.Clamp01(d.ShockProb)
 	dst.Mix(&ds.base, &ds.elev, 1-s, s)
 }
 
-// dotResult reads the three region masses of a block joined with a rest,
-// given the block's tables and the rest's Shifted tables.
-func dotResult(block, shifted *dist.RegionPass) Result {
-	return Result{Safe: block.Dot(shifted, 0), Live: block.Dot(shifted, 1), SafeAndLive: block.Dot(shifted, 2)}
+// answer passes e's forward tables through the domain di, whose members
+// are idxs, and reads each region's mass against e's failure tables.
+func (ds *domainState) answer(e *restEntry, fleet Fleet, domains DomainSet, di int, idxs []int) Result {
+	ds.through(&ds.mixed, &e.fwd, fleet, &domains[di], idxs, false)
+	read := func(i int) float64 { return dist.Clamp01(ds.mixed.Mass(i) - ds.mixed.Dot(&e.back, i)) }
+	return Result{Safe: read(0), Live: read(1), SafeAndLive: read(2)}
 }
 
 // grow resizes a reused scratch slice to n elements, keeping its backing
@@ -190,68 +190,57 @@ func grow[T any](s []T, n int) []T {
 // analyzeDomains is the evaluator's domain engine over the query's
 // resolved layout l, whose act is non-empty; the evaluator reads l only
 // for the duration of the call. A query whose first populated domain's
-// rest tables are cached answers == a cold recombination of it; one
-// answered from a later domain's rest tables agrees with it to ~1e-15.
+// rest tables are cached answers == a cold walk; one answered from a later
+// domain's rest tables agrees with it to ~1e-15.
 func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet, l *domainLayout) Result {
 	ds := &e.dom
 	ds.maybeEvict()
 	if ds.restCache == nil {
-		ds.restCache = make(map[restKey]*dist.RegionPass)
+		ds.restCache = make(map[restKey]*restEntry)
 	}
 	ds.regions = modelRegions(m)
 	D := len(l.act)
-	ds.mixed = grow(ds.mixed, D)
 
 	// Fast path: the first populated domain whose rest tables survive from
-	// an earlier query answers with one dot product per region after two
-	// block folds.
+	// an earlier query answers with one dot product per region after a
+	// pass through that domain.
 	ds.restKeys = ds.restKeys[:0]
 	for pos, di := range l.act {
 		key := ds.restKeyFor(fleet, m, domains, l, pos)
 		ds.restKeys = append(ds.restKeys, key)
-		if shifted, ok := ds.restCache[key]; ok {
+		if hit, ok := ds.restCache[key]; ok {
 			domRestHits.Inc()
-			ds.mixedInto(&ds.mixed[pos], fleet, domains, di, l.blocks[di])
-			return dotResult(&ds.mixed[pos], shifted)
+			return ds.answer(hit, fleet, domains, di, l.blocks[di])
 		}
 	}
 	domRestMisses.Inc()
 
-	// Full path: prefixPtr[j] is the independent remainder plus domains
-	// 0..j-1 and suffixPtr[j] domains j..D-1, so rest_j = prefixPtr[j] ⊛
-	// suffixPtr[j+1] (for the last domain, just prefixPtr[D-1]). Neither the
-	// full product nor suffix[0] is read, so neither is computed. Grow the
-	// chain workspaces before taking pointers into them.
-	ds.prefix = grow(ds.prefix, D)
-	ds.suffix = grow(ds.suffix, D)
-	ds.suffixPtr = grow(ds.suffixPtr, D)
-	ds.fold(&ds.remainder, fleet, l.indep, nil)
-	ds.prefixPtr = append(ds.prefixPtr[:0], &ds.remainder)
-	for pos, di := range l.act {
-		ds.mixedInto(&ds.mixed[pos], fleet, domains, di, l.blocks[di])
-		if pos < D-1 {
-			ds.prefix[pos].Convolve(ds.prefixPtr[pos], &ds.mixed[pos])
-			ds.prefixPtr = append(ds.prefixPtr, &ds.prefix[pos])
+	// Full path. Every key missed above, so each position gets an entry,
+	// a spare one when the cap has cleared some. F_0 is the remainder and
+	// F_p is F_{p−1} passed through domain p−1; Ḡ_D is empty and Ḡ_p is
+	// Ḡ_{p+1} passed back through domain p.
+	entries := grow(ds.entries, D)
+	ds.entries = entries
+	for pos, key := range ds.restKeys {
+		if n := len(ds.spare); n > 0 {
+			entries[pos], ds.spare = ds.spare[n-1], ds.spare[:n-1]
+		} else {
+			entries[pos] = &restEntry{}
 		}
+		ds.restCache[key] = entries[pos]
 	}
-	ds.suffixPtr[D-1] = &ds.mixed[D-1]
-	for pos := D - 2; pos > 0; pos-- {
-		ds.suffix[pos].Convolve(&ds.mixed[pos], ds.suffixPtr[pos+1])
-		ds.suffixPtr[pos] = &ds.suffix[pos]
+	entries[0].fwd.ResetGroup(ds.tris(fleet, l.indep, nil), ds.regions, len(fleet))
+	for pos := 1; pos < D; pos++ {
+		di := l.act[pos-1]
+		ds.through(&entries[pos].fwd, &entries[pos-1].fwd, fleet, &domains[di], l.blocks[di], false)
 	}
-	for pos := range l.act {
-		rest := ds.prefixPtr[pos]
-		if pos < D-1 {
-			ds.rest.Convolve(rest, ds.suffixPtr[pos+1])
-			rest = &ds.rest
-		}
-		// Every key missed above, so each rest gets a fresh table.
-		shifted := &dist.RegionPass{}
-		shifted.Shifted(rest)
-		ds.restCache[ds.restKeys[pos]] = shifted
+	entries[D-1].back.ResetFailure(ds.regions, len(fleet))
+	for pos := D - 2; pos >= 0; pos-- {
+		di := l.act[pos+1]
+		ds.through(&entries[pos].back, &entries[pos+1].back, fleet, &domains[di], l.blocks[di], true)
 	}
 
 	// Answer as the fast path answers for the first domain: a repeat reads
 	// these same tables in the same order.
-	return dotResult(&ds.mixed[0], ds.restCache[ds.restKeys[0]])
+	return ds.answer(entries[0], fleet, domains, l.act[0], l.blocks[l.act[0]])
 }

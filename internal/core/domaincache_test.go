@@ -11,11 +11,12 @@ import (
 )
 
 // refFillPredGrids and refPopulate are the rest-table population of the
-// joint-table engine, kept as the oracle of the region tables' Shifted
-// rest: the model's predicates evaluated once per (c, b) cell of the whole
-// n-node fleet into bool grids, then every cell of the rest's joint table
-// looked up at its shifted position and folded into three compensated
-// sums per entry (cd, bd), the faults the domain contributes.
+// joint-table engine, kept as the oracle of the failure tables: the
+// model's predicates evaluated once per (c, b) cell of the whole n-node
+// fleet into bool grids, then every cell of the rest's joint table looked
+// up at its shifted position and, where a predicate fails there, folded
+// into that predicate's compensated sum per entry (cd, bd), the faults the
+// domain contributes.
 func refFillPredGrids(okSafe, okLive []bool, n int, m CountModel) ([]bool, []bool) {
 	w := n + 1
 	okSafe = grow(okSafe, w*w)
@@ -31,7 +32,7 @@ func refFillPredGrids(okSafe, okLive []bool, n int, m CountModel) ([]bool, []boo
 }
 
 // refRest is one domain's rest tables: entry [cd*(k+1)+bd] is the rest
-// mass under which each predicate holds when the domain contributes
+// mass under which each predicate fails when the domain contributes
 // exactly (cd, bd) faults.
 type refRest struct {
 	k                int
@@ -63,13 +64,13 @@ func refPopulate(rt *refRest, r *dist.JointCrashByz, k, n int, okSafe, okLive []
 					}
 					gi := g + b + bd
 					s, l := okSafe[gi], okLive[gi]
-					if s {
+					if !s {
 						sS.Add(mass)
 					}
-					if l {
+					if !l {
 						sL.Add(mass)
 					}
-					if s && l {
+					if !s || !l {
 						sB.Add(mass)
 					}
 				}
@@ -90,7 +91,7 @@ func triStates(f Fleet) []dist.TriState {
 
 // pointMass is the group of cd always-crashed and bd always-Byzantine
 // nodes: its tables hold all their mass on the one cell (cd, bd), so a dot
-// product against Shifted tables reads that cell's entry out.
+// product against failure tables reads that cell out.
 func pointMass(cd, bd int) []dist.TriState {
 	tri := make([]dist.TriState, 0, cd+bd)
 	for i := 0; i < cd+bd; i++ {
@@ -103,19 +104,20 @@ func pointMass(cd, bd int) []dist.TriState {
 	return tri
 }
 
-// TestRestTablesMatchRef pins every rest-table entry — the Shifted tables
-// of the rest of the fleet, read out at each (cd, bd) a domain of k nodes
-// can contribute — to the bool-grid population over the rest's joint
-// table, at 1e-13 relative: rest tables over random fleets (never-failing,
-// never-correct and always-Byzantine nodes mixed in) and over convolutions
-// of two, domains of 0 to 12 nodes, both protocols at the region-pass
-// models and random sizings — empty regions and regions the domain alone
-// can leave included. One set of tables is reused throughout, as the
-// evaluator's cache reuses them.
+// TestRestTablesMatchRef pins every failure-table cell — P[x + Y ∉ r] for
+// the rest of the fleet Y, read out at each cell x = (cd, bd) a domain of k
+// nodes can contribute — to the bool-grid population over the rest's joint
+// table, summed over the out-of-region cells, at 1e-13 relative: failure
+// tables folded backward over random fleets (never-failing, never-correct
+// and always-Byzantine nodes mixed in) and over a shocked group's mixture
+// on top of another, domains of 0 to 12 nodes, both protocols at the
+// region-pass models and random sizings — empty regions and regions the
+// domain alone can leave included. One set of tables is reused
+// throughout, as the evaluator's scratch is.
 func TestRestTablesMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	var rest, a, b, shifted, point dist.RegionPass
-	var want refRest
+	var fail, base, elev, point dist.RegionPass
+	var want, wantHot refRest
 	var okSafe, okLive []bool
 	entries, worst := 0, 0.0
 	for iter := 0; iter < 300; iter++ {
@@ -126,30 +128,47 @@ func TestRestTablesMatchRef(t *testing.T) {
 			continue
 		}
 		restFleet := triStates(regionFleet(rng, nr, iter%3 == 0))
-		split := -1
-		if iter%2 == 1 {
-			split = rng.Intn(nr + 1)
-			restFleet = append(triStates(regionFleet(rng, split, false)), triStates(regionFleet(rng, nr-split, iter%4 == 1))...)
-		}
 		joint := dist.NewJointCrashByz(restFleet)
+		// Odd iterations shock the rest's tail: the failure tables of its
+		// head, folded on through the tail's base and elevated nodes and
+		// mixed, against the same mixture of the two populations.
+		split, s := -1, 0.0
+		var hotFleet []dist.TriState
+		var hotJoint *dist.JointCrashByz
+		if iter%2 == 1 {
+			split, s = rng.Intn(nr+1), rng.Float64()
+			hotFleet = append(append([]dist.TriState(nil), restFleet[:split]...), triStates(regionFleet(rng, nr-split, iter%4 == 1))...)
+			hotJoint = dist.NewJointCrashByz(hotFleet)
+		}
 		for _, m := range append(regionModels(n), randomSizing(rng, n), randomSizing(rng, n)) {
 			regions := modelRegions(m)
+			fail.ResetFailure(regions, n)
 			if split < 0 {
-				rest.ResetGroup(restFleet, regions, n)
+				fail.FoldBack(restFleet)
 			} else {
-				a.ResetGroup(restFleet[:split], regions, n)
-				b.ResetGroup(restFleet[split:], regions, n)
-				rest.Convolve(&a, &b)
+				fail.FoldBack(restFleet[:split])
+				base.Mix(&fail, &fail, 1, 0)
+				elev.Mix(&fail, &fail, 1, 0)
+				base.FoldBack(restFleet[split:])
+				elev.FoldBack(hotFleet[split:])
+				fail.Mix(&base, &elev, 1-s, s)
 			}
-			shifted.Shifted(&rest)
 			okSafe, okLive = refFillPredGrids(okSafe, okLive, n, m)
 			refPopulate(&want, joint, k, n, okSafe, okLive)
+			if split >= 0 {
+				refPopulate(&wantHot, hotJoint, k, n, okSafe, okLive)
+			}
 			for cd := 0; cd <= k; cd++ {
 				for bd := 0; cd+bd <= k; bd++ {
 					point.ResetGroup(pointMass(cd, bd), regions, n)
 					i := cd*(k+1) + bd
-					for r, ref := range []float64{want.safe[i], want.live[i], want.both[i]} {
-						got, ref := point.Dot(&shifted, r), dist.Clamp01(ref)
+					refs := [3]float64{want.safe[i], want.live[i], want.both[i]}
+					if split >= 0 {
+						refs = [3]float64{(1-s)*refs[0] + s*wantHot.safe[i], (1-s)*refs[1] + s*wantHot.live[i], (1-s)*refs[2] + s*wantHot.both[i]}
+					}
+					for r, ref := range refs {
+						// A cell outside the region is not in its table.
+						got, ref := point.Dot(&fail, r), point.Mass(r)*dist.Clamp01(ref)
 						if diff := math.Abs(got - ref); diff > 1e-13*ref+1e-300 {
 							t.Fatalf("iter %d %s k=%d entry (%d, %d) region %d: %.17g, oracle %.17g", iter, m.Name(), k, cd, bd, r, got, ref)
 						} else if ref > 0 {
@@ -161,45 +180,7 @@ func TestRestTablesMatchRef(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d rest-table entries within %.3g relative of the bool-grid population", entries, worst)
-}
-
-// BenchmarkRestTables prices the cold recombination's rest-table cost for
-// one zone at domain_churn's shape — a 48-node fleet in 4 zones of 12, so
-// one 12-node zone over a 36-node rest — for majority Raft and textbook
-// PBFT: region is the engine's (the rest's Shifted tables, from its
-// region tables), ref the joint-table engine's bool-grid population it
-// replaced (the grids filled for the whole fleet, then every rest cell
-// looked up per entry).
-func BenchmarkRestTables(b *testing.B) {
-	const n, k = 48, 12
-	rng := rand.New(rand.NewSource(48))
-	tri := make([]dist.TriState, n-k)
-	for i := range tri {
-		tri[i] = dist.TriState{PCrash: 0.002 + 0.028*rng.Float64(), PByz: 0.0001 + 0.0019*rng.Float64()}
-	}
-	joint := dist.NewJointCrashByz(tri)
-	for _, tc := range []struct {
-		protocol string
-		m        CountModel
-	}{{"raft", NewRaft(n)}, {"pbft", NewPBFTForN(n)}} {
-		m := tc.m
-		b.Run(fmt.Sprintf("%s/N=%d/k=%d/region", tc.protocol, n, k), func(b *testing.B) {
-			var rest, shifted dist.RegionPass
-			rest.ResetGroup(tri, modelRegions(m), n)
-			for i := 0; i < b.N; i++ {
-				shifted.Shifted(&rest)
-			}
-		})
-		b.Run(fmt.Sprintf("%s/N=%d/k=%d/ref", tc.protocol, n, k), func(b *testing.B) {
-			var rt refRest
-			var okSafe, okLive []bool
-			for i := 0; i < b.N; i++ {
-				okSafe, okLive = refFillPredGrids(okSafe, okLive, n, m)
-				refPopulate(&rt, joint, k, n, okSafe, okLive)
-			}
-		})
-	}
+	t.Logf("%d failure-table cells within %.3g relative of the bool-grid population", entries, worst)
 }
 
 // domainCacheStats snapshots the process-wide rest-table counters; tests
@@ -251,7 +232,7 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 	check("member change", fleet, domains)
 	check("member change applied", f2, domains)
 
-	// Independent-node change: every rest key misses, full recombination.
+	// Independent-node change: every rest key misses, a full walk.
 	f3 := append(Fleet(nil), fleet...)
 	f3[0].Domain = ""
 	check("layout change", f3, domains)
@@ -259,10 +240,10 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 	// Sign of zero: -0 is the same shock and the same multiplier as +0, so
 	// it must find the rest tables +0 left behind — the first domain's on an
 	// exact repeat, the moved domain's when one other domain moved — and
-	// recombine only when two did.
+	// walk the fleet again only when two did.
 	negZero := math.Copysign(0, -1)
 	z := append(DomainSet(nil), domains...)
-	z[0].ShockProb, z[0].ByzMultiplier, z[1].ShockProb = 0, 0, 0.25 // two domains moved: a full recombination
+	z[0].ShockProb, z[0].ByzMultiplier, z[1].ShockProb = 0, 0, 0.25 // two domains moved: a full walk
 	check("+0", fleet, z)
 	before := domainCacheStats()
 	z[0].ShockProb, z[0].ByzMultiplier = negZero, negZero
@@ -274,7 +255,7 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 	check("-0 beside two moved domains", fleet, z)
 	after := domainCacheStats()
 	if after.RestHits != before.RestHits+2 || after.RestMisses != before.RestMisses+1 {
-		t.Errorf("-0 after +0: stats %+v -> %+v; want two rest hits and one recombination", before, after)
+		t.Errorf("-0 after +0: stats %+v -> %+v; want two rest hits and one full walk", before, after)
 	}
 
 	end := domainCacheStats()
@@ -286,7 +267,7 @@ func TestEvaluatorDomainsCachedMatchesReference(t *testing.T) {
 // TestEvaluatorDomainsColdMatchesPackageExactly pins that the engine's
 // answers are deterministic, which the serving caches rely on: a fresh
 // evaluator and a fresh pool (the package entry point's path) return
-// bit-identical results. A cold recombination answers as the fast path
+// bit-identical results. A cold walk answers as the fast path
 // does for the first domain, so an evaluator that first absorbed a query
 // differing only in that domain answers == the cold answer too, and so does
 // a repeat on an evaluator whose rest tables overflowed their cap in
@@ -324,8 +305,8 @@ func TestEvaluatorDomainsColdMatchesPackageExactly(t *testing.T) {
 	}
 
 	// More layouts than any cap the engine's caches have had (every domain
-	// but the last moves, so each one recombines and stores three rest
-	// tables), then a first-domain change, then the repeat.
+	// but the last moves, so each one walks the fleet and stores three rest
+	// entries), then a first-domain change, then the repeat.
 	e = NewEvaluator()
 	first, err := e.AnalyzeDomains(fleet, m, domains)
 	if err != nil {
@@ -352,10 +333,9 @@ func TestEvaluatorDomainsColdMatchesPackageExactly(t *testing.T) {
 }
 
 // TestAnalyzeDomainsBlockReuse is the counter pin of the rest tables: a
-// 64-point shock sweep over one domain performs the cold query's block
-// folds once, and every later point only refolds that domain's two blocks
-// and answers from the rest tables — against 64 full recombinations (7
-// folds per point at D=3) without them.
+// 64-point shock sweep over one domain performs one from-scratch build,
+// the cold walk's independent remainder, and every later point folds only
+// the swept domain onto its cached rest tables and answers from them.
 func TestAnalyzeDomainsBlockReuse(t *testing.T) {
 	fleet, domains := domainFleet9()
 	m := NewRaft(9)
@@ -368,17 +348,10 @@ func TestAnalyzeDomainsBlockReuse(t *testing.T) {
 		if _, err := e.AnalyzeDomains(fleet, m, ds); err != nil {
 			t.Fatal(err)
 		}
+		if builds := dist.JointBuilds() - start; builds != 1 {
+			t.Fatalf("after %d sweep points: %d joint builds, want 1 (the cold remainder; the empty group here is still one unit-table build)", i+1, builds)
+		}
 	}
-	builds := dist.JointBuilds() - start
-
-	// Cold query: 1 independent-remainder block (empty here, still one
-	// unit-table build) + 3 domains × (base, elevated) = 7. Every later
-	// sweep point folds the swept domain's base and elevated block.
-	const coldBuilds, pointBuilds = 7, 2
-	if want := int64(coldBuilds + 63*pointBuilds); builds != want {
-		t.Fatalf("64-point shock sweep performed %d joint builds, want %d", builds, want)
-	}
-
 	if got := domRestHits.Load() - restHits; got < 63 {
 		t.Fatalf("expected >= 63 rest-table fast-path hits, got %d", got)
 	}
@@ -387,8 +360,9 @@ func TestAnalyzeDomainsBlockReuse(t *testing.T) {
 // TestAnalyzeDomainsZeroAllocs mirrors TestEvaluatorAnalyzeZeroAllocs for
 // the correlated path (the satellite bugfix: package AnalyzeDomains runs
 // on pooled evaluators): once warm, a repeated domain query allocates
-// nothing — partition scratch, the rest key, the block folds, the mixture
-// and the rest-table dot product all reuse evaluator-owned memory.
+// nothing — partition scratch, the rest key, the pass through a domain and
+// the dot products all reuse evaluator-owned memory — and neither does a
+// stream of full walks, which refill the entries the cap cleared.
 func TestAnalyzeDomainsZeroAllocs(t *testing.T) {
 	fleet, domains := domainFleet9()
 	// Box the model once: passing a concrete Raft would allocate the
@@ -405,6 +379,24 @@ func TestAnalyzeDomainsZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm evaluator AnalyzeDomains allocates %v/op, want 0", allocs)
+	}
+
+	// Full walks too, once the cap has cleared entries for them to refill:
+	// every query moves two domains, so every key misses.
+	churn := append(DomainSet(nil), domains...)
+	i := 0
+	walk := func() {
+		i++
+		churn[0].ShockProb, churn[1].ShockProb = 0.01+1e-6*float64(i), 0.02+1e-6*float64(i)
+		if _, err := e.AnalyzeDomains(fleet, m, churn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 2*maxRestCacheEntries; j++ {
+		walk()
+	}
+	if allocs := testing.AllocsPerRun(100, walk); allocs != 0 {
+		t.Fatalf("warm evaluator's full walks allocate %v/op, want 0", allocs)
 	}
 
 	// The package-level entry point rides the shared pool: steady state is
@@ -427,10 +419,14 @@ func TestAnalyzeDomainsZeroAllocs(t *testing.T) {
 }
 
 // TestDomainsEstimateMatchesDispatch pins that the work estimate the
-// serving layer admits queries under prices the one engine every domain
-// query runs on, and upper-bounds its measured from-scratch builds: on many
-// small domains, and on two huge ones — where the 2^D conditioning the
-// engine once dispatched to is only the referee now.
+// serving layer admits queries under is domainLayout.work's formula, and
+// that it stays above the engine's fold count: per region, c·(m + 4·Σk +
+// 6·D) cell updates with c the region's whole table — the remainder's m
+// folds, every domain's k nodes folded twice forward and twice backward,
+// and at most six copies or mixtures per domain. It holds on many small
+// domains, on two huge ones — where the 2^D conditioning the engine once
+// dispatched to is only the referee now — at domain_churn's shape and at
+// every BenchmarkDomainLadder rung.
 func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 	fleet, domains := domainFleet9()
 	m := NewRaft(9)
@@ -442,13 +438,30 @@ func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 	if est := DomainsWorkEstimate(fleet, m, domains); est != work {
 		t.Fatalf("estimate %g != the engine's work %g", est, work)
 	}
-	start := dist.JointBuilds()
-	if _, err := NewEvaluator().AnalyzeDomains(fleet, m, domains); err != nil {
-		t.Fatal(err)
+	nearest := struct {
+		tag               string
+		ratio, est, folds float64
+	}{ratio: math.Inf(1)}
+	aboveFolds := func(tag string, fleet Fleet, m CountModel, domains DomainSet) {
+		t.Helper()
+		var l domainLayout
+		if err := l.resolve(fleet, domains); err != nil {
+			t.Fatal(err)
+		}
+		k := len(fleet) - len(l.indep)
+		var folds float64
+		for _, r := range modelRegions(m) {
+			folds += float64(r.Cells(len(fleet), len(fleet))) * float64(len(l.indep)+4*k+6*len(l.act))
+		}
+		est := DomainsWorkEstimate(fleet, m, domains)
+		if est < folds {
+			t.Errorf("%s: estimate %g below the engine's fold count %g", tag, est, folds)
+		}
+		if est/folds < nearest.ratio {
+			nearest.ratio, nearest.tag, nearest.est, nearest.folds = est/folds, tag, est, folds
+		}
 	}
-	if builds := float64(dist.JointBuilds() - start); builds != 7 || builds > work {
-		t.Fatalf("D=3: measured %v builds, want 7 (the remainder and 2 per domain) within the estimate %v", builds, work)
-	}
+	aboveFolds("D=3", fleet, m, domains)
 
 	const n = 300
 	bigFleet := make(Fleet, n)
@@ -472,16 +485,12 @@ func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 	if cw := math.Ldexp(n*n*n, 2); work >= cw {
 		t.Fatalf("two-halves estimate %g not below the 2^D conditioning's %g", work, cw)
 	}
-	start = dist.JointBuilds()
+	aboveFolds("two halves", bigFleet, bigModel, bigDomains)
 	got, err := NewEvaluator().AnalyzeDomains(bigFleet, bigModel, bigDomains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The empty remainder, and a base and an elevated block per half.
-	if builds := dist.JointBuilds() - start; builds != 5 || float64(builds) > work {
-		t.Fatalf("two halves: %d builds, want 5 within the estimate %v", builds, work)
-	}
-	start = dist.JointBuilds()
+	start := dist.JointBuilds()
 	want, err := AnalyzeDomainsConditioned(bigFleet, bigModel, bigDomains)
 	if err != nil {
 		t.Fatal(err)
@@ -490,13 +499,23 @@ func TestDomainsEstimateMatchesDispatch(t *testing.T) {
 		t.Fatalf("conditioned D=2 performed %d region passes, want 2^2 = 4", builds)
 	}
 	resultsClose(t, "two halves vs conditioned", got, want, 1e-12)
+
+	for _, rung := range [][2]int{{48, 4}, {64, 4}, {64, 16}, {256, 4}, {256, 16}, {1024, 4}, {1024, 16}} {
+		n, d := rung[0], rung[1]
+		fleet, domains := ladderFleet(n, d)
+		for _, m := range []CountModel{NewRaft(n), NewPBFTForN(n)} {
+			aboveFolds(fmt.Sprintf("%s N=%d D=%d", m.Name(), n, d), fleet, m, domains)
+		}
+	}
+	t.Logf("nearest: %s, estimate %.3g over %.3g folded cells", nearest.tag, nearest.est, nearest.folds)
 }
 
 // TestEvaluatorDomainsLargeFleet exercises the correlated path at the
 // sizes the ROADMAP called a wall: the dispatcher prices an N=256, D=8
 // layout far under the serving work bound, and an N=128 query stream runs
-// its block convolutions cold, with the incremental follow-up answered
-// from rest tables after folding only the perturbed zone's two blocks.
+// its forward and backward walks cold, with the incremental follow-up
+// answered from rest tables after folding only the perturbed zone onto
+// them.
 func TestEvaluatorDomainsLargeFleet(t *testing.T) {
 	mkFleet := func(n, d int) (Fleet, DomainSet) {
 		fleet := make(Fleet, n)
@@ -546,8 +565,8 @@ func TestEvaluatorDomainsLargeFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if builds := dist.JointBuilds() - start; builds != 2 {
-		t.Fatalf("shock-perturbed N=128 query performed %d builds, want 2 (the zone's base and elevated block)", builds)
+	if builds := dist.JointBuilds() - start; builds != 0 {
+		t.Fatalf("shock-perturbed N=128 query performed %d builds, want 0 (the zone folds onto its cached rest tables)", builds)
 	}
 	want2, err := AnalyzeDomainsConditioned(fleet, m, ds2)
 	if err != nil {
@@ -558,26 +577,16 @@ func TestEvaluatorDomainsLargeFleet(t *testing.T) {
 
 // BenchmarkDomainLadder prices the domain engine at N = 64, 256 and 1024
 // nodes in D = 4 and 16 zones, round-robin, on heterogeneous fleets drawn
-// from the bench's domain_churn range, for majority Raft and textbook
-// PBFT: cold is one recombination on a fresh evaluator (block folds, the
-// prefix chain, and every zone's rest tables), warm a new shock for one
-// zone on a warm evaluator (the rest-table fast path), and joint the
+// from the bench's domain_churn range (ladderFleet), for majority Raft and
+// textbook PBFT: cold is one walk on a fresh evaluator (the remainder's
+// fold and every zone's forward and failure tables), warm a new shock for
+// one zone on a warm evaluator (the rest-table fast path), and joint the
 // 2^D conditioning over full joint tables that the engine is pinned
 // against — run only where it finishes in seconds (D = 4, N <= 256).
 func BenchmarkDomainLadder(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		for _, d := range []int{4, 16} {
-			rng := rand.New(rand.NewSource(int64(n * d)))
-			fleet := make(Fleet, n)
-			domains := make(DomainSet, d)
-			for j := range domains {
-				domains[j] = faultcurve.Domain{Name: fmt.Sprintf("zone-%d", j), ShockProb: 0.001 + 0.019*rng.Float64(),
-					CrashMultiplier: 2 + 6*rng.Float64(), ByzMultiplier: 1}
-			}
-			for i := range fleet {
-				fleet[i] = Node{Profile: faultcurve.Profile{PCrash: 0.002 + 0.028*rng.Float64(), PByz: 0.0001 + 0.0019*rng.Float64()},
-					Domain: domains[i%d].Name}
-			}
+			fleet, domains := ladderFleet(n, d)
 			for _, tc := range []struct {
 				protocol string
 				m        CountModel
@@ -614,6 +623,145 @@ func BenchmarkDomainLadder(b *testing.B) {
 			}
 		}
 	}
+}
+
+// TestDomainsCertainFailureReadsZero is the referee leg whose true answer
+// is exactly 0: fleets where certain crashes, in domains and in the
+// remainder, put more nodes down than a region allows. The 2^D referee
+// reads exactly 0; the engine subtracts a failure dot product from a mass
+// that equal it in exact arithmetic, so its answer carries round-off, which
+// must stay within 1e-15 on a cold walk and on the fast path after a
+// domain's shock moves.
+func TestDomainsCertainFailureReadsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	worst := 0.0
+	for iter := 0; iter < 200; iter++ {
+		n := 5 + rng.Intn(60)
+		d := 1 + rng.Intn(4)
+		fleet, domains := ladderFleet(n, d)
+		for i := range fleet {
+			fleet[i].Profile.PCrash *= 10 * rng.Float64()
+			if rng.Intn(3) == 0 {
+				fleet[i].Domain = ""
+			}
+		}
+		// Raft and textbook PBFT both tolerate fewer than half the nodes
+		// down, so n/2 + 1 certain crashes leave neither live. A
+		// power-of-two multiplier keeps an elevated certain crash exactly 1
+		// (Elevate rescales a total above 1).
+		for _, i := range rng.Perm(n)[:n/2+1] {
+			fleet[i].Profile = faultcurve.Profile{PCrash: 1}
+		}
+		for j := range domains {
+			domains[j].CrashMultiplier = float64(int(1) << rng.Intn(4))
+		}
+		e := NewEvaluator()
+		for _, m := range []CountModel{NewRaft(n), NewPBFTForN(n)} {
+			ds := append(DomainSet(nil), domains...)
+			for step := 0; step < 2; step++ {
+				got, err := e.AnalyzeDomains(fleet, m, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := AnalyzeDomainsConditioned(fleet, m, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Live != 0 || want.SafeAndLive != 0 {
+					t.Fatalf("iter %d %s: referee reads live %g, safe-and-live %g, want exactly 0", iter, m.Name(), want.Live, want.SafeAndLive)
+				}
+				if got.Live > 1e-15 || got.SafeAndLive > 1e-15 {
+					t.Fatalf("iter %d %s step %d: engine reads live %.3g, safe-and-live %.3g, want <= 1e-15", iter, m.Name(), step, got.Live, got.SafeAndLive)
+				}
+				worst = max(worst, got.Live, got.SafeAndLive)
+				ds[rng.Intn(d)].ShockProb = rng.Float64()
+			}
+		}
+	}
+	t.Logf("largest answer whose true value is 0: %.3g", worst)
+}
+
+// FuzzDomainEngine drives the domain engine on fleets the fuzzer shapes:
+// up to 24 nodes, each in one of 1 to 4 domains or the independent
+// remainder, probabilities scaled by the fuzzer, certain crashes and
+// certain Byzantine nodes planted, shocks anywhere in [0, 1] and
+// multipliers up to 20, under majority Raft, textbook PBFT and a q/qt PBFT
+// sizing whose live region is a general table where n allows. The cold
+// answer, and the warm answer after each domain in turn moves (the fast
+// path at that domain), must agree with AnalyzeDomainsConditioned at
+// TestDomainEnginesAgree's 1e-12.
+func FuzzDomainEngine(f *testing.F) {
+	f.Add(int64(1), uint8(9), uint8(3), 0.05, 0.005, uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(24), uint8(4), 0.3, 0.1, uint8(5), uint8(3), uint8(4))
+	f.Add(int64(3), uint8(16), uint8(1), 0.5, 0.5, uint8(16), uint8(1), uint8(2))
+	f.Add(int64(4), uint8(7), uint8(2), 1e-30, 0.2, uint8(2), uint8(9), uint8(1))
+	f.Add(int64(5), uint8(1), uint8(4), 0.9, 0.9, uint8(1), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, size, nDomains uint8, crashScale, byzScale float64, certain, q, qt uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n, d := 1+int(size)%24, 1+int(nDomains)%4
+		scale := func(x float64) float64 {
+			if !(x > 0) { // NaN and negatives too
+				return 0
+			}
+			return min(x, 0.5)
+		}
+		cs, bs := scale(crashScale), scale(byzScale)
+		domains := make(DomainSet, d)
+		for j := range domains {
+			domains[j] = faultcurve.Domain{Name: fmt.Sprintf("zone-%d", j), ShockProb: rng.Float64(),
+				CrashMultiplier: 20 * rng.Float64(), ByzMultiplier: 20 * rng.Float64()}
+		}
+		fleet := make(Fleet, n)
+		for i := range fleet {
+			fleet[i].Profile = faultcurve.Profile{PCrash: cs * rng.Float64(), PByz: bs * rng.Float64()}
+			if j := rng.Intn(d + 1); j < d {
+				fleet[i].Domain = domains[j].Name
+			}
+		}
+		for k := 0; k < int(certain)%(n+1); k++ {
+			fleet[rng.Intn(n)].Profile = [...]faultcurve.Profile{{PCrash: 1}, {PByz: 1}}[rng.Intn(2)]
+		}
+		qq := n/2 + 1 + int(q)%(n-n/2)
+		models := []CountModel{NewRaft(n), NewPBFTForN(n), PBFT{NNodes: n, QEq: qq, QPer: qq, QVC: qq, QVCT: 1 + int(qt)%qq}}
+		e := NewEvaluator()
+		for _, m := range models {
+			check := func(tag string, ds DomainSet) {
+				t.Helper()
+				got, err := e.AnalyzeDomains(fleet, m, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := AnalyzeDomainsConditioned(fleet, m, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resultsClose(t, fmt.Sprintf("%s %s", m.Name(), tag), got, want, 1e-12)
+			}
+			check("cold", domains)
+			for j := range domains {
+				ds := append(DomainSet(nil), domains...)
+				ds[j].ShockProb, ds[j].CrashMultiplier = rng.Float64(), 20*rng.Float64()
+				check(fmt.Sprintf("domain %d moved", j), ds)
+			}
+		}
+	})
+}
+
+// ladderFleet is BenchmarkDomainLadder's fleet: n heterogeneous nodes
+// drawn from the bench's domain_churn range, round-robin over d zones.
+func ladderFleet(n, d int) (Fleet, DomainSet) {
+	rng := rand.New(rand.NewSource(int64(n * d)))
+	fleet := make(Fleet, n)
+	domains := make(DomainSet, d)
+	for j := range domains {
+		domains[j] = faultcurve.Domain{Name: fmt.Sprintf("zone-%d", j), ShockProb: 0.001 + 0.019*rng.Float64(),
+			CrashMultiplier: 2 + 6*rng.Float64(), ByzMultiplier: 1}
+	}
+	for i := range fleet {
+		fleet[i] = Node{Profile: faultcurve.Profile{PCrash: 0.002 + 0.028*rng.Float64(), PByz: 0.0001 + 0.0019*rng.Float64()},
+			Domain: domains[i%d].Name}
+	}
+	return fleet, domains
 }
 
 // TestEvaluatorDomainsValidation pins that the workspace engine rejects

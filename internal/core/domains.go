@@ -19,12 +19,13 @@ import (
 //
 // One engine answers every populated layout (domaincache.go): each
 // domain's count distribution is the shock-weighted mixture of its base
-// and elevated block, and the independent blocks convolve — counts of
-// independent groups add. Every table is truncated to the model's three
-// count regions (dist.RegionPass), so for Raft and textbook PBFT the whole
-// recombination is a handful of 1-D rows. AnalyzeDomainsConditioned, the
-// 2^D shock-subset enumeration with one region pass per subset, is its
-// cache-free referee, and no query dispatches to it.
+// and elevated members' folds, and a mixture is linear, so the independent
+// remainder's tables fold through the domains one at a time. Every table
+// is truncated to the model's three count regions (dist.RegionPass), so
+// for Raft and textbook PBFT the whole walk is a handful of 1-D rows.
+// AnalyzeDomainsConditioned, the 2^D shock-subset enumeration with one
+// region pass per subset, is its cache-free referee, and no query
+// dispatches to it.
 
 // DomainSet is the failure-domain layout of a fleet: the named domains
 // that Node.Domain references may resolve to. Order is irrelevant to every
@@ -186,14 +187,18 @@ func (l *domainLayout) price(n int, m CountModel) float64 {
 	return l.work(n, modelRegions(m))
 }
 
-// work bounds the domain engine's cold recombination of the resolved
-// layout over n nodes, region by region. With G(k) a k-node group's
-// reachable cells (dist.Region.Cells) and c = G(n) the whole table: every
-// node folds into its blocks at G(k) cells a node; each domain mixes G(k)
-// cells, and takes three convolutions (prefix, suffix, rest) of c output
-// cells, each reading at most 2·G of the smaller operand, and a rest table
-// of c cells, each reading at most G(n − k). A warm query's fast path is
-// one dot product, far below it.
+// work bounds the domain engine's cold walk of the resolved layout over n
+// nodes, region by region. The formula prices the convolution engine the
+// fold-through replaced, and is kept so that admission, /v1/tail's auto
+// dispatch and the wire work fields do not move (ROADMAP items 7 and 14
+// re-price it): with G(k) a k-node group's reachable cells
+// (dist.Region.Cells) and c = G(n) the whole table, every node folds into
+// its blocks at G(k) cells a node, and each domain mixes G(k) cells and
+// takes three convolutions of c output cells, each reading at most 2·G of
+// the smaller operand, and a rest table of c cells, each reading at most
+// G(n − k). It stays above the fold-through's c·(m + 4·Σk + 6·D) cell
+// updates (TestDomainsEstimateMatchesDispatch); a warm query's fast path,
+// one pass through a domain and a dot product, is far below it.
 func (l *domainLayout) work(n int, regions [3]dist.Region) float64 {
 	var work float64
 	for _, r := range regions {

@@ -58,23 +58,23 @@ func flush(v float64) float64 {
 // jointBuilds counts from-scratch DPs over a fleet or a node group:
 // joint-table constructions (Reset and therefore NewJointCrashByz) and
 // count-region folds (RegionPass.Reset, one per domain-free analysis;
-// RegionPass.ResetGroup, one per domain block; RegionLeaveOneOut.Reset,
+// RegionPass.ResetGroup, one per cold domain walk; RegionLeaveOneOut.Reset,
 // one per gradient) — formerly a test-only hook pinning "one DP build per
 // fleet" claims like SweepRaftQuorums', now a registered metric scraped
-// from /metrics. Mixtures, convolutions and backward edge folds do not
-// count. workspaceReuses is its symmetric companion: builds whose
+// from /metrics. Folds onto a table (Fold), mixtures and backward folds do
+// not count. workspaceReuses is its symmetric companion: builds whose
 // buffers were already large enough, so the build allocated nothing.
 var (
 	jointBuilds = obs.Default().Counter("probcons_engine_joint_builds_total",
-		"From-scratch DPs over a fleet or node group: joint crash/Byzantine table builds and count-region folds (one per domain-free analysis, one per domain block built).", nil)
+		"From-scratch DPs over a fleet or node group: joint crash/Byzantine table builds and count-region folds (one per domain-free analysis, one per cold correlated-domain walk).", nil)
 	workspaceReuses = obs.Default().Counter("probcons_engine_workspace_reuses_total",
 		"DP builds (joint tables and region passes) served entirely from existing workspace buffers (no allocation).", nil)
-	// Block convolutions no longer split their rows (DESIGN.md "Engine
-	// concurrency") and the leave-one-out no longer deflates, so these two
+	// No kernel splits its rows (DESIGN.md "Engine concurrency") and the
+	// leave-one-out no longer deflates, so these two
 	// families are constantly 0. The frozen benchmark scrapes them and
 	// fails on a missing sample, so they stay registered.
 	_ = obs.Default().Counter("probcons_engine_parallel_folds_total",
-		"Retired (block convolutions run serially; constantly 0); kept until the benchmark manifest drops dist.parallel_folds_per_req.", nil)
+		"Retired (no kernel splits its work; constantly 0); kept until the benchmark manifest drops dist.parallel_folds_per_req.", nil)
 	_ = obs.Default().Counter("probcons_engine_loo_deflations_total",
 		"Retired (the leave-one-out folds forward and backward, never deflates; constantly 0); kept until the benchmark manifest drops dist.loo_deflations_per_req.", nil)
 )

@@ -66,7 +66,14 @@ func (l *RegionLeaveOneOut) Reset(nodes []TriState, r Region) {
 	}
 	for i := n - 1; i >= 0; i-- {
 		if i < n-1 {
-			t.foldBack(ef, eb, nodes[i+1])
+			// A row folds only the edge it holds.
+			pc, pb, pok := clampTri(nodes[i+1])
+			if t.shape != shapeByz {
+				t.foldBack(ef, pc, pb, pok, 0)
+			}
+			if t.shape != shapeFaulty {
+				t.foldBack(eb, pc, pb, pok, 0)
+			}
 		}
 		var f, bz float64
 		for b, h := range l.fwdHi[i*cols : (i+1)*cols] {
@@ -101,26 +108,25 @@ func (l *RegionLeaveOneOut) Edges(i int) (faulty, byz float64) {
 	return l.edges[i][0], l.edges[i][1]
 }
 
-// foldBack folds one node backward into ef and eb, the faulty and
-// Byzantine edge tables in t's layout: each cell becomes the mass the node
-// moves from it onto the edge, the adjoint of fold. A row folds only the
-// edge it holds.
-func (t *regionTable) foldBack(ef, eb []float64, node TriState) {
-	pc, pb, pok := clampTri(node)
+// foldBack folds one node backward into e, a table in t's layout, in
+// place, the adjoint of fold: each cell becomes e's expectation over where
+// the node moves it, a cell past the region reading out — 0 for an edge
+// indicator, 1 for a failure table. out = 0 adds only zero terms.
+func (t *regionTable) foldBack(e []float64, pc, pb, pok, out float64) {
 	switch t.shape {
 	case shapeFaulty:
-		foldBackRow(ef, pok, pc+pb)
+		foldBackRow(e, pok, pc+pb, 0, out)
 	case shapeByz:
-		foldBackRow(eb, 1-pb, pb)
+		foldBackRow(e, 1-pb, pb, 0, out)
 	case shapeGeneral:
-		t.foldBackCols(ef, pc, pb, pok)
-		t.foldBackCols(eb, pc, pb, pok)
+		t.foldBackCols(e, pc, pb, pok, out)
 	}
 }
 
 // foldBackCols folds one node backward into e, a general table, in place,
-// b ascending: column b reads column b+1 before it is folded.
-func (t *regionTable) foldBackCols(e []float64, pc, pb, pok float64) {
+// b ascending: column b reads column b+1 before it is folded. A column's
+// last cell, and the last column, move past the region.
+func (t *regionTable) foldBackCols(e []float64, pc, pb, pok, out float64) {
 	last := len(t.hi) - 1
 	for b := 0; b < last; b++ {
 		col := e[b*t.w : b*t.w+t.w-b] // c + b <= Faulty
@@ -128,20 +134,21 @@ func (t *regionTable) foldBackCols(e []float64, pc, pb, pok float64) {
 		for c, v := range right {
 			col[c] = flush(col[c]*pok + col[c+1]*pc + v*pb)
 		}
-		col[len(right)] = flush(col[len(right)] * pok)
+		col[len(right)] = flush(col[len(right)]*pok + (pc+pb)*out)
 	}
-	foldBackRow(e[last*t.w:last*t.w+t.w-last], pok, pc)
+	foldBackRow(e[last*t.w:last*t.w+t.w-last], pok, pc, pb, out)
 }
 
 // foldBackRow folds one node backward into a count row in place,
 //
-//	row[k] = row[k]·stay + row[k+1]·move,
+//	row[k] = row[k]·stay + row[k+1]·move + side·out,
 //
-// ascending, so row[k+1] is read before it is folded.
-func foldBackRow(row []float64, stay, move float64) {
-	last := len(row) - 1
+// ascending, so row[k+1] is read before it is folded; side is the mass the
+// node moves off the row, and a move past its last cell reads out too.
+func foldBackRow(row []float64, stay, move, side, out float64) {
+	last, leave := len(row)-1, side*out
 	for k := 0; k < last; k++ {
-		row[k] = flush(row[k]*stay + row[k+1]*move)
+		row[k] = flush(row[k]*stay + row[k+1]*move + leave)
 	}
-	row[last] = flush(row[last] * stay)
+	row[last] = flush(row[last]*stay + (move+side)*out)
 }

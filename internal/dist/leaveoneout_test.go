@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -232,6 +234,38 @@ func TestRegionLeaveOneOutMatchesFresh(t *testing.T) {
 	}
 	t.Logf("%d edge pairs (deep-tail leg: faulty edges from %.3g); largest relative, absolute error: fresh region fold %.3g, %.3g; joint table %.3g, %.3g; joint Without %.3g, %.3g",
 		pairs, deepest, fresh.rel, fresh.abs, full.rel, full.abs, without.rel, without.abs)
+}
+
+// TestRegionLeaveOneOutGolden pins every edge of 3 000 random fleets and
+// regions bit for bit: an FNV-64a hash of both edges' bits per node. The
+// constant was recorded from the edge-only backward kernel, before it
+// learned failure tables' out-of-region value; its zero terms must not
+// move an edge.
+func TestRegionLeaveOneOutGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	h := fnv.New64a()
+	word := func(v float64) { h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))) }
+	var l RegionLeaveOneOut
+	for iter := 0; iter < 3000; iter++ {
+		n := 1 + rng.Intn(60)
+		nodes := randomTriStatesCapped(rng, n, []float64{0.05, 0.4, 1, 1e-3}[iter%4])
+		if iter%5 == 0 {
+			for i := range nodes {
+				if rng.Intn(4) == 0 {
+					nodes[i] = edgeNodes[rng.Intn(len(edgeNodes))]
+				}
+			}
+		}
+		l.Reset(nodes, Region{Byz: rng.Intn(n+3) - 1, Faulty: rng.Intn(n+3) - 1})
+		for i := range nodes {
+			f, b := l.Edges(i)
+			word(f)
+			word(b)
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x8fb4d35b76a7266d); got != want {
+		t.Fatalf("edge hash %#016x, want %#016x", got, want)
+	}
 }
 
 // FuzzRegionLeaveOneOut drives the region leave-one-out on fleets the

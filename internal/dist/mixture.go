@@ -3,61 +3,61 @@ package dist
 import "fmt"
 
 // This file is the algebra the correlated failure-domain engine
-// (internal/core.AnalyzeDomains) builds on. Every table a domain query
-// combines — the independent remainder, each domain's base and elevated
-// block, their shock mixture, the running convolution across domains and
-// each domain's rest — is a RegionPass: a node group's tables truncated to
-// the model's three regions and laid out for the whole fleet (ResetGroup).
-// Truncation stays exact under every operation here, not only under a
-// fold: a region is down-closed and the counts of independent groups only
-// add, so no cell outside a region ever feeds one inside.
+// (internal/core.AnalyzeDomains) builds on. Every table it combines is a
+// RegionPass laid out for the whole fleet (ResetGroup). A domain's shock
+// makes its counts a mixture of a base and an elevated fold, and mixing is
+// linear, so a running table T passes through a domain as
 //
-//   - Mix: the convex mixture of two tables of one group — "the domain's
-//     shock fired" or not;
-//   - Convolve: the tables of the union of two independent groups;
-//   - Shifted and Dot: the leave-one-group-out form of a convolution. With
-//     rest's Shifted tables held, a change inside the other group is
-//     answered by one dot product over that group's cells.
+//	T ← (1 − s)·fold(T, base members) + s·fold(T, elevated members),
 //
-// For Raft and textbook PBFT every region is a one-dimensional row, so
-// each operation is a 1-D one (DESIGN.md "Count regions").
+// forward for count tables (Fold) and backward for failure tables
+// (FoldBack), whose cell x of region r holds P[x + Y ∉ r] for the group Y
+// folded in. Truncation stays exact both ways: a region is down-closed, a
+// fold only moves mass up, and a backward fold reads a cell past the
+// region as certain failure. Dot reads a count table against failure
+// tables. For Raft and textbook PBFT every region is a row, so each
+// operation is 1-D (DESIGN.md "Count regions").
 
 // Mix sets rp to the convex mixture wa·a + wb·b of two tables of one
 // layout: the tables of a group whose nodes follow a with probability wa
-// and b with probability wb. rp may be a or b.
+// and b with probability wb. rp may be a or b; Mix(a, a, 1, 0) copies a
+// bit for bit.
 func (rp *RegionPass) Mix(a, b *RegionPass, wa, wb float64) {
 	for i := range rp.tabs {
 		rp.tabs[i].mix(&a.tabs[i], &b.tabs[i], wa, wb)
 	}
 }
 
-// Convolve sets rp to the tables of the union of two independent groups a
-// and b of one layout, P[X + Y = x] = Σ_y P[X = y]·P[Y = x − y], each cell
-// one compensated sum over its sources. rp must be neither a nor b.
-func (rp *RegionPass) Convolve(a, b *RegionPass) {
+// ResetFailure lays rp out as ResetGroup(nil, regions, n) does, every cell
+// 0: the failure tables of an empty group, which leaves no region.
+func (rp *RegionPass) ResetFailure(regions [3]Region, n int) {
 	for i := range rp.tabs {
-		rp.tabs[i].convolve(&a.tabs[i], &b.tabs[i])
+		rp.tabs[i].resize(regions[i], n)
 	}
 }
 
-// Shifted sets rp, cell for cell in rest's layout, to the mass rest puts
-// on each region shifted down by the cell: cell x of region r holds
-// P[X + x ∈ r] for X distributed as rest's group. For a group Y
-// independent of it, P[X + Y ∈ r] = Σ_x P[Y = x]·P[X + x ∈ r], which is
-// Y's tables dotted with these (Dot). In a row the cells are rest's
-// cumulative row read backwards; in the general table cell (c, b) holds
-// P[B ≤ β − b, C + B ≤ κ − c − b]. rp must not be rest.
-func (rp *RegionPass) Shifted(rest *RegionPass) {
+// FoldBack folds nodes Z backward into failure tables in place: a cell x
+// of region r that held P[x + Y ∉ r] holds P[x + Y + Z ∉ r], each node
+// moving it onto its neighbours, and a neighbour past r counting as 1.
+func (rp *RegionPass) FoldBack(nodes []TriState) {
+	for _, node := range nodes {
+		pc, pb, pok := clampTri(node)
+		for i := range rp.tabs {
+			t := &rp.tabs[i]
+			t.foldBack(t.p, pc, pb, pok, 1)
+		}
+	}
 	for i := range rp.tabs {
-		rp.tabs[i].shifted(&rest.tabs[i])
+		rp.tabs[i].trim()
 	}
 }
 
-// Dot returns region i's mass over the union of rp's group and a rest
-// group, given rest's Shifted tables: Σ_x rp[x]·shifted[x] over region i's
-// cells, compensated and clamped.
-func (rp *RegionPass) Dot(shifted *RegionPass, i int) float64 {
-	t, u := &rp.tabs[i], &shifted.tabs[i]
+// Dot returns Σ_x rp[x]·g[x] over rp's cells in region i, compensated and
+// unclamped: with g the failure tables of a group independent of rp's, the
+// mass of rp's group in region i from which the union leaves it, so the
+// union's mass in the region is rp.Mass(i) − rp.Dot(g, i).
+func (rp *RegionPass) Dot(g *RegionPass, i int) float64 {
+	t, u := &rp.tabs[i], &g.tabs[i]
 	mustShareLayout(t, u)
 	var s KahanSum
 	for b, h := range t.hi {
@@ -66,7 +66,7 @@ func (rp *RegionPass) Dot(shifted *RegionPass, i int) float64 {
 			s.Add(v * u.p[o+k])
 		}
 	}
-	return Clamp01(s.Sum())
+	return s.Sum()
 }
 
 // mustShareLayout panics unless a and b are laid out alike: the operands of
@@ -96,58 +96,12 @@ func (t *regionTable) mix(a, b *regionTable, wa, wb float64) {
 	}
 }
 
-// convolve writes a ⊛ b in gather form: output cell (c, b) sums
-// a[ca][ba]·b[c−ca][b−ba] over ba ascending, then ca ascending, visiting
-// only columns and cells where both operands hold mass. A row is the
-// one-column case.
-func (t *regionTable) convolve(a, b *regionTable) {
-	mustShareLayout(a, b)
-	t.shapeAs(a)
-	w, colsA, colsB := t.w, a.liveCols(), b.liveCols()
-	for bo := range t.hi {
-		out := t.p[bo*w : bo*w+w-bo] // c + b <= Faulty; a row's one column is whole
-		hi := 0
-		for co := range out {
-			var s KahanSum
-			for ba := max(0, bo-colsB+1); ba < min(bo+1, colsA); ba++ {
-				colA := a.p[ba*w : ba*w+a.hi[ba]]
-				colB := b.p[(bo-ba)*w : (bo-ba)*w+b.hi[bo-ba]]
-				for ca := max(0, co-len(colB)+1); ca < min(co+1, len(colA)); ca++ {
-					s.Add(colA[ca] * colB[co-ca])
-				}
-			}
-			if out[co] = flush(s.Sum()); out[co] != 0 {
-				hi = co + 1
-			}
-		}
-		t.hi[bo] = hi
-	}
-}
-
-// shifted writes rest's shifted masses: with top the region's faulty bound
-// (a row's only bound) and F(B, S) = P[B_X ≤ B, C_X + B_X ≤ S], cell
-// (c, b) is F(β − b, top − c − b). F runs up S for each B, one diagonal of
-// columns 0..B at a time.
-func (t *regionTable) shifted(rest *regionTable) {
-	t.shapeAs(rest)
-	w, cols, live := t.w, len(t.hi), rest.liveCols()
-	for B := 0; B < cols; B++ {
-		bd := cols - 1 - B
-		var f KahanSum
-		for S := 0; S < w; S++ {
-			var diag float64
-			for b := 0; b < min(B+1, S+1, live); b++ {
-				diag += rest.p[b*w+S-b]
-			}
-			f.Add(diag)
-			if cd := w - 1 - S - bd; cd >= 0 {
-				t.p[bd*w+cd] = f.Sum()
-			}
-		}
-	}
+// trim sets every column's live length to its last nonzero cell, after a
+// backward fold wrote whole columns (column b holds c + b <= Faulty).
+func (t *regionTable) trim() {
 	for b := range t.hi {
-		h := w - b
-		for h > 0 && t.p[b*w+h-1] == 0 {
+		h := t.w - b
+		for h > 0 && t.p[b*t.w+h-1] == 0 {
 			h--
 		}
 		t.hi[b] = h

@@ -98,18 +98,20 @@ func randomRegions(rng *rand.Rand, n int) [3]Region {
 
 // TestRegionAlgebraMatchesJoint pins the region algebra against the joint
 // tables it replaced, the way the domain engine composes them: a fleet cut
-// into an independent remainder and up to four groups, each group's base
-// tables mixed with an elevated copy as a shocked domain's are, the groups
-// convolved in order; then every group's answer read again as a dot
-// product against the Shifted tables of the rest of the fleet. Random
-// sizes and regions of every shape, the edge tri-states mixed in, one set
-// of reused workspaces. Every mass is pinned to the joint oracle's
-// RegionSum at 1e-13 relative, and the convolved fleet's cells to a fresh
-// fold over it.
+// into an independent remainder and up to four groups, each a shocked
+// domain whose base and elevated folds mix. The forward fold-through — the
+// running table folded through each group's base and elevated nodes and
+// mixed — is pinned to the joint oracle's mixtures and convolutions at
+// 1e-13 relative. Then every group's forward table, passed through it, is
+// dotted with the failure tables of the groups after it (ResetFailure and
+// the backward fold-through) and pinned at 1e-13 relative to the
+// positive-term joint sum Σ_{x∈r} X[x]·Σ_{x+y∉r} Y[y]. Random sizes and
+// regions of every shape, the edge tri-states mixed in, one set of reused
+// workspaces. Folding the groups one after another onto the remainder is
+// one ResetGroup over the fleet, bit for bit.
 func TestRegionAlgebraMatchesJoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	var base, elev, whole, rest, shifted RegionPass
-	var acc [2]RegionPass
+	var base, elev, whole, chained RegionPass
 	worst := 0.0
 	for iter := 0; iter < 300; iter++ {
 		n := rng.Intn(24)
@@ -132,71 +134,109 @@ func TestRegionAlgebraMatchesJoint(t *testing.T) {
 			cuts = append(cuts, cuts[len(cuts)-1]+rng.Intn(n-cuts[len(cuts)-1]+1))
 		}
 		cuts = append(cuts, n)
-
-		// The fleet as the engine builds it, and the joint oracle alongside.
-		weights := make([]float64, len(cuts)-1)
-		fleet := NewJointCrashByz(nodes[:cuts[1]])
-		acc[0].ResetGroup(nodes[:cuts[1]], regions, n)
-		groups := make([]RegionPass, len(cuts)-2)
-		for g := range groups {
+		groups := len(cuts) - 2
+		weights := make([]float64, groups)
+		for g := range weights {
+			weights[g] = rng.Float64()
+		}
+		// through passes src through group g into dst, forward or backward.
+		through := func(dst, src *RegionPass, g int, back bool) {
 			lo, hi := cuts[g+1], cuts[g+2]
-			s := rng.Float64()
-			weights[g] = s
-			base.ResetGroup(nodes[lo:hi], regions, n)
-			elev.ResetGroup(hot[lo:hi], regions, n)
-			groups[g].Mix(&base, &elev, 1-s, s)
-			checkReach(t, name, &groups[g], regions, n, hi-lo)
-			jm, err := MixJointCrashByz(NewJointCrashByz(nodes[lo:hi]), NewJointCrashByz(hot[lo:hi]), 1-s, s)
+			for _, half := range []struct {
+				t     *RegionPass
+				nodes []TriState
+			}{{&base, nodes[lo:hi]}, {&elev, hot[lo:hi]}} {
+				half.t.Mix(src, src, 1, 0)
+				if back {
+					half.t.FoldBack(half.nodes)
+				} else {
+					half.t.Fold(half.nodes)
+				}
+			}
+			dst.Mix(&base, &elev, 1-weights[g], weights[g])
+		}
+		// The groups' joint oracles, shocks mixed in.
+		joints := make([]*JointCrashByz, groups)
+		for g := range joints {
+			lo, hi := cuts[g+1], cuts[g+2]
+			jm, err := MixJointCrashByz(NewJointCrashByz(nodes[lo:hi]), NewJointCrashByz(hot[lo:hi]), 1-weights[g], weights[g])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, r := range regions {
-				regionsClose(t, fmt.Sprintf("%s group %d region %d mixture", name, g, i), groups[g].Mass(i), Clamp01(jm.RegionSum(r)), 1e-13)
-			}
-			acc[(g+1)%2].Convolve(&acc[g%2], &groups[g])
-			checkRegionInvariant(t, name, &acc[(g+1)%2])
-			fleet = ConvolveJointCrashByz(fleet, jm)
+			joints[g] = jm
 		}
-		got := &acc[len(groups)%2]
+
+		// The forward tables F_0 … F_groups, and the joint oracle beside.
+		fwd := make([]RegionPass, groups+1)
+		fwd[0].ResetGroup(nodes[:cuts[1]], regions, n)
+		prefix := []*JointCrashByz{NewJointCrashByz(nodes[:cuts[1]])}
+		for g := 0; g < groups; g++ {
+			through(&fwd[g+1], &fwd[g], g, false)
+			checkRegionInvariant(t, name, &fwd[g+1])
+			checkReach(t, name, &fwd[g+1], regions, n, cuts[g+2])
+			prefix = append(prefix, ConvolveJointCrashByz(prefix[g], joints[g]))
+		}
 		for i, r := range regions {
-			want := Clamp01(fleet.RegionSum(r))
-			regionsClose(t, fmt.Sprintf("%s region %d", name, i), got.Mass(i), want, 1e-13)
+			want := Clamp01(prefix[groups].RegionSum(r))
+			regionsClose(t, fmt.Sprintf("%s region %d fold-through", name, i), fwd[groups].Mass(i), want, 1e-13)
 			if want > 0 {
-				worst = max(worst, math.Abs(got.Mass(i)-want)/want)
+				worst = max(worst, math.Abs(fwd[groups].Mass(i)-want)/want)
 			}
 		}
 
-		// Unmixed, the convolution is the union's fold, cell for cell.
-		acc[0].ResetGroup(nodes[:cuts[1]], regions, n)
-		for g := range groups {
-			base.ResetGroup(nodes[cuts[g+1]:cuts[g+2]], regions, n)
-			acc[(g+1)%2].Convolve(&acc[g%2], &base)
+		// Unmixed, the groups folded on in turn are the fleet's fold.
+		chained.ResetGroup(nodes[:cuts[1]], regions, n)
+		for g := 0; g < groups; g++ {
+			chained.Fold(nodes[cuts[g+1]:cuts[g+2]])
 		}
 		whole.Reset(nodes, regions)
 		for i := range whole.tabs {
-			a, b := &acc[len(groups)%2].tabs[i], &whole.tabs[i]
-			for k, v := range b.p {
-				regionsClose(t, fmt.Sprintf("%s table %d cell %d", name, i, k), a.p[k], v, 1e-12)
+			a, b := &chained.tabs[i], &whole.tabs[i]
+			if !slices.Equal(a.p, b.p) || !slices.Equal(a.hi, b.hi) {
+				t.Fatalf("%s table %d: ResetGroup then Fold differs from one ResetGroup", name, i)
 			}
 		}
 
-		// Each group against the Shifted tables of everything else.
-		for g := range groups {
-			rest.ResetGroup(nodes[:cuts[1]], regions, n)
-			for h := range groups {
-				if h != g {
-					acc[0].Convolve(&rest, &groups[h])
-					rest, acc[0] = acc[0], rest
-				}
-			}
-			shifted.Shifted(&rest)
-			checkRegionInvariant(t, name, &shifted)
+		// The failure tables Ḡ_groups … Ḡ_1, and the suffix oracle beside:
+		// F_{g+1}, group g's forward pass, against the groups after it.
+		var back [2]RegionPass
+		back[groups%2].ResetFailure(regions, n)
+		suffix := NewJointCrashByz(nil)
+		for g := groups - 1; g >= 0; g-- {
+			g1 := &back[(g+1)%2]
+			checkRegionInvariant(t, name, g1)
 			for i, r := range regions {
-				regionsClose(t, fmt.Sprintf("%s group %d region %d dot", name, g, i), groups[g].Dot(&shifted, i), Clamp01(fleet.RegionSum(r)), 1e-13)
+				want := failureOracle(prefix[g+1], suffix, r)
+				regionsClose(t, fmt.Sprintf("%s group %d region %d dot", name, g, i), fwd[g+1].Dot(g1, i), want, 1e-13)
 			}
+			through(&back[g%2], g1, g, true)
+			suffix = ConvolveJointCrashByz(joints[g], suffix)
 		}
 	}
-	t.Logf("largest relative error of a convolved fleet's region mass: %.3g", worst)
+	t.Logf("largest relative error of a folded-through fleet's region mass: %.3g", worst)
+}
+
+// failureOracle is the positive-term form of a failure dot product over
+// joint tables: Σ_{x∈r} X[x]·Σ_{x+y∉r} Y[y], compensated.
+func failureOracle(x, y *JointCrashByz, r Region) float64 {
+	var s KahanSum
+	for cx := 0; cx <= x.N(); cx++ {
+		for bx := 0; cx+bx <= x.N(); bx++ {
+			if !r.Holds(cx, bx) || x.PMF(cx, bx) == 0 {
+				continue
+			}
+			var out KahanSum
+			for cy := 0; cy <= y.N(); cy++ {
+				for by := 0; cy+by <= y.N(); by++ {
+					if !r.Holds(cx+cy, bx+by) {
+						out.Add(y.PMF(cy, by))
+					}
+				}
+			}
+			s.Add(x.PMF(cx, bx) * out.Sum())
+		}
+	}
+	return s.Sum()
 }
 
 // checkReach asserts a k-node group's tables hold mass on no more cells

@@ -43,9 +43,10 @@ func (r Region) Intersect(o Region) Region {
 //     truncated at c + b <= Faulty. With Byz = 0 that is again one row.
 //
 // A RegionPass over part of a fleet (ResetGroup) holds that group's
-// tables in the fleet's layout; mixture.go combines such tables. The zero
-// value is ready; buffers are reused, so a warm RegionPass folds, mixes
-// and convolves without allocating. Not safe for concurrent use.
+// tables in the fleet's layout; mixture.go mixes such tables and folds
+// failure tables backward. The zero value is ready; buffers are reused, so
+// a warm RegionPass folds and mixes without allocating. Not safe for
+// concurrent use.
 type RegionPass struct {
 	tabs [3]regionTable
 }
@@ -80,8 +81,9 @@ func (rp *RegionPass) Reset(nodes []TriState, regions [3]Region) {
 
 // ResetGroup folds a group of nodes, part of a fleet of n nodes, into the
 // three regions' tables laid out as Reset lays out an n-node fleet's:
-// tables of one fleet's groups share their layout, which Mix, Convolve,
-// Shifted and Dot require. It counts as one from-scratch DP, like Reset.
+// tables of one fleet's groups share their layout, which Mix, Dot and the
+// failure tables (ResetFailure) require. It counts as one from-scratch DP,
+// like Reset.
 func (rp *RegionPass) ResetGroup(nodes []TriState, regions [3]Region, n int) {
 	jointBuilds.Add(1)
 	grew := false
@@ -91,6 +93,13 @@ func (rp *RegionPass) ResetGroup(nodes []TriState, regions [3]Region, n int) {
 	if !grew {
 		workspaceReuses.Add(1)
 	}
+	rp.Fold(nodes)
+}
+
+// Fold folds more nodes into rp's tables in place: ResetGroup(a) then
+// Fold(b) is ResetGroup(a ++ b), bit for bit. It extends a build rather
+// than starting one, so it is not counted as one.
+func (rp *RegionPass) Fold(nodes []TriState) {
 	for _, t := range nodes {
 		pc, pb, pok := clampTri(t)
 		for i := range rp.tabs {
@@ -100,8 +109,8 @@ func (rp *RegionPass) ResetGroup(nodes []TriState, regions [3]Region, n int) {
 }
 
 // Mass returns the probability mass of region i's table, compensated and
-// clamped: the group's mass in the region, whether the table was folded,
-// mixed or convolved.
+// clamped: the group's mass in the region, whether the table was folded or
+// mixed.
 func (rp *RegionPass) Mass(i int) float64 { return rp.tabs[i].mass() }
 
 func (t *regionTable) mass() float64 {
@@ -149,8 +158,7 @@ func (r Region) layout(n int) (shape regionShape, w, cols int) {
 // of k of its nodes can reach: a row's first k+1 cells, or the box of the
 // general table's columns b <= min(Byz, k), each to c + b <= min(Faulty,
 // k). Cells(n, n) is the whole table, the most a fold, mixture or
-// convolution writes; a convolution reads at most twice its smaller
-// operand's Cells per output cell (DESIGN.md "Count regions").
+// backward fold writes (DESIGN.md "Count regions").
 func (r Region) Cells(n, k int) int {
 	shape, w, cols := r.layout(n)
 	switch shape {

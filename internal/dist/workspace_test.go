@@ -183,20 +183,23 @@ func TestWorkspaceZeroAllocs(t *testing.T) {
 		t.Errorf("RegionPass.Reset allocates %v/op", n)
 	}
 
-	// The domain engine's algebra: group folds, a mixture in place, a
-	// convolution, rest tables and the dot product, on warm workspaces.
-	var grp, hot, conv, shifted RegionPass
+	// The domain engine's algebra: group folds, more nodes folded on, a
+	// mixture in place and into a copy, failure tables folded backward and
+	// the dot product, on warm workspaces.
+	var grp, hot, fail RegionPass
 	algebra := func() {
 		grp.ResetGroup(nodes[:7], regions, 20)
-		hot.ResetGroup(nodes[7:], regions, 20)
+		hot.Mix(&grp, &grp, 1, 0)
+		grp.Fold(nodes[7:12])
+		hot.Fold(nodes[12:17])
 		grp.Mix(&grp, &hot, 0.9, 0.1)
-		conv.Convolve(&grp, &hot)
-		shifted.Shifted(&conv)
-		grp.Dot(&shifted, 2)
+		fail.ResetFailure(regions, 20)
+		fail.FoldBack(nodes[17:])
+		grp.Dot(&fail, 2)
 	}
 	algebra()
 	if n := testing.AllocsPerRun(100, algebra); n != 0 {
-		t.Errorf("RegionPass ResetGroup/Mix/Convolve/Shifted/Dot allocate %v/op", n)
+		t.Errorf("RegionPass ResetGroup/Fold/Mix/ResetFailure/FoldBack/Dot allocate %v/op", n)
 	}
 
 	// Every shape, and a node that fails often (pok 0.7).
@@ -234,15 +237,16 @@ func TestJointBuildCounter(t *testing.T) {
 
 	before = JointBuilds()
 	regions := [3]Region{{Byz: 0, Faulty: 6}, {Byz: 6, Faulty: 3}, {Byz: 1, Faulty: 3}}
-	var a, b, conv, shifted RegionPass
+	var a, b, fail RegionPass
 	a.ResetGroup(nodes[:2], regions, 6)
-	b.ResetGroup(nodes[2:], regions, 6)
+	b.ResetGroup(nodes[2:4], regions, 6)
+	a.Fold(nodes[4:])
 	a.Mix(&a, &b, 0.5, 0.5)
-	conv.Convolve(&a, &b)
-	shifted.Shifted(&conv)
-	a.Dot(&shifted, 1)
+	fail.ResetFailure(regions, 6)
+	fail.FoldBack(nodes[4:])
+	a.Dot(&fail, 1)
 	if got := JointBuilds() - before; got != 2 {
-		t.Errorf("two group folds, a mixture, a convolution, rest tables and a dot product counted %d builds, want 2", got)
+		t.Errorf("two group folds, a fold onto one, a mixture, failure tables folded backward and a dot product counted %d builds, want 2", got)
 	}
 
 	before = JointBuilds()

@@ -60,10 +60,10 @@ func TestDomainHardeningCachedMatchesReference(t *testing.T) {
 }
 
 // TestNodeHardeningWithDomainsBlockReuse covers the node-hardening
-// problem on a correlated layout: a probe perturbs one node, so exactly
-// one domain's base and elevated blocks fold and the rest tables answer —
-// two small builds per probed coordinate, never a full 7-build
-// recombination per engine call.
+// problem on a correlated layout: a probe perturbs one node, so the rest
+// tables of its domain answer after folding only that domain onto them —
+// no from-scratch build per probed coordinate, where a cold walk folds the
+// independent remainder.
 func TestNodeHardeningWithDomainsBlockReuse(t *testing.T) {
 	dp := domainExemplar()
 	curves := make([]faultcurve.Response, len(dp.Fleet))
@@ -87,7 +87,7 @@ func TestNodeHardeningWithDomainsBlockReuse(t *testing.T) {
 	x[4] = 0.25 // perturb one node in zone b
 	obj.Value(x)
 	builds := dist.JointBuilds() - start
-	if builds > 2 {
-		t.Fatalf("single-node probe performed %d builds, want <= 2 (that node's base+elevated block)", builds)
+	if builds != 0 {
+		t.Fatalf("single-node probe performed %d builds, want 0 (that node's domain folds onto its cached rest tables)", builds)
 	}
 }

@@ -166,9 +166,9 @@ func (p HardeningProblem) Objective() Objective {
 		// Correlated layout: every engine call runs through one dedicated
 		// evaluator whose rest tables carry across the solve. A
 		// central-difference probe perturbs one node, so only that node's
-		// domain refolds its two small blocks — the rest of the fleet is
-		// answered from cached rest tables; line-search steps move all
-		// nodes and recombine.
+		// domain is folded onto the cached rest tables of the fleet around
+		// it; line-search steps move all nodes and walk the whole fleet
+		// again.
 		e := core.NewEvaluator()
 		fleet := make(core.Fleet, len(p.Fleet))
 		return FuncObjective{F: func(x []float64) float64 {
@@ -336,10 +336,10 @@ func (p DomainHardeningProblem) Eval(x []float64) core.Result {
 // gradients: the shock probability enters the domain engine non-linearly
 // per domain, so the leave-one-out trick does not apply. All engine calls
 // share one dedicated evaluator, so a gradient probe, which moves one
-// domain's shock probability, folds that domain's two blocks and answers
-// from the rest tables the previous evaluation left; a step that moves
-// several domains recombines (BenchmarkOptimizeDomainHardening reports the
-// builds per solve).
+// domain's shock probability, folds that domain onto the rest tables the
+// previous evaluation left; a step that moves several domains walks the
+// whole fleet again (BenchmarkOptimizeDomainHardening reports the builds
+// per solve).
 func (p DomainHardeningProblem) Objective() Objective {
 	e := core.NewEvaluator()
 	ds := make(core.DomainSet, len(p.Domains))
