@@ -32,9 +32,11 @@
 //     increment per draw; each increment is (log true − log proposal) of
 //     the outcome drawn. The increments depend only on (coin, shock
 //     state, outcome), so they are computed once per Reset; the sum is
-//     not reassociated. Next only counts; LogW sums the increments of
-//     the recorded outcomes, and the estimator calls it — and
-//     exponentiates — only for samples the predicate accepts.
+//     not reassociated. Drawing only counts and records each coin's
+//     outcome code in a row; the estimator keeps the rows of samples
+//     the predicate accepts and sums them four at a time, one add chain
+//     per row in draw order, then exponentiates and accumulates the
+//     weights in sample order.
 //   - Hence same inputs and seed give the same numbers bit for bit, on
 //     any run and against the loops the kernel replaced, kept as test
 //     oracles drawing from rand.New(rand.NewSource(seed)): oracle_test.go

@@ -95,7 +95,7 @@ func TestImportanceHeterogeneousTargetedLoss(t *testing.T) {
 			}
 		}
 		if hit {
-			w := math.Exp(d.LogW())
+			w := math.Exp(LogW(&d))
 			sumW += w
 			sumW2 += w * w
 		}

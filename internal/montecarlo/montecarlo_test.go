@@ -51,7 +51,7 @@ func TestIndependentTriState(t *testing.T) {
 	byz0 := 0
 	for k := 0; k < samples; k++ {
 		crashed, byz := d.Next(s)
-		if logW := d.LogW(); logW != 0 {
+		if logW := montecarlo.LogW(&d); logW != 0 {
 			t.Fatalf("untilted draw has log-weight %v", logW)
 		}
 		for j := range profiles {

@@ -3,6 +3,7 @@ package montecarlo
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -96,11 +97,14 @@ var planted = []struct {
 	raw uint64
 }{
 	{3, math.MaxUint64},
+	{30, 1<<63 - 512},
 	{50, 1<<63 - 513}, // kept: rounds down to 1 − 2^−53
+	{60, math.MaxUint64},
 	{100, 1<<63 - 512},
 	{101, 1<<64 - 512},
 	{102, 1<<63 | 5},
-	{600, math.MaxUint64}, // in the sample that straddles two blocks at N = 25
+	{200, math.MaxUint64},
+	{600, math.MaxUint64},
 	{606, 1<<63 - 1},
 }
 
@@ -110,6 +114,12 @@ func plantedStream(seed int64) *Stream {
 		s.buf[p.at] = p.raw
 	}
 	return s
+}
+
+// plantNext sets output k < streamTap of the block after s's current one
+// to raw: refill adds the current block's entry k + 334 into entry k.
+func plantNext(s *Stream, k int, raw uint64) {
+	s.buf[k+streamLen-streamTap] = raw - s.buf[k]
 }
 
 // TestStreamPlantedSkips checks rand.New(stream).Float64 skips exactly
@@ -140,33 +150,80 @@ func TestStreamPlantedSkips(t *testing.T) {
 
 // TestKernelSkipsWhatFloat64Skips runs the kernel and the historical
 // per-draw loop — whose rand.Float64 does the skipping — on the same
-// planted stream, with and without domains: the values to skip fall in a
-// sample read in place, twice in one sample, and in the sample stitched
-// across two blocks.
+// planted stream, with and without domains, under the served predicate
+// and one that accepts every sample. The values to skip fall in samples
+// read in place, twice in one sample, and on both sides of the seam in
+// the sample stitched across two blocks; under the accept-all predicate
+// they fall in samples drawn while 1, 2 and 3 accepted rows wait to be
+// priced. A voided sample must be neither priced nor left in a row.
 func TestKernelSkipsWhatFloat64Skips(t *testing.T) {
+	preds := map[string]TriPred{
+		"served": func(c, b int) bool { return c+b >= 9 },
+		"always": func(int, int) bool { return true },
+	}
 	for _, withDomains := range []bool{false, true} {
 		profiles, member, domains := servedFleet(withDomains)
 		tilt := TiltForCount(profiles, 13, withDomains)
-		pred := func(c, b int) bool { return c+b >= 9 }
-		for seed := int64(1); seed <= 3; seed++ {
-			var d Draws
-			if err := d.Reset(profiles, member, domains, tilt); err != nil {
-				t.Fatal(err)
-			}
+		stream := func(seed int64) *Stream {
 			s := plantedStream(seed)
-			src := *s
-			got := d.estimate(2000, s, pred)
-			want, err := refImportanceTriOn(profiles, member, domains, tilt, pred, 2000, rand.New(&src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameEstimate(got, want) {
-				t.Errorf("domains=%v seed %d: kernel %+v != oracle %+v on the planted stream", withDomains, seed, got, want)
-			}
-			if got.P <= 0 {
-				t.Errorf("domains=%v seed %d: event never hit", withDomains, seed)
+			plantNext(s, 0, math.MaxUint64)
+			return s
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			checkSkipPlacement(t, stream(seed), len(profiles)+len(domains))
+			for name, pred := range preds {
+				var d Draws
+				if err := d.Reset(profiles, member, domains, tilt); err != nil {
+					t.Fatal(err)
+				}
+				s := stream(seed)
+				src := *s
+				got := d.estimate(2000, s, pred)
+				want, err := refImportanceTriOn(profiles, member, domains, tilt, pred, 2000, rand.New(&src))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameEstimate(got, want) {
+					t.Errorf("%s, domains=%v seed %d: kernel %+v != oracle %+v on the planted stream", name, withDomains, seed, got, want)
+				}
+				if got.P <= 0 {
+					t.Errorf("%s, domains=%v seed %d: event never hit", name, withDomains, seed)
+				}
 			}
 		}
+	}
+}
+
+// checkSkipPlacement walks s's first two blocks as samples of coins draws
+// each and fails unless the values rand.Float64 skips land where
+// TestKernelSkipsWhatFloat64Skips needs them: in samples 1, 2 and 3
+// modulo batch — with every sample accepted, that many rows are pending
+// — and on both sides of the seam of the sample that straddles the
+// blocks.
+func checkSkipPlacement(t *testing.T, s *Stream, coins int) {
+	t.Helper()
+	var keptAt, skips []int // positions of the kept values and of the skipped ones
+	for p := 0; p < 2*streamLen; p++ {
+		if int64(s.Uint64()&(1<<63-1)) >= resampleAt {
+			skips = append(skips, p)
+		} else {
+			keptAt = append(keptAt, p)
+		}
+	}
+	pending := map[int]bool{}
+	var beforeSeam, afterSeam bool
+	for _, p := range skips {
+		kept := sort.SearchInts(keptAt, p) // kept values before p
+		k := kept / coins
+		pending[k%batch] = true
+		if last := (k+1)*coins - 1; last < len(keptAt) && keptAt[k*coins] < streamLen && keptAt[last] >= streamLen {
+			beforeSeam = beforeSeam || p < streamLen
+			afterSeam = afterSeam || p >= streamLen
+		}
+	}
+	if !pending[1] || !pending[2] || !pending[3] || !beforeSeam || !afterSeam {
+		t.Fatalf("%d coins: skips at %v fall in samples with %v pending rows, before the seam %v, after it %v",
+			coins, skips, pending, beforeSeam, afterSeam)
 	}
 }
 

@@ -158,6 +158,59 @@ func TestKernelMatchesOracleServed(t *testing.T) {
 	}
 }
 
+// FuzzImportanceKernel is the bit-identity pin under the fuzzer:
+// fleets of up to 40 nodes in 0–4 domains, edge profiles and shocks
+// included, tilts from none (Boost 1) to far past the MaxTiltMass clamp,
+// and 1–300 samples, so that every count of accepted rows left pending
+// at the end (0–3) and samples across block seams come up. The kernel
+// must return the historical per-draw loop's estimate bit for bit.
+func FuzzImportanceKernel(f *testing.F) {
+	f.Add(int64(1), uint8(24), uint8(0), 1.0, 0.0, uint16(299))
+	f.Add(int64(2), uint8(24), uint8(4), 40.0, 0.5, uint16(100))
+	f.Add(int64(3), uint8(39), uint8(2), 1e9, 0.999, uint16(0))
+	f.Add(int64(4), uint8(6), uint8(3), 0.0, 0.25, uint16(250))
+	f.Fuzz(func(t *testing.T, seed int64, size, nDomains uint8, boost, shockTilt float64, samples uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		n, nd := 1+int(size)%40, int(nDomains)%5
+		profiles := make([]faultcurve.Profile, n)
+		for i := range profiles {
+			profiles[i] = randomProfile(rng)
+		}
+		domains := make([]faultcurve.Domain, nd)
+		for d := range domains {
+			domains[d] = randomDomain(rng)
+		}
+		member := make([]int, n)
+		for i := range member {
+			member[i] = rng.Intn(nd+1) - 1
+		}
+		// Both refuse a shock tilt outside [0, 1); only the kernel
+		// refuses a NaN boost.
+		if math.IsNaN(boost) {
+			boost = 1
+		}
+		if !(shockTilt >= 0 && shockTilt < 1) {
+			shockTilt = 0
+		}
+		tilt := TriTilt{Boost: boost, ShockProb: shockTilt}
+		pred := randomPred(rng, n)
+		runs, streamSeed := 1+int(samples)%300, rng.Int63()
+
+		got, err := RunImportanceTri(profiles, member, domains, tilt, pred, runs, streamSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refImportanceTri(profiles, member, domains, tilt, pred, runs, streamSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEstimate(got, want) {
+			t.Fatalf("kernel %+v != oracle %+v\nprofiles %+v\nmember %v\ndomains %+v\ntilt %+v samples %d seed %d",
+				got, want, profiles, member, domains, tilt, runs, streamSeed)
+		}
+	})
+}
+
 // servedFleet is a 25-node fleet in the benchmark's solver_mix range
 // (p_crash 0.05..0.15, p_byz 0..0.001), optionally spread over four shocked
 // zones with one node left independent.
@@ -352,7 +405,9 @@ var benchSink ImportanceEstimate
 
 // BenchmarkImportanceTri times one run at the shape /v1/tail serves:
 // N = 25, 50 000 samples, with and without four shocked domains. ns/draw
-// is per uniform draw (one per domain and per node per sample).
+// is per uniform draw (one per domain and per node per sample);
+// hits/sample is the share of samples the predicate accepts, the ones
+// whose weight is priced.
 func BenchmarkImportanceTri(b *testing.B) {
 	const samples = 50_000
 	for _, withDomains := range []bool{false, true} {
@@ -374,10 +429,25 @@ func BenchmarkImportanceTri(b *testing.B) {
 			}
 			draws := float64(b.N) * samples * float64(len(profiles)+len(domains))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/draws, "ns/draw")
+			// The share of samples the predicate accepts — the ones that
+			// get priced — counted on one more run, outside the timing.
+			b.StopTimer()
+			hits := 0
+			counting := func(c, byz int) bool {
+				hit := pred(c, byz)
+				if hit {
+					hits++
+				}
+				return hit
+			}
+			if _, err := RunImportanceTri(profiles, member, domains, tilt, counting, samples, 1); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(hits)/samples, "hits/sample")
 		})
 	}
 	// The generator alone, as many draws as one N25 run takes: the stream
-	// read a sample at a time the way Draws.Next reads it, and the
+	// read a sample at a time the way the kernel reads it, and the
 	// rand.Rand.Float64 loop the kernel drew from before. Their difference
 	// is what the stream saves per draw; N25 minus "stream" is the loop.
 	const n = 25
