@@ -721,12 +721,13 @@ func domainHardeningExemplar() optimize.DomainHardeningProblem {
 }
 
 // BenchmarkOptimizeDomainHardening times one away-step Frank-Wolfe solve
-// of the domain-hardening exemplar (central-difference gradients, gap <=
-// 1e-7): every probe and line-search step is one domain-engine query on the
-// objective's evaluator — one zone passed through its cached rest tables
-// when only its shock moved, a full walk when several did — and the
-// summary's three evaluations ride the package pool. It reports the
-// from-scratch builds one solve performs, one per full walk.
+// of the domain-hardening exemplar (gap <= 1e-7). Each gradient is one run
+// of the engine's gradient on the objective's evaluator: a walk through
+// the three zones, whose remainder fold is a build, and each shock's
+// derivative read off it as the difference of its zone's two branches; the
+// summary's three evaluations ride the package pool. It reports gradient
+// calls per solve, time per gradient call (the solve's other work
+// included) and the from-scratch builds one solve performs.
 func BenchmarkOptimizeDomainHardening(b *testing.B) {
 	p := domainHardeningExemplar()
 	opts := optimize.Options{GapTolerance: 1e-7, MaxIterations: 300}
@@ -741,15 +742,42 @@ func BenchmarkOptimizeDomainHardening(b *testing.B) {
 			a.Base.Nines(), a.Optimized.Nines(), a.Uniform.Nines(), a.Spend, a.Gap, a.Iterations,
 			dist.JointBuilds()-before)
 	})
+	benchmarkSolve(b, func() (optimize.Allocation, error) { return optimize.SolveDomainHardening(p, opts) })
+}
+
+// BenchmarkOptimizeNodeHardeningDomains times one solve of the node target
+// on the same exemplar: the 9 nodes' hardening spend, each node's fault
+// probability along HardeningResponse(0.004, 0.1, 0.25), budget 0.5, with
+// the three zones' shocks fixed (gap <= 1e-7). Each gradient is one walk
+// and a leave-one-out per branch of each zone and of the empty remainder.
+func BenchmarkOptimizeNodeHardeningDomains(b *testing.B) {
+	dp := domainHardeningExemplar()
+	curves := make([]faultcurve.Response, len(dp.Fleet))
+	for i := range curves {
+		curves[i] = faultcurve.HardeningResponse(0.004, 0.1, 0.25)
+	}
+	p := optimize.HardeningProblem{Fleet: dp.Fleet, Model: dp.Model, Domains: dp.Domains, Curves: curves, Budget: 0.5}
+	opts := optimize.Options{GapTolerance: 1e-7, MaxIterations: 300}
+	benchmarkSolve(b, func() (optimize.Allocation, error) { return optimize.SolveHardening(p, opts) })
+}
+
+// benchmarkSolve times solve, which must certify its gap, and reports
+// gradient calls per solve, time per gradient call and builds per solve.
+func benchmarkSolve(b *testing.B, solve func() (optimize.Allocation, error)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	before := dist.JointBuilds()
+	var grads int
 	for i := 0; i < b.N; i++ {
-		if _, err := optimize.SolveDomainHardening(p, opts); err != nil {
-			b.Fatal(err)
+		a, err := solve()
+		if err != nil || !a.Converged {
+			b.Fatalf("solve lost its certificate (%v)", err)
 		}
+		grads += a.GradEvaluations
 	}
 	b.ReportMetric(float64(dist.JointBuilds()-before)/float64(b.N), "builds/solve")
+	b.ReportMetric(float64(grads)/float64(b.N), "grads/solve")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(grads), "ns/grad")
 }
 
 // BenchmarkOptimizeTierSearch times the mixed-tier search on the costopt

@@ -11,10 +11,10 @@ import (
 
 // This file is the correlated-domain engine: the one exact engine every
 // populated domain layout runs on, with the per-domain rest tables that let
-// an Evaluator answer a stream of related domain queries — shock sweeps,
-// optimizer gradient probes, hardening line searches — without folding the
-// domains a query did not change. See DESIGN.md "Correlated-domain rest
-// tables".
+// an Evaluator answer a stream of related domain queries — a shock sweep,
+// one zone changing per request — without folding the domains a query did
+// not change, and the gradient that reads a walk's tables. See DESIGN.md
+// "Correlated-domain rest tables" and "Gradients under domains".
 //
 // Every table is a dist.RegionPass truncated to the model's safe, live and
 // safe-and-live regions and laid out for the whole fleet; for Raft and
@@ -35,7 +35,8 @@ import (
 //     domains fills every F_p and a backward walk from empty failure
 //     tables every Ḡ_{p+1}; the answer is then read exactly as path 1
 //     reads it at p = 0, so an exact repeat answers == the cold answer on
-//     an evaluator however warm.
+//     an evaluator however warm. Evaluator.Gradient runs the same walk into
+//     tables of its own, keyed by nothing.
 //
 // A rest key for the domain at position pos hashes the model parameters,
 // pos, d's member count, the independent nodes' profile bits and every
@@ -53,8 +54,8 @@ import (
 // fingerprint domain so the two key spaces can never collide.
 const restKeyDomain = "probcons-rest-v1"
 
-// maxRestCacheEntries is a clear-on-overflow bound. A sweep or optimizer
-// run touches a handful of layouts; the cap only guards against adversarial
+// maxRestCacheEntries is a clear-on-overflow bound. A sweep touches a
+// handful of layouts; the cap only guards against adversarial
 // query streams growing the map without bound.
 const maxRestCacheEntries = 256
 
@@ -93,12 +94,16 @@ type domainState struct {
 	tri      []dist.TriState
 
 	restCache map[restKey]*restEntry
-	spare     []*restEntry // entries the cap cleared, refilled by later walks
+	spare     []*restEntry // entries no key reaches (cleared by the cap, or the gradient's), refilled by later walks
 	entries   []*restEntry // the entries a full walk fills, by position
 
 	// Scratch, refilled per pass through a domain: the running table
 	// folded through its base and its elevated members, and their mixture.
 	base, elev, mixed dist.RegionPass
+
+	// Evaluator.Gradient's edge tables E and leave-one-out per branch.
+	edges dist.RegionEdges
+	loo   [2]dist.RegionLeaveOneOut
 }
 
 // restEntry is the rest of the fleet around the populated domain at
@@ -216,9 +221,7 @@ func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet,
 	domRestMisses.Inc()
 
 	// Full path. Every key missed above, so each position gets an entry,
-	// a spare one when the cap has cleared some. F_0 is the remainder and
-	// F_p is F_{p−1} passed through domain p−1; Ḡ_D is empty and Ḡ_p is
-	// Ḡ_{p+1} passed back through domain p.
+	// a spare one when the cap has cleared some.
 	entries := grow(ds.entries, D)
 	ds.entries = entries
 	for pos, key := range ds.restKeys {
@@ -229,6 +232,18 @@ func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet,
 		}
 		ds.restCache[key] = entries[pos]
 	}
+	ds.walk(entries, fleet, domains, l)
+
+	// Answer as the fast path answers for the first domain: a repeat reads
+	// these same tables in the same order.
+	return ds.answer(entries[0], fleet, domains, l.act[0], l.blocks[l.act[0]])
+}
+
+// walk fills every populated domain's rest tables into entries: F_0 is the
+// remainder, its one build, and F_p is F_{p−1} passed through domain p−1;
+// Ḡ_D is empty and Ḡ_p is Ḡ_{p+1} passed back through domain p.
+func (ds *domainState) walk(entries []*restEntry, fleet Fleet, domains DomainSet, l *domainLayout) {
+	D := len(l.act)
 	entries[0].fwd.ResetGroup(ds.tris(fleet, l.indep, nil), ds.regions, len(fleet))
 	for pos := 1; pos < D; pos++ {
 		di := l.act[pos-1]
@@ -239,8 +254,71 @@ func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet,
 		di := l.act[pos+1]
 		ds.through(&entries[pos].back, &entries[pos+1].back, fleet, &domains[di], l.blocks[di], true)
 	}
+}
 
-	// Answer as the fast path answers for the first domain: a repeat reads
-	// these same tables in the same order.
-	return ds.answer(entries[0], fleet, domains, l.act[0], l.blocks[l.act[0]])
+// Gradient returns AnalyzeQuery's SafeAndLive for a resolved query, ==
+// its cold answer, and its derivatives: edges[i] = (faulty, byz), with
+// ∂SafeAndLive/∂p_crash = −faulty and ∂SafeAndLive/∂p_byz = −faulty − byz
+// at node i's base profile, and shocks[d] = ∂SafeAndLive/∂s_d, 0 for a
+// domain without members. With no populated domain it is one leave-one-out
+// over the fleet; otherwise one walk, then per domain from the last its
+// shock's derivative read off F_p and Ḡ_{p+1}, a leave-one-out per branch
+// from F_p, and the edge tables passed back through it (DESIGN.md
+// "Gradients under domains"). Warm, it allocates nothing.
+func (e *Evaluator) Gradient(q *Query, edges [][2]float64, shocks []float64) float64 {
+	fleet, domains, l, ds := q.Fleet, q.Domains, &q.layout, &e.dom
+	n, D, base, elev := len(fleet), len(l.act), &ds.loo[0], &ds.loo[1]
+	ds.regions = modelRegions(q.Model)
+	r := ds.regions[2]
+	clear(shocks)
+	if D == 0 {
+		e.loadTri(fleet)
+		base.Reset(e.tri, r, n, nil, nil)
+		for i := range edges {
+			edges[i][0], edges[i][1] = base.Edges(i)
+		}
+		return base.Mass()
+	}
+	// The walk fills spare entries, which no rest key reaches.
+	for len(ds.spare) < D {
+		ds.spare = append(ds.spare, &restEntry{})
+	}
+	walked := ds.spare[len(ds.spare)-D:]
+	ds.walk(walked, fleet, domains, l)
+	sl := ds.answer(walked[0], fleet, domains, l.act[0], l.blocks[l.act[0]]).SafeAndLive
+	var to *dist.RegionEdges // E; nil before the last domain: the indicators
+	for pos := D - 1; pos >= 0; pos-- {
+		di, en := l.act[pos], walked[pos]
+		d, idxs, s := &domains[di], l.blocks[di], dist.Clamp01(domains[di].ShockProb)
+		ds.through(&ds.mixed, &en.back, fleet, d, idxs, true)
+		shocks[di] = en.fwd.Dot(&ds.base, 2) - en.fwd.Dot(&ds.elev, 2)
+		base.Reset(ds.tris(fleet, idxs, nil), r, n, &en.fwd, to)
+		elev.Reset(ds.tris(fleet, idxs, d), r, n, &en.fwd, to)
+		for k, i := range idxs {
+			fb, zb := base.Edges(k)
+			fe, ze := elev.Edges(k)
+			fe, ze = elevatedEdges(d, fleet[i].Profile, fe, ze)
+			edges[i] = [2]float64{(1-s)*fb + s*fe, (1-s)*zb + s*ze}
+		}
+		ds.edges.Mix(base.Past(), elev.Past(), 1-s, s)
+		to = &ds.edges
+	}
+	base.Reset(ds.tris(fleet, l.indep, nil), r, n, nil, to)
+	for k, i := range l.indep {
+		edges[i][0], edges[i][1] = base.Edges(k)
+	}
+	return sl
+}
+
+// elevatedEdges carries a member's edges (f, z) at its elevated profile to
+// its base profile p through Elevate's Jacobian: each multiplier scales its
+// component or, where Elevate renormalises, only the split moves.
+func elevatedEdges(d *faultcurve.Domain, p faultcurve.Profile, f, z float64) (faulty, byz float64) {
+	mc, mb := d.CrashMultiplier, d.ByzMultiplier
+	pc, pb := p.PCrash*mc, p.PByz*mb
+	if s := pc + pb; s > 1 {
+		k := z / (s * s)
+		return -mc * pb * k, (mc*pb + mb*pc) * k
+	}
+	return mc * f, (mb-mc)*f + mb*z
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dist"
@@ -131,12 +130,4 @@ func extremeQuorum(k int, fleet Fleet, mostReliable bool) (quorum.Set, error) {
 
 func sortByFailDesc(idx []int, probs []float64) {
 	sort.SliceStable(idx, func(a, b int) bool { return probs[idx[a]] > probs[idx[b]] })
-}
-
-// DurabilityNines is a convenience wrapper reporting nines.
-func DurabilityNines(d float64) float64 {
-	if d >= 1 {
-		return math.Inf(1)
-	}
-	return dist.Nines(d)
 }

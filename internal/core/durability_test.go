@@ -152,12 +152,3 @@ func TestWorstQuorumDurabilityErrors(t *testing.T) {
 		t.Error("negative k must error")
 	}
 }
-
-func TestDurabilityNines(t *testing.T) {
-	if !math.IsInf(DurabilityNines(1), 1) {
-		t.Error("perfect durability must be +Inf nines")
-	}
-	if got := DurabilityNines(0.999); math.Abs(got-3) > 1e-9 {
-		t.Errorf("DurabilityNines(0.999) = %v", got)
-	}
-}

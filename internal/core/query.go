@@ -12,7 +12,9 @@ package core
 // layer keeps one per request slot. A Query is not safe for concurrent
 // use, and it refers to the fleet and domains it was resolved with until
 // it is resolved again. Its fields are what Resolve was given: read them,
-// and change them only through Resolve.
+// and change them only through Resolve, except for the probabilities in
+// them — node profiles, domain shocks and multipliers — which may change
+// between engine runs; names and memberships may not.
 type Query struct {
 	Fleet   Fleet
 	Model   CountModel

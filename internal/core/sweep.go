@@ -129,27 +129,6 @@ func (e *Evaluator) SweepRaftQuorums(fleet Fleet, safeOnly bool) ([]RaftSizing, 
 	return out, nil
 }
 
-// BestRaftSizing returns the safe sizing with the highest safe-and-live
-// probability. With a uniform fleet this recovers majority quorums; with a
-// heterogeneous fleet it can justify asymmetric sizings (small election
-// quorum, large persistence quorum or vice versa).
-func BestRaftSizing(fleet Fleet) (RaftSizing, error) {
-	sizings, err := SweepRaftQuorums(fleet, true)
-	if err != nil {
-		return RaftSizing{}, err
-	}
-	if len(sizings) == 0 {
-		return RaftSizing{}, fmt.Errorf("core: no safe sizing exists for N=%d", len(fleet))
-	}
-	best := sizings[0]
-	for _, s := range sizings[1:] {
-		if s.Res.SafeAndLive > best.Res.SafeAndLive {
-			best = s
-		}
-	}
-	return best, nil
-}
-
 // PBFTSizing is one point of the PBFT quorum-sizing sweep.
 type PBFTSizing struct {
 	Model PBFT

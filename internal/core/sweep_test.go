@@ -35,41 +35,6 @@ func TestSweepRaftQuorumsSafeOnly(t *testing.T) {
 	}
 }
 
-func TestBestRaftSizingUniformIsMajorityLike(t *testing.T) {
-	fleet := UniformCrashFleet(5, 0.05)
-	best, err := BestRaftSizing(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With uniform nodes the optimum is the smallest safe quorums:
-	// QVC = majority, QPer = N+1-QVC (the flexible-Paxos corner) or
-	// majority itself; either way S&L must match or beat majority Raft.
-	maj := MustAnalyze(fleet, NewRaft(5))
-	if best.Res.SafeAndLive < maj.SafeAndLive-1e-15 {
-		t.Errorf("best sizing %v (%v) worse than majority (%v)",
-			best.Model, best.Res.SafeAndLive, maj.SafeAndLive)
-	}
-}
-
-func TestBestRaftSizingEmptyFleet(t *testing.T) {
-	if _, err := BestRaftSizing(Fleet{}); err == nil {
-		t.Error("empty fleet accepted")
-	}
-}
-
-func TestBestRaftSizingNoSafeOption(t *testing.T) {
-	// N=1: QPer=QVC=1 gives 1 < 2 and 1 < 2: safe. So use the sweep to
-	// verify a positive case instead, then check the heterogeneous shift.
-	fleet := UniformCrashFleet(1, 0.5)
-	best, err := BestRaftSizing(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Model.QPer != 1 || best.Model.QVC != 1 {
-		t.Errorf("single-node sizing %+v", best.Model)
-	}
-}
-
 func TestSweepPBFTRecoversTable1Points(t *testing.T) {
 	fleet := UniformByzFleet(4, 0.01)
 	sweep, err := SweepPBFTQuorums(fleet)

@@ -170,7 +170,7 @@ func TestRegionLeaveOneOutMatchesFresh(t *testing.T) {
 	var fresh, full, without edgeErr
 	var pairs int
 	check := func(name string, nodes []TriState, r Region) {
-		l.Reset(nodes, r)
+		l.Reset(nodes, r, len(nodes), nil, nil)
 		rp.Reset(nodes, [3]Region{r, r, r})
 		if got, want := l.Mass(), rp.Mass(0); got != want {
 			t.Fatalf("%s: mass %.17g, RegionPass %.17g", name, got, want)
@@ -256,7 +256,7 @@ func TestRegionLeaveOneOutGolden(t *testing.T) {
 				}
 			}
 		}
-		l.Reset(nodes, Region{Byz: rng.Intn(n+3) - 1, Faulty: rng.Intn(n+3) - 1})
+		l.Reset(nodes, Region{Byz: rng.Intn(n+3) - 1, Faulty: rng.Intn(n+3) - 1}, n, nil, nil)
 		for i := range nodes {
 			f, b := l.Edges(i)
 			word(f)
@@ -276,7 +276,13 @@ func TestRegionLeaveOneOutGolden(t *testing.T) {
 // the other nodes, or both exactly 0 — or, where τ flushes cells, within
 // the flush bound: a fold or backward fold flushes less than τ per cell,
 // and mass only moves, so either side of one edge drops less than
-// n·Cells(n, n)·τ.
+// n·Cells(n, n)·τ. The fleet is then cut at two random places and read as
+// three groups, each between a start table and terminal edge tables: the
+// last group from all the nodes before it (RegionPass.ResetGroup) against
+// the indicators, the middle one from the nodes before the first cut
+// against the last group's Past, the first from the empty table against
+// the middle group's Past. Every node's edges must match the same direct
+// fold, and the middle group's mass the start table folded on, ==.
 func FuzzRegionLeaveOneOut(f *testing.F) {
 	f.Add(int64(1), uint8(20), 0.03, 0.001, 5, 2)
 	f.Add(int64(2), uint8(40), 0.3, 0.3, 20, 7)
@@ -295,7 +301,7 @@ func FuzzRegionLeaveOneOut(f *testing.F) {
 		// Bounds from -1 (empty) to n + 2 (clipped by n).
 		r := Region{Byz: int(uint(byz)%uint(n+4)) - 1, Faulty: int(uint(faulty)%uint(n+4)) - 1}
 		var l RegionLeaveOneOut
-		l.Reset(nodes, r)
+		l.Reset(nodes, r, len(nodes), nil, nil)
 		flushBound := 2 * float64(n*r.Cells(n, n)) * flushBelow
 		var e edgeErr
 		for i := range nodes {
@@ -303,6 +309,31 @@ func FuzzRegionLeaveOneOut(f *testing.F) {
 			wf, wb := freshEdges(nodes, r, i)
 			if !e.check(got, gotByz, wf, wb, flushBound) {
 				t.Fatalf("region %+v node %d of %d: edges (%.17g, %.17g), fresh fold (%.17g, %.17g)", r, i, n, got, gotByz, wf, wb)
+			}
+		}
+		a := rng.Intn(n + 1)
+		b := a + rng.Intn(n-a+1)
+		var last, mid, first RegionLeaveOneOut
+		var from, upTo RegionPass
+		from.ResetGroup(nodes[:a], [3]Region{r, r, r}, n)
+		upTo.ResetGroup(nodes[:b], [3]Region{r, r, r}, n)
+		last.Reset(nodes[b:], r, n, &upTo, nil)
+		mid.Reset(nodes[a:b], r, n, &from, last.Past())
+		first.Reset(nodes[:a], r, n, nil, mid.Past())
+		if mid.Mass() != upTo.Mass(2) {
+			t.Fatalf("region %+v cuts %d, %d of %d: middle group's mass %.17g, direct fold %.17g", r, a, b, n, mid.Mass(), upTo.Mass(2))
+		}
+		for i := range nodes {
+			l, k := &first, i
+			if i >= b {
+				l, k = &last, i-b
+			} else if i >= a {
+				l, k = &mid, i-a
+			}
+			got, gotByz := l.Edges(k)
+			wf, wb := freshEdges(nodes, r, i)
+			if !e.check(got, gotByz, wf, wb, flushBound) {
+				t.Fatalf("region %+v cuts %d, %d: node %d of %d: edges (%.17g, %.17g), direct fold (%.17g, %.17g)", r, a, b, i, n, got, gotByz, wf, wb)
 			}
 		}
 	})

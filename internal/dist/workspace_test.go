@@ -206,11 +206,11 @@ func TestWorkspaceZeroAllocs(t *testing.T) {
 	slow := append(append([]TriState(nil), nodes...), TriState{PCrash: 0.2, PByz: 0.1})
 	var rl RegionLeaveOneOut
 	for _, r := range []Region{{Byz: -1}, {Byz: 21, Faulty: 9}, {Byz: 2, Faulty: 21}, {Byz: 2, Faulty: 9}} {
-		rl.Reset(slow, r)
+		rl.Reset(slow, r, len(slow), nil, nil)
 		for i := range slow {
 			rl.Edges(i)
 		}
-		if n := testing.AllocsPerRun(100, func() { rl.Reset(slow, r) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { rl.Reset(slow, r, len(slow), nil, nil) }); n != 0 {
 			t.Errorf("RegionLeaveOneOut.Reset(%+v) allocates %v/op", r, n)
 		}
 		if n := testing.AllocsPerRun(100, func() {
@@ -251,7 +251,7 @@ func TestJointBuildCounter(t *testing.T) {
 
 	before = JointBuilds()
 	var rl RegionLeaveOneOut
-	rl.Reset(nodes, Region{Byz: 1, Faulty: 3})
+	rl.Reset(nodes, Region{Byz: 1, Faulty: 3}, len(nodes), nil, nil)
 	for i := range nodes {
 		rl.Edges(i)
 	}

@@ -9,10 +9,10 @@ const DefaultDiffStep = 6.055454452393343e-06
 
 // CentralDiffGrad writes the central-difference gradient of f at x into
 // out: (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i) with the per-coordinate
-// step h_i = h·max(1, |x_i|). h <= 0 selects DefaultDiffStep. The probe
-// points leave the feasible set by at most h_i per coordinate; objectives
-// built by this package tolerate that (response curves and probabilities
-// clamp).
+// step h_i = h·max(1, |x_i|). h <= 0 selects DefaultDiffStep. It is the
+// oracle TestGradientAgreement checks the analytic gradient against; the
+// probe points leave the feasible set by at most h_i per coordinate, which
+// the response curves and probabilities clamp.
 func CentralDiffGrad(f func([]float64) float64, x []float64, h float64, out []float64) {
 	if h <= 0 {
 		h = DefaultDiffStep

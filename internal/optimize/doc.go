@@ -24,11 +24,10 @@
 //   - Objectives (objective.go, hardening.go): adapters mapping a decision
 //     vector to per-node or per-domain fault probabilities through
 //     faultcurve spend→probability response curves, evaluating
-//     log-unavailability via the exact engines. Gradients are analytic
-//     for independent fleets — one forward fold into the model's
-//     safe-and-live region table, one or two backward folds of the
-//     region's two edges and a dot product per coordinate — and central
-//     differences for the domain-correlated engines.
+//     log-unavailability via the exact engines. Gradients are analytic,
+//     with or without correlated domains: one run of the engine's gradient
+//     (core.Evaluator.Gradient), a walk and a leave-one-out per domain
+//     branch, for every coordinate at once.
 //
 // Invariants: every iterate is a convex combination of LMO vertices
 // and therefore feasible — no projection can be needed by construction.

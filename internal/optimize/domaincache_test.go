@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -60,34 +61,71 @@ func TestDomainHardeningCachedMatchesReference(t *testing.T) {
 }
 
 // TestNodeHardeningWithDomainsBlockReuse covers the node-hardening
-// problem on a correlated layout: a probe perturbs one node, so the rest
-// tables of its domain answer after folding only that domain onto them —
-// no from-scratch build per probed coordinate, where a cold walk folds the
-// independent remainder.
+// problem on a correlated layout: one gradient is one walk, whose
+// remainder fold is a build, and a leave-one-out per branch of each domain
+// that starts from the walk's tables, plus the remainder's leave-one-out
+// from the empty table. So it performs exactly two counted builds, however
+// many nodes and domains.
 func TestNodeHardeningWithDomainsBlockReuse(t *testing.T) {
+	dp := domainExemplar()
+	for _, n := range []int{9, 27, 81} {
+		fleet := core.UniformCrashFleet(n, 0.004)
+		curves := make([]faultcurve.Response, n)
+		for i := range fleet {
+			fleet[i].Domain = dp.Domains[i%3].Name
+			if i%4 == 3 {
+				fleet[i].Domain = "" // some independent nodes
+			}
+			curves[i] = faultcurve.HardeningResponse(0.004, 0.1, 0.25)
+		}
+		p := HardeningProblem{Fleet: fleet, Model: core.NewRaft(n), Domains: dp.Domains, Curves: curves, Budget: 0.5}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		obj := p.Objective()
+		x, out := make([]float64, n), make([]float64, n)
+		obj.Grad(x, out) // size the workspaces
+		for _, spend := range []float64{0, 0.25} {
+			x[4] = spend
+			start := dist.JointBuilds()
+			obj.Grad(x, out)
+			if builds := dist.JointBuilds() - start; builds != 2 {
+				t.Fatalf("n=%d: a gradient performed %d builds, want 2 (the walk's remainder and its leave-one-out)", n, builds)
+			}
+		}
+	}
+}
+
+// TestGradientAgreementUnderDomains pins both objectives' analytic
+// gradients on the correlated exemplar — shock spend, and node spend with
+// the zones' shocks fixed — to central differences of their values
+// (CentralDiffGrad), which err by up to ~5e-5 relative here, at 1e-3: the
+// chain rule through the response curves and U, not the engine's
+// derivatives (TestGradientMatchesReferee pins those).
+func TestGradientAgreementUnderDomains(t *testing.T) {
 	dp := domainExemplar()
 	curves := make([]faultcurve.Response, len(dp.Fleet))
 	for i := range curves {
 		curves[i] = faultcurve.HardeningResponse(0.004, 0.1, 0.25)
 	}
-	p := HardeningProblem{
-		Fleet:   dp.Fleet,
-		Model:   dp.Model,
-		Domains: dp.Domains,
-		Curves:  curves,
-		Budget:  0.5,
-	}
-	if !p.UsesCentralDifferences() {
-		t.Fatal("correlated layout must use central differences")
-	}
-	obj := p.Objective()
-	x := make([]float64, len(p.Fleet))
-	obj.Value(x) // cold: builds blocks and rest tables
-	start := dist.JointBuilds()
-	x[4] = 0.25 // perturb one node in zone b
-	obj.Value(x)
-	builds := dist.JointBuilds() - start
-	if builds != 0 {
-		t.Fatalf("single-node probe performed %d builds, want 0 (that node's domain folds onto its cached rest tables)", builds)
+	np := HardeningProblem{Fleet: dp.Fleet, Model: dp.Model, Domains: dp.Domains, Curves: curves, Budget: 0.5}
+	for _, tc := range []struct {
+		name string
+		obj  Objective
+		xs   [][]float64
+	}{
+		{"shock spend", dp.Objective(), [][]float64{{0, 0, 0}, {0.5, 0.3, 0.2}, {0.1, 0.1, 0.8}}},
+		{"node spend", np.Objective(), [][]float64{make([]float64, 9), {0.05, 0, 0.1, 0, 0.05, 0.02, 0, 0.1, 0.15}}},
+	} {
+		for _, x := range tc.xs {
+			analytic, numeric := make([]float64, len(x)), make([]float64, len(x))
+			tc.obj.Grad(x, analytic)
+			CentralDiffGrad(tc.obj.Value, x, 0, numeric)
+			for i := range x {
+				if diff := math.Abs(analytic[i] - numeric[i]); !(diff <= 1e-3*math.Abs(numeric[i])) {
+					t.Errorf("%s at %v coord %d: analytic %v vs central-diff %v", tc.name, x, i, analytic[i], numeric[i])
+				}
+			}
+		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // the FrankWolfe.jl-style per-iteration discipline (arxiv 2104.06675)
 // reduced to what a fleet dashboard needs — how many solves ran, how many
 // conditional-gradient iterations (one LMO call each) and how many
-// gradient evaluations they spent. Each analytic gradient costs a forward
-// region fold and one or two backward ones, so grad_evaluations_total is
-// the direct proxy for optimizer engine load, and its ratio to
+// gradient evaluations they spent. Each gradient is one run of the
+// engine's gradient (core.Evaluator.Gradient), so grad_evaluations_total
+// is the direct proxy for optimizer engine load, and its ratio to
 // iterations_total is what the step rule costs per iteration.
 var (
 	fwSolves = obs.Default().Counter("probcons_optimize_solves_total",
@@ -25,8 +25,8 @@ var (
 )
 
 // Objective is a smooth function with a gradient, the thing the solver
-// minimizes. Implementations may assume x is feasible up to the small
-// perturbations of finite-difference probing.
+// minimizes. The solver evaluates both only at feasible points: iterates
+// and line-search probes are convex combinations of vertices.
 type Objective interface {
 	// Value evaluates f(x).
 	Value(x []float64) float64
@@ -34,9 +34,8 @@ type Objective interface {
 	Grad(x, out []float64)
 }
 
-// FuncObjective adapts plain closures to Objective. G may be nil, in
-// which case Grad falls back to central differences with step
-// DefaultDiffStep.
+// FuncObjective adapts plain closures to Objective: F is the value and G
+// the gradient, both required.
 type FuncObjective struct {
 	F func(x []float64) float64
 	G func(x, out []float64)
@@ -46,13 +45,7 @@ type FuncObjective struct {
 func (o FuncObjective) Value(x []float64) float64 { return o.F(x) }
 
 // Grad implements Objective.
-func (o FuncObjective) Grad(x, out []float64) {
-	if o.G != nil {
-		o.G(x, out)
-		return
-	}
-	CentralDiffGrad(o.F, x, DefaultDiffStep, out)
-}
+func (o FuncObjective) Grad(x, out []float64) { o.G(x, out) }
 
 // Options tunes the solver. Zero values take defaults.
 type Options struct {

@@ -51,6 +51,11 @@ func TestFrankWolfeInteriorOptimum(t *testing.T) {
 			}
 			return s
 		},
+		G: func(x, out []float64) {
+			for i := range x {
+				out[i] = 2 * (x[i] - b[i])
+			}
+		},
 	}
 	sol, err := AwayStepFrankWolfe(obj, simplex(3, 1), Options{GapTolerance: 1e-9, MaxIterations: 20000})
 	if err != nil {

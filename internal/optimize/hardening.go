@@ -92,7 +92,7 @@ func (p HardeningProblem) Fingerprint(opts Options) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	return allocationFingerprint("nodes", p.Fleet, p.Model, p.Domains, p.Curves, p.Budget, p.cap(), opts)
+	return allocationFingerprint("nodes", p.Fleet, p.Model, p.Domains, p.Curves, p.Budget, capPer(p.MaxPerNode, p.Budget), opts)
 }
 
 // Fingerprint is the domain-hardening counterpart of
@@ -102,7 +102,7 @@ func (p DomainHardeningProblem) Fingerprint(opts Options) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	return allocationFingerprint("domains", p.Fleet, p.Model, p.Domains, p.Curves, p.Budget, p.cap(), opts)
+	return allocationFingerprint("domains", p.Fleet, p.Model, p.Domains, p.Curves, p.Budget, capPer(p.MaxPerDomain, p.Budget), opts)
 }
 
 // allocationFingerprint hashes, in order: the target; (fleet, model, domains)

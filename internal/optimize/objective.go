@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/faultcurve"
 )
 
@@ -36,12 +35,59 @@ func byzFraction(p faultcurve.Profile) float64 {
 	return p.PByz / total
 }
 
-// hardenedProfile is the profile of a node whose response curve sits at
-// the given spend, preserving the base crash/Byzantine split.
-func hardenedProfile(base faultcurve.Profile, curve faultcurve.Response, spend float64) faultcurve.Profile {
-	p := curve.Prob(spend)
-	bf := byzFraction(base)
-	return faultcurve.Profile{PCrash: p * (1 - bf), PByz: p * bf}
+// validate rejects a malformed allocation problem of either target: what
+// names the problem in its errors, and it spends over dim coordinates of
+// kind unit, one response curve each.
+func validate(what, unit string, fleet core.Fleet, m core.CountModel, domains core.DomainSet, curves []faultcurve.Response, dim int, budget float64) error {
+	if len(fleet) == 0 {
+		return fmt.Errorf("optimize: %s needs a non-empty fleet", what)
+	}
+	if m == nil || m.N() != len(fleet) {
+		return fmt.Errorf("optimize: %s model/fleet size mismatch", what)
+	}
+	if err := fleet.Validate(); err != nil {
+		return err
+	}
+	if dim == 0 {
+		return fmt.Errorf("optimize: %s needs at least one %s", what, unit)
+	}
+	if err := domains.Validate(fleet); err != nil {
+		return err
+	}
+	if len(curves) != dim {
+		return fmt.Errorf("optimize: %d response curves for %d %ss", len(curves), dim, unit)
+	}
+	for i, c := range curves {
+		if c == nil {
+			return fmt.Errorf("optimize: %s %d has no response curve", unit, i)
+		}
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("optimize: %s %d: %w", unit, i, err)
+		}
+	}
+	if math.IsNaN(budget) || math.IsInf(budget, 0) || budget <= 0 {
+		return fmt.Errorf("optimize: budget must be finite and > 0, got %v", budget)
+	}
+	return nil
+}
+
+// capPer returns a coordinate's spend cap: maxPer when it is positive, at
+// most the budget.
+func capPer(maxPer, budget float64) float64 {
+	if maxPer > 0 {
+		return math.Min(maxPer, budget)
+	}
+	return budget
+}
+
+// knapsack is the budget knapsack { 0 <= x_i <= limit, Σ x_i <= budget }
+// over dim coordinates with unit costs.
+func knapsack(dim int, limit, budget float64) Knapsack {
+	lo, hi := make([]float64, dim), make([]float64, dim)
+	for i := range hi {
+		hi[i] = limit
+	}
+	return Knapsack{Lo: lo, Hi: hi, Budget: budget}
 }
 
 // HardeningProblem is the node-hardening budget allocation: split Budget
@@ -67,61 +113,22 @@ type HardeningProblem struct {
 
 // Validate rejects malformed problems.
 func (p HardeningProblem) Validate() error {
-	if len(p.Fleet) == 0 {
-		return fmt.Errorf("optimize: hardening needs a non-empty fleet")
-	}
-	if p.Model == nil || p.Model.N() != len(p.Fleet) {
-		return fmt.Errorf("optimize: hardening model/fleet size mismatch")
-	}
-	if err := p.Fleet.Validate(); err != nil {
-		return err
-	}
-	if err := p.Domains.Validate(p.Fleet); err != nil {
-		return err
-	}
-	if len(p.Curves) != len(p.Fleet) {
-		return fmt.Errorf("optimize: %d response curves for %d nodes", len(p.Curves), len(p.Fleet))
-	}
-	for i, c := range p.Curves {
-		if c == nil {
-			return fmt.Errorf("optimize: node %d has no response curve", i)
-		}
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("optimize: node %d: %w", i, err)
-		}
-	}
-	if math.IsNaN(p.Budget) || math.IsInf(p.Budget, 0) || p.Budget <= 0 {
-		return fmt.Errorf("optimize: budget must be finite and > 0, got %v", p.Budget)
-	}
-	return nil
+	return validate("hardening", "node", p.Fleet, p.Model, p.Domains, p.Curves, len(p.Fleet), p.Budget)
 }
 
-func (p HardeningProblem) cap() float64 {
-	if p.MaxPerNode > 0 {
-		return math.Min(p.MaxPerNode, p.Budget)
-	}
-	return p.Budget
-}
-
-// Polytope returns the feasible region: the budget knapsack
-// { 0 <= x_i <= cap, Σ x_i <= Budget } with unit costs.
+// Polytope returns the feasible region: the budget knapsack over nodes.
 func (p HardeningProblem) Polytope() Knapsack {
-	n := len(p.Fleet)
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	c := p.cap()
-	for i := range hi {
-		hi[i] = c
-	}
-	return Knapsack{Lo: lo, Hi: hi, Budget: p.Budget}
+	return knapsack(len(p.Fleet), capPer(p.MaxPerNode, p.Budget), p.Budget)
 }
 
-// fleetAt materializes the hardened fleet at spend vector x.
+// fleetAt materializes the hardened fleet at spend vector x: node i's
+// fault probability Curves[i].Prob(x_i), its base crash/Byzantine split
+// preserved.
 func (p HardeningProblem) fleetAt(x []float64) core.Fleet {
-	fleet := make(core.Fleet, len(p.Fleet))
-	copy(fleet, p.Fleet)
-	for i := range fleet {
-		fleet[i].Profile = hardenedProfile(p.Fleet[i].Profile, p.Curves[i], x[i])
+	fleet := append(core.Fleet(nil), p.Fleet...)
+	for i, n := range p.Fleet {
+		q, bf := p.Curves[i].Prob(x[i]), byzFraction(n.Profile)
+		fleet[i].Profile = faultcurve.Profile{PCrash: q * (1 - bf), PByz: q * bf}
 	}
 	return fleet
 }
@@ -137,108 +144,86 @@ func (p HardeningProblem) Eval(x []float64) core.Result {
 	return res
 }
 
-// UsesCentralDifferences reports whether the objective's gradient falls
-// back to central differences (two engine runs per coordinate) instead
-// of the analytic leave-one-out gradient (one forward region fold and one
-// or two backward ones for all coordinates): true exactly when the fleet
-// has a populated domain layout. The serving layer's work estimates
-// dispatch on this, so it is the single home of the condition.
-func (p HardeningProblem) UsesCentralDifferences() bool {
-	if len(p.Domains) == 0 {
-		return false
-	}
-	for _, n := range p.Fleet {
-		if n.Domain != "" {
-			return true
-		}
-	}
-	return false
-}
-
 // Objective returns the minimized smooth function f(x) = ln(1 -
-// SafeAndLive(x)). For independent fleets (no populated domains) the
-// gradient is analytic via a leave-one-out DP state the returned objective
-// owns (see hardeningGrad); with domains it falls back to central
-// differences, whose probes the response curves clamp safely.
+// SafeAndLive(x)) with its analytic gradient (hardeningGrad), whether or
+// not the fleet has populated domains.
 func (p HardeningProblem) Objective() Objective {
-	value := func(x []float64) float64 { return logUnavail(p.Eval(x)) }
-	if p.UsesCentralDifferences() {
-		// Correlated layout: every engine call runs through one dedicated
-		// evaluator whose rest tables carry across the solve. A
-		// central-difference probe perturbs one node, so only that node's
-		// domain is folded onto the cached rest tables of the fleet around
-		// it; line-search steps move all nodes and walk the whole fleet
-		// again.
-		e := core.NewEvaluator()
-		fleet := make(core.Fleet, len(p.Fleet))
-		return FuncObjective{F: func(x []float64) float64 {
-			copy(fleet, p.Fleet)
-			for i := range fleet {
-				fleet[i].Profile = hardenedProfile(p.Fleet[i].Profile, p.Curves[i], x[i])
-			}
-			res, err := e.AnalyzeDomains(fleet, p.Model, p.Domains)
-			if err != nil {
-				panic(fmt.Sprintf("optimize: engine rejected a validated hardening query: %v", err))
-			}
-			return logUnavail(res)
-		}}
-	}
-	return FuncObjective{F: value, G: newHardeningGrad(p).grad}
+	return FuncObjective{F: func(x []float64) float64 { return logUnavail(p.Eval(x)) }, G: newHardeningGrad(p).grad}
 }
 
-// hardeningGrad is the analytic gradient of an independent fleet's
-// objective together with everything it reuses from call to call. One is
-// built per Objective, so a solve — whose gradient calls are sequential —
-// pays for its workspaces once and allocates nothing per call. Not safe
-// for concurrent use.
+// hardeningGrad is the analytic gradient of a hardening objective, over
+// node or shock spend. One is built per Objective, so a solve, whose
+// gradient calls are sequential, pays for its workspaces once and
+// allocates nothing per call. Not safe for concurrent use.
 type hardeningGrad struct {
 	curves []faultcurve.Response
-	bf     []float64       // per-node Byzantine share of the fault mass
-	nodes  []dist.TriState // the hardened fleet at the current x
-	loo    dist.RegionLeaveOneOut
-	// ok is the model's safe-and-live region {b <= β, c + b <= κ}.
-	ok dist.Region
+	bf     []float64 // per-node Byzantine share of the fault mass; nil when spend hardens shocks
+	loo    engineGrad
+}
+
+// engineGrad is the problem at the current x, resolved once, on an
+// evaluator of its own, and what the engine's gradient
+// (core.Evaluator.Gradient) returned.
+type engineGrad struct {
+	e      *core.Evaluator
+	q      core.Query
+	mass   float64      // SafeAndLive
+	edges  [][2]float64 // per node
+	shocks []float64    // per domain
+}
+
+// Mass returns SafeAndLive at the last gradient.
+func (l *engineGrad) Mass() float64 { return l.mass }
+
+func newGrad(fleet core.Fleet, m core.CountModel, domains core.DomainSet, curves []faultcurve.Response) *hardeningGrad {
+	g := &hardeningGrad{curves: curves, loo: engineGrad{e: core.NewEvaluator(),
+		edges: make([][2]float64, len(fleet)), shocks: make([]float64, len(domains))}}
+	if err := g.loo.q.Resolve(append(core.Fleet(nil), fleet...), m, append(core.DomainSet(nil), domains...)); err != nil {
+		panic(fmt.Sprintf("optimize: engine rejected a validated hardening query: %v", err))
+	}
+	return g
 }
 
 func newHardeningGrad(p HardeningProblem) *hardeningGrad {
-	n := len(p.Fleet)
-	safe, live := p.Model.Regions()
-	g := &hardeningGrad{
-		curves: p.Curves,
-		bf:     make([]float64, n),
-		nodes:  make([]dist.TriState, n),
-		ok:     safe.Intersect(live),
-	}
+	g := newGrad(p.Fleet, p.Model, p.Domains, p.Curves)
+	g.bf = make([]float64, len(p.Fleet))
 	for i, node := range p.Fleet {
 		g.bf[i] = byzFraction(node.Profile)
 	}
 	return g
 }
 
-// grad computes ∇f exactly for independent fleets. The count distribution
-// is linear in node i's fault mass p_i, so the derivative of SafeAndLive
-// is what J₋ᵢ, the other nodes' distribution, puts on the safe-and-live
-// region's two edges (DESIGN.md "Count regions"):
+// grad computes ∇f exactly from the engine's derivatives of SafeAndLive
+// (core.Evaluator.Gradient): for node spend from node i's edges, sums of
+// positive masses for an independent node, so no cancellation however
+// small the derivative,
 //
-//	∂(SafeAndLive)/∂p_i = −Σ_{faulty edge} J₋ᵢ − bf_i · Σ_{Byzantine edge} J₋ᵢ,
+//	∂(SafeAndLive)/∂p_i = −faulty_i − bf_i · byz_i,
 //
-// sums of positive masses, so no cancellation however small the derivative.
-// One forward fold of the hardened fleet into the region's table gives U,
-// bit for bit Eval's, and one or two backward folds of the edges give
-// every node's (dist.RegionLeaveOneOut): O(N·(β+1)·(κ+1)) per gradient.
+// and for shock spend ∂SafeAndLive/∂s_d. Both take one chain rule through
+// the response curves q_k = curves[k].Prob(x_k): f = ln(U), U = 1 −
+// SafeAndLive, so df/dx_k = −∂SafeAndLive/∂q_k · q_k'(x_k) / U.
 func (g *hardeningGrad) grad(x, out []float64) {
-	for i, c := range g.curves {
-		p := c.Prob(x[i])
-		g.nodes[i] = dist.TriState{PCrash: p * (1 - g.bf[i]), PByz: p * g.bf[i]}
+	l := &g.loo
+	for k, c := range g.curves {
+		q := c.Prob(x[k])
+		if g.bf == nil {
+			l.q.Domains[k].ShockProb = q
+		} else {
+			l.q.Fleet[k].Profile = faultcurve.Profile{PCrash: q * (1 - g.bf[k]), PByz: q * g.bf[k]}
+		}
 	}
-	g.loo.Reset(g.nodes, g.ok)
-	u := math.Max(1-g.loo.Mass(), unavailFloor)
-	for i := range g.nodes {
-		faulty, byz := g.loo.Edges(i)
-		// 0 − …, not −…: an empty boundary leaves dSL at +0, not −0.
-		dSL := 0 - faulty - g.bf[i]*byz
-		// f = ln(U), U = 1 - SafeAndLive: df/dx_i = -dSL/dp · p'(x_i) / U.
-		out[i] = -dSL * g.curves[i].DProb(x[i]) / u
+	l.mass = l.e.Gradient(&l.q, l.edges, l.shocks)
+	u := math.Max(1-l.Mass(), unavailFloor)
+	for k, c := range g.curves {
+		var dSL float64
+		if g.bf == nil {
+			dSL = l.shocks[k]
+		} else {
+			// 0 − …, not −…: an empty boundary leaves dSL at +0, not −0.
+			dSL = 0 - l.edges[k][0] - g.bf[k]*l.edges[k][1]
+		}
+		out[k] = -dSL * c.DProb(x[k]) / u
 	}
 }
 
@@ -262,55 +247,12 @@ type DomainHardeningProblem struct {
 
 // Validate rejects malformed problems.
 func (p DomainHardeningProblem) Validate() error {
-	if len(p.Fleet) == 0 {
-		return fmt.Errorf("optimize: domain hardening needs a non-empty fleet")
-	}
-	if p.Model == nil || p.Model.N() != len(p.Fleet) {
-		return fmt.Errorf("optimize: domain hardening model/fleet size mismatch")
-	}
-	if err := p.Fleet.Validate(); err != nil {
-		return err
-	}
-	if len(p.Domains) == 0 {
-		return fmt.Errorf("optimize: domain hardening needs at least one domain")
-	}
-	if err := p.Domains.Validate(p.Fleet); err != nil {
-		return err
-	}
-	if len(p.Curves) != len(p.Domains) {
-		return fmt.Errorf("optimize: %d response curves for %d domains", len(p.Curves), len(p.Domains))
-	}
-	for i, c := range p.Curves {
-		if c == nil {
-			return fmt.Errorf("optimize: domain %d has no response curve", i)
-		}
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("optimize: domain %d: %w", i, err)
-		}
-	}
-	if math.IsNaN(p.Budget) || math.IsInf(p.Budget, 0) || p.Budget <= 0 {
-		return fmt.Errorf("optimize: budget must be finite and > 0, got %v", p.Budget)
-	}
-	return nil
-}
-
-func (p DomainHardeningProblem) cap() float64 {
-	if p.MaxPerDomain > 0 {
-		return math.Min(p.MaxPerDomain, p.Budget)
-	}
-	return p.Budget
+	return validate("domain hardening", "domain", p.Fleet, p.Model, p.Domains, p.Curves, len(p.Domains), p.Budget)
 }
 
 // Polytope returns the feasible region: the budget knapsack over domains.
 func (p DomainHardeningProblem) Polytope() Knapsack {
-	d := len(p.Domains)
-	lo := make([]float64, d)
-	hi := make([]float64, d)
-	c := p.cap()
-	for i := range hi {
-		hi[i] = c
-	}
-	return Knapsack{Lo: lo, Hi: hi, Budget: p.Budget}
+	return knapsack(len(p.Domains), capPer(p.MaxPerDomain, p.Budget), p.Budget)
 }
 
 // domainsAt materializes the hardened domain layout at spend vector x.
@@ -332,26 +274,8 @@ func (p DomainHardeningProblem) Eval(x []float64) core.Result {
 	return res
 }
 
-// Objective returns f(x) = ln(1 - SafeAndLive(x)) with central-difference
-// gradients: the shock probability enters the domain engine non-linearly
-// per domain, so the leave-one-out trick does not apply. All engine calls
-// share one dedicated evaluator, so a gradient probe, which moves one
-// domain's shock probability, folds that domain onto the rest tables the
-// previous evaluation left; a step that moves several domains walks the
-// whole fleet again (BenchmarkOptimizeDomainHardening reports the builds
-// per solve).
+// Objective returns f(x) = ln(1 - SafeAndLive(x)) with its analytic
+// gradient over shock spend (hardeningGrad).
 func (p DomainHardeningProblem) Objective() Objective {
-	e := core.NewEvaluator()
-	ds := make(core.DomainSet, len(p.Domains))
-	return FuncObjective{F: func(x []float64) float64 {
-		copy(ds, p.Domains)
-		for i := range ds {
-			ds[i].ShockProb = p.Curves[i].Prob(x[i])
-		}
-		res, err := e.AnalyzeDomains(p.Fleet, p.Model, ds)
-		if err != nil {
-			panic(fmt.Sprintf("optimize: engine rejected a validated domain-hardening query: %v", err))
-		}
-		return logUnavail(res)
-	}}
+	return FuncObjective{F: func(x []float64) float64 { return logUnavail(p.Eval(x)) }, G: newGrad(p.Fleet, p.Model, p.Domains, p.Curves).grad}
 }

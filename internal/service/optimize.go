@@ -188,12 +188,10 @@ func planOptimize(req OptimizeRequest, qs *queryScratch) (optimizePlan, error) {
 		names     []string
 		pBefore   []float64
 		curves    []faultcurve.Response
-		gradWork  float64 // engine cost of one gradient call
 		workHint  string
 		problemFP func(optimize.Options) (string, error)
 		solve     func() (optimize.Allocation, error)
 	)
-	engineWork := q.Work()
 	switch target {
 	case targetNodes:
 		curves = make([]faultcurve.Response, len(fleet))
@@ -208,18 +206,6 @@ func planOptimize(req OptimizeRequest, qs *queryScratch) (optimizePlan, error) {
 		}
 		if err := p.Validate(); err != nil {
 			return optimizePlan{}, badRequest(err)
-		}
-		// Priced as one engine run per node. For the analytic gradient
-		// that is a deliberate over-estimate, and a larger one since the
-		// gradient left the joint table: it costs a forward fold into the
-		// safe-and-live region's table, one or two backward folds of its
-		// edges and N dot products, a few region passes in all, not N
-		// engine runs at the N^3 the estimate charges each. With populated
-		// domains the objective falls back to central differences, which
-		// is two engine runs per node and priced exactly.
-		gradWork = float64(len(fleet)) * engineWork
-		if p.UsesCentralDifferences() {
-			gradWork *= 2
 		}
 		workHint = "fewer iterations or a smaller fleet"
 		problemFP = p.Fingerprint
@@ -241,12 +227,13 @@ func planOptimize(req OptimizeRequest, qs *queryScratch) (optimizePlan, error) {
 		if err := p.Validate(); err != nil {
 			return optimizePlan{}, badRequest(err)
 		}
-		gradWork = 2 * float64(len(domains)) * engineWork // central differences
 		workHint = "fewer iterations or fewer domains"
 		problemFP = p.Fingerprint
 		solve = func() (optimize.Allocation, error) { return optimize.SolveDomainHardening(p, opts) }
 	}
-	if work := float64(iters) * gradCallsPerIteration * gradWork; work > MaxOptimizeWork {
+	// A gradient is priced at one engine run per coordinate, node or domain,
+	// over its walk and leave-one-outs (core.Evaluator.Gradient).
+	if work := float64(iters) * gradCallsPerIteration * (float64(len(names)) * q.Work()); work > MaxOptimizeWork {
 		return optimizePlan{}, badRequest(fmt.Errorf(
 			"optimize needs ~%.2g engine operations, maximum is %.2g (%s)",
 			work, float64(MaxOptimizeWork), workHint))

@@ -824,6 +824,14 @@ func TestValidationErrorTexts(t *testing.T) {
 	}
 	node := `{"p_crash":0.01,"domain":"za"}`
 	fleet3 := `"fleet":[` + node + `,` + node + `,` + node + `]`
+	// 48 nodes round-robin over zones za–zd: optimizes over the work bound
+	// for either target, a gradient priced as one engine run per node or
+	// per domain.
+	nodes48 := make([]string, 48)
+	for i := range nodes48 {
+		nodes48[i] = `{"p_crash":0.01,"domain":"z` + string(rune('a'+i%4)) + `"}`
+	}
+	fleet48 := `"model":{"protocol":"raft","n":48},"fleet":[` + strings.Join(nodes48, ",") + `],` + zones(4, "")
 	h := New(Options{}).Handler()
 	for _, tc := range []struct{ path, body, want string }{
 		{"/v1/analyze", `{"model":{"protocol":"raft","n":3},"p":0.5,` + fleet3 + `}`, `give either fleet or p, not both`},
@@ -850,6 +858,8 @@ func TestValidationErrorTexts(t *testing.T) {
 		{"/v1/tail", `{"model":{"protocol":"raft","n":3},"p":0.1,"event":"not_live",` + zones(2, `,"byz_mult":-1`) + `}`, `domains[0].byz_mult must be a finite multiplier >= 0, got -1`},
 		{"/v1/optimize", `{"model":{"protocol":"raft","n":3},"p":0.1,"budget":1,"curve":{"floor_frac":0.1,"scale":1},"target":"domains"}`, `target domains requires a domains block`},
 		{"/v1/optimize", `{"model":{"protocol":"raft","n":3},"fleet":[{},{},{"p_crash":2}],"budget":1,"curve":{"floor_frac":0.1,"scale":1}}`, `fleet[2]: p_crash must be a probability in [0, 1], got 2`},
+		{"/v1/optimize", `{` + fleet48 + `,"budget":1,"curve":{"floor_frac":0.1,"scale":1}}`, `optimize needs ~3.1e+10 engine operations, maximum is 2e+10 (fewer iterations or a smaller fleet)`},
+		{"/v1/optimize", `{` + fleet48 + `,"budget":1,"curve":{"floor_frac":0.1,"scale":1},"target":"domains","iterations":5000}`, `optimize needs ~2.6e+10 engine operations, maximum is 2e+10 (fewer iterations or fewer domains)`},
 	} {
 		rec := serve(h, http.MethodPost, tc.path, tc.body)
 		var got errorBody
