@@ -164,9 +164,9 @@ func (ds *domainState) through(dst, src *dist.RegionPass, fleet Fleet, d *faultc
 	if back {
 		fold = (*dist.RegionPass).FoldBack
 	}
-	ds.base.Mix(src, src, 1, 0)
+	ds.base.Set(src)
 	fold(&ds.base, ds.tris(fleet, idxs, nil))
-	ds.elev.Mix(src, src, 1, 0)
+	ds.elev.Set(src)
 	fold(&ds.elev, ds.tris(fleet, idxs, d))
 	s := dist.Clamp01(d.ShockProb)
 	dst.Mix(&ds.base, &ds.elev, 1-s, s)

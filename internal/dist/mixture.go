@@ -28,6 +28,29 @@ func (rp *RegionPass) Mix(a, b *RegionPass, wa, wb float64) {
 	}
 }
 
+// Set makes rp a copy of src, bit for bit as Mix(src, src, 1, 0), by
+// copying src's live cells and extents: the cells rp held past them are
+// cleared, and its buffers are relaid only when src's layout differs.
+func (rp *RegionPass) Set(src *RegionPass) {
+	for i := range rp.tabs {
+		rp.tabs[i].set(&src.tabs[i])
+	}
+}
+
+func (t *regionTable) set(a *regionTable) {
+	if t.shape != a.shape || t.w != a.w || len(t.hi) != len(a.hi) {
+		t.shapeAs(a)
+	}
+	for c, h := range a.hi {
+		o := c * a.w
+		if t.hi[c] > h {
+			clear(t.p[o+h : o+t.hi[c]])
+		}
+		copy(t.p[o:o+h], a.p[o:o+h])
+	}
+	copy(t.hi, a.hi)
+}
+
 // ResetFailure lays rp out as ResetGroup(nil, regions, n) does, every cell
 // 0: the failure tables of an empty group, which leaves no region.
 func (rp *RegionPass) ResetFailure(regions [3]Region, n int) {

@@ -280,3 +280,36 @@ func TestRegionMixAliasesAndLayouts(t *testing.T) {
 	}()
 	want.Mix(&a, &other, 0.5, 0.5)
 }
+
+// TestRegionSetIsMixCopy pins Set against Mix(src, src, 1, 0): the same
+// cells and extents, into a target left dirty by a table of the same
+// layout (whose live extents reach past src's) or of another one, with
+// the whole buffer zero outside the extents afterwards.
+func TestRegionSetIsMixCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	var set, mixed, src, dirty RegionPass
+	for iter := 0; iter < 300; iter++ {
+		n := 1 + rng.Intn(40)
+		var regions [3]Region
+		for i := range regions {
+			regions[i] = Region{Byz: rng.Intn(n+3) - 1, Faulty: rng.Intn(n+3) - 1}
+		}
+		src.ResetGroup(randomTriStatesCapped(rng, rng.Intn(n+1), 0.4), regions, n)
+		if iter%2 == 0 {
+			dirty.ResetGroup(randomTriStatesCapped(rng, n, 0.9), regions, n)
+		} else {
+			dirty.ResetGroup(randomTriStatesCapped(rng, rng.Intn(50), 0.9), [3]Region{{1, 7}, {9, 3}, {0, 50}}, 50)
+		}
+		set.Set(&dirty)
+		set.Set(&src)
+		mixed.Mix(&src, &src, 1, 0)
+		name := fmt.Sprintf("iter %d n=%d regions %v", iter, n, regions)
+		checkRegionInvariant(t, name, &set)
+		for i := range set.tabs {
+			g, w := &set.tabs[i], &mixed.tabs[i]
+			if g.shape != w.shape || g.w != w.w || !slices.Equal(g.hi, w.hi) || !slices.Equal(g.p, w.p) {
+				t.Fatalf("%s: table %d: Set %v %v, Mix copy %v %v", name, i, g.p, g.hi, w.p, w.hi)
+			}
+		}
+	}
+}

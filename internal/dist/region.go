@@ -98,10 +98,18 @@ func (rp *RegionPass) ResetGroup(nodes []TriState, regions [3]Region, n int) {
 
 // Fold folds more nodes into rp's tables in place: ResetGroup(a) then
 // Fold(b) is ResetGroup(a ++ b), bit for bit. It extends a build rather
-// than starting one, so it is not counted as one.
+// than starting one, so it is not counted as one. Nodes go in pairs, each
+// pair through a row in one sweep (fold2); an odd last one alone.
 func (rp *RegionPass) Fold(nodes []TriState) {
-	for _, t := range nodes {
-		pc, pb, pok := clampTri(t)
+	for ; len(nodes) >= 2; nodes = nodes[2:] {
+		pc1, pb1, pok1 := clampTri(nodes[0])
+		pc2, pb2, pok2 := clampTri(nodes[1])
+		for i := range rp.tabs {
+			rp.tabs[i].fold2(pc1, pb1, pok1, pc2, pb2, pok2)
+		}
+	}
+	if len(nodes) == 1 {
+		pc, pb, pok := clampTri(nodes[0])
 		for i := range rp.tabs {
 			rp.tabs[i].fold(pc, pb, pok)
 		}
@@ -200,21 +208,51 @@ func (t *regionTable) size(shape regionShape, w, cols int) (grew bool) {
 // fold folds one node, with crash, Byzantine and correct probabilities
 // pc, pb, pok, into the table.
 func (t *regionTable) fold(pc, pb, pok float64) {
-	switch t.shape {
-	case shapeFaulty:
-		t.hi[0] = foldRow(t.p, t.hi[0], pok, pc+pb)
-	case shapeByz:
-		t.hi[0] = foldRow(t.p, t.hi[0], 1-pb, pb)
-	case shapeGeneral:
-		// Descending b: column b reads column b-1 before it is folded.
-		// Columns past the first dead one stay 0, so the fold starts there.
-		for b := min(t.liveCols(), len(t.hi)-1); b > 0; b-- {
-			col := t.p[b*t.w : b*t.w+t.w-b] // c + b <= Faulty
-			left := t.p[(b-1)*t.w : b*t.w]
-			t.hi[b] = foldCol(col, left, t.hi[b], t.hi[b-1], pc, pb, pok)
-		}
-		t.hi[0] = foldRow(t.p[:t.w], t.hi[0], pok, pc)
+	if stay, move, ok := t.rowStep(pc, pb, pok); ok {
+		t.hi[0] = foldRow(t.p[:t.w], t.hi[0], stay, move)
+		return
 	}
+	if t.shape != shapeGeneral {
+		return
+	}
+	// Descending b: column b reads column b-1 before it is folded.
+	// Columns past the first dead one stay 0, so the fold starts there.
+	for b := min(t.liveCols(), len(t.hi)-1); b > 0; b-- {
+		col := t.p[b*t.w : b*t.w+t.w-b] // c + b <= Faulty
+		left := t.p[(b-1)*t.w : b*t.w]
+		t.hi[b] = foldCol(col, left, t.hi[b], t.hi[b-1], pc, pb, pok)
+	}
+	t.hi[0] = foldRow(t.p[:t.w], t.hi[0], pok, pc)
+}
+
+// fold2 folds two nodes into the table, fold(pc1, pb1, pok1) then
+// fold(pc2, pb2, pok2) bit for bit: a row takes both in one sweep
+// (foldRow2), the general table of several columns one after the other.
+func (t *regionTable) fold2(pc1, pb1, pok1, pc2, pb2, pok2 float64) {
+	stay1, move1, ok := t.rowStep(pc1, pb1, pok1)
+	if !ok {
+		t.fold(pc1, pb1, pok1)
+		t.fold(pc2, pb2, pok2)
+		return
+	}
+	stay2, move2, _ := t.rowStep(pc2, pb2, pok2)
+	t.hi[0] = foldRow2(t.p[:t.w], t.hi[0], stay1, move1, stay2, move2)
+}
+
+// rowStep returns foldRow's stay and move for one node when the table is
+// one row: over c + b, over b, or the general table's one column over c
+// when Byz = 0. ok is false for the empty table and a general table of
+// several columns.
+func (t *regionTable) rowStep(pc, pb, pok float64) (stay, move float64, ok bool) {
+	switch {
+	case t.shape == shapeFaulty:
+		return pok, pc + pb, true
+	case t.shape == shapeByz:
+		return 1 - pb, pb, true
+	case t.shape == shapeGeneral && len(t.hi) == 1:
+		return pok, pc, true
+	}
+	return 0, 0, false
 }
 
 // foldRow folds one node into a one-dimensional count row in place,
@@ -256,4 +294,42 @@ func foldCol(col, left []float64, hi, hiLeft int, pc, pb, pok float64) int {
 		n--
 	}
 	return n
+}
+
+// foldRow2 folds two nodes into a count row in place in one descending
+// sweep, bit for bit foldRow(stay1, move1) then foldRow(stay2, move2): at
+// each k it computes the first node's cell k-1, and its cells k-1 and k,
+// carried in registers, make the second node's cell k, each by the same
+// flush(a·move + b·stay) in the same order. The first node's cells stop
+// at its own live length min(hi+1, len(row)); past it they are the 0 the
+// row held. The second node's top cell may be one that foldRow would
+// leave untouched after trimming the first node's zero tail: both its
+// inputs are then 0, and so is what is written.
+func foldRow2(row []float64, hi int, stay1, move1, stay2, move2 float64) int {
+	h1 := min(hi+1, len(row))
+	h2 := min(h1+1, len(row))
+	k := h2 - 1
+	cur := 0.0 // the first node's cell k
+	switch {
+	case k >= h1:
+	case k > 0:
+		cur = flush(row[k-1]*move1 + row[k]*stay1)
+	default:
+		cur = flush(row[0] * stay1)
+	}
+	for ; k > 1; k-- {
+		prev := flush(row[k-2]*move1 + row[k-1]*stay1)
+		row[k] = flush(prev*move2 + cur*stay2)
+		cur = prev
+	}
+	if k == 1 {
+		prev := flush(row[0] * stay1)
+		row[1] = flush(prev*move2 + cur*stay2)
+		cur = prev
+	}
+	row[0] = flush(cur * stay2)
+	for h2 > 0 && row[h2-1] == 0 {
+		h2--
+	}
+	return h2
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -185,4 +186,78 @@ func BenchmarkRegionPass(b *testing.B) {
 			}
 		})
 	}
+}
+
+// sameTables asserts got's tables are want's bit for bit: layout, every
+// live length and every cell.
+func sameTables(t *testing.T, name string, got, want *RegionPass) {
+	t.Helper()
+	for i := range got.tabs {
+		g, w := &got.tabs[i], &want.tabs[i]
+		if g.shape != w.shape || g.w != w.w || !slices.Equal(g.hi, w.hi) || len(g.p) != len(w.p) {
+			t.Fatalf("%s: table %d: shape %d, %d×%d, extents %v; want shape %d, %d×%d, extents %v",
+				name, i, g.shape, len(g.hi), g.w, g.hi, w.shape, len(w.hi), w.w, w.hi)
+		}
+		for j := range g.p {
+			if math.Float64bits(g.p[j]) != math.Float64bits(w.p[j]) {
+				t.Fatalf("%s: table %d cell %d: %.17g, want %.17g", name, i, j, g.p[j], w.p[j])
+			}
+		}
+	}
+}
+
+// FuzzRegionFold pins Fold, which takes a row through two nodes in one
+// sweep (foldRow2), to folding one node at a time with regionTable.fold:
+// every cell and every live length, for tables of all five shapes (empty,
+// the c + b row, the b row, the b = 0 column and the general table of
+// several columns), over groups of odd and even size, from ResetGroup and
+// from a table already folded on — ResetGroup(a) then Fold(b) is
+// ResetGroup(a ++ b), with a of odd length so b's pairs straddle a's. The
+// scales reach FuzzJointBand's regimes: products that underflow past τ,
+// certain failures and inputs the clamp must absorb.
+func FuzzRegionFold(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(7), uint8(9), 0.03, 0.001)
+	f.Add(int64(2), uint8(41), uint8(0), uint8(30), 0.3, 0.3)
+	f.Add(int64(3), uint8(40), uint8(13), uint8(55), 0.03, 1e-30) // products underflow straight past τ
+	f.Add(int64(4), uint8(31), uint8(2), uint8(5), 1.0, 1.0)
+	f.Add(int64(5), uint8(0), uint8(0), uint8(0), 0.5, 0.5)
+	f.Add(int64(6), uint8(63), uint8(31), uint8(200), 1e-200, 0.9)
+	f.Add(int64(7), uint8(1), uint8(1), uint8(1), 1.7, -0.4) // clamped
+	f.Fuzz(func(t *testing.T, seed int64, size, split, bound uint8, crashScale, byzScale float64) {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := make([]TriState, int(size)%64)
+		for i := range nodes {
+			nodes[i] = TriState{PCrash: crashScale * rng.Float64(), PByz: byzScale * rng.Float64()}
+			if rng.Intn(16) == 0 {
+				nodes[i] = edgeNodes[rng.Intn(len(edgeNodes))]
+			}
+		}
+		n := len(nodes) + int(bound)%3 // the fleet the tables are laid out for
+		k := int(bound) % (n + 1)      // a faulty bound, below n unless n = 0
+		if k == n && n > 0 {
+			k--
+		}
+		for _, regions := range [][3]Region{
+			{{Byz: -1, Faulty: k}, {Byz: n, Faulty: k}, {Byz: k, Faulty: n}},      // empty, c + b row, b row
+			{{Byz: 0, Faulty: k}, {Byz: 1 + k/3, Faulty: k}, {Byz: n, Faulty: n}}, // b = 0 column, general, vacuous
+		} {
+			var want RegionPass
+			want.ResetGroup(nil, regions, n)
+			for _, node := range nodes {
+				pc, pb, pok := clampTri(node)
+				for i := range want.tabs {
+					want.tabs[i].fold(pc, pb, pok)
+				}
+			}
+			name := fmt.Sprintf("%d nodes, n=%d, regions %v", len(nodes), n, regions)
+			var got RegionPass
+			got.ResetGroup(nodes, regions, n)
+			checkRegionInvariant(t, name, &got)
+			sameTables(t, name, &got, &want)
+			a := min(int(split)|1, len(nodes))
+			got.ResetGroup(nodes[:a], regions, n)
+			got.Fold(nodes[a:])
+			sameTables(t, fmt.Sprintf("%s, folded on after %d", name, a), &got, &want)
+		}
+	})
 }

@@ -252,47 +252,42 @@ func (d *decoder) literal(lit string) *decodeError {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// digits returns the end of the run of decimal digits that starts at i.
-func digits(data []byte, i int) int {
-	for i < len(data) && isDigit(data[i]) {
-		i++
-	}
-	return i
-}
-
-// number consumes a JSON number and returns its text. The whole grammar is
-// checked here — no leading zeros, digits on both sides of the point and
-// after the exponent — because strconv alone would also take 0x1p-2, 1_0,
-// Inf and NaN.
-func (d *decoder) number() ([]byte, *decodeError) {
+// number consumes a JSON number and returns its text and its decimal
+// value (float.go). The whole grammar is checked here — no leading zeros,
+// digits on both sides of the point and after the exponent — because
+// strconv alone would also take 0x1p-2, 1_0, Inf and NaN.
+func (d *decoder) number() ([]byte, decimal, *decodeError) {
 	data, start, i := d.data, d.pos, d.pos
+	var n decimal
 	if data[i] == '-' {
+		n.neg = true
 		i++
 	}
 	// Up to three runs of digits; the number is malformed once one is empty.
 	end := i + 1 // a leading 0 stands alone
 	if i >= len(data) || data[i] != '0' {
-		end = digits(data, i)
+		end = n.digits(data, i, false)
 	}
 	ok := end > i
 	i = end
 	if ok && i < len(data) && data[i] == '.' {
-		end = digits(data, i+1)
+		end = n.digits(data, i+1, true)
 		ok, i = end > i+1, end
 	}
 	if ok && i < len(data) && (data[i] == 'e' || data[i] == 'E') {
 		i++
-		if i < len(data) && (data[i] == '-' || data[i] == '+') {
+		neg := i < len(data) && data[i] == '-'
+		if neg || i < len(data) && data[i] == '+' {
 			i++
 		}
-		end = digits(data, i)
+		end = n.exponent(data, i, neg)
 		ok, i = end > i, end
 	}
 	d.pos = i
 	if !ok {
-		return nil, d.syntax("in a number")
+		return nil, n, d.syntax("in a number")
 	}
-	return data[start:i], nil
+	return data[start:i], n, nil
 }
 
 // numberStart reports whether the next value is a number; for null it
@@ -322,9 +317,13 @@ func (d *decoder) float(v *float64) *decodeError {
 		return err
 	}
 	start := d.pos
-	lit, err := d.number()
+	lit, n, err := d.number()
 	if err != nil {
 		return err
+	}
+	if f, ok := n.float64(); ok {
+		*v = f
+		return nil
 	}
 	// The conversion does not escape, so a number of up to 32 bytes is
 	// parsed without an allocation.
@@ -344,7 +343,7 @@ func (d *decoder) integer(bitSize int) (n int64, ok bool, err *decodeError) {
 		return 0, false, err
 	}
 	start := d.pos
-	lit, err := d.number()
+	lit, _, err := d.number()
 	if err != nil {
 		return 0, false, err
 	}

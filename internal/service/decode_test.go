@@ -286,9 +286,10 @@ func diffDecode[Q any](t *testing.T, data []byte) {
 	}
 }
 
-// decodeEdgeCases are bodies picked for the corners of the grammar; each
-// runs against all five request types.
-var decodeEdgeCases = []string{
+// decodeEdgeCases are bodies picked for the corners of the grammar, and
+// every numberSeeds literal as a "p"; each runs against all five request
+// types.
+var decodeEdgeCases = append([]string{
 	``, ` `, "\n\t\r ", `null`, ` null `, `nul`, `nullx`, `{}`, ` { } `, `[]`, `0`, `"x"`, `true`, `{`, `{"`, `{"p"`, `{"p":`, `{"p":1`, `{"p":1,`, `{"p":1,}`, `{,}`, `{"p" 1}`, "\xef\xbb\xbf{}", "{}\x00",
 	// null is "absent" for every field type.
 	`{"model":null,"fleet":null,"p":null,"domains":null,"debug":null}`,
@@ -325,7 +326,12 @@ var decodeEdgeCases = []string{
 	// Whitespace and what follows the value.
 	" \n\t{ \"model\" \r\n: { \"protocol\" : \"raft\" , \"n\" : 3 } , \"p\" :\t0.01 , \"fleet\" : [ ] }\n\n",
 	`{"p":0.5} `, `{"p":0.5}x`, `{"p":0.5}{}`, `{"p":0.5},`, `{"p":0.5}]`, `{"p":0.5} null`, `null null`, "{\"p\":0.5}\x0b", "{\"p\":0.5}\xc2\xa0",
-}
+}, func() (out []string) {
+	for _, s := range numberSeeds {
+		out = append(out, `{"p":`+s+`}`)
+	}
+	return out
+}()...)
 
 // dirtyBodies are the seed bodies diffDecode leaves a target dirty with.
 var dirtyBodies = func() [][]byte {
