@@ -190,8 +190,8 @@ func (l *domainLayout) price(n int, m CountModel) float64 {
 // work bounds the domain engine's cold walk of the resolved layout over n
 // nodes, region by region. The formula prices the convolution engine the
 // fold-through replaced, and is kept so that admission, /v1/tail's auto
-// dispatch and the wire work fields do not move (ROADMAP items 7 and 14
-// re-price it): with G(k) a k-node group's reachable cells
+// dispatch and the wire work fields do not move (ROADMAP item 20
+// re-prices it): with G(k) a k-node group's reachable cells
 // (dist.Region.Cells) and c = G(n) the whole table, every node folds into
 // its blocks at G(k) cells a node, and each domain mixes G(k) cells and
 // takes three convolutions of c output cells, each reading at most 2·G of

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/faultcurve"
@@ -162,10 +163,13 @@ func appendModelBits(buf []byte, m CountModel) []byte {
 	return buf
 }
 
-// profileKeys is a reused buffer of (PCrash, PByz) bit pairs, sorted in
-// place: the profile encoding of the fingerprint and of the evaluator's
-// rest-table keys.
-type profileKeys [][2]uint64
+// profileKeys is a reused buffer of (PCrash, PByz) bit pairs and the
+// scratch they are sorted through: the profile encoding of the fingerprint
+// and of the evaluator's rest-table keys.
+type profileKeys struct {
+	keys, tmp [][2]uint64
+	count     []int32
+}
 
 // appendSorted appends the count and the sorted exact IEEE-754 (PCrash,
 // PByz) bit pairs of the given fleet indices, or of the whole fleet when
@@ -175,7 +179,7 @@ func (k *profileKeys) appendSorted(buf []byte, fleet Fleet, idxs []int, all bool
 	if all {
 		n = len(fleet)
 	}
-	keys := slices.Grow((*k)[:0], n)
+	keys := slices.Grow(k.keys[:0], n)
 	if all {
 		for _, node := range fleet {
 			keys = append(keys, profileKey(node.Profile))
@@ -185,14 +189,90 @@ func (k *profileKeys) appendSorted(buf []byte, fleet Fleet, idxs []int, all bool
 			keys = append(keys, profileKey(fleet[i].Profile))
 		}
 	}
-	slices.SortFunc(keys, compareProfileKeys)
-	*k = keys
+	k.keys = keys
+	keys = k.sort()
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(keys)))
 	for _, key := range keys {
 		buf = binary.BigEndian.AppendUint64(buf, key[0])
 		buf = binary.BigEndian.AppendUint64(buf, key[1])
 	}
 	return buf
+}
+
+const (
+	// keySortRun is the most keys insertion sort takes on its own, and
+	// the most one bucket of the bucket pass may hold.
+	keySortRun = 16
+	// keySortMaxBits caps the bucket pass at 4096 buckets.
+	keySortMaxBits = 12
+)
+
+// sort sorts k.keys in (PCrash bits, PByz bits) order and returns them;
+// the slice returned may be k.tmp, and the two buffers then trade places.
+// Past keySortRun keys, one pass finds the least and greatest PCrash bits,
+// lo and hi, and a second counts the keys into at least as many buckets as
+// there are keys, by the leading bits of key - lo; the buckets follow in
+// key order. The keys are scattered into k.tmp by bucket, and one
+// insertion sort finishes each bucket. A crowded bucket (many equal crash
+// probabilities, say) sends the whole slice to slices.SortFunc instead,
+// which keeps any fleet at O(n log n). The order is the one total order on
+// distinct pairs, so either path yields the same bytes.
+//
+// The buckets split [lo, hi] evenly, rather than by the bits that differ
+// between keys: a fleet whose crash probabilities cross a power of two
+// where the exponent's low bits carry (0.005–0.05 crosses 2^-5, 0111 to
+// 1010) differs in a high bit that would leave most buckets empty.
+func (k *profileKeys) sort() [][2]uint64 {
+	keys := k.keys
+	if len(keys) <= keySortRun {
+		insertionSortKeys(keys)
+		return keys
+	}
+	lo, hi := keys[0][0], keys[0][0]
+	for _, key := range keys {
+		lo, hi = min(lo, key[0]), max(hi, key[0])
+	}
+	width := min(bits.Len(uint(len(keys))), keySortMaxBits)
+	shift := max(bits.Len64(hi-lo)-width, 0)
+	count := slices.Grow(k.count[:0], 1<<width)[:1<<width]
+	k.count = count
+	clear(count)
+	for _, key := range keys {
+		count[(key[0]-lo)>>shift]++
+	}
+	pos := int32(0)
+	for b, c := range count {
+		if c > keySortRun {
+			slices.SortFunc(keys, compareProfileKeys)
+			return keys
+		}
+		count[b] = pos
+		pos += c
+	}
+	tmp := slices.Grow(k.tmp[:0], len(keys))[:len(keys)]
+	for _, key := range keys {
+		b := (key[0] - lo) >> shift
+		tmp[count[b]] = key
+		count[b]++
+	}
+	insertionSortKeys(tmp)
+	k.keys, k.tmp = tmp, keys
+	return tmp
+}
+
+// insertionSortKeys sorts keys in compareProfileKeys order.
+func insertionSortKeys(keys [][2]uint64) {
+	for i := 1; i < len(keys); i++ {
+		v, j := keys[i], i
+		for ; j > 0 && lessProfileKey(v, keys[j-1]); j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = v
+	}
+}
+
+func lessProfileKey(a, b [2]uint64) bool {
+	return a[0] < b[0] || a[0] == b[0] && a[1] < b[1]
 }
 
 func profileKey(p faultcurve.Profile) [2]uint64 {

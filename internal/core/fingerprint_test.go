@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/faultcurve"
@@ -269,8 +272,9 @@ func TestFingerprintDomainRejectsInvalid(t *testing.T) {
 }
 
 // fpGoldenFleet is an n-node fleet whose profiles repeat with period 13 in
-// a scrambled order, so every sort path (insertion sort up to 64 keys, the
-// large-fleet sort beyond) has out-of-order keys and ties to settle.
+// a scrambled order, so the sort has out-of-order keys and ties to settle:
+// up to 16 keys by insertion sort, past that in the crowded buckets that
+// send the whole slice to slices.SortFunc.
 func fpGoldenFleet(n int, byz bool) Fleet {
 	f := make(Fleet, n)
 	for i := range f {
@@ -356,4 +360,136 @@ func TestFingerprintGolden(t *testing.T) {
 			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
 		}
 	}
+}
+
+// keyShapes are the key sets FuzzProfileKeySort draws, by index: cold_large's
+// profiles; one crash probability for all (a single crowded bucket); spread
+// keys with a run of neighbouring ones crowding one bucket; every crash
+// probability twice, the tie broken by the Byzantine one; canonical zeros
+// among spread keys; subnormals among normal ones; certain failures (1.0)
+// among spread keys; any probability a float64 spells; and any bits.
+var keyShapes = []func(r *rand.Rand, i int) [2]uint64{
+	func(r *rand.Rand, i int) [2]uint64 { return keyOf(0.005+0.045*r.Float64(), 0.0001+0.0019*r.Float64()) },
+	func(r *rand.Rand, i int) [2]uint64 { return keyOf(0.01, r.Float64()*0.01) },
+	func(r *rand.Rand, i int) [2]uint64 {
+		if i%4 == 0 {
+			return [2]uint64{math.Float64bits(0.01) + uint64(r.Intn(64)), math.Float64bits(0.001)}
+		}
+		return keyOf(r.Float64(), 0)
+	},
+	func(r *rand.Rand, i int) [2]uint64 {
+		return keyOf(0.005+0.045*float64(i/2)/float64(1+i%997), 0.0001*float64(r.Intn(3)))
+	},
+	func(r *rand.Rand, i int) [2]uint64 {
+		if r.Intn(8) == 0 {
+			return keyOf(0, 0)
+		}
+		return keyOf(0.05*r.Float64(), 0)
+	},
+	func(r *rand.Rand, i int) [2]uint64 {
+		if r.Intn(2) == 0 {
+			return keyOf(math.SmallestNonzeroFloat64*float64(1+r.Intn(1<<20)), math.SmallestNonzeroFloat64)
+		}
+		return keyOf(0.05*r.Float64(), 0)
+	},
+	func(r *rand.Rand, i int) [2]uint64 {
+		if r.Intn(4) == 0 {
+			return keyOf(1, 0)
+		}
+		return keyOf(r.Float64(), 1-r.Float64())
+	},
+	func(r *rand.Rand, i int) [2]uint64 {
+		return keyOf(math.Ldexp(r.Float64(), -r.Intn(1100)), math.Ldexp(r.Float64(), -r.Intn(1100)))
+	},
+	func(r *rand.Rand, i int) [2]uint64 { return [2]uint64{r.Uint64(), r.Uint64()} },
+}
+
+func keyOf(crash, byz float64) [2]uint64 {
+	return profileKey(faultcurve.Profile{PCrash: crash, PByz: byz})
+}
+
+// FuzzProfileKeySort holds profileKeys.sort to slices.SortFunc's order on
+// fuzzer-seeded keys of every shape, at sizes on both sides of the
+// insertion-sort cutoff and the crowded-bucket fallback, on one reused
+// workspace as the fingerprint encoder reuses its own.
+func FuzzProfileKeySort(f *testing.F) {
+	for _, n := range []uint16{0, 1, 2, 16, 17, 256, 1024} {
+		for shape := range keyShapes {
+			f.Add(int64(n)*31+int64(shape), n, uint8(shape))
+		}
+	}
+	var k profileKeys
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, shape uint8) {
+		n %= 2049
+		draw := keyShapes[int(shape)%len(keyShapes)]
+		r := rand.New(rand.NewSource(seed))
+		k.keys = k.keys[:0]
+		for i := 0; i < int(n); i++ {
+			k.keys = append(k.keys, draw(r, i))
+		}
+		want := slices.Clone(k.keys)
+		slices.SortFunc(want, compareProfileKeys)
+		if got := k.sort(); !slices.Equal(got, want) {
+			t.Fatalf("shape %d, %d keys: sorted to %v, want %v", shape, n, got, want)
+		}
+	})
+}
+
+// BenchmarkFingerprint times the profile-key encoding: the fingerprint of a
+// domain-free fleet of cold_large's profiles at N = 25, 256 and 1024, and
+// of domain_churn's 48 nodes in 4 zones, and that query's rest keys (one
+// per zone, each over the other three zones' nodes and the remainder). It
+// reports the time per key sorted.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, n := range []int{25, 256, 1024} {
+		r := rand.New(rand.NewSource(int64(n)))
+		fleet := make(Fleet, n)
+		for i := range fleet {
+			fleet[i].Profile = faultcurve.Profile{PCrash: 0.005 + 0.045*r.Float64(), PByz: 0.0001 + 0.0019*r.Float64()}
+		}
+		var q Query
+		if err := q.Resolve(fleet, NewRaft(n), nil); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fingerprintSink = q.Fingerprint()
+			}
+			reportPerKey(b, n)
+		})
+	}
+	fleet, domains := ladderFleet(48, 4)
+	var q Query
+	if err := q.Resolve(fleet, NewRaft(48), domains); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("N=48/D=4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fingerprintSink = q.Fingerprint()
+		}
+		reportPerKey(b, 48)
+	})
+	b.Run("N=48/D=4/rest", func(b *testing.B) {
+		var ds domainState
+		l := &q.layout
+		keys := 0
+		for _, di := range l.act {
+			keys += len(fleet) - len(l.blocks[di])
+		}
+		for i := 0; i < b.N; i++ {
+			for pos := range l.act {
+				restKeySink = ds.restKeyFor(q.Fleet, q.Model, q.Domains, l, pos)
+			}
+		}
+		reportPerKey(b, keys)
+	})
+}
+
+var (
+	fingerprintSink Fingerprint
+	restKeySink     restKey
+)
+
+func reportPerKey(b *testing.B, keys int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/key")
 }

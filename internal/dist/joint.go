@@ -1,10 +1,6 @@
 package dist
 
-import (
-	"math"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // JointCrashByz is the exact joint distribution of (#crashed, #Byzantine)
 // across a fleet of independent tri-state nodes — the object at the heart
@@ -42,17 +38,18 @@ type JointCrashByz struct {
 // constant, not a knob: nothing a caller can observe depends on it.
 const flushBelow = 0x1p-900
 
-const flushBits = (1023 - 900) << 52 // math.Float64bits(flushBelow)
-
-// flush returns v, or 0 when v < τ, without a branch: for the non-negative
-// values a fold produces float order is bit-pattern order, and the integer
-// compare compiles to a conditional move.
+// flush returns v, or 0 when v < τ. The branch is taken only in a deep
+// tail, and there over one contiguous run of cells, so it predicts well
+// and costs less than moving each cell through the integer registers to
+// compare its bits. For every value a fold produces — +0, finite
+// non-negatives, +Inf and NaN — this is the same as comparing the bit
+// patterns; the two differ only on negatives and -0, which no fold
+// produces (DESIGN.md "Count regions").
 func flush(v float64) float64 {
-	u := math.Float64bits(v)
-	if u < flushBits {
-		u = 0
+	if v < flushBelow {
+		return 0
 	}
-	return math.Float64frombits(u)
+	return v
 }
 
 // jointBuilds counts from-scratch DPs over a fleet or a node group:

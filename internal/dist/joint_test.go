@@ -103,11 +103,39 @@ func checkAgainstOracle(t *testing.T, name string, nodes []TriState, got *JointC
 	return flushed
 }
 
+// flushByBits is flush in the form it was first written: the bit
+// patterns compared as integers, which sends every cell through the
+// integer registers and a conditional move.
+func flushByBits(v float64) float64 {
+	if math.Float64bits(v) < math.Float64bits(flushBelow) {
+		return 0
+	}
+	return v
+}
+
+// TestFlushMatchesBitForm pins flush to flushByBits, bit for bit, on every
+// kind of value a fold can produce — +0, a subnormal, both sides of τ, 1,
+// +Inf and NaN — and shows the two part on negatives and -0, which
+// checkTableInvariant keeps out of every table.
+func TestFlushMatchesBitForm(t *testing.T) {
+	for _, v := range []float64{0, math.SmallestNonzeroFloat64, math.Nextafter(flushBelow, 0), flushBelow,
+		math.Nextafter(flushBelow, 1), 1, math.Inf(1), math.NaN()} {
+		if got, want := math.Float64bits(flush(v)), math.Float64bits(flushByBits(v)); got != want {
+			t.Errorf("flush(%g) = %#x, bit form %#x", v, got, want)
+		}
+	}
+	for _, v := range []float64{math.Copysign(0, -1), -math.SmallestNonzeroFloat64, -1, math.Inf(-1)} {
+		if got, want := math.Float64bits(flush(v)), math.Float64bits(flushByBits(v)); got == want {
+			t.Errorf("flush(%g) = %#x, the bit form's bits: the two forms should differ here", v, got)
+		}
+	}
+}
+
 // TestFlushBound pins the joint table's fold against the scatter oracle on
 // random heterogeneous fleets from both regimes.
 func TestFlushBound(t *testing.T) {
-	if math.Float64bits(flushBelow) != flushBits || flushBelow != math.Ldexp(1, -900) {
-		t.Fatalf("τ = %g (bits %#x), flushBits = %#x", flushBelow, math.Float64bits(flushBelow), uint64(flushBits))
+	if flushBelow != math.Ldexp(1, -900) {
+		t.Fatalf("τ = %g (bits %#x)", flushBelow, math.Float64bits(flushBelow))
 	}
 	rng := rand.New(rand.NewSource(51))
 	for _, n := range []int{1, 2, 3, 7, 64, 200, 300} {

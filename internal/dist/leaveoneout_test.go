@@ -302,6 +302,7 @@ func FuzzRegionLeaveOneOut(f *testing.F) {
 		r := Region{Byz: int(uint(byz)%uint(n+4)) - 1, Faulty: int(uint(faulty)%uint(n+4)) - 1}
 		var l RegionLeaveOneOut
 		l.Reset(nodes, r, len(nodes), nil, nil)
+		checkTableInvariant(t, fmt.Sprintf("region %+v, %d nodes", r, n), &l.full)
 		flushBound := 2 * float64(n*r.Cells(n, n)) * flushBelow
 		var e edgeErr
 		for i := range nodes {

@@ -307,28 +307,29 @@ func foldCol(col, left []float64, hi, hiLeft int, pc, pb, pok float64) int {
 // inputs are then 0, and so is what is written.
 func foldRow2(row []float64, hi int, stay1, move1, stay2, move2 float64) int {
 	h1 := min(hi+1, len(row))
-	h2 := min(h1+1, len(row))
-	k := h2 - 1
+	r := row[:min(h1+1, len(row))]
+	k := len(r) - 1
 	cur := 0.0 // the first node's cell k
 	switch {
 	case k >= h1:
 	case k > 0:
-		cur = flush(row[k-1]*move1 + row[k]*stay1)
+		cur = flush(r[k-1]*move1 + r[k]*stay1)
 	default:
-		cur = flush(row[0] * stay1)
+		cur = flush(r[0] * stay1)
 	}
 	for ; k > 1; k-- {
-		prev := flush(row[k-2]*move1 + row[k-1]*stay1)
-		row[k] = flush(prev*move2 + cur*stay2)
+		prev := flush(r[k-2]*move1 + r[k-1]*stay1)
+		r[k] = flush(prev*move2 + cur*stay2)
 		cur = prev
 	}
 	if k == 1 {
-		prev := flush(row[0] * stay1)
-		row[1] = flush(prev*move2 + cur*stay2)
+		prev := flush(r[0] * stay1)
+		r[1] = flush(prev*move2 + cur*stay2)
 		cur = prev
 	}
-	row[0] = flush(cur * stay2)
-	for h2 > 0 && row[h2-1] == 0 {
+	r[0] = flush(cur * stay2)
+	h2 := len(r)
+	for h2 > 0 && r[h2-1] == 0 {
 		h2--
 	}
 	return h2

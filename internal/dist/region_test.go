@@ -23,10 +23,15 @@ func checkRegionInvariant(t *testing.T, name string, rp *RegionPass) {
 
 // checkTableInvariant asserts a table's whole buffer, spare capacity
 // included, is zero outside its column extents, that every extent is
-// tight, and that nothing is stored inside (0, τ).
+// tight, that nothing is stored inside (0, τ), and that no cell is
+// negative or -0: the only values on which flush and its bit-pattern form
+// (flushByBits) part.
 func checkTableInvariant(t *testing.T, name string, tab *regionTable) {
 	t.Helper()
 	for j, v := range tab.p[:cap(tab.p)] {
+		if v < 0 || v == 0 && math.Signbit(v) {
+			t.Fatalf("%s: cell %d = %g is negative or -0", name, j, v)
+		}
 		live := false
 		if tab.w > 0 {
 			b, c := j/tab.w, j%tab.w

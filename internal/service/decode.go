@@ -252,13 +252,13 @@ func (d *decoder) literal(lit string) *decodeError {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// number consumes a JSON number and returns its text and its decimal
-// value (float.go). The whole grammar is checked here — no leading zeros,
-// digits on both sides of the point and after the exponent — because
-// strconv alone would also take 0x1p-2, 1_0, Inf and NaN.
-func (d *decoder) number() ([]byte, decimal, *decodeError) {
+// number consumes a JSON number, sets n to its decimal value (float.go)
+// and returns its text. The whole grammar is checked here — no leading
+// zeros, digits on both sides of the point and after the exponent —
+// because strconv alone would also take 0x1p-2, 1_0, Inf and NaN.
+func (d *decoder) number(n *decimal) ([]byte, *decodeError) {
 	data, start, i := d.data, d.pos, d.pos
-	var n decimal
+	*n = decimal{}
 	if data[i] == '-' {
 		n.neg = true
 		i++
@@ -285,9 +285,9 @@ func (d *decoder) number() ([]byte, decimal, *decodeError) {
 	}
 	d.pos = i
 	if !ok {
-		return nil, n, d.syntax("in a number")
+		return nil, d.syntax("in a number")
 	}
-	return data[start:i], n, nil
+	return data[start:i], nil
 }
 
 // numberStart reports whether the next value is a number; for null it
@@ -317,7 +317,8 @@ func (d *decoder) float(v *float64) *decodeError {
 		return err
 	}
 	start := d.pos
-	lit, n, err := d.number()
+	var n decimal
+	lit, err := d.number(&n)
 	if err != nil {
 		return err
 	}
@@ -343,7 +344,8 @@ func (d *decoder) integer(bitSize int) (n int64, ok bool, err *decodeError) {
 		return 0, false, err
 	}
 	start := d.pos
-	lit, _, err := d.number()
+	var dec decimal
+	lit, err := d.number(&dec)
 	if err != nil {
 		return 0, false, err
 	}

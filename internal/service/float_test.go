@@ -12,9 +12,19 @@ import (
 // numberSeeds are the literals FuzzParseNumber starts from and
 // decodeEdgeCases carries as "p" values: bench-shaped 17-digit
 // probabilities, mantissas around the 19 digits a uint64 keeps, the ends
-// of the float64 range, Clinger's and Eisel–Lemire's exits, and exponents
-// at both edges of the power table and one past each.
+// of the float64 range, Clinger's and Eisel–Lemire's exits, exponents at
+// both edges of the power table and one past each, and the seams of the
+// eight-digit step (decimal.digits): a non-digit at each offset of the
+// word read, runs of digits around one and two words, leading zeros
+// before a word, and a word that would cross the 19 kept digits.
 var numberSeeds = []string{
+	"0.000e-000001", "1.2345678901", "12.345678901", "123.45678901", "1234.5678901", "12345.678901",
+	"123456.78901", "1234567.8901", "1234567e+123", "0.1234567e-12", "0.12345670e-12", "-1234567.8901",
+	"1234567", "12345678", "123456789", "1234567890123456", "12345678901234567", "98765432109876543",
+	"0.1234567", "0.12345678", "0.123456789", "0.1234567890123456", "0.12345678901234567", "0.12345678901234567890",
+	"0.0000000012345678", "0.00012345678e-3", "0.000000001234567890123456789", "00000000",
+	"123456789012.34567891", "12345678901234.567890123", "1234567890123.0000000", "99999999.99999999999",
+	"12345678901234567891234", "1234567890123456.7890", "9999999999999999999.5", "1.00000000000000000001",
 	"0.012345678901234567", "0.0017380544519626408", "4.6010963470416105", "0.00019999999999999998",
 	"1234567890123456789", "12345678901234567890", "12345678901234567891", "0.1234567890123456789",
 	"1234567890123456789012345678901234567890", "0.0000000001234567890123456789012345678901234567890",
@@ -37,8 +47,8 @@ func checkParseNumber(t *testing.T, s string) {
 	if s == "" || s[0] != '-' && !isDigit(s[0]) {
 		return
 	}
-	d := decoder{data: []byte(s)}
-	if _, _, err := d.number(); err != nil || d.pos != len(s) {
+	d, n := decoder{data: []byte(s)}, decimal{}
+	if _, err := d.number(&n); err != nil || d.pos != len(s) {
 		return
 	}
 	d.pos = 0
