@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/montecarlo"
 	"repro/internal/optimize"
 	"repro/internal/planner"
-	"repro/internal/qcache"
 	"repro/internal/quorum"
 	"repro/internal/raft"
 	"repro/internal/service"
@@ -1292,58 +1290,4 @@ func BenchmarkBatchAnalyzeSequential(b *testing.B) {
 		}
 	}
 	b.ReportMetric(64, "queries/op")
-}
-
-// BenchmarkL2Hit times the peer tier's serve path: member A has a
-// one-entry L1 and every query's fingerprint is owned by warm member B,
-// so each iteration is an A-side L1 miss answered over the wire from B's
-// cache — the fleet-scale repeat-query cost with zero engine work.
-func BenchmarkL2Hit(b *testing.B) {
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	addrB := lnB.Addr().String()
-	addrA := "bench-a.invalid:1" // never dialed: A only issues requests
-	client, err := qcache.NewPeerClient(addrA, []string{addrA, addrB}, qcache.PeerOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	srvB := service.New(service.Options{CacheCapacity: 4096})
-	peerB := qcache.NewPeerServer(srvB)
-	go peerB.Serve(lnB)
-	defer peerB.Close()
-
-	// A's L1 holds one entry; rotating two B-owned queries makes every
-	// iteration an L1 miss that must cross the wire.
-	srvA := service.New(service.Options{CacheCapacity: 1, CacheShards: 1, L2: client})
-	var rotation []service.AnalyzeRequest
-	for _, r := range batchBenchRequests(64) {
-		resp, err := srvB.Analyze(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if client.Owner(resp.Fingerprint) == addrB {
-			rotation = append(rotation, r)
-		}
-		if len(rotation) == 2 {
-			break
-		}
-	}
-	if len(rotation) < 2 {
-		b.Fatal("no B-owned queries found")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := srvA.Analyze(rotation[i%2])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !resp.Cached {
-			b.Fatal("iteration missed the peer tier")
-		}
-	}
 }

@@ -6,7 +6,6 @@
 //	probconsd                          # serve on :8080
 //	probconsd -addr :9090 -cache 65536 -workers 16
 //	probconsd -metrics-addr :9091 -log-format json
-//	probconsd -l2-addr :9191 -peers hostA:9191,hostB:9191   # fleet member
 //	probconsd -cache-dump /var/lib/probconsd/l1 -cache-load /var/lib/probconsd/l1
 //
 // Endpoints:
@@ -24,11 +23,9 @@
 //
 // Identical concurrent queries are coalesced into one computation;
 // repeated queries are served from a sharded LRU cache keyed by the
-// canonical fleet+model fingerprint. With -peers set, instances form a
-// fleet: each L1 miss consults the key's owning peer (rendezvous hashing
-// over the fingerprint) before computing, so the fleet computes each
-// distinct query once. SIGINT/SIGTERM drain in-flight requests before
-// exit; -cache-dump/-cache-load persist the cache across restarts.
+// canonical fleet+model fingerprint. SIGINT/SIGTERM drain in-flight
+// requests before exit; -cache-dump/-cache-load persist the cache across
+// restarts.
 //
 // With -metrics-addr unset, /metrics, /debug/pprof/*, and the flight
 // recorder's /debug/requests are served on the main listener. Setting
@@ -56,17 +53,14 @@ import (
 	"io"
 	"io/fs"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/qcache"
 	"repro/internal/service"
 )
 
@@ -85,9 +79,6 @@ type config struct {
 	traceSlowMS float64 // 0 = dynamic per-endpoint p99 threshold
 	traceSample int     // keep 1 in K; 0 disables sampling
 
-	l2Addr    string // "" = no L2 listener
-	l2Self    string // this member's entry in peers; "" = l2Addr
-	peers     string // comma-separated fleet member L2 addresses
 	cacheDump string // write the analyze cache here on graceful shutdown
 	cacheLoad string // warm the analyze cache from here at boot
 }
@@ -104,9 +95,6 @@ func main() {
 	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 1024, "flight-recorder capacity (traces)")
 	flag.Float64Var(&cfg.traceSlowMS, "trace-slow-ms", 0, "retain traces at least this slow, in ms (0: track each endpoint's live p99)")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 64, "always retain 1 in K traces regardless of speed (0 disables sampling)")
-	flag.StringVar(&cfg.l2Addr, "l2-addr", "", "listen address for the binary L2 cache-tier protocol (serves this instance's cache to its peers)")
-	flag.StringVar(&cfg.l2Self, "l2-self", "", "this instance's own entry in -peers (default: the -l2-addr value; set it when peers reach this instance at a different address)")
-	flag.StringVar(&cfg.peers, "peers", "", "comma-separated L2 addresses of every fleet member including this one, identical on each instance (enables peer-shared caching)")
 	flag.StringVar(&cfg.cacheDump, "cache-dump", "", "write the analyze cache to this file on graceful shutdown")
 	flag.StringVar(&cfg.cacheLoad, "cache-load", "", "warm the analyze cache from this file at boot (a missing file is skipped, not fatal)")
 	flag.Parse()
@@ -179,10 +167,6 @@ func run(cfg config) error {
 	if cfg.traceSample < 0 {
 		return fmt.Errorf("trace sample rate must be >= 0, got %d", cfg.traceSample)
 	}
-	peerClient, err := newPeerClient(cfg)
-	if err != nil {
-		return err
-	}
 	logger, logs, err := newLogger(cfg)
 	if err != nil {
 		return err
@@ -200,7 +184,7 @@ func run(cfg config) error {
 	if sampleK == 0 {
 		sampleK = -1
 	}
-	opts := service.Options{
+	srv := service.New(service.Options{
 		CacheCapacity: cfg.cacheSize,
 		CacheShards:   cfg.shards,
 		Workers:       cfg.workers,
@@ -208,12 +192,7 @@ func run(cfg config) error {
 		TraceBuffer:   cfg.traceBuffer,
 		TraceSlow:     time.Duration(cfg.traceSlowMS * float64(time.Millisecond)),
 		TraceSample:   sampleK,
-	}
-	if peerClient != nil {
-		opts.L2 = peerClient
-		defer peerClient.Close()
-	}
-	srv := service.New(opts)
+	})
 
 	if cfg.cacheLoad != "" {
 		if err := warmCache(srv, cfg.cacheLoad); err != nil {
@@ -229,32 +208,12 @@ func run(cfg config) error {
 	}
 	httpSrv := newHTTPServer(cfg.addr, root)
 
-	// The L2 listener binds before anything starts serving: a bad
-	// -l2-addr fails the boot outright instead of surfacing as a
-	// mid-flight listener death.
-	var l2Srv *qcache.PeerServer
-	var l2Ln net.Listener
-	if cfg.l2Addr != "" {
-		ln, err := net.Listen("tcp", cfg.l2Addr)
-		if err != nil {
-			return fmt.Errorf("l2 listen: %w", err)
-		}
-		l2Ln = ln
-		l2Srv = qcache.NewPeerServer(srv)
-	}
-
-	errCh := make(chan error, 3)
+	errCh := make(chan error, 2)
 	go func() {
 		fmt.Printf("probconsd: serving on %s (cache %d entries / %d shards, %d workers)\n",
 			cfg.addr, cfg.cacheSize, cfg.shards, cfg.workers)
 		errCh <- httpSrv.ListenAndServe()
 	}()
-	if l2Srv != nil {
-		go func() {
-			fmt.Printf("probconsd: l2 cache tier on %s (%d peers)\n", cfg.l2Addr, peerCount(peerClient))
-			errCh <- l2Srv.Serve(l2Ln)
-		}()
-	}
 
 	var opsSrv *http.Server
 	if cfg.metricsAddr != "" {
@@ -273,13 +232,9 @@ func run(cfg config) error {
 	if opsSrv != nil {
 		listeners++
 	}
-	if l2Srv != nil {
-		listeners++
-	}
 	// shutdown drains every listener and collects the serve-loop returns
 	// still owed on errCh (pending is listeners minus any error the
-	// caller already consumed). A Close-triggered PeerServer.Serve
-	// returns nil, which passes the collection check like ErrServerClosed.
+	// caller already consumed).
 	shutdown := func(why string, pending int) error {
 		fmt.Printf("probconsd: %s, draining for up to %v\n", why, cfg.drain)
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
@@ -292,9 +247,6 @@ func run(cfg config) error {
 			if err := opsSrv.Shutdown(ctx); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("ops shutdown: %w", err)
 			}
-		}
-		if l2Srv != nil {
-			_ = l2Srv.Close()
 		}
 		for i := 0; i < pending; i++ {
 			if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) && firstErr == nil {
@@ -332,45 +284,9 @@ func run(cfg config) error {
 	}
 }
 
-// newPeerClient validates the fleet flags and builds the L2 router, or
-// nil when no fleet is configured.
-func newPeerClient(cfg config) (*qcache.PeerClient, error) {
-	if cfg.peers == "" {
-		if cfg.l2Self != "" {
-			return nil, fmt.Errorf("-l2-self requires -peers")
-		}
-		return nil, nil
-	}
-	if cfg.l2Addr == "" {
-		return nil, fmt.Errorf("-peers requires -l2-addr (every fleet member must serve its cache)")
-	}
-	self := cfg.l2Self
-	if self == "" {
-		self = cfg.l2Addr
-	}
-	var peers []string
-	for _, p := range strings.Split(cfg.peers, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("-peers has an empty entry")
-		}
-		peers = append(peers, p)
-	}
-	return qcache.NewPeerClient(self, peers, qcache.PeerOptions{})
-}
-
-// peerCount renders the fleet size for the boot banner (0 = serving the
-// cache without routing to peers).
-func peerCount(pc *qcache.PeerClient) int {
-	if pc == nil {
-		return 0
-	}
-	return len(pc.Peers())
-}
-
 // warmCache loads the analyze cache from path. A missing file is a
 // normal first boot; a corrupted file keeps whatever loaded before the
-// corruption — the warm cache is best-effort, like the tier it feeds.
+// corruption — the warm cache is best-effort.
 func warmCache(srv *service.Server, path string) error {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {

@@ -42,21 +42,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"trace buffer 1", func(c *config) { c.traceBuffer = 1 }},
 		{"negative trace slow threshold", func(c *config) { c.traceSlowMS = -1 }},
 		{"negative trace sample rate", func(c *config) { c.traceSample = -1 }},
-		{"peers without l2 listener", func(c *config) { c.peers = "127.0.0.1:1" }},
-		{"l2 self without peers", func(c *config) { c.l2Self = "127.0.0.1:1" }},
-		{"empty peer entry", func(c *config) {
-			c.l2Addr = "127.0.0.1:0"
-			c.peers = "127.0.0.1:0,,127.0.0.1:1"
-		}},
-		{"self not in peer list", func(c *config) {
-			c.l2Addr = "127.0.0.1:0"
-			c.l2Self = "10.0.0.9:9085"
-			c.peers = "127.0.0.1:0,127.0.0.1:1"
-		}},
-		{"unlistenable l2 address", func(c *config) {
-			c.l2Addr = "not-an-address"
-			c.peers = "not-an-address,127.0.0.1:1"
-		}},
 	}
 	for _, tc := range cases {
 		cfg := testConfig()
@@ -220,14 +205,12 @@ func TestRunGracefulShutdownWithOpsListener(t *testing.T) {
 	drainAndCheck(t, errCh)
 }
 
-// TestRunGracefulShutdownWithFleetTier drains a daemon running the L2
-// peer listener and cache persistence: the drain must write the dump
-// file, and a rerun must warm from it (and tolerate a missing file).
-func TestRunGracefulShutdownWithFleetTier(t *testing.T) {
-	dump := t.TempDir() + "/cache.l2"
+// TestRunGracefulShutdownWithCachePersistence drains a daemon running
+// cache persistence: the drain must write the dump file, and a rerun must
+// warm from it (and tolerate a missing file).
+func TestRunGracefulShutdownWithCachePersistence(t *testing.T) {
+	dump := t.TempDir() + "/cache.dump"
 	cfg := testConfig()
-	cfg.l2Addr = "127.0.0.1:0"
-	cfg.peers = "127.0.0.1:0,127.0.0.1:1"
 	cfg.cacheDump = dump
 	cfg.cacheLoad = dump // first boot: missing file is a cold start
 	errCh := make(chan error, 1)

@@ -175,8 +175,11 @@ func TestDocsMentionAllRoutes(t *testing.T) {
 }
 
 // TestObservabilityDocCoversAllMetrics pins docs/OBSERVABILITY.md to the
-// actual /metrics surface: every family a live server exports (server
-// and engine registries alike) must be documented by name.
+// actual /metrics surface in both directions: every family a live server
+// exports (server and engine registries alike) must be documented by
+// name, and every probcons_*/probconsd_* name the doc spells must be one
+// of them — a histogram's _bucket/_sum/_count series count as its
+// family, and a name ending in _* must prefix at least one family.
 func TestObservabilityDocCoversAllMetrics(t *testing.T) {
 	data, err := os.ReadFile("docs/OBSERVABILITY.md")
 	if err != nil {
@@ -187,20 +190,52 @@ func TestObservabilityDocCoversAllMetrics(t *testing.T) {
 	if len(families) < 10 {
 		t.Fatalf("only %d metric families exported; introspection broken?", len(families))
 	}
+	exported := map[string]bool{}
 	for _, fam := range families {
+		exported[fam.Name] = true
 		if !strings.Contains(doc, fam.Name) {
 			t.Errorf("docs/OBSERVABILITY.md does not document metric family %s (%s)", fam.Name, fam.Kind)
 		}
 	}
+	named := regexp.MustCompile(`\bprobconsd?_[a-z0-9_]*`).FindAllString(doc, -1)
+	if len(named) < len(families) {
+		t.Fatalf("only %d metric names found in docs/OBSERVABILITY.md; is the regexp broken?", len(named))
+	}
+	for _, name := range named {
+		if prefix, ok := strings.CutSuffix(name, "_"); ok {
+			if !hasFamilyWithPrefix(exported, prefix+"_") {
+				t.Errorf("docs/OBSERVABILITY.md names %s*, which prefixes no exported family", name)
+			}
+			continue
+		}
+		family := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			family = strings.TrimSuffix(family, suffix)
+		}
+		if !exported[name] && !exported[family] {
+			t.Errorf("docs/OBSERVABILITY.md names metric family %s, which a live server does not export", name)
+		}
+	}
+}
+
+func hasFamilyWithPrefix(exported map[string]bool, prefix string) bool {
+	for name := range exported {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestReadmeCommandsUseRealFlags is TestDocsMentionAllFlags in the other
 // direction, for all four binaries: every `go run ./cmd/<name> …` command
-// in README.md, docs/ and the verify skill uses only flags that
-// cmd/<name>/main.go defines, so a deleted flag cannot live on in an
-// example.
+// in README.md, docs/ and the verify skill, and every bare `probconsd
+// -flag …` invocation in README.md, docs/ and the daemon's package
+// comment, uses only flags that cmd/<name>/main.go defines, so a deleted
+// flag cannot live on in an example.
 func TestReadmeCommandsUseRealFlags(t *testing.T) {
 	defined := map[string]map[string]bool{}
+	var daemonComment string
 	for _, name := range []string{"nines", "probsim", "costopt", "probconsd"} {
 		src, err := os.ReadFile(filepath.Join("cmd", name, "main.go"))
 		if err != nil {
@@ -213,36 +248,57 @@ func TestReadmeCommandsUseRealFlags(t *testing.T) {
 		if len(defined[name]) < 4 {
 			t.Fatalf("found only %d %s flags; parser broken?", len(defined[name]), name)
 		}
+		if name == "probconsd" {
+			daemonComment, _, _ = strings.Cut(string(src), "\npackage main")
+		}
 	}
-	files, err := filepath.Glob("docs/*.md")
+	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	files = append(files, "README.md", ".claude/skills/verify/SKILL.md")
-	command := regexp.MustCompile("go run \\./cmd/(\\w+)([^|&;>#`\n]*)")
-	checked := 0
-	for _, file := range files {
+	docs = append(docs, "README.md")
+	texts := map[string]string{"cmd/probconsd/main.go": daemonComment}
+	for _, file := range append(docs, ".claude/skills/verify/SKILL.md") {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range command.FindAllStringSubmatch(string(data), -1) {
-			name, args := m[1], strings.Fields(m[2])
-			flags, ok := defined[name]
-			if !ok {
-				t.Errorf("%s: `go run ./cmd/%s`: no such binary", file, name)
-				continue
+		texts[file] = string(data)
+	}
+	for file, text := range texts {
+		texts[file] = strings.ReplaceAll(text, "\\\n", " ") // shell line continuations
+	}
+	checked := 0
+	// checkArgs checks every -flag in args against binary name's flags.
+	checkArgs := func(file, name, shown, args string) {
+		flags, ok := defined[name]
+		if !ok {
+			t.Errorf("%s: `%s`: no such binary", file, shown)
+			return
+		}
+		for _, arg := range strings.Fields(args) {
+			if !strings.HasPrefix(arg, "-") {
+				continue // a flag's value
 			}
-			for _, arg := range args {
-				if !strings.HasPrefix(arg, "-") {
-					continue // a flag's value
-				}
-				checked++
-				f, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
-				if !flags[f] {
-					t.Errorf("%s: `go run ./cmd/%s%s` uses -%s, which cmd/%s/main.go does not define", file, name, m[2], f, name)
-				}
+			checked++
+			f, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+			if !flags[f] {
+				t.Errorf("%s: `%s%s` uses -%s, which cmd/%s/main.go does not define", file, shown, args, f, name)
 			}
+		}
+	}
+	command := regexp.MustCompile("go run \\./cmd/(\\w+)([^|&;>#`\n]*)")
+	for file, text := range texts {
+		for _, m := range command.FindAllStringSubmatch(text, -1) {
+			checkArgs(file, m[1], "go run ./cmd/"+m[1], m[2])
+		}
+	}
+	// A bare daemon invocation: probconsd then a flag, not the go run
+	// form above (its ./cmd/ prefix) and not the benchmark's build path.
+	daemon := regexp.MustCompile("(?:^|[\\s`$(])probconsd( +-[^|&;>#`\n]*)")
+	for _, file := range append(docs, "cmd/probconsd/main.go") {
+		for _, m := range daemon.FindAllStringSubmatch(texts[file], -1) {
+			checkArgs(file, "probconsd", "probconsd", m[1])
 		}
 	}
 	if checked < 10 {

@@ -247,11 +247,3 @@ func (o Optimizer) Frontier(tier Tier) []FrontierPoint {
 	}
 	return pts
 }
-
-// SortTiersByPrice orders tiers cheapest-first (stable), a convenience for
-// reports.
-func SortTiersByPrice(tiers []Tier) {
-	sort.SliceStable(tiers, func(i, j int) bool {
-		return tiers[i].PricePerHour < tiers[j].PricePerHour
-	})
-}

@@ -149,15 +149,6 @@ func TestFrontierMonotonicOddSizes(t *testing.T) {
 	}
 }
 
-func TestSortTiersByPrice(t *testing.T) {
-	reliable, spot := tiers()
-	ts := []Tier{reliable, spot}
-	SortTiersByPrice(ts)
-	if ts[0].Name != "spot" {
-		t.Errorf("sorted = %v,%v", ts[0].Name, ts[1].Name)
-	}
-}
-
 func TestPlanString(t *testing.T) {
 	reliable, _ := tiers()
 	p, ok := (Optimizer{Tiers: []Tier{reliable}, MaxNodes: 3}).evalPlan([]Spec{{Tier: reliable, Count: 3}}, 0)

@@ -28,14 +28,6 @@ func FailProb(c Curve, t0, d float64) float64 {
 	return -math.Expm1(-h)
 }
 
-// Survival returns the probability the server is still alive at age t.
-func Survival(c Curve, t float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	return math.Exp(-c.CumHazard(t))
-}
-
 // AFRToRate converts an annual failure rate (probability of failing within
 // one year, e.g. Backblaze-style AFR) to a constant per-hour hazard.
 func AFRToRate(afr float64) float64 {

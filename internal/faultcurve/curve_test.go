@@ -54,20 +54,6 @@ func TestFailProbZeroOrNegativeWindow(t *testing.T) {
 	}
 }
 
-func TestSurvivalComplementsFailProb(t *testing.T) {
-	c := Weibull{Shape: 2, Scale: 1000}
-	for _, tt := range []float64{0, 10, 100, 5000} {
-		s := Survival(c, tt)
-		f := FailProb(c, 0, tt)
-		if !almostEq(s+f, 1, 1e-12) {
-			t.Errorf("t=%v: survival %v + fail %v != 1", tt, s, f)
-		}
-	}
-	if Survival(c, -3) != 1 {
-		t.Error("survival before birth must be 1")
-	}
-}
-
 func TestWeibullShapeOneIsExponential(t *testing.T) {
 	w := Weibull{Shape: 1, Scale: 2000}
 	c := Constant{Rate: 1.0 / 2000}

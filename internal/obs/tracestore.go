@@ -45,7 +45,7 @@ type Trace struct {
 	Status   int
 	Start    time.Time
 	Duration time.Duration
-	Cache    string // cache verdict: l1_hit, l2_hit, coalesced, miss
+	Cache    string // cache verdict: l1_hit, coalesced, miss
 	Error    string
 	Keep     string // retention class, assigned at Deposit
 	Seq      uint64 // deposit sequence number, assigned at Deposit

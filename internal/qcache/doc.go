@@ -11,10 +11,10 @@
 // Failed computations are never cached, so transient errors do not poison
 // the cache.
 //
-// The same package carries the fleet tier: PeerServer serves a member's
-// cache to its peers and PeerClient routes a miss to the key's owner over
-// the PQL2 wire protocol, whose two ops are EXEC (the owner answers the
-// carried request, computing it under its own singleflight on a miss) and
-// GET (a cached value, never a compute). No op stores a value on a peer.
-// The -cache-dump file reuses the wire's key/value framing.
+// The PQL2 wire's hello and key/value framing is the format of probconsd's
+// -cache-dump file. The package also keeps a peer client and server
+// (PeerClient, PeerServer) over that wire, whose two ops are EXEC (the
+// owner answers the carried request, computing it on a miss) and GET (a
+// cached value, never a compute). probconsd no longer links them: they
+// remain only for the benchmark module's loopback peer probe.
 package qcache

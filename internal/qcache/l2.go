@@ -139,12 +139,6 @@ func NewPeerClient(self string, peers []string, opts PeerOptions) (*PeerClient, 
 	return c, nil
 }
 
-// Self returns this member's address.
-func (c *PeerClient) Self() string { return c.self }
-
-// Peers returns the full sorted member list, including self.
-func (c *PeerClient) Peers() []string { return append([]string(nil), c.peers...) }
-
 // Owner returns the peer that owns key under rendezvous hashing. Ties
 // break toward the lexically larger address, deterministically.
 func (c *PeerClient) Owner(key string) string {

@@ -12,6 +12,9 @@ import (
 	"time"
 )
 
+// Self returns this member's address; the tests name members by it.
+func (c *PeerClient) Self() string { return c.self }
+
 // mapHandler is an in-memory L2Handler for loopback tests.
 type mapHandler struct {
 	mu      sync.Mutex

@@ -80,8 +80,8 @@ func (s *Server) Analyze(req AnalyzeRequest) (AnalyzeResponse, error) {
 
 // analyzeServed is the HTTP handler's call: analyzeTraced, plus the stored
 // body when the answer is a plain L1 hit. Every other answer — a debugged
-// request, a miss, a tier answer, a coalesced wait — is encoded by the
-// handler, so a miss encodes exactly once.
+// request, a miss, a coalesced wait — is encoded by the handler, so a miss
+// encodes exactly once.
 func (s *Server) analyzeServed(req AnalyzeRequest, sc *scratch, tr *obs.Trace) (AnalyzeResponse, []byte, error) {
 	resp, hit, err := s.analyzeTraced(req, sc, tr)
 	if err != nil || hit == nil || req.Debug {
@@ -104,7 +104,7 @@ func (s *Server) analyzeTraced(req AnalyzeRequest, sc *scratch, tr *obs.Trace) (
 	if err != nil {
 		return AnalyzeResponse{}, nil, err
 	}
-	resp, hit, err = s.analyzeQuery(p, tr, true)
+	resp, hit, err = s.analyzeQuery(p, tr)
 	if err != nil {
 		return AnalyzeResponse{}, nil, err
 	}
@@ -117,16 +117,9 @@ func (s *Server) analyzeTraced(req AnalyzeRequest, sc *scratch, tr *obs.Trace) (
 // analyzeQuery answers one planned query through the analyze cache,
 // caching the fully-rendered response so hits skip percent/nines
 // formatting too; hit is the cache entry when L1 answered, else nil.
-// allowL2=false is the peer-serving path (L2Exec): the owner computes
-// locally, so an ownership disagreement between peers degrades to a local
-// compute instead of an RPC loop.
-func (s *Server) analyzeQuery(p analyzePlan, tr *obs.Trace, allowL2 bool) (resp AnalyzeResponse, hit *analyzeEntry, err error) {
+func (s *Server) analyzeQuery(p analyzePlan, tr *obs.Trace) (resp AnalyzeResponse, hit *analyzeEntry, err error) {
 	start := time.Now()
-	var peer func() (*analyzeEntry, bool)
-	if allowL2 && s.l2 != nil {
-		peer = func() (*analyzeEntry, bool) { return s.l2Fetch(p, tr) }
-	}
-	e, verdict, err := cachedRun(s.cache, p.key, tr, peer, func() (*analyzeEntry, error) {
+	e, verdict, err := cachedRun(s.cache, p.key, tr, func() (*analyzeEntry, error) {
 		res, err := withWorker(s, func() (core.Result, error) {
 			estart := time.Now()
 			defer tr.Since("engine", estart)
@@ -140,18 +133,14 @@ func (s *Server) analyzeQuery(p analyzePlan, tr *obs.Trace, allowL2 bool) (resp 
 	if err != nil {
 		return AnalyzeResponse{}, nil, fmt.Errorf("analysis failed: %w", err)
 	}
-	// A tier answer is a cache hit from the caller's point of view: some
-	// member's cache (or singleflight) produced it without local engine
-	// work. The value stored in L1 stays Cached=false, like any insert.
+	// The value stored in L1 stays Cached=false, like any insert.
 	resp = e.resp
-	resp.Cached = verdict == verdictHit || verdict == verdictPeer
+	resp.Cached = verdict == verdictHit
 	if resp.Cached {
 		s.m.analyzeHit.ObserveSince(start)
+		hit = e
 	} else {
 		s.m.analyzeMiss.ObserveSince(start)
-	}
-	if verdict == verdictHit {
-		hit = e
 	}
 	return resp, hit, nil
 }
@@ -162,7 +151,7 @@ func (s *Server) answerQuery(q *core.Query, fleet core.Fleet, m core.CountModel,
 	if err := q.Resolve(fleet, m, domains); err != nil {
 		return AnalyzeResponse{}, badRequest(err)
 	}
-	resp, _, err := s.analyzeQuery(keyQuery(q, nil), nil, true)
+	resp, _, err := s.analyzeQuery(keyQuery(q, nil), nil)
 	return resp, err
 }
 

@@ -152,7 +152,7 @@ func (s *Server) planItem(kind string, it BatchItem, sc *scratch) (key string, r
 	case "analyze":
 		p, err := planAnalyze(it.Analyze, sc.query(), nil)
 		return "analyze/" + p.key, func() BatchItemResult {
-			resp, _, err := s.analyzeQuery(p, nil, true)
+			resp, _, err := s.analyzeQuery(p, nil)
 			return itemResult(BatchItemResult{Analyze: &resp}, err)
 		}, err
 	case "tail":

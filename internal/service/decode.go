@@ -18,11 +18,10 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the one request decoder: every POST body — and the analyze
-// query a peer carries over the fleet tier — is read in full, then walked
-// once by a hand-written scanner that fills the wire types directly. It
-// accepts exactly the bodies strict encoding/json accepted before it
-// (decodeReference in decode_test.go, the differential oracle
+// This file is the one request decoder: every POST body is read in full,
+// then walked once by a hand-written scanner that fills the wire types
+// directly. It accepts exactly the bodies strict encoding/json accepted
+// before it (decodeReference in decode_test.go, the differential oracle
 // FuzzDecodeMatchesReference runs it against) and fills the same values,
 // with one deliberate tightening: a key repeated within one object is
 // refused, where encoding/json silently merged the two values.

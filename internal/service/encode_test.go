@@ -121,8 +121,14 @@ func entryFor(t *testing.T, srv *Server, body string) *analyzeEntry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := srv.cache.Get(p.key)
-	if !ok {
+	var e *analyzeEntry
+	srv.cache.Range(func(key string, v *analyzeEntry) bool {
+		if key == p.key {
+			e = v
+		}
+		return e == nil
+	})
+	if e == nil {
 		t.Fatalf("no cache entry for %s", body)
 	}
 	return e

@@ -73,18 +73,6 @@ type serverMetrics struct {
 	tailDispatch map[string]*obs.Counter
 	tailSeconds  map[string]*obs.Histogram
 
-	// Fleet cache tier: client-side lookup outcomes and the peer-serving
-	// side, by op and outcome.
-	l2Hits         *obs.Counter
-	l2Misses       *obs.Counter
-	l2Errors       *obs.Counter
-	l2Local        *obs.Counter
-	l2Peers        *obs.Gauge
-	l2ServeGetHit  *obs.Counter
-	l2ServeGetMiss *obs.Counter
-	l2ServeExecOK  *obs.Counter
-	l2ServeExecErr *obs.Counter
-
 	// Batch endpoint: item traffic by kind, dedup wins, item rejections.
 	batchItems      map[string]*obs.Counter
 	batchDedup      *obs.Counter
@@ -128,7 +116,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 	m.workers = reg.Gauge("probconsd_pool_workers",
 		"Configured engine worker-pool size.", nil)
 
-	const analyzeHelp = "Analyze query latency through the analyze cache, from lookup to answer (keying excluded), labeled hit (L1 fingerprint hit or fleet-tier answer) vs miss (engine compute, coalesced waits included)."
+	const analyzeHelp = "Analyze query latency through the analyze cache, from lookup to answer (keying excluded), labeled hit (L1 fingerprint hit) vs miss (engine compute, coalesced waits included)."
 	m.analyzeHit = reg.Histogram("probconsd_analyze_seconds", analyzeHelp,
 		obs.LatencyBuckets, obs.Labels{"cache": "hit"})
 	m.analyzeMiss = reg.Histogram("probconsd_analyze_seconds", analyzeHelp,
@@ -144,19 +132,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 			"Tail query latency through the tail cache, by resolved method.",
 			obs.LatencyBuckets, obs.Labels{"method": method})
 	}
-
-	const l2LookupHelp = "Fleet cache-tier (L2) consultations on L1 analyze misses, by outcome: hit (owner answered), miss, error (transport/protocol), local (this member owns the key or the query has no wire form)."
-	m.l2Hits = reg.Counter("probconsd_l2_lookups_total", l2LookupHelp, obs.Labels{"outcome": "hit"})
-	m.l2Misses = reg.Counter("probconsd_l2_lookups_total", l2LookupHelp, obs.Labels{"outcome": "miss"})
-	m.l2Errors = reg.Counter("probconsd_l2_lookups_total", l2LookupHelp, obs.Labels{"outcome": "error"})
-	m.l2Local = reg.Counter("probconsd_l2_lookups_total", l2LookupHelp, obs.Labels{"outcome": "local"})
-	m.l2Peers = reg.Gauge("probconsd_l2_peers",
-		"Configured fleet members (including self); 0 without a tier.", nil)
-	const l2ServeHelp = "Peer requests served over the L2 wire protocol, by op and outcome."
-	m.l2ServeGetHit = reg.Counter("probconsd_l2_serve_total", l2ServeHelp, obs.Labels{"op": "get", "outcome": "hit"})
-	m.l2ServeGetMiss = reg.Counter("probconsd_l2_serve_total", l2ServeHelp, obs.Labels{"op": "get", "outcome": "miss"})
-	m.l2ServeExecOK = reg.Counter("probconsd_l2_serve_total", l2ServeHelp, obs.Labels{"op": "exec", "outcome": "ok"})
-	m.l2ServeExecErr = reg.Counter("probconsd_l2_serve_total", l2ServeHelp, obs.Labels{"op": "exec", "outcome": "error"})
 
 	const batchItemHelp = "Batch items accepted, by query kind."
 	m.batchItems = map[string]*obs.Counter{}
@@ -214,7 +189,7 @@ func registerCache(reg *obs.Registry, name string,
 	reg.RegisterCounter("probconsd_cache_evictions_total", "Result-cache entries dropped by the LRU policy.", labels, evictions)
 	reg.GaugeFunc("probconsd_cache_entries", "Result-cache entries currently held.", labels,
 		func() float64 { return float64(length()) })
-	reg.GaugeFunc("probconsd_cache_bytes", "Approximate serialized bytes of the entries currently held (what a dump or full L2 transfer of this cache would weigh).", labels,
+	reg.GaugeFunc("probconsd_cache_bytes", "Approximate serialized bytes of the entries currently held (what a -cache-dump of this cache would weigh).", labels,
 		func() float64 { return float64(bytes()) })
 }
 

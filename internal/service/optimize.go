@@ -295,7 +295,7 @@ func (s *Server) optimizeTraced(req OptimizeRequest, sc *scratch, tr *obs.Trace)
 // runOptimize answers one planned optimize query through the optimize
 // cache; a miss solves holding an engine worker slot.
 func (s *Server) runOptimize(p optimizePlan, tr *obs.Trace) (OptimizeResponse, error) {
-	resp, verdict, err := cachedRun(s.ocache, p.key, tr, nil, func() (OptimizeResponse, error) {
+	resp, verdict, err := cachedRun(s.ocache, p.key, tr, func() (OptimizeResponse, error) {
 		return withWorker(s, func() (OptimizeResponse, error) {
 			sstart := time.Now()
 			defer tr.Since("solve", sstart)

@@ -1,18 +1,18 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
 	"repro/internal/qcache"
 )
 
-// Cache persistence: the analyze L1 serialized in the L2 wire format, so
-// a -cache-dump file written on drain re-warms the cache on the next
-// boot (-cache-load) and restarts don't start cold. Values are the same
-// compact JSON the peer tier exchanges — Cached/Debug stripped — so a
-// re-warmed entry serves byte-identical responses to the pre-restart
-// cache.
+// Cache persistence: the analyze L1 serialized in qcache's framed wire
+// format, so a -cache-dump file written on drain re-warms the cache on
+// the next boot (-cache-load) and restarts don't start cold. Values are
+// compact JSON with Cached/Debug stripped, so a re-warmed entry serves
+// byte-identical responses to the pre-restart cache.
 
 // DumpCache writes every analyze-cache entry to w: a wire hello followed
 // by dump-entry frames. It returns the number of entries written.
@@ -39,9 +39,10 @@ func (s *Server) DumpCache(w io.Writer) (int, error) {
 }
 
 // LoadCache warms the analyze cache from a DumpCache stream, returning
-// the number of entries loaded. Entries are validated like L2 puts: the
-// value must decode and its fingerprint must match its key. A corrupted
-// frame stops the load with an error; everything loaded before it stays.
+// the number of entries loaded. Each entry is checked before it is
+// inserted: its value must decode as an analyze response whose
+// fingerprint equals the entry's key. A corrupted frame or a failed check
+// stops the load with an error; everything loaded before it stays.
 func (s *Server) LoadCache(r io.Reader) (int, error) {
 	if err := qcache.ReadHello(r); err != nil {
 		return 0, err
@@ -62,4 +63,30 @@ func (s *Server) LoadCache(r io.Reader) (int, error) {
 		s.cache.Put(key, e)
 		n++
 	}
+}
+
+// marshalCached renders a cached analyze response for a dump file:
+// Cached and Debug are per-request decorations, never part of the stored
+// value.
+func marshalCached(resp AnalyzeResponse) ([]byte, error) {
+	resp.Cached = false
+	resp.Debug = nil
+	return json.Marshal(resp)
+}
+
+// unmarshalCached is marshalCached's inverse for a dump entry read under
+// key, as the cache entry to insert. The value must decode and carry key
+// as its fingerprint, so nothing can be planted under a foreign key; it
+// is not re-verified against the engine.
+func unmarshalCached(key string, val []byte) (*analyzeEntry, error) {
+	e := new(analyzeEntry)
+	if err := json.Unmarshal(val, &e.resp); err != nil {
+		return nil, err
+	}
+	if e.resp.Fingerprint != key {
+		return nil, fmt.Errorf("key %s does not match value fingerprint %s", key, e.resp.Fingerprint)
+	}
+	e.resp.Cached = false
+	e.resp.Debug = nil
+	return e, nil
 }

@@ -343,7 +343,7 @@ type SpanView struct {
 }
 
 // DebugInfo is the opt-in per-request observability block: where the
-// answer came from ("l1_hit", "l2_hit", "coalesced", or "miss"), how
+// answer came from ("l1_hit", "coalesced", or "miss"), how
 // long each stage took, and the access-log request ID to grep for.
 type DebugInfo struct {
 	RequestID string     `json:"request_id,omitempty"`

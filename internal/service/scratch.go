@@ -22,9 +22,6 @@ import (
 //     and singleflight waiters and later hits get that entry (so does
 //     -cache-dump, which reads only entries);
 //   - batch jobs run inside the request: batchTraced joins them all;
-//   - a peer payload is marshaled from a fresh wire request, and an EXEC
-//     frame the owner serves resolves into scratch of its own, held until
-//     L2Exec returns;
 //   - a trace holds span names, the verdict, error strings and keys;
 //   - the sweep stream's target is not pooled (scheduled cells outlive a
 //     disconnected client's handler), and each cell takes its own scratch.
@@ -61,8 +58,8 @@ const (
 )
 
 // scratchPool serves the calls that come without a handlePost entry: the
-// library entry points (Server.Analyze and its siblings), peer EXEC
-// frames and sweep cells. Each call holds its scratch until it returns.
+// library entry points (Server.Analyze and its siblings) and sweep
+// cells. Each call holds its scratch until it returns.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }

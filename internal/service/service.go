@@ -25,11 +25,6 @@ type Options struct {
 	// Workers bounds concurrent engine computations — analyze misses and
 	// sweep cells alike (default NumCPU). Cache hits are never gated.
 	Workers int
-	// L2, when non-nil, is the fleet cache tier consulted on L1 analyze
-	// misses: the key's owning peer is asked to answer (computing under
-	// its own singleflight on a fleet-wide miss) before this server
-	// computes. Best-effort — peer failures degrade to a local compute.
-	L2 L2Tier
 	// AnalyzeFunc computes one resolved query; defaults to
 	// core.AnalyzeQuery, whose process-wide evaluator pool (the one the
 	// optimizer's objectives borrow from) gives every sweep worker an
@@ -66,13 +61,11 @@ const solverCacheCapacity = 1024
 // from the endpoint's sharded LRU or runs the plan's compute under the
 // cache's singleflight. The analyze cache is keyed by the canonical
 // fleet+model+domains fingerprint, which absorbs permuted, renamed, or
-// repriced spellings of the same query; with Options.L2 set, its misses
-// consult the owning peer of the fleet tier before computing locally.
+// repriced spellings of the same query.
 type Server struct {
 	cache   *qcache.Cache[*analyzeEntry]
 	ocache  *qcache.Cache[OptimizeResponse]
 	tcache  *qcache.Cache[TailResponse]
-	l2      L2Tier
 	analyze func(*core.Query) (core.Result, error)
 	workers int
 	sem     chan struct{}
@@ -116,7 +109,6 @@ func New(opts Options) *Server {
 		cache:     qcache.New[*analyzeEntry](opts.CacheCapacity, opts.CacheShards).WithSizer(sizeofAnalyzeEntry),
 		ocache:    qcache.New[OptimizeResponse](solverCacheCapacity, opts.CacheShards).WithSizer(sizeofOptimizeResponse),
 		tcache:    qcache.New[TailResponse](solverCacheCapacity, opts.CacheShards).WithSizer(sizeofTailResponse),
-		l2:        opts.L2,
 		analyze:   opts.AnalyzeFunc,
 		workers:   opts.Workers,
 		sem:       make(chan struct{}, opts.Workers),
@@ -136,15 +128,12 @@ func New(opts Options) *Server {
 	})
 	s.m = newServerMetrics(s.reg, s)
 	s.m.workers.Set(int64(opts.Workers))
-	if s.l2 != nil {
-		s.m.l2Peers.Set(int64(len(s.l2.Peers())))
-	}
 	return s
 }
 
 // Cache value sizers: cheap estimates of each response's compact-JSON
 // footprint (fixed fields plus the variable-length strings), feeding the
-// byte-occupancy stats that size L2 transfers and -cache-dump files
+// byte-occupancy stats that size -cache-dump files
 // without marshaling on the insert path.
 
 func sizeofAnalyzeEntry(e *analyzeEntry) int {
@@ -205,27 +194,19 @@ func badRequest(err error) error { return clientError{err, http.StatusBadRequest
 // the request's trace and the analyze debug block.
 const (
 	verdictHit       = "l1_hit"    // the endpoint's response cache answered
-	verdictPeer      = "l2_hit"    // the owning peer of the fleet tier answered
 	verdictMiss      = "miss"      // this call ran the compute
 	verdictCoalesced = "coalesced" // an identical in-flight computation was shared
 )
 
 // cachedRun is the one cached-endpoint path: it answers key from cache or
 // runs compute under the cache's singleflight, classifies the outcome and
-// records it on the trace (a nil tr records nothing). peer, when non-nil,
-// is the fleet tier, consulted inside the singleflight before compute; its
-// answer means no local compute at all. The trace doubles as the qcache
-// event hook, so evictions and coalesced waits land on it too.
-func cachedRun[R any](cache *qcache.Cache[R], key string, tr *obs.Trace, peer func() (R, bool), compute func() (R, error)) (R, string, error) {
+// records it on the trace (a nil tr records nothing). The trace doubles
+// as the qcache event hook, so evictions and coalesced waits land on it
+// too.
+func cachedRun[R any](cache *qcache.Cache[R], key string, tr *obs.Trace, compute func() (R, error)) (R, string, error) {
 	start := time.Now()
 	verdict := verdictCoalesced
 	resp, cached, err := cache.DoEvents(key, tr, func() (R, error) {
-		if peer != nil {
-			if r, ok := peer(); ok {
-				verdict = verdictPeer
-				return r, nil
-			}
-		}
 		verdict = verdictMiss
 		return compute()
 	})
@@ -236,7 +217,7 @@ func cachedRun[R any](cache *qcache.Cache[R], key string, tr *obs.Trace, peer fu
 		verdict = verdictHit
 	}
 	if verdict != verdictMiss {
-		// Hit, tier answer or coalesced wait: attribute the whole lookup
+		// Hit or coalesced wait: attribute the whole lookup
 		// (including any wait on the winning flight) to the cache. On
 		// computes the compute's own span covers the interesting interval.
 		tr.Since("cache_lookup", start)
@@ -247,7 +228,7 @@ func cachedRun[R any](cache *qcache.Cache[R], key string, tr *obs.Trace, peer fu
 
 // withWorker runs fn holding one engine worker-pool slot, so a burst of
 // distinct expensive queries cannot pin every CPU. Only computes take
-// slots (never a cache hit, never a peer wait) and a compute holding one
+// slots (never a cache hit) and a compute holding one
 // waits for nothing else, so no hold-and-wait cycle exists.
 func withWorker[R any](s *Server, fn func() (R, error)) (R, error) {
 	s.sem <- struct{}{}

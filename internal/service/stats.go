@@ -48,9 +48,6 @@ type StatsResponse struct {
 	Slowest []SlowestView `json:"slowest"`
 	// Batch counts POST /v1/batch item traffic.
 	Batch BatchStats `json:"batch"`
-	// L2 reports the fleet cache tier, present only when one is
-	// configured (Options.L2 / -peers).
-	L2 *L2Stats `json:"l2,omitempty"`
 }
 
 // SlowestView is one /statsz "slowest" row.
@@ -91,7 +88,6 @@ func (s *Server) Stats() StatsResponse {
 		Latency:       latency,
 		Slowest:       s.slowestViews(statszSlowestN),
 		Batch:         s.batchStats(),
-		L2:            s.l2Stats(),
 	}
 }
 

@@ -284,7 +284,7 @@ func (s *Server) tailTraced(req TailRequest, sc *scratch, tr *obs.Trace) (TailRe
 func (s *Server) runTail(plan tailPlan, tr *obs.Trace) (TailResponse, error) {
 	start := time.Now()
 	s.m.tailDispatch[plan.resolved].Inc()
-	resp, verdict, err := cachedRun(s.tcache, plan.key, tr, nil, func() (TailResponse, error) {
+	resp, verdict, err := cachedRun(s.tcache, plan.key, tr, func() (TailResponse, error) {
 		if plan.resolved == MethodImportance {
 			return s.tailImportance(plan, tr)
 		}
@@ -314,7 +314,7 @@ func (s *Server) tailExact(plan tailPlan, tr *obs.Trace) (TailResponse, error) {
 		resp.Nines = MaxNines
 		return resp, nil
 	}
-	ar, _, err := s.analyzeQuery(plan.query, tr, true)
+	ar, _, err := s.analyzeQuery(plan.query, tr)
 	if err != nil {
 		return TailResponse{}, err
 	}

@@ -69,7 +69,7 @@ func linkedFuncs(t *testing.T, set map[string]bool, dir string, build ...string)
 }
 
 // declaredFunc is one non-test function: its name as deadcode prints it
-// (repro/internal/qcache.PeerClient.Put) and the symbols the linker may
+// (repro/internal/qcache.PeerClient.Get) and the symbols the linker may
 // give it (a value-receiver method can survive as its pointer wrapper).
 type declaredFunc struct {
 	name    string
