@@ -6,7 +6,6 @@
 //	probconsd                          # serve on :8080
 //	probconsd -addr :9090 -cache 65536 -workers 16
 //	probconsd -metrics-addr :9091 -log-format json
-//	probconsd -cache-dump /var/lib/probconsd/l1 -cache-load /var/lib/probconsd/l1
 //
 // Endpoints:
 //
@@ -24,8 +23,7 @@
 // Identical concurrent queries are coalesced into one computation;
 // repeated queries are served from a sharded LRU cache keyed by the
 // canonical fleet+model fingerprint. SIGINT/SIGTERM drain in-flight
-// requests before exit; -cache-dump/-cache-load persist the cache across
-// restarts.
+// requests before exit.
 //
 // With -metrics-addr unset, /metrics, /debug/pprof/*, and the flight
 // recorder's /debug/requests are served on the main listener. Setting
@@ -51,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -69,7 +66,6 @@ type config struct {
 	addr        string
 	metricsAddr string // "" = ops endpoints share the main listener
 	cacheSize   int
-	shards      int
 	workers     int
 	drain       time.Duration
 	logFormat   string // "text" or "json"
@@ -78,9 +74,6 @@ type config struct {
 	traceBuffer int
 	traceSlowMS float64 // 0 = dynamic per-endpoint p99 threshold
 	traceSample int     // keep 1 in K; 0 disables sampling
-
-	cacheDump string // write the analyze cache here on graceful shutdown
-	cacheLoad string // warm the analyze cache from here at boot
 }
 
 func main() {
@@ -88,15 +81,12 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "separate ops listen address for /metrics and /debug/pprof (default: serve them on -addr)")
 	flag.IntVar(&cfg.cacheSize, "cache", 4096, "memoization cache capacity (entries)")
-	flag.IntVar(&cfg.shards, "shards", 16, "cache shard count")
 	flag.IntVar(&cfg.workers, "workers", runtime.NumCPU(), "engine worker pool size: bounds concurrent engine computations on every endpoint")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain timeout")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "access-log format: text or json")
 	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 1024, "flight-recorder capacity (traces)")
 	flag.Float64Var(&cfg.traceSlowMS, "trace-slow-ms", 0, "retain traces at least this slow, in ms (0: track each endpoint's live p99)")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 64, "always retain 1 in K traces regardless of speed (0 disables sampling)")
-	flag.StringVar(&cfg.cacheDump, "cache-dump", "", "write the analyze cache to this file on graceful shutdown")
-	flag.StringVar(&cfg.cacheLoad, "cache-load", "", "warm the analyze cache from this file at boot (a missing file is skipped, not fatal)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "probconsd:", err)
@@ -152,9 +142,6 @@ func run(cfg config) error {
 	if cfg.cacheSize < 1 {
 		return fmt.Errorf("cache capacity must be >= 1, got %d", cfg.cacheSize)
 	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("shard count must be >= 1, got %d", cfg.shards)
-	}
 	if cfg.workers < 1 {
 		return fmt.Errorf("worker count must be >= 1, got %d", cfg.workers)
 	}
@@ -186,19 +173,12 @@ func run(cfg config) error {
 	}
 	srv := service.New(service.Options{
 		CacheCapacity: cfg.cacheSize,
-		CacheShards:   cfg.shards,
 		Workers:       cfg.workers,
 		Logger:        logger,
 		TraceBuffer:   cfg.traceBuffer,
 		TraceSlow:     time.Duration(cfg.traceSlowMS * float64(time.Millisecond)),
 		TraceSample:   sampleK,
 	})
-
-	if cfg.cacheLoad != "" {
-		if err := warmCache(srv, cfg.cacheLoad); err != nil {
-			return err
-		}
-	}
 
 	root := http.NewServeMux()
 	root.Handle("/", srv.Handler())
@@ -210,8 +190,8 @@ func run(cfg config) error {
 
 	errCh := make(chan error, 2)
 	go func() {
-		fmt.Printf("probconsd: serving on %s (cache %d entries / %d shards, %d workers)\n",
-			cfg.addr, cfg.cacheSize, cfg.shards, cfg.workers)
+		fmt.Printf("probconsd: serving on %s (cache %d entries, %d workers)\n",
+			cfg.addr, cfg.cacheSize, cfg.workers)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -271,61 +251,10 @@ func run(cfg config) error {
 		if err := shutdown(s.String(), listeners); err != nil {
 			return err
 		}
-		if cfg.cacheDump != "" {
-			if err := dumpCache(srv, cfg.cacheDump); err != nil {
-				return err
-			}
-		}
 		st := srv.Stats()
 		fmt.Printf("probconsd: done; served analyze=%d sweep=%d tables=%d, cache %d/%d (hits %d, coalesced %d)\n",
 			st.Requests.Analyze, st.Requests.Sweep, st.Requests.Tables,
 			st.Cache.Entries, st.Cache.Capacity, st.Cache.Hits, st.Cache.Coalesced)
 		return nil
 	}
-}
-
-// warmCache loads the analyze cache from path. A missing file is a
-// normal first boot; a corrupted file keeps whatever loaded before the
-// corruption — the warm cache is best-effort.
-func warmCache(srv *service.Server, path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		fmt.Printf("probconsd: cache warm file %s not found, starting cold\n", path)
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("cache load: %w", err)
-	}
-	defer f.Close()
-	n, err := srv.LoadCache(f)
-	if err != nil {
-		fmt.Printf("probconsd: cache warm stopped after %d entries: %v\n", n, err)
-		return nil
-	}
-	fmt.Printf("probconsd: warmed %d cache entries from %s\n", n, path)
-	return nil
-}
-
-// dumpCache writes the analyze cache to path via a temp file + rename,
-// so a crash mid-dump never leaves a truncated warm file behind.
-func dumpCache(srv *service.Server, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("cache dump: %w", err)
-	}
-	n, err := srv.DumpCache(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("cache dump: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("cache dump: %w", err)
-	}
-	fmt.Printf("probconsd: dumped %d cache entries to %s\n", n, path)
-	return nil
 }

@@ -19,7 +19,6 @@ func testConfig() config {
 	return config{
 		addr:        "127.0.0.1:0",
 		cacheSize:   16,
-		shards:      2,
 		workers:     2,
 		drain:       2 * time.Second,
 		logFormat:   "text",
@@ -34,7 +33,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		mutate func(*config)
 	}{
 		{"cache capacity 0", func(c *config) { c.cacheSize = 0 }},
-		{"shard count 0", func(c *config) { c.shards = 0 }},
 		{"worker count 0", func(c *config) { c.workers = 0 }},
 		{"unlistenable address", func(c *config) { c.addr = "not-an-address" }},
 		{"unlistenable metrics address", func(c *config) { c.metricsAddr = "not-an-address" }},
@@ -201,27 +199,6 @@ func TestRunGracefulShutdownWithOpsListener(t *testing.T) {
 	cfg.metricsAddr = "127.0.0.1:0"
 	cfg.logFormat = "json"
 	errCh := make(chan error, 1)
-	go func() { errCh <- run(cfg) }()
-	drainAndCheck(t, errCh)
-}
-
-// TestRunGracefulShutdownWithCachePersistence drains a daemon running
-// cache persistence: the drain must write the dump file, and a rerun must
-// warm from it (and tolerate a missing file).
-func TestRunGracefulShutdownWithCachePersistence(t *testing.T) {
-	dump := t.TempDir() + "/cache.dump"
-	cfg := testConfig()
-	cfg.cacheDump = dump
-	cfg.cacheLoad = dump // first boot: missing file is a cold start
-	errCh := make(chan error, 1)
-	go func() { errCh <- run(cfg) }()
-	drainAndCheck(t, errCh)
-	if _, err := os.Stat(dump); err != nil {
-		t.Fatalf("drain did not write the cache dump: %v", err)
-	}
-
-	// Second boot warms from the dump written above.
-	errCh = make(chan error, 1)
 	go func() { errCh <- run(cfg) }()
 	drainAndCheck(t, errCh)
 }

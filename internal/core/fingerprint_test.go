@@ -308,11 +308,11 @@ func fpGoldenZones(fleet Fleet, zones int) DomainSet {
 }
 
 // TestFingerprintGolden pins the hex key of representative queries. The
-// fingerprint is the analyze cache key, the key of every -cache-dump
-// record and what peers of mixed versions must agree on, so a change to
-// its encoding — byte order, chunk layout, sort order, the sign of zero —
-// is a re-keying and must show here. The values were recorded before the
-// encoder moved to reused buffers and typed sorts.
+// fingerprint is the analyze cache key and is reported in every analyze
+// response, so a change to its encoding — byte order, chunk layout, sort
+// order, the sign of zero — is a re-keying and must show here. The values
+// were recorded before the encoder moved to reused buffers and typed
+// sorts.
 func TestFingerprintGolden(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, tc := range []struct {

@@ -11,10 +11,9 @@
 // Failed computations are never cached, so transient errors do not poison
 // the cache.
 //
-// The PQL2 wire's hello and key/value framing is the format of probconsd's
-// -cache-dump file. The package also keeps a peer client and server
-// (PeerClient, PeerServer) over that wire, whose two ops are EXEC (the
+// The package also keeps a peer client and server (PeerClient,
+// PeerServer) over the PQL2 wire (wire.go), whose two ops are EXEC (the
 // owner answers the carried request, computing it on a miss) and GET (a
-// cached value, never a compute). probconsd no longer links them: they
-// remain only for the benchmark module's loopback peer probe.
+// cached value, never a compute). probconsd links neither them nor the
+// wire: they remain only for the benchmark module's loopback peer probe.
 package qcache

@@ -45,6 +45,29 @@ func TestBytesWithoutSizerCountsKeys(t *testing.T) {
 	}
 }
 
+// Range calls fn for every cached entry, most recently used first within
+// each shard, stopping early when fn returns false. Each shard's entries
+// are snapshotted under its lock and fn runs outside it, so fn may use
+// the cache; entries inserted or evicted concurrently may or may not be
+// seen. Only the tests walk a cache this way.
+func (c *Cache[V]) Range(fn func(key string, val V) bool) {
+	for _, s := range c.shards {
+		s.mu.Lock()
+		// Values are copied under the lock: an update to a live entry after
+		// the snapshot must not race the caller reading it.
+		snap := make([]entry[V], 0, s.order.Len())
+		for el := s.order.Front(); el != nil; el = el.Next() {
+			snap = append(snap, *el.Value.(*entry[V]))
+		}
+		s.mu.Unlock()
+		for i := range snap {
+			if !fn(snap[i].key, snap[i].val) {
+				return
+			}
+		}
+	}
+}
+
 func TestRangeSeesEntriesAndStopsEarly(t *testing.T) {
 	c := New[string](8, 2)
 	want := map[string]string{"a": "1", "b": "2", "c": "3"}

@@ -26,9 +26,9 @@ type Stats struct {
 	// Shards is the shard count.
 	Shards int `json:"shards"`
 	// Bytes is the approximate payload occupancy across all shards: the
-	// sum of key lengths plus sized values (see WithSizer). It tracks the
-	// serialized footprint — what an L2 transfer or a -cache-dump file of
-	// this cache would weigh — not Go heap overhead.
+	// sum of key lengths plus sized values (see WithSizer). It measures
+	// payload — the service sizes each value as its response's compact
+	// JSON — not Go heap overhead.
 	Bytes int64 `json:"bytes"`
 	// PerShard is the live occupancy of each shard in shard order —
 	// the skew view needed to size shard counts and spot hot shards.
@@ -203,20 +203,11 @@ func (c *Cache[V]) DoEvents(key string, ev EventRecorder, compute func() (V, err
 	return fl.val, false, fl.err
 }
 
-// Put stores a value directly, bypassing singleflight. It exists for
-// warm-up paths; Do is the normal entry point.
-func (c *Cache[V]) Put(key string, val V) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insertLocked(c, key, val, nil)
-}
-
 // insertLocked adds or refreshes an entry, evicting from the tail when
 // over capacity; each eviction is reported to ev (when non-nil) with the
-// evicted key. The existence check matters on the Do path too: a Put for
-// the same key can land while a flight is computing, and a blind PushFront
-// would orphan the earlier list element. Caller holds s.mu.
+// evicted key. The existence check keeps an insert for a key that is
+// already cached from orphaning the earlier list element (the tests' Put
+// can land while a flight for the same key computes). Caller holds s.mu.
 func (s *shard[V]) insertLocked(c *Cache[V], key string, val V, ev EventRecorder) {
 	size := len(key)
 	if c.sizer != nil {
@@ -265,29 +256,6 @@ func (c *Cache[V]) Bytes() int64 {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Range calls fn for every cached entry, most recently used first within
-// each shard, stopping early when fn returns false. Each shard's entries
-// are snapshotted under its lock and fn runs outside it, so fn may use
-// the cache; entries inserted or evicted concurrently may or may not be
-// seen. It is the dump path's iterator.
-func (c *Cache[V]) Range(fn func(key string, val V) bool) {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		// Values are copied under the lock: an update to a live entry after
-		// the snapshot must not race the caller reading it.
-		snap := make([]entry[V], 0, s.order.Len())
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			snap = append(snap, *el.Value.(*entry[V]))
-		}
-		s.mu.Unlock()
-		for i := range snap {
-			if !fn(snap[i].key, snap[i].val) {
-				return
-			}
-		}
-	}
 }
 
 // Counters exposes the cache's live hit/miss/coalesced/eviction counters

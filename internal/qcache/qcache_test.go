@@ -33,6 +33,15 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
+// Put stores a value directly, bypassing singleflight. Only the tests
+// fill a cache this way; the service inserts through DoEvents.
+func (c *Cache[V]) Put(key string, val V) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.insertLocked(c, key, val, nil)
+}
+
 func TestDoMemoizes(t *testing.T) {
 	c := New[int](8, 2)
 	calls := 0

@@ -7,12 +7,12 @@ import (
 	"io"
 )
 
-// The L2 cache tier speaks a compact length-prefixed binary protocol so
-// peers can exchange cached responses without JSON framing overhead. The
-// same frame layout serializes the L1 to disk for -cache-dump/-cache-load,
-// which is what makes a dump file loadable by any protocol-compatible
-// peer. Every frame is bounds-checked on read: a truncated or corrupted
-// stream yields an error, never a panic or an unbounded allocation.
+// The PQL2 wire: a compact length-prefixed binary protocol between a
+// PeerClient and a PeerServer, which exchange cached responses without
+// JSON framing overhead. Its only reader and writer outside this
+// package's tests is the benchmark module's loopback peer probe. Every
+// frame is bounds-checked on read: a truncated or corrupted stream yields
+// an error, never a panic or an unbounded allocation.
 //
 // Connection handshake (both directions, once per connection):
 //
@@ -25,18 +25,13 @@ import (
 // Response frame (owner peer -> client):
 //
 //	[status u8][value len u32 BE][value]
-//
-// Dump entry (cache persistence; a dump file is a hello followed by
-// entries until EOF):
-//
-//	[key len u16 BE][key][value len u32 BE][value]
 
 // WireVersion is the L2 protocol version. Peers with mismatched versions
 // refuse each other at the hello, so a mixed-version fleet degrades to
 // per-process L1 caching instead of exchanging misread frames.
 const WireVersion = 1
 
-// wireMagic opens every connection and dump file.
+// wireMagic opens every connection.
 var wireMagic = [4]byte{'P', 'Q', 'L', '2'}
 
 // L2 operations. Op 2 was a PUT that nothing sent; it is now an unknown op,
@@ -236,50 +231,4 @@ func ReadResponse(r io.Reader) (status byte, val []byte, err error) {
 		return 0, nil, wireErrf("short value: %v", err)
 	}
 	return status, vb, nil
-}
-
-// WriteDumpEntry writes one cache-persistence entry.
-func WriteDumpEntry(w io.Writer, key string, val []byte) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	if err := checkVal(val); err != nil {
-		return err
-	}
-	buf := appendKV(make([]byte, 0, 2+len(key)+4+len(val)), key, val)
-	_, err := w.Write(buf)
-	return err
-}
-
-// ReadDumpEntry reads one cache-persistence entry. A clean EOF at an
-// entry boundary returns io.EOF; EOF mid-entry is a wire error.
-func ReadDumpEntry(r io.Reader) (key string, val []byte, err error) {
-	var kl [2]byte
-	if n, err := io.ReadFull(r, kl[:]); err != nil {
-		if err == io.EOF && n == 0 {
-			return "", nil, io.EOF
-		}
-		return "", nil, wireErrf("short key length: %v", err)
-	}
-	klen := int(binary.BigEndian.Uint16(kl[:]))
-	if klen == 0 || klen > MaxKeyLen {
-		return "", nil, wireErrf("key length %d outside [1, %d]", klen, MaxKeyLen)
-	}
-	kb := make([]byte, klen)
-	if _, err := io.ReadFull(r, kb); err != nil {
-		return "", nil, wireErrf("short key: %v", err)
-	}
-	var vl [4]byte
-	if _, err := io.ReadFull(r, vl[:]); err != nil {
-		return "", nil, wireErrf("short value length: %v", err)
-	}
-	vlen := int(binary.BigEndian.Uint32(vl[:]))
-	if vlen > MaxEntryBytes {
-		return "", nil, wireErrf("value length %d exceeds %d", vlen, MaxEntryBytes)
-	}
-	vb := make([]byte, vlen)
-	if _, err := io.ReadFull(r, vb); err != nil {
-		return "", nil, wireErrf("short value: %v", err)
-	}
-	return string(kb), vb, nil
 }

@@ -121,42 +121,6 @@ func TestWireTruncationErrors(t *testing.T) {
 	}
 }
 
-func TestWireDumpEntryRoundTripAndEOF(t *testing.T) {
-	var buf bytes.Buffer
-	entries := map[string]string{"k1": "v1", "k2": "second value"}
-	for k, v := range entries {
-		if err := WriteDumpEntry(&buf, k, []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := bytes.NewReader(buf.Bytes())
-	got := map[string]string{}
-	for {
-		k, v, err := ReadDumpEntry(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[k] = string(v)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("read %d entries, want %d", len(got), len(entries))
-	}
-	for k, v := range entries {
-		if got[k] != v {
-			t.Fatalf("entry %q = %q, want %q", k, got[k], v)
-		}
-	}
-
-	// Truncation mid-entry is a wire error, not a clean EOF.
-	full := buf.Bytes()
-	if _, _, err := ReadDumpEntry(bytes.NewReader(full[:3])); !errors.Is(err, ErrWire) {
-		t.Fatalf("mid-entry truncation: err = %v, want ErrWire", err)
-	}
-}
-
 // FuzzL2Wire feeds arbitrary bytes through every decoder: decoding must
 // never panic, a request decodes only as GET or EXEC, and anything that
 // decodes must re-encode and re-decode to the same frame.
@@ -173,7 +137,7 @@ func FuzzL2Wire(f *testing.F) {
 	seed(func(w io.Writer) error { return WriteRequest(w, OpExec, "fp", []byte(`{"model":{}}`)) })
 	seed(func(w io.Writer) error { return WriteResponse(w, StatusOK, []byte(`{"safe":0.5}`)) })
 	seed(func(w io.Writer) error { return WriteResponse(w, StatusMiss, nil) })
-	seed(func(w io.Writer) error { return WriteDumpEntry(w, "key", []byte("value")) })
+	seed(func(w io.Writer) error { return WriteResponse(w, StatusError, []byte("compute failed")) })
 	f.Add([]byte{OpExec, 0xFF, 0xFF})
 	f.Add([]byte{2, 0, 2, 'f', 'p', 0, 0, 0, 1, 'v'}) // the retired PUT: refused
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -198,12 +162,6 @@ func FuzzL2Wire(f *testing.F) {
 			status2, val2, err := ReadResponse(bytes.NewReader(buf.Bytes()))
 			if err != nil || status2 != status || !bytes.Equal(val2, val) {
 				t.Fatalf("response round trip diverged: %v", err)
-			}
-		}
-		if key, val, err := ReadDumpEntry(bytes.NewReader(data)); err == nil {
-			var buf bytes.Buffer
-			if err := WriteDumpEntry(&buf, key, val); err != nil {
-				t.Fatalf("re-encode decoded dump entry: %v", err)
 			}
 		}
 		_ = ReadHello(bytes.NewReader(data))

@@ -121,15 +121,11 @@ func entryFor(t *testing.T, srv *Server, body string) *analyzeEntry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e *analyzeEntry
-	srv.cache.Range(func(key string, v *analyzeEntry) bool {
-		if key == p.key {
-			e = v
-		}
-		return e == nil
+	e, _, err := srv.cache.Do(p.key, func() (*analyzeEntry, error) {
+		return nil, fmt.Errorf("no cache entry for %s", body)
 	})
-	if e == nil {
-		t.Fatalf("no cache entry for %s", body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return e
 }
@@ -190,36 +186,6 @@ func TestDebugHitLeavesStoredBodyAlone(t *testing.T) {
 	after := serve(h, http.MethodPost, "/v1/analyze", plain).Body.Bytes()
 	if !bytes.Equal(before, after) || bytes.Contains(after, []byte(`"debug"`)) {
 		t.Fatalf("plain hit after a debugged one:\n%s\nwant the bytes served before it:\n%s", after, before)
-	}
-}
-
-// TestWarmedEntriesServePlainHits: an entry that arrives by LoadCache was
-// never encoded by this server; its first and second hits must still be
-// the reference encoding of the value that was dumped.
-func TestWarmedEntriesServePlainHits(t *testing.T) {
-	const q = `{"model":{"protocol":"raft","n":7},"p":0.015}`
-	origin := New(Options{})
-	want := decodeAnalyzeBody(t, serve(origin.Handler(), http.MethodPost, "/v1/analyze", q).Body.Bytes())
-	want.Cached = true
-	var dump bytes.Buffer
-	if n, err := origin.DumpCache(&dump); err != nil || n != 1 {
-		t.Fatalf("DumpCache = %d, %v", n, err)
-	}
-	calls := 0
-	srv := New(Options{AnalyzeFunc: func(*core.Query) (core.Result, error) {
-		calls++
-		return core.Result{}, nil
-	}})
-	if _, err := srv.LoadCache(bytes.NewReader(dump.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if got := serve(srv.Handler(), http.MethodPost, "/v1/analyze", q).Body.Bytes(); !bytes.Equal(got, referenceBody(t, want)) {
-			t.Errorf("hit %d:\n%s\nwant\n%s", i+1, got, referenceBody(t, want))
-		}
-	}
-	if calls != 0 {
-		t.Errorf("the warmed entry was recomputed %d times", calls)
 	}
 }
 

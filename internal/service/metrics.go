@@ -189,7 +189,7 @@ func registerCache(reg *obs.Registry, name string,
 	reg.RegisterCounter("probconsd_cache_evictions_total", "Result-cache entries dropped by the LRU policy.", labels, evictions)
 	reg.GaugeFunc("probconsd_cache_entries", "Result-cache entries currently held.", labels,
 		func() float64 { return float64(length()) })
-	reg.GaugeFunc("probconsd_cache_bytes", "Approximate serialized bytes of the entries currently held (what a -cache-dump of this cache would weigh).", labels,
+	reg.GaugeFunc("probconsd_cache_bytes", "Approximate bytes of the entries currently held: key bytes plus each response's estimated compact-JSON size.", labels,
 		func() float64 { return float64(bytes()) })
 }
 

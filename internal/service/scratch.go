@@ -19,8 +19,7 @@ import (
 // is written, and everything that leaves a request is built fresh:
 //
 //   - an L1 entry is a new analyzeEntry of the Result and the key string,
-//     and singleflight waiters and later hits get that entry (so does
-//     -cache-dump, which reads only entries);
+//     and singleflight waiters and later hits get that entry;
 //   - batch jobs run inside the request: batchTraced joins them all;
 //   - a trace holds span names, the verdict, error strings and keys;
 //   - the sweep stream's target is not pooled (scheduled cells outlive a

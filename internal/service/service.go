@@ -133,8 +133,8 @@ func New(opts Options) *Server {
 
 // Cache value sizers: cheap estimates of each response's compact-JSON
 // footprint (fixed fields plus the variable-length strings), feeding the
-// byte-occupancy stats that size -cache-dump files
-// without marshaling on the insert path.
+// byte-occupancy stats (/statsz bytes, probconsd_cache_bytes) without
+// marshaling on the insert path.
 
 func sizeofAnalyzeEntry(e *analyzeEntry) int {
 	r := &e.resp
