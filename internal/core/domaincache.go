@@ -46,6 +46,10 @@ import (
 // float goes in as canonBits, the query fingerprint's encoder: exact
 // IEEE-754 bits with -0 folded onto +0 (the same probability, the same
 // tables), so a "-0" shock or multiplier is a hit, not a recombination.
+// A query's keys share every piece but their own domain's, so each piece
+// is encoded once per query (restSegments) and a key is assembled from
+// them: each node's profile bits are sorted once, not once per position
+// tried.
 //
 // All workspaces live on the owning Evaluator: no locks, no sharing, zero
 // steady-state allocations (pinned by TestAnalyzeDomainsZeroAllocs).
@@ -90,6 +94,8 @@ type domainState struct {
 	regions  [3]dist.Region // the query model's safe, live, safe-and-live
 	keyBuf   []byte
 	keys     profileKeys
+	segs     []byte // this query's rest-key pieces (restSegments)
+	segEnd   []int
 	restKeys []restKey
 	tri      []dist.TriState
 
@@ -121,24 +127,38 @@ func (ds *domainState) maybeEvict() {
 	}
 }
 
+// restSegments encodes, once per query, the pieces every rest key of l is
+// assembled from, back to back in ds.segs: the key prefix (restKeyDomain
+// and the model bits), the independent nodes' sorted profile bits, and
+// each populated domain's chunk in position order — the bytes
+// appendDomainChunk writes for the query fingerprint. ds.segEnd[k] is
+// where piece k ends.
+func (ds *domainState) restSegments(fleet Fleet, m CountModel, domains DomainSet, l *domainLayout) {
+	buf := append(ds.segs[:0], restKeyDomain...)
+	buf = appendModelBits(buf, m)
+	ends := append(ds.segEnd[:0], len(buf))
+	buf = ds.keys.appendSorted(buf, fleet, l.indep, false)
+	ends = append(ends, len(buf))
+	for _, di := range l.act {
+		buf = appendDomainChunk(buf, &ds.keys, fleet, domains[di], l.blocks[di])
+		ends = append(ends, len(buf))
+	}
+	ds.segs, ds.segEnd = buf, ends
+}
+
 // restKeyFor identifies the rest tables of the populated domain at
 // position pos of l.act: model bits, pos, the domain's member count, and
-// the full parameterisation of everything OUTSIDE the domain.
-func (ds *domainState) restKeyFor(fleet Fleet, m CountModel, domains DomainSet, l *domainLayout, pos int) restKey {
-	buf := append(ds.keyBuf[:0], restKeyDomain...)
-	buf = appendModelBits(buf, m)
-	di := l.act[pos]
+// the full parameterisation of everything OUTSIDE the domain — the
+// independent segment and every other position's chunk, in order, from
+// the pieces restSegments encoded for this query.
+func (ds *domainState) restKeyFor(l *domainLayout, pos int) restKey {
+	segs, ends := ds.segs, ds.segEnd
+	buf := append(ds.keyBuf[:0], segs[:ends[0]]...)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(pos))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(l.blocks[di])))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(l.blocks[l.act[pos]])))
 	buf = append(buf, 'I')
-	buf = ds.keys.appendSorted(buf, fleet, l.indep, false)
-	for _, dj := range l.act {
-		if dj == di {
-			continue
-		}
-		buf = appendDomainBits(buf, domains[dj])
-		buf = ds.keys.appendSorted(buf, fleet, l.blocks[dj], false)
-	}
+	buf = append(buf, segs[ends[0]:ends[1+pos]]...) // the independent nodes, then the chunks before pos
+	buf = append(buf, segs[ends[2+pos]:]...)        // the chunks after it
 	ds.keyBuf = buf
 	return sha256.Sum256(buf)
 }
@@ -209,9 +229,10 @@ func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet,
 	// Fast path: the first populated domain whose rest tables survive from
 	// an earlier query answers with one dot product per region after a
 	// pass through that domain.
+	ds.restSegments(fleet, m, domains, l)
 	ds.restKeys = ds.restKeys[:0]
 	for pos, di := range l.act {
-		key := ds.restKeyFor(fleet, m, domains, l, pos)
+		key := ds.restKeyFor(l, pos)
 		ds.restKeys = append(ds.restKeys, key)
 		if hit, ok := ds.restCache[key]; ok {
 			domRestHits.Inc()

@@ -112,8 +112,7 @@ func (q *Query) Fingerprint() Fingerprint {
 		e.spans = e.spans[:0]
 		for _, di := range l.act {
 			start := len(e.chunks)
-			e.chunks = appendDomainBits(e.chunks, q.Domains[di])
-			e.chunks = e.keys.appendSorted(e.chunks, q.Fleet, l.blocks[di], false)
+			e.chunks = appendDomainChunk(e.chunks, &e.keys, q.Fleet, q.Domains[di], l.blocks[di])
 			e.spans = append(e.spans, [2]int{start, len(e.chunks)})
 		}
 		chunks := e.chunks
@@ -294,6 +293,14 @@ func appendDomainBits(buf []byte, d faultcurve.Domain) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, canonBits(d.ShockProb))
 	buf = binary.BigEndian.AppendUint64(buf, canonBits(d.CrashMultiplier))
 	return binary.BigEndian.AppendUint64(buf, canonBits(d.ByzMultiplier))
+}
+
+// appendDomainChunk appends one populated domain's chunk: its shock and
+// multiplier bits, then the count and sorted profile bits of its members,
+// idxs. The query fingerprint sorts these chunks; the evaluator's rest keys
+// (domainState.restSegments) keep them in position order.
+func appendDomainChunk(buf []byte, keys *profileKeys, fleet Fleet, d faultcurve.Domain, idxs []int) []byte {
+	return keys.appendSorted(appendDomainBits(buf, d), fleet, idxs, false)
 }
 
 // canonBits is math.Float64bits with the sign of zero dropped: -0 + 0 is

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -437,9 +439,10 @@ func FuzzProfileKeySort(f *testing.F) {
 
 // BenchmarkFingerprint times the profile-key encoding: the fingerprint of a
 // domain-free fleet of cold_large's profiles at N = 25, 256 and 1024, and
-// of domain_churn's 48 nodes in 4 zones, and that query's rest keys (one
-// per zone, each over the other three zones' nodes and the remainder). It
-// reports the time per key sorted.
+// of domain_churn's 48 nodes in 4 zones, and that query's rest keys (its
+// pieces, each node's key sorted once, then one key per zone over the
+// other three zones' chunks and the remainder). It reports the time per
+// key sorted.
 func BenchmarkFingerprint(b *testing.B) {
 	for _, n := range []int{25, 256, 1024} {
 		r := rand.New(rand.NewSource(int64(n)))
@@ -472,17 +475,96 @@ func BenchmarkFingerprint(b *testing.B) {
 	b.Run("N=48/D=4/rest", func(b *testing.B) {
 		var ds domainState
 		l := &q.layout
-		keys := 0
-		for _, di := range l.act {
-			keys += len(fleet) - len(l.blocks[di])
-		}
 		for i := 0; i < b.N; i++ {
+			ds.restSegments(q.Fleet, q.Model, q.Domains, l)
 			for pos := range l.act {
-				restKeySink = ds.restKeyFor(q.Fleet, q.Model, q.Domains, l, pos)
+				restKeySink = ds.restKeyFor(l, pos)
 			}
 		}
-		reportPerKey(b, keys)
+		reportPerKey(b, len(fleet))
 	})
+}
+
+// restKeyRef is the rest key encoded position by position, each call
+// sorting the independent nodes and every other domain's members afresh:
+// the encoding restSegments and restKeyFor assemble from once-per-query
+// pieces.
+func restKeyRef(keys *profileKeys, fleet Fleet, m CountModel, domains DomainSet, l *domainLayout, pos int) restKey {
+	buf := append([]byte(restKeyDomain), appendModelBits(nil, m)...)
+	di := l.act[pos]
+	buf = binary.BigEndian.AppendUint64(buf, uint64(pos))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(l.blocks[di])))
+	buf = append(buf, 'I')
+	buf = keys.appendSorted(buf, fleet, l.indep, false)
+	for _, dj := range l.act {
+		if dj == di {
+			continue
+		}
+		buf = appendDomainBits(buf, domains[dj])
+		buf = keys.appendSorted(buf, fleet, l.blocks[dj], false)
+	}
+	return sha256.Sum256(buf)
+}
+
+// TestRestKeysMatchPerPositionEncoding holds the assembled rest keys to
+// restKeyRef over random layouts: 1-6 domains, some left unpopulated, with
+// and without independent nodes, repeated profiles, and -0 shocks,
+// multipliers and probabilities. One domainState serves every layout, so
+// pieces left from a larger query must not leak into a smaller one's keys.
+func TestRestKeysMatchPerPositionEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	negZero := math.Copysign(0, -1)
+	prob := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return negZero
+		case 1:
+			return 0.01 // repeated across nodes and domains
+		}
+		return 0.05 * rng.Float64()
+	}
+	var ds domainState
+	var ref profileKeys
+	for trial := 0; trial < 400; trial++ {
+		d := 1 + trial%6
+		domains := make(DomainSet, d)
+		for j := range domains {
+			domains[j] = faultcurve.Domain{Name: fmt.Sprintf("z%d", j), ShockProb: prob(), CrashMultiplier: 1 + 4*rng.Float64(), ByzMultiplier: 1}
+			if rng.Intn(4) == 0 {
+				domains[j].CrashMultiplier, domains[j].ByzMultiplier = negZero, negZero
+			}
+		}
+		n := 1 + rng.Intn(40)
+		indep := trial%2 == 0 // half the layouts have no independent remainder
+		fleet := make(Fleet, n)
+		for i := range fleet {
+			fleet[i].Profile = faultcurve.Profile{PCrash: prob(), PByz: prob() / 10}
+			if !indep || rng.Intn(3) > 0 {
+				// Members land in the first d-1 domains on odd trials, so the
+				// last one is left unpopulated.
+				fleet[i].Domain = domains[rng.Intn(max(d-trial%2, 1))].Name
+			}
+		}
+		var m CountModel = NewRaft(n)
+		if n >= 4 && trial%3 == 0 {
+			m = NewPBFTForN(n)
+		}
+		var q Query
+		if err := q.Resolve(fleet, m, domains); err != nil {
+			t.Fatal(err)
+		}
+		l := &q.layout
+		if len(l.act) == 0 {
+			continue
+		}
+		ds.restSegments(fleet, m, domains, l)
+		for pos := range l.act {
+			if got, want := ds.restKeyFor(l, pos), restKeyRef(&ref, fleet, m, domains, l, pos); got != want {
+				t.Fatalf("trial %d (N=%d, D=%d, %d populated, %d independent): position %d keys %x, want %x",
+					trial, n, d, len(l.act), len(l.indep), pos, got[:8], want[:8])
+			}
+		}
+	}
 }
 
 var (

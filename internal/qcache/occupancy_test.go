@@ -3,23 +3,27 @@ package qcache
 import "testing"
 
 // Byte occupancy: one shard so eviction order is deterministic, a sizer
-// counting value bytes, so every entry costs len(key)+len(value).
+// counting value bytes, so every entry costs len(key)+len(value). Nothing
+// overwrites a cached key — a value enters only when its own flight
+// resolves — so a hit on a cached key moves no bytes.
 func TestBytesTracksInsertUpdateEvict(t *testing.T) {
 	c := New[string](2, 1).WithSizer(func(v string) int { return len(v) })
 
-	c.Put("aa", "xxxx") // 2+4 = 6
+	mustDo(t, c, "aa", "xxxx") // 2+4 = 6
 	if got := c.Bytes(); got != 6 {
 		t.Fatalf("after insert: Bytes() = %d, want 6", got)
 	}
-	c.Put("aa", "x") // update: 2+1 = 3
-	if got := c.Bytes(); got != 3 {
-		t.Fatalf("after update: Bytes() = %d, want 3", got)
+	if v, cached, _ := c.Do("aa", func() (string, error) { return "x", nil }); !cached || v != "xxxx" {
+		t.Fatalf("Do on a cached key = %q, cached %v; want the cached \"xxxx\"", v, cached)
 	}
-	c.Put("bb", "yyy") // +5 = 8
-	if got := c.Bytes(); got != 8 {
-		t.Fatalf("after second insert: Bytes() = %d, want 8", got)
+	if got := c.Bytes(); got != 6 {
+		t.Fatalf("after a hit: Bytes() = %d, want 6", got)
 	}
-	c.Put("cc", "zz") // evicts LRU "aa" (-3), +4 = 9
+	mustDo(t, c, "bb", "yyy") // +5 = 11
+	if got := c.Bytes(); got != 11 {
+		t.Fatalf("after second insert: Bytes() = %d, want 11", got)
+	}
+	mustDo(t, c, "cc", "zz") // evicts LRU "aa" (-6), +4 = 9
 	if got := c.Bytes(); got != 9 {
 		t.Fatalf("after eviction: Bytes() = %d, want 9", got)
 	}
@@ -38,8 +42,8 @@ func TestBytesTracksInsertUpdateEvict(t *testing.T) {
 
 func TestBytesWithoutSizerCountsKeys(t *testing.T) {
 	c := New[int](4, 1)
-	c.Put("abc", 1)
-	c.Put("de", 2)
+	mustDo(t, c, "abc", 1)
+	mustDo(t, c, "de", 2)
 	if got := c.Bytes(); got != 5 {
 		t.Fatalf("Bytes() = %d, want 5 (key bytes only)", got)
 	}
@@ -53,8 +57,6 @@ func TestBytesWithoutSizerCountsKeys(t *testing.T) {
 func (c *Cache[V]) Range(fn func(key string, val V) bool) {
 	for _, s := range c.shards {
 		s.mu.Lock()
-		// Values are copied under the lock: an update to a live entry after
-		// the snapshot must not race the caller reading it.
 		snap := make([]entry[V], 0, s.order.Len())
 		for el := s.order.Front(); el != nil; el = el.Next() {
 			snap = append(snap, *el.Value.(*entry[V]))
@@ -72,7 +74,7 @@ func TestRangeSeesEntriesAndStopsEarly(t *testing.T) {
 	c := New[string](8, 2)
 	want := map[string]string{"a": "1", "b": "2", "c": "3"}
 	for k, v := range want {
-		c.Put(k, v)
+		mustDo(t, c, k, v)
 	}
 	got := map[string]string{}
 	c.Range(func(key, val string) bool {

@@ -203,22 +203,15 @@ func (c *Cache[V]) DoEvents(key string, ev EventRecorder, compute func() (V, err
 	return fl.val, false, fl.err
 }
 
-// insertLocked adds or refreshes an entry, evicting from the tail when
-// over capacity; each eviction is reported to ev (when non-nil) with the
-// evicted key. The existence check keeps an insert for a key that is
-// already cached from orphaning the earlier list element (the tests' Put
-// can land while a flight for the same key computes). Caller holds s.mu.
+// insertLocked adds an entry, evicting from the tail when over capacity;
+// each eviction is reported to ev (when non-nil) with the evicted key. The
+// key is not cached: DoEvents inserts only when its own flight resolves,
+// and while that flight was open no other caller could insert the key.
+// Caller holds s.mu.
 func (s *shard[V]) insertLocked(c *Cache[V], key string, val V, ev EventRecorder) {
 	size := len(key)
 	if c.sizer != nil {
 		size += c.sizer(val)
-	}
-	if el, ok := s.items[key]; ok {
-		e := el.Value.(*entry[V])
-		s.bytes += int64(size - e.size)
-		e.val, e.size = val, size
-		s.order.MoveToFront(el)
-		return
 	}
 	s.items[key] = s.order.PushFront(&entry[V]{key: key, val: val, size: size})
 	s.bytes += int64(size)

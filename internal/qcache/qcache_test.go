@@ -9,11 +9,13 @@ import (
 	"testing"
 )
 
-func mustDo(t *testing.T, c *Cache[int], key string, v int) {
+// mustDo fills key through Do, the one way a value enters a cache, or
+// reads it back if it is cached already.
+func mustDo[V comparable](t *testing.T, c *Cache[V], key string, v V) {
 	t.Helper()
-	got, _, err := c.Do(key, func() (int, error) { return v, nil })
+	got, _, err := c.Do(key, func() (V, error) { return v, nil })
 	if err != nil || got != v {
-		t.Fatalf("Do(%q) = %d, %v; want %d", key, got, err, v)
+		t.Fatalf("Do(%q) = %v, %v; want %v", key, got, err, v)
 	}
 }
 
@@ -31,15 +33,6 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Put stores a value directly, bypassing singleflight. Only the tests
-// fill a cache this way; the service inserts through DoEvents.
-func (c *Cache[V]) Put(key string, val V) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insertLocked(c, key, val, nil)
 }
 
 func TestDoMemoizes(t *testing.T) {
@@ -181,15 +174,18 @@ func TestErrorsNotCached(t *testing.T) {
 	mustDo(t, c, "k", 5) // recovers once compute succeeds
 }
 
+// TestPutAndGet: a value filled through Do reads back through Get, and a
+// later Do for the key answers from the cache without computing or adding
+// an entry: nothing overwrites a cached key.
 func TestPutAndGet(t *testing.T) {
 	c := New[int](4, 2)
-	c.Put("k", 1)
+	mustDo(t, c, "k", 1)
 	if v, ok := c.Get("k"); !ok || v != 1 {
 		t.Fatalf("Get = %d, %v", v, ok)
 	}
-	c.Put("k", 2) // overwrite refreshes, no duplicate entry
-	if v, _ := c.Get("k"); v != 2 {
-		t.Fatalf("overwrite lost: %d", v)
+	v, cached, err := c.Do("k", func() (int, error) { return 2, nil })
+	if err != nil || !cached || v != 1 {
+		t.Fatalf("Do on a cached key = %d, cached %v, %v; want the cached 1", v, cached, err)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
@@ -212,7 +208,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 				case 1:
 					c.Get(k)
 				case 2:
-					c.Put(k, i)
+					_, _, _ = c.Do(k, func() (int, error) { return 0, errors.New("not cached") })
 				}
 			}
 		}(g)
@@ -279,9 +275,10 @@ func TestPanickingComputeResolvesFlight(t *testing.T) {
 	}
 }
 
-// TestPutDuringFlightKeepsOneEntry: a Put landing while a Do flight for
-// the same key is computing must not orphan a list element (which would
-// corrupt Len and let a later eviction unmap the live entry).
+// TestPutDuringFlightKeepsOneEntry: a second Do landing while a flight for
+// the same key computes waits for that flight instead of inserting, so the
+// key has one list element (an orphaned one would corrupt Len and let a
+// later eviction unmap the live entry).
 func TestPutDuringFlightKeepsOneEntry(t *testing.T) {
 	c := New[int](3, 1)
 	release := make(chan struct{})
@@ -293,9 +290,19 @@ func TestPutDuringFlightKeepsOneEntry(t *testing.T) {
 	for c.Stats().Misses != 1 {
 		runtime.Gosched()
 	}
-	c.Put("k", 2) // lands mid-flight
+	landed := make(chan int)
+	go func() {
+		v, _, _ := c.Do("k", func() (int, error) { return 2, nil }) // lands mid-flight
+		landed <- v
+	}()
+	for c.Stats().Coalesced != 1 {
+		runtime.Gosched()
+	}
 	close(release)
 	<-done
+	if v := <-landed; v != 1 {
+		t.Fatalf("mid-flight Do = %d, want the flight's value 1", v)
+	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (duplicate element orphaned)", c.Len())
 	}

@@ -393,20 +393,21 @@ func TestServeHitAllocationGuard(t *testing.T) {
 // at domain_churn's shape (48 nodes in four zones, one zone's shock moving
 // per request) and cold_large's (256 independent nodes): decode, resolve,
 // fingerprint, engine, insert, encode, log line and trace, all through
-// the handler the daemon runs — 41 allocations and 4.5 KB, and 41 and
-// 4.9 KB, on go1.24. Before the request scratch (pooled decode targets,
+// the handler the daemon runs — 34 allocations and 3.4 KB, and 34 and
+// 3.9 KB, on go1.24. Before the request scratch (pooled decode targets,
 // one resolve per request, reused fingerprint buffers) the same loops
 // read 277 and 19.5 KB, and 305 and 45.8 KB. Under -race they read about
-// 125 and 28 KB, and 125 and 78 KB; a handler whose pools reuse nothing
-// reads about 240 and 40 KB, and 320 and 130 KB, there.
+// 110 and 28 KB, and 130 and 80 KB; a handler whose pools reuse nothing
+// read about 240 and 40 KB, and 320 and 130 KB, there before responses
+// were encoded through pooled scratch.
 func TestServeMissAllocationGuard(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		body          func(int) []byte
 		allocs, bytes float64
 	}{
-		{"domain_churn", uniqueChurnBody, guardBound(45, 185), guardBound(4800, 36000)},
-		{"cold_large", uniqueColdBody, guardBound(45, 185), guardBound(5300, 115000)},
+		{"domain_churn", uniqueChurnBody, guardBound(37, 185), guardBound(3800, 36000)},
+		{"cold_large", uniqueColdBody, guardBound(38, 185), guardBound(4300, 115000)},
 	} {
 		h := newLoggedHandler()
 		for i := 0; i < 64; i++ { // warm pools, evaluators and the trace free list
@@ -471,5 +472,117 @@ func benchmarkServeMiss(b *testing.B, body func(int) []byte) {
 		if rec.Code != http.StatusOK {
 			b.Fatal(rec.Code, rec.Body)
 		}
+	}
+}
+
+// indentSeeds are FuzzIndentMatchesEncodingJSON's seed corpus: encoding/json's
+// output for the zero value of every response type and for bodies every
+// endpoint served, empty and nested-empty objects and arrays, strings
+// holding the bytes the pass must not take for structure, and a value 24
+// levels deep.
+func indentSeeds(t testing.TB) [][]byte {
+	var seeds [][]byte
+	add := func(v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	for _, v := range []any{
+		AnalyzeResponse{}, SweepLine{}, OptimizeResponse{}, TailResponse{}, BatchResponse{},
+		TablesResponse{}, StatsResponse{}, TracesResponse{}, errorBody{},
+		AnalyzeResponse{Debug: &DebugInfo{Spans: []SpanView{{}}}},
+		BatchResponse{Items: []BatchItemResult{{Sweep: []SweepLine{{}}}, {Analyze: &AnalyzeResponse{}}, {Error: "e"}}},
+		errorBody{Error: "quote \" backslash \\ colon : comma , brackets [ ] { } line separator \u2028 html <>&"},
+		map[string]any{"": "", `"k:{`: []any{}, "\\": map[string]any{}, "n": []any{[]any{}, map[string]any{"a": []any{}}}},
+	} {
+		add(v)
+	}
+	h := New(Options{}).Handler()
+	for _, r := range lifetimeRequests() {
+		seeds = append(seeds, compactBody(t, serve(h, http.MethodPost, r.path, r.body).Body.Bytes()))
+	}
+	for _, path := range []string{"/v1/tables", "/statsz", "/v1/traces", "/healthz", "/v1/analyze"} {
+		seeds = append(seeds, compactBody(t, serve(h, http.MethodGet, path, "").Body.Bytes()))
+	}
+	for _, s := range []string{`{}`, `[]`, `[{}]`, `{"a":[]}`, `[[],[[]],{"b":{}}]`, `"s"`, `0`, `-1.5e-7`, `null`, `true`,
+		`"\"\\\\"`, `{"\\\"":"\\"}`, "[\"\u2028<>&\",\":,[]{}\"]"} {
+		seeds = append(seeds, []byte(s))
+	}
+	// Deeper than the 16 levels appendNewline copies in one piece.
+	deep := strings.Repeat(`{"k":[`, 12) + "1" + strings.Repeat("]}", 12)
+	return append(seeds, []byte(deep))
+}
+
+func compactBody(t testing.TB, body []byte) []byte {
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, body); err != nil {
+		t.Fatalf("served body is not JSON: %v\n%s", err, body)
+	}
+	return buf.Bytes()
+}
+
+// FuzzIndentMatchesEncodingJSON holds appendIndent to json.Indent with a
+// two-space indent, byte for byte, over any valid JSON laid out compactly
+// by json.Compact — with and without the Encoder's trailing newline.
+func FuzzIndentMatchesEncodingJSON(f *testing.F) {
+	for _, s := range indentSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !json.Valid(data) {
+			return
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, data); err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range [][]byte{compact.Bytes(), append(compact.Bytes(), '\n')} {
+			var want bytes.Buffer
+			if err := json.Indent(&want, src, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			// appendIndent appends: what dst already holds stays in front.
+			if got := appendIndent([]byte("prefix"), src); !bytes.Equal(got, append([]byte("prefix"), want.Bytes()...)) {
+				t.Fatalf("appendIndent(%q):\n%s\njson.Indent:\n%s", src, got, want.Bytes())
+			}
+		}
+	})
+}
+
+// BenchmarkEncodeJSON times one response body through encodeJSON into a
+// reused buffer: domain_churn's analyze miss, and a batch answer carrying
+// one 32-cell sweep.
+func BenchmarkEncodeJSON(b *testing.B) {
+	srv := New(Options{})
+	var req AnalyzeRequest
+	if err := decodeRequest(churnBody, &req); err != nil {
+		b.Fatal(err)
+	}
+	analyze, err := srv.Analyze(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep, err := srv.Batch(BatchRequest{Items: []BatchItem{{Sweep: &SweepRequest{
+		Protocol: "raft", Ns: []int{3, 5, 7, 9}, Ps: []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2}}}}})
+	if err != nil || len(sweep.Items[0].Sweep) != 32 {
+		b.Fatalf("sweep: %v, %+v", err, sweep)
+	}
+	for _, bc := range []struct {
+		name string
+		v    any
+	}{{"analyze", analyze}, {"sweep32", sweep}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := encodeJSON(&buf, bc.v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(buf.Len()))
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -276,14 +274,6 @@ func (s *Server) MetricFamilies() []obs.FamilyInfo {
 // maxBodyBytes bounds request bodies; the largest legal request is an
 // inputcheck.MaxClusterSize fleet, comfortably under 1 MiB.
 const maxBodyBytes = 1 << 20
-
-// encodeJSON renders v into buf the way every response body is rendered:
-// two-space indent, one trailing newline.
-func encodeJSON(buf *bytes.Buffer, v any) error {
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
 
 // writeJSON encodes v into a pooled buffer, then sends status,
 // Content-Length and the body in one Write. Encoding comes first so that a
