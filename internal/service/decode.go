@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -237,10 +238,18 @@ func (d *decoder) peek() byte {
 	return 0
 }
 
+// token consumes tok if the body spells it at pos.
+func (d *decoder) token(tok string) bool {
+	if end := d.pos + len(tok); end <= len(d.data) && string(d.data[d.pos:end]) == tok {
+		d.pos = end
+		return true
+	}
+	return false
+}
+
 // literal consumes lit, whose first byte the caller has seen at pos.
 func (d *decoder) literal(lit string) *decodeError {
-	if end := d.pos + len(lit); end <= len(d.data) && string(d.data[d.pos:end]) == lit {
-		d.pos = end
+	if d.token(lit) {
 		return nil
 	}
 	for i := 0; d.pos < len(d.data) && d.data[d.pos] == lit[i]; i++ {
@@ -404,17 +413,23 @@ func (d *decoder) str(v *string) *decodeError {
 		if err != nil {
 			return err
 		}
-		switch {
-		case plain && string(raw) == prev:
-			*v = prev
-		case plain:
-			*v = string(raw)
-		default:
+		if plain {
+			*v = keep(prev, raw)
+		} else {
 			*v = unquote(raw)
 		}
 		return nil
 	}
 	return d.wrongType("a string")
+}
+
+// keep returns the string the plain bytes raw spell: prev itself when it
+// spells the same, else a copy.
+func keep(prev string, raw []byte) string {
+	if string(raw) == prev {
+		return prev
+	}
+	return string(raw)
 }
 
 // plainByte marks the bytes that stand for themselves inside a string:
@@ -433,10 +448,7 @@ var plainByte = func() (t [256]bool) {
 // unquote gives the value.
 func (d *decoder) quoted() (raw []byte, plain bool, err *decodeError) {
 	data, start := d.data, d.pos+1
-	i := start
-	for i < len(data) && plainByte[data[i]] {
-		i++
-	}
+	i := plainEnd(data, start)
 	if i < len(data) && data[i] == '"' {
 		d.pos = i + 1
 		return data[start:i], true, nil
@@ -472,6 +484,14 @@ func (d *decoder) quoted() (raw []byte, plain bool, err *decodeError) {
 	}
 	d.pos = len(data)
 	return nil, false, d.syntax("in a string")
+}
+
+// plainEnd returns where the run of plain bytes that starts at i ends.
+func plainEnd(data []byte, i int) int {
+	for i < len(data) && plainByte[data[i]] {
+		i++
+	}
+	return i
 }
 
 func hexValue(c byte) int {
@@ -752,9 +772,55 @@ func (d *decoder) modelSpec(v *ModelSpec) *decodeError {
 	return err
 }
 
+// The key tokens of a node spelled as encoding/json writes a NodeSpec,
+// {"name":"…","p_crash":…,"p_byz":…,"domain":"…"} with name and domain
+// left out when empty: built from the key table, so that stays the one
+// place the node's keys are spelled.
+var (
+	nodeOpenName  = newKeyToken(`{"` + nodeSpecKeys[0] + `":"`)
+	nodeOpenCrash = newKeyToken(`{"` + nodeSpecKeys[1] + `":`)
+	nodeCrash     = newKeyToken(`,"` + nodeSpecKeys[1] + `":`)
+	nodeByz       = newKeyToken(`,"` + nodeSpecKeys[2] + `":`)
+	nodeDomain    = newKeyToken(`,"` + nodeSpecKeys[3] + `":"`)
+)
+
+// keyToken is a key token of 8 to 16 bytes held as its first and its last
+// eight bytes, two words that cover it, so a compare is two loads.
+type keyToken struct {
+	first, last uint64
+	n           int
+}
+
+func newKeyToken(tok string) keyToken {
+	if len(tok) < 8 || len(tok) > 16 {
+		panic("service: key token " + tok + " is not 8 to 16 bytes")
+	}
+	b := []byte(tok)
+	return keyToken{binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[len(b)-8:]), len(b)}
+}
+
+// key consumes t if the body spells it at pos.
+func (d *decoder) key(t keyToken) bool {
+	end := d.pos + t.n
+	if end > len(d.data) || binary.LittleEndian.Uint64(d.data[d.pos:]) != t.first || binary.LittleEndian.Uint64(d.data[end-8:]) != t.last {
+		return false
+	}
+	d.pos = end
+	return true
+}
+
+// nodeSpec decodes one fleet node. A fleet is the one wire object a body
+// repeats N times, and clients mostly send it compact, so compactNode
+// tries that spelling first; anything else goes back to the node's first
+// byte and takes the walk every object takes.
 func (d *decoder) nodeSpec(v *NodeSpec) *decodeError {
 	spare := *v
 	*v = NodeSpec{}
+	start := d.pos
+	if d.compactNode(v, &spare) {
+		return nil
+	}
+	d.pos, *v = start, NodeSpec{}
 	o, err := d.object(nodeSpecKeys)
 	for o.next(&err) {
 		switch o.key {
@@ -769,6 +835,59 @@ func (d *decoder) nodeSpec(v *NodeSpec) *decodeError {
 		}
 	}
 	return err
+}
+
+// compactNode decodes the node at pos in one straight pass if it is
+// spelled exactly as encoding/json writes one (nodeOpenName…), into the
+// zeroed *v, reusing spare's strings as str does, and reports whether it
+// did. It stops at the first byte that spelling does not have —
+// whitespace, another key order, an escape or a byte outside ASCII, a
+// folded, unknown or repeated key, null, a number only strconv converts,
+// the body's end — and the caller then rewinds: what it decodes, the walk
+// decodes to the same value.
+func (d *decoder) compactNode(v, spare *NodeSpec) bool {
+	switch {
+	case d.key(nodeOpenName):
+		if !d.plainString(&v.Name, spare.Name) || !d.key(nodeCrash) {
+			return false
+		}
+	case !d.key(nodeOpenCrash):
+		return false
+	}
+	if !d.plainFloat(&v.PCrash) || !d.key(nodeByz) || !d.plainFloat(&v.PByz) {
+		return false
+	}
+	if d.key(nodeDomain) && !d.plainString(&v.Domain, spare.Domain) {
+		return false
+	}
+	return d.token("}")
+}
+
+// plainString reads the rest of a string whose opening quote is consumed,
+// if it is plain bytes up to its closing quote.
+func (d *decoder) plainString(v *string, prev string) bool {
+	end := plainEnd(d.data, d.pos)
+	if end == len(d.data) || d.data[end] != '"' {
+		return false
+	}
+	*v = keep(prev, d.data[d.pos:end])
+	d.pos = end + 1
+	return true
+}
+
+// plainFloat reads the number at pos, if one starts there and float64
+// converts it without strconv.
+func (d *decoder) plainFloat(v *float64) bool {
+	if d.pos == len(d.data) || d.data[d.pos] != '-' && !isDigit(d.data[d.pos]) {
+		return false
+	}
+	var n decimal
+	if _, err := d.number(&n); err != nil {
+		return false
+	}
+	f, ok := n.float64()
+	*v = f
+	return ok
 }
 
 func (d *decoder) domainSpec(v *DomainSpec) *decodeError {

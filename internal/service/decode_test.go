@@ -91,10 +91,24 @@ var (
 	}()
 )
 
+// decodeShapes are the three analyze shapes as the benchmark sends them,
+// every node compact, and as json.Indent lays them out, every node on the
+// walk: what a node costs when compactNode gives it up at its second byte.
 var decodeShapes = []struct {
 	name string
 	body []byte
-}{{"hot", hotBody}, {"churn", churnBody}, {"cold", coldBody}}
+}{
+	{"hot", hotBody}, {"churn", churnBody}, {"cold", coldBody},
+	{"hot-indented", indented(hotBody)}, {"churn-indented", indented(churnBody)}, {"cold-indented", indented(coldBody)},
+}
+
+func indented(body []byte) []byte {
+	var b bytes.Buffer
+	if err := json.Indent(&b, body, "", "  "); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
 
 // wireKeys is every wire type the decoder reads, with its key table.
 var wireKeys = map[reflect.Type][]string{
@@ -330,8 +344,72 @@ var decodeEdgeCases = append([]string{
 	for _, s := range numberSeeds {
 		out = append(out, `{"p":`+s+`}`)
 	}
-	return out
+	// Each of compactNode's exits, as a fleet's second node (the first is
+	// entered past the array's whitespace), and a compact node cut short
+	// at every byte.
+	for _, node := range compactNodeExits {
+		out = append(out, `{"fleet":[`+compactNodes[0]+`,`+node+`]}`)
+	}
+	for _, node := range compactNodes {
+		for k := range node {
+			out = append(out, `{"fleet":[`+node[:k])
+		}
+	}
+	// Pooled history: a node that had a domain, then compact nodes without
+	// one, under the same name, and with the same name in another domain.
+	return append(out, nodeHistory...)
 }()...)
+
+// compactNodes are nodes spelled as encoding/json writes them, with each
+// field omitempty may leave out left out: compactNode decodes every one.
+var compactNodes = []string{
+	`{"name":"n-1","p_crash":0.01,"p_byz":0.002,"domain":"zone-a"}`,
+	`{"name":"n-1","p_crash":0.01,"p_byz":0.002}`,
+	`{"p_crash":-0,"p_byz":1E+2,"domain":"zone-a"}`,
+	`{"p_crash":1,"p_byz":0}`,
+	`{"name":"","p_crash":0.5e-3,"p_byz":-2,"domain":""}`,
+}
+
+// compactNodeExits leave compactNode at each of its exits — whitespace
+// after every token, another key order, an escape, non-ASCII, a folded,
+// unknown or repeated key, null, a number only strconv converts, a
+// malformed one, a wrong type — for the walk to decode or refuse.
+var compactNodeExits = []string{
+	` {"name":"a","p_crash":0.1,"p_byz":0.2}`, `{ "name":"a","p_crash":0.1,"p_byz":0.2}`, `{"name" :"a","p_crash":0.1,"p_byz":0.2}`,
+	`{"name": "a","p_crash":0.1,"p_byz":0.2}`, `{"name":"a" ,"p_crash":0.1,"p_byz":0.2}`, `{"name":"a", "p_crash":0.1,"p_byz":0.2}`,
+	`{"name":"a","p_crash" :0.1,"p_byz":0.2}`, `{"name":"a","p_crash": 0.1,"p_byz":0.2}`, `{"name":"a","p_crash":0.1 ,"p_byz":0.2}`,
+	`{"p_crash":0.1, "p_byz":0.2}`, "{\"p_crash\":0.1,\"p_byz\":\t0.2}", `{"p_crash":0.1,"p_byz":0.2 }`,
+	`{"p_crash":0.1,"p_byz":0.2 ,"domain":"z"}`, `{"p_crash":0.1,"p_byz":0.2,"domain": "z"}`, "{\"p_crash\":0.1,\"p_byz\":0.2,\"domain\":\"z\"\n}",
+	`{}`, `{"name":"a"}`, `{"p_crash":0.1}`, `{"p_crash":0.1,"domain":"z"}`, `{"p_byz":0.2,"p_crash":0.1}`,
+	`{"p_crash":0.1,"name":"a","p_byz":0.2}`, `{"name":"a","p_byz":0.2,"p_crash":0.1}`, `{"domain":"z","name":"a","p_crash":0.1,"p_byz":0.2}`,
+	`{"name":"a","domain":"z","p_crash":0.1,"p_byz":0.2}`, `{"p_crash":0.1,"p_byz":0.2,"domain":"z","name":"a"}`,
+	`{"name":"\u0061","p_crash":0.1,"p_byz":0.2}`, `{"name":"a\"b","p_crash":0.1,"p_byz":0.2}`, `{"n\u0061me":"a","p_crash":0.1,"p_byz":0.2}`,
+	`{"p_crash":0.1,"p_byz":0.2,"domain":"z\/"}`, `{"name":"é","p_crash":0.1,"p_byz":0.2}`, `{"p_crash":0.1,"p_byz":0.2,"domain":"zoné"}`,
+	"{\"name\":\"a\x01\",\"p_crash\":0.1,\"p_byz\":0.2}", "{\"name\":\"a\xff\",\"p_crash\":0.1,\"p_byz\":0.2}",
+	`{"Name":"a","p_crash":0.1,"p_byz":0.2}`, `{"name":"a","P_CRASH":0.1,"p_byz":0.2}`, `{"P_crash":0.1,"p_byz":0.2}`, `{"p_crash":0.1,"p_Byz":0.2}`,
+	`{"p_crash":0.1,"p_byz":0.2,"Domain":"z"}`, `{"nam":"a","p_crash":0.1,"p_byz":0.2}`, `{"name":"a","p_crashx":0.1,"p_byz":0.2}`,
+	`{"p_crash":0.1,"p_byz":0.2,"domains":"z"}`, `{"p_crash":0.1,"p_byz":0.2,"domain":"z","x":1}`, `{"p_crash":0.1,"p_byz":0.2,"shock":1}`,
+	`{"name":"a","name":"b","p_crash":0.1,"p_byz":0.2}`, `{"p_crash":0.1,"p_crash":0.2,"p_byz":0.2}`, `{"p_crash":0.1,"p_byz":0.2,"p_byz":0.3}`,
+	`{"p_crash":0.1,"p_byz":0.2,"domain":"z","domain":"y"}`, `{"p_crash":0.1,"p_byz":0.2,"domain":"z","name":"b"}`,
+	`null`, `{"name":null,"p_crash":0.1,"p_byz":0.2}`, `{"p_crash":null,"p_byz":0.2}`, `{"name":"a","p_crash":0.1,"p_byz":null}`, `{"p_crash":0.1,"p_byz":0.2,"domain":null}`,
+	`{"name":1,"p_crash":0.1,"p_byz":0.2}`, `{"p_crash":"0.1","p_byz":0.2}`, `{"p_crash":true,"p_byz":0.2}`, `{"p_crash":0.1,"p_byz":[0.2]}`, `{"p_crash":0.1,"p_byz":0.2,"domain":7}`,
+	`{"p_crash":0.12345678901234567891,"p_byz":0.2}`, `{"p_crash":0.1,"p_byz":4.9e-324}`, `{"p_crash":1e-400,"p_byz":0.2}`, `{"p_crash":0.1,"p_byz":1e999}`,
+	`{"p_crash":01,"p_byz":0.2}`, `{"p_crash":-,"p_byz":0.2}`, `{"p_crash":1.,"p_byz":0.2}`, `{"p_crash":.5,"p_byz":0.2}`, `{"p_crash":+1,"p_byz":0.2}`, `{"p_crash":0.1,"p_byz":1e}`,
+	`{"p_crash":0.1,"p_byz":0.2,}`, `{"p_crash":0.1,"p_byz":0.2,"domain":"z",}`, `{"p_crash":0.1,"p_byz":0.2]`, `[]`,
+}
+
+// nodeHistory are bodies whose nodes a target that decoded another of
+// them holds: a domain or a name the next node leaves out, the same name
+// in another domain, a node that leaves the compact pass after it filled
+// a field, and fleets that grow and shrink.
+var nodeHistory = []string{
+	`{"fleet":[{"name":"a","p_crash":0.1,"p_byz":0.2,"domain":"z"},{"name":"b","p_crash":0.3,"p_byz":0.4,"domain":"y"}]}`,
+	`{"fleet":[{"name":"a","p_crash":0.1,"p_byz":0.2},{"name":"b","p_crash":0.3,"p_byz":0.4}]}`,
+	`{"fleet":[{"name":"a","p_crash":0.1,"p_byz":0.2,"domain":"y"},{"name":"b","p_crash":0.3,"p_byz":0.4,"domain":"z"}]}`,
+	`{"fleet":[{"p_crash":0.1,"p_byz":0.2,"domain":"z"},{"p_crash":0.3,"p_byz":0.4,"domain":"y"},{"name":"c","p_crash":0.5,"p_byz":0}]}`,
+	`{"fleet":[{"name":"a","p_crash":0.1,"p_byz":0.2,"domain":null},{"name":"b","p_crash":0.3,"p_byz":0.4,"domain":"y" }]}`,
+	`{"fleet":[{"name":"\u0061","p_crash":0.1,"p_byz":0.2,"domain":"z"}]}`,
+}
 
 // dirtyBodies are the seed bodies diffDecode leaves a target dirty with.
 var dirtyBodies = func() [][]byte {
@@ -364,6 +442,83 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		diffDecode[TailRequest](t, data)
 		diffDecode[BatchRequest](t, data)
 	})
+}
+
+// TestCompactNodeCoversNodeSpec keeps the compact pass on the node's
+// whole wire spelling: a NodeSpec with every field set, as json.Marshal
+// writes it, every node of the benchmark's shapes and each of
+// compactNodes must decode in one pass to what encoding/json makes of it
+// — so a field added to NodeSpec without a token in compactNode fails
+// here, not as every node quietly taking the walk. Cut short at any byte,
+// each must leave the pass instead.
+func TestCompactNodeCoversNodeSpec(t *testing.T) {
+	full, err := json.Marshal(populated(reflect.TypeOf(NodeSpec{})).Interface())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := [][]byte{full}
+	for _, body := range [][]byte{hotBody, churnBody, coldBody} {
+		var req struct{ Fleet []json.RawMessage }
+		if err := json.Unmarshal(body, &req); err != nil || len(req.Fleet) == 0 {
+			t.Fatalf("benchmark shape: %d nodes, %v", len(req.Fleet), err)
+		}
+		for _, node := range req.Fleet {
+			nodes = append(nodes, node)
+		}
+	}
+	for _, node := range compactNodes {
+		nodes = append(nodes, []byte(node))
+	}
+	for _, node := range nodes {
+		var want NodeSpec
+		if err := json.Unmarshal(node, &want); err != nil {
+			t.Fatal(err)
+		}
+		d := decoder{data: node}
+		var got NodeSpec
+		if !d.compactNode(&got, &NodeSpec{Name: "old", Domain: "old"}) || d.pos != len(node) {
+			t.Errorf("%s: compact pass gave up at offset %d", node, d.pos)
+		} else if got != want {
+			t.Errorf("%s: compact pass decodes %+v, encoding/json %+v", node, got, want)
+		}
+		for k := range node {
+			d := decoder{data: node[:k]}
+			if d.compactNode(new(NodeSpec), new(NodeSpec)) {
+				t.Errorf("%s cut to %d bytes: compact pass accepts it", node, k)
+			}
+		}
+	}
+}
+
+// TestCompactNodeExits: every compactNodeExits spelling leaves the pass,
+// so the seeds that carry them into FuzzDecodeMatchesReference test the
+// walk after it.
+func TestCompactNodeExits(t *testing.T) {
+	for _, node := range compactNodeExits {
+		d := decoder{data: []byte(node)}
+		if d.compactNode(new(NodeSpec), new(NodeSpec)) {
+			t.Errorf("%s: compact pass accepts it", node)
+		}
+	}
+}
+
+// TestDecodeNodeHistory decodes each nodeHistory body into a target that
+// decoded each other one before it: the answer must be the fresh one.
+func TestDecodeNodeHistory(t *testing.T) {
+	for _, prev := range nodeHistory {
+		for _, next := range nodeHistory {
+			var fresh, pooled AnalyzeRequest
+			if err := decodeRequest([]byte(next), &fresh); err != nil {
+				t.Fatalf("%s: %v", next, err)
+			}
+			if err := decodeRequest([]byte(prev), &pooled); err != nil {
+				t.Fatalf("%s: %v", prev, err)
+			}
+			if err := decodeRequest([]byte(next), &pooled); err != nil || !reflect.DeepEqual(pooled, fresh) {
+				t.Errorf("%s after %s: %+v (%v), fresh %+v", next, prev, pooled.Fleet, err, fresh.Fleet)
+			}
+		}
+	}
 }
 
 // TestDecodeErrorTexts pins the wording of the refusals: clients read them

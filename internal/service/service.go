@@ -293,10 +293,15 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	writeBody(w, status, buf.Bytes())
 }
 
+// jsonContentType is every JSON response's Content-Type value, shared
+// rather than allocated per response as Header.Set would. Its len is its
+// cap, so an Add to the header copies it instead of writing into it.
+var jsonContentType = []string{"application/json"}
+
 // writeBody sends one complete JSON body.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // a failed write is a client that left; nothing to report it to
