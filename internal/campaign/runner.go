@@ -85,21 +85,15 @@ func (r *Runner) Run(spec ScheduleSpec) (*Report, error) {
 func (r *Runner) runCell(seed int64, cellIdx int, cell CellSpec) (CellReport, error) {
 	model := cell.model()
 	fleet := cell.fleet()
-	var predicted core.Result
-	var err error
-	if len(cell.Domains) > 0 {
-		predicted, err = r.Pool.AnalyzeDomains(fleet, model, core.DomainSet(cell.Domains))
-	} else {
-		predicted, err = r.Pool.Analyze(fleet, model)
-	}
-	if err != nil {
+	// ScheduleSpec.Validate, which Run calls first, checked the profiles and
+	// domains: the cell's layout is resolved once, for the prediction and
+	// the sampler's membership view alike.
+	var q core.Query
+	if err := q.Resolve(fleet, model, core.DomainSet(cell.Domains)); err != nil {
 		return CellReport{}, err
 	}
-
-	member, err := core.ResolveDomains(fleet, core.DomainSet(cell.Domains))
-	if err != nil {
-		return CellReport{}, err
-	}
+	predicted := r.Pool.AnalyzeQuery(&q)
+	member := q.Members()
 	profiles := fleet.Profiles()
 
 	outcomes := make([]trialOutcome, cell.Trials)

@@ -46,10 +46,10 @@ import (
 // float goes in as canonBits, the query fingerprint's encoder: exact
 // IEEE-754 bits with -0 folded onto +0 (the same probability, the same
 // tables), so a "-0" shock or multiplier is a hit, not a recombination.
-// A query's keys share every piece but their own domain's, so each piece
-// is encoded once per query (restSegments) and a key is assembled from
-// them: each node's profile bits are sorted once, not once per position
-// tried.
+// A query's keys share every piece but their own domain's, and the
+// fingerprint hashes the same pieces, so a key is assembled from the ones
+// the Query encoded (restKeyFor): each node's profile bits are sorted once
+// per query, not once per position tried nor again for the fingerprint.
 //
 // All workspaces live on the owning Evaluator: no locks, no sharing, zero
 // steady-state allocations (pinned by TestAnalyzeDomainsZeroAllocs).
@@ -89,13 +89,10 @@ var (
 
 // domainState is the Evaluator's correlated-domain workspace: the
 // rest-table cache and the scratch a pass through a domain folds into. The
-// query's resolved layout comes in with each call.
+// resolved Query comes in with each call.
 type domainState struct {
 	regions  [3]dist.Region // the query model's safe, live, safe-and-live
 	keyBuf   []byte
-	keys     profileKeys
-	segs     []byte // this query's rest-key pieces (restSegments)
-	segEnd   []int
 	restKeys []restKey
 	tri      []dist.TriState
 
@@ -127,38 +124,20 @@ func (ds *domainState) maybeEvict() {
 	}
 }
 
-// restSegments encodes, once per query, the pieces every rest key of l is
-// assembled from, back to back in ds.segs: the key prefix (restKeyDomain
-// and the model bits), the independent nodes' sorted profile bits, and
-// each populated domain's chunk in position order — the bytes
-// appendDomainChunk writes for the query fingerprint. ds.segEnd[k] is
-// where piece k ends.
-func (ds *domainState) restSegments(fleet Fleet, m CountModel, domains DomainSet, l *domainLayout) {
-	buf := append(ds.segs[:0], restKeyDomain...)
-	buf = appendModelBits(buf, m)
-	ends := append(ds.segEnd[:0], len(buf))
-	buf = ds.keys.appendSorted(buf, fleet, l.indep, false)
-	ends = append(ends, len(buf))
-	for _, di := range l.act {
-		buf = appendDomainChunk(buf, &ds.keys, fleet, domains[di], l.blocks[di])
-		ends = append(ends, len(buf))
-	}
-	ds.segs, ds.segEnd = buf, ends
-}
-
 // restKeyFor identifies the rest tables of the populated domain at
 // position pos of l.act: model bits, pos, the domain's member count, and
 // the full parameterisation of everything OUTSIDE the domain — the
-// independent segment and every other position's chunk, in order, from
-// the pieces restSegments encoded for this query.
-func (ds *domainState) restKeyFor(l *domainLayout, pos int) restKey {
-	segs, ends := ds.segs, ds.segEnd
-	buf := append(ds.keyBuf[:0], segs[:ends[0]]...)
+// independent nodes' bits and every other position's chunk, in order, from
+// the pieces enc holds for the query.
+func (ds *domainState) restKeyFor(enc *fingerprintEncoder, l *domainLayout, pos int) restKey {
+	buf := append(ds.keyBuf[:0], restKeyDomain...)
+	buf = append(buf, enc.buf[len(fingerprintDomain):enc.modelEnd]...)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(pos))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(l.blocks[l.act[pos]])))
 	buf = append(buf, 'I')
-	buf = append(buf, segs[ends[0]:ends[1+pos]]...) // the independent nodes, then the chunks before pos
-	buf = append(buf, segs[ends[2+pos]:]...)        // the chunks after it
+	buf = append(buf, enc.buf[enc.modelEnd:enc.indepEnd]...)
+	buf = append(buf, enc.chunks[:enc.spans[pos][0]]...) // the chunks before pos
+	buf = append(buf, enc.chunks[enc.spans[pos][1]:]...) // and after it
 	ds.keyBuf = buf
 	return sha256.Sum256(buf)
 }
@@ -177,25 +156,26 @@ func (ds *domainState) tris(fleet Fleet, idxs []int, elevate *faultcurve.Domain)
 	return ds.tri
 }
 
-// through sets dst to src passed through domain d, whose members are idxs,
-// backward when src holds failure tables.
-func (ds *domainState) through(dst, src *dist.RegionPass, fleet Fleet, d *faultcurve.Domain, idxs []int, back bool) {
+// through sets dst to src passed through q's domain di, backward when src
+// holds failure tables.
+func (ds *domainState) through(dst, src *dist.RegionPass, q *Query, di int, back bool) {
 	fold := (*dist.RegionPass).Fold
 	if back {
 		fold = (*dist.RegionPass).FoldBack
 	}
+	d, idxs := &q.Domains[di], q.layout.blocks[di]
 	ds.base.Set(src)
-	fold(&ds.base, ds.tris(fleet, idxs, nil))
+	fold(&ds.base, ds.tris(q.Fleet, idxs, nil))
 	ds.elev.Set(src)
-	fold(&ds.elev, ds.tris(fleet, idxs, d))
+	fold(&ds.elev, ds.tris(q.Fleet, idxs, d))
 	s := dist.Clamp01(d.ShockProb)
 	dst.Mix(&ds.base, &ds.elev, 1-s, s)
 }
 
-// answer passes e's forward tables through the domain di, whose members
-// are idxs, and reads each region's mass against e's failure tables.
-func (ds *domainState) answer(e *restEntry, fleet Fleet, domains DomainSet, di int, idxs []int) Result {
-	ds.through(&ds.mixed, &e.fwd, fleet, &domains[di], idxs, false)
+// answer passes e's forward tables through q's domain di and reads each
+// region's mass against e's failure tables.
+func (ds *domainState) answer(e *restEntry, q *Query, di int) Result {
+	ds.through(&ds.mixed, &e.fwd, q, di, false)
 	read := func(i int) float64 { return dist.Clamp01(ds.mixed.Mass(i) - ds.mixed.Dot(&e.back, i)) }
 	return Result{Safe: read(0), Live: read(1), SafeAndLive: read(2)}
 }
@@ -212,31 +192,32 @@ func grow[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
-// analyzeDomains is the evaluator's domain engine over the query's
-// resolved layout l, whose act is non-empty; the evaluator reads l only
-// for the duration of the call. A query whose first populated domain's
-// rest tables are cached answers == a cold walk; one answered from a later
-// domain's rest tables agrees with it to ~1e-15.
-func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet, l *domainLayout) Result {
-	ds := &e.dom
+// analyzeDomains is the evaluator's domain engine over the resolved query
+// q, whose layout's act is non-empty; the evaluator reads q only for the
+// duration of the call, and encodes its key pieces if Fingerprint has not.
+// A query whose first populated domain's rest tables are cached answers ==
+// a cold walk; one answered from a later domain's rest tables agrees with
+// it to ~1e-15.
+func (e *Evaluator) analyzeDomains(q *Query) Result {
+	ds, l := &e.dom, &q.layout
 	ds.maybeEvict()
 	if ds.restCache == nil {
 		ds.restCache = make(map[restKey]*restEntry)
 	}
-	ds.regions = modelRegions(m)
+	ds.regions = modelRegions(q.Model)
 	D := len(l.act)
 
 	// Fast path: the first populated domain whose rest tables survive from
 	// an earlier query answers with one dot product per region after a
 	// pass through that domain.
-	ds.restSegments(fleet, m, domains, l)
+	enc := q.encode()
 	ds.restKeys = ds.restKeys[:0]
 	for pos, di := range l.act {
-		key := ds.restKeyFor(l, pos)
+		key := ds.restKeyFor(enc, l, pos)
 		ds.restKeys = append(ds.restKeys, key)
 		if hit, ok := ds.restCache[key]; ok {
 			domRestHits.Inc()
-			return ds.answer(hit, fleet, domains, di, l.blocks[di])
+			return ds.answer(hit, q, di)
 		}
 	}
 	domRestMisses.Inc()
@@ -253,27 +234,26 @@ func (e *Evaluator) analyzeDomains(fleet Fleet, m CountModel, domains DomainSet,
 		}
 		ds.restCache[key] = entries[pos]
 	}
-	ds.walk(entries, fleet, domains, l)
+	ds.walk(entries, q)
 
 	// Answer as the fast path answers for the first domain: a repeat reads
 	// these same tables in the same order.
-	return ds.answer(entries[0], fleet, domains, l.act[0], l.blocks[l.act[0]])
+	return ds.answer(entries[0], q, l.act[0])
 }
 
 // walk fills every populated domain's rest tables into entries: F_0 is the
 // remainder, its one build, and F_p is F_{p−1} passed through domain p−1;
 // Ḡ_D is empty and Ḡ_p is Ḡ_{p+1} passed back through domain p.
-func (ds *domainState) walk(entries []*restEntry, fleet Fleet, domains DomainSet, l *domainLayout) {
+func (ds *domainState) walk(entries []*restEntry, q *Query) {
+	n, l := len(q.Fleet), &q.layout
 	D := len(l.act)
-	entries[0].fwd.ResetGroup(ds.tris(fleet, l.indep, nil), ds.regions, len(fleet))
+	entries[0].fwd.ResetGroup(ds.tris(q.Fleet, l.indep, nil), ds.regions, n)
 	for pos := 1; pos < D; pos++ {
-		di := l.act[pos-1]
-		ds.through(&entries[pos].fwd, &entries[pos-1].fwd, fleet, &domains[di], l.blocks[di], false)
+		ds.through(&entries[pos].fwd, &entries[pos-1].fwd, q, l.act[pos-1], false)
 	}
-	entries[D-1].back.ResetFailure(ds.regions, len(fleet))
+	entries[D-1].back.ResetFailure(ds.regions, n)
 	for pos := D - 2; pos >= 0; pos-- {
-		di := l.act[pos+1]
-		ds.through(&entries[pos].back, &entries[pos+1].back, fleet, &domains[di], l.blocks[di], true)
+		ds.through(&entries[pos].back, &entries[pos+1].back, q, l.act[pos+1], true)
 	}
 }
 
@@ -305,13 +285,13 @@ func (e *Evaluator) Gradient(q *Query, edges [][2]float64, shocks []float64) flo
 		ds.spare = append(ds.spare, &restEntry{})
 	}
 	walked := ds.spare[len(ds.spare)-D:]
-	ds.walk(walked, fleet, domains, l)
-	sl := ds.answer(walked[0], fleet, domains, l.act[0], l.blocks[l.act[0]]).SafeAndLive
+	ds.walk(walked, q)
+	sl := ds.answer(walked[0], q, l.act[0]).SafeAndLive
 	var to *dist.RegionEdges // E; nil before the last domain: the indicators
 	for pos := D - 1; pos >= 0; pos-- {
 		di, en := l.act[pos], walked[pos]
 		d, idxs, s := &domains[di], l.blocks[di], dist.Clamp01(domains[di].ShockProb)
-		ds.through(&ds.mixed, &en.back, fleet, d, idxs, true)
+		ds.through(&ds.mixed, &en.back, q, di, true)
 		shocks[di] = en.fwd.Dot(&ds.base, 2) - en.fwd.Dot(&ds.elev, 2)
 		base.Reset(ds.tris(fleet, idxs, nil), r, n, &en.fwd, to)
 		elev.Reset(ds.tris(fleet, idxs, d), r, n, &en.fwd, to)

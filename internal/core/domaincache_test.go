@@ -580,9 +580,12 @@ func TestEvaluatorDomainsLargeFleet(t *testing.T) {
 // from the bench's domain_churn range (ladderFleet), for majority Raft and
 // textbook PBFT: cold is one walk on a fresh evaluator (the remainder's
 // fold and every zone's forward and failure tables), warm a new shock for
-// one zone on a warm evaluator (the rest-table fast path), and joint the
-// 2^D conditioning over full joint tables that the engine is pinned
-// against — run only where it finishes in seconds (D = 4, N <= 256).
+// zone 0 on a warm evaluator (the rest-table fast path at the first
+// position, the one answer == a cold walk), warm-random a new shock in
+// [0.001, 0.02] for a random zone (domain_churn's stream: the fast path at
+// that zone's position), and joint the 2^D conditioning over full joint
+// tables that the engine is pinned against — run only where it finishes
+// in seconds (D = 4, N <= 256).
 func BenchmarkDomainLadder(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		for _, d := range []int{4, 16} {
@@ -608,6 +611,20 @@ func BenchmarkDomainLadder(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						ds[0].ShockProb = 0.001 + 1e-9*float64(i)
+						if _, err := e.AnalyzeDomains(fleet, m, ds); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				b.Run(name+"/warm-random", func(b *testing.B) {
+					e, rng := NewEvaluator(), rand.New(rand.NewSource(int64(n*d)))
+					ds := append(DomainSet(nil), domains...)
+					if _, err := e.AnalyzeDomains(fleet, m, ds); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						ds[rng.Intn(d)].ShockProb = 0.001 + 0.019*rng.Float64()
 						if _, err := e.AnalyzeDomains(fleet, m, ds); err != nil {
 							b.Fatal(err)
 						}

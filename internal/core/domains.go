@@ -45,7 +45,7 @@ func (ds DomainSet) Validate(fleet Fleet) error {
 // the work estimate, every domain engine and ResolveDomains go through it —
 // so a layout is accepted or rejected identically, in the same words (they
 // are wire-visible in the service's 400 bodies), whichever door it came in
-// by. The zero value is ready; a long-lived layout (the Evaluator's) reuses
+// by. The zero value is ready; a long-lived layout (a reused Query's) reuses
 // its scratch and resolves without allocating.
 type domainLayout struct {
 	byName map[string]int
@@ -102,18 +102,6 @@ func (l *domainLayout) resolve(fleet Fleet, domains DomainSet) error {
 		}
 	}
 	return nil
-}
-
-// resolveQuery is the validation every domain-aware entry point runs: the
-// model fits the fleet, the fleet's profiles are valid, the layout resolves.
-func (l *domainLayout) resolveQuery(fleet Fleet, m CountModel, domains DomainSet) error {
-	if err := checkSize(fleet, m); err != nil {
-		return err
-	}
-	if err := fleet.Validate(); err != nil {
-		return err
-	}
-	return l.resolve(fleet, domains)
 }
 
 // checkSize refuses a model that does not fit the fleet.
@@ -224,11 +212,11 @@ func (l *domainLayout) work(n int, regions [3]dist.Region) float64 {
 // cache, which is what makes it the engine's referee; nothing serves from
 // it.
 func AnalyzeDomainsConditioned(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
-	var l domainLayout
-	if err := l.resolveQuery(fleet, m, domains); err != nil {
+	var q Query
+	if err := q.resolveValid(fleet, m, domains); err != nil {
 		return Result{}, err
 	}
-	d := len(l.act)
+	d := len(q.layout.act)
 	if d > maxConditionedDomains {
 		return Result{}, fmt.Errorf("core: %d populated domains exceed the 2^D engine's maximum %d", d, maxConditionedDomains)
 	}
@@ -238,7 +226,7 @@ func AnalyzeDomainsConditioned(fleet Fleet, m CountModel, domains DomainSet) (Re
 	var sums [3]dist.KahanSum
 	for mask := 0; mask < 1<<d; mask++ {
 		weight := 1.0
-		for bit, di := range l.act {
+		for bit, di := range q.layout.act {
 			s := dist.Clamp01(domains[di].ShockProb)
 			if mask&(1<<bit) != 0 {
 				weight *= s
@@ -252,11 +240,11 @@ func AnalyzeDomainsConditioned(fleet Fleet, m CountModel, domains DomainSet) (Re
 		for i, n := range fleet {
 			tri[i] = n.Profile.TriState()
 		}
-		for bit, di := range l.act {
+		for bit, di := range q.layout.act {
 			if mask&(1<<bit) == 0 {
 				continue
 			}
-			for _, i := range l.blocks[di] {
+			for _, i := range q.layout.blocks[di] {
 				tri[i] = domains[di].Elevate(fleet[i].Profile).TriState()
 			}
 		}
@@ -280,15 +268,15 @@ func AnalyzeDomainsConditioned(fleet Fleet, m CountModel, domains DomainSet) (Re
 // counts the three predicates over them. It is the validation oracle for
 // the exact domain engines.
 func AnalyzeDomainsMonteCarlo(fleet Fleet, m CountModel, domains DomainSet, samples int, seed int64) (MCResult, error) {
-	var l domainLayout
-	if err := l.resolveQuery(fleet, m, domains); err != nil {
+	var q Query
+	if err := q.resolveValid(fleet, m, domains); err != nil {
 		return MCResult{}, err
 	}
 	if samples <= 0 {
 		return MCResult{}, fmt.Errorf("core: need samples > 0, got %d", samples)
 	}
 	var draws montecarlo.Draws
-	if err := draws.Reset(fleet.Profiles(), l.members(len(fleet)), domains, montecarlo.TriTilt{}); err != nil {
+	if err := draws.Reset(fleet.Profiles(), q.Members(), domains, montecarlo.TriTilt{}); err != nil {
 		return MCResult{}, err
 	}
 	stream := montecarlo.NewStream(seed)

@@ -54,9 +54,7 @@ type Evaluator struct {
 	regions dist.RegionPass
 	joint   dist.JointCrashByz
 	tails   quorumTails
-	// layout is the resolved domain layout of an AnalyzeDomains call; a
-	// Query brings its own.
-	layout domainLayout
+	q       Query // an AnalyzeDomains call's, resolved into reused buffers
 	// dom holds the correlated-domain workspace and rest tables (see
 	// domaincache.go).
 	dom domainState
@@ -127,30 +125,25 @@ func (e *Evaluator) analyze(fleet Fleet, m CountModel) Result {
 }
 
 // AnalyzeDomains is the evaluator counterpart of the package-level
-// AnalyzeDomains: domain-free queries (the common serving case) run
-// through the reusable workspace, and populated domain layouts run on the
-// evaluator's domain engine with its rest tables (domaincache.go). A fleet
-// whose nodes reference domains missing from the set is rejected, never
-// silently analyzed as independent.
+// AnalyzeDomains: it validates the query into the evaluator's own Query
+// and answers it through AnalyzeQuery. A fleet whose nodes reference
+// domains missing from the set is rejected, never silently analyzed as
+// independent.
 func (e *Evaluator) AnalyzeDomains(fleet Fleet, m CountModel, domains DomainSet) (Result, error) {
-	if err := e.layout.resolveQuery(fleet, m, domains); err != nil {
+	if err := e.q.resolveValid(fleet, m, domains); err != nil {
 		return Result{}, err
 	}
-	return e.analyzeResolved(fleet, m, domains, &e.layout), nil
+	return e.AnalyzeQuery(&e.q), nil
 }
 
-// AnalyzeQuery is AnalyzeDomains for a resolved Query: the engine reads
-// the query's layout and checks nothing again.
+// AnalyzeQuery answers a resolved Query, checking nothing again: a
+// domain-free one (the common serving case) in the reusable workspace, a
+// populated layout on the domain engine and its rest tables.
 func (e *Evaluator) AnalyzeQuery(q *Query) Result {
-	return e.analyzeResolved(q.Fleet, q.Model, q.Domains, &q.layout)
-}
-
-// analyzeResolved dispatches a checked query on its resolved layout.
-func (e *Evaluator) analyzeResolved(fleet Fleet, m CountModel, domains DomainSet, l *domainLayout) Result {
-	if len(l.act) == 0 {
-		return e.analyze(fleet, m)
+	if len(q.layout.act) == 0 {
+		return e.analyze(q.Fleet, q.Model)
 	}
-	return e.analyzeDomains(fleet, m, domains, l)
+	return e.analyzeDomains(q)
 }
 
 // EvaluatorPool shares evaluators across goroutines: each worker takes a

@@ -67,32 +67,40 @@ const fingerprintDomain = "probcons-query-v1"
 // layout so a fingerprint is only ever issued for a query the engines
 // would accept. It is Query.Fingerprint on a throwaway Query.
 func FleetModelDomainsFingerprint(fleet Fleet, m CountModel, domains DomainSet) (Fingerprint, error) {
-	q := Query{Fleet: fleet, Model: m, Domains: domains}
-	if err := q.layout.resolveQuery(fleet, m, domains); err != nil {
+	var q Query
+	if err := q.resolveValid(fleet, m, domains); err != nil {
 		return Fingerprint{}, err
 	}
 	return q.Fingerprint(), nil
 }
 
-// fingerprintEncoder is a Query's fingerprint workspace: the encoding, the
-// profile keys of the group being sorted, and every populated domain's
-// chunk back to back with its span. A reused encoder hashes without
-// allocating.
+// fingerprintEncoder is a Query's key workspace, filled by Query.encode:
+// buf holds fingerprintDomain, the model bits (to modelEnd) and the
+// independent nodes' sorted bits (to indepEnd, 0 until encode has run
+// since Resolve), past which Fingerprint appends its domain section;
+// chunks holds every populated domain's chunk in position order,
+// spans[pos] its [start, end), and sorted is Fingerprint's byte-ordered
+// copy of spans. restKeyFor reads the same pieces. A reused encoder hashes
+// without allocating.
 type fingerprintEncoder struct {
-	buf    []byte
-	keys   profileKeys
-	chunks []byte
-	spans  [][2]int // [start, end) of each chunk in chunks
+	buf                []byte
+	modelEnd, indepEnd int
+	keys               profileKeys
+	chunks             []byte
+	spans, sorted      [][2]int
 }
 
-// Fingerprint returns the canonical fingerprint of the resolved query,
-// encoded in one contiguous buffer and hashed with a single Sum256 call:
-// this sits on the serving layer's cache-miss path.
-func (q *Query) Fingerprint() Fingerprint {
+// encode writes the resolved query's key pieces at their first use after
+// Resolve — a Fingerprint call or a domain-engine run — and returns them.
+func (q *Query) encode() *fingerprintEncoder {
 	e, l := &q.enc, &q.layout
+	if e.indepEnd > 0 {
+		return e
+	}
 	buf := slices.Grow(e.buf[:0], 128+16*len(q.Fleet)+56*len(q.Domains))
 	buf = append(buf, fingerprintDomain...)
 	buf = appendModelBits(buf, q.Model)
+	e.modelEnd = len(buf)
 
 	// Sorted (PCrash, PByz) bit pairs of the independent nodes:
 	// permutation-invariant, exact. With no populated domains this is the
@@ -100,31 +108,45 @@ func (q *Query) Fingerprint() Fingerprint {
 	// The domain-free case (the serving layer's hot sweep path) has no
 	// index slice to walk: the resolver built none.
 	buf = e.keys.appendSorted(buf, q.Fleet, l.indep, len(q.Domains) == 0)
+	e.indepEnd = len(buf)
 
 	// One chunk per populated domain: shock parameters followed by the
-	// sorted member profile bits. Chunks are sorted byte-wise before being
-	// appended, so the fingerprint is invariant under domain renaming and
-	// reordering (which cannot change the Result) while any change to a
-	// shock probability, a multiplier, or a node's domain membership
-	// produces a different key.
+	// sorted member profile bits, in position order.
+	e.chunks, e.spans = e.chunks[:0], e.spans[:0]
 	if len(l.act) > 0 {
-		e.chunks = slices.Grow(e.chunks[:0], 40*len(l.act)+16*(len(q.Fleet)-len(l.indep)))
-		e.spans = e.spans[:0]
-		for _, di := range l.act {
-			start := len(e.chunks)
-			e.chunks = appendDomainChunk(e.chunks, &e.keys, q.Fleet, q.Domains[di], l.blocks[di])
-			e.spans = append(e.spans, [2]int{start, len(e.chunks)})
-		}
-		chunks := e.chunks
-		slices.SortFunc(e.spans, func(a, b [2]int) int {
-			return bytes.Compare(chunks[a[0]:a[1]], chunks[b[0]:b[1]])
+		e.chunks = slices.Grow(e.chunks, 40*len(l.act)+16*(len(q.Fleet)-len(l.indep)))
+	}
+	for _, di := range l.act {
+		start := len(e.chunks)
+		e.chunks = appendDomainChunk(e.chunks, &e.keys, q.Fleet, q.Domains[di], l.blocks[di])
+		e.spans = append(e.spans, [2]int{start, len(e.chunks)})
+	}
+	e.buf = buf
+	return e
+}
+
+// Fingerprint returns the canonical fingerprint of the resolved query,
+// encoded in one contiguous buffer and hashed with a single Sum256 call:
+// this sits on the serving layer's cache-miss path.
+func (q *Query) Fingerprint() Fingerprint {
+	e := q.encode()
+	buf := e.buf[:e.indepEnd]
+
+	// The domain chunks are sorted byte-wise before being appended, so the
+	// fingerprint is invariant under domain renaming and reordering (which
+	// cannot change the Result) while any change to a shock probability, a
+	// multiplier, or a node's domain membership produces a different key.
+	if len(e.spans) > 0 {
+		e.sorted = append(e.sorted[:0], e.spans...)
+		slices.SortFunc(e.sorted, func(a, b [2]int) int {
+			return bytes.Compare(e.chunks[a[0]:a[1]], e.chunks[b[0]:b[1]])
 		})
 		buf = binary.BigEndian.AppendUint64(buf, uint64(len("domains")))
 		buf = append(buf, "domains"...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(e.spans)))
-		for _, sp := range e.spans {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(e.sorted)))
+		for _, sp := range e.sorted {
 			buf = binary.BigEndian.AppendUint64(buf, uint64(sp[1]-sp[0]))
-			buf = append(buf, chunks[sp[0]:sp[1]]...)
+			buf = append(buf, e.chunks[sp[0]:sp[1]]...)
 		}
 	}
 	e.buf = buf
@@ -298,7 +320,7 @@ func appendDomainBits(buf []byte, d faultcurve.Domain) []byte {
 // appendDomainChunk appends one populated domain's chunk: its shock and
 // multiplier bits, then the count and sorted profile bits of its members,
 // idxs. The query fingerprint sorts these chunks; the evaluator's rest keys
-// (domainState.restSegments) keep them in position order.
+// (restKeyFor) read them in position order.
 func appendDomainChunk(buf []byte, keys *profileKeys, fleet Fleet, d faultcurve.Domain, idxs []int) []byte {
 	return keys.appendSorted(appendDomainBits(buf, d), fleet, idxs, false)
 }

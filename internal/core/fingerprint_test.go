@@ -437,48 +437,51 @@ func FuzzProfileKeySort(f *testing.F) {
 	})
 }
 
-// BenchmarkFingerprint times the profile-key encoding: the fingerprint of a
+// BenchmarkFingerprint times the profile-key encoding as the daemon runs
+// it, Resolve and all — the key pieces are encoded once per Resolve, so an
+// iteration without one would time only the hash: the fingerprint of a
 // domain-free fleet of cold_large's profiles at N = 25, 256 and 1024, and
 // of domain_churn's 48 nodes in 4 zones, and that query's rest keys (its
 // pieces, each node's key sorted once, then one key per zone over the
 // other three zones' chunks and the remainder). It reports the time per
 // key sorted.
 func BenchmarkFingerprint(b *testing.B) {
+	var q Query
+	resolve := func(b *testing.B, fleet Fleet, m CountModel, domains DomainSet) {
+		if err := q.Resolve(fleet, m, domains); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, n := range []int{25, 256, 1024} {
 		r := rand.New(rand.NewSource(int64(n)))
-		fleet := make(Fleet, n)
+		fleet, m := make(Fleet, n), CountModel(NewRaft(n))
 		for i := range fleet {
 			fleet[i].Profile = faultcurve.Profile{PCrash: 0.005 + 0.045*r.Float64(), PByz: 0.0001 + 0.0019*r.Float64()}
 		}
-		var q Query
-		if err := q.Resolve(fleet, NewRaft(n), nil); err != nil {
-			b.Fatal(err)
-		}
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				resolve(b, fleet, m, nil)
 				fingerprintSink = q.Fingerprint()
 			}
 			reportPerKey(b, n)
 		})
 	}
 	fleet, domains := ladderFleet(48, 4)
-	var q Query
-	if err := q.Resolve(fleet, NewRaft(48), domains); err != nil {
-		b.Fatal(err)
-	}
+	m := CountModel(NewRaft(48))
 	b.Run("N=48/D=4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			resolve(b, fleet, m, domains)
 			fingerprintSink = q.Fingerprint()
 		}
 		reportPerKey(b, 48)
 	})
 	b.Run("N=48/D=4/rest", func(b *testing.B) {
 		var ds domainState
-		l := &q.layout
 		for i := 0; i < b.N; i++ {
-			ds.restSegments(q.Fleet, q.Model, q.Domains, l)
-			for pos := range l.act {
-				restKeySink = ds.restKeyFor(l, pos)
+			resolve(b, fleet, m, domains)
+			enc := q.encode()
+			for pos := range q.layout.act {
+				restKeySink = ds.restKeyFor(enc, &q.layout, pos)
 			}
 		}
 		reportPerKey(b, len(fleet))
@@ -487,8 +490,7 @@ func BenchmarkFingerprint(b *testing.B) {
 
 // restKeyRef is the rest key encoded position by position, each call
 // sorting the independent nodes and every other domain's members afresh:
-// the encoding restSegments and restKeyFor assemble from once-per-query
-// pieces.
+// the encoding restKeyFor assembles from the pieces a Query encodes once.
 func restKeyRef(keys *profileKeys, fleet Fleet, m CountModel, domains DomainSet, l *domainLayout, pos int) restKey {
 	buf := append([]byte(restKeyDomain), appendModelBits(nil, m)...)
 	di := l.act[pos]
@@ -509,8 +511,9 @@ func restKeyRef(keys *profileKeys, fleet Fleet, m CountModel, domains DomainSet,
 // TestRestKeysMatchPerPositionEncoding holds the assembled rest keys to
 // restKeyRef over random layouts: 1-6 domains, some left unpopulated, with
 // and without independent nodes, repeated profiles, and -0 shocks,
-// multipliers and probabilities. One domainState serves every layout, so
-// pieces left from a larger query must not leak into a smaller one's keys.
+// multipliers and probabilities. One Query and one domainState serve every
+// layout, so pieces left from a larger query must not leak into a smaller
+// one's keys.
 func TestRestKeysMatchPerPositionEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	negZero := math.Copysign(0, -1)
@@ -523,6 +526,7 @@ func TestRestKeysMatchPerPositionEncoding(t *testing.T) {
 		}
 		return 0.05 * rng.Float64()
 	}
+	var q Query
 	var ds domainState
 	var ref profileKeys
 	for trial := 0; trial < 400; trial++ {
@@ -549,7 +553,6 @@ func TestRestKeysMatchPerPositionEncoding(t *testing.T) {
 		if n >= 4 && trial%3 == 0 {
 			m = NewPBFTForN(n)
 		}
-		var q Query
 		if err := q.Resolve(fleet, m, domains); err != nil {
 			t.Fatal(err)
 		}
@@ -557,9 +560,9 @@ func TestRestKeysMatchPerPositionEncoding(t *testing.T) {
 		if len(l.act) == 0 {
 			continue
 		}
-		ds.restSegments(fleet, m, domains, l)
+		enc := q.encode()
 		for pos := range l.act {
-			if got, want := ds.restKeyFor(l, pos), restKeyRef(&ref, fleet, m, domains, l, pos); got != want {
+			if got, want := ds.restKeyFor(enc, l, pos), restKeyRef(&ref, fleet, m, domains, l, pos); got != want {
 				t.Fatalf("trial %d (N=%d, D=%d, %d populated, %d independent): position %d keys %x, want %x",
 					trial, n, d, len(l.act), len(l.indep), pos, got[:8], want[:8])
 			}

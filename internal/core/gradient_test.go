@@ -19,10 +19,11 @@ import (
 // elevatedEdges.
 func refereeGradient(t testing.TB, fleet Fleet, m CountModel, domains DomainSet) (edges [][2]float64, shocks []float64) {
 	t.Helper()
-	var l domainLayout
-	if err := l.resolveQuery(fleet, m, domains); err != nil {
+	var q Query
+	if err := q.resolveValid(fleet, m, domains); err != nil {
 		t.Fatal(err)
 	}
+	l := &q.layout
 	member := l.members(len(fleet))
 	edges, shocks = make([][2]float64, len(fleet)), make([]float64, len(domains))
 	r := modelRegions(m)[2]

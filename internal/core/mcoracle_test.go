@@ -16,14 +16,14 @@ import (
 // kernel-backed front door must reproduce exactly — same generator, same
 // draw order, same comparisons — and nothing outside the tests calls it.
 func refAnalyzeDomainsMonteCarlo(fleet Fleet, m CountModel, domains DomainSet, samples int, seed int64) (MCResult, error) {
-	var l domainLayout
-	if err := l.resolveQuery(fleet, m, domains); err != nil {
+	var q Query
+	if err := q.resolveValid(fleet, m, domains); err != nil {
 		return MCResult{}, err
 	}
 	if samples <= 0 {
 		return MCResult{}, fmt.Errorf("core: need samples > 0, got %d", samples)
 	}
-	member := l.members(len(fleet))
+	member := q.Members()
 	elevated := make([]faultcurve.Profile, len(fleet))
 	for i, n := range fleet {
 		if di := member[i]; di >= 0 {

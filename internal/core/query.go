@@ -6,15 +6,19 @@ package core
 // sampler's membership view (Members) and the engine (AnalyzeQuery) all
 // read that one layout instead of resolving their own.
 //
-// The zero value is ready. A Query keeps its layout and fingerprint
-// buffers from one Resolve to the next, so a reused Query resolves and
-// fingerprints without allocating beyond the key string — the serving
-// layer keeps one per request slot. A Query is not safe for concurrent
-// use, and it refers to the fleet and domains it was resolved with until
-// it is resolved again. Its fields are what Resolve was given: read them,
-// and change them only through Resolve, except for the probabilities in
-// them — node profiles, domain shocks and multipliers — which may change
-// between engine runs; names and memberships may not.
+// The zero value is ready. A Query keeps its layout and key buffers from
+// one Resolve to the next, so a reused Query resolves and fingerprints
+// without allocating beyond the key string — the serving layer keeps one
+// per request slot. The pieces both its fingerprint and the domain
+// engine's rest keys hash are encoded at their first use after Resolve
+// and reused (a served miss sorts each zone once); a domain-free engine
+// run encodes nothing. A Query is not safe for concurrent use, and it
+// refers to the fleet and domains it was resolved with until it is
+// resolved again. Its fields are what Resolve was given: read them, and
+// change them only through Resolve. Only the probabilities in them — node
+// profiles, domain shocks and multipliers — may change in place, between
+// Gradient calls (which read no key); Fingerprint and AnalyzeQuery see
+// such a change only after Resolve.
 type Query struct {
 	Fleet   Fleet
 	Model   CountModel
@@ -32,10 +36,23 @@ type Query struct {
 // profiles are validated once.
 func (q *Query) Resolve(fleet Fleet, m CountModel, domains DomainSet) error {
 	q.Fleet, q.Model, q.Domains = fleet, m, domains
+	q.enc.indepEnd = 0 // the key pieces are encoded at their first use
 	if err := checkSize(fleet, m); err != nil {
 		return err
 	}
 	return q.layout.resolve(fleet, domains)
+}
+
+// resolveValid is Resolve with the fleet's profiles validated too, between
+// the size check and the layout: the check every one-shot entry point runs.
+func (q *Query) resolveValid(fleet Fleet, m CountModel, domains DomainSet) error {
+	if err := checkSize(fleet, m); err != nil {
+		return err
+	}
+	if err := fleet.Validate(); err != nil {
+		return err
+	}
+	return q.Resolve(fleet, m, domains)
 }
 
 // Work returns the estimated engine cost of AnalyzeQuery in cell updates —
