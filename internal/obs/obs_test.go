@@ -200,18 +200,20 @@ func TestRegistryDuplicateAndMismatchPanics(t *testing.T) {
 	r.Counter("a_total", "help", Labels{"x": "2"})
 }
 
+// TestSpans pins the trace's span recorder: spans come back in
+// observation order with their durations, and a nil trace records
+// nothing.
 func TestSpans(t *testing.T) {
-	var nilSpans *Spans
-	nilSpans.Observe("x", time.Second) // must not panic
-	nilSpans.Since("y", time.Now())
-	if nilSpans.All() != nil {
-		t.Error("nil recorder must report no spans")
+	var nilTrace *Trace
+	nilTrace.Since("x", time.Now()) // must not panic
+	if nilTrace.AllSpans() != nil {
+		t.Error("nil trace must report no spans")
 	}
-	s := &Spans{}
-	s.Observe("fingerprint", 5*time.Microsecond)
-	s.Since("cache_lookup", time.Now().Add(-time.Millisecond))
-	all := s.All()
-	if len(all) != 2 || all[0].Name != "fingerprint" || all[0].Duration != 5*time.Microsecond {
+	tr := &Trace{}
+	tr.Since("fingerprint", time.Now())
+	tr.Since("cache_lookup", time.Now().Add(-time.Millisecond))
+	all := tr.AllSpans()
+	if len(all) != 2 || all[0].Name != "fingerprint" || all[1].Name != "cache_lookup" {
 		t.Fatalf("spans = %+v", all)
 	}
 	if all[1].Duration < time.Millisecond {

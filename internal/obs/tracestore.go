@@ -25,6 +25,15 @@ const (
 	KeepRecent  = "recent"  // droppable: overwritten first under pressure
 )
 
+// Span is one named, timed stage of a request: fingerprinting, the cache
+// lookup, the engine run. Spans are the request-scoped counterpart of
+// the histograms — per-request wall-clock attribution instead of
+// aggregate distributions.
+type Span struct {
+	Name     string
+	Duration time.Duration
+}
+
 // TraceEvent is one point-in-time annotation on a trace — a cache
 // eviction, a pressure signal — with its offset from the request start.
 type TraceEvent struct {
@@ -33,8 +42,8 @@ type TraceEvent struct {
 	Offset time.Duration
 }
 
-// Trace is one request's flight record: identity, outcome, the span tree
-// (embedded Spans), point events, and a delta of the engine counters
+// Trace is one request's flight record: identity, outcome, its spans in
+// observation order, point events, and a delta of the engine counters
 // across the request. Records are owned by the store and recycled; the
 // query API returns deep copies. All recording methods are nil-safe so
 // un-instrumented callers (library use, sweep cells) pass nil and pay
@@ -50,7 +59,7 @@ type Trace struct {
 	Keep     string // retention class, assigned at Deposit
 	Seq      uint64 // deposit sequence number, assigned at Deposit
 
-	Spans  Spans
+	spans  []Span
 	Events []TraceEvent
 
 	// CounterNames names the engine counters snapshotted around the
@@ -66,7 +75,7 @@ func (t *Trace) Since(name string, start time.Time) {
 	if t == nil {
 		return
 	}
-	t.Spans.Since(name, start)
+	t.spans = append(t.spans, Span{Name: name, Duration: time.Since(start)})
 }
 
 // Event records one point-in-time annotation. Nil-safe.
@@ -99,7 +108,7 @@ func (t *Trace) AllSpans() []Span {
 	if t == nil {
 		return nil
 	}
-	return t.Spans.All()
+	return t.spans
 }
 
 // reset clears a record for reuse, keeping its allocated slices.
@@ -109,7 +118,7 @@ func (t *Trace) reset() {
 	t.Seq = 0
 	t.Start = time.Time{}
 	t.Duration = 0
-	t.Spans.spans = t.Spans.spans[:0]
+	t.spans = t.spans[:0]
 	t.Events = t.Events[:0]
 	for i := range t.CounterDelta {
 		t.CounterDelta[i] = 0
@@ -120,7 +129,7 @@ func (t *Trace) reset() {
 // snapshot deep-copies a record so the caller's view survives recycling.
 func (t *Trace) snapshot() Trace {
 	cp := *t
-	cp.Spans = Spans{spans: append([]Span(nil), t.Spans.spans...)}
+	cp.spans = append([]Span(nil), t.spans...)
 	cp.Events = append([]TraceEvent(nil), t.Events...)
 	cp.CounterDelta = append([]int64(nil), t.CounterDelta...)
 	cp.counterStart = nil
@@ -258,12 +267,12 @@ func (s *TraceStore) Acquire() *Trace {
 	s.mu.Unlock()
 	if t == nil {
 		t = &Trace{
+			spans:        make([]Span, 0, 8),
 			Events:       make([]TraceEvent, 0, 4),
 			CounterNames: s.names,
 			CounterDelta: make([]int64, len(s.counters)),
 			counterStart: make([]int64, len(s.counters)),
 		}
-		t.Spans.spans = make([]Span, 0, 8)
 	}
 	t.Start = time.Now()
 	for i := range s.counters {

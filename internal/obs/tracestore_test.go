@@ -201,7 +201,7 @@ func TestTraceEventsAndCounters(t *testing.T) {
 	if len(g.CounterNames) != 1 || g.CounterNames[0] != "work_total" || g.CounterDelta[0] != 7 {
 		t.Fatalf("counter delta mismatch: names=%v delta=%v", g.CounterNames, g.CounterDelta)
 	}
-	if spans := g.Spans.All(); len(spans) != 1 || spans[0].Name != "engine" {
+	if spans := g.AllSpans(); len(spans) != 1 || spans[0].Name != "engine" {
 		t.Fatalf("spans mismatch: %+v", spans)
 	}
 	// Recycle the record through the free list; the snapshot must not move.

@@ -191,14 +191,14 @@ func tableRow(resp AnalyzeResponse, pu float64) TableRowView {
 	}
 }
 
-func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTables(w http.ResponseWriter, _ *http.Request, tr *obs.Trace) {
 	s.m.req["tables"].Inc()
 	tstart := time.Now()
 	resp, err := s.Tables()
-	TraceFrom(r.Context()).Since("tables", tstart)
+	tr.Since("tables", tstart)
 	if err != nil {
-		writeError(w, r, err)
+		writeError(w, tr, err)
 		return
 	}
-	writeJSON(w, r, http.StatusOK, resp)
+	writeJSON(w, tr, http.StatusOK, resp)
 }

@@ -81,11 +81,11 @@ func putBody(buf *bytes.Buffer) {
 // five request types), recording the two together as the trace's decode
 // span. It returns how many body bytes it read. A body over limit is a
 // 413; every other failure is a 400.
-func readRequest(count *obs.Counter, limit int64, w http.ResponseWriter, r *http.Request, req any) (int, error) {
+func readRequest(count *obs.Counter, limit int64, w http.ResponseWriter, r *http.Request, tr *obs.Trace, req any) (int, error) {
 	count.Inc()
 	start := time.Now()
 	n, err := decodeBody(http.MaxBytesReader(w, r.Body, limit), req)
-	TraceFrom(r.Context()).Since("decode", start)
+	tr.Since("decode", start)
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		return n, clientError{fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit), http.StatusRequestEntityTooLarge}

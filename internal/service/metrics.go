@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -221,19 +220,6 @@ func requestID(seq uint64) string {
 	return string(append(b, d...))
 }
 
-type traceKey struct{}
-
-// TraceFrom returns the flight-recorder trace the middleware attached to
-// this request's context, or nil outside an instrumented request.
-// Handlers thread it into the query paths; a nil trace is recorded into
-// safely (every method no-ops). The trace carries the request ID — the
-// one identifier connecting the access log, the debug block, exemplars,
-// and /v1/traces.
-func TraceFrom(ctx context.Context) *obs.Trace {
-	tr, _ := ctx.Value(traceKey{}).(*obs.Trace)
-	return tr
-}
-
 // statusWriter captures the response status for the middleware. It
 // forwards Flush so the sweep streamer's per-line flushing still reaches
 // the client through the wrapper.
@@ -261,23 +247,23 @@ func (w *statusWriter) Flush() {
 // observation, status-class counters, trace deposit, and (when a logger
 // is configured) one structured access-log line per request. Every
 // request — debugged or not — produces a span tree and a
-// retained-or-dropped trace decision.
-func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.HandlerFunc {
+// retained-or-dropped trace decision. The handler gets the trace as its
+// third argument and records into it; the request is passed on as it
+// came, with no trace on its context.
+func (s *Server) instrument(endpoint, method string, h func(http.ResponseWriter, *http.Request, *obs.Trace)) http.HandlerFunc {
 	em := s.m.endpoints[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := s.traces.Acquire()
 		tr.Endpoint = endpoint
 		tr.ID = requestID(reqIDSeq.Add(1))
 		start := tr.Start
-		r = r.WithContext(context.WithValue(r.Context(), traceKey{}, tr))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		em.inFlight.Inc()
 		if method == "" || r.Method == method {
-			h(sw, r)
+			h(sw, r, tr)
 		} else {
 			sw.Header().Set("Allow", method)
-			writeJSON(sw, r, http.StatusMethodNotAllowed,
-				errorBody{Error: fmt.Sprintf("%s requires %s", r.URL.Path, method)})
+			writeError(sw, tr, clientError{fmt.Errorf("%s requires %s", r.URL.Path, method), http.StatusMethodNotAllowed})
 		}
 		em.inFlight.Dec()
 		d := time.Since(start)

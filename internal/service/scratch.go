@@ -107,25 +107,25 @@ type pooled[Q any] struct {
 // written, unless the body was larger than a pooled body buffer or the
 // scratch outgrew the retention rule (scratch.reset): what a large
 // request decodes or resolves into is not worth pinning.
-func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *scratch, *obs.Trace) (R, []byte, error)) http.HandlerFunc {
+func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *scratch, *obs.Trace) (R, []byte, error)) func(http.ResponseWriter, *http.Request, *obs.Trace) {
 	var pool sync.Pool
-	return func(w http.ResponseWriter, r *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
 		p, _ := pool.Get().(*pooled[Q])
 		if p == nil {
 			p = new(pooled[Q])
 		}
-		n, err := readRequest(count, limit, w, r, &p.req)
+		n, err := readRequest(count, limit, w, r, tr, &p.req)
 		if err != nil {
-			writeError(w, r, err)
+			writeError(w, tr, err)
 		} else {
-			resp, body, err := call(p.req, &p.sc, TraceFrom(r.Context()))
+			resp, body, err := call(p.req, &p.sc, tr)
 			switch {
 			case err != nil:
-				writeError(w, r, err)
+				writeError(w, tr, err)
 			case body != nil:
 				writeBody(w, http.StatusOK, body)
 			default:
-				writeJSON(w, r, http.StatusOK, resp)
+				writeJSON(w, tr, http.StatusOK, resp)
 			}
 		}
 		if n <= maxPooledBody && p.sc.reset() {

@@ -240,9 +240,10 @@ func withWorker[R any](s *Server, fn func() (R, error)) (R, error) {
 // Prometheus text format.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(path, endpoint, method string, h http.HandlerFunc) {
+	route := func(path, endpoint, method string, h func(http.ResponseWriter, *http.Request, *obs.Trace)) {
 		mux.HandleFunc(path, s.instrument(endpoint, method, h))
 	}
+	metrics := s.MetricsHandler()
 	route("/v1/analyze", "analyze", http.MethodPost, handlePost(s.m.req["analyze"], maxBodyBytes, s.analyzeServed))
 	route("/v1/sweep", "sweep", http.MethodPost, s.handleSweep)
 	route("/v1/optimize", "optimize", http.MethodPost, handlePost(s.m.req["optimize"], maxBodyBytes, encoded(s.optimizeTraced)))
@@ -252,7 +253,9 @@ func (s *Server) Handler() http.Handler {
 	route("/v1/traces", "traces", http.MethodGet, s.handleTraces)
 	route("/healthz", "healthz", http.MethodGet, s.handleHealthz)
 	route("/statsz", "statsz", http.MethodGet, s.handleStatsz)
-	route("/metrics", "metrics", "", s.MetricsHandler().ServeHTTP) // checks GET/HEAD itself
+	route("/metrics", "metrics", "", func(w http.ResponseWriter, r *http.Request, _ *obs.Trace) {
+		metrics.ServeHTTP(w, r) // checks GET/HEAD itself
+	})
 	return mux
 }
 
@@ -280,12 +283,12 @@ const maxBodyBytes = 1 << 20
 // value encoding/json refuses (a NaN or ±Inf that got past the guards) is
 // a 500 naming the failure on the body and the trace, not a 200 with no
 // body.
-func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
+func writeJSON(w http.ResponseWriter, tr *obs.Trace, status int, v any) {
 	buf := getBody()
 	defer putBody(buf)
 	if err := encodeJSON(buf, v); err != nil {
 		err = fmt.Errorf("encoding response: %w", err)
-		TraceFrom(r.Context()).SetError(err.Error())
+		tr.SetError(err.Error())
 		status = http.StatusInternalServerError
 		buf.Reset()
 		_ = encodeJSON(buf, errorBody{Error: err.Error()}) // one string field: cannot fail
@@ -314,18 +317,18 @@ type errorBody struct {
 // writeError renders err as a JSON error response and records its
 // message on the request's trace, so error traces retained by the flight
 // recorder carry the reason alongside the status.
-func writeError(w http.ResponseWriter, r *http.Request, err error) {
-	TraceFrom(r.Context()).SetError(err.Error())
+func writeError(w http.ResponseWriter, tr *obs.Trace, err error) {
+	tr.SetError(err.Error())
 	status := http.StatusInternalServerError
 	var ce clientError
 	if errors.As(err, &ce) {
 		status = ce.status
 	}
-	writeJSON(w, r, status, errorBody{Error: err.Error()})
+	writeJSON(w, tr, status, errorBody{Error: err.Error()})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, r, http.StatusOK, struct {
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, tr *obs.Trace) {
+	writeJSON(w, tr, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "ok"})
 }

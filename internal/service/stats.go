@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/qcache"
 )
 
@@ -91,6 +92,6 @@ func (s *Server) Stats() StatsResponse {
 	}
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, r, http.StatusOK, s.Stats())
+func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request, tr *obs.Trace) {
+	writeJSON(w, tr, http.StatusOK, s.Stats())
 }

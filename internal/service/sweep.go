@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultcurve"
+	"repro/internal/obs"
 )
 
 // Sweep validates the request, then computes its (n, p) grid with up to
@@ -155,12 +156,12 @@ func uniformCellFleet(dst core.Fleet, protocol string, n int, p float64) core.Fl
 	return fleet
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
 	// The stream's target is not pooled: cells already scheduled outlive a
 	// disconnected client's handler, and they read req.
 	var req SweepRequest
-	if _, err := readRequest(s.m.req["sweep"], maxBodyBytes, w, r, &req); err != nil {
-		writeError(w, r, err)
+	if _, err := readRequest(s.m.req["sweep"], maxBodyBytes, w, r, tr, &req); err != nil {
+		writeError(w, tr, err)
 		return
 	}
 	// Plan before the 200 header is committed; the stream body then goes
@@ -168,17 +169,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	vstart := time.Now()
 	domains, err := req.plan()
 	if err != nil {
-		writeError(w, r, badRequest(err))
+		writeError(w, tr, badRequest(err))
 		return
 	}
-	tr := TraceFrom(r.Context())
 	tr.Since("validate", vstart)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	sstart := time.Now()
 	// Cells are computed by concurrent workers, so cell-level spans stay
 	// off the (single-goroutine) trace; the stream span plus the engine
-	// counter delta carry the sweep's cost attribution.
-	_ = s.sweepStream(r.Context(), req, domains, w)
+	// counter delta carry the sweep's cost attribution. The status is
+	// already sent, so a stream that stops early (client gone, write
+	// failed) says so on the trace instead.
+	if err := s.sweepStream(r.Context(), req, domains, w); err != nil {
+		tr.Event("stream_stopped", err.Error())
+	}
 	tr.Since("stream", sstart)
 }

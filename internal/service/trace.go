@@ -80,7 +80,7 @@ func traceRecordView(t obs.Trace) TraceRecordView {
 		DurationMS: float64(t.Duration.Nanoseconds()) / 1e6,
 		Cache:      t.Cache,
 		Error:      t.Error,
-		Spans:      spanViews(t.Spans.All()),
+		Spans:      spanViews(t.AllSpans()),
 	}
 	if len(t.Events) > 0 {
 		v.Events = make([]TraceEventView, len(t.Events))
@@ -258,10 +258,10 @@ func (s *Server) slowestViews(n int) []SlowestView {
 }
 
 // handleTraces serves GET /v1/traces.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
 	f, exemplars, err := parseTraceFilter(r.URL.Query())
 	if err != nil {
-		writeError(w, r, err)
+		writeError(w, tr, err)
 		return
 	}
 	traces := s.traces.Query(f)
@@ -275,7 +275,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if exemplars {
 		resp.Exemplars = s.exemplarViews()
 	}
-	writeJSON(w, r, http.StatusOK, resp)
+	writeJSON(w, tr, http.StatusOK, resp)
 }
 
 // DebugRequestsHandler serves the human-readable flight-recorder dump
@@ -305,7 +305,7 @@ func (s *Server) DebugRequestsHandler() http.Handler {
 			fmt.Fprintf(w, "%s %-17s %-8s %3d %9.3fms keep=%-7s cache=%s",
 				t.Start.Format("15:04:05.000"), t.ID, t.Endpoint, t.Status,
 				float64(t.Duration.Nanoseconds())/1e6, t.Keep, orDash(t.Cache))
-			for _, sp := range t.Spans.All() {
+			for _, sp := range t.AllSpans() {
 				fmt.Fprintf(w, " %s=%.3fms", sp.Name, float64(sp.Duration.Nanoseconds())/1e6)
 			}
 			for _, e := range t.Events {

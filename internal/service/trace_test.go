@@ -101,6 +101,81 @@ func TestErrorTracesAlwaysRetrievable(t *testing.T) {
 	}
 }
 
+// TestEveryRouteTracesItsRefusal: each route records its own refusal on
+// the trace it deposits — exactly one trace for its endpoint, carrying the
+// status and the error the body names. A handler that stops recording into
+// the trace the middleware hands it fails here.
+func TestEveryRouteTracesItsRefusal(t *testing.T) {
+	for _, tc := range []struct {
+		endpoint, method, path, body string
+		status                       int
+	}{
+		{"analyze", http.MethodPost, "/v1/analyze", `{"not json`, http.StatusBadRequest},
+		{"optimize", http.MethodPost, "/v1/optimize", `{"not json`, http.StatusBadRequest},
+		{"tail", http.MethodPost, "/v1/tail", `{"not json`, http.StatusBadRequest},
+		{"batch", http.MethodPost, "/v1/batch", `{"not json`, http.StatusBadRequest},
+		{"analyze", http.MethodPost, "/v1/analyze", strings.Repeat(" ", maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"analyze", http.MethodGet, "/v1/analyze", "", http.StatusMethodNotAllowed},
+		{"sweep", http.MethodPost, "/v1/sweep", `{"protocol":"raft","ns":[],"ps":[0.01]}`, http.StatusBadRequest},
+		{"traces", http.MethodGet, "/v1/traces?bogus=1", "", http.StatusBadRequest},
+	} {
+		srv := New(Options{})
+		rec := serve(srv.Handler(), tc.method, tc.path, tc.body)
+		var body errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != tc.status || body.Error == "" {
+			t.Errorf("%s %s: status %d, body %q (%v); want a %d error body", tc.method, tc.path, rec.Code, rec.Body, err, tc.status)
+			continue
+		}
+		traces := srv.traces.Query(obs.TraceFilter{Endpoint: tc.endpoint})
+		if len(traces) != 1 || traces[0].Status != tc.status || traces[0].Error != body.Error {
+			t.Errorf("%s %s: traces %+v, want one %s trace with status %d and error %q",
+				tc.method, tc.path, traces, tc.endpoint, tc.status, body.Error)
+		}
+	}
+}
+
+// cutResponse is a response whose body writes fail after the first n, as
+// when the client goes away mid-stream.
+type cutResponse struct {
+	*httptest.ResponseRecorder
+	failAfter
+}
+
+func (c *cutResponse) Write(p []byte) (int, error) { return c.failAfter.Write(p) }
+
+// TestSweepStopReachesTrace: a sweep whose stream stops after its 200 went
+// out deposits a trace that says so, a stream_stopped event naming the
+// cause, where it used to deposit one that looked like a complete stream.
+// The status stays 200; a stream that runs to its end carries no event.
+func TestSweepStopReachesTrace(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	h := srv.Handler()
+	const sweep = `{"protocol":"raft","ns":[3,4,5,6,7,8],"ps":[0.01]}`
+	h.ServeHTTP(&cutResponse{httptest.NewRecorder(), failAfter{n: 1}},
+		httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(sweep)))
+	if rec := serve(h, http.MethodPost, "/v1/sweep", sweep); rec.Code != http.StatusOK {
+		t.Fatalf("complete sweep: status %d", rec.Code)
+	}
+
+	var tr TracesResponse
+	if err := json.Unmarshal(serve(h, http.MethodGet, "/v1/traces?endpoint=sweep", "").Body.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Traces) != 2 {
+		t.Fatalf("got %d sweep traces, want 2: %+v", len(tr.Traces), tr.Traces)
+	}
+	complete, cut := tr.Traces[0], tr.Traces[1] // newest first
+	if len(complete.Events) != 0 {
+		t.Errorf("complete sweep carries events %+v", complete.Events)
+	}
+	if cut.Status != http.StatusOK || cut.Error != "" {
+		t.Errorf("cut sweep: status %d, error %q; want 200 and no error", cut.Status, cut.Error)
+	}
+	if len(cut.Events) != 1 || cut.Events[0].Name != "stream_stopped" || cut.Events[0].Detail != "consumer gone" {
+		t.Errorf("cut sweep events %+v, want one stream_stopped naming the writer's error", cut.Events)
+	}
+}
+
 // TestSlowTracesRetained pins the -trace-slow-ms fixed threshold: with a
 // microscopic threshold every request classifies as slow.
 func TestSlowTracesRetained(t *testing.T) {
