@@ -74,10 +74,9 @@ func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()
 // in-flight observation — bounded skew, the standard tradeoff for a
 // lock-free hot path.
 type Histogram struct {
-	upper     []float64 // ascending upper bounds, +Inf excluded
-	counts    []atomic.Int64
-	sum       atomicFloat
-	exemplars []atomic.Pointer[Exemplar]
+	upper  []float64 // ascending upper bounds, +Inf excluded
+	counts []atomic.Int64
+	sum    atomicFloat
 }
 
 // NewHistogram builds a histogram over the given ascending bucket upper
@@ -95,17 +94,17 @@ func NewHistogram(bounds []float64) *Histogram {
 		}
 	}
 	return &Histogram{
-		upper:     append([]float64(nil), bounds...),
-		counts:    make([]atomic.Int64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+		upper:  append([]float64(nil), bounds...),
+		counts: make([]atomic.Int64, len(bounds)+1),
 	}
 }
 
-// bucketIndex returns the index of the bucket v falls in (len(upper) is
-// the +Inf bucket).
-func (h *Histogram) bucketIndex(v float64) int {
+// bucketIndex returns the index of the bucket v falls in under the
+// ascending upper bounds upper, each inclusive (len(upper) is the +Inf
+// bucket). Observe and TraceStore.Exemplars bucket by it alike.
+func bucketIndex(upper []float64, v float64) int {
 	i := 0
-	for i < len(h.upper) && v > h.upper[i] {
+	for i < len(upper) && v > upper[i] {
 		i++
 	}
 	return i
@@ -113,46 +112,8 @@ func (h *Histogram) bucketIndex(v float64) int {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.counts[h.bucketIndex(v)].Add(1)
+	h.counts[bucketIndex(h.upper, v)].Add(1)
 	h.sum.Add(v)
-}
-
-// Exemplar is a recent observation annotated with the trace it came
-// from — the OpenMetrics exemplar model, stored per bucket so a latency
-// spike in one bucket always points at a concrete request ID the traces
-// API can resolve.
-type Exemplar struct {
-	Value   float64   `json:"value"`
-	TraceID string    `json:"trace_id"`
-	Time    time.Time `json:"time"`
-}
-
-// ObserveExemplar records one value and, when traceID is non-empty,
-// replaces the bucket's exemplar with it. The exemplar store costs one
-// allocation; hot paths that must stay allocation-free pass "" (plain
-// Observe semantics) or call Observe directly.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	i := h.bucketIndex(v)
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID, Time: time.Now()})
-	}
-}
-
-// Exemplars snapshots the per-bucket exemplars, aligned with Snapshot's
-// Counts (the final entry is the +Inf bucket). Buckets that never saw an
-// exemplar have a zero Exemplar (empty TraceID). The 0.0.4 text
-// exposition never renders exemplars — /metrics stays byte-compatible —
-// so this accessor is how they surface (the traces API and /statsz).
-func (h *Histogram) Exemplars() []Exemplar {
-	out := make([]Exemplar, len(h.exemplars))
-	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
-			out[i] = *e
-		}
-	}
-	return out
 }
 
 // ObserveDuration records a duration in seconds.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -241,56 +242,99 @@ func TestHistogramCountDerivedFromBuckets(t *testing.T) {
 	}
 }
 
-// TestHistogramExemplars checks exemplar capture: the latest trace ID
-// per bucket, empty IDs ignored, aligned with the bucket layout.
+// depositNamed files one synthetic request under its own ID.
+func depositNamed(s *TraceStore, id, endpoint string, d time.Duration) {
+	t := s.Acquire()
+	t.ID = id
+	t.Endpoint = endpoint
+	t.Status = 200
+	t.Duration = d
+	s.Deposit(t)
+}
+
+// TestHistogramExemplars checks the store's exemplar read: per endpoint
+// and bucket the newest held trace, bucketed by Observe's inclusive
+// bounds with the +Inf bucket last, and never a trace the store has
+// dropped.
 func TestHistogramExemplars(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 1})
-	h.ObserveExemplar(0.05, "req-a")
-	h.ObserveExemplar(0.06, "req-b") // same bucket: replaces req-a
-	h.ObserveExemplar(0.5, "")       // no trace: counted, no exemplar
-	h.ObserveExemplar(5, "req-c")    // +Inf bucket
-	ex := h.Exemplars()
-	if len(ex) != 3 {
-		t.Fatalf("got %d exemplar slots, want one per bucket (3)", len(ex))
+	upper := []float64{0.1, 1}
+	// Capacity 8: four retained (slow) and four recent records.
+	s := NewTraceStore(TraceStoreOptions{Capacity: 8, SampleK: -1, SlowThreshold: fixedSlow(2 * time.Second)})
+	depositNamed(s, "req-drop", "analyze", 50*time.Millisecond) // pushed out below
+	depositNamed(s, "req-inf", "analyze", 5*time.Second)        // slow: retained
+	depositNamed(s, "req-edge0", "analyze", 100*time.Millisecond)
+	depositNamed(s, "req-edge1", "analyze", time.Second)
+	depositNamed(s, "req-b0", "analyze", 20*time.Millisecond) // newer than req-edge0
+	depositNamed(s, "req-sweep", "sweep", 500*time.Millisecond)
+
+	ex := s.Exemplars(upper)
+	if len(ex) != 2 {
+		t.Fatalf("exemplars for %d endpoints, want analyze and sweep: %+v", len(ex), ex)
 	}
-	if ex[0].TraceID != "req-b" || ex[0].Value != 0.06 {
-		t.Fatalf("bucket 0 exemplar = %+v, want req-b@0.06", ex[0])
+	for _, tc := range []struct {
+		endpoint string
+		ids      []string // per bucket, "" for none
+	}{
+		{"analyze", []string{"req-b0", "req-edge1", "req-inf"}},
+		{"sweep", []string{"", "req-sweep", ""}},
+	} {
+		got := ex[tc.endpoint]
+		if len(got) != len(upper)+1 {
+			t.Fatalf("%s: %d buckets, want %d", tc.endpoint, len(got), len(upper)+1)
+		}
+		for i, id := range tc.ids {
+			if got[i].ID != id {
+				t.Errorf("%s bucket %d names %q, want %q", tc.endpoint, i, got[i].ID, id)
+			}
+		}
 	}
-	if ex[1].TraceID != "" {
-		t.Fatalf("bucket 1 must have no exemplar, got %+v", ex[1])
+	b0 := ex["analyze"][0]
+	held := s.Query(TraceFilter{ID: "req-b0"})
+	if len(held) != 1 || b0.Duration != 20*time.Millisecond || !b0.Start.Equal(held[0].Start) {
+		t.Fatalf("bucket 0 exemplar = %+v, want req-b0's start and 20 ms", b0)
 	}
-	if ex[2].TraceID != "req-c" {
-		t.Fatalf("+Inf bucket exemplar = %+v, want req-c", ex[2])
-	}
-	if ex[0].Time.IsZero() {
-		t.Fatal("exemplar timestamp not set")
-	}
-	// The observations themselves still count normally.
-	if s := h.Snapshot(); s.Count != 4 {
-		t.Fatalf("Count = %d, want 4", s.Count)
+
+	// However the rings turn over, every exemplar names a held trace.
+	for i := 0; i < 200; i++ {
+		d := time.Duration(i%7) * 300 * time.Millisecond
+		depositNamed(s, fmt.Sprintf("req-%d", i), []string{"analyze", "sweep"}[i%2], d)
+		for ep, buckets := range s.Exemplars(upper) {
+			for b, e := range buckets {
+				if e.ID != "" && len(s.Query(TraceFilter{ID: e.ID})) != 1 {
+					t.Fatalf("after deposit %d, %s bucket %d names %q, which the store no longer holds", i, ep, b, e.ID)
+				}
+			}
+		}
 	}
 }
 
 // TestExemplarsNeverRenderInExposition pins the byte-compatibility
-// contract: exemplar capture must not change the 0.0.4 text output.
+// contract: exemplars are read from the trace store, and no trace ID
+// reaches the 0.0.4 text exposition of the histogram they annotate.
 func TestExemplarsNeverRenderInExposition(t *testing.T) {
-	plain := NewRegistry()
-	tagged := NewRegistry()
-	hp := plain.Histogram("test_seconds", "h.", []float64{0.1, 1}, nil)
-	ht := tagged.Histogram("test_seconds", "h.", []float64{0.1, 1}, nil)
-	for _, v := range []float64{0.05, 0.5, 2} {
-		hp.Observe(v)
-		ht.ObserveExemplar(v, "req-x")
+	r := NewRegistry()
+	h := r.Histogram("test_seconds", "h.", []float64{0.1, 1}, nil)
+	s := NewTraceStore(TraceStoreOptions{SampleK: -1})
+	for i, v := range []float64{0.05, 0.5, 2} {
+		d := time.Duration(v * float64(time.Second))
+		h.Observe(d.Seconds())
+		depositNamed(s, fmt.Sprintf("req-x%d", i), "test", d)
 	}
-	var a, b strings.Builder
-	if err := plain.WritePrometheus(&a); err != nil {
+	named := 0
+	for _, e := range s.Exemplars([]float64{0.1, 1})["test"] {
+		if e.ID != "" {
+			named++
+		}
+	}
+	if named != 3 {
+		t.Fatalf("%d buckets carry an exemplar, want 3", named)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := tagged.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("exemplars changed the exposition:\nplain:\n%s\ntagged:\n%s", a.String(), b.String())
+	if text := b.String(); strings.Contains(text, "req-x") || strings.Contains(text, " # {") {
+		t.Fatalf("exemplars reached the exposition:\n%s", text)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -188,15 +187,17 @@ func (r *traceRing) push(t *Trace) *Trace {
 	return evicted
 }
 
-// each calls fn on every held record, newest first.
-func (r *traceRing) each(fn func(*Trace)) {
-	for i := 1; i <= r.n; i++ {
-		idx := r.head - i
-		if idx < 0 {
-			idx += len(r.buf)
-		}
-		fn(r.buf[idx])
+// at returns the record i deposits before the newest (0 is the newest),
+// or nil once i passes the oldest.
+func (r *traceRing) at(i int) *Trace {
+	if i >= r.n {
+		return nil
 	}
+	idx := r.head - 1 - i
+	if idx < 0 {
+		idx += len(r.buf)
+	}
+	return r.buf[idx]
 }
 
 // TraceStore is the flight recorder: two rings (retained + recent) and a
@@ -372,54 +373,111 @@ func (f TraceFilter) matches(t *Trace) bool {
 	return true
 }
 
+// walk calls fn on every held record, newest (highest Seq) first, until
+// fn returns false. Each ring holds its records in deposit order, so the
+// two merge without a sort. The caller holds s.mu, and fn copies what
+// must outlive the lock: a record may be recycled once it is released.
+func (s *TraceStore) walk(fn func(*Trace) bool) {
+	for i, j := 0, 0; i < s.retained.n || j < s.recent.n; {
+		t, u := s.retained.at(i), s.recent.at(j)
+		if t == nil || u != nil && u.Seq > t.Seq {
+			t = u
+			j++
+		} else {
+			i++
+		}
+		if !fn(t) {
+			return
+		}
+	}
+}
+
 // Query returns deep copies of the matching traces, newest (highest
-// sequence) first, capped at the filter's limit. Copies are taken under
-// the store lock so a concurrent Deposit can never recycle a record out
-// from under the caller; the store is sized for debugging, not bulk
-// export, so the lock hold is bounded by capacity.
+// sequence) first, capped at the filter's limit. The walk selects under
+// the store lock, so a concurrent Deposit can never recycle a record out
+// from under the caller, and copies only the traces it returns: one walk
+// counts the matches, a second copies them into a slice of that size.
 func (s *TraceStore) Query(f TraceFilter) []Trace {
 	limit := f.Limit
 	if limit <= 0 {
 		limit = 100
 	}
-	var out []Trace
 	s.mu.Lock()
-	collect := func(t *Trace) {
+	defer s.mu.Unlock()
+	n := 0
+	s.walk(func(t *Trace) bool {
+		if f.matches(t) {
+			n++
+		}
+		return n < limit
+	})
+	if n == 0 {
+		return nil
+	}
+	out := make([]Trace, 0, n)
+	s.walk(func(t *Trace) bool {
 		if f.matches(t) {
 			out = append(out, t.snapshot())
 		}
-	}
-	s.retained.each(collect)
-	s.recent.each(collect)
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
-	if len(out) > limit {
-		out = out[:limit]
-	}
+		return len(out) < n
+	})
 	return out
 }
 
 // Slowest returns deep copies of the n slowest held traces, slowest
-// first — the /statsz "slowest" block and the metrics→traces pivot.
+// first, ties newest first — the /statsz "slowest" block and the
+// metrics→traces pivot. The walk keeps a running top n of shallow
+// copies, deepened before the lock is released.
 func (s *TraceStore) Slowest(n int) []Trace {
 	if n <= 0 {
 		return nil
 	}
-	var out []Trace
 	s.mu.Lock()
-	collect := func(t *Trace) { out = append(out, t.snapshot()) }
-	s.retained.each(collect)
-	s.recent.each(collect)
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Duration != out[j].Duration {
-			return out[i].Duration > out[j].Duration
+	defer s.mu.Unlock()
+	out := make([]Trace, 0, min(n, s.retained.n+s.recent.n))
+	s.walk(func(t *Trace) bool {
+		switch {
+		case len(out) < n:
+			out = append(out, *t)
+		case t.Duration > out[n-1].Duration:
+			out[n-1] = *t
+		default:
+			return true
 		}
-		return out[i].Seq > out[j].Seq
+		// Move it up past the faster ones. The walk runs newest first, so
+		// an equal duration already held is newer and stays ahead.
+		for k := len(out) - 1; k > 0 && out[k-1].Duration < out[k].Duration; k-- {
+			out[k-1], out[k] = out[k], out[k-1]
+		}
+		return true
 	})
-	if len(out) > n {
-		out = out[:n]
+	for i := range out {
+		out[i] = out[i].snapshot()
 	}
+	return out
+}
+
+// Exemplars returns the latency exemplars of every endpoint with a held
+// trace: per bucket of the histogram layout upper (the +Inf bucket last),
+// the newest held trace whose duration falls in the bucket by Observe's
+// rule (its ID, Start and Duration only), or a zero Trace (empty ID)
+// where none does. Each named trace resolves through Query until the
+// store recycles it.
+func (s *TraceStore) Exemplars(upper []float64) map[string][]Trace {
+	out := map[string][]Trace{}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.walk(func(t *Trace) bool {
+		ex := out[t.Endpoint]
+		if ex == nil {
+			ex = make([]Trace, len(upper)+1)
+			out[t.Endpoint] = ex
+		}
+		if e := &ex[bucketIndex(upper, t.Duration.Seconds())]; e.ID == "" {
+			*e = Trace{ID: t.ID, Start: t.Start, Duration: t.Duration}
+		}
+		return true
+	})
 	return out
 }
 
@@ -461,11 +519,4 @@ func (s *TraceStore) Stats() TraceStoreStats {
 // ownership, scrapes read the same atomics Stats reports.
 func (s *TraceStore) Counters() (deposited, keptSlow, keptError, keptSampled, droppedRecent, droppedRetained *Counter) {
 	return &s.deposited, &s.keptSlow, &s.keptError, &s.keptSampled, &s.droppedRecent, &s.droppedRetained
-}
-
-// RingSizes returns the current entry counts (for gauge funcs).
-func (s *TraceStore) RingSizes() (retained, recent int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retained.n, s.recent.n
 }

@@ -173,6 +173,150 @@ func TestSlowestOrdering(t *testing.T) {
 	}
 }
 
+// TestMergedWalkOrder interleaves retained and recent deposits, past
+// both rings' capacity so that each wraps, and pins the merged walk's
+// orders: Query returns exactly the held traces in descending Seq,
+// filtered or not, honouring its limit, and Slowest breaks duration ties
+// newest first.
+func TestMergedWalkOrder(t *testing.T) {
+	s := NewTraceStore(TraceStoreOptions{Capacity: 16, SampleK: -1, SlowThreshold: fixedSlow(10 * time.Millisecond)})
+	var slow, fast []uint64 // seqs by ring, in deposit order
+	for i := 0; i < 30; i++ {
+		d := time.Millisecond
+		if i%3 == 0 || i%7 == 0 {
+			d = 20 * time.Millisecond
+		}
+		tr := s.Acquire()
+		tr.ID = fmt.Sprintf("req-%d", i)
+		tr.Endpoint = "analyze"
+		tr.Status = 200
+		tr.Duration = d
+		s.Deposit(tr)
+		if d > time.Millisecond {
+			slow = append(slow, tr.Seq)
+		} else {
+			fast = append(fast, tr.Seq)
+		}
+	}
+	// Each ring of 8 holds its newest 8; the merge is their union, newest
+	// first.
+	descending := func(seqs ...[]uint64) []uint64 {
+		var out []uint64
+		for seq := uint64(30); seq > 0; seq-- {
+			for _, ring := range seqs {
+				for _, q := range ring[len(ring)-8:] {
+					if q == seq {
+						out = append(out, seq)
+					}
+				}
+			}
+		}
+		return out
+	}
+	seqs := func(ts []Trace) []uint64 {
+		out := make([]uint64, len(ts))
+		for i, tr := range ts {
+			out[i] = tr.Seq
+		}
+		return out
+	}
+	all := descending(slow, fast)
+	for _, tc := range []struct {
+		name string
+		f    TraceFilter
+		want []uint64
+	}{
+		{"all", TraceFilter{}, all},
+		{"limit", TraceFilter{Limit: 5}, all[:5]},
+		{"limit past held", TraceFilter{Limit: 40}, all},
+		{"recent, limit", TraceFilter{Keep: KeepRecent, Limit: 3}, descending(fast)[:3]},
+		{"slow", TraceFilter{Keep: KeepSlow}, descending(slow)},
+	} {
+		if got := seqs(s.Query(tc.f)); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("Query(%s) seqs = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// Every slow trace ties at 20 ms and every fast one at 1 ms: the eight
+	// slow newest first, then the newest fast.
+	want := append(descending(slow), descending(fast)[:2]...)
+	if got := seqs(s.Slowest(10)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Slowest(10) seqs = %v, want %v", got, want)
+	}
+	if got := seqs(s.Slowest(100)); len(got) != 16 {
+		t.Errorf("Slowest(100) returned %d traces, want all 16 held", len(got))
+	}
+}
+
+// heldStore is a recorder holding 1 024 traces, each with a span, an
+// event and three counters, the way the daemon's default recorder holds
+// them once both rings have turned over.
+func heldStore() *TraceStore {
+	var a, b, c Counter
+	s := NewTraceStore(TraceStoreOptions{
+		SlowThreshold: fixedSlow(20 * time.Millisecond),
+		Counters:      []CounterRef{{Name: "a", C: &a}, {Name: "b", C: &b}, {Name: "c", C: &c}},
+	})
+	for i := 0; i < 4096; i++ {
+		tr := s.Acquire()
+		tr.ID = fmt.Sprintf("req-%d", i)
+		tr.Endpoint = "analyze"
+		tr.Status = 200
+		tr.Duration = time.Duration(i%37) * time.Millisecond
+		tr.Since("engine", tr.Start)
+		tr.Event("tick", "")
+		a.Inc()
+		s.Deposit(tr)
+	}
+	return s
+}
+
+// TestReadPathAllocations pins what the recorder's readers cost: Slowest
+// and Query select under the lock and copy only the traces they return,
+// three slices each, into one result slice.
+func TestReadPathAllocations(t *testing.T) {
+	s := heldStore()
+	if st := s.Stats(); st.RetainedEntries+st.RecentEntries != 1024 {
+		t.Fatalf("store holds %+v, want 1 024 traces", st)
+	}
+	for _, tc := range []struct {
+		name string
+		read func() []Trace
+		n    int
+	}{
+		{"Slowest(5)", func() []Trace { return s.Slowest(5) }, 5},
+		{"Query(limit 10)", func() []Trace { return s.Query(TraceFilter{Limit: 10}) }, 10},
+	} {
+		if got := len(tc.read()); got != tc.n {
+			t.Fatalf("%s returned %d traces, want %d", tc.name, got, tc.n)
+		}
+		if avg := testing.AllocsPerRun(20, func() { tc.read() }); avg > float64(3*tc.n+1) {
+			t.Errorf("%s allocates %.0f times, want at most %d", tc.name, avg, 3*tc.n+1)
+		}
+	}
+}
+
+// BenchmarkTraceStoreRead times the recorder's readers over 1 024 held
+// traces: the /statsz slowest block, a /v1/traces page and the
+// exemplars.
+func BenchmarkTraceStoreRead(b *testing.B) {
+	s := heldStore()
+	for _, bc := range []struct {
+		name string
+		read func()
+	}{
+		{"Slowest5", func() { s.Slowest(5) }},
+		{"Query10", func() { s.Query(TraceFilter{Limit: 10}) }},
+		{"Exemplars", func() { s.Exemplars(LatencyBuckets) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.read()
+			}
+		})
+	}
+}
+
 // TestTraceEventsAndCounters checks events, counter deltas, and that
 // query results are deep copies unaffected by recycling.
 func TestTraceEventsAndCounters(t *testing.T) {
@@ -295,7 +439,7 @@ func TestTraceStoreConcurrency(t *testing.T) {
 					s.Query(TraceFilter{MinStatus: 400, Limit: 10})
 					s.Slowest(5)
 					s.Stats()
-					s.RingSizes()
+					s.Exemplars(LatencyBuckets)
 				}
 			}
 		}()

@@ -369,25 +369,26 @@ func guardBound(tight, race float64) float64 {
 	return tight
 }
 
+// warmRequests is the allocation guards' warm-up: past the default
+// flight recorder's 1 024 records, so that measured requests recycle
+// trace records, as a daemon's do once it has served that many. (Until
+// the retained ring fills, a sampled request still adds a fresh one.)
+const warmRequests = 1200
+
 // TestServeHitAllocationGuard extends TestAnalyzeHotPathAllocationGuard
 // from the method to the whole handler: decode, lookup, the stored body,
 // the log line and the trace of a plain hit on the benchmark's hot_small
-// shape — 20 allocations and 2208 B on go1.24. Before the middleware handed
-// each handler its trace as an argument, the per-request context copy that
-// carried it read 22 and 2576 B. Before the request scratch
-// (a pooled decode target, fleet and fingerprint buffers) the same loop
-// read 37 and 4061 B, and before bodies were stored and the log attrs
-// typed, 51 and 5263 B; the shared Content-Type value (writeBody) saved one
-// allocation and 16 B more. Under -race it reads about 33 and 6.1 KB, and a
-// handler whose pools reuse nothing 48 and 8.1 KB.
+// shape — 14.1 allocations and 1.5 KB on go1.24. Under -race it reads
+// about 24 and 5.1 KB, and a handler whose pools reuse nothing 48 and
+// 8.1 KB.
 func TestServeHitAllocationGuard(t *testing.T) {
 	h := newLoggedHandler()
-	for i := 0; i < 64; i++ { // miss, first hit, and a primed trace free list
+	for i := 0; i < warmRequests; i++ { // the miss, the first hit, then hits
 		serve(h, http.MethodPost, "/v1/analyze", string(hotBody))
 	}
 	allocs, bytesPer := serveAllocs(h, 200, func(int) []byte { return hotBody })
 	t.Logf("plain hit through the handler: %.2f allocs, %.0f B", allocs, bytesPer)
-	if maxAllocs, maxBytes := guardBound(22, 41), guardBound(2366, 7600); allocs > maxAllocs || bytesPer > maxBytes {
+	if maxAllocs, maxBytes := guardBound(16, 41), guardBound(1700, 7600); allocs > maxAllocs || bytesPer > maxBytes {
 		t.Errorf("plain hit through the handler: %.2f allocs and %.0f B, want at most %.0f and %.0f", allocs, bytesPer, maxAllocs, maxBytes)
 	}
 }
@@ -396,15 +397,10 @@ func TestServeHitAllocationGuard(t *testing.T) {
 // at domain_churn's shape (48 nodes in four zones, one zone's shock moving
 // per request) and cold_large's (256 independent nodes): decode, resolve,
 // fingerprint, engine, insert, encode, log line and trace, all through
-// the handler the daemon runs — 29.5 allocations and 2.8 KB, and 31 and
-// 3.5 KB, on go1.24. That is two allocations and 368 B fewer than while
-// the trace rode on a per-request context copy, which was itself one
-// allocation and 16 B fewer than before the shared Content-Type value
-// (writeBody). Before the request scratch (pooled decode targets, one
-// resolve per request, reused fingerprint buffers) the same loops read 277
-// and 19.5 KB, and 305 and 45.8 KB. Under -race they read about 110 and
-// 28 KB, and 130 and 80 KB; a handler whose pools reuse nothing read about
-// 240 and 40 KB, and 320 and 130 KB, there before responses were encoded
+// the handler the daemon runs — 23.1–24.4 allocations and 2.0–2.2 KB, and
+// 24.7 and 2.7 KB, on go1.24. Under -race they read about 90 and 24 KB,
+// and 115 and 79 KB; a handler whose pools reuse nothing read about 240
+// and 40 KB, and 320 and 130 KB, there before responses were encoded
 // through pooled scratch.
 func TestServeMissAllocationGuard(t *testing.T) {
 	for _, tc := range []struct {
@@ -412,11 +408,11 @@ func TestServeMissAllocationGuard(t *testing.T) {
 		body          func(int) []byte
 		allocs, bytes float64
 	}{
-		{"domain_churn", uniqueChurnBody, guardBound(34, 185), guardBound(3416, 36000)},
-		{"cold_large", uniqueColdBody, guardBound(35, 185), guardBound(3916, 115000)},
+		{"domain_churn", uniqueChurnBody, guardBound(27, 185), guardBound(2400, 36000)},
+		{"cold_large", uniqueColdBody, guardBound(27, 185), guardBound(2880, 115000)},
 	} {
 		h := newLoggedHandler()
-		for i := 0; i < 64; i++ { // warm pools, evaluators and the trace free list
+		for i := 0; i < warmRequests; i++ { // pools, evaluators and recycled trace records
 			serve(h, http.MethodPost, "/v1/analyze", string(tc.body(-1-i)))
 		}
 		allocs, bytesPer := serveAllocs(h, 200, tc.body)

@@ -14,10 +14,10 @@ import (
 )
 
 // This file is the serving layer's observability plane: the per-server
-// obs registry every counter the old /statsz atomics migrated onto, the
-// HTTP middleware recording per-endpoint traffic and latency, and the
-// request-ID plumbing of the structured access log. GET /metrics exposes
-// this registry plus the process-global engine registry (obs.Default());
+// obs registry that /statsz and /metrics both read, the HTTP middleware
+// recording per-endpoint traffic and latency, and the request-ID
+// plumbing of the structured access log. GET /metrics exposes this
+// registry plus the process-global engine registry (obs.Default());
 // docs/OBSERVABILITY.md inventories every family.
 
 // endpoints instrumented by the middleware, in mux order.
@@ -50,10 +50,9 @@ func (em *endpointMetrics) code(status int) *obs.Counter {
 	return em.codes[codeClasses[class-2]]
 }
 
-// serverMetrics holds every metric handle of one Server. The request
-// and pool counters are the direct descendants of the PR-2
-// atomic.Int64 fields; /statsz reads the very same values back from
-// these handles, so the JSON stays value- and shape-compatible.
+// serverMetrics holds every metric handle of one Server. /statsz reads
+// its counters back from these handles, the same values /metrics
+// exports.
 type serverMetrics struct {
 	endpoints map[string]*endpointMetrics
 
@@ -170,9 +169,9 @@ func registerTraceStore(reg *obs.Registry, ts *obs.TraceStore) {
 	reg.RegisterCounter("probconsd_traces_dropped_total", droppedHelp, obs.Labels{"ring": "retained"}, droppedRetained)
 	const entriesHelp = "Trace records currently held, by ring."
 	reg.GaugeFunc("probconsd_trace_buffer_entries", entriesHelp, obs.Labels{"ring": "retained"},
-		func() float64 { retained, _ := ts.RingSizes(); return float64(retained) })
+		func() float64 { return float64(ts.Stats().RetainedEntries) })
 	reg.GaugeFunc("probconsd_trace_buffer_entries", entriesHelp, obs.Labels{"ring": "recent"},
-		func() float64 { _, recent := ts.RingSizes(); return float64(recent) })
+		func() float64 { return float64(ts.Stats().RecentEntries) })
 }
 
 // registerCache attaches one qcache's live counters and size gauges under
@@ -243,20 +242,19 @@ func (w *statusWriter) Flush() {
 // middleware: flight-recorder trace acquisition (which carries the
 // request ID), the route's method check (405 with an Allow header for any
 // other method; "" leaves the check to the handler), in-flight gauge,
-// per-endpoint latency histogram with an exemplar trace ID on every
-// observation, status-class counters, trace deposit, and (when a logger
-// is configured) one structured access-log line per request. Every
-// request — debugged or not — produces a span tree and a
-// retained-or-dropped trace decision. The handler gets the trace as its
-// third argument and records into it; the request is passed on as it
-// came, with no trace on its context.
+// per-endpoint latency histogram, status-class counters, trace deposit,
+// and (when a logger is configured) one structured access-log line per
+// request. Every request — debugged or not — produces a span tree and a
+// retained-or-dropped trace decision; the trace is the request's one
+// record, which the latency exemplars are read from. The handler gets
+// the trace as its third argument and records into it; the request is
+// passed on as it came, with no trace on its context.
 func (s *Server) instrument(endpoint, method string, h func(http.ResponseWriter, *http.Request, *obs.Trace)) http.HandlerFunc {
 	em := s.m.endpoints[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := s.traces.Acquire()
 		tr.Endpoint = endpoint
 		tr.ID = requestID(reqIDSeq.Add(1))
-		start := tr.Start
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		em.inFlight.Inc()
 		if method == "" || r.Method == method {
@@ -266,8 +264,8 @@ func (s *Server) instrument(endpoint, method string, h func(http.ResponseWriter,
 			writeError(sw, tr, clientError{fmt.Errorf("%s requires %s", r.URL.Path, method), http.StatusMethodNotAllowed})
 		}
 		em.inFlight.Dec()
-		d := time.Since(start)
-		em.latency.ObserveExemplar(d.Seconds(), tr.ID)
+		d := time.Since(tr.Start)
+		em.latency.Observe(d.Seconds())
 		em.code(sw.status).Inc()
 		if s.logger != nil {
 			s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",

@@ -73,9 +73,9 @@ type Server struct {
 	// reg holds the server-scoped probconsd_* metric families; engine
 	// families live on the process-global obs.Default() registry and the
 	// two are merged at /metrics. Per-server registries keep multi-Server
-	// processes (tests) free of duplicate-registration panics. All former
-	// /statsz atomics live in m now — /statsz reads the same counters the
-	// Prometheus endpoint exports.
+	// processes (tests) free of duplicate-registration panics. /statsz
+	// reads the same counters, held in m, that the Prometheus endpoint
+	// exports.
 	reg *obs.Registry
 	m   serverMetrics
 

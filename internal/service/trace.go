@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"time"
 
@@ -13,8 +12,8 @@ import (
 
 // This file is the read side of the request flight recorder:
 // GET /v1/traces (filtered JSON over the trace store, optionally with
-// the latency-histogram exemplars that link /metrics buckets to request
-// IDs) and the human-readable /debug/requests dump cmd/probconsd mounts
+// the exemplars, read from the same store, that link /metrics latency
+// buckets to request IDs) and the human-readable /debug/requests dump cmd/probconsd mounts
 // beside pprof. The write side is the instrument middleware in
 // metrics.go; the store itself is internal/obs/tracestore.go.
 
@@ -50,10 +49,11 @@ type TraceRecordView struct {
 	Counters   map[string]int64 `json:"counters,omitempty"`
 }
 
-// ExemplarView is one bucket exemplar of a latency histogram: the most
-// recent request that landed in the le bucket, by trace ID. le is a
-// string because the final bucket's bound is +Inf, which JSON numbers
-// cannot carry (same spelling as the Prometheus exposition).
+// ExemplarView is one bucket exemplar of a latency histogram: the newest
+// request the flight recorder holds whose latency falls in the le
+// bucket, by trace ID, and when it ended. le is a string because the
+// final bucket's bound is +Inf, which JSON numbers cannot carry (same
+// spelling as the Prometheus exposition).
 type ExemplarView struct {
 	LE      string    `json:"le"`
 	Seconds float64   `json:"seconds"`
@@ -206,36 +206,24 @@ func parseTraceFilter(q url.Values) (obs.TraceFilter, bool, error) {
 	return f, exemplars, nil
 }
 
-// exemplarViews collects the non-empty latency-bucket exemplars per
-// endpoint — the metrics→traces link: a bucket's exemplar names the
-// request ID to pass to /v1/traces?id=.
+// exemplarViews renders the flight recorder's exemplars per endpoint
+// over probconsd_http_request_seconds' buckets — the metrics→traces
+// link: a bucket's exemplar names a held request ID to pass to
+// /v1/traces?id=. Buckets with no held trace are left out.
 func (s *Server) exemplarViews() map[string][]ExemplarView {
-	out := map[string][]ExemplarView{}
-	names := make([]string, 0, len(s.m.endpoints))
-	for name := range s.m.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		em := s.m.endpoints[name]
-		ex := em.latency.Exemplars()
-		var views []ExemplarView
-		for i, e := range ex {
-			if e.TraceID == "" {
+	byEndpoint := s.traces.Exemplars(obs.LatencyBuckets)
+	out := make(map[string][]ExemplarView, len(byEndpoint))
+	for name, ex := range byEndpoint {
+		for i, t := range ex {
+			if t.ID == "" {
 				continue
 			}
 			le := "+Inf"
 			if i < len(obs.LatencyBuckets) {
 				le = strconv.FormatFloat(obs.LatencyBuckets[i], 'g', -1, 64)
 			}
-			views = append(views, ExemplarView{LE: le, Seconds: e.Value, TraceID: e.TraceID, Time: e.Time})
+			out[name] = append(out[name], ExemplarView{LE: le, Seconds: t.Duration.Seconds(), TraceID: t.ID, Time: t.Start.Add(t.Duration)})
 		}
-		if len(views) > 0 {
-			out[name] = views
-		}
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

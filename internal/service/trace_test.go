@@ -300,6 +300,94 @@ func TestExemplarsLinkMetricsToTraces(t *testing.T) {
 	}
 }
 
+// TestExemplarsResolveAfterTurnover pins that every exemplar names a
+// trace the recorder still holds. A four-record recorder (two recent
+// records, no sampling) serves one N = 256 miss and then 20 hits, so the
+// miss and all but the newest hits are recycled before the exemplars are
+// read. The reads call the /v1/traces handler itself, outside the
+// middleware, so that no read deposits a trace of its own and pushes a
+// named one out.
+func TestExemplarsResolveAfterTurnover(t *testing.T) {
+	srv := New(Options{TraceBuffer: 4, TraceSample: -1})
+	h := srv.Handler()
+	for i := 0; i < 21; i++ {
+		if rec := serve(h, http.MethodPost, "/v1/analyze", string(coldBody)); rec.Code != http.StatusOK {
+			t.Fatalf("analyze %d = %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	read := func(query string) TracesResponse {
+		rec := httptest.NewRecorder()
+		srv.handleTraces(rec, httptest.NewRequest(http.MethodGet, "/v1/traces"+query, nil), nil)
+		var tr TracesResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
+			t.Fatalf("GET /v1/traces%s = %d: %v", query, rec.Code, err)
+		}
+		return tr
+	}
+	named := 0
+	for ep, views := range read("?exemplars=true").Exemplars {
+		for _, v := range views {
+			named++
+			if got := read("?id=" + v.TraceID).Traces; len(got) != 1 {
+				t.Errorf("%s exemplar le=%s names %s, which /v1/traces?id= does not find", ep, v.LE, v.TraceID)
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("no exemplars after 21 requests")
+	}
+}
+
+// TestSlowThreshold drives one endpoint's latency histogram directly and
+// pins the slow-trace threshold derived from it: 25 ms before 64
+// samples, the histogram's p99 from then on with a 1 ms floor, derived
+// afresh only every 128 deposits, and a fixed TraceSlow over all of it.
+func TestSlowThreshold(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		fixed time.Duration // Options.TraceSlow
+		first []float64     // samples, in seconds, before the first deposit
+		then  []float64     // samples between the first deposit and the rest
+		calls int           // deposits asking for the threshold; the last is checked
+		want  time.Duration
+	}{
+		{"before 64 samples", 0, samples(63, 3e-3), nil, 1, 25 * ms},
+		{"p99 at 64 samples", 0, samples(64, 3e-3), nil, 1, 4975 * time.Microsecond},
+		{"floor", 0, samples(64, 1e-5), nil, 1, ms},
+		{"cached for 127 more deposits", 0, samples(64, 3e-3), samples(64, 4e-2), 128, 4975 * time.Microsecond},
+		{"derived again at the 128th", 0, samples(64, 3e-3), samples(64, 4e-2), 129, 49500 * time.Microsecond},
+		{"fixed", 7 * ms, samples(64, 3e-3), nil, 1, 7 * ms},
+		{"fixed before samples", 7 * ms, nil, nil, 1, 7 * ms},
+		{"fixed past a refresh", 7 * ms, samples(64, 3e-3), samples(64, 4e-2), 129, 7 * ms},
+	} {
+		srv := New(Options{TraceSlow: tc.fixed})
+		latency := srv.m.endpoints["analyze"].latency
+		for _, v := range tc.first {
+			latency.Observe(v)
+		}
+		got := srv.slowThreshold("analyze")
+		for _, v := range tc.then {
+			latency.Observe(v)
+		}
+		for i := 1; i < tc.calls; i++ {
+			got = srv.slowThreshold("analyze")
+		}
+		if d := got - tc.want; d < -time.Microsecond || d > time.Microsecond {
+			t.Errorf("%s: threshold %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// samples is n latency observations of v seconds.
+func samples(n int, v float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
 // TestDebugBlockRequestIDResolvesInTraces round-trips the debug block's
 // request ID into the flight recorder.
 func TestDebugBlockRequestIDResolvesInTraces(t *testing.T) {
