@@ -49,24 +49,30 @@ func analyzeBody(n, zones, i int) string {
 // TestOneResolvePerRequest: a served analyze request resolves its query's
 // layout once — the work bound, the fingerprint and the engine read that
 // one layout — on a miss at domain_churn's and cold_large's shapes, on an
-// L1 hit and on a correlated miss through /v1/tail. Profiles are checked
-// once too, by the node loop that builds the fleet: neither Query.Resolve
-// (TestQueryResolveSkipsProfiles) nor the engine's AnalyzeQuery, which
-// cannot fail, checks them again.
+// L1 hit and on a correlated miss through /v1/tail. A byte-identical
+// repeat of a body already answered as a plain hit resolves nothing: the
+// body index answers it, so 20 identical requests resolve twice (the
+// miss, then the first hit), while 20 spellings of one query that differ
+// only in trailing whitespace are 20 L1 hits that each resolve. Profiles
+// are checked once too, by the node loop that builds the fleet: neither
+// Query.Resolve (TestQueryResolveSkipsProfiles) nor the engine's
+// AnalyzeQuery, which cannot fail, checks them again.
 func TestOneResolvePerRequest(t *testing.T) {
 	h := service.New(service.Options{}).Handler()
+	const requests = 20
 	for _, tc := range []struct {
 		name, path string
 		body       func(i int) string
+		resolves   int64
 	}{
-		{"domain_churn miss", "/v1/analyze", func(i int) string { return analyzeBody(48, 4, i) }},
-		{"cold_large miss", "/v1/analyze", func(i int) string { return analyzeBody(256, 0, i) }},
-		{"hit", "/v1/analyze", func(int) string { return analyzeBody(9, 0, 0) }},
+		{"domain_churn miss", "/v1/analyze", func(i int) string { return analyzeBody(48, 4, i) }, requests},
+		{"cold_large miss", "/v1/analyze", func(i int) string { return analyzeBody(256, 0, i) }, requests},
+		{"hit", "/v1/analyze", func(int) string { return analyzeBody(9, 0, 0) }, 2},
+		{"whitespace-variant hit", "/v1/analyze", func(i int) string { return analyzeBody(9, 0, 0) + strings.Repeat(" ", i+1) }, requests},
 		{"tail", "/v1/tail", func(i int) string {
 			return strings.TrimSuffix(analyzeBody(48, 4, i), "}") + `,"event":"not_live"}`
-		}},
+		}, requests},
 	} {
-		const requests = 20
 		before := core.LayoutResolves()
 		for i := 0; i < requests; i++ {
 			rec := httptest.NewRecorder()
@@ -75,8 +81,8 @@ func TestOneResolvePerRequest(t *testing.T) {
 				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
 			}
 		}
-		if got := core.LayoutResolves() - before; got != requests {
-			t.Errorf("%s: %d requests resolved %d layouts, want one each", tc.name, requests, got)
+		if got := core.LayoutResolves() - before; got != tc.resolves {
+			t.Errorf("%s: %d requests resolved %d layouts, want %d", tc.name, requests, got, tc.resolves)
 		}
 	}
 }

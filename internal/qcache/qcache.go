@@ -128,6 +128,25 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 	return c.shards[fnv64a(key)%uint64(len(c.shards))]
 }
 
+// Get returns the cached value for key, if present, refreshing its
+// recency and counting a hit; an absent key counts nothing. It never
+// computes and never waits on a flight: a caller that finds nothing goes
+// on to DoEvents, which counts that lookup's own outcome. The service's
+// body index reads the analyze cache this way, so that a repeat it
+// answers counts exactly one hit.
+func (c *Cache[V]) Get(key string) (V, bool) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[key]; ok {
+		s.order.MoveToFront(el)
+		c.hits.Add(1)
+		return el.Value.(*entry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // EventRecorder receives cache-pressure annotations from DoEvents — in
 // practice the request's flight-recorder trace (*obs.Trace satisfies it
 // with nil-safe methods). Kept as a local interface so qcache stays a

@@ -19,22 +19,6 @@ func mustDo[V comparable](t *testing.T, c *Cache[V], key string, v V) {
 	}
 }
 
-// Get returns the cached value for key, if present, refreshing its
-// recency and counting a hit. It never triggers a computation. Only the
-// tests peek at a cache this way; the service reads through DoEvents.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.order.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*entry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 func TestDoMemoizes(t *testing.T) {
 	c := New[int](8, 2)
 	calls := 0

@@ -78,10 +78,11 @@ func (s *Server) Analyze(req AnalyzeRequest) (AnalyzeResponse, error) {
 	return resp, err
 }
 
-// analyzeServed is the HTTP handler's call: analyzeTraced, plus the stored
-// body when the answer is a plain L1 hit. Every other answer — a debugged
-// request, a miss, a coalesced wait — is encoded by the handler, so a miss
-// encodes exactly once.
+// analyzeServed is the HTTP handler's call on a decoded body (behind the
+// body index, which installs a body it answers with bytes): analyzeTraced,
+// plus the stored body when the answer is a plain L1 hit. Every other
+// answer — a debugged request, a miss, a coalesced wait — is encoded by
+// the handler, so a miss encodes exactly once.
 func (s *Server) analyzeServed(req AnalyzeRequest, sc *scratch, tr *obs.Trace) (AnalyzeResponse, []byte, error) {
 	resp, hit, err := s.analyzeTraced(req, sc, tr)
 	if err != nil || hit == nil || req.Debug {

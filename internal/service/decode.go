@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"net/http"
 	"strconv"
@@ -55,9 +54,10 @@ var (
 	batchRequestKeys = []string{"items"}
 )
 
-// maxPooledBody caps the body buffers the pool keeps: one that had to grow
-// past it for a large request is dropped, so an idle pool slot never pins
-// megabytes. 64 KiB holds an analyze body of about 700 nodes.
+// maxPooledBody caps the body buffers the pools keep (bodyPool's and each
+// POST endpoint's entries): one that had to grow past it for a large
+// request is dropped, so an idle pool slot never pins megabytes. 64 KiB
+// holds an analyze body of about 700 nodes.
 const maxPooledBody = 64 << 10
 
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -76,32 +76,35 @@ func putBody(buf *bytes.Buffer) {
 	}
 }
 
-// readRequest is the front of every POST endpoint: count the request, then
-// read and decode its size-bounded body into req (a pointer to one of the
-// five request types), recording the two together as the trace's decode
-// span. It returns how many body bytes it read. A body over limit is a
-// 413; every other failure is a 400.
-func readRequest(count *obs.Counter, limit int64, w http.ResponseWriter, r *http.Request, tr *obs.Trace, req any) (int, error) {
+// readBody counts the request and reads its size-bounded body into buf:
+// the front of every POST endpoint. A body over limit is a 413; every
+// other failure is a 400.
+func readBody(count *obs.Counter, limit int64, w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) error {
 	count.Inc()
-	start := time.Now()
-	n, err := decodeBody(http.MaxBytesReader(w, r.Body, limit), req)
-	tr.Since("decode", start)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return n, clientError{fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit), http.StatusRequestEntityTooLarge}
+	switch {
+	case errors.As(err, &tooLarge):
+		return clientError{fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit), http.StatusRequestEntityTooLarge}
+	case err != nil:
+		return badRequest(fmt.Errorf("reading request body: %w", err))
 	}
-	return n, err
+	return nil
 }
 
-// decodeBody reads body to its end into a pooled buffer and decodes what
-// it read, returning how many bytes that was.
-func decodeBody(body io.Reader, v any) (int, error) {
+// readRequest is readBody and decodeRequest into req, a target that is
+// not pooled (the sweep stream's), recorded together as the trace's
+// decode span.
+func readRequest(count *obs.Counter, limit int64, w http.ResponseWriter, r *http.Request, tr *obs.Trace, req any) error {
+	start := time.Now()
 	buf := getBody()
 	defer putBody(buf)
-	if _, err := buf.ReadFrom(body); err != nil {
-		return buf.Len(), badRequest(fmt.Errorf("reading request body: %w", err))
+	err := readBody(count, limit, w, r, buf)
+	if err == nil {
+		err = decodeRequest(buf.Bytes(), req)
 	}
-	return buf.Len(), decodeRequest(buf.Bytes(), v)
+	tr.Since("decode", start)
+	return err
 }
 
 // decodeRequest decodes one complete body into v, a pointer to one of the

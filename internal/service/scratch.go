@@ -1,18 +1,21 @@
 package service
 
 import (
+	"bytes"
 	"net/http"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// This file is the request scratch: what a POST request is decoded into
-// and what its queries are resolved into, pooled per endpoint, so that a
-// stream of misses reuses one set of decode targets, fleets, domain
-// layouts and fingerprint buffers instead of allocating them for every
-// request (DESIGN.md "Miss-path allocation budget").
+// This file is the request scratch: what a POST request is read into,
+// decoded into and what its queries are resolved into, pooled per
+// endpoint, so that a stream of misses reuses one set of body buffers,
+// decode targets, fleets, domain layouts and fingerprint buffers instead
+// of allocating them for every request (DESIGN.md "Miss-path allocation
+// budget").
 //
 // The lifetime rule: nothing that outlives the request refers to its
 // scratch. handlePost returns the scratch to the pool after the response
@@ -92,33 +95,44 @@ func (sc *scratch) query() *queryScratch {
 	return qs
 }
 
-// pooled is one pool entry of a POST endpoint: its decode target and its
-// scratch.
+// pooled is one pool entry of a POST endpoint, and what the endpoint's
+// call is handed: the body as read and when reading it began, the decode
+// target and the scratch. The body buffer belongs to the entry, so it
+// stays sized for the endpoint's bodies, as the target does.
 type pooled[Q any] struct {
-	req Q
-	sc  scratch
+	body  bytes.Buffer
+	start time.Time
+	req   Q
+	sc    scratch
 }
 
-// handlePost is the body of every JSON-in, JSON-out POST endpoint:
-// readRequest into a pooled target, the endpoint's traced call on the
-// pooled scratch, and the response or its error rendered as JSON. A call
-// that returns a body has it sent as is, in place of encoding the
-// response. The entry goes back to the pool once the response is
-// written, unless the body was larger than a pooled body buffer or the
-// scratch outgrew the retention rule (scratch.reset): what a large
-// request decodes or resolves into is not worth pinning.
-func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *scratch, *obs.Trace) (R, []byte, error)) func(http.ResponseWriter, *http.Request, *obs.Trace) {
+// postCall is a POST endpoint's call, on its pooled entry and the
+// request's trace. A call that returns a body has it sent as is, in place
+// of encoding the response.
+type postCall[Q, R any] func(*pooled[Q], *obs.Trace) (R, []byte, error)
+
+// handlePost is the body of every JSON-in, JSON-out POST endpoint: the
+// request counted and its size-bounded body read once into the pooled
+// entry, the endpoint's call on that entry, and the response or its
+// error rendered as JSON. The entry goes back to the pool once the
+// response is written, unless its body buffer grew past a pooled one's
+// cap (maxPooledBody) or the scratch outgrew the retention rule
+// (scratch.reset): what a large request reads, decodes or resolves into
+// is not worth pinning.
+func handlePost[Q, R any](count *obs.Counter, limit int64, call postCall[Q, R]) func(http.ResponseWriter, *http.Request, *obs.Trace) {
 	var pool sync.Pool
 	return func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
 		p, _ := pool.Get().(*pooled[Q])
 		if p == nil {
 			p = new(pooled[Q])
 		}
-		n, err := readRequest(count, limit, w, r, tr, &p.req)
-		if err != nil {
+		p.body.Reset()
+		p.start = time.Now()
+		if err := readBody(count, limit, w, r, &p.body); err != nil {
+			tr.Since("decode", p.start)
 			writeError(w, tr, err)
 		} else {
-			resp, body, err := call(p.req, &p.sc, tr)
+			resp, body, err := call(p, tr)
 			switch {
 			case err != nil:
 				writeError(w, tr, err)
@@ -128,13 +142,28 @@ func handlePost[Q, R any](count *obs.Counter, limit int64, call func(Q, *scratch
 				writeJSON(w, tr, http.StatusOK, resp)
 			}
 		}
-		if n <= maxPooledBody && p.sc.reset() {
+		if p.body.Cap() <= maxPooledBody && p.sc.reset() {
 			pool.Put(p)
 		}
 	}
 }
 
-// encoded adapts a traced call that stores no bodies to handlePost: its
+// decoded adapts a traced call on the decoded request to handlePost: the
+// body is decoded into the pooled target first, reading and decoding
+// recorded together as the trace's decode span.
+func decoded[Q, R any](call func(Q, *scratch, *obs.Trace) (R, []byte, error)) postCall[Q, R] {
+	return func(p *pooled[Q], tr *obs.Trace) (R, []byte, error) {
+		err := decodeRequest(p.body.Bytes(), &p.req)
+		tr.Since("decode", p.start)
+		if err != nil {
+			var zero R
+			return zero, nil, err
+		}
+		return call(p.req, &p.sc, tr)
+	}
+}
+
+// encoded adapts a traced call that stores no bodies to decoded: its
 // responses are always encoded.
 func encoded[Q, R any](call func(Q, *scratch, *obs.Trace) (R, error)) func(Q, *scratch, *obs.Trace) (R, []byte, error) {
 	return func(req Q, sc *scratch, tr *obs.Trace) (R, []byte, error) {

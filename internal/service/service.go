@@ -62,6 +62,7 @@ const solverCacheCapacity = 1024
 // repriced spellings of the same query.
 type Server struct {
 	cache   *qcache.Cache[*analyzeEntry]
+	index   *bodyIndex // raw analyze body → its L1 key, in front of the decoder
 	ocache  *qcache.Cache[OptimizeResponse]
 	tcache  *qcache.Cache[TailResponse]
 	analyze func(*core.Query) (core.Result, error)
@@ -105,6 +106,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		cache:     qcache.New[*analyzeEntry](opts.CacheCapacity, opts.CacheShards).WithSizer(sizeofAnalyzeEntry),
+		index:     newBodyIndex(opts.CacheCapacity),
 		ocache:    qcache.New[OptimizeResponse](solverCacheCapacity, opts.CacheShards).WithSizer(sizeofOptimizeResponse),
 		tcache:    qcache.New[TailResponse](solverCacheCapacity, opts.CacheShards).WithSizer(sizeofTailResponse),
 		analyze:   opts.AnalyzeFunc,
@@ -244,12 +246,12 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(path, s.instrument(endpoint, method, h))
 	}
 	metrics := s.MetricsHandler()
-	route("/v1/analyze", "analyze", http.MethodPost, handlePost(s.m.req["analyze"], maxBodyBytes, s.analyzeServed))
+	route("/v1/analyze", "analyze", http.MethodPost, handlePost(s.m.req["analyze"], maxBodyBytes, s.indexed(decoded(s.analyzeServed))))
 	route("/v1/sweep", "sweep", http.MethodPost, s.handleSweep)
-	route("/v1/optimize", "optimize", http.MethodPost, handlePost(s.m.req["optimize"], maxBodyBytes, encoded(s.optimizeTraced)))
+	route("/v1/optimize", "optimize", http.MethodPost, handlePost(s.m.req["optimize"], maxBodyBytes, decoded(encoded(s.optimizeTraced))))
 	route("/v1/tables", "tables", http.MethodGet, s.handleTables)
-	route("/v1/tail", "tail", http.MethodPost, handlePost(s.m.req["tail"], maxBodyBytes, encoded(s.tailTraced)))
-	route("/v1/batch", "batch", http.MethodPost, handlePost(s.m.req["batch"], maxBatchBodyBytes, encoded(s.batchTraced)))
+	route("/v1/tail", "tail", http.MethodPost, handlePost(s.m.req["tail"], maxBodyBytes, decoded(encoded(s.tailTraced))))
+	route("/v1/batch", "batch", http.MethodPost, handlePost(s.m.req["batch"], maxBatchBodyBytes, decoded(encoded(s.batchTraced))))
 	route("/v1/traces", "traces", http.MethodGet, s.handleTraces)
 	route("/healthz", "healthz", http.MethodGet, s.handleHealthz)
 	route("/statsz", "statsz", http.MethodGet, s.handleStatsz)

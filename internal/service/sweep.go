@@ -160,7 +160,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, tr *obs.Tra
 	// The stream's target is not pooled: cells already scheduled outlive a
 	// disconnected client's handler, and they read req.
 	var req SweepRequest
-	if _, err := readRequest(s.m.req["sweep"], maxBodyBytes, w, r, tr, &req); err != nil {
+	if err := readRequest(s.m.req["sweep"], maxBodyBytes, w, r, tr, &req); err != nil {
 		writeError(w, tr, err)
 		return
 	}

@@ -215,15 +215,21 @@ func TestTraceSpansAndCacheVerdicts(t *testing.T) {
 	body := `{"model":{"protocol":"raft","n":7},"p":0.02}`
 	postJSON(t, ts.URL+"/v1/analyze", body) // miss
 	postJSON(t, ts.URL+"/v1/analyze", body) // l1 hit
+	postJSON(t, ts.URL+"/v1/analyze", body) // l1 hit through the body index
 
 	tr := getTraces(t, ts.URL, "?endpoint=analyze")
-	if len(tr.Traces) != 2 {
-		t.Fatalf("got %d traces, want 2", len(tr.Traces))
+	if len(tr.Traces) != 3 {
+		t.Fatalf("got %d traces, want 3", len(tr.Traces))
 	}
-	// Newest first: the hit, then the miss.
-	hit, miss := tr.Traces[0], tr.Traces[1]
-	if hit.Cache != "l1_hit" || miss.Cache != "miss" {
-		t.Fatalf("cache verdicts = %q, %q; want l1_hit, miss", hit.Cache, miss.Cache)
+	// Newest first: the index answer, the hit, then the miss.
+	indexed, hit, miss := tr.Traces[0], tr.Traces[1], tr.Traces[2]
+	if indexed.Cache != "l1_hit" || hit.Cache != "l1_hit" || miss.Cache != "miss" {
+		t.Fatalf("cache verdicts = %q, %q, %q; want l1_hit, l1_hit, miss", indexed.Cache, hit.Cache, miss.Cache)
+	}
+	// The index answers without decoding, resolving or fingerprinting:
+	// its one span is the lookup.
+	if len(indexed.Spans) != 1 || indexed.Spans[0].Stage != "cache_lookup" {
+		t.Fatalf("index answer's trace spans = %+v, want one cache_lookup", indexed.Spans)
 	}
 	spanNames := func(rec TraceRecordView) map[string]bool {
 		out := map[string]bool{}
